@@ -38,8 +38,8 @@ func Analyze(h *Hypergraph, opts ...AnalyzeOption) *Analysis {
 func WithVerify() AnalyzeOption { return analysis.WithVerify() }
 
 // WithParallelism makes the session's Reduce and Eval facets execute with
-// up to n concurrent workers (values < 1 mean GOMAXPROCS). The parallel
-// paths are exact twins of the serial ones: result tables, emission order,
-// and per-step statistics are identical — parallelism changes wall-clock
-// time and nothing else. n = 1 (the default) keeps the serial executors.
+// up to n concurrent workers (values < 1 mean GOMAXPROCS). Result tables,
+// emission order, and per-step statistics do not depend on n —
+// parallelism changes wall-clock time and nothing else. n = 1 (the
+// default) runs every kernel inline.
 func WithParallelism(n int) AnalyzeOption { return analysis.WithParallelism(n) }

@@ -293,17 +293,16 @@ func execTable(w io.Writer) {
 		if !ok {
 			panic("chain schema must be acyclic")
 		}
-		prog := jt.FullReducer()
 		nodes := schema.Nodes()
 		attrs := []string{nodes[0], nodes[len(nodes)-1]}
 		dReduce := timeIt(func() {
-			if _, err := exec.Reduce(ctx, cdb, prog); err != nil {
+			if _, err := exec.Reduce(ctx, cdb, jt, nil); err != nil {
 				panic(err)
 			}
 		})
 		var out *exec.Table
 		dEval := timeIt(func() {
-			res, err := exec.Eval(ctx, cdb, jt, attrs)
+			res, err := exec.Eval(ctx, cdb, jt, attrs, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -325,10 +324,10 @@ func execTable(w io.Writer) {
 	fmt.Fprintln(w, "constant factor by hashing int32 ids instead of building string row keys")
 }
 
-// parallelTable: P-PAR — the intra-query parallel executors across worker
-// counts, against the serial kernels running the identical plan. Speedups
-// are bounded by the host's core count (on a single-core host every row
-// reports ~1×: the parallel paths degrade inline by design).
+// parallelTable: P-PAR — exec.Reduce/exec.Eval across pool widths on the
+// identical plan; the 1-worker pool runs every kernel inline and is the
+// baseline. Speedups are bounded by the host's core count (on a single-core
+// host every row reports ~1×: chunked scans degrade inline by design).
 func parallelTable(w io.Writer) {
 	report.Section(w, fmt.Sprintf("P-PAR: intra-query parallel reduce/eval (host cores: %d)", runtime.NumCPU()))
 	t := report.NewTable("edges", "rows/object", "workers", "reduce", "eval", "reduce speedup", "eval speedup")
@@ -345,39 +344,23 @@ func parallelTable(w io.Writer) {
 		if !ok {
 			panic("chain schema must be acyclic")
 		}
-		prog := jt.FullReducer()
 		nodes := schema.Nodes()
 		attrs := []string{nodes[0], nodes[len(nodes)-1]}
 		var dReduce1, dEval1 time.Duration
 		for _, workers := range []int{1, 2, 4, 8} {
 			p := pool.New(workers)
-			var dReduce, dEval time.Duration
+			dReduce := timeIt(func() {
+				if _, err := exec.Reduce(ctx, cdb, jt, p); err != nil {
+					panic(err)
+				}
+			})
+			dEval := timeIt(func() {
+				if _, err := exec.Eval(ctx, cdb, jt, attrs, p); err != nil {
+					panic(err)
+				}
+			})
 			if workers == 1 {
-				// The serial kernels are the 1-worker baseline — that is
-				// also exactly what ReduceParallel/EvalParallel run at
-				// parallelism 1.
-				dReduce = timeIt(func() {
-					if _, err := exec.Reduce(ctx, cdb, prog); err != nil {
-						panic(err)
-					}
-				})
-				dEval = timeIt(func() {
-					if _, err := exec.EvalWithProgram(ctx, cdb, jt, prog, attrs); err != nil {
-						panic(err)
-					}
-				})
 				dReduce1, dEval1 = dReduce, dEval
-			} else {
-				dReduce = timeIt(func() {
-					if _, err := exec.ReduceParallel(ctx, cdb, jt, p); err != nil {
-						panic(err)
-					}
-				})
-				dEval = timeIt(func() {
-					if _, err := exec.EvalParallel(ctx, cdb, jt, attrs, p); err != nil {
-						panic(err)
-					}
-				})
 			}
 			t.Add(c.edges, c.rows, workers, dReduce, dEval,
 				float64(dReduce1)/float64(dReduce), float64(dEval1)/float64(dEval))
@@ -385,8 +368,8 @@ func parallelTable(w io.Writer) {
 	}
 	t.Render(w)
 	fmt.Fprintln(w, "shape: per-level data parallelism splits each semijoin/join/projection into chunks, so")
-	fmt.Fprintln(w, "speedup tracks min(workers, cores) once tables clear the serial-fallback threshold;")
-	fmt.Fprintln(w, "results are byte-identical to the serial kernels at every worker count")
+	fmt.Fprintln(w, "speedup tracks min(workers, cores) once tables clear the inline-chunk threshold;")
+	fmt.Fprintln(w, "results are byte-identical at every worker count")
 }
 
 // spectrumTable: P-SPEC — the polynomial full-spectrum classifiers against

@@ -155,9 +155,7 @@
 // executable specifications (now ctx-aware), pinned to the polynomial
 // testers differentially on the exhaustive small corpus, the generator
 // corpus — including gen.GammaAcyclic, a ported Leitert incremental
-// generator — and a fuzz target. The degree feeds planning: sessions over
-// γ-acyclic schemas select a denser semijoin strategy in the executor, and
-// the serving layer classifies 10⁴-edge schemas under its default deadline
+// generator — and a fuzz target. The serving layer classifies 10⁴-edge schemas under its default deadline
 // (~90 ms measured, BENCH_spectrum.json) instead of refusing them by size.
 //
 // # Representation layer
@@ -214,27 +212,34 @@
 //
 // # Parallel execution
 //
-// Both execution facets run serial by default; parallelism is opt-in per
-// handle. Analyze(h, WithParallelism(n)) makes a.Reduce schedule the full
-// reducer level by level over the join tree (independent subtrees run
-// concurrently) and makes a.Eval additionally chunk the bottom-up join
-// phase, in both cases with up to n workers; NewWorkspace(
-// WithWorkspaceParallelism(n)) does the same for workspace analyses and
-// settles dirty components concurrently, so a cold Snapshot fans its
-// per-component searches out. Workers come from one shared pool per
-// engine/handle: nested parallel regions draw from the same token budget
-// and degrade inline instead of oversubscribing, and a pool of n=1 (or a
-// nil pool) is exactly the serial executor.
+// Both execution facets run on one driver pair, exec.Reduce and exec.Eval,
+// which take an optional worker pool; parallelism is opt-in per handle.
+// Reduce schedules the full reducer level by level over the join tree
+// (independent subtrees run concurrently) and Eval builds sibling subtrees
+// concurrently, while every semijoin, join and projection scan over more
+// than 16384 rows is split into chunks. Analyze(h, WithParallelism(n))
+// gives a handle up to n workers; NewWorkspace(WithWorkspaceParallelism(n))
+// does the same for workspace analyses and settles dirty components
+// concurrently, so a cold Snapshot fans its per-component searches out.
+// Workers come from one shared pool per engine/handle: nested parallel
+// regions draw from the same token budget and degrade inline instead of
+// oversubscribing, and a pool of n=1 (or a nil pool) runs everything
+// inline.
 //
-// The determinism contract: a parallel run is byte-identical to the serial
-// run — same rows in the same order, same per-step RowsIn/RowsOut in the
-// same program order, same JoinRows — only wall-clock time may differ.
-// This is enforced, not aspirational: a differential suite re-runs the
-// corpus at several GOMAXPROCS values × worker counts and compares
-// parallel output to the serial kernels field by field (and hammers the
-// pool under -race). Tables below a size threshold fall back to the serial
-// kernels, so small inputs never pay chunking overhead. BENCH_parallel.json
-// records measured shapes and the single-core caveat.
+// The semijoin kernel is chosen per step from the input, for any schema: a
+// step whose two objects share exactly one column runs a dense stamp
+// filter over dictionary value ids (no hashing), as long as the database's
+// dictionary is no larger than its cell count; every other step probes a
+// hash index.
+//
+// The determinism contract: a run on n workers is byte-identical to the
+// inline run — same rows in the same order, same per-step RowsIn/RowsOut in
+// the full reducer's program order, same JoinRows — only wall-clock time
+// may differ. This is enforced, not aspirational: a differential suite
+// re-runs the corpus at several GOMAXPROCS values × worker counts and
+// compares every width to the nil pool field by field, and a kernel
+// differential pins the dense filter to the hash kernel (both under
+// -race). BENCH_parallel.json records the measured shapes.
 //
 // # Batch engine
 //
@@ -344,7 +349,8 @@
 //
 // Two serving features ride the same epoch machinery:
 //
-//	GET /v1/ws/{id}/watch?after=N       long-poll: parks until the epoch
+//	GET /v1/workspaces/{id}/watch?after=N
+//	                                    long-poll: parks until the epoch
 //	                                    exceeds N (default: current), answers
 //	                                    {"changed": bool, "epoch": M}; the
 //	                                    deadline answers changed=false, so
@@ -385,7 +391,8 @@
 // count; facet spans time MCS/spectrum/Graham computations (waiters that
 // coalesced onto another goroutine's computation get a facet.wait span
 // instead); exec.eval/exec.reduce/exec.step record per-step target,
-// source, rows in/out, and queueing wait; dynamic.settle and
+// source, rows in/out, queueing wait, and the semijoin kernel the step ran
+// (kernel=dense|hash); dynamic.settle and
 // dynamic.component cover workspace recomputation. Span buffers are
 // bounded per trace (default 512; overflow is counted, not grown).
 //

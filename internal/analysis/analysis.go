@@ -201,12 +201,11 @@ func WithVerify() Option {
 }
 
 // WithPool attaches a shared worker pool: Reduce and Eval run their
-// semijoin and join phases through the intra-query parallel executor,
-// drawing goroutine tokens from p. Pass the pool of an engine (Engine.Pool)
-// to share one budget between inter-query batch workers and intra-query
-// kernels. A nil pool (or one with parallelism 1) keeps the serial paths.
-// Parallel results are identical to serial ones — same rows, same order,
-// same per-step statistics.
+// semijoin and join phases on p, drawing goroutine tokens from it. Pass the
+// pool of an engine (Engine.Pool) to share one budget between inter-query
+// batch workers and intra-query kernels. A nil pool (or one with
+// parallelism 1) runs inline. Results do not depend on the pool — same
+// rows, same order, same per-step statistics.
 func WithPool(p *pool.Pool) Option {
 	return func(a *Analysis) { a.pool = p }
 }
@@ -392,20 +391,6 @@ func (a *Analysis) ClassificationCtx(ctx context.Context) (acyclic.Classificatio
 	}, nil
 }
 
-// strategyCtx picks the execution strategy from the schema's degree:
-// γ-acyclic (or stronger) schemas take the aggressive reduction kernels.
-// The spectrum is cached on the handle, so repeated calls derive nothing.
-func (a *Analysis) strategyCtx(ctx context.Context) (exec.Strategy, error) {
-	r, err := a.SpectrumCtx(ctx)
-	if err != nil {
-		return exec.StrategyStandard, err
-	}
-	if r.Degree >= spectrum.DegreeGamma {
-		return exec.StrategyAggressive, nil
-	}
-	return exec.StrategyStandard, nil
-}
-
 // GrahamTrace returns the Graham (GYO) reduction of the hypergraph with no
 // sacred nodes, including the full step trace — the paper's own machinery,
 // retained alongside MCS for its trace. Computed once per handle; the
@@ -485,71 +470,49 @@ func (a *Analysis) checkSchema(d *exec.Database) error {
 	return nil
 }
 
-// Reduce applies the session's full-reducer program to the columnar
-// database d as a streaming two-pass reduction, returning the reduced
-// database with per-step statistics. The program derivation (join tree,
-// reducer) is cached on the handle; the reduction itself runs per call —
-// it depends on d, not on the hypergraph alone. d's schema must be the
+// execTree checks that d's schema is the session's hypergraph and returns
+// the session's join tree. Cyclic schemas report ErrCyclicSchema: the
+// full-reducer facet maps the verdict, and both artifacts are cached, so a
+// warm handle derives nothing per call.
+func (a *Analysis) execTree(ctx context.Context, d *exec.Database) (*jointree.JoinTree, error) {
+	if err := a.checkSchema(d); err != nil {
+		return nil, err
+	}
+	if _, err := a.FullReducerCtx(ctx); err != nil {
+		return nil, err
+	}
+	return a.JoinTreeCtx(ctx)
+}
+
+// Reduce applies the session's full reducer to the columnar database d as a
+// streaming two-pass reduction, returning the reduced database with
+// per-step statistics (see exec.Reduce). The plan derivation is cached on
+// the handle; the reduction itself runs per call on the session's pool — it
+// depends on d, not on the hypergraph alone. d's schema must be the
 // session's hypergraph (content-equal); cyclic schemas report
 // ErrCyclicSchema. Cancellation is observed inside the semijoin kernels
 // every ~4096 rows.
 func (a *Analysis) Reduce(ctx context.Context, d *exec.Database) (*exec.ReduceResult, error) {
-	if err := a.checkSchema(d); err != nil {
-		return nil, err
-	}
-	prog, err := a.FullReducerCtx(ctx)
+	jt, err := a.execTree(ctx, d)
 	if err != nil {
 		return nil, err
 	}
-	if a.pool.Parallelism() > 1 {
-		// FullReducerCtx succeeding implies the join tree exists and is
-		// cached; the parallel reducer produces the identical result
-		// (rows, order, per-step stats) with intra-query parallelism.
-		jt, err := a.JoinTreeCtx(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return exec.ReduceParallel(ctx, d, jt, a.pool)
-	}
-	// Serial path: γ-acyclic schemas take the aggressive reduction kernels
-	// (identical results, dense single-attribute semijoins).
-	strat, err := a.strategyCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return exec.ReduceWithStrategy(ctx, d, prog, strat)
+	return exec.Reduce(ctx, d, jt, a.pool)
 }
 
 // Eval answers π_attrs(⋈ all objects) over the columnar database d with the
 // full Yannakakis strategy: the session's full reducer makes every object
 // globally consistent, then the objects are joined bottom-up along the
 // session's join tree with projection pushdown, so the join phase is
-// output-sensitive. d's schema must be the session's hypergraph
-// (content-equal); cyclic schemas report ErrCyclicSchema. Cancellation is
-// observed inside the kernels every ~4096 rows.
+// output-sensitive (see exec.Eval). d's schema must be the session's
+// hypergraph (content-equal); cyclic schemas report ErrCyclicSchema.
+// Cancellation is observed inside the kernels every ~4096 rows.
 func (a *Analysis) Eval(ctx context.Context, d *exec.Database, attrs []string) (*exec.EvalResult, error) {
-	if err := a.checkSchema(d); err != nil {
-		return nil, err
-	}
-	// FullReducer reuses the session's join tree and maps ErrCyclic to
-	// ErrCyclicSchema; both artifacts are cached, so a warm handle derives
-	// nothing per call.
-	prog, err := a.FullReducerCtx(ctx)
+	jt, err := a.execTree(ctx, d)
 	if err != nil {
 		return nil, err
 	}
-	jt, err := a.JoinTreeCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if a.pool.Parallelism() > 1 {
-		return exec.EvalParallel(ctx, d, jt, attrs, a.pool)
-	}
-	strat, err := a.strategyCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return exec.EvalWithProgramStrategy(ctx, d, jt, prog, attrs, strat)
+	return exec.Eval(ctx, d, jt, attrs, a.pool)
 }
 
 // Witness returns the Theorem 6.1 independent-path witness for a cyclic

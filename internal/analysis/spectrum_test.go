@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/gen"
-	"repro/internal/gendb"
 	"repro/internal/spectrum"
 )
 
@@ -71,45 +69,5 @@ func TestSpectrumFacetCancellation(t *testing.T) {
 	}
 	if runs := a.Stats().HierarchyRuns; runs != 1 {
 		t.Fatalf("retry did not latch: HierarchyRuns=%d", runs)
-	}
-}
-
-// TestDegreeAwareReduceMatchesStandard pins the session-level strategy
-// dispatch: a serial session over a γ-acyclic schema (which selects the
-// aggressive kernels) must produce exactly the reduction the plain standard
-// executor produces.
-func TestDegreeAwareReduceMatchesStandard(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	h := gen.AcyclicChainIDs(20, 3, 1)
-	a := New(h)
-	if a.Spectrum().Degree < spectrum.DegreeGamma {
-		t.Skip("chain schema unexpectedly below gamma; strategy dispatch untested")
-	}
-	d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 50, DomainSize: 3})
-	got, err := a.Reduce(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := a.FullReducer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exec.Reduce(context.Background(), d, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RowsIn != want.RowsIn || got.RowsOut != want.RowsOut || len(got.Steps) != len(want.Steps) {
-		t.Fatalf("degree-aware reduce diverges: got %d->%d in %d steps, want %d->%d in %d steps",
-			got.RowsIn, got.RowsOut, len(got.Steps), want.RowsIn, want.RowsOut, len(want.Steps))
-	}
-	for i := range want.Steps {
-		if got.Steps[i].Step != want.Steps[i].Step || got.Steps[i].RowsOut != want.Steps[i].RowsOut {
-			t.Fatalf("step %d diverges: got %+v, want %+v", i, got.Steps[i], want.Steps[i])
-		}
-	}
-	for j := range want.DB.Tables {
-		if !got.DB.Tables[j].Equal(want.DB.Tables[j]) {
-			t.Fatalf("object %d differs between strategies", j)
-		}
 	}
 }

@@ -248,59 +248,46 @@ func (a *Analysis) checkSchemaLocked(d *exec.Database) error {
 	return nil
 }
 
-// Reduce applies the epoch's full-reducer program to the columnar database
-// d (see analysis.Analysis.Reduce for the execution contract). The plan
-// derivation is epoch-checked — an edited workspace reports *ErrStaleEpoch
-// instead of running a plan for a schema that no longer exists; the
-// reduction itself runs per call outside the handle's lock. A workspace
-// built with WithParallelism/WithPool runs the level-scheduled parallel
-// reduction (output and stats identical to the serial program).
+// Reduce applies the epoch's full reducer to the columnar database d on the
+// workspace's pool (see analysis.Analysis.Reduce for the execution
+// contract). The plan derivation is epoch-checked — an edited workspace
+// reports *ErrStaleEpoch instead of running a plan for a schema that no
+// longer exists; the reduction itself runs per call outside the handle's
+// lock.
 func (a *Analysis) Reduce(ctx context.Context, d *exec.Database) (*exec.ReduceResult, error) {
-	a.mu.Lock()
-	prog, err := a.reducePlanLocked(d)
-	var jt *jointree.JoinTree
-	if err == nil && a.ws.pool.Parallelism() > 1 {
-		jt, err = a.joinTreeLocked()
-	}
-	a.mu.Unlock()
+	jt, err := a.execTree(d)
 	if err != nil {
 		return nil, err
 	}
-	if jt != nil {
-		return exec.ReduceParallel(ctx, d, jt, a.ws.pool)
-	}
-	return exec.Reduce(ctx, d, prog)
+	return exec.Reduce(ctx, d, jt, a.ws.pool)
 }
 
-func (a *Analysis) reducePlanLocked(d *exec.Database) ([]jointree.SemijoinStep, error) {
+// execTree returns the epoch's join forest for running over d, after the
+// staleness and schema checks; cyclic epochs report ErrCyclicSchema.
+func (a *Analysis) execTree(d *exec.Database) (*jointree.JoinTree, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if err := a.ws.stale(a.epoch); err != nil {
 		return nil, err
 	}
 	if err := a.checkSchemaLocked(d); err != nil {
 		return nil, err
 	}
-	return a.fullReducerLocked()
+	if _, err := a.fullReducerLocked(); err != nil {
+		return nil, err
+	}
+	return a.joinTreeLocked()
 }
 
 // Eval answers π_attrs(⋈ all objects) over d with the full Yannakakis
-// strategy, using the epoch's join forest and full reducer (see
-// analysis.Analysis.Eval for the execution contract). Plans are
-// epoch-checked like Reduce.
+// strategy, using the epoch's join forest (see analysis.Analysis.Eval for
+// the execution contract). Plans are epoch-checked like Reduce.
 func (a *Analysis) Eval(ctx context.Context, d *exec.Database, attrs []string) (*exec.EvalResult, error) {
-	a.mu.Lock()
-	prog, err := a.reducePlanLocked(d)
-	var jt *jointree.JoinTree
-	if err == nil {
-		jt, err = a.joinTreeLocked()
-	}
-	a.mu.Unlock()
+	jt, err := a.execTree(d)
 	if err != nil {
 		return nil, err
 	}
-	if a.ws.pool.Parallelism() > 1 {
-		return exec.EvalParallel(ctx, d, jt, attrs, a.ws.pool)
-	}
-	return exec.EvalWithProgram(ctx, d, jt, prog, attrs)
+	return exec.Eval(ctx, d, jt, attrs, a.ws.pool)
 }
 
 // --- workspace-side epoch-checked reads ---

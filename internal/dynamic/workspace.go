@@ -158,7 +158,7 @@ func WithEngine(e *engine.Engine) Option {
 // WithPool attaches a shared worker pool: dirty components re-analyze
 // concurrently when a batch of edits settles, a cold Analysis/Snapshot
 // fans its per-component searches out, and the handle's Reduce/Eval facets
-// run the intra-query parallel executor. Pass an engine's pool
+// run their kernels on it. Pass an engine's pool
 // (Engine.Pool) to spend one budget across inter-query batches and this
 // workspace. A nil pool (or parallelism 1) keeps every path serial.
 // Results are identical either way.

@@ -73,8 +73,8 @@ type Engine struct {
 	seed  uint64 // the keyed-digest seed (meaningful only when keyed)
 
 	// pool is the shared worker budget: batch fan-out draws its extra
-	// goroutines from it, and memoized Analysis sessions carry it into the
-	// intra-query parallel executor, so inter- and intra-query parallelism
+	// goroutines from it, and memoized Analysis sessions carry it into
+	// exec.Reduce/exec.Eval, so inter- and intra-query parallelism
 	// cannot oversubscribe e.workers in combination.
 	pool *pool.Pool
 

@@ -36,11 +36,10 @@ func BenchmarkExecReduce(b *testing.B) {
 		{64, 10_000},
 	} {
 		db, jt := benchChain(cfg.edges, cfg.rows)
-		prog := jt.FullReducer()
 		b.Run(fmt.Sprintf("edges=%d/rows=%d", cfg.edges, cfg.rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := exec.Reduce(ctx, db, prog)
+				res, err := exec.Reduce(ctx, db, jt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -69,7 +68,7 @@ func BenchmarkExecEval(b *testing.B) {
 		b.Run(fmt.Sprintf("edges=%d/rows=%d", cfg.edges, cfg.rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := exec.Eval(ctx, db, jt, attrs)
+				res, err := exec.Eval(ctx, db, jt, attrs, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -92,7 +91,7 @@ func TestExecChain100k(t *testing.T) {
 	if db.NumRows() < 99_000 {
 		t.Fatalf("instance smaller than intended: %d rows", db.NumRows())
 	}
-	res, err := exec.Reduce(ctx, db, jt.FullReducer())
+	res, err := exec.Reduce(ctx, db, jt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,7 @@ func TestExecChain100k(t *testing.T) {
 			if i == j || !db.Schema.EdgeView(i).Intersects(db.Schema.EdgeView(j)) {
 				continue
 			}
-			again, err := exec.Semijoin(ctx, ti, tj)
+			again, err := exec.Semijoin(ctx, ti, tj, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +116,7 @@ func TestExecChain100k(t *testing.T) {
 		}
 	}
 	nodes := db.Schema.Nodes()
-	ev, err := exec.Eval(ctx, db, jt, []string{nodes[0], nodes[len(nodes)-1]})
+	ev, err := exec.Eval(ctx, db, jt, []string{nodes[0], nodes[len(nodes)-1]}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

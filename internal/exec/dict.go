@@ -10,13 +10,20 @@
 //   - Table: a set-semantics relation as per-attribute int32 columns over a
 //     shared value Dict (loaders from internal/relation and CSV).
 //   - Semijoin / Join / Project: hash kernels on column ids, each observing
-//     context cancellation every ~4096 rows.
+//     context cancellation every ~4096 rows and taking an optional worker
+//     pool that splits large scans into chunks.
 //   - Database: a schema (hypergraph) bound to one Table per edge, all
 //     sharing one Dict so cross-table comparisons stay id-equality.
-//   - Reduce: applies a jointree.FullReducer program as a streaming two-pass
-//     reduction with per-step statistics (rows in/out, elapsed).
+//   - Reduce: runs a join tree's full reducer as a streaming two-pass
+//     reduction, level by level, with per-step statistics (rows in/out,
+//     elapsed, queueing wait). Each step picks its semijoin kernel from
+//     the input: a dense stamp filter when the pair shares exactly one
+//     column, the hash kernel otherwise.
 //   - Eval: full Yannakakis evaluation — reduce, then join bottom-up along
 //     the join tree with projection pushdown, output-sensitive.
+//
+// Reduce and Eval are the only drivers. A nil or single-worker pool runs
+// them inline; any other pool gives the same result, row order included.
 //
 // The reduce→eval contract: Reduce makes every object globally consistent
 // (for acyclic schemas, by Bernstein–Goodman), after which every

@@ -51,11 +51,13 @@ func relationalTwin(tb testing.TB, d *exec.Database) *db.Database {
 
 // TestReduceDifferential pins exec.Reduce against the naive
 // relation.Semijoin composition (db.ApplyReducer) on randomized databases
-// across the corpus: every object of the reduced database must equal its
-// naive twin, and the result must be the semijoin fixpoint (full reduction).
+// across the corpus, plus a 20-edge γ-acyclic chain whose steps all share
+// one column (the dense semijoin kernel's shape): every object of the
+// reduced database must equal its naive twin, and the result must be the
+// semijoin fixpoint (full reduction).
 func TestReduceDifferential(t *testing.T) {
 	ctx := context.Background()
-	for i, h := range acyclicCorpus(t) {
+	for i, h := range append(acyclicCorpus(t), gen.AcyclicChain(20, 3, 1)) {
 		rng := rand.New(rand.NewSource(int64(1000 + i)))
 		d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 30, DomainSize: 3})
 		jt, ok := jointree.BuildMCS(h)
@@ -64,7 +66,7 @@ func TestReduceDifferential(t *testing.T) {
 		}
 		prog := jt.FullReducer()
 
-		res, err := exec.Reduce(ctx, d, prog)
+		res, err := exec.Reduce(ctx, d, jt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +104,7 @@ func TestEvalDifferential(t *testing.T) {
 					attrs = append(attrs, n)
 				}
 			}
-			res, err := exec.Eval(ctx, d, jt, attrs)
+			res, err := exec.Eval(ctx, d, jt, attrs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +129,7 @@ func TestConsistentDatabaseReducesToItself(t *testing.T) {
 		h := gen.RandomAcyclic(rng, gen.RandomSpec{Edges: 6, MinArity: 2, MaxArity: 3})
 		d := gendb.Consistent(rng, h, gen.InstanceSpec{Rows: 40, DomainSize: 4})
 		jt, _ := jointree.BuildMCS(h)
-		res, err := exec.Reduce(ctx, d, jt.FullReducer())
+		res, err := exec.Reduce(ctx, d, jt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +153,7 @@ func TestAnalysisFacets(t *testing.T) {
 		t.Fatal(err)
 	}
 	jt, _ := jointree.BuildMCS(h)
-	direct, err := exec.Reduce(ctx, d, jt.FullReducer())
+	direct, err := exec.Reduce(ctx, d, jt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +176,9 @@ func TestAnalysisFacets(t *testing.T) {
 	}
 	if runs := a.Stats().MCSRuns; runs != 1 {
 		t.Fatalf("facets ran %d MCS traversals, want 1 (shared with the join tree)", runs)
+	}
+	if runs := a.Stats().HierarchyRuns; runs != 0 {
+		t.Fatalf("Reduce/Eval ran %d spectrum classifications, want 0 (kernels are chosen per step)", runs)
 	}
 
 	// A database over a different schema is rejected.

@@ -1,0 +1,155 @@
+package exec_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"strconv"
+	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/gen"
+	"repro/internal/gendb"
+	"repro/internal/hypergraph"
+	"repro/internal/jointree"
+	"repro/internal/pool"
+)
+
+// randomTable draws up to maxRows rows (possibly none) over a random 1–3
+// attribute subset of A..D, with values from a small domain so pairs of
+// tables match often.
+func randomTable(rng *rand.Rand, dict *exec.Dict, maxRows int) *exec.Table {
+	names := []string{"A", "B", "C", "D"}
+	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+	attrs := names[:1+rng.Intn(3)]
+	rows := make([][]string, rng.Intn(maxRows+1))
+	for i := range rows {
+		row := make([]string, len(attrs))
+		for j := range row {
+			row[j] = "v" + strconv.Itoa(rng.Intn(4))
+		}
+		rows[i] = row
+	}
+	t, err := exec.FromRows(dict, attrs, rows)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// TestDenseSemijoinMatchesHash is the kernel differential: on randomized
+// table pairs — no shared column, one, or several; empty sides; and
+// dictionaries padded far beyond the input — the dense stamp filter must
+// return exactly the hash kernel's table (rows and row order), and both
+// must equal relation.Semijoin. One scratch serves every trial, so stale
+// epochs from earlier steps must never leak, and a second one starts at the
+// edge of the epoch range to drive the wraparound clear.
+func TestDenseSemijoinMatchesHash(t *testing.T) {
+	ctx := context.Background()
+	reused, wrapping := &exec.Stamps{}, exec.StampsAt(math.MaxUint32-3)
+	for trial := 0; trial < 400; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		dict := exec.NewDict()
+		if trial%3 == 0 {
+			for i := 0; i < 5000; i++ {
+				dict.Intern("pad-" + strconv.Itoa(i))
+			}
+		}
+		maxRows := 30
+		if trial%50 == 0 {
+			maxRows = 50000 // past the inline-chunk threshold
+		}
+		r, s := randomTable(rng, dict, maxRows), randomTable(rng, dict, maxRows)
+		want := r.ToRelation().Semijoin(s.ToRelation())
+		for _, p := range []*pool.Pool{nil, pool.New(4)} {
+			label := fmt.Sprintf("trial %d (%v ⋉ %v, %d ⋉ %d rows) workers %d",
+				trial, r.Attrs(), s.Attrs(), r.NumRows(), s.NumRows(), p.Parallelism())
+			hash, err := exec.Semijoin(ctx, r, s, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hash.ToRelation().Equal(want) {
+				t.Fatalf("%s: hash kernel differs from relation.Semijoin", label)
+			}
+			for _, st := range []*exec.Stamps{reused, wrapping} {
+				dense, err := exec.SemijoinDense(ctx, r, s, st, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				identicalTables(t, label+" dense vs hash", hash, dense)
+			}
+		}
+	}
+}
+
+// TestDenseSemijoinCancellation checks that the dense stamp filter and a
+// reduction whose steps take it observe cancellation like every other
+// kernel.
+func TestDenseSemijoinCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dict := exec.NewDict()
+	rows := make([][]string, 3*4096)
+	for i := range rows {
+		rows[i] = []string{strconv.Itoa(i), strconv.Itoa(i + 1)}
+	}
+	r, err := exec.FromRows(dict, []string{"A", "B"}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := exec.FromRows(dict, []string{"B", "C"}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.SemijoinDense(ctx, r, s, &exec.Stamps{}, nil); err != context.Canceled {
+		t.Fatalf("dense semijoin on cancelled ctx: err = %v, want context.Canceled", err)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	h := gen.AcyclicChainIDs(40, 3, 1)
+	d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 3000, DomainSize: 4})
+	if !exec.DenseFits(d) {
+		t.Fatal("chain database should take the dense kernel")
+	}
+	jt, ok := jointree.BuildMCS(h)
+	if !ok {
+		t.Fatal("chain schema not acyclic")
+	}
+	if _, err := exec.Reduce(ctx, d, jt, nil); err != context.Canceled {
+		t.Fatalf("dense reduce on cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestConcurrentDenseSteps runs one down-level of four dense steps
+// concurrently — a star whose leaves each share one column with the
+// center — on a 4-worker pool. Under -race this fails if concurrent steps
+// ever share stamp scratch; the result must match the nil pool's.
+func TestConcurrentDenseSteps(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	h := hypergraph.New([][]string{{"A", "B", "C", "D"}, {"A", "E"}, {"B", "F"}, {"C", "G"}, {"D", "H"}})
+	tree := &jointree.JoinTree{H: h, Parent: []int{-1, 0, 0, 0, 0}}
+	ctx := context.Background()
+	for seed := int64(0); seed < 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 4000, DomainSize: 60})
+		if !exec.DenseFits(d) {
+			t.Fatal("star database should take the dense kernel")
+		}
+		serial, err := exec.Reduce(ctx, d, tree, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := exec.Reduce(ctx, d, tree, pool.New(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("seed %d", seed)
+		identicalSteps(t, label, serial.Steps, par.Steps)
+		for j := range serial.DB.Tables {
+			identicalTables(t, fmt.Sprintf("%s object %d", label, j), serial.DB.Tables[j], par.DB.Tables[j])
+		}
+	}
+}

@@ -1,17 +1,46 @@
 package exec
 
+// The kernels take an optional pool. Below parThreshold rows, or with a
+// single worker, a scan runs as one inline chunk; larger scans split into
+// parChunk-row chunks that run on the pool. The chunked path is pinned
+// byte-identical to the inline one — same rows in the same order — and that
+// determinism is engineered:
+//
+//   - Chunked scans (semijoin keep lists, join emission) concatenate their
+//     per-chunk results in chunk order, which is ascending probe-row order,
+//     the order a single chunk emits.
+//   - The probe index is radix-partitioned by hash into shards, and each
+//     shard's hash chains list rows in ascending order (the scatter pass
+//     preserves chunk order within a shard), so Join walks every chain in
+//     the order a single map, which appends rows ascending, lists it.
+//   - Projection dedups shard-locally: duplicate rows have equal cells,
+//     hence equal hashes, hence land in one shard, so a shard-local
+//     first-occurrence scan marks exactly the rows the inline scan keeps.
+
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
-	"repro/internal/fault"
+	"repro/internal/pool"
 )
 
-// cancelStride is how many rows a kernel processes between context checks.
-// Coarse enough that the check never shows up in profiles, fine enough that
-// cancellation latency is bounded by ~4096 rows of work.
-const cancelStride = 4096
+const (
+	// cancelStride is how many rows a kernel processes between context
+	// checks. Coarse enough that the check never shows up in profiles, fine
+	// enough that cancellation latency is bounded by ~4096 rows of work.
+	cancelStride = 4096
+	// parChunk is the scan-chunk granularity of the chunked path: big
+	// enough that per-chunk overhead (a slice header, a closure call)
+	// vanishes, small enough that the pool's atomic cursor balances skewed
+	// chunks.
+	parChunk = 8192
+	// parThreshold is the input size below which a scan runs as one inline
+	// chunk — under it the fork/merge overhead costs more than the scan.
+	parThreshold = 16384
+)
 
 // checkEvery polls ctx.Err() when row is a multiple of cancelStride.
 func checkEvery(ctx context.Context, row int) error {
@@ -19,6 +48,83 @@ func checkEvery(ctx context.Context, row int) error {
 		return ctx.Err()
 	}
 	return nil
+}
+
+// split returns how many chunks a scan over n rows takes on p: one inline
+// chunk below parThreshold or with a single worker.
+func split(n int, p *pool.Pool) int {
+	if p.Parallelism() == 1 || n < parThreshold {
+		return 1
+	}
+	return (n + parChunk - 1) / parChunk
+}
+
+// forChunks runs f over k near-equal chunks [lo, hi) of [0, n) on p and
+// returns the first error; once one chunk fails the rest are skipped, so a
+// cancelled scan drains quickly.
+func forChunks(n, k int, p *pool.Pool, f func(c, lo, hi int) error) error {
+	size := (n + k - 1) / k
+	var first atomic.Pointer[error]
+	p.Do(k, func(c int) {
+		if first.Load() != nil {
+			return
+		}
+		lo := min(c*size, n)
+		if err := f(c, lo, min(lo+size, n)); err != nil {
+			first.CompareAndSwap(nil, &err)
+		}
+	})
+	if err := first.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// selectRows returns, ascending, the rows i of [0, n) with match(i). A
+// single chunk calls match on every row in ascending order, so a stateful
+// match is sound there.
+func selectRows(ctx context.Context, n int, p *pool.Pool, match func(i int) bool) ([]int32, error) {
+	k := split(n, p)
+	keeps := make([][]int32, k)
+	err := forChunks(n, k, p, func(c, lo, hi int) error {
+		keep := make([]int32, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			if err := checkEvery(ctx, i); err != nil {
+				return err
+			}
+			if match(i) {
+				keep = append(keep, int32(i))
+			}
+		}
+		keeps[c] = keep
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if k == 1 {
+		return keeps[0], nil
+	}
+	return slices.Concat(keeps...), nil
+}
+
+// gather materializes rows keep (ascending) of t's columns idx as a table
+// over attrs, chunked over the output on p.
+func gather(t *Table, attrs []string, idx []int, keep []int32, p *pool.Pool) *Table {
+	out := &Table{dict: t.dict, attrs: attrs, cols: make([][]int32, len(idx)), rows: len(keep)}
+	for c := range out.cols {
+		out.cols[c] = make([]int32, len(keep))
+	}
+	_ = forChunks(len(keep), split(len(keep), p), p, func(_, lo, hi int) error {
+		for c, tc := range idx {
+			src, dst := t.cols[tc], out.cols[c]
+			for k := lo; k < hi; k++ {
+				dst[k] = src[keep[k]]
+			}
+		}
+		return nil
+	})
+	return out
 }
 
 // sharedCols returns the positions of the attributes common to r and s, as
@@ -42,96 +148,217 @@ func sharedCols(r, s *Table) (rIdx, sIdx []int) {
 	return rIdx, sIdx
 }
 
-// keyIndex hashes the key cells of every row of t (columns idx) into a
-// probe structure: hash -> row indices. Collisions are verified by the
-// caller through equalCells.
-func keyIndex(ctx context.Context, t *Table, idx []int) (map[uint64][]int32, error) {
-	m := make(map[uint64][]int32, t.rows)
-	for r := 0; r < t.rows; r++ {
-		if err := checkEvery(ctx, r); err != nil {
-			return nil, err
-		}
-		h := hashCells(t.cols, idx, r)
-		m[h] = append(m[h], int32(r))
-	}
-	return m, nil
+// probeIndex maps key hashes to the rows holding them, hash-radix
+// partitioned into shards (one shard for an inline build). Every chain
+// lists its rows in ascending order — the invariant Join's emission order
+// rests on.
+type probeIndex struct {
+	shards []map[uint64][]int32
+	mask   uint64
 }
 
-// Semijoin returns r ⋉ s: the rows of r that agree with at least one row of
-// s on all shared attributes. With no shared attributes it returns r when s
-// is nonempty and the empty table otherwise — the internal/relation
-// convention the differential suite pins. The two tables must share a Dict.
-func Semijoin(ctx context.Context, r, s *Table) (*Table, error) {
-	// Chaos site: fires once per semijoin step of a reduction (the parallel
-	// kernel hits the same site), so injected failures exercise the
-	// mid-program error path, not just the entry validation.
-	if err := fault.HitCtx(ctx, fault.ExecReduceStep); err != nil {
-		return nil, err
-	}
-	if r.dict != s.dict {
-		return nil, fmt.Errorf("exec: semijoin across distinct dictionaries")
-	}
-	rIdx, sIdx := sharedCols(r, s)
-	if len(rIdx) == 0 {
-		if s.rows > 0 {
-			return r, nil
+func (ix *probeIndex) rows(h uint64) []int32 {
+	return ix.shards[h&ix.mask][h]
+}
+
+// buildIndex indexes the key cells (columns idx) of t. One inline chunk
+// builds a single map. The chunked path is a three-pass radix partition:
+// (1) chunked hashing with per-chunk per-shard counts, (2) serial prefix
+// sums laying every (chunk, shard) segment out so shard segments are
+// contiguous and chunk-ordered, (3) parallel scatter then per-shard map
+// builds. Pass 2 is O(chunks·shards) and touches no row data; passes 1 and
+// 3 are the O(n) work and fan out.
+func buildIndex(ctx context.Context, t *Table, idx []int, p *pool.Pool) (*probeIndex, error) {
+	n := t.rows
+	nChunks := split(n, p)
+	if nChunks == 1 {
+		m := make(map[uint64][]int32, n)
+		for r := 0; r < n; r++ {
+			if err := checkEvery(ctx, r); err != nil {
+				return nil, err
+			}
+			h := hashCells(t.cols, idx, r)
+			m[h] = append(m[h], int32(r))
 		}
-		return &Table{dict: r.dict, attrs: r.attrs, cols: make([][]int32, len(r.cols))}, nil
+		return &probeIndex{shards: []map[uint64][]int32{m}}, nil
 	}
-	probe, err := keyIndex(ctx, s, sIdx)
+	nShards := 1
+	for nShards < 2*p.Parallelism() {
+		nShards <<= 1
+	}
+	mask := uint64(nShards - 1)
+
+	hashes := make([]uint64, n)
+	counts := make([]int32, nChunks*nShards)
+	err := forChunks(n, nChunks, p, func(c, lo, hi int) error {
+		cnt := counts[c*nShards : (c+1)*nShards]
+		for r := lo; r < hi; r++ {
+			if err := checkEvery(ctx, r); err != nil {
+				return err
+			}
+			h := hashCells(t.cols, idx, r)
+			hashes[r] = h
+			cnt[h&mask]++
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	keep := make([]int32, 0, r.rows)
-	for i := 0; i < r.rows; i++ {
+
+	// Shard segment offsets, then per-(chunk, shard) scatter cursors laid
+	// out chunk-major within each shard: chunk c's shard-s rows precede
+	// chunk c+1's, so a shard segment lists rows ascending.
+	shardOff := make([]int32, nShards+1)
+	for c := 0; c < nChunks; c++ {
+		for s := 0; s < nShards; s++ {
+			shardOff[s+1] += counts[c*nShards+s]
+		}
+	}
+	for s := 0; s < nShards; s++ {
+		shardOff[s+1] += shardOff[s]
+	}
+	cursor := make([]int32, nChunks*nShards)
+	next := slices.Clone(shardOff[:nShards])
+	for c := 0; c < nChunks; c++ {
+		for s := 0; s < nShards; s++ {
+			cursor[c*nShards+s] = next[s]
+			next[s] += counts[c*nShards+s]
+		}
+	}
+	scattered := make([]int32, n)
+	_ = forChunks(n, nChunks, p, func(c, lo, hi int) error {
+		cur := cursor[c*nShards : (c+1)*nShards]
+		for r := lo; r < hi; r++ {
+			s := hashes[r] & mask
+			scattered[cur[s]] = int32(r)
+			cur[s]++
+		}
+		return nil
+	})
+
+	shards := make([]map[uint64][]int32, nShards)
+	p.Do(nShards, func(s int) {
+		seg := scattered[shardOff[s]:shardOff[s+1]]
+		m := make(map[uint64][]int32, len(seg))
+		for _, r := range seg {
+			h := hashes[r]
+			m[h] = append(m[h], r)
+		}
+		shards[s] = m
+	})
+	return &probeIndex{shards: shards, mask: mask}, nil
+}
+
+// Semijoin returns r ⋉ s: the rows of r that agree with at least one row of
+// s on all shared attributes, by hash probe. With no shared attributes it
+// returns r when s is nonempty and the empty table otherwise — the
+// internal/relation convention the differential suite pins. An unfiltered
+// r is returned as is. The two tables must share a Dict; p may be nil.
+func Semijoin(ctx context.Context, r, s *Table, p *pool.Pool) (*Table, error) {
+	out, _, err := semijoin(ctx, r, s, nil, p)
+	return out, err
+}
+
+// semijoin is Semijoin with the kernel chosen from the input: given stamp
+// scratch, a pair sharing exactly one column takes the dense stamp filter;
+// every other pair takes the hash kernel. kernel names the one chosen,
+// "dense" or "hash".
+func semijoin(ctx context.Context, r, s *Table, st *stamps, p *pool.Pool) (out *Table, kernel string, err error) {
+	if r.dict != s.dict {
+		return nil, "", fmt.Errorf("exec: semijoin across distinct dictionaries")
+	}
+	rIdx, sIdx := sharedCols(r, s)
+	kernel = "hash"
+	var keep []int32
+	switch {
+	case len(rIdx) == 0:
+		if s.rows > 0 {
+			return r, kernel, nil
+		}
+		return &Table{dict: r.dict, attrs: r.attrs, cols: make([][]int32, len(r.cols))}, kernel, nil
+	case len(rIdx) == 1 && st != nil:
+		kernel = "dense"
+		keep, err = denseFilter(ctx, r.cols[rIdx[0]], s.cols[sIdx[0]], r.dict.Len(), st, p)
+	default:
+		var probe *probeIndex
+		if probe, err = buildIndex(ctx, s, sIdx, p); err != nil {
+			return nil, "", err
+		}
+		keep, err = selectRows(ctx, r.rows, p, func(i int) bool {
+			for _, j := range probe.rows(hashCells(r.cols, rIdx, i)) {
+				if equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
+					return true
+				}
+			}
+			return false
+		})
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	if len(keep) == r.rows {
+		return r, kernel, nil // nothing filtered: share the immutable input
+	}
+	return gather(r, r.attrs, allCols(len(r.cols)), keep, p), kernel, nil
+}
+
+// stamps is the scratch of the dense semijoin: one mark per dictionary
+// value id, versioned by epoch so successive steps skip the clear. A
+// scratch serves one task at a time.
+type stamps struct {
+	epoch uint32
+	mark  []uint32
+}
+
+// next sizes the mark array for n value ids and returns a fresh epoch.
+func (st *stamps) next(n int) uint32 {
+	if len(st.mark) < n {
+		st.mark = append(st.mark, make([]uint32, n-len(st.mark))...)
+	}
+	st.epoch++
+	if st.epoch == 0 { // epoch wrapped: stale marks could alias, clear once
+		clear(st.mark)
+		st.epoch = 1
+	}
+	return st.epoch
+}
+
+// denseFilter is the single-shared-column semijoin as a stamp filter over
+// the dictionary's dictLen value ids: mark every value of scol, keep the
+// rows of rcol whose value is marked. O(|r|+|s|) with no hashing; the
+// chunked scan only reads the marks.
+func denseFilter(ctx context.Context, rcol, scol []int32, dictLen int, st *stamps, p *pool.Pool) ([]int32, error) {
+	epoch := st.next(dictLen)
+	mark := st.mark
+	for i, v := range scol {
 		if err := checkEvery(ctx, i); err != nil {
 			return nil, err
 		}
-		h := hashCells(r.cols, rIdx, i)
-		for _, j := range probe[h] {
-			if equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
-				keep = append(keep, int32(i))
-				break
-			}
-		}
+		mark[v] = epoch
 	}
-	if len(keep) == r.rows {
-		return r, nil // nothing filtered: share the immutable input
-	}
-	out := &Table{dict: r.dict, attrs: r.attrs, cols: make([][]int32, len(r.cols)), rows: len(keep)}
-	for c := range r.cols {
-		col := make([]int32, len(keep))
-		for k, i := range keep {
-			col[k] = r.cols[c][i]
-		}
-		out.cols[c] = col
-	}
-	return out, nil
+	return selectRows(ctx, len(rcol), p, func(i int) bool { return mark[rcol[i]] == epoch })
 }
 
 // Join returns the natural join r ⋈ s over the sorted union of the
 // attribute lists; with no shared attributes it is the cross product. The
 // inputs' rows are distinct, so the output rows are distinct too (two
-// result rows coincide only if their generating row pairs do). The two
-// tables must share a Dict.
-func Join(ctx context.Context, r, s *Table) (*Table, error) {
+// result rows coincide only if their generating row pairs do). Each chunk
+// of r emits into its own column buffers, concatenated in chunk order. The
+// two tables must share a Dict; p may be nil.
+func Join(ctx context.Context, r, s *Table, p *pool.Pool) (*Table, error) {
 	if r.dict != s.dict {
 		return nil, fmt.Errorf("exec: join across distinct dictionaries")
 	}
 	rIdx, sIdx := sharedCols(r, s)
 	outAttrs := make([]string, 0, len(r.attrs)+len(s.attrs)-len(rIdx))
 	outAttrs = append(outAttrs, r.attrs...)
-	shared := make(map[string]bool, len(rIdx))
-	for _, k := range rIdx {
-		shared[r.attrs[k]] = true
-	}
 	for _, a := range s.attrs {
-		if !shared[a] {
+		if r.colIndex(a) < 0 {
 			outAttrs = append(outAttrs, a)
 		}
 	}
 	sort.Strings(outAttrs)
-	out := &Table{dict: r.dict, attrs: outAttrs, cols: make([][]int32, len(outAttrs))}
 	// Source of each output column: from r when present, else from s.
 	type src struct {
 		fromR bool
@@ -145,50 +372,69 @@ func Join(ctx context.Context, r, s *Table) (*Table, error) {
 			srcs[c] = src{col: s.colIndex(a)}
 		}
 	}
-	probe, err := keyIndex(ctx, s, sIdx)
+	probe, err := buildIndex(ctx, s, sIdx, p)
 	if err != nil {
 		return nil, err
 	}
-	emitted := 0
-	for i := 0; i < r.rows; i++ {
-		if err := checkEvery(ctx, i); err != nil {
-			return nil, err
-		}
-		h := hashCells(r.cols, rIdx, i)
-		for _, j := range probe[h] {
-			if !equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
-				continue
+	k := split(r.rows, p)
+	parts := make([][][]int32, k)
+	partRows := make([]int, k)
+	err = forChunks(r.rows, k, p, func(c, lo, hi int) error {
+		cols := make([][]int32, len(outAttrs))
+		emitted := 0
+		for i := lo; i < hi; i++ {
+			if err := checkEvery(ctx, i); err != nil {
+				return err
 			}
-			// The output can be much larger than either input (cross
-			// products), so cancellation is also observed on emitted rows.
-			if err := checkEvery(ctx, emitted); err != nil {
-				return nil, err
-			}
-			emitted++
-			for c, sc := range srcs {
-				if sc.fromR {
-					out.cols[c] = append(out.cols[c], r.cols[sc.col][i])
-				} else {
-					out.cols[c] = append(out.cols[c], s.cols[sc.col][int(j)])
+			for _, j := range probe.rows(hashCells(r.cols, rIdx, i)) {
+				if !equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
+					continue
+				}
+				// The output can be much larger than either input (cross
+				// products), so cancellation is also observed on emitted
+				// rows.
+				if err := checkEvery(ctx, emitted); err != nil {
+					return err
+				}
+				emitted++
+				for cc, sc := range srcs {
+					if sc.fromR {
+						cols[cc] = append(cols[cc], r.cols[sc.col][i])
+					} else {
+						cols[cc] = append(cols[cc], s.cols[sc.col][j])
+					}
 				}
 			}
 		}
+		parts[c], partRows[c] = cols, emitted
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out.rows = emitted
+	out := &Table{dict: r.dict, attrs: outAttrs, cols: parts[0], rows: partRows[0]}
+	if k > 1 {
+		out.rows = 0
+		for _, n := range partRows {
+			out.rows += n
+		}
+		out.cols = make([][]int32, len(outAttrs))
+		for c := range out.cols {
+			col := make([]int32, 0, out.rows)
+			for _, part := range parts {
+				col = append(col, part[c]...)
+			}
+			out.cols[c] = col
+		}
+	}
 	return out, nil
 }
 
-// Project returns π_attrs(t) with duplicate result rows removed. Unknown
-// attributes are an error; duplicate names in attrs collapse.
-func Project(ctx context.Context, t *Table, attrs []string) (*Table, error) {
-	sorted := append([]string{}, attrs...)
-	sort.Strings(sorted)
-	uniq := sorted[:0]
-	for i, a := range sorted {
-		if i == 0 || a != sorted[i-1] {
-			uniq = append(uniq, a)
-		}
-	}
+// Project returns π_attrs(t) with duplicate result rows removed, keeping
+// first occurrences in row order. Unknown attributes are an error;
+// duplicate names in attrs collapse. p may be nil.
+func Project(ctx context.Context, t *Table, attrs []string, p *pool.Pool) (*Table, error) {
+	uniq := slices.Compact(slices.Sorted(slices.Values(attrs)))
 	idx := make([]int, len(uniq))
 	for i, a := range uniq {
 		c := t.colIndex(a)
@@ -200,29 +446,54 @@ func Project(ctx context.Context, t *Table, attrs []string) (*Table, error) {
 	if len(idx) == len(t.cols) {
 		return t, nil // projection onto all attributes is the identity
 	}
-	out := &Table{dict: t.dict, attrs: append([]string{}, uniq...), cols: make([][]int32, len(uniq))}
-	outIdx := allCols(len(uniq))
-	seen := make(map[uint64][]int32, t.rows)
-	for r := 0; r < t.rows; r++ {
-		if err := checkEvery(ctx, r); err != nil {
-			return nil, err
-		}
-		h := hashCells(t.cols, idx, r)
-		dup := false
-		for _, p := range seen[h] {
-			if equalCells(out.cols, outIdx, int(p), t.cols, idx, r) {
-				dup = true
-				break
+	keep, err := distinctRows(ctx, t, idx, p)
+	if err != nil {
+		return nil, err
+	}
+	return gather(t, uniq, idx, keep, p), nil
+}
+
+// distinctRows returns, ascending, the first row of every distinct tuple of
+// t's columns idx. Inline it is one streaming scan; chunked, the rows are
+// hash-partitioned and every shard marks its own first occurrences.
+func distinctRows(ctx context.Context, t *Table, idx []int, p *pool.Pool) ([]int32, error) {
+	// firstOf reports whether row r differs from every row of reps.
+	firstOf := func(reps []int32, r int) bool {
+		for _, q := range reps {
+			if equalCells(t.cols, idx, int(q), t.cols, idx, r) {
+				return false
 			}
 		}
-		if dup {
-			continue
-		}
-		for c, tc := range idx {
-			out.cols[c] = append(out.cols[c], t.cols[tc][r])
-		}
-		seen[h] = append(seen[h], int32(out.rows))
-		out.rows++
+		return true
 	}
-	return out, nil
+	if split(t.rows, p) == 1 {
+		seen := make(map[uint64][]int32, t.rows)
+		return selectRows(ctx, t.rows, p, func(r int) bool {
+			h := hashCells(t.cols, idx, r)
+			if !firstOf(seen[h], r) {
+				return false
+			}
+			seen[h] = append(seen[h], int32(r))
+			return true
+		})
+	}
+	probe, err := buildIndex(ctx, t, idx, p)
+	if err != nil {
+		return nil, err
+	}
+	first := make([]bool, t.rows)
+	p.Do(len(probe.shards), func(s int) {
+		for _, chain := range probe.shards[s] {
+			// The chain is ascending, so its first row of each distinct
+			// tuple is that tuple's global first occurrence.
+			var reps []int32
+			for _, r := range chain {
+				if firstOf(reps, int(r)) {
+					reps = append(reps, r)
+					first[r] = true
+				}
+			}
+		}
+	})
+	return selectRows(ctx, t.rows, p, func(r int) bool { return first[r] })
 }

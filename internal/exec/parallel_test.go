@@ -15,8 +15,8 @@ import (
 )
 
 // identicalTables asserts byte-identical equality — same schema, same rows,
-// in the same order — the determinism contract of the parallel executors
-// (not just the set equality Table.Equal checks).
+// in the same order — the determinism contract across pool widths and
+// kernels (not just the set equality Table.Equal checks).
 func identicalTables(tb testing.TB, label string, want, got *exec.Table) {
 	tb.Helper()
 	if want.NumRows() != got.NumRows() || want.NumAttrs() != got.NumAttrs() {
@@ -38,8 +38,8 @@ func identicalTables(tb testing.TB, label string, want, got *exec.Table) {
 	}
 }
 
-// identicalSteps asserts the parallel reduction reports the serial program's
-// per-step statistics verbatim: same steps in the same order with the same
+// identicalSteps asserts a reduction reports the reference run's per-step
+// statistics verbatim: same steps in the same order with the same
 // row counts (Elapsed excluded — wall-clock is the one thing allowed to
 // differ).
 func identicalSteps(tb testing.TB, label string, want, got []exec.StepStats) {
@@ -57,17 +57,31 @@ func identicalSteps(tb testing.TB, label string, want, got []exec.StepStats) {
 	}
 }
 
-// gomaxprocsValues are the scheduler widths the differential suite pins;
-// parallel-vs-serial equivalence must hold at every one of them.
+// gomaxprocsValues are the scheduler widths the pool-width suite pins;
+// results must not depend on the pool at any of them.
 var gomaxprocsValues = []int{1, 2, 4}
 
-// workerValues are the pool sizes swept per schema.
+// workerValues are the pool sizes swept per schema against the nil pool.
 var workerValues = []int{1, 2, 4, 8}
 
-// TestReduceParallelMatchesSerial pins ReduceParallel against Reduce across
-// the acyclic corpus, every pool size, and several GOMAXPROCS values:
-// reduced tables must be byte-identical (content and row order) and the
-// per-step statistics must be the serial program's, step for step.
+// padDict grows d's dictionary past the database's cell count, so Reduce
+// runs every step on the hash kernel instead of the dense one.
+func padDict(d *exec.Database) {
+	cells := 0
+	for _, t := range d.Tables {
+		cells += t.NumRows() * t.NumAttrs()
+	}
+	for i := 0; i <= cells; i++ {
+		d.Dict().Intern(fmt.Sprintf("pad-%d", i))
+	}
+}
+
+// TestReduceParallelMatchesSerial pins exec.Reduce on pool.New(w) against
+// the nil pool across the acyclic corpus, every pool size, and several
+// GOMAXPROCS values: reduced tables must be byte-identical (content and row
+// order) and the per-step statistics must match step for step, in the
+// tree's full-reducer program order. Every other schema pads its
+// dictionary, so both semijoin kernels run on every pool width.
 func TestReduceParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	for _, gmp := range gomaxprocsValues {
@@ -77,16 +91,28 @@ func TestReduceParallelMatchesSerial(t *testing.T) {
 			for i, h := range acyclicCorpus(t) {
 				rng := rand.New(rand.NewSource(int64(3000 + i)))
 				d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 40, DomainSize: 3})
+				if i%2 == 1 {
+					padDict(d)
+				}
 				jt, ok := jointree.BuildMCS(h)
 				if !ok {
 					t.Fatalf("corpus schema %d not acyclic", i)
 				}
-				serial, err := exec.Reduce(ctx, d, jt.FullReducer())
+				serial, err := exec.Reduce(ctx, d, jt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
+				prog := jt.FullReducer()
+				if len(prog) != len(serial.Steps) {
+					t.Fatalf("schema %d: %d steps, program has %d", i, len(serial.Steps), len(prog))
+				}
+				for k, st := range serial.Steps {
+					if st.Step != prog[k] {
+						t.Fatalf("schema %d: step %d is %v, program order says %v", i, k, st.Step, prog[k])
+					}
+				}
 				for _, w := range workerValues {
-					par, err := exec.ReduceParallel(ctx, d, jt, pool.New(w))
+					par, err := exec.Reduce(ctx, d, jt, pool.New(w))
 					if err != nil {
 						t.Fatalf("schema %d workers %d: %v", i, w, err)
 					}
@@ -106,9 +132,10 @@ func TestReduceParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEvalParallelMatchesSerial pins EvalParallel against Eval the same way:
-// identical output tables (row order included), identical reduction stats,
-// and an identical JoinRows output-sensitivity metric.
+// TestEvalParallelMatchesSerial pins exec.Eval on pool.New(w) against the
+// nil pool the same way: identical output tables (row order included),
+// identical reduction stats, and an identical JoinRows output-sensitivity
+// metric.
 func TestEvalParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	for _, gmp := range gomaxprocsValues {
@@ -118,6 +145,9 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 			for i, h := range acyclicCorpus(t) {
 				rng := rand.New(rand.NewSource(int64(4000 + i)))
 				d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 30, DomainSize: 3})
+				if i%2 == 1 {
+					padDict(d)
+				}
 				jt, ok := jointree.BuildMCS(h)
 				if !ok {
 					t.Fatalf("corpus schema %d not acyclic", i)
@@ -129,12 +159,12 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 						attrs = append(attrs, n)
 					}
 				}
-				serial, err := exec.Eval(ctx, d, jt, attrs)
+				serial, err := exec.Eval(ctx, d, jt, attrs, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, w := range workerValues {
-					par, err := exec.EvalParallel(ctx, d, jt, attrs, pool.New(w))
+					par, err := exec.Eval(ctx, d, jt, attrs, pool.New(w))
 					if err != nil {
 						t.Fatalf("schema %d workers %d: %v", i, w, err)
 					}
@@ -151,38 +181,45 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelLargeInstance exercises the chunked kernels past their serial
-// fallback threshold (parThreshold rows) so the radix-partitioned index,
-// chunked semijoin/join, and keep-flag projection paths actually run, then
-// pins them against the serial twins.
+// TestParallelLargeInstance exercises the chunked kernels past the
+// inline-chunk threshold (parThreshold rows) so the radix-partitioned index,
+// chunked semijoin/join, and shard-local projection paths actually run, on
+// both semijoin kernels, then pins them against the nil pool.
 func TestParallelLargeInstance(t *testing.T) {
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(99))
-	h := gen.AcyclicChain(4, 2, 1)
-	d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 40000, DomainSize: 40})
-	jt, ok := jointree.BuildMCS(h)
-	if !ok {
-		t.Fatal("chain schema must be acyclic")
-	}
-	attrs := h.Nodes()[:3]
+	for _, pad := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(99))
+		h := gen.AcyclicChain(4, 2, 1)
+		d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 40000, DomainSize: 40})
+		if pad {
+			padDict(d)
+		}
+		jt, ok := jointree.BuildMCS(h)
+		if !ok {
+			t.Fatal("chain schema must be acyclic")
+		}
+		attrs := h.Nodes()[:3]
 
-	serial, err := exec.Eval(ctx, d, jt, attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := exec.EvalParallel(ctx, d, jt, attrs, pool.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalTables(t, "large instance output", serial.Out, par.Out)
-	identicalSteps(t, "large instance", serial.Reduce.Steps, par.Reduce.Steps)
-	if par.JoinRows != serial.JoinRows {
-		t.Fatalf("JoinRows differs: serial %d, parallel %d", serial.JoinRows, par.JoinRows)
+		serial, err := exec.Eval(ctx, d, jt, attrs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := exec.Eval(ctx, d, jt, attrs, pool.New(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("large instance (padded dict %v)", pad)
+		identicalTables(t, label+" output", serial.Out, par.Out)
+		identicalSteps(t, label, serial.Reduce.Steps, par.Reduce.Steps)
+		if par.JoinRows != serial.JoinRows {
+			t.Fatalf("%s: JoinRows differs: serial %d, parallel %d", label, serial.JoinRows, par.JoinRows)
+		}
 	}
 }
 
-// TestParallelCancellation: an already-cancelled context aborts the parallel
-// executors with ctx.Err() instead of returning partial results.
+// TestParallelCancellation: an already-cancelled context aborts Reduce and
+// Eval on a multi-worker pool with ctx.Err() instead of returning partial
+// results.
 func TestParallelCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	h := gen.AcyclicChain(4, 2, 1)
@@ -190,10 +227,10 @@ func TestParallelCancellation(t *testing.T) {
 	jt, _ := jointree.BuildMCS(h)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := exec.ReduceParallel(ctx, d, jt, pool.New(4)); err != context.Canceled {
-		t.Fatalf("ReduceParallel on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := exec.Reduce(ctx, d, jt, pool.New(4)); err != context.Canceled {
+		t.Fatalf("Reduce on cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := exec.EvalParallel(ctx, d, jt, h.Nodes()[:1], pool.New(4)); err != context.Canceled {
-		t.Fatalf("EvalParallel on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := exec.Eval(ctx, d, jt, h.Nodes()[:1], pool.New(4)); err != context.Canceled {
+		t.Fatalf("Eval on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

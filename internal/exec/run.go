@@ -3,11 +3,15 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/jointree"
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
 
 // StepStats records one semijoin statement of a reduction run.
@@ -16,38 +20,23 @@ type StepStats struct {
 	RowsIn  int // target rows before the semijoin
 	RowsOut int // target rows after
 	Elapsed time.Duration
-	// Wait is the queueing delay before the step's kernel started: in a
-	// parallel reduction, the time between a level's dispatch and the
-	// moment a worker picked the step's node up (charged to the node's
-	// first step). Serial runs never queue, so Wait is 0 there. Elapsed is
-	// pure kernel time and never includes Wait.
+	// Wait is the queueing delay before the step's kernel started: the
+	// time between a level's dispatch and the moment a worker picked the
+	// step's node up (charged to the node's first step). A nil or
+	// single-worker pool never queues, so Wait is 0 there. Elapsed is pure
+	// kernel time and never includes Wait.
 	Wait time.Duration
 }
 
-// ReduceResult is the outcome of running a full-reducer program: the
-// reduced database (untouched tables are shared with the input, shrunk ones
-// are fresh), per-step statistics, and totals.
+// ReduceResult is the outcome of running a full reducer: the reduced
+// database (untouched tables are shared with the input, shrunk ones are
+// fresh), per-step statistics, and totals.
 type ReduceResult struct {
 	DB      *Database
 	Steps   []StepStats
 	RowsIn  int // total rows across objects before reduction
 	RowsOut int // total rows across objects after
 	Elapsed time.Duration
-}
-
-// Reduce applies a semijoin program — typically jointree.FullReducer output
-// — to d as a streaming two-pass reduction: objects are replaced by their
-// semijoin with the step source, in program order, without ever
-// materializing a join. For acyclic schemas the full-reducer program leaves
-// every object globally consistent (Bernstein–Goodman), which is the
-// precondition Eval's output-sensitivity rests on. d is not mutated.
-// Cancellation is observed inside the kernels every ~4096 rows; on
-// cancellation the partial work is discarded and ctx.Err() returned.
-func Reduce(ctx context.Context, d *Database, prog []jointree.SemijoinStep) (*ReduceResult, error) {
-	// Direct construction inside: d was validated when built, and Semijoin
-	// preserves each table's attributes and dictionary, so re-running
-	// NewDatabase's per-edge validation would be pure overhead.
-	return ReduceWithStrategy(ctx, d, prog, StrategyStandard)
 }
 
 // EvalResult is the outcome of a full Yannakakis evaluation.
@@ -64,36 +53,203 @@ type EvalResult struct {
 	Elapsed  time.Duration
 }
 
+// checkTree verifies that tree is a join tree of d's schema (same content;
+// fingerprints are compared), so its connections are the schema's own.
+func checkTree(d *Database, tree *jointree.JoinTree) error {
+	if len(tree.Parent) != len(d.Tables) ||
+		(tree.H != d.Schema && tree.H.Fingerprint128() != d.Schema.Fingerprint128()) {
+		return fmt.Errorf("exec: join tree belongs to a different schema")
+	}
+	return nil
+}
+
+// denseFits reports whether d's dictionary is no larger than its total cell
+// count, which keeps the dense semijoin's O(dict) scratch within the input
+// size. A dictionary built for one request always fits.
+func denseFits(d *Database) bool {
+	cells := 0
+	for _, t := range d.Tables {
+		cells += t.rows * len(t.cols)
+	}
+	return d.Dict() != nil && d.Dict().Len() <= cells
+}
+
+// Reduce runs tree's two-pass full reducer over d as a streaming
+// reduction: objects are replaced by their semijoin with a tree neighbour,
+// without ever materializing a join. For acyclic schemas this leaves every
+// object globally consistent (Bernstein–Goodman), which is the precondition
+// Eval's output-sensitivity rests on. d is not mutated, and tree must be a
+// join tree of d's schema.
+//
+// jointree.Levels partitions the forest into dependency levels: every node
+// of an up-level folds its children into itself (in child order), the
+// down-levels mirror it by depth, and the nodes of one level run
+// concurrently on p. Each step sees the inputs it would see in program
+// order, and its stats land in the slot of tree.FullReducer() order, so the
+// result is independent of p; a nil or single-worker pool runs inline.
+//
+// The semijoin kernel is chosen per step: a step sharing exactly one column
+// takes the dense stamp filter when d's dictionary fits (see denseFits),
+// every other step the hash kernel. Cancellation is observed inside the
+// kernels every ~4096 rows; on cancellation the partial work is discarded
+// and ctx.Err() returned.
+func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree, p *pool.Pool) (*ReduceResult, error) {
+	if err := checkTree(d, tree); err != nil {
+		return nil, err
+	}
+	ctx, rsp := obs.StartSpan(ctx, "exec.reduce")
+	defer rsp.End()
+	start := time.Now()
+	m := len(d.Tables)
+	work := slices.Clone(d.Tables)
+	dense := denseFits(d)
+	// Stamp scratch is per task: a task takes one from free (or makes one)
+	// and hands it back when done, so concurrent steps of a level never
+	// share one and an inline run reuses a single scratch throughout. At
+	// most p.Parallelism() tasks run at once, so free never fills up.
+	free := make(chan *stamps, p.Parallelism())
+
+	// Pre-assign every step its slot in program order, so concurrent
+	// completion can't scramble the Steps slice.
+	post := tree.PostOrder()
+	upIdx := make([]int, m)
+	downIdx := make([]int, m)
+	k := 0
+	for _, v := range post {
+		if tree.Parent[v] >= 0 {
+			upIdx[v] = k
+			k++
+		}
+	}
+	for _, v := range slices.Backward(post) {
+		if tree.Parent[v] >= 0 {
+			downIdx[v] = k
+			k++
+		}
+	}
+	steps := make([]StepStats, k)
+
+	// step replaces work[target] by work[target] ⋉ work[source], recording
+	// its stats in slot; st is the task's stamp scratch, nil when only the
+	// hash kernel may run. Exactly one fault.ExecReduceStep hit fires per
+	// step, whichever kernel runs.
+	step := func(target, source, slot int, wait time.Duration, st *stamps) error {
+		sctx, ssp := obs.StartSpan(ctx, "exec.step")
+		defer ssp.End()
+		r, s := work[target], work[source]
+		stepStart := time.Now()
+		err := fault.HitCtx(sctx, fault.ExecReduceStep)
+		var next *Table
+		var kernel string
+		if err == nil {
+			next, kernel, err = semijoin(sctx, r, s, st, p)
+		}
+		if err != nil {
+			ssp.SetAttr("error", err.Error())
+			return err
+		}
+		work[target] = next
+		steps[slot] = StepStats{
+			Step:    jointree.SemijoinStep{Target: target, Source: source},
+			RowsIn:  r.rows,
+			RowsOut: next.rows,
+			Elapsed: time.Since(stepStart),
+			Wait:    wait,
+		}
+		ssp.SetAttr("kernel", kernel)
+		ssp.SetInt("target", int64(target))
+		ssp.SetInt("source", int64(source))
+		ssp.SetInt("rowsIn", int64(r.rows))
+		ssp.SetInt("rowsOut", int64(next.rows))
+		ssp.SetInt("waitNs", wait.Nanoseconds())
+		return nil
+	}
+	// runLevels dispatches each level at once, so the time between dispatch
+	// and a task starting is pure pool queueing: it is charged to the
+	// node's first step (Wait), keeping Elapsed kernel-only. A nil or
+	// single-worker pool runs tasks back to back and reports no wait.
+	var failed atomic.Pointer[error]
+	runLevels := func(levels [][]int, task func(v int, wait time.Duration, st *stamps) error) {
+		for _, level := range levels {
+			if failed.Load() != nil {
+				return
+			}
+			dispatch := time.Now()
+			p.Do(len(level), func(i int) {
+				var wait time.Duration
+				if p.Parallelism() > 1 {
+					wait = time.Since(dispatch)
+				}
+				if failed.Load() != nil {
+					return
+				}
+				var st *stamps
+				if dense {
+					select {
+					case st = <-free:
+					default:
+						st = new(stamps)
+					}
+					defer func() { free <- st }()
+				}
+				if err := task(level[i], wait, st); err != nil {
+					failed.CompareAndSwap(nil, &err)
+				}
+			})
+		}
+	}
+	ch := tree.Children()
+	up, down := tree.Levels()
+	// Up: fold the children into work[v] in child order. Each child's own
+	// fold finished in a lower level, so work[c] is final, and no other
+	// task touches work[v].
+	runLevels(up, func(v int, wait time.Duration, st *stamps) error {
+		for i, c := range ch[v] {
+			if i > 0 {
+				wait = 0
+			}
+			if err := step(v, c, upIdx[c], wait, st); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	// Down: every non-root reduces against its final parent.
+	runLevels(down, func(v int, wait time.Duration, st *stamps) error {
+		if pv := tree.Parent[v]; pv >= 0 {
+			return step(v, pv, downIdx[v], wait, st)
+		}
+		return nil
+	})
+	if err := failed.Load(); err != nil {
+		return nil, *err
+	}
+	res := &ReduceResult{
+		DB:      &Database{Schema: d.Schema, Tables: work},
+		Steps:   steps,
+		RowsIn:  d.NumRows(),
+		Elapsed: time.Since(start),
+	}
+	res.RowsOut = res.DB.NumRows()
+	rsp.SetInt("rowsIn", int64(res.RowsIn))
+	rsp.SetInt("rowsOut", int64(res.RowsOut))
+	rsp.SetInt("steps", int64(len(res.Steps)))
+	return res, nil
+}
+
 // Eval answers π_attrs(⋈ all objects) with the classic Yannakakis strategy
-// over a join tree of the schema: run the tree's two-pass full reducer
-// (Reduce), then join bottom-up along the tree, projecting every
-// intermediate onto the query attributes plus the connection to its parent.
-// The tree must belong to d's schema (same content; fingerprints are
+// over a join tree of the schema: Reduce, then join bottom-up along the
+// tree, projecting every intermediate onto the query attributes plus the
+// connection to its parent. Sibling subtrees build concurrently when p has
+// spare tokens (falling back inline when it is saturated), while each node
+// applies its child joins in child order, so the output is independent of
+// p. The tree must belong to d's schema (same content; fingerprints are
 // compared). Disconnected schemas cross-join their component results, and
 // every requested attribute must appear in some edge.
-func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []string) (*EvalResult, error) {
-	return EvalWithProgram(ctx, d, tree, tree.FullReducer(), attrs)
-}
-
-// EvalWithProgram is Eval with a caller-supplied reduction program — for
-// callers that already hold the tree's full reducer (the session API caches
-// it per Analysis handle), so repeated evaluations skip re-deriving it.
-// The program must be a full reducer for tree (Eval derives exactly that);
-// a weaker program silently breaks the output-sensitivity guarantee, and
-// one for a different tree can leave danglers that surface as wrong join
-// results.
-func EvalWithProgram(ctx context.Context, d *Database, tree *jointree.JoinTree, prog []jointree.SemijoinStep, attrs []string) (*EvalResult, error) {
-	return EvalWithProgramStrategy(ctx, d, tree, prog, attrs, StrategyStandard)
-}
-
-// EvalWithProgramStrategy is EvalWithProgram with an explicit kernel
-// strategy for the embedded reduction phase (see Strategy); the join phase
-// is strategy-independent, so the result is identical under every strategy.
-func EvalWithProgramStrategy(ctx context.Context, d *Database, tree *jointree.JoinTree, prog []jointree.SemijoinStep, attrs []string, strat Strategy) (*EvalResult, error) {
+func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []string, p *pool.Pool) (*EvalResult, error) {
 	ctx, esp := obs.StartSpan(ctx, "exec.eval")
 	defer esp.End()
-	// Chaos site: head of the serial Yannakakis pipeline (EvalParallel hits
-	// the same site on its own path).
+	// Chaos site: head of the Yannakakis pipeline, one hit per evaluation.
 	if err := fault.HitCtx(ctx, fault.ExecEvalJoin); err != nil {
 		return nil, err
 	}
@@ -101,8 +257,8 @@ func EvalWithProgramStrategy(ctx context.Context, d *Database, tree *jointree.Jo
 	if len(d.Tables) == 0 {
 		return nil, fmt.Errorf("exec: empty schema")
 	}
-	if tree.H.Fingerprint128() != d.Schema.Fingerprint128() {
-		return nil, fmt.Errorf("exec: join tree belongs to a different schema")
+	if err := checkTree(d, tree); err != nil {
+		return nil, err
 	}
 	want := make(map[string]bool, len(attrs))
 	for _, a := range attrs {
@@ -119,64 +275,92 @@ func EvalWithProgramStrategy(ctx context.Context, d *Database, tree *jointree.Jo
 		}
 		want[a] = true
 	}
-	red, err := ReduceWithStrategy(ctx, d, prog, strat)
+	red, err := Reduce(ctx, d, tree, p)
 	if err != nil {
 		return nil, err
 	}
 	res := &EvalResult{Reduce: red}
 	reduced := red.DB.Tables
 
-	// Bottom-up join with projection pushdown: each subtree result keeps
-	// only the query attributes and the attributes shared with its parent.
+	var joinRows atomic.Int64
 	ch := tree.Children()
+	// buildAll computes the subtree tables of vs concurrently when tokens
+	// allow: vs[0] runs inline (the caller is a worker), the rest spawn
+	// only if TryAcquire grants a token, so recursion cannot oversubscribe.
 	var build func(v int) (*Table, error)
+	buildAll := func(vs []int) ([]*Table, error) {
+		subs := make([]*Table, len(vs))
+		errs := make([]error, len(vs))
+		var wg sync.WaitGroup
+		for i := len(vs) - 1; i >= 1; i-- {
+			if p.TryAcquire() {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					defer p.Release()
+					subs[i], errs[i] = build(vs[i])
+				}(i)
+			} else {
+				subs[i], errs[i] = build(vs[i])
+			}
+		}
+		if len(vs) > 0 {
+			subs[0], errs[0] = build(vs[0])
+		}
+		wg.Wait()
+		for _, e := range errs {
+			if e != nil {
+				return nil, e
+			}
+		}
+		return subs, nil
+	}
+	// build joins v's reduced object with its subtree results and projects
+	// the result onto the query attributes plus those shared with v's
+	// parent — projection pushdown.
 	build = func(v int) (*Table, error) {
+		subs, err := buildAll(ch[v])
+		if err != nil {
+			return nil, err
+		}
 		acc := reduced[v]
-		for _, c := range ch[v] {
-			sub, err := build(c)
-			if err != nil {
+		for _, sub := range subs {
+			if acc, err = Join(ctx, acc, sub, p); err != nil {
 				return nil, err
 			}
-			if acc, err = Join(ctx, acc, sub); err != nil {
-				return nil, err
-			}
-			res.JoinRows += acc.rows
+			joinRows.Add(int64(acc.rows))
 		}
 		keep := make([]string, 0, acc.NumAttrs())
-		p := tree.Parent[v]
-		for i := 0; i < acc.NumAttrs(); i++ {
-			a := acc.Attr(i)
+		pv := tree.Parent[v]
+		for _, a := range acc.attrs {
 			if want[a] {
 				keep = append(keep, a)
 				continue
 			}
-			if p >= 0 {
-				if id, ok := d.Schema.NodeID(a); ok && d.Schema.EdgeView(p).Contains(id) {
+			if pv >= 0 {
+				if id, ok := d.Schema.NodeID(a); ok && d.Schema.EdgeView(pv).Contains(id) {
 					keep = append(keep, a)
 				}
 			}
 		}
-		return Project(ctx, acc, keep)
+		return Project(ctx, acc, keep, p)
 	}
-	var acc *Table
-	for _, root := range tree.Roots() {
-		sub, err := build(root)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = sub
-			continue
-		}
-		if acc, err = Join(ctx, acc, sub); err != nil {
-			return nil, err
-		}
-		res.JoinRows += acc.rows
-	}
-	out, err := Project(ctx, acc, attrs)
+	subs, err := buildAll(tree.Roots())
 	if err != nil {
 		return nil, err
 	}
+	acc := subs[0]
+	for _, sub := range subs[1:] {
+		if acc, err = Join(ctx, acc, sub, p); err != nil {
+			return nil, err
+		}
+		joinRows.Add(int64(acc.rows))
+	}
+	out, err := Project(ctx, acc, attrs, p)
+	if err != nil {
+		return nil, err
+	}
+	res.JoinRows = int(joinRows.Load())
 	res.Out = out
 	res.Elapsed = time.Since(start)
 	esp.SetInt("joinRows", int64(res.JoinRows))

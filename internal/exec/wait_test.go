@@ -35,13 +35,15 @@ func TestStepWaitSplitsQueueingFromKernelTime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serial, err := exec.Reduce(context.Background(), d, tree.FullReducer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range serial.Steps {
-		if st.Wait != 0 {
-			t.Fatalf("serial step %d has Wait %v, want 0 (serial runs never queue)", i, st.Wait)
+	for _, p := range []*pool.Pool{nil, pool.New(1)} {
+		serial, err := exec.Reduce(context.Background(), d, tree, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range serial.Steps {
+			if st.Wait != 0 {
+				t.Fatalf("workers %d: step %d has Wait %v, want 0 (serial runs never queue)", p.Parallelism(), i, st.Wait)
+			}
 		}
 	}
 
@@ -50,7 +52,7 @@ func TestStepWaitSplitsQueueingFromKernelTime(t *testing.T) {
 	fault.Activate(fault.ExecReduceStep, fault.Injection{Kind: fault.KindDelay, Delay: delay})
 	defer fault.Reset()
 
-	par, err := exec.ReduceParallel(context.Background(), d, tree, pool.New(4))
+	par, err := exec.Reduce(context.Background(), d, tree, pool.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,12 +46,12 @@ const (
 	// the component-granular memo path workspaces re-analyze through.
 	// Honors: KindDelay, KindError, KindPanic.
 	EngineIntern = "engine.intern-component"
-	// ExecReduceStep sits in the exec semijoin kernels (serial and
-	// parallel), firing once per semijoin step of a reduction.
+	// ExecReduceStep sits in exec.Reduce's step runner, firing once per
+	// semijoin step of a reduction, whichever kernel the step takes.
 	// Honors: KindDelay, KindError, KindPanic.
 	ExecReduceStep = "exec.reduce.step"
 	// ExecEvalJoin sits at the head of the Yannakakis evaluation pipeline
-	// (exec.EvalWithProgram and exec.EvalParallel).
+	// (exec.Eval), firing once per evaluation.
 	// Honors: KindDelay, KindError, KindPanic.
 	ExecEvalJoin = "exec.eval.join"
 	// DynamicSettle sits in dynamic.(*Workspace).recompute, firing once per

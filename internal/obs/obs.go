@@ -188,10 +188,20 @@ func (t *Tracer) StartTrace(ctx Context, name string) (Context, *Span) {
 // StartSpan begins a child of the context's current span and installs it
 // in the returned context. The disabled path is one atomic load; a context
 // without a sampled trace returns (ctx, nil).
-func StartSpan(ctx Context, name string) (Context, *Span) {
-	if !enabled.Load() {
-		return ctx, nil
+//
+// The body is shaped to stay within the compiler's inlining budget, so the
+// disabled check costs no call at the call site.
+func StartSpan(ctx Context, name string) (out Context, sp *Span) {
+	out = ctx
+	if enabled.Load() {
+		out, sp = startSpan(ctx, name)
 	}
+	return
+}
+
+// startSpan is StartSpan's enabled path, kept out of line so the disabled
+// check inlines at every call site.
+func startSpan(ctx Context, name string) (Context, *Span) {
 	parent, _ := ctx.Value(ctxKey{}).(*Span)
 	if parent == nil {
 		return ctx, nil
@@ -267,6 +277,12 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	s.end()
+}
+
+// end is End's record path, kept out of line so the nil check inlines at
+// every call site.
+func (s *Span) end() {
 	s.rec.Dur = time.Since(s.rec.Start)
 	tr := s.tr
 	tr.mu.Lock()

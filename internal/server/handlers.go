@@ -510,11 +510,11 @@ func (s *Server) queryBody(r *http.Request, a *dynamic.Analysis, op string) (any
 	return nil, &errBadRequest{err: fmt.Errorf("unknown op %q", op)}
 }
 
-// handleWatch is the epoch long-poll: GET /v1/ws/{id}/watch?after=N parks
-// until the workspace's epoch exceeds N (default: its epoch at arrival) or
-// the request deadline expires. Both outcomes are 200s — a timeout answers
-// {"changed": false} so pollers distinguish "nothing happened" from errors
-// and immediately re-arm with the same cursor.
+// handleWatch is the epoch long-poll: GET /v1/workspaces/{id}/watch?after=N
+// parks until the workspace's epoch exceeds N (default: its epoch at
+// arrival) or the request deadline expires. Both outcomes are 200s — a
+// timeout answers {"changed": false} so pollers distinguish "nothing
+// happened" from errors and immediately re-arm with the same cursor.
 func (s *Server) handleWatch(r *http.Request) (any, error) {
 	ws, err := s.workspace(r)
 	if err != nil {

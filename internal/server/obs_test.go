@@ -182,8 +182,10 @@ func TestTracezEvalSpanTree(t *testing.T) {
 	if len(steps) != len(ref.Reduce.Steps) {
 		t.Fatalf("trace has %d exec.step spans, reference run has %d steps", len(steps), len(ref.Reduce.Steps))
 	}
-	// Children are ordered by span id — creation order — which on the
-	// serial path is program order, so the spans line up index by index.
+	// Children are ordered by span id — creation order. A one-worker pool
+	// runs the reducer's levels in order, and every level of this chain's
+	// tree holds one node, so creation order is program order and the spans
+	// line up index by index.
 	for i, sp := range steps {
 		want := ref.Reduce.Steps[i]
 		if attrInt(t, sp, "target") != int64(want.Step.Target) ||
@@ -191,6 +193,11 @@ func TestTracezEvalSpanTree(t *testing.T) {
 			attrInt(t, sp, "rowsIn") != int64(want.RowsIn) ||
 			attrInt(t, sp, "rowsOut") != int64(want.RowsOut) {
 			t.Fatalf("exec.step[%d] attrs %v, reference step %+v", i, sp.Attrs, want)
+		}
+		// Every step of this chain shares one column with its neighbour and
+		// the request's dictionary fits, so each runs the dense kernel.
+		if sp.Attrs["kernel"] != "dense" {
+			t.Fatalf("exec.step[%d] kernel attr = %v, want dense", i, sp.Attrs["kernel"])
 		}
 	}
 }

@@ -330,7 +330,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/workspaces/{id}/rename", s.guard(s.handleRename))
 	mux.HandleFunc("POST /v1/workspaces/{id}/query", s.guard(s.handleQuery))
 	mux.HandleFunc("GET /v1/workspaces/{id}/watch", s.guard(s.handleWatch))
-	mux.HandleFunc("GET /v1/ws/{id}/watch", s.guard(s.handleWatch))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /statsz", s.handleStatsz)
 	mux.HandleFunc("GET /metricsz", s.handleMetricsz)

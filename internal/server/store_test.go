@@ -341,7 +341,7 @@ func TestWatchLongPoll(t *testing.T) {
 	do(t, "POST", ts.url+"/v1/workspaces", schemaBody("A B"), nil)
 
 	// Cursor behind the current epoch: immediate wake.
-	resp, body := do(t, "GET", ts.url+"/v1/ws/ws-1/watch?after=0", "", nil)
+	resp, body := do(t, "GET", ts.url+"/v1/workspaces/ws-1/watch?after=0", "", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("watch: %d %s", resp.StatusCode, body)
 	}
@@ -371,7 +371,7 @@ func TestWatchLongPoll(t *testing.T) {
 	ch := make(chan watchResult, 1)
 	go func() {
 		s := time.Now()
-		_, b := do(t, "GET", ts.url+"/v1/ws/ws-1/watch?after=1", "", map[string]string{"X-Deadline-Ms": "3000"})
+		_, b := do(t, "GET", ts.url+"/v1/workspaces/ws-1/watch?after=1", "", map[string]string{"X-Deadline-Ms": "3000"})
 		ch <- watchResult{jsonMap(t, b), time.Since(s)}
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -386,7 +386,7 @@ func TestWatchLongPoll(t *testing.T) {
 	}
 
 	// Bad cursor: typed 400.
-	resp, body = do(t, "GET", ts.url+"/v1/ws/ws-1/watch?after=banana", "", nil)
+	resp, body = do(t, "GET", ts.url+"/v1/workspaces/ws-1/watch?after=banana", "", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad cursor: %d %s", resp.StatusCode, body)
 	}

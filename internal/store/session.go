@@ -70,8 +70,9 @@ type Session struct {
 	failed     error  // sticky fail-stop state
 	closed     bool
 
-	compactMu  sync.Mutex  // serializes compactions
-	compacting atomic.Bool // one background compaction at a time
+	compactMu  sync.Mutex     // serializes compactions
+	compacting atomic.Bool    // one background compaction at a time
+	bg         sync.WaitGroup // the in-flight background compaction, awaited by Close
 }
 
 // Create initializes a fresh session directory (which must not already hold
@@ -347,6 +348,7 @@ func (s *Session) Append(rec dynamic.JournalRecord) error {
 	appendSeconds.Observe(time.Since(start))
 
 	if every := s.snapshotEveryLocked(); every > 0 && s.walRecords >= every && s.compacting.CompareAndSwap(false, true) {
+		s.bg.Add(1)
 		go s.compactAsync()
 	}
 	return nil
@@ -366,6 +368,7 @@ func (s *Session) snapshotEveryLocked() int {
 // injected panic at store.snapshot must not crash the process: compaction
 // is advisory (the WAL alone is a correct, if long, history).
 func (s *Session) compactAsync() {
+	defer s.bg.Done()
 	defer s.compacting.Store(false)
 	defer func() {
 		if r := recover(); r != nil {
@@ -493,14 +496,21 @@ func (s *Session) rewriteWALLocked(epoch uint64) error {
 
 // Close releases the WAL file handle. It does not flush a final snapshot —
 // that is the caller's policy (the server's Drain compacts dirty sessions
-// first). Safe to call twice.
+// first). It waits out an in-flight background compaction, so nothing
+// writes to the directory once Close returns. Safe to call twice.
 func (s *Session) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
+	// No compaction starts past this point: Append refuses a closed
+	// session before it can cross the threshold.
 	s.closed = true
+	s.mu.Unlock()
+	s.bg.Wait() // the compaction takes s.mu to swap the WAL, so wait unlocked
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.wal.Close()
 }
 

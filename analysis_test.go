@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/jointree"
 )
 
 // facadeCorpus: paper fixtures exercising both verdicts through the facade.
@@ -21,24 +23,29 @@ func facadeCorpus() []*Hypergraph {
 	}
 }
 
-// TestAnalysisMatchesDeprecatedFacade: every Analysis facet must agree with
-// the deprecated free-function twin it replaces.
-func TestAnalysisMatchesDeprecatedFacade(t *testing.T) {
+// TestAnalysisFacetsAgree: the facets of one session agree with each other
+// and with fresh handles — the verdict with the Graham reduction's, the join
+// tree with the MCS parents and with the GYO-built tree's existence, the
+// witness with the verdict (Theorem 6.1), the full reducer with the tree.
+func TestAnalysisFacetsAgree(t *testing.T) {
 	for i, h := range facadeCorpus() {
 		a := Analyze(h)
-		if a.Verdict() != IsAcyclic(h) || a.Verdict() != IsAcyclicGYO(h) {
-			t.Fatalf("instance %d: verdict mismatch", i)
+		if a.Verdict() != Analyze(h).GrahamTrace().Vanished() {
+			t.Fatalf("instance %d: MCS and GYO verdicts disagree", i)
 		}
-		if want := MCS(h); a.MCS().Acyclic != want.Acyclic || !reflect.DeepEqual(a.MCS().Parent, want.Parent) {
-			t.Fatalf("instance %d: MCS mismatch", i)
+		if r := Analyze(h).MCS(); r.Acyclic != a.Verdict() || !reflect.DeepEqual(a.MCS().Parent, r.Parent) {
+			t.Fatalf("instance %d: MCS mismatch across handles", i)
 		}
 		jt, err := a.JoinTree()
-		wantJT, ok := BuildJoinTreeMCS(h)
-		if (err == nil) != ok || (ok && !reflect.DeepEqual(jt.Parent, wantJT.Parent)) {
-			t.Fatalf("instance %d: join tree mismatch (err=%v ok=%v)", i, err, ok)
+		_, gyoOK := jointree.Build(h)
+		if (err == nil) != a.Verdict() || gyoOK != a.Verdict() {
+			t.Fatalf("instance %d: join tree err=%v, GYO tree %v, verdict %v", i, err, gyoOK, a.Verdict())
 		}
-		if cl := a.Classification(); cl != Classify(h) {
-			t.Fatalf("instance %d: classification %v != %v", i, cl, Classify(h))
+		if err == nil && (jt.Verify() != nil || !reflect.DeepEqual(jt.Parent, a.MCS().Parent)) {
+			t.Fatalf("instance %d: join tree is not the MCS tree or violates RIP", i)
+		}
+		if cl := a.Classification(); cl != Analyze(h).Classification() || cl.Alpha != a.Verdict() {
+			t.Fatalf("instance %d: classification %v, verdict %v", i, cl, a.Verdict())
 		}
 		gr, err := GrahamReductionTrace(h)
 		if err != nil {
@@ -47,13 +54,17 @@ func TestAnalysisMatchesDeprecatedFacade(t *testing.T) {
 		if a.GrahamTrace().Vanished() != gr.Vanished() {
 			t.Fatalf("instance %d: graham trace mismatch", i)
 		}
-		p1, c1, f1, e1 := a.Witness()
-		p2, c2, f2, e2 := IndependentPathWitness(h)
-		if f1 != f2 || (e1 == nil) != (e2 == nil) {
-			t.Fatalf("instance %d: witness mismatch", i)
+		p, c, found, err := a.Witness()
+		if err != nil || found == a.Verdict() {
+			t.Fatalf("instance %d: witness found=%v err=%v on verdict %v", i, found, err, a.Verdict())
 		}
-		if f1 && (len(p1.Sets) != len(p2.Sets) || !c1.EqualEdges(c2)) {
-			t.Fatalf("instance %d: witness artifacts diverge", i)
+		if found {
+			if verr := p.Validate(c); verr != nil {
+				t.Fatalf("instance %d: witness path invalid in its core: %v", i, verr)
+			}
+			if cert := a.MCS().Cert; cert == nil || cert.Validate(h) != nil {
+				t.Fatalf("instance %d: cyclic MCS run lacks a valid certificate", i)
+			}
 		}
 		fr, err := a.FullReducer()
 		if a.Verdict() {

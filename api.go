@@ -120,27 +120,6 @@ func Fig1() *Hypergraph { return hypergraph.Fig1() }
 // Fig5 returns the reconstruction of the paper's Figure 5 (see DESIGN.md).
 func Fig5() *Hypergraph { return hypergraph.Fig5() }
 
-// IsAcyclic reports α-acyclicity — the paper's notion — via the linear-time
-// maximum cardinality search (Tarjan–Yannakakis). IsAcyclicGYO is the
-// Graham-reduction twin; the two agree on every input (differentially
-// tested), GYO additionally yields the reduction trace.
-//
-// Deprecated: use Analyze(h).Verdict(), which shares the traversal with
-// the other facets of the session.
-func IsAcyclic(h *Hypergraph) bool { return Analyze(h).Verdict() }
-
-// IsAcyclicGYO reports α-acyclicity via Graham reduction.
-//
-// Deprecated: use Analyze(h).GrahamTrace().Vanished() — or Verdict() for
-// the linear-time answer.
-func IsAcyclicGYO(h *Hypergraph) bool { return gyo.IsAcyclic(h) }
-
-// MCS runs the full maximum cardinality search: verdict, edge/vertex
-// orders, join-tree parents on acceptance, certificate on rejection.
-//
-// Deprecated: use Analyze(h).MCS(), which caches the run for the session.
-func MCS(h *Hypergraph) *MCSResult { return Analyze(h).MCS() }
-
 // NewEngine returns the concurrent batch-query engine: a worker pool sized
 // by GOMAXPROCS (workers <= 0) or the given count, with per-hypergraph
 // memoization keyed by the streaming 128-bit fingerprint. Batch methods
@@ -149,12 +128,6 @@ func MCS(h *Hypergraph) *MCSResult { return Analyze(h).MCS() }
 // between work items; Engine.Analyze returns the memoized Analysis session
 // shared by all content-equal queries.
 func NewEngine(workers int) *Engine { return engine.New(engine.WithWorkers(workers)) }
-
-// Classify computes the position of h in the acyclicity hierarchy.
-//
-// Deprecated: use Analyze(h).Classification(), which reuses the session's
-// MCS run for the α component.
-func Classify(h *Hypergraph) Classification { return Analyze(h).Classification() }
 
 // GrahamReduction computes GR(h, X) for sacred nodes given by name and
 // returns the surviving partial edges. Use GrahamReductionTrace for steps.
@@ -206,16 +179,6 @@ func CanonicalConnection(h *Hypergraph, names ...string) (*Hypergraph, error) {
 // independent path; by Theorem 6.1 this is equivalent to h being cyclic.
 func HasIndependentPath(h *Hypergraph) bool { return core.HasIndependentPath(h) }
 
-// IndependentPathWitness constructs an independent path for a cyclic h,
-// following the proof of Theorem 6.1. The path lives in the returned
-// node-generated core. found is false when h is acyclic.
-//
-// Deprecated: use Analyze(h).Witness(), which short-circuits the search on
-// the session's verdict and caches the result.
-func IndependentPathWitness(h *Hypergraph) (path *Path, coreGraph *Hypergraph, found bool, err error) {
-	return Analyze(h).Witness()
-}
-
 // PathFromTree converts an independent tree into an independent path
 // between two of its leaves (Lemma 5.2).
 func PathFromTree(h *Hypergraph, t *Tree) (*Path, error) { return core.PathFromTree(h, t) }
@@ -237,23 +200,6 @@ func MinimalConnectors(h *Hypergraph, names ...string) ([][]int, error) {
 
 // FindRing searches for a Lemma 4.1 ring witness with singleton sets.
 func FindRing(h *Hypergraph) (*Ring, bool) { return core.FindRing(h, 0) }
-
-// BuildJoinTree constructs a join tree from the Graham reduction trace;
-// ok is false when h is cyclic. BuildJoinTreeMCS is the linear-time sibling
-// for large hypergraphs.
-//
-// Deprecated: use Analyze(h).JoinTree(), which reuses the session's MCS
-// run and reports ErrCyclic instead of a bare false.
-func BuildJoinTree(h *Hypergraph) (*JoinTree, bool) { return jointree.Build(h) }
-
-// BuildJoinTreeMCS constructs a join tree from the maximum-cardinality-
-// search ordering in O(total edge size); ok is false when h is cyclic.
-//
-// Deprecated: use Analyze(h).JoinTree().
-func BuildJoinTreeMCS(h *Hypergraph) (*JoinTree, bool) {
-	jt, err := Analyze(h).JoinTree()
-	return jt, err == nil
-}
 
 // NewRelation builds a relation over the given attributes.
 func NewRelation(attrs []string, rows ...[]string) (*Relation, error) {

@@ -7,7 +7,7 @@ import (
 
 func TestFacadeFig1Flow(t *testing.T) {
 	h := Fig1()
-	if !IsAcyclic(h) {
+	if !Analyze(h).Verdict() {
 		t.Fatal("Fig1 is acyclic")
 	}
 	gr, err := GrahamReduction(h, "A", "D")
@@ -62,21 +62,21 @@ func TestFacadeWitness(t *testing.T) {
 	if !HasIndependentPath(tri) {
 		t.Fatal("triangle must have an independent path")
 	}
-	p, coreGraph, found, err := IndependentPathWitness(tri)
+	p, coreGraph, found, err := Analyze(tri).Witness()
 	if err != nil || !found {
 		t.Fatalf("witness: found=%v err=%v", found, err)
 	}
 	if err := p.Validate(coreGraph); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, found, _ := IndependentPathWitness(Fig1()); found {
+	if _, _, found, _ := Analyze(Fig1()).Witness(); found {
 		t.Fatal("acyclic hypergraph has no witness")
 	}
 }
 
 func TestFacadeJoinTreeAndBlocks(t *testing.T) {
-	jt, ok := BuildJoinTree(Fig1())
-	if !ok || jt.Verify() != nil {
+	jt, err := Analyze(Fig1()).JoinTree()
+	if err != nil || jt.Verify() != nil {
 		t.Fatal("join tree must exist for Fig1")
 	}
 	if len(Blocks(Fig1())) == 0 {
@@ -85,7 +85,7 @@ func TestFacadeJoinTreeAndBlocks(t *testing.T) {
 	if _, ok := FindRing(Fig1()); ok {
 		t.Fatal("Fig1 has no Lemma 4.1 ring")
 	}
-	c := Classify(Fig1())
+	c := Analyze(Fig1()).Classification()
 	if !c.Alpha || c.Berge {
 		t.Fatalf("classification = %v", c)
 	}
@@ -151,22 +151,24 @@ func TestFacadeMinimalConnectors(t *testing.T) {
 }
 
 func TestFacadeMCSAndEngine(t *testing.T) {
-	if !IsAcyclic(Fig1()) || IsAcyclic(NewHypergraph([][]string{{"A", "B"}, {"B", "C"}, {"C", "A"}})) {
-		t.Fatal("MCS-backed IsAcyclic broken")
+	tri := NewHypergraph([][]string{{"A", "B"}, {"B", "C"}, {"C", "A"}})
+	if !Analyze(Fig1()).Verdict() || Analyze(tri).Verdict() {
+		t.Fatal("MCS-backed Verdict broken")
 	}
-	if IsAcyclic(Fig1()) != IsAcyclicGYO(Fig1()) {
-		t.Fatal("MCS and GYO must agree")
+	for _, h := range []*Hypergraph{Fig1(), tri} {
+		if Analyze(h).Verdict() != Analyze(h).GrahamTrace().Vanished() {
+			t.Fatal("MCS and GYO must agree")
+		}
 	}
-	r := MCS(Fig1())
+	r := Analyze(Fig1()).MCS()
 	if !r.Acyclic || r.Cert != nil || len(r.Parent) != Fig1().NumEdges() {
 		t.Fatalf("MCS result = %+v", r)
 	}
-	tri := NewHypergraph([][]string{{"A", "B"}, {"B", "C"}, {"C", "A"}})
-	if rc := MCS(tri); rc.Acyclic || rc.Cert == nil || rc.Cert.Validate(tri) != nil {
+	if rc := Analyze(tri).MCS(); rc.Acyclic || rc.Cert == nil || rc.Cert.Validate(tri) != nil {
 		t.Fatalf("triangle certificate = %+v", rc.Cert)
 	}
-	jt, ok := BuildJoinTreeMCS(Fig1())
-	if !ok || jt.Verify() != nil {
+	jt, err := Analyze(Fig1()).JoinTree()
+	if err != nil || jt.Verify() != nil {
 		t.Fatal("MCS join tree must exist and verify for Fig1")
 	}
 	e := NewEngine(0)

@@ -41,15 +41,15 @@
 //
 // # Migration from the stateless facade
 //
-// The pre-session free functions remain as deprecated one-line wrappers;
-// each maps to an Analysis facet:
+// The pre-session free functions have been removed; each maps to an
+// Analysis facet of a := repro.Analyze(h):
 //
-//	old free function                  session method
+//	removed free function              session method
 //	---------------------------------  -------------------------------
 //	repro.IsAcyclic(h)                 a.Verdict()
 //	repro.IsAcyclicGYO(h)              a.GrahamTrace().Vanished()
 //	repro.MCS(h)                       a.MCS()
-//	repro.BuildJoinTree(h)             a.JoinTree()
+//	repro.BuildJoinTree(h)             a.JoinTree() (ErrCyclic, not false)
 //	repro.BuildJoinTreeMCS(h)          a.JoinTree()
 //	repro.Classify(h)                  a.Classification()
 //	repro.IndependentPathWitness(h)    a.Witness()
@@ -78,6 +78,15 @@
 // multi-component schema a component-local edit re-analyzes orders of
 // magnitude faster than a from-scratch Analyze (BENCH_dynamic.json).
 //
+// ws.Analysis() returns an epoch guard around one Analysis session: the
+// verdict is settled by the edits, and the first derived facet builds the
+// session over the epoch snapshot, seeded with that verdict and the union
+// of the per-component join-tree fragments, so no facet re-runs the
+// search. Every other facet is the frozen session's own code: computed at
+// most once per handle, traced with the same facet.* spans, and coalesced
+// deadline-aware — a caller waiting behind another caller's in-flight
+// classification or Graham trace observes its own context.
+//
 //	ws := repro.NewWorkspace()
 //	ws.AddEdge("A", "B", "C")
 //	id, _ := ws.AddEdge("C", "D")
@@ -95,11 +104,12 @@
 //	h := NewHypergraph(edges)           ws := NewWorkspace() + AddEdge per edge
 //	h (rebuilt per change)              ws.AddEdge / RemoveEdge / RenameNode
 //	h passed to frozen APIs             ws.Snapshot() (cached per epoch)
-//	a := Analyze(h)                     a := ws.Analysis() (epoch-bound)
+//	a := Analyze(h)                     a := ws.Analysis() (epoch guard)
 //	a.Verdict()                         a.Verdict() (incremental, O(1) warm)
-//	a.JoinTree()                        a.JoinTree() (fragment union)
+//	a.JoinTree()                        a.JoinTree() (seeded fragment union)
 //	a.GrahamTrace()                     a.GrahamTrace(ctx) (cancellable)
 //	a.Classification()                  a.Classification() (α incremental)
+//	a.FullReducer / a.Witness           same session facets, epoch-checked
 //	a.Reduce / a.Eval                   same, epoch-checked per call
 //	Engine.Analyze(h) (memoized)        NewWorkspace(WithWorkspaceEngine(e))
 //	NewHypergraphFromIDs / Parse + h    NewWorkspaceFrom(h)
@@ -388,9 +398,9 @@
 // nothing downstream), spans propagate by context through
 // server→engine→analysis→exec→dynamic: the server root records method,
 // path, tenant, deadline, status; engine.memo records hit/miss and edge
-// count; facet spans time MCS/spectrum/Graham computations (waiters that
-// coalesced onto another goroutine's computation get a facet.wait span
-// instead); exec.eval/exec.reduce/exec.step record per-step target,
+// count; facet spans time MCS/spectrum/Graham computations, on frozen
+// sessions and workspace handles alike (waiters that coalesced onto
+// another goroutine's computation get a facet.wait span instead); exec.eval/exec.reduce/exec.step record per-step target,
 // source, rows in/out, queueing wait, and the semijoin kernel the step ran
 // (kernel=dense|hash); dynamic.settle and
 // dynamic.component cover workspace recomputation. Span buffers are

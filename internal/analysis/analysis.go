@@ -16,7 +16,9 @@
 //
 // Analyses are safe for concurrent use. The engine package shares one
 // Analysis per hypergraph identity across its memo, which is the warm path
-// for repeated traffic; analysis.New is the standalone entry point.
+// for repeated traffic; analysis.New is the standalone entry point, and
+// NewSettled opens a session whose verdict and join tree were settled
+// elsewhere — the workspace layer's epoch handles wrap one such session.
 //
 // The execution facets Reduce and Eval bridge to internal/exec: they run
 // the session's cached full-reducer program and join tree over a columnar
@@ -114,18 +116,26 @@ func (l *facetLatch) run(ctx context.Context, name string, compute func(ctx cont
 }
 
 // Analysis is a concurrency-safe session over one hypergraph. Construct
-// with New; the zero value is not usable. Every facet is computed on first
-// use and cached; repeated and concurrent calls coalesce on a sync.Once.
+// with New or NewSettled; the zero value is not usable. Every facet is
+// computed on first use and cached; repeated and concurrent calls coalesce
+// on a latch or a sync.Once.
 type Analysis struct {
 	h      *hypergraph.Hypergraph
 	verify bool       // cross-check the join tree's running-intersection invariant
 	pool   *pool.Pool // intra-query parallelism for Reduce/Eval (nil: serial)
 
-	// Per-facet guards. The mcs facet is the root of the sharing: the
-	// verdict, the join tree, the classification's α component, the full
-	// reducer, and the witness short-circuit all reuse its result. The two
-	// facets with cancellable traversals (mcs, graham) use deadline-aware
-	// latches; the cheap derivations stacked on top keep sync.Once.
+	// The verdict is the root of the sharing: the join tree, the
+	// classification's α component, the full reducer, and the witness
+	// short-circuit all reuse it. A settled handle (NewSettled) carries the
+	// verdict and join-tree parents from construction; otherwise both come
+	// from the mcs facet.
+	settled bool
+	acyclic bool
+	parent  []int
+
+	// Per-facet guards. The facets with cancellable traversals (mcs,
+	// spectrum, graham) use deadline-aware latches; the cheap derivations
+	// stacked on top keep sync.Once.
 	mcsLatch facetLatch
 	mcsRes   *mcs.Result
 
@@ -228,6 +238,19 @@ func New(h *hypergraph.Hypergraph, opts ...Option) *Analysis {
 	return a
 }
 
+// NewSettled opens a session over h whose α verdict — and, when acyclic,
+// join-tree parent links (parent[i] is edge i's parent, -1 for a root) —
+// the caller has already settled, as a workspace does incrementally. The
+// session trusts them: JoinTree, FullReducer, Spectrum, Classification,
+// Witness, Reduce, and Eval never run the maximum cardinality search (MCS
+// alone still runs it, on first call, for its orders and certificate).
+// WithVerify still cross-checks the seeded join tree.
+func NewSettled(h *hypergraph.Hypergraph, acyclic bool, parent []int, opts ...Option) *Analysis {
+	a := New(h, opts...)
+	a.settled, a.acyclic, a.parent = true, acyclic, parent
+	return a
+}
+
 // Hypergraph returns the hypergraph under analysis.
 func (a *Analysis) Hypergraph() *hypergraph.Hypergraph { return a.h }
 
@@ -251,36 +274,44 @@ func (a *Analysis) mcsRunCtx(ctx context.Context) (*mcs.Result, error) {
 	return a.mcsRes, nil
 }
 
-// mcsRun is mcsRunCtx without cancellation.
-func (a *Analysis) mcsRun() *mcs.Result {
-	r, err := a.mcsRunCtx(context.Background())
+// must unwraps a facet run under context.Background: such contexts are
+// never cancelled, and cancellation is the traversals' only error path.
+func must[T any](v T, err error) T {
 	if err != nil {
-		// Background contexts are never cancelled; mcsRunCtx has no other
-		// error path.
 		panic(err)
 	}
-	return r
+	return v
+}
+
+// verdictCtx returns the α verdict and, on acceptance, the join-tree parent
+// links: the seeded ones on a settled handle, the MCS run's otherwise.
+func (a *Analysis) verdictCtx(ctx context.Context) (bool, []int, error) {
+	if a.settled {
+		return a.acyclic, a.parent, nil
+	}
+	r, err := a.mcsRunCtx(ctx)
+	if err != nil {
+		return false, nil, err
+	}
+	return r.Acyclic, r.Parent, nil
 }
 
 // Verdict reports α-acyclicity — the paper's notion — via the linear-time
 // maximum cardinality search, computed once per handle.
-func (a *Analysis) Verdict() bool { return a.mcsRun().Acyclic }
+func (a *Analysis) Verdict() bool { return must(a.VerdictCtx(context.Background())) }
 
 // VerdictCtx is Verdict with cooperative cancellation: the traversal polls
 // ctx every ~4096 work units, and a caller coalescing onto another caller's
 // in-flight traversal still observes its own deadline.
 func (a *Analysis) VerdictCtx(ctx context.Context) (bool, error) {
-	r, err := a.mcsRunCtx(ctx)
-	if err != nil {
-		return false, err
-	}
-	return r.Acyclic, nil
+	ok, _, err := a.verdictCtx(ctx)
+	return ok, err
 }
 
 // MCS returns the full maximum-cardinality-search result: verdict, edge and
 // vertex orders, join-tree parents on acceptance, rejection certificate on
 // the cyclic side. The result is shared and must be treated as read-only.
-func (a *Analysis) MCS() *mcs.Result { return a.mcsRun() }
+func (a *Analysis) MCS() *mcs.Result { return must(a.mcsRunCtx(context.Background())) }
 
 // MCSCtx is MCS with cooperative cancellation (see VerdictCtx).
 func (a *Analysis) MCSCtx(ctx context.Context) (*mcs.Result, error) {
@@ -300,16 +331,16 @@ func (a *Analysis) JoinTree() (*jointree.JoinTree, error) {
 // poisoned slot); only the cheap derivation from a completed MCS run is
 // latched.
 func (a *Analysis) JoinTreeCtx(ctx context.Context) (*jointree.JoinTree, error) {
-	r, err := a.mcsRunCtx(ctx)
+	acyclic, parent, err := a.verdictCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	a.jtOnce.Do(func() {
-		if !r.Acyclic {
+		if !acyclic {
 			a.jtErr = hypergraph.ErrCyclic
 			return
 		}
-		a.jt = &jointree.JoinTree{H: a.h, Parent: r.Parent}
+		a.jt = &jointree.JoinTree{H: a.h, Parent: parent}
 		if a.verify {
 			a.stats.verify.Add(1)
 			if err := a.jt.Verify(); err != nil {
@@ -327,27 +358,19 @@ func (a *Analysis) JoinTreeCtx(ctx context.Context) (*jointree.JoinTree, error) 
 // polynomial testers of internal/spectrum, at most once per handle. The α
 // component reuses the verdict's MCS run. The result is shared and must be
 // treated as read-only.
-func (a *Analysis) Spectrum() *spectrum.Result {
-	r, err := a.SpectrumCtx(context.Background())
-	if err != nil {
-		// Background contexts are never cancelled; SpectrumCtx has no other
-		// error path.
-		panic(err)
-	}
-	return r
-}
+func (a *Analysis) Spectrum() *spectrum.Result { return must(a.SpectrumCtx(context.Background())) }
 
 // SpectrumCtx is Spectrum with cooperative cancellation: the testers poll
 // ctx every ~4096 work units, a cancelled run leaves the facet uncomputed
 // for the next caller to retry, and callers coalescing onto an in-flight
 // run observe their own deadline.
 func (a *Analysis) SpectrumCtx(ctx context.Context) (*spectrum.Result, error) {
-	r, err := a.mcsRunCtx(ctx)
+	acyclic, err := a.VerdictCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	err = a.specLatch.run(ctx, "spectrum", func(ctx context.Context) error {
-		res, err := spectrum.ClassifyWithAlpha(ctx, a.h, r.Acyclic)
+		res, err := spectrum.ClassifyWithAlpha(ctx, a.h, acyclic)
 		if err != nil {
 			return err
 		}
@@ -367,13 +390,7 @@ func (a *Analysis) SpectrumCtx(ctx context.Context) (*spectrum.Result, error) {
 // differential reference. The α component reuses the verdict's MCS run; the
 // whole spectrum computes at most once per handle.
 func (a *Analysis) Classification() acyclic.Classification {
-	cl, err := a.ClassificationCtx(context.Background())
-	if err != nil {
-		// Background contexts are never cancelled; SpectrumCtx has no other
-		// error path.
-		panic(err)
-	}
-	return cl
+	return must(a.ClassificationCtx(context.Background()))
 }
 
 // ClassificationCtx is Classification with cooperative cancellation (see
@@ -396,15 +413,7 @@ func (a *Analysis) ClassificationCtx(ctx context.Context) (acyclic.Classificatio
 // retained alongside MCS for its trace. Computed once per handle; the
 // result is shared and must be treated as read-only. It is GrahamTraceCtx
 // without cancellation.
-func (a *Analysis) GrahamTrace() *gyo.Result {
-	r, err := a.GrahamTraceCtx(context.Background())
-	if err != nil {
-		// Background contexts are never cancelled; RunCtx has no other
-		// error path.
-		panic(err)
-	}
-	return r
-}
+func (a *Analysis) GrahamTrace() *gyo.Result { return must(a.GrahamTraceCtx(context.Background())) }
 
 // GrahamTraceCtx is GrahamTrace with cooperative cancellation: the
 // underlying reduction observes ctx every ~4096 work units (gyo.RunCtx).
@@ -443,7 +452,7 @@ func (a *Analysis) FullReducer() ([]jointree.SemijoinStep, error) {
 func (a *Analysis) FullReducerCtx(ctx context.Context) ([]jointree.SemijoinStep, error) {
 	// Gate on the one cancellable traversal first: after it succeeds the
 	// derivation below is cheap and latches exactly once.
-	if _, err := a.mcsRunCtx(ctx); err != nil {
+	if _, err := a.VerdictCtx(ctx); err != nil {
 		return nil, err
 	}
 	a.frOnce.Do(func() {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/gendb"
 	"repro/internal/gyo"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
@@ -238,5 +239,67 @@ func TestGrahamTraceCtx(t *testing.T) {
 	}
 	if a.GrahamTrace() != r {
 		t.Fatal("GrahamTrace must return the cached successful run")
+	}
+}
+
+// TestSettledSessionSkipsMCS: a session seeded with a settled verdict and
+// join tree answers every derived facet like a from-scratch session without
+// running the maximum cardinality search; MCS alone runs the real search,
+// once, and returns the complete result.
+func TestSettledSessionSkipsMCS(t *testing.T) {
+	ctx := context.Background()
+	for i, h := range corpus() {
+		ref := mcs.Run(h)
+		s, fresh := NewSettled(h, ref.Acyclic, ref.Parent), New(h)
+		jt, err := s.JoinTree()
+		wantJT, wantErr := fresh.JoinTree()
+		if !errors.Is(err, wantErr) || (err == nil && !reflect.DeepEqual(jt.Parent, wantJT.Parent)) {
+			t.Fatalf("instance %d: JoinTree = %v, %v; fresh session %v, %v", i, jt, err, wantJT, wantErr)
+		}
+		fr, err := s.FullReducer()
+		wantFR, wantErr := fresh.FullReducer()
+		if !errors.Is(err, wantErr) || !reflect.DeepEqual(fr, wantFR) {
+			t.Fatalf("instance %d: FullReducer diverges (err %v vs %v)", i, err, wantErr)
+		}
+		if cl, err := s.ClassificationCtx(ctx); err != nil || cl != fresh.Classification() {
+			t.Fatalf("instance %d: classification %v (%v), fresh %v", i, cl, err, fresh.Classification())
+		}
+		if _, _, found, _ := s.Witness(); found == ref.Acyclic {
+			t.Fatalf("instance %d: witness found=%v on verdict %v", i, found, ref.Acyclic)
+		}
+		if st := s.Stats(); st.MCSRuns != 0 {
+			t.Fatalf("instance %d: seeded session ran MCS %d times", i, st.MCSRuns)
+		}
+		if got := s.MCS(); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("instance %d: seeded MCS() = %+v, want the full search result %+v", i, got, ref)
+		}
+		s.MCS()
+		if st := s.Stats(); st.MCSRuns != 1 {
+			t.Fatalf("instance %d: MCS ran %d times, want 1", i, st.MCSRuns)
+		}
+	}
+
+	// The exec facets run on the seeded tree, still without a search.
+	rng := rand.New(rand.NewSource(3))
+	schema, d := gendb.Chain(rng, 6, 2, 1, gen.InstanceSpec{Rows: 60, DomainSize: 8})
+	ref := mcs.Run(schema)
+	s := NewSettled(schema, ref.Acyclic, ref.Parent)
+	attrs := schema.Nodes()[:2]
+	got, err := s.Eval(ctx, d, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(schema).Eval(ctx, d, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Out.NumRows() != want.Out.NumRows() {
+		t.Fatalf("seeded Eval: %d rows, fresh session: %d", got.Out.NumRows(), want.Out.NumRows())
+	}
+	if _, err := s.Reduce(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.MCSRuns != 0 {
+		t.Fatalf("seeded Reduce/Eval ran MCS %d times", st.MCSRuns)
 	}
 }

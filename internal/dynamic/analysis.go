@@ -2,26 +2,30 @@ package dynamic
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/acyclic"
-	"repro/internal/bitset"
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gyo"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
-	"repro/internal/spectrum"
 )
 
-// Analysis is the epoch-bound analysis handle of a Workspace: a view of the
-// workspace at the epoch Workspace.Analysis was called. The incremental
-// facets (Verdict) are settled at creation from the per-component state the
-// edits maintained; the derived facets (Snapshot, JoinTree, FullReducer,
-// Classification, GrahamTrace, Witness, Reduce, Eval) materialize lazily
-// and are cached on the handle, like an analysis.Analysis session.
+// Analysis is the epoch-bound analysis handle of a Workspace: an epoch
+// guard around one analysis.Analysis session over the workspace at the
+// epoch Workspace.Analysis was called. The incremental facts (Verdict,
+// Epoch, NumEdges) are settled at creation from the per-component state the
+// edits maintained, so reading them never materializes anything. The
+// derived facets (Snapshot, JoinTree, FullReducer, Classification,
+// GrahamTrace, Witness, Reduce, Eval) delegate to the session, which is
+// built lazily on first use over the epoch snapshot, seeded with the
+// settled verdict and join forest (no search re-runs), and run on the
+// workspace's pool. Each facet's traversal therefore runs at most once per
+// handle, records the session's facet spans, and coalesces concurrent
+// callers deadline-aware: a caller waiting behind another's in-flight
+// traversal observes its own context.
 //
 // Consistency is explicit: every derived facet checks on every call that
 // the workspace is still at the handle's epoch and reports *ErrStaleEpoch
@@ -31,7 +35,7 @@ import (
 // Values a caller already holds (a returned *JoinTree, a snapshot) stay
 // valid for the epoch they describe; recover from staleness by taking a
 // fresh handle with Workspace.Analysis. Only Verdict, Epoch, and NumEdges —
-// plain facts about the epoch, settled at creation — stay readable forever.
+// plain facts about the epoch — stay readable forever.
 //
 // Handles are safe for concurrent use.
 type Analysis struct {
@@ -40,18 +44,8 @@ type Analysis struct {
 	acyclic bool // conjunction of the per-component verdicts at the epoch
 	edges   int  // alive edges at the epoch
 
-	mu       sync.Mutex
-	snap     *hypergraph.Hypergraph
-	jt       *jointree.JoinTree
-	frDone   bool
-	fr       []jointree.SemijoinStep
-	cl       *acyclic.Classification
-	gr       *gyo.Result
-	witDone  bool
-	witPath  *core.Path
-	witCore  *hypergraph.Hypergraph
-	witFound bool
-	witErr   error
+	mu    sync.Mutex // guards building inner, never a facet run
+	inner *analysis.Analysis
 }
 
 // Epoch returns the workspace epoch this handle describes.
@@ -67,27 +61,34 @@ func (a *Analysis) NumEdges() int { return a.edges }
 // fact about this epoch).
 func (a *Analysis) Verdict() bool { return a.acyclic }
 
-// Snapshot returns the immutable hypergraph of the handle's epoch,
-// materializing it on first use; *ErrStaleEpoch if the workspace has moved
-// on before anything forced the snapshot.
-func (a *Analysis) Snapshot() (*hypergraph.Hypergraph, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// session returns the epoch's analysis session, or *ErrStaleEpoch when the
+// workspace has moved on. The first call builds it over the epoch snapshot,
+// seeded with the settled verdict and join forest.
+func (a *Analysis) session() (*analysis.Analysis, error) {
 	if err := a.ws.stale(a.epoch); err != nil {
 		return nil, err
 	}
-	return a.snapshotLocked()
-}
-
-func (a *Analysis) snapshotLocked() (*hypergraph.Hypergraph, error) {
-	if a.snap == nil {
-		snap, err := a.ws.snapshotFor(a.epoch)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.inner == nil {
+		snap, parent, err := a.ws.settledFor(a.epoch)
 		if err != nil {
 			return nil, err
 		}
-		a.snap = snap
+		a.inner = analysis.NewSettled(snap, a.acyclic, parent, analysis.WithPool(a.ws.pool))
 	}
-	return a.snap, nil
+	return a.inner, nil
+}
+
+// Snapshot returns the immutable hypergraph of the handle's epoch,
+// materializing it on first use; *ErrStaleEpoch if the workspace has moved
+// on.
+func (a *Analysis) Snapshot() (*hypergraph.Hypergraph, error) {
+	s, err := a.session()
+	if err != nil {
+		return nil, err
+	}
+	return s.Hypergraph(), nil
 }
 
 // JoinTree returns the join forest of the handle's epoch: the union of the
@@ -96,23 +97,11 @@ func (a *Analysis) snapshotLocked() (*hypergraph.Hypergraph, error) {
 // component is cyclic and *ErrStaleEpoch when the workspace has moved on.
 // The tree is shared across callers and must be treated as read-only.
 func (a *Analysis) JoinTree() (*jointree.JoinTree, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
+	s, err := a.session()
+	if err != nil {
 		return nil, err
 	}
-	return a.joinTreeLocked()
-}
-
-func (a *Analysis) joinTreeLocked() (*jointree.JoinTree, error) {
-	if a.jt == nil {
-		jt, err := a.ws.forestFor(a.epoch)
-		if err != nil {
-			return nil, err
-		}
-		a.jt = jt
-	}
-	return a.jt, nil
+	return s.JoinTree()
 }
 
 // FullReducer derives the two-pass semijoin program from the epoch's join
@@ -120,27 +109,11 @@ func (a *Analysis) joinTreeLocked() (*jointree.JoinTree, error) {
 // also matches ErrCyclic under errors.Is); edited-away epochs report
 // *ErrStaleEpoch.
 func (a *Analysis) FullReducer() ([]jointree.SemijoinStep, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
+	s, err := a.session()
+	if err != nil {
 		return nil, err
 	}
-	return a.fullReducerLocked()
-}
-
-func (a *Analysis) fullReducerLocked() ([]jointree.SemijoinStep, error) {
-	if !a.frDone {
-		jt, err := a.joinTreeLocked()
-		if errors.Is(err, hypergraph.ErrCyclic) {
-			return nil, hypergraph.ErrCyclicSchema
-		}
-		if err != nil {
-			return nil, err
-		}
-		a.fr = jt.FullReducer()
-		a.frDone = true
-	}
-	return a.fr, nil
+	return s.FullReducer()
 }
 
 // Classification places the epoch's hypergraph in the acyclicity hierarchy
@@ -150,57 +123,28 @@ func (a *Analysis) Classification() (acyclic.Classification, error) {
 }
 
 // ClassificationCtx places the epoch's hypergraph in the acyclicity
-// hierarchy, backed by the polynomial spectrum testers over the epoch
-// snapshot — the α component is the incremental verdict, the stricter
-// notions run at most once per handle and observe ctx every ~4096 work
-// units. A cancelled run leaves the facet uncomputed for a later retry.
+// hierarchy, backed by the session's spectrum facet — the α component is
+// the incremental verdict, the stricter notions run at most once per handle
+// and observe ctx every ~4096 work units. A cancelled run leaves the facet
+// uncomputed for a later retry.
 func (a *Analysis) ClassificationCtx(ctx context.Context) (acyclic.Classification, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
+	s, err := a.session()
+	if err != nil {
 		return acyclic.Classification{}, err
 	}
-	if a.cl == nil {
-		snap, err := a.snapshotLocked()
-		if err != nil {
-			return acyclic.Classification{}, err
-		}
-		r, err := spectrum.ClassifyWithAlpha(ctx, snap, a.acyclic)
-		if err != nil {
-			return acyclic.Classification{}, err
-		}
-		a.cl = &acyclic.Classification{
-			Alpha: r.Alpha,
-			Beta:  r.Beta.Acyclic,
-			Gamma: r.Gamma.Acyclic,
-			Berge: r.Berge,
-		}
-	}
-	return *a.cl, nil
+	return s.ClassificationCtx(ctx)
 }
 
 // GrahamTrace returns the Graham (GYO) reduction of the epoch snapshot with
 // no sacred nodes, including the full step trace, observing ctx every
-// ~4096 work units (gyo.RunCtx). A cancelled run leaves the facet
-// uncomputed for a later retry; a completed run is cached.
+// ~4096 work units. A cancelled run leaves the facet uncomputed for a later
+// retry; a completed run is cached.
 func (a *Analysis) GrahamTrace(ctx context.Context) (*gyo.Result, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
+	s, err := a.session()
+	if err != nil {
 		return nil, err
 	}
-	if a.gr == nil {
-		snap, err := a.snapshotLocked()
-		if err != nil {
-			return nil, err
-		}
-		r, err := gyo.RunCtx(ctx, snap, bitset.Set{})
-		if err != nil {
-			return nil, err
-		}
-		a.gr = r
-	}
-	return a.gr, nil
+	return s.GrahamTraceCtx(ctx)
 }
 
 // Witness returns the Theorem 6.1 independent-path witness when the epoch
@@ -209,92 +153,45 @@ func (a *Analysis) GrahamTrace(ctx context.Context) (*gyo.Result, error) {
 // no search, no snapshot. The results are shared and must be treated as
 // read-only.
 func (a *Analysis) Witness() (path *core.Path, coreGraph *hypergraph.Hypergraph, found bool, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
+	if a.acyclic {
+		return nil, nil, false, a.ws.stale(a.epoch)
+	}
+	s, err := a.session()
+	if err != nil {
 		return nil, nil, false, err
 	}
-	if !a.witDone {
-		if a.acyclic {
-			a.witDone = true // by Theorem 6.1 no independent path exists
-			return nil, nil, false, nil
-		}
-		snap, err := a.snapshotLocked()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		p, found, werr := core.IndependentPathWitness(snap)
-		a.witDone = true
-		if werr != nil || !found {
-			a.witFound, a.witErr = found, werr
-		} else {
-			f, _ := core.WitnessCore(snap)
-			a.witPath, a.witCore, a.witFound = p, f, true
-		}
-	}
-	return a.witPath, a.witCore, a.witFound, a.witErr
-}
-
-// checkSchemaLocked verifies that d's schema is (contentually) the epoch
-// snapshot, so plans derived from this handle are valid for d's objects.
-func (a *Analysis) checkSchemaLocked(d *exec.Database) error {
-	snap, err := a.snapshotLocked()
-	if err != nil {
-		return err
-	}
-	if d.Schema != snap && d.Schema.Fingerprint128() != snap.Fingerprint128() {
-		return fmt.Errorf("repro: database schema differs from the workspace epoch's hypergraph")
-	}
-	return nil
+	return s.Witness()
 }
 
 // Reduce applies the epoch's full reducer to the columnar database d on the
 // workspace's pool (see analysis.Analysis.Reduce for the execution
-// contract). The plan derivation is epoch-checked — an edited workspace
-// reports *ErrStaleEpoch instead of running a plan for a schema that no
-// longer exists; the reduction itself runs per call outside the handle's
-// lock.
+// contract). The plan is epoch-checked — an edited workspace reports
+// *ErrStaleEpoch instead of running a plan for a schema that no longer
+// exists; the reduction itself runs per call.
 func (a *Analysis) Reduce(ctx context.Context, d *exec.Database) (*exec.ReduceResult, error) {
-	jt, err := a.execTree(d)
+	s, err := a.session()
 	if err != nil {
 		return nil, err
 	}
-	return exec.Reduce(ctx, d, jt, a.ws.pool)
-}
-
-// execTree returns the epoch's join forest for running over d, after the
-// staleness and schema checks; cyclic epochs report ErrCyclicSchema.
-func (a *Analysis) execTree(d *exec.Database) (*jointree.JoinTree, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
-		return nil, err
-	}
-	if err := a.checkSchemaLocked(d); err != nil {
-		return nil, err
-	}
-	if _, err := a.fullReducerLocked(); err != nil {
-		return nil, err
-	}
-	return a.joinTreeLocked()
+	return s.Reduce(ctx, d)
 }
 
 // Eval answers π_attrs(⋈ all objects) over d with the full Yannakakis
 // strategy, using the epoch's join forest (see analysis.Analysis.Eval for
 // the execution contract). Plans are epoch-checked like Reduce.
 func (a *Analysis) Eval(ctx context.Context, d *exec.Database, attrs []string) (*exec.EvalResult, error) {
-	jt, err := a.execTree(d)
+	s, err := a.session()
 	if err != nil {
 		return nil, err
 	}
-	return exec.Eval(ctx, d, jt, attrs, a.ws.pool)
+	return s.Eval(ctx, d, attrs)
 }
 
 // --- workspace-side epoch-checked reads ---
 
 // stale reports *ErrStaleEpoch when the workspace has moved past epoch.
-// The epoch is atomic, so the check runs lock-free; materializations
-// re-check under ws.mu (snapshotFor, forestFor), which is authoritative.
+// The epoch is atomic, so the check runs lock-free; settledFor re-checks
+// under ws.mu, which is authoritative.
 func (ws *Workspace) stale(epoch uint64) error {
 	if cur := ws.epoch.Load(); cur != epoch {
 		return &ErrStaleEpoch{Handle: epoch, Current: cur}
@@ -302,33 +199,22 @@ func (ws *Workspace) stale(epoch uint64) error {
 	return nil
 }
 
-// snapshotFor returns the snapshot for epoch, or *ErrStaleEpoch. The check
-// and the materialization happen under one lock acquisition, so the
-// returned hypergraph is exactly the requested epoch's.
-func (ws *Workspace) snapshotFor(epoch uint64) (*hypergraph.Hypergraph, error) {
+// settledFor returns the snapshot of epoch and, when every component is
+// acyclic, the join forest's parent links over it (nil on a cyclic epoch):
+// each fragment's canonical-order parent links are rebased onto snapshot
+// edge positions, and the roots of all fragments stay roots of the forest.
+// The check and both materializations happen under one lock acquisition,
+// so they describe exactly the requested epoch; *ErrStaleEpoch otherwise.
+func (ws *Workspace) settledFor(epoch uint64) (*hypergraph.Hypergraph, []int, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	if err := ws.stale(epoch); err != nil {
-		return nil, err
-	}
-	return ws.snapshotLocked(), nil
-}
-
-// forestFor assembles the epoch's join forest from the per-component
-// fragments: each fragment's canonical-order parent links are rebased onto
-// snapshot edge positions, and the roots of all fragments stay roots of the
-// forest. Reports *ErrStaleEpoch on a moved workspace and ErrCyclic when
-// any component is cyclic.
-func (ws *Workspace) forestFor(epoch uint64) (*jointree.JoinTree, error) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if err := ws.stale(epoch); err != nil {
-		return nil, err
-	}
-	if ws.cyclic > 0 {
-		return nil, hypergraph.ErrCyclic
+		return nil, nil, err
 	}
 	snap := ws.snapshotLocked()
+	if ws.cyclic > 0 {
+		return snap, nil, nil
+	}
 	parent := make([]int, snap.NumEdges())
 	for i := range parent {
 		parent[i] = -1
@@ -343,5 +229,5 @@ func (ws *Workspace) forestFor(epoch uint64) (*jointree.JoinTree, error) {
 			}
 		}
 	}
-	return &jointree.JoinTree{H: snap, Parent: parent}, nil
+	return snap, parent, nil
 }

@@ -92,7 +92,6 @@ type Workspace struct {
 	// Per-epoch caches, reset by every edit.
 	cur     *Analysis
 	snap    *hypergraph.Hypergraph
-	snapIDs []int   // snapshot position -> edge id
 	snapPos []int32 // edge id -> snapshot position (alive edges only)
 }
 
@@ -494,7 +493,6 @@ func (ws *Workspace) bump() {
 	ws.epoch.Add(1)
 	ws.cur = nil
 	ws.snap = nil
-	ws.snapIDs = nil
 	ws.snapPos = nil
 	if ws.watch != nil {
 		close(ws.watch)
@@ -831,12 +829,12 @@ func (s *byNameSeq) Less(i, j int) bool {
 }
 
 // snapshotLocked materializes (and caches) the current epoch's hypergraph
-// plus the edge-id <-> snapshot-position maps the forest assembly needs.
+// plus the edge-id -> snapshot-position map the forest assembly needs.
 func (ws *Workspace) snapshotLocked() *hypergraph.Hypergraph {
 	if ws.snap == nil {
 		b := hypergraph.NewBuilder()
-		ws.snapIDs = make([]int, 0, ws.alive)
 		ws.snapPos = make([]int32, len(ws.edges))
+		pos := int32(0)
 		for id := range ws.edges {
 			w := &ws.edges[id]
 			if !w.alive {
@@ -848,8 +846,8 @@ func (ws *Workspace) snapshotLocked() *hypergraph.Hypergraph {
 				names[i] = ws.names[nid]
 			}
 			b.Edge(names...)
-			ws.snapPos[id] = int32(len(ws.snapIDs))
-			ws.snapIDs = append(ws.snapIDs, id)
+			ws.snapPos[id] = pos
+			pos++
 		}
 		ws.snap = b.MustBuild()
 	}

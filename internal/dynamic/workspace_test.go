@@ -449,7 +449,8 @@ func TestExecFacets(t *testing.T) {
 
 // TestRaceHammer runs GOMAXPROCS writers (random edits on disjoint name
 // spaces plus shared ones) against GOMAXPROCS readers (Analysis facets,
-// snapshots) — the -race target for the mutable surface.
+// snapshots) — the -race target for the mutable surface — then GOMAXPROCS
+// concurrent classifications of one handle.
 func TestRaceHammer(t *testing.T) {
 	ws := New(WithEngine(engine.New()))
 	workers := runtime.GOMAXPROCS(0)
@@ -499,6 +500,13 @@ func TestRaceHammer(t *testing.T) {
 						return
 					}
 				}
+				if i%10 == 0 {
+					var stale *ErrStaleEpoch
+					if _, err := a.ClassificationCtx(context.Background()); err != nil && !errors.As(err, &stale) {
+						t.Errorf("reader: unexpected Classification error %v", err)
+						return
+					}
+				}
 				_ = ws.Snapshot()
 				_ = ws.Epoch()
 			}
@@ -507,6 +515,23 @@ func TestRaceHammer(t *testing.T) {
 	wg.Wait()
 	// The surviving workspace must still agree with a from-scratch run.
 	checkAgainstScratch(t, ws, -1, false)
+
+	// Concurrent classifications of one handle coalesce on its session's
+	// spectrum latch: one run, and no maximum cardinality search.
+	a := ws.Analysis()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := a.ClassificationCtx(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := a.inner.Stats(); st.HierarchyRuns != 1 || st.MCSRuns != 0 {
+		t.Fatalf("classification hammer: stats = %+v, want one spectrum run and no MCS", st)
+	}
 }
 
 // TestForestMatchesBuildMCS cross-checks the assembled multi-component

@@ -202,6 +202,46 @@ func TestTracezEvalSpanTree(t *testing.T) {
 	}
 }
 
+// TestTracezWorkspaceQuerySpans: a classification query on a fresh
+// workspace epoch runs through the epoch handle's analysis session, so its
+// facet span lands under the request root like a frozen-schema query's.
+func TestTracezWorkspaceQuerySpans(t *testing.T) {
+	t.Cleanup(obs.Disable)
+	_, ts := newTestServer(t, Config{Workers: 1, Trace: true, TraceSampleN: 1, SlowTraceThreshold: -1}, nil)
+
+	resp, body := do(t, "POST", ts.URL+"/v1/workspaces", `{"schema":"A B C\nC D E\nA E F\nA C E"}`, nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("create workspace: %d %s", resp.StatusCode, body)
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	path := "/v1/workspaces/" + created.ID + "/query"
+	if resp, body = do(t, "POST", ts.URL+path, `{"op":"classification"}`, nil); resp.StatusCode != 200 {
+		t.Fatalf("classification query: %d %s", resp.StatusCode, body)
+	}
+
+	var root *spanNode
+	for _, tr := range getTracez(t, ts.URL).Traces {
+		if tr.Root != nil && tr.Root.Attrs["path"] == path {
+			root = tr.Root
+			break
+		}
+	}
+	if root == nil {
+		t.Fatalf("no retained trace for %s", path)
+	}
+	names := map[string][]*spanNode{}
+	walk(root, func(n *spanNode) { names[n.Name] = append(names[n.Name], n) })
+	if len(names["facet.spectrum"]) != 1 {
+		t.Fatalf("workspace classification trace has %d facet.spectrum spans, want 1 (have %v)",
+			len(names["facet.spectrum"]), keys(names))
+	}
+}
+
 func keys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

@@ -12,9 +12,11 @@ type (
 	// session handle. See internal/dynamic.
 	Workspace = dynamic.Workspace
 	// WorkspaceAnalysis is the epoch-bound analysis handle of a Workspace:
-	// facets mirror the frozen Analysis session, but every derived facet
-	// epoch-checks against the live workspace and reports *ErrStaleEpoch
-	// once it has been edited past the handle. See internal/dynamic.
+	// an epoch guard around one frozen Analysis session over the epoch's
+	// snapshot, seeded with the incrementally settled verdict and join
+	// forest. Every derived facet epoch-checks against the live workspace
+	// and reports *ErrStaleEpoch once it has been edited past the handle.
+	// See internal/dynamic.
 	WorkspaceAnalysis = dynamic.Analysis
 	// WorkspaceOption configures a Workspace (see WithWorkspaceEngine).
 	WorkspaceOption = dynamic.Option

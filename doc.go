@@ -207,13 +207,21 @@
 //
 // The reduce→eval contract: Reduce applies the join tree's two-pass
 // semijoin program (Bernstein–Goodman), leaving every object globally
-// consistent; Eval then joins bottom-up along the tree, projecting each
-// intermediate onto the query attributes plus its parent connection, so the
-// join phase materializes only rows that reach the output — evaluation is
-// output-sensitive instead of intermediate-bound. An 8-object × 10⁵-row
-// chain database reduces in ~80 ms and evaluates end to end in ~190 ms,
-// 6–10× ahead of the string-keyed relation layer on the identical plan
-// (BENCH_exec.json). Kernels observe context cancellation every ~4096 rows,
+// consistent. Eval then joins only the canonical connection of the query
+// attributes X — the paper's central object: on an acyclic schema the
+// connection among X is unique, so Graham reduction of the join tree with X
+// sacred, a per-query plan built from the tree and X alone, leaves exactly
+// the objects and attributes π_X needs. If any reduced object is empty the
+// answer is empty; components without a query attribute are never joined.
+// The surviving objects join bottom-up along the reduced tree, and every
+// intermediate is projected after each child onto X plus the attributes
+// its parent and its children still to be joined share with it, so the
+// join phase materializes only rows of the canonical connection —
+// evaluation is output-sensitive instead of intermediate-bound. An
+// 8-object × 10⁵-row chain database reduces in ~80 ms and evaluates end to
+// end in ~190 ms, 6–10× ahead of the string-keyed relation layer on the
+// identical plan (BENCH_exec.json, recorded before the join phase was
+// limited to the canonical connection). Kernels observe context cancellation every ~4096 rows,
 // and mcs.RunCtx gives the same in-traversal cancellation bound to the
 // acyclicity engine itself. Correctness is pinned differentially against
 // naive internal/relation Semijoin/Join composition over randomized
@@ -240,7 +248,9 @@
 // step whose two objects share exactly one column runs a dense stamp
 // filter over dictionary value ids (no hashing), as long as the database's
 // dictionary is no larger than its cell count; every other step probes a
-// hash index.
+// flat hash table (chain heads over a power-of-two bucket array, one next
+// link and stored hash per row), the same table the joins probe and the
+// projections dedup through.
 //
 // The determinism contract: a run on n workers is byte-identical to the
 // inline run — same rows in the same order, same per-step RowsIn/RowsOut in
@@ -402,7 +412,9 @@
 // sessions and workspace handles alike (waiters that coalesced onto
 // another goroutine's computation get a facet.wait span instead); exec.eval/exec.reduce/exec.step record per-step target,
 // source, rows in/out, queueing wait, and the semijoin kernel the step ran
-// (kernel=dense|hash); dynamic.settle and
+// (kernel=dense|hash), and exec.eval how many objects the canonical
+// connection joined and pruned (joinNodes, prunedNodes) and the rows the
+// join phase materialized (joinRows); dynamic.settle and
 // dynamic.component cover workspace recomputation. Span buffers are
 // bounded per trace (default 512; overflow is counted, not grown).
 //

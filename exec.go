@@ -26,7 +26,8 @@ type (
 	// columnar database: the reduced database plus per-step stats.
 	ReduceResult = exec.ReduceResult
 	// EvalResult is the outcome of a full Yannakakis evaluation: the output
-	// table, the embedded reduction, and the join-phase row counts.
+	// table, the embedded reduction, and the rows materialized while joining
+	// the canonical connection.
 	EvalResult = exec.EvalResult
 )
 

@@ -511,11 +511,13 @@ func (a *Analysis) Reduce(ctx context.Context, d *exec.Database) (*exec.ReduceRe
 
 // Eval answers π_attrs(⋈ all objects) over the columnar database d with the
 // full Yannakakis strategy: the session's full reducer makes every object
-// globally consistent, then the objects are joined bottom-up along the
-// session's join tree with projection pushdown, so the join phase is
-// output-sensitive (see exec.Eval). d's schema must be the session's
-// hypergraph (content-equal); cyclic schemas report ErrCyclicSchema.
-// Cancellation is observed inside the kernels every ~4096 rows.
+// globally consistent, then only the objects of the canonical connection of
+// attrs are joined, bottom-up along the session's join tree reduced to that
+// connection, with projection after every child; the join phase
+// materializes only rows of the canonical connection (see exec.Eval). d's
+// schema must be the session's hypergraph (content-equal); cyclic schemas
+// report ErrCyclicSchema. Cancellation is observed inside the kernels every
+// ~4096 rows.
 func (a *Analysis) Eval(ctx context.Context, d *exec.Database, attrs []string) (*exec.EvalResult, error) {
 	jt, err := a.execTree(ctx, d)
 	if err != nil {

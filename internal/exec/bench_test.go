@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/gendb"
+	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 )
 
@@ -51,21 +52,33 @@ func BenchmarkExecReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkExecEval runs the full Yannakakis pipeline (reduce, then
-// bottom-up join with projection pushdown) projecting onto the chain's two
-// endpoint attributes — the query whose naive plan materializes the whole
-// chain join.
+// benchBushy builds the eval-join shape: eight objects in a bushy join
+// tree, {A,B,C} with the subtrees {A,D}-{D,G}, {B,E}-{E,H}, {C,F}-{F,I}
+// and {A,J}, rows tuples per object over domain values per attribute.
+func benchBushy(rows, domain int) (*exec.Database, *jointree.JoinTree) {
+	h := hypergraph.New([][]string{
+		{"A", "B", "C"}, {"A", "D"}, {"B", "E"}, {"C", "F"},
+		{"D", "G"}, {"E", "H"}, {"F", "I"}, {"A", "J"},
+	})
+	rng := rand.New(rand.NewSource(int64(rows + domain)))
+	db := gendb.Random(rng, h, gen.InstanceSpec{Rows: rows, DomainSize: domain})
+	jt, ok := jointree.BuildMCS(h)
+	if !ok {
+		panic("bushy schema must be acyclic")
+	}
+	return db, jt
+}
+
+// BenchmarkExecEval runs the full Yannakakis pipeline (reduce, then the
+// bottom-up join of the canonical connection with projection after every
+// child). The chains project onto their two endpoint attributes — the
+// query whose naive plan materializes the whole chain join. The bushy case
+// queries two leaves, {G, J}, whose canonical connection is the path
+// {D,G}-{A,D}-{A,J}: the join phase skips the other five objects.
 func BenchmarkExecEval(b *testing.B) {
 	ctx := context.Background()
-	for _, cfg := range []struct{ edges, rows int }{
-		{8, 10_000},
-		{8, 100_000},
-		{64, 10_000},
-	} {
-		db, jt := benchChain(cfg.edges, cfg.rows)
-		nodes := db.Schema.Nodes()
-		attrs := []string{nodes[0], nodes[len(nodes)-1]}
-		b.Run(fmt.Sprintf("edges=%d/rows=%d", cfg.edges, cfg.rows), func(b *testing.B) {
+	run := func(name string, db *exec.Database, jt *jointree.JoinTree, attrs []string) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := exec.Eval(ctx, db, jt, attrs, nil)
@@ -76,6 +89,17 @@ func BenchmarkExecEval(b *testing.B) {
 			}
 		})
 	}
+	for _, cfg := range []struct{ edges, rows int }{
+		{8, 10_000},
+		{8, 100_000},
+		{64, 10_000},
+	} {
+		db, jt := benchChain(cfg.edges, cfg.rows)
+		nodes := db.Schema.Nodes()
+		run(fmt.Sprintf("edges=%d/rows=%d", cfg.edges, cfg.rows), db, jt, []string{nodes[0], nodes[len(nodes)-1]})
+	}
+	db, jt := benchBushy(1000, 30)
+	run("bushy/rows=1000", db, jt, []string{"G", "J"})
 }
 
 // TestExecChain100k is the at-scale acceptance pin: a 10⁵-row acyclic-chain

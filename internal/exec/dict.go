@@ -26,10 +26,11 @@
 // them inline; any other pool gives the same result, row order included.
 //
 // The reduce→eval contract: Reduce makes every object globally consistent
-// (for acyclic schemas, by Bernstein–Goodman), after which every
-// intermediate join in Eval only grows toward tuples that contribute to the
-// output, so evaluation cost is proportional to input plus output instead
-// of the largest intermediate. Eval performs the reduction itself; callers
+// (for acyclic schemas, by Bernstein–Goodman), after which Eval joins only
+// the canonical connection of the query attributes, and every intermediate
+// join only grows toward tuples that contribute to the output, so
+// evaluation cost is proportional to input plus output instead of the
+// largest intermediate. Eval performs the reduction itself; callers
 // that reduce separately (Analysis.Reduce) can inspect the per-step stats
 // and reuse the reduced database for many evaluations.
 //

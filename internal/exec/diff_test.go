@@ -3,10 +3,14 @@ package exec_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/gen"
@@ -36,6 +40,79 @@ func acyclicCorpus(tb testing.TB) []*hypergraph.Hypergraph {
 		}))
 	}
 	return out
+}
+
+// disjointUnion returns a ⊎ b, with b's node names prefixed so the two
+// components share no attribute; a's edges come first.
+func disjointUnion(a, b *hypergraph.Hypergraph) *hypergraph.Hypergraph {
+	var edges [][]string
+	for i := 0; i < a.NumEdges(); i++ {
+		edges = append(edges, a.EdgeNodes(i))
+	}
+	for i := 0; i < b.NumEdges(); i++ {
+		e := b.EdgeNodes(i)
+		for j := range e {
+			e[j] = "b." + e[j]
+		}
+		edges = append(edges, e)
+	}
+	return hypergraph.New(edges)
+}
+
+// unionCorpus pairs corpus schemas into two-component schemas.
+func unionCorpus(tb testing.TB) [][2]*hypergraph.Hypergraph {
+	tb.Helper()
+	c := acyclicCorpus(tb)
+	var out [][2]*hypergraph.Hypergraph
+	for i := 0; i < len(c); i += 3 {
+		out = append(out, [2]*hypergraph.Hypergraph{c[i], c[len(c)-1-i]})
+	}
+	return out
+}
+
+// evalCase is one query over one instance.
+type evalCase struct {
+	label string
+	d     *exec.Database
+	attrs []string
+}
+
+// componentCases instantiates a ⊎ b and queries only a's nodes, so b is a
+// component without a query attribute. It returns a random query and the
+// empty query, each on the random instance and on a copy where one object
+// of b is emptied, which empties every answer.
+func componentCases(tb testing.TB, rng *rand.Rand, a, b *hypergraph.Hypergraph, spec gen.InstanceSpec) (*jointree.JoinTree, []evalCase) {
+	tb.Helper()
+	u := disjointUnion(a, b)
+	jt, ok := jointree.BuildMCS(u)
+	if !ok {
+		tb.Fatalf("union %v not acyclic", u)
+	}
+	d := gendb.Random(rng, u, spec)
+	tables := slices.Clone(d.Tables)
+	k := a.NumEdges() + rng.Intn(b.NumEdges())
+	empty, err := exec.NewTable(d.Dict(), tables[k].Attrs())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tables[k] = empty
+	emptied, err := exec.NewDatabase(u, tables)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nodes := a.Nodes()
+	attrs := []string{nodes[rng.Intn(len(nodes))]}
+	for _, n := range nodes {
+		if rng.Float64() < 0.4 {
+			attrs = append(attrs, n)
+		}
+	}
+	return jt, []evalCase{
+		{"query", d, attrs},
+		{"query, object emptied", emptied, attrs},
+		{"no attrs", d, []string{}},
+		{"no attrs, object emptied", emptied, []string{}},
+	}
 }
 
 // relationalTwin rebuilds d as a string-keyed db.Database so the naive
@@ -86,9 +163,28 @@ func TestReduceDifferential(t *testing.T) {
 
 // TestEvalDifferential pins exec.Eval against naive relation evaluation
 // (QueryYannakakis, itself pinned against QueryFull in internal/db) for
-// randomized attribute sets across the corpus.
+// randomized attribute sets across the corpus, and across two-component
+// schemas whose second component carries no query attribute (Eval never
+// joins it), with the empty query too. Emptying an object of the
+// unqueried component must empty the answer; the empty query answers one
+// empty row exactly when no reduced object is empty.
 func TestEvalDifferential(t *testing.T) {
 	ctx := context.Background()
+	check := func(label string, d *exec.Database, jt *jointree.JoinTree, attrs []string) *exec.EvalResult {
+		t.Helper()
+		res, err := exec.Eval(ctx, d, jt, attrs, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := relationalTwin(t, d).QueryYannakakis(attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Out.ToRelation().Equal(want) {
+			t.Fatalf("%s (%v), attrs %v: eval differs\nexec:\n%v\nnaive:\n%v", label, jt.H, attrs, res.Out, want)
+		}
+		return res
+	}
 	for i, h := range acyclicCorpus(t) {
 		rng := rand.New(rand.NewSource(int64(2000 + i)))
 		d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 25, DomainSize: 3})
@@ -104,17 +200,69 @@ func TestEvalDifferential(t *testing.T) {
 					attrs = append(attrs, n)
 				}
 			}
-			res, err := exec.Eval(ctx, d, jt, attrs, nil)
-			if err != nil {
-				t.Fatal(err)
+			check(fmt.Sprintf("schema %d", i), d, jt, attrs)
+		}
+	}
+	var emptyAnswers, unitAnswers int
+	for i, pair := range unionCorpus(t) {
+		rng := rand.New(rand.NewSource(int64(5000 + i)))
+		jt, cases := componentCases(t, rng, pair[0], pair[1], gen.InstanceSpec{Rows: 25, DomainSize: 3})
+		for _, c := range cases {
+			label := fmt.Sprintf("union %d %s", i, c.label)
+			res := check(label, c.d, jt, c.attrs)
+			anyEmpty := slices.ContainsFunc(res.Reduce.DB.Tables, func(t *exec.Table) bool { return t.NumRows() == 0 })
+			switch {
+			case anyEmpty && res.Out.NumRows() != 0:
+				t.Fatalf("%s: %d rows with an empty reduced object", label, res.Out.NumRows())
+			case anyEmpty:
+				emptyAnswers++
+			case len(c.attrs) == 0 && res.Out.NumRows() != 1:
+				t.Fatalf("%s: empty query answered %d rows, want 1", label, res.Out.NumRows())
+			case len(c.attrs) == 0:
+				unitAnswers++
 			}
-			want, err := relationalTwin(t, d).QueryYannakakis(attrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Out.ToRelation().Equal(want) {
-				t.Fatalf("schema %d (%v), attrs %v: eval differs\nexec:\n%v\nnaive:\n%v",
-					i, h, attrs, res.Out, want)
+		}
+	}
+	if emptyAnswers == 0 || unitAnswers == 0 {
+		t.Fatalf("union cases answered empty %d times and with one empty row %d times; both must occur",
+			emptyAnswers, unitAnswers)
+	}
+}
+
+// TestEvalJoinsCanonicalConnection pins Eval's join plan against the
+// paper: the attributes of the tables the join phase builds for a query on
+// X are exactly the nodes of the canonical connection CC(X), computed by
+// tableau reduction (core.CCNodes). Pruning only leaves would keep inner
+// objects that CC(X) drops, so this needs the contraction rule.
+func TestEvalJoinsCanonicalConnection(t *testing.T) {
+	schemas := acyclicCorpus(t)
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(700 + seed))
+		schemas = append(schemas, gen.RandomAcyclic(rng, gen.RandomSpec{
+			Edges:    15 + int(seed)%10,
+			MinArity: 2,
+			MaxArity: 4,
+		}))
+	}
+	for _, pair := range unionCorpus(t) {
+		schemas = append(schemas, disjointUnion(pair[0], pair[1]))
+	}
+	for i, h := range schemas {
+		jt, ok := jointree.BuildMCS(h)
+		if !ok {
+			t.Fatalf("schema %d not acyclic", i)
+		}
+		rng := rand.New(rand.NewSource(int64(6000 + i)))
+		for trial := 0; trial < 4; trial++ {
+			x := bitset.New(h.Universe())
+			h.NodeSet().ForEach(func(id int) {
+				if rng.Float64() < 0.15 {
+					x.Add(id)
+				}
+			})
+			if got, want := exec.JoinedNodes(jt, x), core.CCNodes(h, x); !got.Equal(want) {
+				t.Fatalf("schema %d (%v), X = %v: join phase covers %v, CC(X) is %v",
+					i, h, h.NodeNames(x), h.NodeNames(got), h.NodeNames(want))
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 
+	"repro/internal/bitset"
+	"repro/internal/jointree"
 	"repro/internal/pool"
 )
 
@@ -24,3 +26,18 @@ func SemijoinDense(ctx context.Context, r, s *Table, st *Stamps, p *pool.Pool) (
 
 // DenseFits reports whether Reduce may pick the dense kernel for d.
 var DenseFits = denseFits
+
+// JoinedNodes returns the node ids of tree.H covered by the tables Eval's
+// join phase builds for a query on x: the union of the kept objects'
+// projections, which bounds every accumulator built above them.
+func JoinedNodes(tree *jointree.JoinTree, x bitset.Set) bitset.Set {
+	c := planConnection(tree, x)
+	out := bitset.New(tree.H.Universe())
+	for _, v := range c.nodes {
+		for _, a := range c.need(tree.H.EdgeNodes(v), v, c.children[v]) {
+			id, _ := tree.H.NodeID(a)
+			out.Add(id)
+		}
+	}
+	return out
+}

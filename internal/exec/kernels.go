@@ -9,17 +9,18 @@ package exec
 //   - Chunked scans (semijoin keep lists, join emission) concatenate their
 //     per-chunk results in chunk order, which is ascending probe-row order,
 //     the order a single chunk emits.
-//   - The probe index is radix-partitioned by hash into shards, and each
-//     shard's hash chains list rows in ascending order (the scatter pass
-//     preserves chunk order within a shard), so Join walks every chain in
-//     the order a single map, which appends rows ascending, lists it.
-//   - Projection dedups shard-locally: duplicate rows have equal cells,
-//     hence equal hashes, hence land in one shard, so a shard-local
-//     first-occurrence scan marks exactly the rows the inline scan keeps.
+//   - The probe table hashes in chunks but links its chains serially in
+//     descending row order, so every chain lists its rows ascending
+//     whatever the chunking, and Join emits each probe row's matches in
+//     that order.
+//   - Projection keeps a row when it is the first equal row of its chain,
+//     a test each row makes on its own, so any chunking keeps exactly the
+//     rows the inline scan keeps.
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -148,106 +149,48 @@ func sharedCols(r, s *Table) (rIdx, sIdx []int) {
 	return rIdx, sIdx
 }
 
-// probeIndex maps key hashes to the rows holding them, hash-radix
-// partitioned into shards (one shard for an inline build). Every chain
-// lists its rows in ascending order — the invariant Join's emission order
-// rests on.
-type probeIndex struct {
-	shards []map[uint64][]int32
-	mask   uint64
+// probeTable indexes the rows of a table by the hash of their key cells:
+// a power-of-two array of chain heads, plus one next link and one stored
+// hash per row. Rows are linked in descending order, so every chain lists
+// its rows in ascending order — the invariant Join's emission order and
+// distinctRows' first-occurrence test rest on. -1 ends a chain.
+type probeTable struct {
+	mask uint64
+	head []int32  // bucket (hash & mask) -> first row of its chain
+	next []int32  // row -> next row of its chain
+	hash []uint64 // row -> key hash
 }
 
-func (ix *probeIndex) rows(h uint64) []int32 {
-	return ix.shards[h&ix.mask][h]
-}
+// first returns the first row of the chain hash h falls in, or -1.
+func (pt *probeTable) first(h uint64) int32 { return pt.head[h&pt.mask] }
 
-// buildIndex indexes the key cells (columns idx) of t. One inline chunk
-// builds a single map. The chunked path is a three-pass radix partition:
-// (1) chunked hashing with per-chunk per-shard counts, (2) serial prefix
-// sums laying every (chunk, shard) segment out so shard segments are
-// contiguous and chunk-ordered, (3) parallel scatter then per-shard map
-// builds. Pass 2 is O(chunks·shards) and touches no row data; passes 1 and
-// 3 are the O(n) work and fan out.
-func buildIndex(ctx context.Context, t *Table, idx []int, p *pool.Pool) (*probeIndex, error) {
+// buildTable indexes the key cells (columns idx) of t: the rows are hashed
+// in chunks on p, then linked serially.
+func buildTable(ctx context.Context, t *Table, idx []int, p *pool.Pool) (*probeTable, error) {
 	n := t.rows
-	nChunks := split(n, p)
-	if nChunks == 1 {
-		m := make(map[uint64][]int32, n)
-		for r := 0; r < n; r++ {
-			if err := checkEvery(ctx, r); err != nil {
-				return nil, err
-			}
-			h := hashCells(t.cols, idx, r)
-			m[h] = append(m[h], int32(r))
-		}
-		return &probeIndex{shards: []map[uint64][]int32{m}}, nil
-	}
-	nShards := 1
-	for nShards < 2*p.Parallelism() {
-		nShards <<= 1
-	}
-	mask := uint64(nShards - 1)
-
-	hashes := make([]uint64, n)
-	counts := make([]int32, nChunks*nShards)
-	err := forChunks(n, nChunks, p, func(c, lo, hi int) error {
-		cnt := counts[c*nShards : (c+1)*nShards]
+	hash := make([]uint64, n)
+	err := forChunks(n, split(n, p), p, func(_, lo, hi int) error {
 		for r := lo; r < hi; r++ {
 			if err := checkEvery(ctx, r); err != nil {
 				return err
 			}
-			h := hashCells(t.cols, idx, r)
-			hashes[r] = h
-			cnt[h&mask]++
+			hash[r] = hashCells(t.cols, idx, r)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Shard segment offsets, then per-(chunk, shard) scatter cursors laid
-	// out chunk-major within each shard: chunk c's shard-s rows precede
-	// chunk c+1's, so a shard segment lists rows ascending.
-	shardOff := make([]int32, nShards+1)
-	for c := 0; c < nChunks; c++ {
-		for s := 0; s < nShards; s++ {
-			shardOff[s+1] += counts[c*nShards+s]
-		}
+	k := uint(bits.Len(uint(max(n-1, 0)))) // 2^k >= n buckets
+	pt := &probeTable{mask: 1<<k - 1, head: make([]int32, 1<<k), next: make([]int32, n), hash: hash}
+	for b := range pt.head {
+		pt.head[b] = -1
 	}
-	for s := 0; s < nShards; s++ {
-		shardOff[s+1] += shardOff[s]
+	for r := n - 1; r >= 0; r-- {
+		b := hash[r] & pt.mask
+		pt.next[r], pt.head[b] = pt.head[b], int32(r)
 	}
-	cursor := make([]int32, nChunks*nShards)
-	next := slices.Clone(shardOff[:nShards])
-	for c := 0; c < nChunks; c++ {
-		for s := 0; s < nShards; s++ {
-			cursor[c*nShards+s] = next[s]
-			next[s] += counts[c*nShards+s]
-		}
-	}
-	scattered := make([]int32, n)
-	_ = forChunks(n, nChunks, p, func(c, lo, hi int) error {
-		cur := cursor[c*nShards : (c+1)*nShards]
-		for r := lo; r < hi; r++ {
-			s := hashes[r] & mask
-			scattered[cur[s]] = int32(r)
-			cur[s]++
-		}
-		return nil
-	})
-
-	shards := make([]map[uint64][]int32, nShards)
-	p.Do(nShards, func(s int) {
-		seg := scattered[shardOff[s]:shardOff[s+1]]
-		m := make(map[uint64][]int32, len(seg))
-		for _, r := range seg {
-			h := hashes[r]
-			m[h] = append(m[h], r)
-		}
-		shards[s] = m
-	})
-	return &probeIndex{shards: shards, mask: mask}, nil
+	return pt, nil
 }
 
 // Semijoin returns r ⋉ s: the rows of r that agree with at least one row of
@@ -281,13 +224,14 @@ func semijoin(ctx context.Context, r, s *Table, st *stamps, p *pool.Pool) (out *
 		kernel = "dense"
 		keep, err = denseFilter(ctx, r.cols[rIdx[0]], s.cols[sIdx[0]], r.dict.Len(), st, p)
 	default:
-		var probe *probeIndex
-		if probe, err = buildIndex(ctx, s, sIdx, p); err != nil {
+		var pt *probeTable
+		if pt, err = buildTable(ctx, s, sIdx, p); err != nil {
 			return nil, "", err
 		}
 		keep, err = selectRows(ctx, r.rows, p, func(i int) bool {
-			for _, j := range probe.rows(hashCells(r.cols, rIdx, i)) {
-				if equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
+			h := hashCells(r.cols, rIdx, i)
+			for j := pt.first(h); j >= 0; j = pt.next[j] {
+				if pt.hash[j] == h && equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
 					return true
 				}
 			}
@@ -372,7 +316,7 @@ func Join(ctx context.Context, r, s *Table, p *pool.Pool) (*Table, error) {
 			srcs[c] = src{col: s.colIndex(a)}
 		}
 	}
-	probe, err := buildIndex(ctx, s, sIdx, p)
+	pt, err := buildTable(ctx, s, sIdx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -386,8 +330,9 @@ func Join(ctx context.Context, r, s *Table, p *pool.Pool) (*Table, error) {
 			if err := checkEvery(ctx, i); err != nil {
 				return err
 			}
-			for _, j := range probe.rows(hashCells(r.cols, rIdx, i)) {
-				if !equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
+			h := hashCells(r.cols, rIdx, i)
+			for j := pt.first(h); j >= 0; j = pt.next[j] {
+				if pt.hash[j] != h || !equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
 					continue
 				}
 				// The output can be much larger than either input (cross
@@ -454,46 +399,20 @@ func Project(ctx context.Context, t *Table, attrs []string, p *pool.Pool) (*Tabl
 }
 
 // distinctRows returns, ascending, the first row of every distinct tuple of
-// t's columns idx. Inline it is one streaming scan; chunked, the rows are
-// hash-partitioned and every shard marks its own first occurrences.
+// t's columns idx: a row is kept when the first equal row of its chain is
+// itself, a test each row makes on its own, so the scan chunks freely.
 func distinctRows(ctx context.Context, t *Table, idx []int, p *pool.Pool) ([]int32, error) {
-	// firstOf reports whether row r differs from every row of reps.
-	firstOf := func(reps []int32, r int) bool {
-		for _, q := range reps {
-			if equalCells(t.cols, idx, int(q), t.cols, idx, r) {
-				return false
-			}
-		}
-		return true
-	}
-	if split(t.rows, p) == 1 {
-		seen := make(map[uint64][]int32, t.rows)
-		return selectRows(ctx, t.rows, p, func(r int) bool {
-			h := hashCells(t.cols, idx, r)
-			if !firstOf(seen[h], r) {
-				return false
-			}
-			seen[h] = append(seen[h], int32(r))
-			return true
-		})
-	}
-	probe, err := buildIndex(ctx, t, idx, p)
+	pt, err := buildTable(ctx, t, idx, p)
 	if err != nil {
 		return nil, err
 	}
-	first := make([]bool, t.rows)
-	p.Do(len(probe.shards), func(s int) {
-		for _, chain := range probe.shards[s] {
-			// The chain is ascending, so its first row of each distinct
-			// tuple is that tuple's global first occurrence.
-			var reps []int32
-			for _, r := range chain {
-				if firstOf(reps, int(r)) {
-					reps = append(reps, r)
-					first[r] = true
-				}
-			}
+	return selectRows(ctx, t.rows, p, func(r int) bool {
+		h := pt.hash[r]
+		j := pt.first(h)
+		// r itself is on the chain, so the walk ends.
+		for pt.hash[j] != h || !equalCells(t.cols, idx, int(j), t.cols, idx, r) {
+			j = pt.next[j]
 		}
+		return int(j) == r
 	})
-	return selectRows(ctx, t.rows, p, func(r int) bool { return first[r] })
 }

@@ -135,9 +135,31 @@ func TestReduceParallelMatchesSerial(t *testing.T) {
 // TestEvalParallelMatchesSerial pins exec.Eval on pool.New(w) against the
 // nil pool the same way: identical output tables (row order included),
 // identical reduction stats, and an identical JoinRows output-sensitivity
-// metric.
+// metric — across the corpus, and across two-component schemas whose
+// second component carries no query attribute, with and without an
+// emptied object and with the empty query.
 func TestEvalParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
+	pin := func(label string, d *exec.Database, jt *jointree.JoinTree, attrs []string) {
+		t.Helper()
+		serial, err := exec.Eval(ctx, d, jt, attrs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range workerValues {
+			par, err := exec.Eval(ctx, d, jt, attrs, pool.New(w))
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", label, w, err)
+			}
+			label := fmt.Sprintf("%s workers %d", label, w)
+			identicalTables(t, label+" output", serial.Out, par.Out)
+			identicalSteps(t, label, serial.Reduce.Steps, par.Reduce.Steps)
+			if par.JoinRows != serial.JoinRows {
+				t.Fatalf("%s: JoinRows differs: serial %d, parallel %d",
+					label, serial.JoinRows, par.JoinRows)
+			}
+		}
+	}
 	for _, gmp := range gomaxprocsValues {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", gmp), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(gmp)
@@ -159,22 +181,13 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 						attrs = append(attrs, n)
 					}
 				}
-				serial, err := exec.Eval(ctx, d, jt, attrs, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range workerValues {
-					par, err := exec.Eval(ctx, d, jt, attrs, pool.New(w))
-					if err != nil {
-						t.Fatalf("schema %d workers %d: %v", i, w, err)
-					}
-					label := fmt.Sprintf("schema %d workers %d", i, w)
-					identicalTables(t, label+" output", serial.Out, par.Out)
-					identicalSteps(t, label, serial.Reduce.Steps, par.Reduce.Steps)
-					if par.JoinRows != serial.JoinRows {
-						t.Fatalf("%s: JoinRows differs: serial %d, parallel %d",
-							label, serial.JoinRows, par.JoinRows)
-					}
+				pin(fmt.Sprintf("schema %d", i), d, jt, attrs)
+			}
+			for i, pair := range unionCorpus(t) {
+				rng := rand.New(rand.NewSource(int64(4500 + i)))
+				jt, cases := componentCases(t, rng, pair[0], pair[1], gen.InstanceSpec{Rows: 30, DomainSize: 3})
+				for _, c := range cases {
+					pin(fmt.Sprintf("union %d %s", i, c.label), c.d, jt, c.attrs)
 				}
 			}
 		})
@@ -182,15 +195,19 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 }
 
 // TestParallelLargeInstance exercises the chunked kernels past the
-// inline-chunk threshold (parThreshold rows) so the radix-partitioned index,
-// chunked semijoin/join, and shard-local projection paths actually run, on
-// both semijoin kernels, then pins them against the nil pool.
+// inline-chunk threshold (parThreshold rows) so the chunked probe-table
+// hashing, chunked semijoin/join, and chunked first-occurrence projection
+// paths actually run, on both semijoin kernels, then pins them against the
+// nil pool.
 func TestParallelLargeInstance(t *testing.T) {
 	ctx := context.Background()
 	for _, pad := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(99))
 		h := gen.AcyclicChain(4, 2, 1)
-		d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 40000, DomainSize: 40})
+		// About two rows per shared value: most rows survive reduction and
+		// the joins stay near-linear, so the tables stay past the
+		// threshold.
+		d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 40000, DomainSize: 20000})
 		if pad {
 			padDict(d)
 		}
@@ -198,21 +215,24 @@ func TestParallelLargeInstance(t *testing.T) {
 		if !ok {
 			t.Fatal("chain schema must be acyclic")
 		}
-		attrs := h.Nodes()[:3]
-
-		serial, err := exec.Eval(ctx, d, jt, attrs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := exec.Eval(ctx, d, jt, attrs, pool.New(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("large instance (padded dict %v)", pad)
-		identicalTables(t, label+" output", serial.Out, par.Out)
-		identicalSteps(t, label, serial.Reduce.Steps, par.Reduce.Steps)
-		if par.JoinRows != serial.JoinRows {
-			t.Fatalf("%s: JoinRows differs: serial %d, parallel %d", label, serial.JoinRows, par.JoinRows)
+		// A prefix query keeps whole objects; the endpoint query projects
+		// after every join.
+		nodes := h.Nodes()
+		for _, attrs := range [][]string{nodes[:3], {nodes[0], nodes[len(nodes)-1]}} {
+			serial, err := exec.Eval(ctx, d, jt, attrs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := exec.Eval(ctx, d, jt, attrs, pool.New(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("large instance (padded dict %v) attrs %v", pad, attrs)
+			identicalTables(t, label+" output", serial.Out, par.Out)
+			identicalSteps(t, label, serial.Reduce.Steps, par.Reduce.Steps)
+			if par.JoinRows != serial.JoinRows {
+				t.Fatalf("%s: JoinRows differs: serial %d, parallel %d", label, serial.JoinRows, par.JoinRows)
+			}
 		}
 	}
 }

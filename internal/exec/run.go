@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/fault"
+	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/obs"
 	"repro/internal/pool"
@@ -45,10 +47,11 @@ type EvalResult struct {
 	Out *Table
 	// Reduce is the embedded reduction phase with its per-step stats.
 	Reduce *ReduceResult
-	// JoinRows counts the rows materialized by the bottom-up join phase
-	// across all intermediates — the output-sensitivity metric: after full
-	// reduction it is bounded by rows that contribute to the output, not by
-	// the largest intermediate a naive plan would build.
+	// JoinRows counts the rows materialized while joining the canonical
+	// connection of the query attributes: the sum of every join's output
+	// across the join phase. It is the output-sensitivity metric: after
+	// full reduction the objects outside the canonical connection are never
+	// joined, and the joined ones are projected after every child.
 	JoinRows int
 	Elapsed  time.Duration
 }
@@ -237,15 +240,21 @@ func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree, p *pool.P
 	return res, nil
 }
 
-// Eval answers π_attrs(⋈ all objects) with the classic Yannakakis strategy
-// over a join tree of the schema: Reduce, then join bottom-up along the
-// tree, projecting every intermediate onto the query attributes plus the
-// connection to its parent. Sibling subtrees build concurrently when p has
-// spare tokens (falling back inline when it is saturated), while each node
+// Eval answers π_attrs(⋈ all objects) with the Yannakakis strategy over a
+// join tree of the schema, joining only the canonical connection of attrs:
+// Reduce, then Graham-reduce the tree with attrs sacred (see
+// planConnection) and join the surviving objects bottom-up along the
+// reduced forest. Every object, and every accumulator after each child
+// join, is projected onto the query attributes plus those its kept parent
+// and its children still to be joined share with it, so JoinRows counts
+// only rows materialized while joining the canonical connection. If any
+// reduced object is empty the answer is empty; otherwise components that
+// carry no query attribute are never joined, and the components that do
+// are cross-joined. Sibling subtrees build concurrently when p has spare
+// tokens (falling back inline when it is saturated), while each node
 // applies its child joins in child order, so the output is independent of
 // p. The tree must belong to d's schema (same content; fingerprints are
-// compared). Disconnected schemas cross-join their component results, and
-// every requested attribute must appear in some edge.
+// compared), and every requested attribute must appear in some edge.
 func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []string, p *pool.Pool) (*EvalResult, error) {
 	ctx, esp := obs.StartSpan(ctx, "exec.eval")
 	defer esp.End()
@@ -260,20 +269,23 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 	if err := checkTree(d, tree); err != nil {
 		return nil, err
 	}
-	want := make(map[string]bool, len(attrs))
+	// The plan works in tree.H's node ids; its edges are d's, as sets of
+	// names, in the same order.
+	h := tree.H
+	want := bitset.New(h.Universe())
 	for _, a := range attrs {
-		id, ok := d.Schema.NodeID(a)
+		id, ok := h.NodeID(a)
 		if !ok {
 			return nil, fmt.Errorf("exec: unknown query attribute %q", a)
 		}
 		covered := false
-		for i := 0; i < d.Schema.NumEdges() && !covered; i++ {
-			covered = d.Schema.EdgeView(i).Contains(id)
+		for i := 0; i < h.NumEdges() && !covered; i++ {
+			covered = h.EdgeView(i).Contains(id)
 		}
 		if !covered {
 			return nil, fmt.Errorf("exec: query attribute %q occurs in no object", a)
 		}
-		want[a] = true
+		want.Add(id)
 	}
 	red, err := Reduce(ctx, d, tree, p)
 	if err != nil {
@@ -281,9 +293,24 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 	}
 	res := &EvalResult{Reduce: red}
 	reduced := red.DB.Tables
+	plan := planConnection(tree, want)
+	esp.SetInt("joinNodes", int64(len(plan.nodes)))
+	esp.SetInt("prunedNodes", int64(len(reduced)-len(plan.nodes)))
+	finish := func(out *Table) (*EvalResult, error) {
+		res.Out = out
+		res.Elapsed = time.Since(start)
+		esp.SetInt("joinRows", int64(res.JoinRows))
+		esp.SetInt("rowsOut", int64(out.rows))
+		return res, nil
+	}
+	// After full reduction an empty object empties the whole join, whether
+	// or not its component carries a query attribute.
+	if slices.ContainsFunc(reduced, func(t *Table) bool { return t.rows == 0 }) {
+		uniq := slices.Compact(slices.Sorted(slices.Values(attrs)))
+		return finish(&Table{dict: d.Dict(), attrs: uniq, cols: make([][]int32, len(uniq))})
+	}
 
 	var joinRows atomic.Int64
-	ch := tree.Children()
 	// buildAll computes the subtree tables of vs concurrently when tokens
 	// allow: vs[0] runs inline (the caller is a worker), the rest spawn
 	// only if TryAcquire grants a token, so recursion cannot oversubscribe.
@@ -315,42 +342,37 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		}
 		return subs, nil
 	}
-	// build joins v's reduced object with its subtree results and projects
-	// the result onto the query attributes plus those shared with v's
-	// parent — projection pushdown.
+	// build joins v's projected object with its kept subtrees, one child at
+	// a time, projecting after every join.
 	build = func(v int) (*Table, error) {
-		subs, err := buildAll(ch[v])
+		kids := plan.children[v]
+		subs, err := buildAll(kids)
 		if err != nil {
 			return nil, err
 		}
 		acc := reduced[v]
-		for _, sub := range subs {
-			if acc, err = Join(ctx, acc, sub, p); err != nil {
+		for i := 0; ; i++ {
+			if acc, err = Project(ctx, acc, plan.need(acc.attrs, v, kids[i:]), p); err != nil || i == len(subs) {
+				return acc, err
+			}
+			if acc, err = Join(ctx, acc, subs[i], p); err != nil {
 				return nil, err
 			}
 			joinRows.Add(int64(acc.rows))
 		}
-		keep := make([]string, 0, acc.NumAttrs())
-		pv := tree.Parent[v]
-		for _, a := range acc.attrs {
-			if want[a] {
-				keep = append(keep, a)
-				continue
-			}
-			if pv >= 0 {
-				if id, ok := d.Schema.NodeID(a); ok && d.Schema.EdgeView(pv).Contains(id) {
-					keep = append(keep, a)
-				}
-			}
-		}
-		return Project(ctx, acc, keep, p)
 	}
-	subs, err := buildAll(tree.Roots())
+	subs, err := buildAll(plan.roots)
 	if err != nil {
 		return nil, err
 	}
-	acc := subs[0]
-	for _, sub := range subs[1:] {
+	// With no kept node (no query attribute) the answer is the one empty
+	// tuple: every object is nonempty.
+	acc := &Table{dict: d.Dict(), attrs: []string{}, cols: [][]int32{}, rows: 1}
+	for i, sub := range subs {
+		if i == 0 {
+			acc = sub
+			continue
+		}
 		if acc, err = Join(ctx, acc, sub, p); err != nil {
 			return nil, err
 		}
@@ -361,9 +383,151 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		return nil, err
 	}
 	res.JoinRows = int(joinRows.Load())
-	res.Out = out
-	res.Elapsed = time.Since(start)
-	esp.SetInt("joinRows", int64(res.JoinRows))
-	esp.SetInt("rowsOut", int64(out.rows))
-	return res, nil
+	return finish(out)
+}
+
+// connection is the join plan of one query: the nodes of the join forest
+// that survive Graham reduction with the query attributes x sacred, as a
+// forest of their own. Their projections cover exactly the canonical
+// connection CC(x), which on an acyclic schema is the unique connection
+// among x. The plan is a function of the tree and x alone, so every run of
+// one query joins in the same order.
+type connection struct {
+	h        *hypergraph.Hypergraph
+	x        bitset.Set
+	nodes    []int   // kept nodes
+	roots    []int   // kept roots
+	parent   []int   // kept parent; -1 for a kept root or a pruned node
+	children [][]int // kept children
+}
+
+// planConnection Graham-reduces tree with x sacred, from the tree and x
+// alone. A kept node's projection is its edge restricted to x and to the
+// edges of its kept neighbours. A node whose projection lies inside one
+// kept neighbour's edge is contracted into it, and that neighbour inherits
+// its other neighbours: every neighbour's intersection with the node lies
+// inside the projection, so running intersection keeps the kept nodes a
+// join tree, and a leaf's removal is the one-neighbour case. An isolated
+// node whose projection is empty is dropped. Each kept component is then
+// rooted at its first node in the original reversed post-order.
+func planConnection(tree *jointree.JoinTree, x bitset.Set) *connection {
+	h := tree.H
+	m := len(tree.Parent)
+	// rep is a union-find over contractions: a contracted node points at the
+	// node it went into. adj[v] holds tree neighbours of v's cluster,
+	// resolved through rep on use; dropped marks removed isolated nodes.
+	rep := make([]int, m)
+	adj := make([][]int, m)
+	for v, pv := range tree.Parent {
+		rep[v] = v
+		if pv >= 0 {
+			adj[v] = append(adj[v], pv)
+			adj[pv] = append(adj[pv], v)
+		}
+	}
+	find := func(v int) int {
+		for rep[v] != v {
+			rep[v] = rep[rep[v]]
+			v = rep[v]
+		}
+		return v
+	}
+	// neighbours resolves v's neighbour list to kept nodes in place. Since
+	// clusters are subtrees, each kept neighbour appears once.
+	neighbours := func(v int) []int {
+		nb := adj[v][:0]
+		for _, u := range adj[v] {
+			if u = find(u); u != v {
+				nb = append(nb, u)
+			}
+		}
+		adj[v] = nb
+		return nb
+	}
+	dropped := make([]bool, m)
+	// Children go before parents, so leaves are tried first. Contracting a
+	// node into w shrinks only w's projection (any other neighbour's
+	// intersection with w lay inside the contracted node), so w alone is
+	// queued again.
+	post := tree.PostOrder()
+	queue := slices.Clone(post)
+	queued := make([]bool, m)
+	for _, v := range queue {
+		queued[v] = true
+	}
+	var proj []int
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		queued[v] = false
+		nb := neighbours(v)
+		proj = proj[:0]
+		h.EdgeView(v).ForEach(func(a int) {
+			if x.Contains(a) || slices.ContainsFunc(nb, func(u int) bool { return h.EdgeView(u).Contains(a) }) {
+				proj = append(proj, a)
+			}
+		})
+		if len(nb) == 0 {
+			dropped[v] = len(proj) == 0
+			continue
+		}
+		for _, w := range nb {
+			if !slices.ContainsFunc(proj, func(a int) bool { return !h.EdgeView(w).Contains(a) }) {
+				rep[v] = w
+				adj[w] = append(adj[w], adj[v]...)
+				adj[v] = nil
+				if !queued[w] {
+					queued[w] = true
+					queue = append(queue, w)
+				}
+				break
+			}
+		}
+	}
+
+	c := &connection{h: h, x: x, parent: make([]int, m), children: make([][]int, m)}
+	for v := range c.parent {
+		c.parent[v] = -1
+	}
+	seen := make([]bool, m)
+	var stack []int
+	for _, v := range slices.Backward(post) {
+		if rep[v] != v || dropped[v] {
+			continue
+		}
+		c.nodes = append(c.nodes, v)
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		c.roots = append(c.roots, v)
+		for stack = append(stack[:0], v); len(stack) > 0; {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, k := range neighbours(u) {
+				if !seen[k] {
+					seen[k] = true
+					c.parent[k] = u
+					c.children[u] = append(c.children[u], k)
+					stack = append(stack, k)
+				}
+			}
+		}
+	}
+	return c
+}
+
+// need lists the attributes among attrs that kept node v's later joins
+// still use: the query attributes and those shared with v's kept parent or
+// with the kept children rest not yet joined.
+func (c *connection) need(attrs []string, v int, rest []int) []string {
+	keep := make([]string, 0, len(attrs))
+	for _, a := range attrs {
+		id, _ := c.h.NodeID(a)
+		shares := func(u int) bool { return c.h.EdgeView(u).Contains(id) }
+		if c.x.Contains(id) || (c.parent[v] >= 0 && shares(c.parent[v])) || slices.ContainsFunc(rest, shares) {
+			keep = append(keep, a)
+		}
+	}
+	return keep
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -185,36 +186,15 @@ func allCols(n int) []int {
 // distinctness (semijoin filters, join of distinct inputs is distinct,
 // projection dedups its own output).
 func (t *Table) dedup() *Table {
-	if t.rows < 2 {
-		return t
-	}
-	idx := allCols(len(t.cols))
-	seen := make(map[uint64][]int32, t.rows)
-	out := 0
-	for r := 0; r < t.rows; r++ {
-		h := hashCells(t.cols, idx, r)
-		dup := false
-		for _, p := range seen[h] {
-			if equalCells(t.cols, idx, int(p), t.cols, idx, r) {
-				dup = true
-				break
-			}
+	// A background context is never cancelled, so distinctRows cannot fail.
+	keep, _ := distinctRows(context.Background(), t, allCols(len(t.cols)), nil)
+	for c, col := range t.cols {
+		for k, r := range keep { // keep is ascending, so k <= r
+			col[k] = col[r]
 		}
-		if dup {
-			continue
-		}
-		if out != r {
-			for c := range t.cols {
-				t.cols[c][out] = t.cols[c][r]
-			}
-		}
-		seen[h] = append(seen[h], int32(out))
-		out++
+		t.cols[c] = col[:len(keep)]
 	}
-	for c := range t.cols {
-		t.cols[c] = t.cols[c][:out]
-	}
-	t.rows = out
+	t.rows = len(keep)
 	return t
 }
 
@@ -230,21 +210,15 @@ func (t *Table) Equal(s *Table) bool {
 		}
 	}
 	idx := allCols(len(t.cols))
-	seen := make(map[uint64][]int32, t.rows)
-	for r := 0; r < t.rows; r++ {
-		h := hashCells(t.cols, idx, r)
-		seen[h] = append(seen[h], int32(r))
-	}
+	// A background context is never cancelled, so buildTable cannot fail.
+	pt, _ := buildTable(context.Background(), t, idx, nil)
 	for r := 0; r < s.rows; r++ {
 		h := hashCells(s.cols, idx, r)
-		found := false
-		for _, p := range seen[h] {
-			if equalCells(t.cols, idx, int(p), s.cols, idx, r) {
-				found = true
-				break
-			}
+		j := pt.first(h)
+		for j >= 0 && (pt.hash[j] != h || !equalCells(t.cols, idx, int(j), s.cols, idx, r)) {
+			j = pt.next[j]
 		}
-		if !found {
+		if j < 0 {
 			return false
 		}
 	}

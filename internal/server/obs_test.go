@@ -178,6 +178,16 @@ func TestTracezEvalSpanTree(t *testing.T) {
 			evalResp.RowsIn, evalResp.RowsOut, ref.Reduce.RowsIn, ref.Reduce.RowsOut)
 	}
 
+	// The query {A, D} spans the whole chain, so its canonical connection
+	// keeps all three objects.
+	ev := byName["exec.eval"][0]
+	if join, pruned := attrInt(t, ev, "joinNodes"), attrInt(t, ev, "prunedNodes"); join != 3 || pruned != 0 {
+		t.Fatalf("exec.eval joinNodes/prunedNodes = %d/%d, want 3/0", join, pruned)
+	}
+	if got := attrInt(t, ev, "joinRows"); got != int64(ref.JoinRows) {
+		t.Fatalf("exec.eval joinRows = %d, reference run says %d", got, ref.JoinRows)
+	}
+
 	steps := byName["exec.step"]
 	if len(steps) != len(ref.Reduce.Steps) {
 		t.Fatalf("trace has %d exec.step spans, reference run has %d steps", len(steps), len(ref.Reduce.Steps))

@@ -297,6 +297,15 @@
 //	GET  /healthz, /statsz              liveness (503 while draining) and counters
 //	GET  /metricsz, /tracez             Prometheus metrics and retained slow traces (see Observability)
 //
+// A /v1/reduce or /v1/eval table is {"attrs": [...], "rows": [[...], ...]},
+// one array of string cells per row in attrs order. encoding/json decodes
+// and validates the envelope; each table's rows then go straight from the
+// request bytes into the executor's int32 columns (exec.FromJSONRows), one
+// scan that interns every cell into the request's one Dict. Cells that are
+// not strings answer 400 bad_json and rows of the wrong width 400
+// bad_request, as when rows were decoded into [][]string. Result rows come
+// back sorted lexicographically over the sorted output attributes.
+//
 // The serving layer is engineered robustness-first; its behavior under
 // overload, faults, and shutdown is part of the contract:
 //

@@ -35,15 +35,7 @@ func LoadCSV(dict *Dict, r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	perm := make([]int, len(t.attrs))
-	for i, a := range t.attrs {
-		for j, b := range attrs {
-			if a == b {
-				perm[i] = j
-				break
-			}
-		}
-	}
+	perm := sortedPerm(t.attrs, attrs)
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {

@@ -8,7 +8,10 @@
 // The layering mirrors the paper's pipeline:
 //
 //   - Table: a set-semantics relation as per-attribute int32 columns over a
-//     shared value Dict (loaders from internal/relation and CSV).
+//     shared value Dict. Three loaders fill it: FromRelation (and
+//     FromRelations for a whole database) from internal/relation, LoadCSV
+//     from CSV, and FromJSONRows from JSON rows straight from a request
+//     body.
 //   - Semijoin / Join / Project: hash kernels on column ids, each observing
 //     context cancellation every ~4096 rows and taking an optional worker
 //     pool that splits large scans into chunks.
@@ -63,6 +66,16 @@ func (d *Dict) Intern(s string) int32 {
 	d.vals = append(d.vals, s)
 	d.ids[s] = id
 	return id
+}
+
+// internBytes is Intern for a value still in its source buffer: a hit
+// costs one map probe and no allocation, and a first sight copies b, so the
+// dictionary never pins the buffer.
+func (d *Dict) internBytes(b []byte) int32 {
+	if id, ok := d.ids[string(b)]; ok {
+		return id
+	}
+	return d.Intern(string(b))
 }
 
 // Lookup returns the id of s without interning.

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -63,6 +65,71 @@ func FuzzTableLoad(f *testing.F) {
 		}
 		if !back.ToRelation().Equal(tab.ToRelation()) {
 			t.Fatalf("round trip changed the table:\n%v\nvs\n%v", tab, back)
+		}
+	})
+}
+
+// FuzzJSONRows feeds arbitrary bytes to FromJSONRows and to the path it
+// replaces, json.Unmarshal into [][]string followed by FromRows: both must
+// build Equal tables or both must fail with the same error, and neither may
+// panic. Every input the oracle accepts must also take the single pass, so
+// the encoding/json fallback only ever reports errors. The width byte picks
+// the attributes, unsorted, up to a duplicate that FromRows rejects.
+func FuzzJSONRows(f *testing.F) {
+	for _, s := range []string{
+		`[["a","b"],["c","d"]]`,
+		` [ [ "a" , "b" ] ,[ "a","b"] ] `,
+		`[["\"q\\\\","é"],["😀","é"],["\ud800","x\/y"]]`,
+		"[[\"\xff\xfe\",\"a\"]]",
+		`null`,
+		`[]`,
+		`[null]`,
+		`[["a",null]]`,
+		`[["a",1]]`,
+		`[["a","b","c"]]`,
+		`[["a"]]`,
+		`[[["a"],"b"]]`,
+		`{"a":["b"]}`,
+		`[["a","b"]`,
+		`[["a","b"]] x`,
+		"[[\"a\tb\",\"c\"]]",
+		``,
+	} {
+		f.Add(uint8(2), []byte(s))
+	}
+	f.Add(uint8(0), []byte(`[[],[]]`))
+	f.Add(uint8(0), []byte(`[null,[]]`))
+	f.Add(uint8(4), []byte(`[["a","b","c","d"]]`))
+	f.Add(uint8(4), []byte(`[["a","b","c",7]]`))
+	all := []string{"C", "A", "B", "A"}
+	f.Fuzz(func(t *testing.T, width uint8, data []byte) {
+		attrs := all[:int(width)%(len(all)+1)]
+		dict := NewDict()
+		got, gotErr := FromJSONRows(dict, attrs, data)
+		var rows [][]string
+		want, wantErr := (*Table)(nil), json.Unmarshal(data, &rows)
+		if wantErr == nil {
+			want, wantErr = FromRows(dict, attrs, rows)
+		}
+		switch {
+		case (gotErr == nil) != (wantErr == nil):
+			t.Fatalf("FromJSONRows err %v, oracle err %v", gotErr, wantErr)
+		case wantErr != nil:
+			if !strings.HasSuffix(gotErr.Error(), wantErr.Error()) {
+				t.Fatalf("FromJSONRows err %q, oracle err %q", gotErr, wantErr)
+			}
+			return
+		}
+		for c := range got.cols {
+			if len(got.cols[c]) != got.rows {
+				t.Fatalf("ragged column %d: %d cells for %d rows", c, len(got.cols[c]), got.rows)
+			}
+		}
+		if !got.Equal(want) {
+			t.Fatalf("FromJSONRows built\n%v\noracle built\n%v", got, want)
+		}
+		if !ScanJSONRows(NewDict(), attrs, data) {
+			t.Fatalf("single pass rejected rows the oracle accepts: %q", data)
 		}
 	})
 }

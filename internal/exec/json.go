@@ -1,0 +1,194 @@
+package exec
+
+import (
+	"encoding/json"
+	"fmt"
+)
+
+// FromJSONRows builds a table from a JSON rows value, an array of rows each
+// holding one string cell per attribute in the order of attrs, as it
+// arrives in a request body. It builds what json.Unmarshal into [][]string
+// followed by FromRows builds, errors included: a null rows value is no
+// rows, a null row has width 0, and a null cell reads as "".
+//
+// Rows of that shape take one pass over raw. Each cell is interned into
+// dict straight from the bytes: a value already in dict costs one map probe
+// and no allocation, and a first sight copies the bytes, so dict never pins
+// raw. A cell holding a backslash escape or a non-ASCII byte is decoded
+// alone by json.Unmarshal, so escapes and invalid-UTF-8 replacement match
+// encoding/json. Anything else, such as malformed JSON, a non-string cell,
+// a row of the wrong width or bad attribute names, goes through
+// json.Unmarshal and FromRows, so the error is theirs: a
+// *json.SyntaxError or *json.UnmarshalTypeError when raw is not rows of
+// strings, FromRows's error otherwise.
+func FromJSONRows(dict *Dict, attrs []string, raw []byte) (*Table, error) {
+	if t := scanJSONRows(dict, attrs, raw); t != nil {
+		return t.dedup(), nil
+	}
+	var rows [][]string
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		return nil, fmt.Errorf("exec: rows: %w", err)
+	}
+	return FromRows(dict, attrs, rows)
+}
+
+// scanJSONRows is FromJSONRows's single pass. It returns the table before
+// dedup, or nil when raw is not rows of the right width or attrs are
+// invalid; the cells interned before it gave up stay in dict, as they do
+// when FromRows fails part way.
+func scanJSONRows(dict *Dict, attrs []string, raw []byte) *Table {
+	t, err := NewTable(dict, attrs)
+	if err != nil {
+		return nil
+	}
+	perm := sortedPerm(t.attrs, attrs)
+	row := make([]int32, len(attrs))
+	s := jsonScanner{b: raw}
+	s.space()
+	if s.literal("null") {
+		return s.end(t)
+	}
+	if !s.consume('[') {
+		return nil
+	}
+	if s.space(); s.consume(']') {
+		return s.end(t)
+	}
+	for {
+		switch {
+		case s.literal("null"):
+			if len(attrs) != 0 {
+				return nil // a null row has width 0
+			}
+		case s.row(dict, row):
+			for i := range t.cols {
+				t.cols[i] = append(t.cols[i], row[perm[i]])
+			}
+		default:
+			return nil
+		}
+		t.rows++
+		if s.space(); s.consume(',') {
+			s.space()
+			continue
+		}
+		if s.consume(']') {
+			return s.end(t)
+		}
+		return nil
+	}
+}
+
+// jsonScanner walks JSON rows. Every read is bounds-checked against b.
+type jsonScanner struct {
+	b []byte
+	i int
+}
+
+// space skips JSON whitespace.
+func (s *jsonScanner) space() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// consume advances past c if it is the next byte.
+func (s *jsonScanner) consume(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// literal advances past lit if it comes next.
+func (s *jsonScanner) literal(lit string) bool {
+	if len(s.b)-s.i >= len(lit) && string(s.b[s.i:s.i+len(lit)]) == lit {
+		s.i += len(lit)
+		return true
+	}
+	return false
+}
+
+// end returns t if only whitespace follows the rows value.
+func (s *jsonScanner) end(t *Table) *Table {
+	if s.space(); s.i != len(s.b) {
+		return nil
+	}
+	return t
+}
+
+// row reads one array of exactly len(row) cells into row.
+func (s *jsonScanner) row(dict *Dict, row []int32) bool {
+	if !s.consume('[') {
+		return false
+	}
+	n := 0
+	if s.space(); s.consume(']') {
+		return n == len(row)
+	}
+	for n < len(row) {
+		id, ok := s.cell(dict)
+		if !ok {
+			return false
+		}
+		row[n] = id
+		n++
+		if s.space(); s.consume(',') {
+			s.space()
+			continue
+		}
+		return n == len(row) && s.consume(']')
+	}
+	return false
+}
+
+// cell reads one string or null cell and interns its value.
+func (s *jsonScanner) cell(dict *Dict) (int32, bool) {
+	if s.literal("null") {
+		return dict.Intern(""), true
+	}
+	if !s.consume('"') {
+		return 0, false
+	}
+	start := s.i
+	for s.i < len(s.b) {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			return dict.internBytes(s.b[start : s.i-1]), true
+		case c == '\\' || c >= 0x80:
+			return s.slowString(dict, start-1)
+		case c < 0x20:
+			return 0, false
+		}
+		s.i++
+	}
+	return 0, false
+}
+
+// slowString decodes the string token opening at b[open] with
+// json.Unmarshal, for cells with escapes or non-ASCII bytes.
+func (s *jsonScanner) slowString(dict *Dict, open int) (int32, bool) {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case '\\':
+			s.i += 2
+			continue
+		case '"':
+			s.i++
+			var v string
+			if json.Unmarshal(s.b[open:s.i], &v) != nil {
+				return 0, false
+			}
+			return dict.Intern(v), true
+		}
+		s.i++
+	}
+	return 0, false
+}

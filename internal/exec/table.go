@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/relation"
@@ -52,15 +53,7 @@ func FromRows(dict *Dict, attrs []string, rows [][]string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// perm[i] = position in the caller's attr order feeding sorted column i.
-	perm := make([]int, len(t.attrs))
-	orig := make(map[string]int, len(attrs))
-	for i, a := range attrs {
-		orig[a] = i
-	}
-	for i, a := range t.attrs {
-		perm[i] = orig[a]
-	}
+	perm := sortedPerm(t.attrs, attrs)
 	for _, row := range rows {
 		if len(row) != len(attrs) {
 			return nil, fmt.Errorf("exec: row width %d != %d attributes", len(row), len(attrs))
@@ -71,6 +64,16 @@ func FromRows(dict *Dict, attrs []string, rows [][]string) (*Table, error) {
 		t.rows++
 	}
 	return t.dedup(), nil
+}
+
+// sortedPerm returns perm with perm[i] = the position in attrs of sorted[i],
+// the caller-order cell that feeds sorted column i.
+func sortedPerm(sorted, attrs []string) []int {
+	perm := make([]int, len(sorted))
+	for i, a := range sorted {
+		perm[i] = slices.Index(attrs, a)
+	}
+	return perm
 }
 
 // FromRelation converts an internal/relation relation, interning its values

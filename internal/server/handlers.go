@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 
 	"repro/internal/acyclic"
@@ -15,22 +16,24 @@ import (
 	"repro/internal/exec"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
-	"repro/internal/relation"
+	"repro/internal/obs"
 	"repro/internal/spectrum"
 	"repro/internal/store"
 )
 
 // Request and response shapes. Schemas travel as the library's text format
 // (one edge per line; see hypergraph.Parse), data as per-object attribute
-// lists plus string rows.
+// lists plus string rows. The envelope is decoded by encoding/json, which
+// also validates the rows' syntax; the rows stay raw bytes until
+// exec.FromJSONRows reads them into columns (see loadTables).
 
 type schemaRequest struct {
 	Schema string `json:"schema"`
 }
 
 type tableJSON struct {
-	Attrs []string   `json:"attrs"`
-	Rows  [][]string `json:"rows"`
+	Attrs []string        `json:"attrs"`
+	Rows  json.RawMessage `json:"rows"` // [][]string
 }
 
 type evalRequest struct {
@@ -170,39 +173,82 @@ func degreeString(c acyclic.Classification) string {
 	return d.String()
 }
 
-// buildDatabase binds request tables to the schema. Both the per-table
-// constructor and the binder reject shape mismatches with plain errors, so
-// they are wrapped as 400 "bad_request" — the data, not the server, is wrong.
-func buildDatabase(h *hypergraph.Hypergraph, tables []tableJSON) (*exec.Database, error) {
-	rels := make([]*relation.Relation, len(tables))
-	for i, t := range tables {
-		rel, err := relation.New(t.Attrs, t.Rows...)
-		if err != nil {
-			return nil, &errBadRequest{err: fmt.Errorf("table %d: %w", i, err)}
-		}
-		rels[i] = rel
-	}
-	d, err := exec.FromRelations(h, rels)
-	if err != nil {
-		return nil, &errBadRequest{err: err}
-	}
-	return d, nil
-}
-
-func (s *Server) handleReduce(r *http.Request) (any, error) {
+// decodeEval reads a /v1/eval or /v1/reduce body: the envelope, the schema,
+// and the tables, whose rows go straight from the request bytes into exec
+// columns over one shared Dict. It returns the projection attributes and
+// the database, and reports the first failure in this order: JSON errors
+// (bad_json, rows that are not strings included), the schema (parse), the
+// projection attributes when withAttrs is set (unknown_node), then the
+// tables' own shape and their match with the schema (bad_request).
+func decodeEval(r *http.Request, withAttrs bool) ([]string, *exec.Database, error) {
+	_, dsp := obs.StartSpan(r.Context(), "server.decode")
 	var req evalRequest
-	if err := decode(r, &req); err != nil {
-		return nil, err
+	err := decode(r, &req)
+	dsp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	_, lsp := obs.StartSpan(r.Context(), "exec.load")
+	tables, rejected, err := loadTables(req.Tables)
+	lsp.End()
+	if err != nil {
+		return nil, nil, err
 	}
 	h, err := parseSchema(req.Schema)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	d, err := buildDatabase(h, req.Tables)
+	// The executor reports unknown attributes with plain errors, but the
+	// server contract is a typed 400 "unknown_node" carrying the name.
+	if withAttrs {
+		if _, err := h.Set(req.Attrs...); err != nil {
+			return nil, nil, err
+		}
+	}
+	if rejected != nil {
+		return nil, nil, rejected
+	}
+	d, err := exec.NewDatabase(h, tables)
+	if err != nil {
+		return nil, nil, &errBadRequest{err: err}
+	}
+	return req.Attrs, d, nil
+}
+
+// loadTables reads every table's rows into exec columns over one shared
+// Dict. It keeps the answers the server gave when rows were decoded into
+// [][]string with the envelope: rows that are not arrays of strings fail
+// the request as bad_json, returned as err at once, while the first table
+// whose attributes or row widths are wrong comes back as rejected, a
+// bad_request the caller reports after the schema checks.
+func loadTables(ts []tableJSON) (tables []*exec.Table, rejected, err error) {
+	dict := exec.NewDict()
+	tables = make([]*exec.Table, len(ts))
+	for i, t := range ts {
+		rows := t.Rows
+		if rows == nil {
+			rows = json.RawMessage("null") // an absent "rows" is no rows
+		}
+		tab, err := exec.FromJSONRows(dict, t.Attrs, rows)
+		var syntax *json.SyntaxError
+		var typ *json.UnmarshalTypeError
+		switch {
+		case errors.As(err, &syntax) || errors.As(err, &typ):
+			return nil, nil, &errBadJSON{err: fmt.Errorf("table %d: %w", i, err)}
+		case err != nil && rejected == nil:
+			rejected = &errBadRequest{err: fmt.Errorf("table %d: %w", i, err)}
+		}
+		tables[i] = tab
+	}
+	return tables, rejected, nil
+}
+
+func (s *Server) handleReduce(r *http.Request) (any, error) {
+	_, d, err := decodeEval(r, false)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.eng.AnalyzeCtx(r.Context(), h).Reduce(r.Context(), d)
+	res, err := s.eng.AnalyzeCtx(r.Context(), d.Schema).Reduce(r.Context(), d)
 	if err != nil {
 		return nil, err
 	}
@@ -214,35 +260,36 @@ func (s *Server) handleReduce(r *http.Request) (any, error) {
 }
 
 func (s *Server) handleEval(r *http.Request) (any, error) {
-	var req evalRequest
-	if err := decode(r, &req); err != nil {
-		return nil, err
-	}
-	h, err := parseSchema(req.Schema)
+	attrs, d, err := decodeEval(r, true)
 	if err != nil {
 		return nil, err
 	}
-	// Validate the projection attributes against the schema here: the
-	// executor reports unknown attributes with plain errors, but the server
-	// contract is a typed 400 "unknown_node" carrying the name.
-	if _, err := h.Set(req.Attrs...); err != nil {
-		return nil, err
-	}
-	d, err := buildDatabase(h, req.Tables)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.eng.AnalyzeCtx(r.Context(), h).Eval(r.Context(), d, req.Attrs)
+	res, err := s.eng.AnalyzeCtx(r.Context(), d.Schema).Eval(r.Context(), d, attrs)
 	if err != nil {
 		return nil, err
 	}
 	return map[string]any{
 		"attrs":    res.Out.Attrs(),
-		"rows":     res.Out.ToRelation().Rows(),
+		"rows":     replyRows(res.Out),
 		"joinRows": res.JoinRows,
 		"rowsIn":   res.Reduce.RowsIn,
 		"rowsOut":  res.Reduce.RowsOut,
 	}, nil
+}
+
+// replyRows renders a result table's rows for the wire, sorted
+// lexicographically over the sorted attributes.
+func replyRows(t *exec.Table) [][]string {
+	rows := make([][]string, t.NumRows())
+	for r := range rows {
+		row := make([]string, t.NumAttrs())
+		for c := range row {
+			row[c] = t.Value(r, c)
+		}
+		rows[r] = row
+	}
+	slices.SortFunc(rows, slices.Compare)
+	return rows
 }
 
 // Workspace sessions. POST /v1/workspaces creates one (optionally seeded

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,6 +164,13 @@ func TestTracezEvalSpanTree(t *testing.T) {
 	}
 	if facets == 0 {
 		t.Fatalf("trace has no facet.* span (have %v)", keys(byName))
+	}
+	// What the request spends before the executor: the envelope decode and
+	// the table load, both directly under the request root.
+	for _, name := range []string{"server.decode", "exec.load"} {
+		if !slices.ContainsFunc(root.Children, func(n *spanNode) bool { return n.Name == name }) {
+			t.Fatalf("request root has no %q child (trace has %v)", name, keys(byName))
+		}
 	}
 	// SetBool records 0/1 in the int slot.
 	if got := attrInt(t, byName["engine.memo"][0], "hit"); got != 0 {

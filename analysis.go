@@ -36,10 +36,3 @@ func Analyze(h *Hypergraph, opts ...AnalyzeOption) *Analysis {
 // WithVerify makes the session's JoinTree facet cross-check the
 // running-intersection invariant once when the tree is first built.
 func WithVerify() AnalyzeOption { return analysis.WithVerify() }
-
-// WithParallelism makes the session's Reduce and Eval facets execute with
-// up to n concurrent workers (values < 1 mean GOMAXPROCS). Result tables,
-// emission order, and per-step statistics do not depend on n —
-// parallelism changes wall-clock time and nothing else. n = 1 (the
-// default) runs every kernel inline.
-func WithParallelism(n int) AnalyzeOption { return analysis.WithParallelism(n) }

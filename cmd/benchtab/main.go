@@ -9,7 +9,7 @@
 // Usage:
 //
 //	benchtab                 # all tables
-//	benchtab -table mcs      # one table: gyo|mcs|engine|sparse|dynamic|exec|parallel|spectrum|tr|cc|yannakakis|witness
+//	benchtab -table mcs      # one table: gyo|mcs|engine|sparse|dynamic|exec|spectrum|tr|cc|yannakakis|witness
 //	benchtab -quick          # smaller sweeps (CI-friendly)
 package main
 
@@ -20,7 +20,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/acyclic"
@@ -37,7 +36,6 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/mcs"
-	"repro/internal/pool"
 	"repro/internal/report"
 	"repro/internal/spectrum"
 	"repro/internal/tableau"
@@ -46,7 +44,7 @@ import (
 var quick bool
 
 func main() {
-	table := flag.String("table", "all", "table to print: gyo|mcs|engine|sparse|dynamic|exec|parallel|spectrum|tr|cc|yannakakis|witness|all")
+	table := flag.String("table", "all", "table to print: gyo|mcs|engine|sparse|dynamic|exec|spectrum|tr|cc|yannakakis|witness|all")
 	flag.BoolVar(&quick, "quick", false, "smaller sweeps")
 	flag.Parse()
 	tables := map[string]func(io.Writer){
@@ -56,14 +54,13 @@ func main() {
 		"sparse":     sparseTable,
 		"dynamic":    dynamicTable,
 		"exec":       execTable,
-		"parallel":   parallelTable,
 		"spectrum":   spectrumTable,
 		"tr":         trTable,
 		"cc":         ccTable,
 		"yannakakis": yannakakisTable,
 		"witness":    witnessTable,
 	}
-	order := []string{"gyo", "mcs", "engine", "sparse", "dynamic", "exec", "parallel", "spectrum", "tr", "cc", "yannakakis", "witness"}
+	order := []string{"gyo", "mcs", "engine", "sparse", "dynamic", "exec", "spectrum", "tr", "cc", "yannakakis", "witness"}
 	ran := false
 	for _, name := range order {
 		if *table == "all" || *table == name {
@@ -296,13 +293,13 @@ func execTable(w io.Writer) {
 		nodes := schema.Nodes()
 		attrs := []string{nodes[0], nodes[len(nodes)-1]}
 		dReduce := timeIt(func() {
-			if _, err := exec.Reduce(ctx, cdb, jt, nil); err != nil {
+			if _, err := exec.Reduce(ctx, cdb, jt); err != nil {
 				panic(err)
 			}
 		})
 		var out *exec.Table
 		dEval := timeIt(func() {
-			res, err := exec.Eval(ctx, cdb, jt, attrs, nil)
+			res, err := exec.Eval(ctx, cdb, jt, attrs)
 			if err != nil {
 				panic(err)
 			}
@@ -322,54 +319,6 @@ func execTable(w io.Writer) {
 	t.Render(w)
 	fmt.Fprintln(w, "shape: both layers run the same output-sensitive plan; the columnar kernels win a")
 	fmt.Fprintln(w, "constant factor by hashing int32 ids instead of building string row keys")
-}
-
-// parallelTable: P-PAR — exec.Reduce/exec.Eval across pool widths on the
-// identical plan; the 1-worker pool runs every kernel inline and is the
-// baseline. Speedups are bounded by the host's core count (on a single-core
-// host every row reports ~1×: chunked scans degrade inline by design).
-func parallelTable(w io.Writer) {
-	report.Section(w, fmt.Sprintf("P-PAR: intra-query parallel reduce/eval (host cores: %d)", runtime.NumCPU()))
-	t := report.NewTable("edges", "rows/object", "workers", "reduce", "eval", "reduce speedup", "eval speedup")
-	ctx := context.Background()
-	type cfg struct{ edges, rows int }
-	cfgs := []cfg{{8, 50_000}, {16, 100_000}}
-	if quick {
-		cfgs = []cfg{{8, 20_000}}
-	}
-	for _, c := range cfgs {
-		rng := rand.New(rand.NewSource(int64(17*c.edges + c.rows)))
-		schema, cdb := gendb.Chain(rng, c.edges, 2, 1, gen.InstanceSpec{Rows: c.rows, DomainSize: c.rows})
-		jt, ok := jointree.BuildMCS(schema)
-		if !ok {
-			panic("chain schema must be acyclic")
-		}
-		nodes := schema.Nodes()
-		attrs := []string{nodes[0], nodes[len(nodes)-1]}
-		var dReduce1, dEval1 time.Duration
-		for _, workers := range []int{1, 2, 4, 8} {
-			p := pool.New(workers)
-			dReduce := timeIt(func() {
-				if _, err := exec.Reduce(ctx, cdb, jt, p); err != nil {
-					panic(err)
-				}
-			})
-			dEval := timeIt(func() {
-				if _, err := exec.Eval(ctx, cdb, jt, attrs, p); err != nil {
-					panic(err)
-				}
-			})
-			if workers == 1 {
-				dReduce1, dEval1 = dReduce, dEval
-			}
-			t.Add(c.edges, c.rows, workers, dReduce, dEval,
-				float64(dReduce1)/float64(dReduce), float64(dEval1)/float64(dEval))
-		}
-	}
-	t.Render(w)
-	fmt.Fprintln(w, "shape: per-level data parallelism splits each semijoin/join/projection into chunks, so")
-	fmt.Fprintln(w, "speedup tracks min(workers, cores) once tables clear the inline-chunk threshold;")
-	fmt.Fprintln(w, "results are byte-identical at every worker count")
 }
 
 // spectrumTable: P-SPEC — the polynomial full-spectrum classifiers against

@@ -16,7 +16,7 @@
 //	hgtool jointree [-f file]             join tree and semijoin full reducer
 //	hgtool witness  [-f file]             independent-path witness for cyclic inputs
 //	hgtool dot      [-f file]             Graphviz rendering of the incidence graph
-//	hgtool eval     [-f file] -d dir -x A,B [-par N] [-trace]   Yannakakis evaluation over CSV data
+//	hgtool eval     [-f file] -d dir -x A,B [-trace]   Yannakakis evaluation over CSV data
 //	hgtool edit     [-f file] [-s script] mutable-workspace session applying an edit script
 //	hgtool serve    [-addr host:port] ...  the hgserved HTTP/JSON analysis server
 //	hgtool ws       [-json] [-log] dir...  inspect durable session directories offline
@@ -40,11 +40,9 @@
 // from -d (named "<edge name>.csv" when the schema names the edge, else
 // "R<i>.csv"), applies the schema's two-pass semijoin full reducer with
 // per-step statistics, joins bottom-up along the join tree, and prints
-// π_x(⋈ all objects) for the -x attribute list. -par N runs the reduction
-// and join phases with up to N workers (values < 1 mean GOMAXPROCS); the
-// output is identical to the serial run. -trace appends the evaluation's
-// span tree — the same attribution the server's /tracez serves: every
-// layer's duration plus per-step rows in/out and queueing wait.
+// π_x(⋈ all objects) for the -x attribute list. -trace appends the
+// evaluation's span tree — the same attribution the server's /tracez
+// serves: every layer's duration plus per-step rows in/out.
 package main
 
 import (
@@ -101,7 +99,6 @@ func main() {
 	sacred := fs.String("x", "", "comma-separated sacred nodes (eval: output attributes)")
 	dataDir := fs.String("d", "", "directory of per-object CSV files (eval)")
 	script := fs.String("s", "", "edit script file (edit; default: stdin)")
-	par := fs.Int("par", 1, "worker parallelism for eval (values < 1 mean GOMAXPROCS)")
 	trace := fs.Bool("trace", false, "collect and print the evaluation's span tree (eval)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
@@ -150,7 +147,7 @@ func main() {
 		case *dataDir == "":
 			err = fmt.Errorf("eval requires -d (CSV data directory)")
 		default:
-			err = evalCmd(os.Stdout, h, names, *dataDir, x, *par, *trace)
+			err = evalCmd(os.Stdout, h, names, *dataDir, x, *trace)
 		}
 	default:
 		usage()
@@ -342,7 +339,7 @@ func objectLabel(names []string, i int) string {
 	return fmt.Sprintf("R%d", i)
 }
 
-func evalCmd(w io.Writer, h *repro.Hypergraph, names []string, dir string, attrs []string, par int, trace bool) error {
+func evalCmd(w io.Writer, h *repro.Hypergraph, names []string, dir string, attrs []string, trace bool) error {
 	dict := repro.NewDict()
 	tables := make([]*repro.ExecTable, h.NumEdges())
 	for i := range tables {
@@ -362,11 +359,7 @@ func evalCmd(w io.Writer, h *repro.Hypergraph, names []string, dir string, attrs
 	if err != nil {
 		return err
 	}
-	var opts []repro.AnalyzeOption
-	if par != 1 {
-		opts = append(opts, repro.WithParallelism(par))
-	}
-	a := repro.Analyze(h, opts...)
+	a := repro.Analyze(h)
 	// -trace: collect the same span tree the server's /tracez serves, with
 	// a threshold-0 profiler so this one evaluation is always retained.
 	ctx := context.Background()

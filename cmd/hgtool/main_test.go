@@ -166,7 +166,7 @@ func TestEvalOutput(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := evalCmd(&b, h, nil, dir, []string{"A", "C"}, 1, false); err != nil {
+	if err := evalCmd(&b, h, nil, dir, []string{"A", "C"}, false); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -181,25 +181,8 @@ func TestEvalOutput(t *testing.T) {
 			t.Errorf("eval output missing %q:\n%s", want, out)
 		}
 	}
-	// -par N must reproduce the serial run's rows and per-phase counts
-	// (the determinism contract; only the timing columns may differ).
-	var bp strings.Builder
-	if err := evalCmd(&bp, h, nil, dir, []string{"A", "C"}, 4, false); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"loaded 2 objects, 6 rows total",
-		"full reduction: 6 -> 4 rows",
-		"π{A C}(⋈ all objects): 2 rows",
-		"a1 | c1",
-		"a2 | c2",
-	} {
-		if !strings.Contains(bp.String(), want) {
-			t.Errorf("parallel eval output missing %q:\n%s", want, bp.String())
-		}
-	}
 	// A missing CSV file is a user error.
-	if err := evalCmd(&b, h, []string{"R0", "missing"}, dir, []string{"A"}, 1, false); err == nil {
+	if err := evalCmd(&b, h, []string{"R0", "missing"}, dir, []string{"A"}, false); err == nil {
 		t.Fatal("missing object file must error")
 	}
 	// Cyclic schemas report cleanly.
@@ -211,7 +194,7 @@ func TestEvalOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := evalCmd(&b, triangle(), nil, tdir, []string{"A"}, 1, false); err == nil ||
+	if err := evalCmd(&b, triangle(), nil, tdir, []string{"A"}, false); err == nil ||
 		!strings.Contains(err.Error(), "cyclic") {
 		t.Fatalf("cyclic eval: err = %v", err)
 	}
@@ -229,7 +212,7 @@ func TestEvalTraceOutput(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := evalCmd(&b, h, nil, dir, []string{"A", "C"}, 1, true); err != nil {
+	if err := evalCmd(&b, h, nil, dir, []string{"A", "C"}, true); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

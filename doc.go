@@ -228,21 +228,16 @@
 // databases on the gen corpus, plus fuzzing of the CSV loader and
 // quick-check laws for the kernels.
 //
-// # Parallel execution
+// # Serial execution
 //
 // Both execution facets run on one driver pair, exec.Reduce and exec.Eval,
-// which take an optional worker pool; parallelism is opt-in per handle.
-// Reduce schedules the full reducer level by level over the join tree
-// (independent subtrees run concurrently) and Eval builds sibling subtrees
-// concurrently, while every semijoin, join and projection scan over more
-// than 16384 rows is split into chunks. Analyze(h, WithParallelism(n))
-// gives a handle up to n workers; NewWorkspace(WithWorkspaceParallelism(n))
-// does the same for workspace analyses and settles dirty components
+// and a query runs serially: the full reducer is one semijoin program read
+// off the join tree, a linear-time pass executed step by step in program
+// order, and Eval joins the kept subtrees one child at a time. Concurrency
+// comes from around the query instead: the server handles requests
+// concurrently, engine batches fan out over the engine's workers, and
+// NewWorkspace(WithWorkspaceParallelism(n)) settles dirty components
 // concurrently, so a cold Snapshot fans its per-component searches out.
-// Workers come from one shared pool per engine/handle: nested parallel
-// regions draw from the same token budget and degrade inline instead of
-// oversubscribing, and a pool of n=1 (or a nil pool) runs everything
-// inline.
 //
 // The semijoin kernel is chosen per step from the input, for any schema: a
 // step whose two objects share exactly one column runs a dense stamp
@@ -252,14 +247,13 @@
 // link and stored hash per row), the same table the joins probe and the
 // projections dedup through.
 //
-// The determinism contract: a run on n workers is byte-identical to the
-// inline run — same rows in the same order, same per-step RowsIn/RowsOut in
-// the full reducer's program order, same JoinRows — only wall-clock time
-// may differ. This is enforced, not aspirational: a differential suite
-// re-runs the corpus at several GOMAXPROCS values × worker counts and
-// compares every width to the nil pool field by field, and a kernel
-// differential pins the dense filter to the hash kernel (both under
-// -race). BENCH_parallel.json records the measured shapes.
+// The determinism contract: a run's output is a function of its input —
+// same rows in the same order, same per-step RowsIn/RowsOut in the full
+// reducer's program order, same JoinRows — and only wall-clock time may
+// differ between runs. The differential suites run every corpus instance
+// twice, once with a dictionary padded past the cell count so that every
+// step takes the hash kernel, and a kernel differential pins the dense
+// filter to the hash kernel row for row.
 //
 // # Batch engine
 //

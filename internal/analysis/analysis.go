@@ -42,7 +42,6 @@ import (
 	"repro/internal/jointree"
 	"repro/internal/mcs"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/spectrum"
 )
 
@@ -121,8 +120,7 @@ func (l *facetLatch) run(ctx context.Context, name string, compute func(ctx cont
 // on a latch or a sync.Once.
 type Analysis struct {
 	h      *hypergraph.Hypergraph
-	verify bool       // cross-check the join tree's running-intersection invariant
-	pool   *pool.Pool // intra-query parallelism for Reduce/Eval (nil: serial)
+	verify bool // cross-check the join tree's running-intersection invariant
 
 	// The verdict is the root of the sharing: the join tree, the
 	// classification's α component, the full reducer, and the witness
@@ -208,23 +206,6 @@ type Option func(*Analysis)
 // not trust the theorem.
 func WithVerify() Option {
 	return func(a *Analysis) { a.verify = true }
-}
-
-// WithPool attaches a shared worker pool: Reduce and Eval run their
-// semijoin and join phases on p, drawing goroutine tokens from it. Pass the
-// pool of an engine (Engine.Pool) to share one budget between inter-query
-// batch workers and intra-query kernels. A nil pool (or one with
-// parallelism 1) runs inline. Results do not depend on the pool — same
-// rows, same order, same per-step statistics.
-func WithPool(p *pool.Pool) Option {
-	return func(a *Analysis) { a.pool = p }
-}
-
-// WithParallelism caps this session's intra-query parallelism at n workers
-// (n < 1 means GOMAXPROCS) with a private pool; see WithPool for sharing
-// one budget across sessions.
-func WithParallelism(n int) Option {
-	return WithPool(pool.New(n))
 }
 
 // New opens an analysis session over h. The handle is cheap until a facet
@@ -496,8 +477,8 @@ func (a *Analysis) execTree(ctx context.Context, d *exec.Database) (*jointree.Jo
 // Reduce applies the session's full reducer to the columnar database d as a
 // streaming two-pass reduction, returning the reduced database with
 // per-step statistics (see exec.Reduce). The plan derivation is cached on
-// the handle; the reduction itself runs per call on the session's pool — it
-// depends on d, not on the hypergraph alone. d's schema must be the
+// the handle; the reduction itself runs per call — it depends on d, not on
+// the hypergraph alone. d's schema must be the
 // session's hypergraph (content-equal); cyclic schemas report
 // ErrCyclicSchema. Cancellation is observed inside the semijoin kernels
 // every ~4096 rows.
@@ -506,7 +487,7 @@ func (a *Analysis) Reduce(ctx context.Context, d *exec.Database) (*exec.ReduceRe
 	if err != nil {
 		return nil, err
 	}
-	return exec.Reduce(ctx, d, jt, a.pool)
+	return exec.Reduce(ctx, d, jt)
 }
 
 // Eval answers π_attrs(⋈ all objects) over the columnar database d with the
@@ -523,7 +504,7 @@ func (a *Analysis) Eval(ctx context.Context, d *exec.Database, attrs []string) (
 	if err != nil {
 		return nil, err
 	}
-	return exec.Eval(ctx, d, jt, attrs, a.pool)
+	return exec.Eval(ctx, d, jt, attrs)
 }
 
 // Witness returns the Theorem 6.1 independent-path witness for a cyclic

@@ -21,11 +21,10 @@ import (
 // derived facets (Snapshot, JoinTree, FullReducer, Classification,
 // GrahamTrace, Witness, Reduce, Eval) delegate to the session, which is
 // built lazily on first use over the epoch snapshot, seeded with the
-// settled verdict and join forest (no search re-runs), and run on the
-// workspace's pool. Each facet's traversal therefore runs at most once per
-// handle, records the session's facet spans, and coalesces concurrent
-// callers deadline-aware: a caller waiting behind another's in-flight
-// traversal observes its own context.
+// settled verdict and join forest (no search re-runs). Each facet's
+// traversal therefore runs at most once per handle, records the session's
+// facet spans, and coalesces concurrent callers deadline-aware: a caller
+// waiting behind another's in-flight traversal observes its own context.
 //
 // Consistency is explicit: every derived facet checks on every call that
 // the workspace is still at the handle's epoch and reports *ErrStaleEpoch
@@ -75,7 +74,7 @@ func (a *Analysis) session() (*analysis.Analysis, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.inner = analysis.NewSettled(snap, a.acyclic, parent, analysis.WithPool(a.ws.pool))
+		a.inner = analysis.NewSettled(snap, a.acyclic, parent)
 	}
 	return a.inner, nil
 }

@@ -81,7 +81,7 @@ type Workspace struct {
 	cyclic int                // settled components that are cyclic
 
 	eng  *engine.Engine // optional component-granular memo
-	pool *pool.Pool     // parallel settle + exec (nil: serial)
+	pool *pool.Pool     // parallel settle (nil: serial)
 
 	// journal, when attached (SetJournal), receives every edit before it is
 	// applied; an append error aborts the edit unacknowledged. watch is the
@@ -154,21 +154,13 @@ func WithEngine(e *engine.Engine) Option {
 	return func(ws *Workspace) { ws.eng = e }
 }
 
-// WithPool attaches a shared worker pool: dirty components re-analyze
-// concurrently when a batch of edits settles, a cold Analysis/Snapshot
-// fans its per-component searches out, and the handle's Reduce/Eval facets
-// run their kernels on it. Pass an engine's pool
-// (Engine.Pool) to spend one budget across inter-query batches and this
-// workspace. A nil pool (or parallelism 1) keeps every path serial.
-// Results are identical either way.
-func WithPool(p *pool.Pool) Option {
-	return func(ws *Workspace) { ws.pool = p }
-}
-
-// WithParallelism caps this workspace's parallelism at n workers (n < 1
-// means GOMAXPROCS) with a private pool; see WithPool for sharing.
+// WithParallelism settles this workspace with up to n workers (n < 1 means
+// GOMAXPROCS): dirty components re-analyze concurrently when a batch of
+// edits settles, and a cold Analysis/Snapshot fans its per-component
+// searches out. Without it every settle is serial. Results are identical
+// either way.
 func WithParallelism(n int) Option {
-	return WithPool(pool.New(n))
+	return func(ws *Workspace) { ws.pool = pool.New(n) }
 }
 
 // New returns an empty workspace at epoch 0.
@@ -465,7 +457,7 @@ func (ws *Workspace) Analysis() *Analysis {
 // searches (each polls ctx every ~4096 work units). A cancelled call
 // returns ctx.Err(); components whose recomputation completed stay
 // settled, the rest stay dirty for the next call to finish. When the
-// workspace has a pool (WithPool / WithParallelism), dirty components
+// workspace has a pool (WithParallelism), dirty components
 // re-analyze concurrently — after a batch of edits, and equally when a
 // cold workspace settles every component at once.
 func (ws *Workspace) AnalysisCtx(ctx context.Context) (*Analysis, error) {

@@ -34,9 +34,7 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -72,10 +70,7 @@ type Engine struct {
 	keyed bool   // WithKeyedDigest: confirm identities with seeded SipHash
 	seed  uint64 // the keyed-digest seed (meaningful only when keyed)
 
-	// pool is the shared worker budget: batch fan-out draws its extra
-	// goroutines from it, and memoized Analysis sessions carry it into
-	// exec.Reduce/exec.Eval, so inter- and intra-query parallelism
-	// cannot oversubscribe e.workers in combination.
+	// pool bounds batch fan-out at e.workers goroutines.
 	pool *pool.Pool
 
 	// keyedCache memoizes the per-engine keyed confirmation digest by
@@ -242,12 +237,6 @@ func (e *Engine) initShards(n int) {
 // Workers returns the batch worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Pool returns the engine's shared worker-token pool. Attach it to
-// standalone sessions (analysis.WithPool) or workspaces (dynamic.WithPool)
-// so their intra-query parallelism and this engine's batch fan-out spend
-// one combined budget of Workers goroutines.
-func (e *Engine) Pool() *pool.Pool { return e.pool }
-
 // Shards returns the memo shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
@@ -324,7 +313,7 @@ func (e *Engine) entryForCtx(ctx context.Context, h *hypergraph.Hypergraph) (*en
 		e.evictions.Add(1)
 		memoEvictions.Inc()
 	}
-	en := &entry{fp: fp, keyed: keyed, an: analysis.New(h, analysis.WithPool(e.pool)), key: key, seq: s.clock}
+	en := &entry{fp: fp, keyed: keyed, an: analysis.New(h), key: key, seq: s.clock}
 	s.clock++
 	s.memo[key] = append(s.memo[key], en)
 	s.n++
@@ -624,15 +613,13 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, hs []*hypergraph.Hypergraph) 
 	return out, err
 }
 
-// fanOut runs f(0..n-1) over the shared worker pool, checking ctx between
-// work items (facets additionally observe ctx inside their traversals).
-// The caller participates as a worker and extra goroutines are token-gated
-// (pool.TryAcquire), so batch fan-out and the intra-query parallelism of
-// the very sessions it queries spend one combined budget of e.workers
-// goroutines instead of multiplying. Work is handed out via an atomic
-// cursor, so uneven per-item cost (cyclic rejects are cheap, big acyclic
-// instances are not) balances automatically. Returns ctx.Err() if
-// cancellation was observed.
+// fanOut runs f(0..n-1) on the engine's worker pool, checking ctx before
+// every item (facets additionally observe ctx inside their traversals).
+// pool.Do hands items out through an atomic cursor, so uneven per-item cost
+// (cyclic rejects are cheap, big acyclic instances are not) balances
+// automatically, and it re-raises a worker's panic on the caller, so a
+// serving layer's per-request recover sees batch failures the same way it
+// sees serial ones. Returns ctx.Err() if cancellation was observed.
 func (e *Engine) fanOut(ctx context.Context, n int, f func(i int)) error {
 	if n == 0 {
 		return ctx.Err()
@@ -640,54 +627,10 @@ func (e *Engine) fanOut(ctx context.Context, n int, f func(i int)) error {
 	_, bsp := obs.StartSpan(ctx, "engine.batch")
 	bsp.SetInt("items", int64(n))
 	defer bsp.End()
-	var cursor atomic.Int64
-	var panicked atomic.Pointer[batchPanic]
-	loop := func() {
-		for ctx.Err() == nil && panicked.Load() == nil {
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				return
-			}
+	e.pool.Do(n, func(i int) {
+		if ctx.Err() == nil {
 			f(i)
 		}
-	}
-	var wg sync.WaitGroup
-	for spawned := 0; spawned < e.workers-1 && spawned < n-1 && e.pool.TryAcquire(); spawned++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer e.pool.Release()
-			defer func() {
-				if v := recover(); v != nil {
-					panicked.CompareAndSwap(nil, &batchPanic{val: v, stack: debug.Stack()})
-				}
-			}()
-			loop()
-		}()
-	}
-	// Mirror pool.Do's panic isolation: any worker's panic (including the
-	// caller's own loop slice) is captured, the remaining workers drain at
-	// their next item boundary, and the panic re-raises on the caller's
-	// goroutine — so a serving layer's per-request recover sees batch
-	// failures the same way it sees serial ones, instead of the process
-	// dying on an unrecovered goroutine panic.
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				panicked.CompareAndSwap(nil, &batchPanic{val: v, stack: debug.Stack()})
-			}
-		}()
-		loop()
-	}()
-	wg.Wait()
-	if bp := panicked.Load(); bp != nil {
-		panic(fmt.Sprintf("engine: batch worker panic: %v\n%s", bp.val, bp.stack))
-	}
+	})
 	return ctx.Err()
-}
-
-// batchPanic records the first panic captured on a batch fan-out worker.
-type batchPanic struct {
-	val   any
-	stack []byte
 }

@@ -40,7 +40,7 @@ func BenchmarkExecReduce(b *testing.B) {
 		b.Run(fmt.Sprintf("edges=%d/rows=%d", cfg.edges, cfg.rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := exec.Reduce(ctx, db, jt, nil)
+				res, err := exec.Reduce(ctx, db, jt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -81,7 +81,7 @@ func BenchmarkExecEval(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := exec.Eval(ctx, db, jt, attrs, nil)
+				res, err := exec.Eval(ctx, db, jt, attrs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -115,7 +115,7 @@ func TestExecChain100k(t *testing.T) {
 	if db.NumRows() < 99_000 {
 		t.Fatalf("instance smaller than intended: %d rows", db.NumRows())
 	}
-	res, err := exec.Reduce(ctx, db, jt, nil)
+	res, err := exec.Reduce(ctx, db, jt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestExecChain100k(t *testing.T) {
 			if i == j || !db.Schema.EdgeView(i).Intersects(db.Schema.EdgeView(j)) {
 				continue
 			}
-			again, err := exec.Semijoin(ctx, ti, tj, nil)
+			again, err := exec.Semijoin(ctx, ti, tj)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestExecChain100k(t *testing.T) {
 		}
 	}
 	nodes := db.Schema.Nodes()
-	ev, err := exec.Eval(ctx, db, jt, []string{nodes[0], nodes[len(nodes)-1]}, nil)
+	ev, err := exec.Eval(ctx, db, jt, []string{nodes[0], nodes[len(nodes)-1]})
 	if err != nil {
 		t.Fatal(err)
 	}

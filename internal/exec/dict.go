@@ -12,21 +12,20 @@
 //     FromRelations for a whole database) from internal/relation, LoadCSV
 //     from CSV, and FromJSONRows from JSON rows straight from a request
 //     body.
-//   - Semijoin / Join / Project: hash kernels on column ids, each observing
-//     context cancellation every ~4096 rows and taking an optional worker
-//     pool that splits large scans into chunks.
+//   - Semijoin / Join / Project: serial hash kernels on column ids, each
+//     observing context cancellation every ~4096 rows.
 //   - Database: a schema (hypergraph) bound to one Table per edge, all
 //     sharing one Dict so cross-table comparisons stay id-equality.
 //   - Reduce: runs a join tree's full reducer as a streaming two-pass
-//     reduction, level by level, with per-step statistics (rows in/out,
-//     elapsed, queueing wait). Each step picks its semijoin kernel from
+//     reduction, step by step in program order, with per-step statistics
+//     (rows in/out, elapsed). Each step picks its semijoin kernel from
 //     the input: a dense stamp filter when the pair shares exactly one
 //     column, the hash kernel otherwise.
 //   - Eval: full Yannakakis evaluation — reduce, then join bottom-up along
 //     the join tree with projection pushdown, output-sensitive.
 //
-// Reduce and Eval are the only drivers. A nil or single-worker pool runs
-// them inline; any other pool gives the same result, row order included.
+// Reduce and Eval are the only drivers, and both run serially: a query's
+// output, row order included, is a function of its input.
 //
 // The reduce→eval contract: Reduce makes every object globally consistent
 // (for acyclic schemas, by Bernstein–Goodman), after which Eval joins only

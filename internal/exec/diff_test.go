@@ -126,53 +126,87 @@ func relationalTwin(tb testing.TB, d *exec.Database) *db.Database {
 	return twin
 }
 
+// padDict grows d's dictionary past the database's cell count, so Reduce
+// runs every step on the hash kernel instead of the dense one.
+func padDict(d *exec.Database) {
+	cells := 0
+	for _, t := range d.Tables {
+		cells += t.NumRows() * t.NumAttrs()
+	}
+	for i := 0; i <= cells; i++ {
+		d.Dict().Intern(fmt.Sprintf("pad-%d", i))
+	}
+}
+
+// padCases lists each instance's dictionary variants: as generated, and
+// padded so that every semijoin step takes the hash kernel.
+var padCases = []bool{false, true}
+
 // TestReduceDifferential pins exec.Reduce against the naive
 // relation.Semijoin composition (db.ApplyReducer) on randomized databases
 // across the corpus, plus a 20-edge γ-acyclic chain whose steps all share
 // one column (the dense semijoin kernel's shape): every object of the
-// reduced database must equal its naive twin, and the result must be the
-// semijoin fixpoint (full reduction).
+// reduced database must equal its naive twin, the result must be the
+// semijoin fixpoint (full reduction), and the per-step stats must follow
+// the program order. Every instance runs again with a padded dictionary,
+// so single-column steps are pinned on both kernels.
 func TestReduceDifferential(t *testing.T) {
 	ctx := context.Background()
 	for i, h := range append(acyclicCorpus(t), gen.AcyclicChain(20, 3, 1)) {
-		rng := rand.New(rand.NewSource(int64(1000 + i)))
-		d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 30, DomainSize: 3})
 		jt, ok := jointree.BuildMCS(h)
 		if !ok {
 			t.Fatalf("corpus schema %d not acyclic", i)
 		}
 		prog := jt.FullReducer()
-
-		res, err := exec.Reduce(ctx, d, jt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		twin := relationalTwin(t, d)
-		naive := twin.ApplyReducer(prog)
-		for j, r := range res.DB.Relations() {
-			if !r.Equal(naive[j]) {
-				t.Fatalf("schema %d (%v): reduced object %d differs from naive\nexec:\n%v\nnaive:\n%v",
-					i, h, j, r, naive[j])
+		for _, pad := range padCases {
+			rng := rand.New(rand.NewSource(int64(1000 + i)))
+			d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 30, DomainSize: 3})
+			if pad {
+				padDict(d)
 			}
-		}
-		if !twin.ReducesFully(prog) {
-			t.Fatalf("schema %d: program is not a full reducer on the instance", i)
+			if exec.DenseFits(d) == pad {
+				t.Fatalf("schema %d padded %v: dense kernel allowed = %v", i, pad, !pad)
+			}
+			res, err := exec.Reduce(ctx, d, jt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Steps) != len(prog) {
+				t.Fatalf("schema %d: %d steps, program has %d", i, len(res.Steps), len(prog))
+			}
+			for k, st := range res.Steps {
+				if st.Step != prog[k] {
+					t.Fatalf("schema %d: step %d is %v, program order says %v", i, k, st.Step, prog[k])
+				}
+			}
+			twin := relationalTwin(t, d)
+			naive := twin.ApplyReducer(prog)
+			for j, r := range res.DB.Relations() {
+				if !r.Equal(naive[j]) {
+					t.Fatalf("schema %d (%v) padded %v: reduced object %d differs from naive\nexec:\n%v\nnaive:\n%v",
+						i, h, pad, j, r, naive[j])
+				}
+			}
+			if !twin.ReducesFully(prog) {
+				t.Fatalf("schema %d: program is not a full reducer on the instance", i)
+			}
 		}
 	}
 }
 
 // TestEvalDifferential pins exec.Eval against naive relation evaluation
 // (QueryYannakakis, itself pinned against QueryFull in internal/db) for
-// randomized attribute sets across the corpus, and across two-component
-// schemas whose second component carries no query attribute (Eval never
-// joins it), with the empty query too. Emptying an object of the
-// unqueried component must empty the answer; the empty query answers one
-// empty row exactly when no reduced object is empty.
+// randomized attribute sets across the corpus (each instance also with a
+// padded dictionary, so every semijoin step takes the hash kernel), and
+// across two-component schemas whose second component carries no query
+// attribute (Eval never joins it), with the empty query too. Emptying an
+// object of the unqueried component must empty the answer; the empty query
+// answers one empty row exactly when no reduced object is empty.
 func TestEvalDifferential(t *testing.T) {
 	ctx := context.Background()
 	check := func(label string, d *exec.Database, jt *jointree.JoinTree, attrs []string) *exec.EvalResult {
 		t.Helper()
-		res, err := exec.Eval(ctx, d, jt, attrs, nil)
+		res, err := exec.Eval(ctx, d, jt, attrs)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -186,21 +220,26 @@ func TestEvalDifferential(t *testing.T) {
 		return res
 	}
 	for i, h := range acyclicCorpus(t) {
-		rng := rand.New(rand.NewSource(int64(2000 + i)))
-		d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 25, DomainSize: 3})
 		jt, ok := jointree.BuildMCS(h)
 		if !ok {
 			t.Fatalf("corpus schema %d not acyclic", i)
 		}
 		nodes := h.Nodes()
-		for trial := 0; trial < 3; trial++ {
-			attrs := []string{nodes[rng.Intn(len(nodes))]}
-			for _, n := range nodes {
-				if rng.Float64() < 0.3 {
-					attrs = append(attrs, n)
-				}
+		for _, pad := range padCases {
+			rng := rand.New(rand.NewSource(int64(2000 + i)))
+			d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 25, DomainSize: 3})
+			if pad {
+				padDict(d)
 			}
-			check(fmt.Sprintf("schema %d", i), d, jt, attrs)
+			for trial := 0; trial < 3; trial++ {
+				attrs := []string{nodes[rng.Intn(len(nodes))]}
+				for _, n := range nodes {
+					if rng.Float64() < 0.3 {
+						attrs = append(attrs, n)
+					}
+				}
+				check(fmt.Sprintf("schema %d padded %v", i, pad), d, jt, attrs)
+			}
 		}
 	}
 	var emptyAnswers, unitAnswers int
@@ -277,7 +316,7 @@ func TestConsistentDatabaseReducesToItself(t *testing.T) {
 		h := gen.RandomAcyclic(rng, gen.RandomSpec{Edges: 6, MinArity: 2, MaxArity: 3})
 		d := gendb.Consistent(rng, h, gen.InstanceSpec{Rows: 40, DomainSize: 4})
 		jt, _ := jointree.BuildMCS(h)
-		res, err := exec.Reduce(ctx, d, jt, nil)
+		res, err := exec.Reduce(ctx, d, jt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +340,7 @@ func TestAnalysisFacets(t *testing.T) {
 		t.Fatal(err)
 	}
 	jt, _ := jointree.BuildMCS(h)
-	direct, err := exec.Reduce(ctx, d, jt, nil)
+	direct, err := exec.Reduce(ctx, d, jt)
 	if err != nil {
 		t.Fatal(err)
 	}

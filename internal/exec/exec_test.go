@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
-	"repro/internal/pool"
 	"repro/internal/relation"
 )
 
@@ -109,7 +108,7 @@ func TestSemijoinMatchesRelation(t *testing.T) {
 	d := NewDict()
 	r := mustTable(t, d, []string{"A", "B"}, []string{"1", "1"}, []string{"2", "2"}, []string{"3", "3"})
 	s := mustTable(t, d, []string{"B", "C"}, []string{"1", "x"}, []string{"3", "y"})
-	got, err := Semijoin(ctx, r, s, nil)
+	got, err := Semijoin(ctx, r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestSemijoinMatchesRelation(t *testing.T) {
 
 	// No shared attributes: r survives iff s is nonempty.
 	u := mustTable(t, d, []string{"Z"}, []string{"q"})
-	full, err := Semijoin(ctx, r, u, nil)
+	full, err := Semijoin(ctx, r, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestSemijoinMatchesRelation(t *testing.T) {
 		t.Fatalf("disjoint semijoin with nonempty rhs dropped rows: %d", full.NumRows())
 	}
 	empty := mustTable(t, d, []string{"Z"})
-	none, err := Semijoin(ctx, r, empty, nil)
+	none, err := Semijoin(ctx, r, empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestJoinMatchesRelation(t *testing.T) {
 	d := NewDict()
 	r := mustTable(t, d, []string{"A", "B"}, []string{"1", "1"}, []string{"2", "2"})
 	s := mustTable(t, d, []string{"B", "C"}, []string{"1", "x"}, []string{"1", "y"}, []string{"3", "z"})
-	got, err := Join(ctx, r, s, nil)
+	got, err := Join(ctx, r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,7 @@ func TestJoinMatchesRelation(t *testing.T) {
 
 	// Cross product when no attributes are shared.
 	u := mustTable(t, d, []string{"Z"}, []string{"p"}, []string{"q"})
-	cross, err := Join(ctx, r, u, nil)
+	cross, err := Join(ctx, r, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +166,7 @@ func TestProjectMatchesRelation(t *testing.T) {
 	d := NewDict()
 	r := mustTable(t, d, []string{"A", "B", "C"},
 		[]string{"1", "1", "x"}, []string{"1", "2", "x"}, []string{"2", "2", "y"})
-	got, err := Project(ctx, r, []string{"C", "A", "A"}, nil)
+	got, err := Project(ctx, r, []string{"C", "A", "A"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestProjectMatchesRelation(t *testing.T) {
 	if !got.ToRelation().Equal(want) {
 		t.Fatalf("project mismatch:\n%v\nwant\n%v", got, want)
 	}
-	if _, err := Project(ctx, r, []string{"Q"}, nil); err == nil {
+	if _, err := Project(ctx, r, []string{"Q"}); err == nil {
 		t.Error("projection on unknown attribute accepted")
 	}
 }
@@ -184,10 +183,10 @@ func TestKernelsRejectForeignDict(t *testing.T) {
 	ctx := context.Background()
 	r := mustTable(t, NewDict(), []string{"A"}, []string{"1"})
 	s := mustTable(t, NewDict(), []string{"A"}, []string{"1"})
-	if _, err := Semijoin(ctx, r, s, nil); err == nil {
+	if _, err := Semijoin(ctx, r, s); err == nil {
 		t.Error("semijoin across dictionaries accepted")
 	}
-	if _, err := Join(ctx, r, s, nil); err == nil {
+	if _, err := Join(ctx, r, s); err == nil {
 		t.Error("join across dictionaries accepted")
 	}
 }
@@ -216,7 +215,7 @@ func chainDB(t *testing.T) (*hypergraph.Hypergraph, *Database, *jointree.JoinTre
 
 func TestReduceChain(t *testing.T) {
 	_, db, jt := chainDB(t)
-	res, err := Reduce(context.Background(), db, jt, nil)
+	res, err := Reduce(context.Background(), db, jt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,16 +248,14 @@ func TestReduceRejectsBadProgram(t *testing.T) {
 	if !ok {
 		t.Fatal("star schema must be acyclic")
 	}
-	for _, p := range []*pool.Pool{nil, pool.New(4)} {
-		if _, err := Reduce(context.Background(), db, star, p); err == nil {
-			t.Fatalf("workers %d: join tree of a foreign same-size schema accepted", p.Parallelism())
-		}
+	if _, err := Reduce(context.Background(), db, star); err == nil {
+		t.Fatal("join tree of a foreign same-size schema accepted")
 	}
 }
 
 func TestEvalChain(t *testing.T) {
 	_, db, jt := chainDB(t)
-	res, err := Eval(context.Background(), db, jt, []string{"A", "D"}, nil)
+	res, err := Eval(context.Background(), db, jt, []string{"A", "D"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,14 +271,14 @@ func TestEvalChain(t *testing.T) {
 func TestEvalValidation(t *testing.T) {
 	h, db, jt := chainDB(t)
 	ctx := context.Background()
-	if _, err := Eval(ctx, db, jt, []string{"Q"}, nil); err == nil {
+	if _, err := Eval(ctx, db, jt, []string{"Q"}); err == nil {
 		t.Error("unknown attribute accepted")
 	}
 	other, ok := jointree.BuildMCS(hypergraph.New([][]string{{"A", "B"}, {"B", "C"}}))
 	if !ok {
 		t.Fatal("setup")
 	}
-	if _, err := Eval(ctx, db, other, []string{"A"}, nil); err == nil {
+	if _, err := Eval(ctx, db, other, []string{"A"}); err == nil {
 		t.Error("foreign join tree accepted")
 	}
 	_ = h
@@ -297,13 +294,13 @@ func TestCancellation(t *testing.T) {
 		rows[i] = []string{strconv.Itoa(i), strconv.Itoa(i + 1)}
 	}
 	r := mustTable(t, d, []string{"A", "B"}, rows...)
-	if _, err := Semijoin(ctx, r, r, nil); err != context.Canceled {
+	if _, err := Semijoin(ctx, r, r); err != context.Canceled {
 		t.Errorf("Semijoin on cancelled ctx: err = %v", err)
 	}
-	if _, err := Join(ctx, r, r, nil); err != context.Canceled {
+	if _, err := Join(ctx, r, r); err != context.Canceled {
 		t.Errorf("Join on cancelled ctx: err = %v", err)
 	}
-	if _, err := Project(ctx, r, []string{"A"}, nil); err != context.Canceled {
+	if _, err := Project(ctx, r, []string{"A"}); err != context.Canceled {
 		t.Errorf("Project on cancelled ctx: err = %v", err)
 	}
 }
@@ -312,10 +309,10 @@ func TestReduceCancellation(t *testing.T) {
 	_, db, jt := chainDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Reduce(ctx, db, jt, nil); err != context.Canceled {
+	if _, err := Reduce(ctx, db, jt); err != context.Canceled {
 		t.Errorf("Reduce on cancelled ctx: err = %v", err)
 	}
-	if _, err := Eval(ctx, db, jt, []string{"A"}, nil); err != context.Canceled {
+	if _, err := Eval(ctx, db, jt, []string{"A"}); err != context.Canceled {
 		t.Errorf("Eval on cancelled ctx: err = %v", err)
 	}
 }

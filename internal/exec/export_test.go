@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/jointree"
-	"repro/internal/pool"
 )
 
 // Stamps is the dense semijoin's scratch, exposed to the kernel
@@ -19,8 +18,8 @@ func StampsAt(epoch uint32) *Stamps { return &stamps{epoch: epoch} }
 // SemijoinDense is r ⋉ s with the dense stamp filter enabled: a pair
 // sharing exactly one column takes it, any other pair the kernel Reduce
 // would pick.
-func SemijoinDense(ctx context.Context, r, s *Table, st *Stamps, p *pool.Pool) (*Table, error) {
-	out, _, err := semijoin(ctx, r, s, st, p)
+func SemijoinDense(ctx context.Context, r, s *Table, st *Stamps) (*Table, error) {
+	out, _, err := semijoin(ctx, r, s, st)
 	return out, err
 }
 

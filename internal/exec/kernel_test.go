@@ -5,17 +5,36 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/gendb"
-	"repro/internal/hypergraph"
 	"repro/internal/jointree"
-	"repro/internal/pool"
 )
+
+// identicalTables asserts byte-identical equality — same schema, same rows,
+// in the same order — not just the set equality Table.Equal checks.
+func identicalTables(tb testing.TB, label string, want, got *exec.Table) {
+	tb.Helper()
+	if want.NumRows() != got.NumRows() || want.NumAttrs() != got.NumAttrs() {
+		tb.Fatalf("%s: shape differs: want %dx%d, got %dx%d",
+			label, want.NumRows(), want.NumAttrs(), got.NumRows(), got.NumAttrs())
+	}
+	for c := 0; c < want.NumAttrs(); c++ {
+		if want.Attr(c) != got.Attr(c) {
+			tb.Fatalf("%s: attr %d differs: want %q, got %q", label, c, want.Attr(c), got.Attr(c))
+		}
+	}
+	for r := 0; r < want.NumRows(); r++ {
+		for c := 0; c < want.NumAttrs(); c++ {
+			if want.Value(r, c) != got.Value(r, c) {
+				tb.Fatalf("%s: cell (%d,%d) differs: want %q, got %q", label, r, c, want.Value(r, c), got.Value(r, c))
+			}
+		}
+	}
+}
 
 // randomTable draws up to maxRows rows (possibly none) over a random 1–3
 // attribute subset of A..D, with values from a small domain so pairs of
@@ -59,27 +78,25 @@ func TestDenseSemijoinMatchesHash(t *testing.T) {
 		}
 		maxRows := 30
 		if trial%50 == 0 {
-			maxRows = 50000 // past the inline-chunk threshold
+			maxRows = 50000
 		}
 		r, s := randomTable(rng, dict, maxRows), randomTable(rng, dict, maxRows)
 		want := r.ToRelation().Semijoin(s.ToRelation())
-		for _, p := range []*pool.Pool{nil, pool.New(4)} {
-			label := fmt.Sprintf("trial %d (%v ⋉ %v, %d ⋉ %d rows) workers %d",
-				trial, r.Attrs(), s.Attrs(), r.NumRows(), s.NumRows(), p.Parallelism())
-			hash, err := exec.Semijoin(ctx, r, s, p)
+		label := fmt.Sprintf("trial %d (%v ⋉ %v, %d ⋉ %d rows)",
+			trial, r.Attrs(), s.Attrs(), r.NumRows(), s.NumRows())
+		hash, err := exec.Semijoin(ctx, r, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hash.ToRelation().Equal(want) {
+			t.Fatalf("%s: hash kernel differs from relation.Semijoin", label)
+		}
+		for _, st := range []*exec.Stamps{reused, wrapping} {
+			dense, err := exec.SemijoinDense(ctx, r, s, st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !hash.ToRelation().Equal(want) {
-				t.Fatalf("%s: hash kernel differs from relation.Semijoin", label)
-			}
-			for _, st := range []*exec.Stamps{reused, wrapping} {
-				dense, err := exec.SemijoinDense(ctx, r, s, st, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				identicalTables(t, label+" dense vs hash", hash, dense)
-			}
+			identicalTables(t, label+" dense vs hash", hash, dense)
 		}
 	}
 }
@@ -103,7 +120,7 @@ func TestDenseSemijoinCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.SemijoinDense(ctx, r, s, &exec.Stamps{}, nil); err != context.Canceled {
+	if _, err := exec.SemijoinDense(ctx, r, s, &exec.Stamps{}); err != context.Canceled {
 		t.Fatalf("dense semijoin on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 
@@ -117,39 +134,7 @@ func TestDenseSemijoinCancellation(t *testing.T) {
 	if !ok {
 		t.Fatal("chain schema not acyclic")
 	}
-	if _, err := exec.Reduce(ctx, d, jt, nil); err != context.Canceled {
+	if _, err := exec.Reduce(ctx, d, jt); err != context.Canceled {
 		t.Fatalf("dense reduce on cancelled ctx: err = %v, want context.Canceled", err)
-	}
-}
-
-// TestConcurrentDenseSteps runs one down-level of four dense steps
-// concurrently — a star whose leaves each share one column with the
-// center — on a 4-worker pool. Under -race this fails if concurrent steps
-// ever share stamp scratch; the result must match the nil pool's.
-func TestConcurrentDenseSteps(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	h := hypergraph.New([][]string{{"A", "B", "C", "D"}, {"A", "E"}, {"B", "F"}, {"C", "G"}, {"D", "H"}})
-	tree := &jointree.JoinTree{H: h, Parent: []int{-1, 0, 0, 0, 0}}
-	ctx := context.Background()
-	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 4000, DomainSize: 60})
-		if !exec.DenseFits(d) {
-			t.Fatal("star database should take the dense kernel")
-		}
-		serial, err := exec.Reduce(ctx, d, tree, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := exec.Reduce(ctx, d, tree, pool.New(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("seed %d", seed)
-		identicalSteps(t, label, serial.Steps, par.Steps)
-		for j := range serial.DB.Tables {
-			identicalTables(t, fmt.Sprintf("%s object %d", label, j), serial.DB.Tables[j], par.DB.Tables[j])
-		}
 	}
 }

@@ -1,21 +1,13 @@
 package exec
 
-// The kernels take an optional pool. Below parThreshold rows, or with a
-// single worker, a scan runs as one inline chunk; larger scans split into
-// parChunk-row chunks that run on the pool. The chunked path is pinned
-// byte-identical to the inline one — same rows in the same order — and that
-// determinism is engineered:
+// The kernels are serial scans in ascending row order, so their output
+// order is a function of the input alone:
 //
-//   - Chunked scans (semijoin keep lists, join emission) concatenate their
-//     per-chunk results in chunk order, which is ascending probe-row order,
-//     the order a single chunk emits.
-//   - The probe table hashes in chunks but links its chains serially in
-//     descending row order, so every chain lists its rows ascending
-//     whatever the chunking, and Join emits each probe row's matches in
-//     that order.
-//   - Projection keeps a row when it is the first equal row of its chain,
-//     a test each row makes on its own, so any chunking keeps exactly the
-//     rows the inline scan keeps.
+//   - Semijoin keeps r's surviving rows in r's order.
+//   - The probe table links its chains in descending row order, so every
+//     chain lists its rows ascending, and Join emits each probe row's
+//     matches in that order.
+//   - Projection keeps the first equal row of every chain in row order.
 
 import (
 	"context"
@@ -23,25 +15,12 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync/atomic"
-
-	"repro/internal/pool"
 )
 
-const (
-	// cancelStride is how many rows a kernel processes between context
-	// checks. Coarse enough that the check never shows up in profiles, fine
-	// enough that cancellation latency is bounded by ~4096 rows of work.
-	cancelStride = 4096
-	// parChunk is the scan-chunk granularity of the chunked path: big
-	// enough that per-chunk overhead (a slice header, a closure call)
-	// vanishes, small enough that the pool's atomic cursor balances skewed
-	// chunks.
-	parChunk = 8192
-	// parThreshold is the input size below which a scan runs as one inline
-	// chunk — under it the fork/merge overhead costs more than the scan.
-	parThreshold = 16384
-)
+// cancelStride is how many rows a kernel processes between context checks.
+// Coarse enough that the check never shows up in profiles, fine enough that
+// cancellation latency is bounded by ~4096 rows of work.
+const cancelStride = 4096
 
 // checkEvery polls ctx.Err() when row is a multiple of cancelStride.
 func checkEvery(ctx context.Context, row int) error {
@@ -51,80 +30,32 @@ func checkEvery(ctx context.Context, row int) error {
 	return nil
 }
 
-// split returns how many chunks a scan over n rows takes on p: one inline
-// chunk below parThreshold or with a single worker.
-func split(n int, p *pool.Pool) int {
-	if p.Parallelism() == 1 || n < parThreshold {
-		return 1
-	}
-	return (n + parChunk - 1) / parChunk
-}
-
-// forChunks runs f over k near-equal chunks [lo, hi) of [0, n) on p and
-// returns the first error; once one chunk fails the rest are skipped, so a
-// cancelled scan drains quickly.
-func forChunks(n, k int, p *pool.Pool, f func(c, lo, hi int) error) error {
-	size := (n + k - 1) / k
-	var first atomic.Pointer[error]
-	p.Do(k, func(c int) {
-		if first.Load() != nil {
-			return
+// selectRows returns, ascending, the rows i of [0, n) with match(i),
+// calling match on every row in ascending order.
+func selectRows(ctx context.Context, n int, match func(i int) bool) ([]int32, error) {
+	keep := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		if err := checkEvery(ctx, i); err != nil {
+			return nil, err
 		}
-		lo := min(c*size, n)
-		if err := f(c, lo, min(lo+size, n)); err != nil {
-			first.CompareAndSwap(nil, &err)
+		if match(i) {
+			keep = append(keep, int32(i))
 		}
-	})
-	if err := first.Load(); err != nil {
-		return *err
 	}
-	return nil
-}
-
-// selectRows returns, ascending, the rows i of [0, n) with match(i). A
-// single chunk calls match on every row in ascending order, so a stateful
-// match is sound there.
-func selectRows(ctx context.Context, n int, p *pool.Pool, match func(i int) bool) ([]int32, error) {
-	k := split(n, p)
-	keeps := make([][]int32, k)
-	err := forChunks(n, k, p, func(c, lo, hi int) error {
-		keep := make([]int32, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if err := checkEvery(ctx, i); err != nil {
-				return err
-			}
-			if match(i) {
-				keep = append(keep, int32(i))
-			}
-		}
-		keeps[c] = keep
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if k == 1 {
-		return keeps[0], nil
-	}
-	return slices.Concat(keeps...), nil
+	return keep, nil
 }
 
 // gather materializes rows keep (ascending) of t's columns idx as a table
-// over attrs, chunked over the output on p.
-func gather(t *Table, attrs []string, idx []int, keep []int32, p *pool.Pool) *Table {
+// over attrs.
+func gather(t *Table, attrs []string, idx []int, keep []int32) *Table {
 	out := &Table{dict: t.dict, attrs: attrs, cols: make([][]int32, len(idx)), rows: len(keep)}
-	for c := range out.cols {
-		out.cols[c] = make([]int32, len(keep))
-	}
-	_ = forChunks(len(keep), split(len(keep), p), p, func(_, lo, hi int) error {
-		for c, tc := range idx {
-			src, dst := t.cols[tc], out.cols[c]
-			for k := lo; k < hi; k++ {
-				dst[k] = src[keep[k]]
-			}
+	for c, tc := range idx {
+		src, dst := t.cols[tc], make([]int32, len(keep))
+		for k, r := range keep {
+			dst[k] = src[r]
 		}
-		return nil
-	})
+		out.cols[c] = dst
+	}
 	return out
 }
 
@@ -164,22 +95,15 @@ type probeTable struct {
 // first returns the first row of the chain hash h falls in, or -1.
 func (pt *probeTable) first(h uint64) int32 { return pt.head[h&pt.mask] }
 
-// buildTable indexes the key cells (columns idx) of t: the rows are hashed
-// in chunks on p, then linked serially.
-func buildTable(ctx context.Context, t *Table, idx []int, p *pool.Pool) (*probeTable, error) {
+// buildTable indexes the key cells (columns idx) of t.
+func buildTable(ctx context.Context, t *Table, idx []int) (*probeTable, error) {
 	n := t.rows
 	hash := make([]uint64, n)
-	err := forChunks(n, split(n, p), p, func(_, lo, hi int) error {
-		for r := lo; r < hi; r++ {
-			if err := checkEvery(ctx, r); err != nil {
-				return err
-			}
-			hash[r] = hashCells(t.cols, idx, r)
+	for r := range hash {
+		if err := checkEvery(ctx, r); err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		hash[r] = hashCells(t.cols, idx, r)
 	}
 	k := uint(bits.Len(uint(max(n-1, 0)))) // 2^k >= n buckets
 	pt := &probeTable{mask: 1<<k - 1, head: make([]int32, 1<<k), next: make([]int32, n), hash: hash}
@@ -197,9 +121,9 @@ func buildTable(ctx context.Context, t *Table, idx []int, p *pool.Pool) (*probeT
 // s on all shared attributes, by hash probe. With no shared attributes it
 // returns r when s is nonempty and the empty table otherwise — the
 // internal/relation convention the differential suite pins. An unfiltered
-// r is returned as is. The two tables must share a Dict; p may be nil.
-func Semijoin(ctx context.Context, r, s *Table, p *pool.Pool) (*Table, error) {
-	out, _, err := semijoin(ctx, r, s, nil, p)
+// r is returned as is. The two tables must share a Dict.
+func Semijoin(ctx context.Context, r, s *Table) (*Table, error) {
+	out, _, err := semijoin(ctx, r, s, nil)
 	return out, err
 }
 
@@ -207,7 +131,7 @@ func Semijoin(ctx context.Context, r, s *Table, p *pool.Pool) (*Table, error) {
 // scratch, a pair sharing exactly one column takes the dense stamp filter;
 // every other pair takes the hash kernel. kernel names the one chosen,
 // "dense" or "hash".
-func semijoin(ctx context.Context, r, s *Table, st *stamps, p *pool.Pool) (out *Table, kernel string, err error) {
+func semijoin(ctx context.Context, r, s *Table, st *stamps) (out *Table, kernel string, err error) {
 	if r.dict != s.dict {
 		return nil, "", fmt.Errorf("exec: semijoin across distinct dictionaries")
 	}
@@ -222,13 +146,13 @@ func semijoin(ctx context.Context, r, s *Table, st *stamps, p *pool.Pool) (out *
 		return &Table{dict: r.dict, attrs: r.attrs, cols: make([][]int32, len(r.cols))}, kernel, nil
 	case len(rIdx) == 1 && st != nil:
 		kernel = "dense"
-		keep, err = denseFilter(ctx, r.cols[rIdx[0]], s.cols[sIdx[0]], r.dict.Len(), st, p)
+		keep, err = denseFilter(ctx, r.cols[rIdx[0]], s.cols[sIdx[0]], r.dict.Len(), st)
 	default:
 		var pt *probeTable
-		if pt, err = buildTable(ctx, s, sIdx, p); err != nil {
+		if pt, err = buildTable(ctx, s, sIdx); err != nil {
 			return nil, "", err
 		}
-		keep, err = selectRows(ctx, r.rows, p, func(i int) bool {
+		keep, err = selectRows(ctx, r.rows, func(i int) bool {
 			h := hashCells(r.cols, rIdx, i)
 			for j := pt.first(h); j >= 0; j = pt.next[j] {
 				if pt.hash[j] == h && equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
@@ -244,12 +168,12 @@ func semijoin(ctx context.Context, r, s *Table, st *stamps, p *pool.Pool) (out *
 	if len(keep) == r.rows {
 		return r, kernel, nil // nothing filtered: share the immutable input
 	}
-	return gather(r, r.attrs, allCols(len(r.cols)), keep, p), kernel, nil
+	return gather(r, r.attrs, allCols(len(r.cols)), keep), kernel, nil
 }
 
 // stamps is the scratch of the dense semijoin: one mark per dictionary
 // value id, versioned by epoch so successive steps skip the clear. A
-// scratch serves one task at a time.
+// scratch serves one reduction at a time.
 type stamps struct {
 	epoch uint32
 	mark  []uint32
@@ -270,9 +194,8 @@ func (st *stamps) next(n int) uint32 {
 
 // denseFilter is the single-shared-column semijoin as a stamp filter over
 // the dictionary's dictLen value ids: mark every value of scol, keep the
-// rows of rcol whose value is marked. O(|r|+|s|) with no hashing; the
-// chunked scan only reads the marks.
-func denseFilter(ctx context.Context, rcol, scol []int32, dictLen int, st *stamps, p *pool.Pool) ([]int32, error) {
+// rows of rcol whose value is marked. O(|r|+|s|) with no hashing.
+func denseFilter(ctx context.Context, rcol, scol []int32, dictLen int, st *stamps) ([]int32, error) {
 	epoch := st.next(dictLen)
 	mark := st.mark
 	for i, v := range scol {
@@ -281,16 +204,15 @@ func denseFilter(ctx context.Context, rcol, scol []int32, dictLen int, st *stamp
 		}
 		mark[v] = epoch
 	}
-	return selectRows(ctx, len(rcol), p, func(i int) bool { return mark[rcol[i]] == epoch })
+	return selectRows(ctx, len(rcol), func(i int) bool { return mark[rcol[i]] == epoch })
 }
 
 // Join returns the natural join r ⋈ s over the sorted union of the
 // attribute lists; with no shared attributes it is the cross product. The
 // inputs' rows are distinct, so the output rows are distinct too (two
-// result rows coincide only if their generating row pairs do). Each chunk
-// of r emits into its own column buffers, concatenated in chunk order. The
-// two tables must share a Dict; p may be nil.
-func Join(ctx context.Context, r, s *Table, p *pool.Pool) (*Table, error) {
+// result rows coincide only if their generating row pairs do). The two
+// tables must share a Dict.
+func Join(ctx context.Context, r, s *Table) (*Table, error) {
 	if r.dict != s.dict {
 		return nil, fmt.Errorf("exec: join across distinct dictionaries")
 	}
@@ -316,60 +238,33 @@ func Join(ctx context.Context, r, s *Table, p *pool.Pool) (*Table, error) {
 			srcs[c] = src{col: s.colIndex(a)}
 		}
 	}
-	pt, err := buildTable(ctx, s, sIdx, p)
+	pt, err := buildTable(ctx, s, sIdx)
 	if err != nil {
 		return nil, err
 	}
-	k := split(r.rows, p)
-	parts := make([][][]int32, k)
-	partRows := make([]int, k)
-	err = forChunks(r.rows, k, p, func(c, lo, hi int) error {
-		cols := make([][]int32, len(outAttrs))
-		emitted := 0
-		for i := lo; i < hi; i++ {
-			if err := checkEvery(ctx, i); err != nil {
-				return err
-			}
-			h := hashCells(r.cols, rIdx, i)
-			for j := pt.first(h); j >= 0; j = pt.next[j] {
-				if pt.hash[j] != h || !equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
-					continue
-				}
-				// The output can be much larger than either input (cross
-				// products), so cancellation is also observed on emitted
-				// rows.
-				if err := checkEvery(ctx, emitted); err != nil {
-					return err
-				}
-				emitted++
-				for cc, sc := range srcs {
-					if sc.fromR {
-						cols[cc] = append(cols[cc], r.cols[sc.col][i])
-					} else {
-						cols[cc] = append(cols[cc], s.cols[sc.col][j])
-					}
-				}
-			}
+	out := &Table{dict: r.dict, attrs: outAttrs, cols: make([][]int32, len(outAttrs))}
+	for i := 0; i < r.rows; i++ {
+		if err := checkEvery(ctx, i); err != nil {
+			return nil, err
 		}
-		parts[c], partRows[c] = cols, emitted
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{dict: r.dict, attrs: outAttrs, cols: parts[0], rows: partRows[0]}
-	if k > 1 {
-		out.rows = 0
-		for _, n := range partRows {
-			out.rows += n
-		}
-		out.cols = make([][]int32, len(outAttrs))
-		for c := range out.cols {
-			col := make([]int32, 0, out.rows)
-			for _, part := range parts {
-				col = append(col, part[c]...)
+		h := hashCells(r.cols, rIdx, i)
+		for j := pt.first(h); j >= 0; j = pt.next[j] {
+			if pt.hash[j] != h || !equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
+				continue
 			}
-			out.cols[c] = col
+			// The output can be much larger than either input (cross
+			// products), so cancellation is also observed on emitted rows.
+			if err := checkEvery(ctx, out.rows); err != nil {
+				return nil, err
+			}
+			out.rows++
+			for c, sc := range srcs {
+				if sc.fromR {
+					out.cols[c] = append(out.cols[c], r.cols[sc.col][i])
+				} else {
+					out.cols[c] = append(out.cols[c], s.cols[sc.col][j])
+				}
+			}
 		}
 	}
 	return out, nil
@@ -377,8 +272,8 @@ func Join(ctx context.Context, r, s *Table, p *pool.Pool) (*Table, error) {
 
 // Project returns π_attrs(t) with duplicate result rows removed, keeping
 // first occurrences in row order. Unknown attributes are an error;
-// duplicate names in attrs collapse. p may be nil.
-func Project(ctx context.Context, t *Table, attrs []string, p *pool.Pool) (*Table, error) {
+// duplicate names in attrs collapse.
+func Project(ctx context.Context, t *Table, attrs []string) (*Table, error) {
 	uniq := slices.Compact(slices.Sorted(slices.Values(attrs)))
 	idx := make([]int, len(uniq))
 	for i, a := range uniq {
@@ -391,22 +286,22 @@ func Project(ctx context.Context, t *Table, attrs []string, p *pool.Pool) (*Tabl
 	if len(idx) == len(t.cols) {
 		return t, nil // projection onto all attributes is the identity
 	}
-	keep, err := distinctRows(ctx, t, idx, p)
+	keep, err := distinctRows(ctx, t, idx)
 	if err != nil {
 		return nil, err
 	}
-	return gather(t, uniq, idx, keep, p), nil
+	return gather(t, uniq, idx, keep), nil
 }
 
 // distinctRows returns, ascending, the first row of every distinct tuple of
 // t's columns idx: a row is kept when the first equal row of its chain is
-// itself, a test each row makes on its own, so the scan chunks freely.
-func distinctRows(ctx context.Context, t *Table, idx []int, p *pool.Pool) ([]int32, error) {
-	pt, err := buildTable(ctx, t, idx, p)
+// itself.
+func distinctRows(ctx context.Context, t *Table, idx []int) ([]int32, error) {
+	pt, err := buildTable(ctx, t, idx)
 	if err != nil {
 		return nil, err
 	}
-	return selectRows(ctx, t.rows, p, func(r int) bool {
+	return selectRows(ctx, t.rows, func(r int) bool {
 		h := pt.hash[r]
 		j := pt.first(h)
 		// r itself is on the chain, so the walk ends.

@@ -48,25 +48,25 @@ func TestSemijoinLaws(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		r, s := randomPair(rng)
-		rs, err := exec.Semijoin(ctx, r, s, nil)
+		rs, err := exec.Semijoin(ctx, r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rs.NumRows() > r.NumRows() {
 			t.Fatalf("trial %d: semijoin grew %d -> %d", trial, r.NumRows(), rs.NumRows())
 		}
-		again, err := exec.Semijoin(ctx, rs, s, nil)
+		again, err := exec.Semijoin(ctx, rs, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !again.Equal(rs) {
 			t.Fatalf("trial %d: semijoin not idempotent", trial)
 		}
-		full, err := exec.Join(ctx, r, s, nil)
+		full, err := exec.Join(ctx, r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reduced, err := exec.Join(ctx, rs, s, nil)
+		reduced, err := exec.Join(ctx, rs, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestJoinCommutesWithReduction(t *testing.T) {
 		if !ok {
 			t.Fatal("RandomAcyclic produced a cyclic schema")
 		}
-		res, err := exec.Reduce(ctx, d, jt, nil)
+		res, err := exec.Reduce(ctx, d, jt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestJoinCommutesWithReduction(t *testing.T) {
 			acc := tables[0]
 			for _, tb := range tables[1:] {
 				var err error
-				if acc, err = exec.Join(ctx, acc, tb, nil); err != nil {
+				if acc, err = exec.Join(ctx, acc, tb); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitset"
@@ -13,20 +11,16 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // StepStats records one semijoin statement of a reduction run.
 type StepStats struct {
 	Step    jointree.SemijoinStep
-	RowsIn  int // target rows before the semijoin
-	RowsOut int // target rows after
-	Elapsed time.Duration
-	// Wait is the queueing delay before the step's kernel started: the
-	// time between a level's dispatch and the moment a worker picked the
-	// step's node up (charged to the node's first step). A nil or
-	// single-worker pool never queues, so Wait is 0 there. Elapsed is pure
-	// kernel time and never includes Wait.
+	RowsIn  int           // target rows before the semijoin
+	RowsOut int           // target rows after
+	Elapsed time.Duration // kernel time of the step
+	// Wait is always 0: steps run serially, so none queues. It is kept
+	// for callers that still read it.
 	Wait time.Duration
 }
 
@@ -84,148 +78,67 @@ func denseFits(d *Database) bool {
 // Eval's output-sensitivity rests on. d is not mutated, and tree must be a
 // join tree of d's schema.
 //
-// jointree.Levels partitions the forest into dependency levels: every node
-// of an up-level folds its children into itself (in child order), the
-// down-levels mirror it by depth, and the nodes of one level run
-// concurrently on p. Each step sees the inputs it would see in program
-// order, and its stats land in the slot of tree.FullReducer() order, so the
-// result is independent of p; a nil or single-worker pool runs inline.
+// The steps run serially in tree.FullReducer() order, and each step's
+// stats land in its slot of that order.
 //
 // The semijoin kernel is chosen per step: a step sharing exactly one column
 // takes the dense stamp filter when d's dictionary fits (see denseFits),
 // every other step the hash kernel. Cancellation is observed inside the
 // kernels every ~4096 rows; on cancellation the partial work is discarded
 // and ctx.Err() returned.
-func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree, p *pool.Pool) (*ReduceResult, error) {
+func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree) (*ReduceResult, error) {
 	if err := checkTree(d, tree); err != nil {
 		return nil, err
 	}
 	ctx, rsp := obs.StartSpan(ctx, "exec.reduce")
 	defer rsp.End()
 	start := time.Now()
-	m := len(d.Tables)
 	work := slices.Clone(d.Tables)
-	dense := denseFits(d)
-	// Stamp scratch is per task: a task takes one from free (or makes one)
-	// and hands it back when done, so concurrent steps of a level never
-	// share one and an inline run reuses a single scratch throughout. At
-	// most p.Parallelism() tasks run at once, so free never fills up.
-	free := make(chan *stamps, p.Parallelism())
-
-	// Pre-assign every step its slot in program order, so concurrent
-	// completion can't scramble the Steps slice.
-	post := tree.PostOrder()
-	upIdx := make([]int, m)
-	downIdx := make([]int, m)
-	k := 0
-	for _, v := range post {
-		if tree.Parent[v] >= 0 {
-			upIdx[v] = k
-			k++
-		}
+	// One stamp scratch serves every dense step; nil allows only the hash
+	// kernel.
+	var st *stamps
+	if denseFits(d) {
+		st = new(stamps)
 	}
-	for _, v := range slices.Backward(post) {
-		if tree.Parent[v] >= 0 {
-			downIdx[v] = k
-			k++
-		}
-	}
-	steps := make([]StepStats, k)
-
-	// step replaces work[target] by work[target] ⋉ work[source], recording
-	// its stats in slot; st is the task's stamp scratch, nil when only the
-	// hash kernel may run. Exactly one fault.ExecReduceStep hit fires per
-	// step, whichever kernel runs.
-	step := func(target, source, slot int, wait time.Duration, st *stamps) error {
+	prog := tree.FullReducer()
+	steps := make([]StepStats, len(prog))
+	// step runs prog[i], replacing work[Target] by work[Target] ⋉
+	// work[Source]. Exactly one fault.ExecReduceStep hit fires per step,
+	// whichever kernel runs.
+	step := func(i int) error {
 		sctx, ssp := obs.StartSpan(ctx, "exec.step")
 		defer ssp.End()
+		target, source := prog[i].Target, prog[i].Source
 		r, s := work[target], work[source]
 		stepStart := time.Now()
 		err := fault.HitCtx(sctx, fault.ExecReduceStep)
 		var next *Table
 		var kernel string
 		if err == nil {
-			next, kernel, err = semijoin(sctx, r, s, st, p)
+			next, kernel, err = semijoin(sctx, r, s, st)
 		}
 		if err != nil {
 			ssp.SetAttr("error", err.Error())
 			return err
 		}
 		work[target] = next
-		steps[slot] = StepStats{
-			Step:    jointree.SemijoinStep{Target: target, Source: source},
+		steps[i] = StepStats{
+			Step:    prog[i],
 			RowsIn:  r.rows,
 			RowsOut: next.rows,
 			Elapsed: time.Since(stepStart),
-			Wait:    wait,
 		}
 		ssp.SetAttr("kernel", kernel)
 		ssp.SetInt("target", int64(target))
 		ssp.SetInt("source", int64(source))
 		ssp.SetInt("rowsIn", int64(r.rows))
 		ssp.SetInt("rowsOut", int64(next.rows))
-		ssp.SetInt("waitNs", wait.Nanoseconds())
 		return nil
 	}
-	// runLevels dispatches each level at once, so the time between dispatch
-	// and a task starting is pure pool queueing: it is charged to the
-	// node's first step (Wait), keeping Elapsed kernel-only. A nil or
-	// single-worker pool runs tasks back to back and reports no wait.
-	var failed atomic.Pointer[error]
-	runLevels := func(levels [][]int, task func(v int, wait time.Duration, st *stamps) error) {
-		for _, level := range levels {
-			if failed.Load() != nil {
-				return
-			}
-			dispatch := time.Now()
-			p.Do(len(level), func(i int) {
-				var wait time.Duration
-				if p.Parallelism() > 1 {
-					wait = time.Since(dispatch)
-				}
-				if failed.Load() != nil {
-					return
-				}
-				var st *stamps
-				if dense {
-					select {
-					case st = <-free:
-					default:
-						st = new(stamps)
-					}
-					defer func() { free <- st }()
-				}
-				if err := task(level[i], wait, st); err != nil {
-					failed.CompareAndSwap(nil, &err)
-				}
-			})
+	for i := range prog {
+		if err := step(i); err != nil {
+			return nil, err
 		}
-	}
-	ch := tree.Children()
-	up, down := tree.Levels()
-	// Up: fold the children into work[v] in child order. Each child's own
-	// fold finished in a lower level, so work[c] is final, and no other
-	// task touches work[v].
-	runLevels(up, func(v int, wait time.Duration, st *stamps) error {
-		for i, c := range ch[v] {
-			if i > 0 {
-				wait = 0
-			}
-			if err := step(v, c, upIdx[c], wait, st); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	// Down: every non-root reduces against its final parent.
-	runLevels(down, func(v int, wait time.Duration, st *stamps) error {
-		if pv := tree.Parent[v]; pv >= 0 {
-			return step(v, pv, downIdx[v], wait, st)
-		}
-		return nil
-	})
-	if err := failed.Load(); err != nil {
-		return nil, *err
 	}
 	res := &ReduceResult{
 		DB:      &Database{Schema: d.Schema, Tables: work},
@@ -250,12 +163,10 @@ func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree, p *pool.P
 // only rows materialized while joining the canonical connection. If any
 // reduced object is empty the answer is empty; otherwise components that
 // carry no query attribute are never joined, and the components that do
-// are cross-joined. Sibling subtrees build concurrently when p has spare
-// tokens (falling back inline when it is saturated), while each node
-// applies its child joins in child order, so the output is independent of
-// p. The tree must belong to d's schema (same content; fingerprints are
+// are cross-joined. Each node applies its child joins in child order. The
+// tree must belong to d's schema (same content; fingerprints are
 // compared), and every requested attribute must appear in some edge.
-func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []string, p *pool.Pool) (*EvalResult, error) {
+func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []string) (*EvalResult, error) {
 	ctx, esp := obs.StartSpan(ctx, "exec.eval")
 	defer esp.End()
 	// Chaos site: head of the Yannakakis pipeline, one hit per evaluation.
@@ -287,7 +198,7 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		}
 		want.Add(id)
 	}
-	red, err := Reduce(ctx, d, tree, p)
+	red, err := Reduce(ctx, d, tree)
 	if err != nil {
 		return nil, err
 	}
@@ -310,34 +221,14 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		return finish(&Table{dict: d.Dict(), attrs: uniq, cols: make([][]int32, len(uniq))})
 	}
 
-	var joinRows atomic.Int64
-	// buildAll computes the subtree tables of vs concurrently when tokens
-	// allow: vs[0] runs inline (the caller is a worker), the rest spawn
-	// only if TryAcquire grants a token, so recursion cannot oversubscribe.
+	// buildAll computes the subtree tables of vs in order.
 	var build func(v int) (*Table, error)
 	buildAll := func(vs []int) ([]*Table, error) {
 		subs := make([]*Table, len(vs))
-		errs := make([]error, len(vs))
-		var wg sync.WaitGroup
-		for i := len(vs) - 1; i >= 1; i-- {
-			if p.TryAcquire() {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					defer p.Release()
-					subs[i], errs[i] = build(vs[i])
-				}(i)
-			} else {
-				subs[i], errs[i] = build(vs[i])
-			}
-		}
-		if len(vs) > 0 {
-			subs[0], errs[0] = build(vs[0])
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
+		for i, v := range vs {
+			var err error
+			if subs[i], err = build(v); err != nil {
+				return nil, err
 			}
 		}
 		return subs, nil
@@ -352,13 +243,13 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		}
 		acc := reduced[v]
 		for i := 0; ; i++ {
-			if acc, err = Project(ctx, acc, plan.need(acc.attrs, v, kids[i:]), p); err != nil || i == len(subs) {
+			if acc, err = Project(ctx, acc, plan.need(acc.attrs, v, kids[i:])); err != nil || i == len(subs) {
 				return acc, err
 			}
-			if acc, err = Join(ctx, acc, subs[i], p); err != nil {
+			if acc, err = Join(ctx, acc, subs[i]); err != nil {
 				return nil, err
 			}
-			joinRows.Add(int64(acc.rows))
+			res.JoinRows += acc.rows
 		}
 	}
 	subs, err := buildAll(plan.roots)
@@ -373,16 +264,15 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 			acc = sub
 			continue
 		}
-		if acc, err = Join(ctx, acc, sub, p); err != nil {
+		if acc, err = Join(ctx, acc, sub); err != nil {
 			return nil, err
 		}
-		joinRows.Add(int64(acc.rows))
+		res.JoinRows += acc.rows
 	}
-	out, err := Project(ctx, acc, attrs, p)
+	out, err := Project(ctx, acc, attrs)
 	if err != nil {
 		return nil, err
 	}
-	res.JoinRows = int(joinRows.Load())
 	return finish(out)
 }
 

@@ -190,7 +190,7 @@ func allCols(n int) []int {
 // projection dedups its own output).
 func (t *Table) dedup() *Table {
 	// A background context is never cancelled, so distinctRows cannot fail.
-	keep, _ := distinctRows(context.Background(), t, allCols(len(t.cols)), nil)
+	keep, _ := distinctRows(context.Background(), t, allCols(len(t.cols)))
 	for c, col := range t.cols {
 		for k, r := range keep { // keep is ascending, so k <= r
 			col[k] = col[r]
@@ -214,7 +214,7 @@ func (t *Table) Equal(s *Table) bool {
 	}
 	idx := allCols(len(t.cols))
 	// A background context is never cancelled, so buildTable cannot fail.
-	pt, _ := buildTable(context.Background(), t, idx, nil)
+	pt, _ := buildTable(context.Background(), t, idx)
 	for r := 0; r < s.rows; r++ {
 		h := hashCells(s.cols, idx, r)
 		j := pt.first(h)

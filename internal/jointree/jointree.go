@@ -354,64 +354,6 @@ func (t *JoinTree) PostOrder() []int {
 	return out
 }
 
-// Levels partitions the forest's edges into dependency levels — the
-// subtree schedule the parallel reducer runs on. up[k] holds the edges
-// whose subtrees have height k (leaves at 0), so every edge's children lie
-// in strictly lower up-levels and one level's upward semijoin folds are
-// mutually independent; down[k] holds the edges at depth k (roots at 0),
-// the mirror-image property for the downward pass. Both passes are
-// iterative (no recursion), so 10⁶-edge chains don't exhaust the stack.
-// Within a level, edges appear in ascending index order.
-func (t *JoinTree) Levels() (up, down [][]int) {
-	m := len(t.Parent)
-	if m == 0 {
-		return nil, nil
-	}
-	ch := t.Children()
-	// BFS from the roots: parents before children, yielding depths directly
-	// and (reversed) a bottom-up order for heights.
-	depth := make([]int, m)
-	order := make([]int, 0, m)
-	for i, p := range t.Parent {
-		if p == -1 {
-			order = append(order, i)
-		}
-	}
-	maxD := 0
-	for k := 0; k < len(order); k++ {
-		v := order[k]
-		for _, c := range ch[v] {
-			depth[c] = depth[v] + 1
-			if depth[c] > maxD {
-				maxD = depth[c]
-			}
-			order = append(order, c)
-		}
-	}
-	height := make([]int, m)
-	maxH := 0
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		h := 0
-		for _, c := range ch[v] {
-			if height[c]+1 > h {
-				h = height[c] + 1
-			}
-		}
-		height[v] = h
-		if h > maxH {
-			maxH = h
-		}
-	}
-	up = make([][]int, maxH+1)
-	down = make([][]int, maxD+1)
-	for v := 0; v < m; v++ {
-		up[height[v]] = append(up[height[v]], v)
-		down[depth[v]] = append(down[depth[v]], v)
-	}
-	return up, down
-}
-
 // SemijoinStep is one statement of a semijoin program: object Target is
 // replaced by its semijoin with object Source (Target ⋉ Source).
 type SemijoinStep struct {

@@ -30,8 +30,8 @@
 // path does this so incidents always keep their evidence).
 //
 // Concurrency: a span is owned by the goroutine that started it until End;
-// spans of one trace may End from many goroutines (parallel kernels), and
-// the per-trace buffer is mutex-guarded. The registry, profiler, and tracer
+// spans of one trace may End from many goroutines (batch or settle
+// workers), and the per-trace buffer is mutex-guarded. The registry, profiler, and tracer
 // are all safe for concurrent use.
 package obs
 

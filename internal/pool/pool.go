@@ -1,9 +1,7 @@
-// Package pool provides the bounded worker-token pool shared by the
-// parallel layers: the engine's inter-query batch fan-out, the exec
-// kernels' intra-query data parallelism, and the workspace's per-component
-// re-analysis all draw goroutine tokens from one Pool, so nesting them —
-// a batch worker running a parallel reduction whose semijoins chunk their
-// probe loops — cannot oversubscribe the configured parallelism.
+// Package pool provides the bounded worker-token pool of the parallel
+// layers: the engine's batch fan-out and the workspace's per-component
+// settle each draw goroutine tokens from a Pool, so neither exceeds its
+// configured parallelism.
 //
 // The design is cooperative and non-blocking: a caller always counts as
 // one worker and only *extra* goroutines need tokens (TryAcquire), so work

@@ -156,9 +156,8 @@ func TestChaosExecReduceStepPanicUnderParallelEval(t *testing.T) {
 	fault.Activate(fault.ExecReduceStep, fault.Injection{
 		Kind: fault.KindPanic, Panic: "kernel corrupted", After: 1, Count: 1,
 	})
-	// A 4-worker server runs exec.Reduce on its pool; the panic may land on
-	// a pool worker — the pool must re-raise it on the
-	// caller so the request recover turns it into a 500.
+	// A panic in a reduction step on a 4-worker server must reach the
+	// request recover, which turns it into a 500.
 	resp, body := do(t, "POST", ts.URL+"/v1/eval", evalBody(256), nil)
 	assertTyped(t, resp, body, 500, CodeInternal)
 	assertAlive(t, ts.URL)

@@ -66,10 +66,8 @@ func WithWorkspaceEngine(e *Engine) WorkspaceOption {
 }
 
 // WithWorkspaceParallelism makes the workspace settle dirty components with
-// up to n concurrent workers (values < 1 mean GOMAXPROCS) and runs the
-// epoch handles' Reduce and Eval facets on the same workers.
-// Results are identical to the serial workspace — only wall-clock time
-// changes. When the workspace also uses WithWorkspaceEngine, prefer sharing
+// up to n concurrent workers (values < 1 mean GOMAXPROCS). Results are
+// identical to the serial workspace — only wall-clock time changes. When the workspace also uses WithWorkspaceEngine, prefer sharing
 // the engine's pool sizing (Engine WithWorkers) so the two layers do not
 // oversubscribe the host.
 func WithWorkspaceParallelism(n int) WorkspaceOption {

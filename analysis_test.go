@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -131,9 +130,9 @@ func TestAnalysisConcurrentFacade(t *testing.T) {
 }
 
 // TestEngineAnalyzeMemoized: content-equal hypergraphs share one session
-// through the engine, and batches honor an already-cancelled context.
+// through the engine.
 func TestEngineAnalyzeMemoized(t *testing.T) {
-	e := NewEngine(0)
+	e := NewEngine()
 	a1 := e.Analyze(Fig1())
 	a2 := e.Analyze(Fig1())
 	if a1 != a2 {
@@ -141,18 +140,6 @@ func TestEngineAnalyzeMemoized(t *testing.T) {
 	}
 	if !a1.Verdict() {
 		t.Fatal("Fig1 is acyclic")
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.IsAcyclicBatch(ctx, facadeCorpus()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled batch err = %v, want context.Canceled", err)
-	}
-	if _, _, err := e.JoinTreeBatch(ctx, facadeCorpus()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled JoinTreeBatch err = %v", err)
-	}
-	if _, err := e.ClassifyBatch(ctx, facadeCorpus()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ClassifyBatch err = %v", err)
 	}
 }
 

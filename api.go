@@ -75,9 +75,8 @@ type (
 	MCSResult = mcs.Result
 	// MCSCertificate is the rejection certificate of a cyclic MCS run.
 	MCSCertificate = mcs.Certificate
-	// Engine is the concurrent, memoizing batch-query layer. Batch methods
-	// take a context.Context and observe cancellation between work items;
-	// Engine.Analyze is the memoized flavor of Analyze.
+	// Engine is the shared, memoizing query layer, safe for concurrent
+	// use; Engine.Analyze is the memoized flavor of Analyze.
 	Engine = engine.Engine
 	// Builder unifies hypergraph construction — name edges, id edges over
 	// a declared universe, and parsed text — behind one chainable
@@ -120,14 +119,11 @@ func Fig1() *Hypergraph { return hypergraph.Fig1() }
 // Fig5 returns the reconstruction of the paper's Figure 5 (see DESIGN.md).
 func Fig5() *Hypergraph { return hypergraph.Fig5() }
 
-// NewEngine returns the concurrent batch-query engine: a worker pool sized
-// by GOMAXPROCS (workers <= 0) or the given count, with per-hypergraph
-// memoization keyed by the streaming 128-bit fingerprint. Batch methods
-// (Engine.IsAcyclicBatch, Engine.JoinTreeBatch, Engine.ClassifyBatch,
-// Engine.AnalyzeBatch) take a context.Context and observe cancellation
-// between work items; Engine.Analyze returns the memoized Analysis session
-// shared by all content-equal queries.
-func NewEngine(workers int) *Engine { return engine.New(engine.WithWorkers(workers)) }
+// NewEngine returns an engine with per-hypergraph memoization keyed by the
+// streaming 128-bit fingerprint: Engine.Analyze returns the memoized
+// Analysis session shared by all content-equal queries. The engine runs no
+// goroutines of its own; share one across goroutines for concurrency.
+func NewEngine() *Engine { return engine.New() }
 
 // GrahamReduction computes GR(h, X) for sacred nodes given by name and
 // returns the surviving partial edges. Use GrahamReductionTrace for steps.

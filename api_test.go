@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"testing"
 )
 
@@ -171,13 +170,11 @@ func TestFacadeMCSAndEngine(t *testing.T) {
 	if err != nil || jt.Verify() != nil {
 		t.Fatal("MCS join tree must exist and verify for Fig1")
 	}
-	e := NewEngine(0)
-	verdicts, err := e.IsAcyclicBatch(context.Background(), []*Hypergraph{Fig1(), tri, Fig5()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !verdicts[0] || verdicts[1] || !verdicts[2] {
-		t.Fatalf("batch verdicts = %v", verdicts)
+	e := NewEngine()
+	for i, h := range []*Hypergraph{Fig1(), tri, Fig5()} {
+		if got, want := e.Analyze(h).Verdict(), i != 1; got != want {
+			t.Fatalf("engine verdict %d = %v, want %v", i, got, want)
+		}
 	}
 	if st := e.Stats(); st.Entries != 3 {
 		t.Fatalf("engine stats = %+v", st)

@@ -303,11 +303,10 @@ func BenchmarkJoinTreeVerifyScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineBatch — the concurrent batch layer against the serial
-// loop on a mixed workload, plus the memoized re-query path. Throughput
-// scales with GOMAXPROCS workers; the memo turns repeat traffic into map
-// probes.
-func BenchmarkEngineBatch(b *testing.B) {
+// BenchmarkEngineMemo — the memoizing engine against plain GYO and MCS
+// loops on a mixed workload, cold and warm. The memo turns repeat traffic
+// into map probes.
+func BenchmarkEngineMemo(b *testing.B) {
 	const n = 256
 	hs := make([]*hypergraph.Hypergraph, n)
 	for i := range hs {
@@ -332,21 +331,25 @@ func BenchmarkEngineBatch(b *testing.B) {
 			}
 		}
 	})
-	ctx := context.Background()
+	verdicts := func(e *engine.Engine) {
+		for _, h := range hs {
+			e.Analyze(h).Verdict()
+		}
+	}
 	b.Run("engine-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e := engine.New() // fresh memo: measures the fan-out itself
+			e := engine.New() // fresh memo: every query misses
 			b.StartTimer()
-			e.IsAcyclicBatch(ctx, hs)
+			verdicts(e)
 		}
 	})
 	b.Run("engine-warm", func(b *testing.B) {
 		e := engine.New()
-		e.IsAcyclicBatch(ctx, hs)
+		verdicts(e)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.IsAcyclicBatch(ctx, hs)
+			verdicts(e)
 		}
 	})
 }
@@ -399,11 +402,11 @@ func BenchmarkFingerprint(b *testing.B) {
 		}
 	})
 	e := engine.New()
-	e.IsAcyclic(h)
+	e.Analyze(h).Verdict()
 	b.Run("engine-warm-single/ids-m=100000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if !e.IsAcyclic(h) {
+			if !e.Analyze(h).Verdict() {
 				b.Fatal("chain must be acyclic")
 			}
 		}

@@ -9,7 +9,7 @@
 //
 //	hgserved [-addr host:port] [-grace 5s] [-inflight 64]
 //	         [-rate 50] [-burst 25] [-timeout 2s] [-max-timeout 10s]
-//	         [-workers N] [-digest-seed S]
+//	         [-digest-seed S]
 //	         [-data dir] [-snap-every N] [-data-sync] [-resp-cache N]
 //
 // With -data, workspace sessions are durable: every acknowledged edit is

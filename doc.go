@@ -233,11 +233,13 @@
 // Both execution facets run on one driver pair, exec.Reduce and exec.Eval,
 // and a query runs serially: the full reducer is one semijoin program read
 // off the join tree, a linear-time pass executed step by step in program
-// order, and Eval joins the kept subtrees one child at a time. Concurrency
-// comes from around the query instead: the server handles requests
-// concurrently, engine batches fan out over the engine's workers, and
-// NewWorkspace(WithWorkspaceParallelism(n)) settles dirty components
-// concurrently, so a cold Snapshot fans its per-component searches out.
+// order, and Eval joins the kept subtrees one child at a time. Nothing
+// below a request runs a goroutine of its own: engine queries, workspace
+// settles (a plain loop over the dirty components, the cold first settle
+// of every component included) and exec kernels all run on the caller.
+// Concurrency comes only from around the query: the server handles
+// requests concurrently, and the shared engine memo and workspace handles
+// are safe for that.
 //
 // The semijoin kernel is chosen per step from the input, for any schema: a
 // step whose two objects share exactly one column runs a dense stamp
@@ -255,22 +257,20 @@
 // step takes the hash kernel, and a kernel differential pins the dense
 // filter to the hash kernel row for row.
 //
-// # Batch engine
+// # Engine
 //
-// internal/engine (facade: NewEngine) serves heavy query traffic: batches
-// fan out over a GOMAXPROCS-sized worker pool, observing context
-// cancellation between work items, and every memo entry is a shared
-// Analysis session keyed by the streaming 128-bit fingerprint
-// (Hypergraph.Fingerprint128, folded incrementally during construction —
-// a warm repeat query costs a digest read and a sharded map probe, with no
-// canonical string ever built). Engine.Analyze returns the memoized
-// session; Engine.IsAcyclicBatch, Engine.JoinTreeBatch,
-// Engine.ClassifyBatch and Engine.AnalyzeBatch are the ctx-first batch
-// mirrors. The memo is partitioned into fingerprint-keyed shards (at least
-// GOMAXPROCS, rounded up to a power of two), so warm repeat traffic scales
-// across cores instead of serializing behind one lock; engine.WithMaxEntries
-// bounds it with per-shard least-recently-used eviction, so adversarial
-// schema churn cannot grow it without limit.
+// internal/engine (facade: NewEngine) is the shared memo behind heavy query
+// traffic: every memo entry is a shared Analysis session keyed by the
+// streaming 128-bit fingerprint (Hypergraph.Fingerprint128, folded
+// incrementally during construction — a warm repeat query costs a digest
+// read and a sharded map probe, with no canonical string ever built).
+// Engine.Analyze returns the memoized session, and its facets (Verdict,
+// JoinTree, Classification, ...) are the queries. The memo is partitioned
+// into fingerprint-keyed shards (at least GOMAXPROCS, rounded up to a power
+// of two), so concurrent warm traffic scales across cores instead of
+// serializing behind one lock; engine.WithMaxEntries bounds it with
+// per-shard least-recently-used eviction, so adversarial schema churn
+// cannot grow it without limit.
 //
 // # Serving
 //
@@ -312,11 +312,11 @@
 //   - Admission control: a bounded in-flight budget plus per-tenant token
 //     buckets (tenants identify via X-Tenant). Excess load is shed
 //     immediately with 429 + Retry-After — the server never queues
-//     unboundedly (BENCH_serve.json records the measured shed profile).
-//   - Panic isolation: each request runs behind a recover barrier; worker
-//     panics inside parallel regions propagate to the request goroutine
-//     rather than crashing the process. A panicking request answers 500
-//     with an incident id and the process keeps serving.
+//     unboundedly.
+//   - Panic isolation: each request runs behind a recover barrier, and all
+//     of its work runs on the request goroutine, so a panic anywhere below
+//     lands there instead of crashing the process. A panicking request
+//     answers 500 with an incident id and the process keeps serving.
 //   - Typed errors: every failure maps the library's structured errors to
 //     a JSON body {"error": {"code", "message", ...detail fields}} and a
 //     documented status — *ErrParse → 400 with line/col, *ErrUnknownNode →
@@ -329,9 +329,9 @@
 //
 // internal/fault is the deterministic fault-injection harness behind the
 // server's chaos suite: named sites in the engine, exec kernels, workspace
-// settling, the worker pool, and the durability layer (store.append,
+// settling, the server handlers, and the durability layer (store.append,
 // store.snapshot, store.recover — including torn writes) can be armed with
-// delays, errors, panics, or pool starvation (with hit-count windows), and
+// delays, errors, or panics (with hit-count windows), and
 // the tests prove the server degrades — sheds, times out, answers typed
 // errors — instead of crashing or leaking goroutines.
 //
@@ -400,8 +400,7 @@
 // format (# TYPE lines, cumulative _bucket{le="..."} series in seconds,
 // _sum/_count). Instrumented today: server request/incident counts and
 // latency, engine memo hits/misses/evictions, component interning,
-// keyed-digest walks, pool token grants/refusals/held, facet wait
-// coalescing, and injected faults.
+// keyed-digest walks, facet wait coalescing, and injected faults.
 //
 // Spans are off by default and head-sampled when on. Every call site
 // guards on one atomic load — measured ~4 ns/op and pinned < 5 ns/op by a

@@ -72,7 +72,7 @@ func run(w io.Writer) error {
 	// Multi-tenant sharing: two workspaces on one engine. The second tenant
 	// builds the same component content (different edit order), so its
 	// analysis is answered from the first tenant's warm component entries.
-	eng := repro.NewEngine(0)
+	eng := repro.NewEngine()
 	t1 := repro.NewWorkspace(repro.WithWorkspaceEngine(eng))
 	t1.AddEdge("S", "T")
 	t1.AddEdge("T", "U")

@@ -162,8 +162,8 @@ func (a *Analysis) Witness() (path *core.Path, coreGraph *hypergraph.Hypergraph,
 	return s.Witness()
 }
 
-// Reduce applies the epoch's full reducer to the columnar database d on the
-// workspace's pool (see analysis.Analysis.Reduce for the execution
+// Reduce applies the epoch's full reducer to the columnar database d, serially
+// on the caller's goroutine (see analysis.Analysis.Reduce for the execution
 // contract). The plan is epoch-checked — an edited workspace reports
 // *ErrStaleEpoch instead of running a plan for a schema that no longer
 // exists; the reduction itself runs per call.

@@ -44,7 +44,6 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/mcs"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Workspace is a concurrency-safe mutable hypergraph. Construct with New or
@@ -80,8 +79,7 @@ type Workspace struct {
 	dirty  map[int32]struct{} // components whose analysis must be recomputed
 	cyclic int                // settled components that are cyclic
 
-	eng  *engine.Engine // optional component-granular memo
-	pool *pool.Pool     // parallel settle (nil: serial)
+	eng *engine.Engine // optional component-granular memo
 
 	// journal, when attached (SetJournal), receives every edit before it is
 	// applied; an append error aborts the edit unacknowledged. watch is the
@@ -154,13 +152,13 @@ func WithEngine(e *engine.Engine) Option {
 	return func(ws *Workspace) { ws.eng = e }
 }
 
-// WithParallelism settles this workspace with up to n workers (n < 1 means
-// GOMAXPROCS): dirty components re-analyze concurrently when a batch of
-// edits settles, and a cold Analysis/Snapshot fans its per-component
-// searches out. Without it every settle is serial. Results are identical
-// either way.
+// WithParallelism is a no-op kept for source compatibility: settles are
+// serial loops over the dirty components, whatever n is. Concurrency comes
+// from callers working on different workspaces at once.
+//
+// Deprecated: settles are always serial; drop the option.
 func WithParallelism(n int) Option {
-	return func(ws *Workspace) { ws.pool = pool.New(n) }
+	return func(*Workspace) {}
 }
 
 // New returns an empty workspace at epoch 0.
@@ -456,10 +454,7 @@ func (ws *Workspace) Analysis() *Analysis {
 // AnalysisCtx is Analysis with cooperative cancellation of the settling
 // searches (each polls ctx every ~4096 work units). A cancelled call
 // returns ctx.Err(); components whose recomputation completed stay
-// settled, the rest stay dirty for the next call to finish. When the
-// workspace has a pool (WithParallelism), dirty components
-// re-analyze concurrently — after a batch of edits, and equally when a
-// cold workspace settles every component at once.
+// settled, the rest stay dirty for the next call to finish.
 func (ws *Workspace) AnalysisCtx(ctx context.Context) (*Analysis, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
@@ -684,12 +679,10 @@ func (ws *Workspace) splitOrDirty(cid int32) {
 // settleLocked recomputes every dirty component and re-establishes the
 // global verdict counter. The work is proportional to the total size of
 // the dirty components — the components edits actually touched — plus a
-// memo probe each when an engine is attached. With a pool attached the
-// dirty components recompute concurrently: each task reads the shared
-// structure (which no one mutates while ws.mu is held) and writes only
-// its own component's verdict fields, so the only coordination needed is
-// the per-index error slot. On error (cancellation) the components that
-// finished stay settled and the rest stay dirty for the next call.
+// memo probe each when an engine is attached. Components recompute in
+// ascending id order. On error (cancellation) the components that finished
+// stay settled, the rest stay dirty for the next call, and the first error
+// is returned once the loop is done.
 func (ws *Workspace) settleLocked(ctx context.Context) error {
 	if len(ws.dirty) == 0 {
 		return nil
@@ -704,20 +697,15 @@ func (ws *Workspace) settleLocked(ctx context.Context) error {
 	ssp.SetInt("dirty", int64(len(cids)))
 	defer ssp.End()
 
-	errs := make([]error, len(cids))
-	ws.pool.Do(len(cids), func(i int) {
-		errs[i] = ws.recompute(ctx, ws.comps[cids[i]])
-	})
-
 	var firstErr error
-	for i, cid := range cids {
-		if errs[i] != nil {
+	for _, cid := range cids {
+		c := ws.comps[cid]
+		if err := ws.recompute(ctx, c); err != nil {
 			if firstErr == nil {
-				firstErr = errs[i]
+				firstErr = err
 			}
 			continue
 		}
-		c := ws.comps[cid]
 		c.settled = true
 		if !c.acyclic {
 			ws.cyclic++
@@ -736,9 +724,8 @@ func (ws *Workspace) settleLocked(ctx context.Context) error {
 func (ws *Workspace) recompute(ctx context.Context, c *component) error {
 	ctx, csp := obs.StartSpan(ctx, "dynamic.component")
 	defer csp.End()
-	// Chaos site: fires once per dirty-component re-analysis. When the
-	// workspace settles in parallel this runs on pool.Do workers, which makes
-	// it the probe for cross-goroutine panic propagation.
+	// Chaos site: fires once per dirty-component re-analysis, on the
+	// goroutine of the request that settles the workspace.
 	if err := fault.HitCtx(ctx, fault.DynamicSettle); err != nil {
 		csp.SetAttr("error", err.Error())
 		return err

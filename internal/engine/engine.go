@@ -1,35 +1,32 @@
-// Package engine provides the concurrent batch-query layer over the
-// acyclicity machinery: a worker pool sized by GOMAXPROCS fans batches of
-// hypergraphs out across cores, and per-hypergraph results are memoized
-// under the streaming 128-bit fingerprint of internal/hypergraph, so
-// repeated queries for the same schema — the dominant pattern when a
-// service fields heavy query traffic over a bounded schema population —
-// cost one digest lookup after the first computation.
+// Package engine is the shared memo over the acyclicity machinery:
+// per-hypergraph Analysis sessions are memoized under the streaming 128-bit
+// fingerprint of internal/hypergraph, so repeated queries for the same
+// schema — the dominant pattern when a service fields heavy query traffic
+// over a bounded schema population — cost one digest lookup after the first
+// computation. The engine runs no goroutines of its own: concurrency comes
+// from its callers (the server handles requests concurrently), and the memo
+// is safe for them to share.
 //
 // The memo is partitioned into fingerprint-keyed shards (a power of two at
 // least GOMAXPROCS, rounded up), each guarded by its own mutex, so the
-// warm-memo path scales across cores instead of serializing every worker
-// behind one lock: a batch of repeat queries touches shards uniformly (the
+// warm-memo path scales across concurrent callers instead of serializing
+// every request behind one lock: repeat queries touch shards uniformly (the
 // fingerprint is the shard selector) and contention drops by the shard
 // count.
 //
-// Each memo entry is a shared analysis.Analysis session: single-query
-// methods (IsAcyclic, JoinTree, Classify), their batch counterparts
-// (IsAcyclicBatch, JoinTreeBatch, ClassifyBatch), and Analyze all coalesce
-// on the same per-facet sync.Once guards, so concurrent duplicate queries
-// compute each traversal at most once per identity — the memoized flavor of
-// the session-oriented API (analysis.New is the standalone one).
+// Each memo entry is a shared analysis.Analysis session, and every caller
+// of Analyze coalesces on its per-facet sync.Once guards, so concurrent
+// duplicate queries compute each traversal at most once per identity — the
+// memoized flavor of the session-oriented API (analysis.New is the
+// standalone one). Acyclicity and join trees run on the linear-time MCS
+// engine (internal/mcs); Classification delegates to the polynomial
+// spectrum testers (internal/spectrum), so the full degree — certificates
+// included — is memoized per fingerprint and classification is viable at
+// server scale.
 //
-// Batch methods take a context.Context and observe cancellation between
-// work items: an already-cancelled context performs no work, and a
-// cancellation mid-batch stops workers at the next item boundary, returning
-// ctx.Err() alongside the partial results.
-//
-// Acyclicity and join trees run on the linear-time MCS engine
-// (internal/mcs); Classify delegates to the polynomial spectrum testers
-// (internal/spectrum) through the session facet, so the full degree —
-// certificates included — is memoized per fingerprint and classification
-// is viable at server scale.
+// The engine also hosts the component-granular memo plane of the dynamic
+// layer (InternComponent), which shares the shards, the WithMaxEntries
+// bound and the WithKeyedDigest posture.
 package engine
 
 import (
@@ -38,13 +35,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/acyclic"
 	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/hypergraph"
-	"repro/internal/jointree"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Memo metrics: the /metricsz mirror of the Stats() atomics, split by memo
@@ -63,15 +57,11 @@ var (
 // The zero value is not usable; construct with New. Engines are safe for
 // concurrent use by multiple goroutines.
 type Engine struct {
-	workers     int
 	maxEntries  int // memo entry bound across all shards; 0 = unbounded
 	maxPerShard int // derived per-shard cap (maxEntries / shards, at least 1)
 
 	keyed bool   // WithKeyedDigest: confirm identities with seeded SipHash
 	seed  uint64 // the keyed-digest seed (meaningful only when keyed)
-
-	// pool bounds batch fan-out at e.workers goroutines.
-	pool *pool.Pool
 
 	// keyedCache memoizes the per-engine keyed confirmation digest by
 	// hypergraph identity (pointer — Hypergraph is immutable, so a pointer
@@ -136,16 +126,6 @@ type centry struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithWorkers sets the worker-pool size for batch queries. Values < 1 fall
-// back to runtime.GOMAXPROCS(0), the default.
-func WithWorkers(n int) Option {
-	return func(e *Engine) {
-		if n >= 1 {
-			e.workers = n
-		}
-	}
-}
-
 // WithShards sets the memo shard count, rounded up to a power of two.
 // Values < 1 fall back to the default (GOMAXPROCS rounded up). Mostly for
 // tests (a single shard makes contention and chain behavior deterministic).
@@ -198,13 +178,11 @@ func WithKeyedDigest(seed uint64) Option {
 	}
 }
 
-// New returns an Engine with an empty sharded memo and a worker pool sized
-// by GOMAXPROCS unless overridden by WithWorkers/WithShards.
+// New returns an Engine with an empty sharded memo of GOMAXPROCS shards
+// (rounded up to a power of two) unless overridden by WithShards.
 func New(opts ...Option) *Engine {
-	e := &Engine{
-		workers: runtime.GOMAXPROCS(0),
-	}
-	e.initShards(e.workers)
+	e := &Engine{}
+	e.initShards(runtime.GOMAXPROCS(0))
 	for _, o := range opts {
 		o(e)
 	}
@@ -214,7 +192,6 @@ func New(opts ...Option) *Engine {
 			e.maxPerShard = 1
 		}
 	}
-	e.pool = pool.New(e.workers)
 	if e.keyed {
 		e.keyedCache = make(map[*hypergraph.Hypergraph]uint64)
 	}
@@ -233,9 +210,6 @@ func (e *Engine) initShards(n int) {
 	}
 	e.mask = uint64(size - 1)
 }
-
-// Workers returns the batch worker-pool size.
-func (e *Engine) Workers() int { return e.workers }
 
 // Shards returns the memo shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
@@ -271,16 +245,10 @@ func (e *Engine) Stats() Stats {
 // selects the shard and buckets the map; the full fingerprint disambiguates
 // the chain. Equal digests are treated as equal content: accidental
 // FNV-128 collisions are negligible, but the digest is not a defense
-// against adversarially crafted schemas (see Fingerprint128).
-func (e *Engine) entryFor(h *hypergraph.Hypergraph) *entry {
-	en, _ := e.entryForCtx(context.Background(), h)
-	return en
-}
-
-// entryForCtx is entryFor with span context for the chaos site and an
-// explicit hit report, so ctx-bearing callers (AnalyzeCtx) can attribute
-// the memo outcome on their span.
-func (e *Engine) entryForCtx(ctx context.Context, h *hypergraph.Hypergraph) (*entry, bool) {
+// against adversarially crafted schemas (see Fingerprint128). ctx carries
+// the span context for the chaos site, and hit reports the memo outcome so
+// AnalyzeCtx can attribute it on its span.
+func (e *Engine) entryFor(ctx context.Context, h *hypergraph.Hypergraph) (*entry, bool) {
 	// Chaos site on the path of every memoized query. No error return here,
 	// so only delay and panic plans can fire (see fault.EngineAnalyze).
 	_ = fault.HitCtx(ctx, fault.EngineAnalyze)
@@ -520,7 +488,8 @@ func (e *Engine) EdgeDigest(names []string) hypergraph.Fingerprint128 {
 // — is computed at most once per identity across the whole engine. The
 // handle is safe for concurrent use and must be treated as read-only.
 func (e *Engine) Analyze(h *hypergraph.Hypergraph) *analysis.Analysis {
-	return e.entryFor(h).an
+	en, _ := e.entryFor(context.Background(), h)
+	return en.an
 }
 
 // AnalyzeCtx is Analyze with trace attribution: the memo probe records as
@@ -529,108 +498,9 @@ func (e *Engine) Analyze(h *hypergraph.Hypergraph) *analysis.Analysis {
 // shared handle Analyze yields.
 func (e *Engine) AnalyzeCtx(ctx context.Context, h *hypergraph.Hypergraph) *analysis.Analysis {
 	ctx, sp := obs.StartSpan(ctx, "engine.memo")
-	en, hit := e.entryForCtx(ctx, h)
+	en, hit := e.entryFor(ctx, h)
 	sp.SetBool("hit", hit)
 	sp.SetInt("edges", int64(h.NumEdges()))
 	sp.End()
 	return en.an
-}
-
-// IsAcyclic reports α-acyclicity of h via the linear-time MCS engine,
-// memoized.
-func (e *Engine) IsAcyclic(h *hypergraph.Hypergraph) bool {
-	return e.entryFor(h).an.Verdict()
-}
-
-// JoinTree returns a join tree of h built from the MCS ordering, memoized;
-// ok is false when h is cyclic. The returned tree is shared across callers
-// and must be treated as read-only; its H field is the first hypergraph
-// interned under this identity (contentually identical to h).
-func (e *Engine) JoinTree(h *hypergraph.Hypergraph) (*jointree.JoinTree, bool) {
-	jt, err := e.entryFor(h).an.JoinTree()
-	return jt, err == nil
-}
-
-// Classify places h in the acyclicity hierarchy (α ⊇ β ⊇ γ ⊇ Berge) via
-// the polynomial spectrum testers, memoized per fingerprint — the degree
-// (with certificates) computes once per identity no matter how many
-// callers ask. For the certificates themselves use Analyze(h).Spectrum().
-func (e *Engine) Classify(h *hypergraph.Hypergraph) acyclic.Classification {
-	return e.entryFor(h).an.Classification()
-}
-
-// IsAcyclicBatch answers one verdict per input, fanned out across the
-// worker pool. Duplicate inputs (by canonical identity) are computed once.
-// Cancellation is observed between work items AND inside each traversal
-// (every ~4096 work units), so one huge instance no longer pins a worker
-// past the deadline: on a cancelled context the partial results are
-// returned alongside ctx.Err(), with unprocessed slots left at their zero
-// value.
-func (e *Engine) IsAcyclicBatch(ctx context.Context, hs []*hypergraph.Hypergraph) ([]bool, error) {
-	out := make([]bool, len(hs))
-	err := e.fanOut(ctx, len(hs), func(i int) {
-		if v, err := e.entryFor(hs[i]).an.VerdictCtx(ctx); err == nil {
-			out[i] = v
-		}
-	})
-	return out, err
-}
-
-// JoinTreeBatch builds one join tree per input (nil where cyclic), with the
-// ok verdicts in the second result. Cancellation semantics match
-// IsAcyclicBatch (a slot whose traversal was cancelled stays nil/false).
-func (e *Engine) JoinTreeBatch(ctx context.Context, hs []*hypergraph.Hypergraph) ([]*jointree.JoinTree, []bool, error) {
-	trees := make([]*jointree.JoinTree, len(hs))
-	oks := make([]bool, len(hs))
-	err := e.fanOut(ctx, len(hs), func(i int) {
-		if jt, err := e.entryFor(hs[i]).an.JoinTreeCtx(ctx); err == nil {
-			trees[i], oks[i] = jt, true
-		}
-	})
-	return trees, oks, err
-}
-
-// ClassifyBatch computes one classification per input. Cancellation
-// semantics match IsAcyclicBatch: the spectrum testers observe ctx inside
-// each traversal, and a slot whose traversal was cancelled stays zero.
-func (e *Engine) ClassifyBatch(ctx context.Context, hs []*hypergraph.Hypergraph) ([]acyclic.Classification, error) {
-	out := make([]acyclic.Classification, len(hs))
-	err := e.fanOut(ctx, len(hs), func(i int) {
-		if cl, err := e.entryFor(hs[i]).an.ClassificationCtx(ctx); err == nil {
-			out[i] = cl
-		}
-	})
-	return out, err
-}
-
-// AnalyzeBatch interns one memoized Analysis session per input. The
-// sessions are cheap until a facet is queried, so this is the entry point
-// for callers that want to fan facet queries out themselves. Cancellation
-// semantics match IsAcyclicBatch (unprocessed slots are nil).
-func (e *Engine) AnalyzeBatch(ctx context.Context, hs []*hypergraph.Hypergraph) ([]*analysis.Analysis, error) {
-	out := make([]*analysis.Analysis, len(hs))
-	err := e.fanOut(ctx, len(hs), func(i int) { out[i] = e.Analyze(hs[i]) })
-	return out, err
-}
-
-// fanOut runs f(0..n-1) on the engine's worker pool, checking ctx before
-// every item (facets additionally observe ctx inside their traversals).
-// pool.Do hands items out through an atomic cursor, so uneven per-item cost
-// (cyclic rejects are cheap, big acyclic instances are not) balances
-// automatically, and it re-raises a worker's panic on the caller, so a
-// serving layer's per-request recover sees batch failures the same way it
-// sees serial ones. Returns ctx.Err() if cancellation was observed.
-func (e *Engine) fanOut(ctx context.Context, n int, f func(i int)) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	_, bsp := obs.StartSpan(ctx, "engine.batch")
-	bsp.SetInt("items", int64(n))
-	defer bsp.End()
-	e.pool.Do(n, func(i int) {
-		if ctx.Err() == nil {
-			f(i)
-		}
-	})
-	return ctx.Err()
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -26,115 +25,58 @@ func workload(n int) []*hypergraph.Hypergraph {
 	return hs
 }
 
+// TestBatchMatchesSerialGYO is the MCS-vs-GYO oracle: over a batch of
+// instances, the memoized verdict of each agrees with Graham reduction.
 func TestBatchMatchesSerialGYO(t *testing.T) {
-	hs := workload(200)
-	e := New(WithWorkers(4))
-	got, err := e.IsAcyclicBatch(context.Background(), hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hs {
-		if want := gyo.IsAcyclic(h); got[i] != want {
-			t.Fatalf("instance %d: engine=%v gyo=%v", i, got[i], want)
+	e := New()
+	for i, h := range workload(200) {
+		if got, want := e.Analyze(h).Verdict(), gyo.IsAcyclic(h); got != want {
+			t.Fatalf("instance %d: engine=%v gyo=%v", i, got, want)
 		}
 	}
 }
 
+// TestJoinTreeBatch: over a batch of instances, a join tree exists exactly
+// for the acyclic ones, and every tree satisfies the running-intersection
+// property.
 func TestJoinTreeBatch(t *testing.T) {
-	hs := workload(120)
-	e := New(WithWorkers(4))
-	ctx := context.Background()
-	trees, oks, err := e.JoinTreeBatch(ctx, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acy, err := e.IsAcyclicBatch(ctx, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range hs {
-		if oks[i] != acy[i] {
-			t.Fatalf("instance %d: tree ok=%v but acyclic=%v", i, oks[i], acy[i])
+	e := New()
+	for i, h := range workload(120) {
+		a := e.Analyze(h)
+		jt, err := a.JoinTree()
+		if (err == nil) != a.Verdict() {
+			t.Fatalf("instance %d: tree err=%v but acyclic=%v", i, err, a.Verdict())
 		}
-		if oks[i] {
-			if trees[i] == nil {
-				t.Fatalf("instance %d: missing tree", i)
+		if err != nil {
+			if jt != nil {
+				t.Fatalf("instance %d: tree for cyclic input", i)
 			}
-			if err := trees[i].Verify(); err != nil {
-				t.Fatalf("instance %d: %v", i, err)
-			}
-		} else if trees[i] != nil {
-			t.Fatalf("instance %d: tree for cyclic input", i)
+			continue
+		}
+		if jt == nil {
+			t.Fatalf("instance %d: missing tree", i)
+		}
+		if err := jt.Verify(); err != nil {
+			t.Fatalf("instance %d: %v", i, err)
 		}
 	}
 }
 
+// TestClassifyBatchAlphaAgreesWithIsAcyclic: over a batch of instances, the
+// spectrum's α verdict agrees with the MCS verdict of the same memo entry.
 func TestClassifyBatchAlphaAgreesWithIsAcyclic(t *testing.T) {
-	hs := workload(60)
-	e := New(WithWorkers(4))
-	cls, err := e.ClassifyBatch(context.Background(), hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hs {
-		if cls[i].Alpha != e.IsAcyclic(h) {
-			t.Fatalf("instance %d: classify alpha=%v engine=%v", i, cls[i].Alpha, e.IsAcyclic(h))
+	e := New()
+	for i, h := range workload(60) {
+		a := e.Analyze(h)
+		if cl := a.Classification(); cl.Alpha != a.Verdict() {
+			t.Fatalf("instance %d: classify alpha=%v engine=%v", i, cl.Alpha, a.Verdict())
 		}
-	}
-}
-
-// TestCancelledContextDoesNoWork: batch calls must honor an already-
-// cancelled context — ctx.Err() comes back and no memo entry is created.
-func TestCancelledContextDoesNoWork(t *testing.T) {
-	e := New(WithWorkers(4))
-	hs := workload(50)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.IsAcyclicBatch(ctx, hs); err != context.Canceled {
-		t.Fatalf("IsAcyclicBatch err = %v, want context.Canceled", err)
-	}
-	if _, _, err := e.JoinTreeBatch(ctx, hs); err != context.Canceled {
-		t.Fatalf("JoinTreeBatch err = %v, want context.Canceled", err)
-	}
-	if _, err := e.ClassifyBatch(ctx, hs); err != context.Canceled {
-		t.Fatalf("ClassifyBatch err = %v, want context.Canceled", err)
-	}
-	if _, err := e.AnalyzeBatch(ctx, hs); err != context.Canceled {
-		t.Fatalf("AnalyzeBatch err = %v, want context.Canceled", err)
-	}
-	if st := e.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("cancelled batches touched the memo: %+v", st)
-	}
-	// The serial path (single worker) must observe cancellation too.
-	if _, err := New(WithWorkers(1)).IsAcyclicBatch(ctx, hs); err != context.Canceled {
-		t.Fatalf("serial IsAcyclicBatch err = %v, want context.Canceled", err)
-	}
-}
-
-// TestMidBatchCancellation: cancelling from inside a work item stops the
-// batch at the next item boundary with partial results.
-func TestMidBatchCancellation(t *testing.T) {
-	e := New(WithWorkers(1)) // serial: deterministic item order
-	hs := workload(40)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := 0
-	err := e.fanOut(ctx, len(hs), func(i int) {
-		done++
-		if done == 5 {
-			cancel()
-		}
-	})
-	if err != context.Canceled {
-		t.Fatalf("fanOut err = %v, want context.Canceled", err)
-	}
-	if done != 5 {
-		t.Fatalf("processed %d items after cancellation, want 5", done)
 	}
 }
 
 // TestAnalyzeSharesOneSessionPerIdentity: Analyze on content-equal inputs
 // returns the same handle, and its facets run each traversal once across
-// engine methods and direct facet calls.
+// repeated Analyze calls and direct facet calls.
 func TestAnalyzeSharesOneSessionPerIdentity(t *testing.T) {
 	e := New()
 	a1 := e.Analyze(hypergraph.Fig1())
@@ -142,34 +84,30 @@ func TestAnalyzeSharesOneSessionPerIdentity(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("Analyze must return the shared session for equal content")
 	}
-	if !e.IsAcyclic(hypergraph.Fig1()) {
+	if !e.Analyze(hypergraph.Fig1()).Verdict() {
 		t.Fatal("fig1 is acyclic")
 	}
-	if _, ok := e.JoinTree(hypergraph.Fig1()); !ok {
+	if _, err := e.Analyze(hypergraph.Fig1()).JoinTree(); err != nil {
 		t.Fatal("fig1 must have a join tree")
 	}
 	a1.MCS()
 	if st := a1.Stats(); st.MCSRuns != 1 {
-		t.Fatalf("MCS ran %d times across engine+session calls, want 1", st.MCSRuns)
+		t.Fatalf("MCS ran %d times across Analyze+session calls, want 1", st.MCSRuns)
 	}
 }
 
 // TestMemoization: identical inputs (same content, distinct objects) hit the
 // memo; the memo entry count tracks distinct identities.
 func TestMemoization(t *testing.T) {
-	e := New(WithWorkers(2))
+	e := New()
 	a1 := hypergraph.Fig1()
 	a2 := hypergraph.Fig1() // distinct object, same identity
 	b := hypergraph.Triangle()
 	batch := []*hypergraph.Hypergraph{a1, a2, b, a1, b, a2}
-	got, err := e.IsAcyclicBatch(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []bool{true, true, false, true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("verdicts = %v", got)
+	for i, h := range batch {
+		if got := e.Analyze(h).Verdict(); got != want[i] {
+			t.Fatalf("input %d: verdict = %v, want %v", i, got, want[i])
 		}
 	}
 	st := e.Stats()
@@ -180,7 +118,7 @@ func TestMemoization(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// A join-tree query on a known identity adds no entry.
-	if _, ok := e.JoinTree(hypergraph.Fig1()); !ok {
+	if _, err := e.Analyze(hypergraph.Fig1()).JoinTree(); err != nil {
 		t.Fatal("fig1 must have a join tree")
 	}
 	if st := e.Stats(); st.Entries != 2 {
@@ -191,8 +129,8 @@ func TestMemoization(t *testing.T) {
 // TestSharedTreeIdentity: memoized join trees are shared pointers.
 func TestSharedTreeIdentity(t *testing.T) {
 	e := New()
-	t1, _ := e.JoinTree(hypergraph.Fig1())
-	t2, _ := e.JoinTree(hypergraph.Fig1())
+	t1, _ := e.Analyze(hypergraph.Fig1()).JoinTree()
+	t2, _ := e.Analyze(hypergraph.Fig1()).JoinTree()
 	if t1 != t2 {
 		t.Fatal("join tree must be memoized and shared")
 	}
@@ -210,11 +148,11 @@ func TestConcurrentSingleQueries(t *testing.T) {
 			defer wg.Done()
 			for i, h := range hs {
 				want := gyo.IsAcyclic(h)
-				if e.IsAcyclic(h) != want {
+				if e.Analyze(h).Verdict() != want {
 					t.Errorf("goroutine %d instance %d: verdict mismatch", g, i)
 					return
 				}
-				if _, ok := e.JoinTree(h); ok != want {
+				if _, err := e.Analyze(h).JoinTree(); (err == nil) != want {
 					t.Errorf("goroutine %d instance %d: tree mismatch", g, i)
 					return
 				}
@@ -237,12 +175,21 @@ func TestShardConfiguration(t *testing.T) {
 		t.Fatal("default shard count must be >= 1")
 	}
 	for _, shards := range []int{1, 4, 32} {
-		e := New(WithShards(shards), WithWorkers(4))
+		e := New(WithShards(shards))
 		hs := workload(100)
 		batch := append(append([]*hypergraph.Hypergraph{}, hs...), hs...) // every identity twice
-		if _, err := e.IsAcyclicBatch(context.Background(), batch); err != nil {
-			t.Fatal(err)
+		// Four goroutines split the batch, so -race hammers the shards.
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < len(batch); i += 4 {
+					e.Analyze(batch[i])
+				}
+			}(g)
 		}
+		wg.Wait()
 		st := e.Stats()
 		if st.Entries != len(hs) {
 			t.Fatalf("shards=%d: entries = %d, want %d", shards, st.Entries, len(hs))
@@ -258,8 +205,8 @@ func TestShardConfiguration(t *testing.T) {
 func TestShardedMemoConcurrentWarm(t *testing.T) {
 	e := New(WithShards(8))
 	hs := workload(30)
-	if _, err := e.IsAcyclicBatch(context.Background(), hs); err != nil { // warm every identity
-		t.Fatal(err)
+	for _, h := range hs { // warm every identity
+		e.Analyze(h).Verdict()
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -268,7 +215,7 @@ func TestShardedMemoConcurrentWarm(t *testing.T) {
 			defer wg.Done()
 			for _, h := range hs {
 				want := gyo.IsAcyclic(h)
-				if e.IsAcyclic(h) != want {
+				if e.Analyze(h).Verdict() != want {
 					t.Error("warm verdict mismatch")
 					return
 				}
@@ -278,24 +225,6 @@ func TestShardedMemoConcurrentWarm(t *testing.T) {
 	wg.Wait()
 	if st := e.Stats(); st.Entries != len(hs) {
 		t.Fatalf("entries = %d, want %d", st.Entries, len(hs))
-	}
-}
-
-func TestWorkerConfiguration(t *testing.T) {
-	if New(WithWorkers(7)).Workers() != 7 {
-		t.Fatal("WithWorkers ignored")
-	}
-	if New(WithWorkers(0)).Workers() < 1 {
-		t.Fatal("default workers must be >= 1")
-	}
-	// Empty and single-element batches take the serial path.
-	e := New(WithWorkers(8))
-	ctx := context.Background()
-	if out, err := e.IsAcyclicBatch(ctx, nil); err != nil || len(out) != 0 {
-		t.Fatal("empty batch")
-	}
-	if out, err := e.IsAcyclicBatch(ctx, []*hypergraph.Hypergraph{hypergraph.Fig1()}); err != nil || !out[0] {
-		t.Fatal("single batch")
 	}
 }
 
@@ -314,7 +243,7 @@ func distinctChains(n int) []*hypergraph.Hypergraph {
 func TestMaxEntriesBoundsMemo(t *testing.T) {
 	e := New(WithShards(1), WithMaxEntries(4))
 	for _, h := range distinctChains(32) {
-		e.IsAcyclic(h)
+		e.Analyze(h).Verdict()
 	}
 	st := e.Stats()
 	if st.Entries > 4 {
@@ -334,19 +263,19 @@ func TestMaxEntriesEvictsLeastRecentlyUsed(t *testing.T) {
 	hs := distinctChains(3)
 	a, b, c := hs[0], hs[1], hs[2]
 	e := New(WithShards(1), WithMaxEntries(2))
-	e.IsAcyclic(a) // miss: {a}
-	e.IsAcyclic(b) // miss: {a, b}
-	e.IsAcyclic(a) // hit: refreshes a, so b is now the eviction victim
-	e.IsAcyclic(c) // miss: evicts b -> {a, c}
+	e.Analyze(a).Verdict() // miss: {a}
+	e.Analyze(b).Verdict() // miss: {a, b}
+	e.Analyze(a).Verdict() // hit: refreshes a, so b is now the eviction victim
+	e.Analyze(c).Verdict() // miss: evicts b -> {a, c}
 	base := e.Stats()
 	if base.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", base.Evictions)
 	}
-	e.IsAcyclic(a)
+	e.Analyze(a).Verdict()
 	if got := e.Stats(); got.Hits != base.Hits+1 || got.Evictions != 1 {
 		t.Fatalf("a was evicted: stats %+v -> %+v", base, got)
 	}
-	e.IsAcyclic(b) // b was evicted: this must be a fresh miss (and evict again)
+	e.Analyze(b).Verdict() // b was evicted: this must be a fresh miss (and evict again)
 	if got := e.Stats(); got.Misses != base.Misses+1 {
 		t.Fatalf("b survived eviction: stats %+v -> %+v", base, got)
 	}
@@ -370,7 +299,7 @@ func TestMaxEntriesConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 200; i++ {
 				k := rng.Intn(len(hs))
-				if e.IsAcyclic(hs[k]) != want[k] {
+				if e.Analyze(hs[k]).Verdict() != want[k] {
 					t.Error("wrong verdict under eviction churn")
 					return
 				}
@@ -388,7 +317,7 @@ func TestMaxEntriesConcurrent(t *testing.T) {
 func TestUnboundedByDefault(t *testing.T) {
 	e := New(WithShards(1))
 	for _, h := range distinctChains(64) {
-		e.IsAcyclic(h)
+		e.Analyze(h).Verdict()
 	}
 	if st := e.Stats(); st.Entries != 64 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v, want 64 resident entries and no evictions", st)
@@ -453,14 +382,14 @@ func TestKeyedDigestMemo(t *testing.T) {
 	h1 := hypergraph.New([][]string{{"A", "B"}, {"B", "C"}})
 	h2 := hypergraph.New([][]string{{"A", "B"}, {"B", "C"}})
 	h3 := hypergraph.New([][]string{{"A", "B"}, {"B", "D"}})
-	if !e.IsAcyclic(h1) || !e.IsAcyclic(h2) {
+	if !e.Analyze(h1).Verdict() || !e.Analyze(h2).Verdict() {
 		t.Fatal("chains must be acyclic")
 	}
 	st := e.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("content-equal queries under a keyed engine: %+v, want 1 hit / 1 miss", st)
 	}
-	e.IsAcyclic(h3)
+	e.Analyze(h3).Verdict()
 	if st = e.Stats(); st.Entries != 2 {
 		t.Fatalf("distinct schemas must intern separately: %+v", st)
 	}
@@ -488,7 +417,7 @@ func TestKeyedDigestWalkedOncePerIdentity(t *testing.T) {
 	e := New(WithShards(1), WithKeyedDigest(7))
 	h := hypergraph.New([][]string{{"A", "B"}, {"B", "C"}, {"C", "D"}})
 	for i := 0; i < 100; i++ {
-		if !e.IsAcyclic(h) {
+		if !e.Analyze(h).Verdict() {
 			t.Fatal("chain must be acyclic")
 		}
 	}
@@ -499,7 +428,7 @@ func TestKeyedDigestWalkedOncePerIdentity(t *testing.T) {
 	// A content-equal copy is a new identity: it pays one walk of its own,
 	// then lands on the same memo entry (the digests agree).
 	h2 := hypergraph.New([][]string{{"A", "B"}, {"B", "C"}, {"C", "D"}})
-	if !e.IsAcyclic(h2) {
+	if !e.Analyze(h2).Verdict() {
 		t.Fatal("copy must be acyclic")
 	}
 	st := e.Stats()
@@ -512,7 +441,7 @@ func TestKeyedDigestWalkedOncePerIdentity(t *testing.T) {
 
 	// An unkeyed engine never walks.
 	plain := New(WithShards(1))
-	plain.IsAcyclic(h)
+	plain.Analyze(h).Verdict()
 	if got := plain.Stats().KeyedWalks; got != 0 {
 		t.Fatalf("unkeyed engine reported %d keyed walks", got)
 	}
@@ -527,32 +456,9 @@ func BenchmarkKeyedWarmQuery(b *testing.B) {
 		edges[i] = []string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)}
 	}
 	h := hypergraph.New(edges)
-	e.IsAcyclic(h) // warm both the memo and the digest cache
+	e.Analyze(h).Verdict() // warm both the memo and the digest cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.IsAcyclic(h)
-	}
-}
-
-// TestBatchWorkerPanicPropagates: a panic inside a batch item must re-raise
-// on the caller of the batch (with the worker's stack in the message), not
-// kill the process from a bare goroutine — the serving layer recovers
-// per-request and batch workers must honor that boundary.
-func TestBatchWorkerPanicPropagates(t *testing.T) {
-	e := New(WithWorkers(4))
-	hs := workload(32)
-	hs[9] = nil // nil hypergraph: the analysis panics when touched
-	caught := func() (v any) {
-		defer func() { v = recover() }()
-		_, _ = e.IsAcyclicBatch(context.Background(), hs)
-		return nil
-	}()
-	if caught == nil {
-		t.Fatal("batch worker panic did not propagate to the caller")
-	}
-	// The engine survives: the same batch without the poison completes.
-	hs[9] = hs[0]
-	if _, err := e.IsAcyclicBatch(context.Background(), hs); err != nil {
-		t.Fatalf("engine broken after panic: %v", err)
+		e.Analyze(h).Verdict()
 	}
 }

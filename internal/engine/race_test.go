@@ -11,7 +11,7 @@ import (
 	"repro/internal/hypergraph"
 )
 
-// TestClassifyRaceHammer hammers Classify from many goroutines on a shared
+// TestClassifyRaceHammer hammers Classification from many goroutines on a shared
 // engine memo across several GOMAXPROCS widths: every caller must observe
 // the same classification per schema, and the spectrum facet must compute
 // at most once per identity (the latch contract under contention). Run
@@ -29,10 +29,10 @@ func TestClassifyRaceHammer(t *testing.T) {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", gmp), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(gmp)
 			defer runtime.GOMAXPROCS(prev)
-			e := New(WithWorkers(4))
+			e := New()
 			want := make([]string, len(schemas))
 			for i, h := range schemas {
-				want[i] = e.Classify(h).String()
+				want[i] = e.Analyze(h).Classification().String()
 			}
 			var wg sync.WaitGroup
 			const hammers = 16
@@ -43,7 +43,7 @@ func TestClassifyRaceHammer(t *testing.T) {
 					defer wg.Done()
 					for iter := 0; iter < 50; iter++ {
 						i := (g + iter) % len(schemas)
-						if got := e.Classify(schemas[i]).String(); got != want[i] {
+						if got := e.Analyze(schemas[i]).Classification().String(); got != want[i] {
 							errs <- fmt.Errorf("schema %d: got %s, want %s", i, got, want[i])
 							return
 						}

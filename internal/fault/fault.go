@@ -1,16 +1,16 @@
 // Package fault is the deterministic fault-injection harness behind the
 // chaos suite: a registry of *named sites* compiled into the engine,
-// execution, dynamic, pool, and server layers, each a single call that is
+// execution, dynamic, store, and server layers, each a single call that is
 // free when the registry is idle (one atomic load) and, when a test arms an
-// injection plan, deterministically delays, errors, panics, or starves at
-// that site.
+// injection plan, deterministically delays, errors, panics, or tears a write
+// at that site.
 //
 // The harness exists to *prove* degradation instead of hoping for it: the
 // server's chaos tests arm a plan, drive real traffic, and assert that every
 // failure injected deep in the stack surfaces as a typed error on the wire —
 // a deadline becomes a 408, a panic becomes a 500 with an incident id and a
-// surviving process, a starved pool degrades to inline execution — and never
-// as a crash or a hang.
+// surviving process, a torn write leaves a recoverable prefix — and never as
+// a crash or a hang.
 //
 // Determinism: an Injection fires by hit count (skip the first After hits,
 // then fire Count times), and hits are counted under the registry lock, so a
@@ -39,7 +39,7 @@ import (
 // a void site still delays/panics but its Err is discarded by the caller).
 const (
 	// EngineAnalyze sits in engine.(*Engine).entryFor, on the path of every
-	// memoized query (Analyze, IsAcyclic, JoinTree, Classify, batches).
+	// memoized query (Analyze, AnalyzeCtx).
 	// Honors: KindDelay, KindPanic. (The site has no error return.)
 	EngineAnalyze = "engine.analyze"
 	// EngineIntern sits at the head of engine.(*Engine).InternComponent,
@@ -55,15 +55,10 @@ const (
 	// Honors: KindDelay, KindError, KindPanic.
 	ExecEvalJoin = "exec.eval.join"
 	// DynamicSettle sits in dynamic.(*Workspace).recompute, firing once per
-	// dirty-component re-analysis — inside pool.Do workers when the
-	// workspace settles in parallel, which is what makes it the probe for
-	// cross-goroutine panic propagation.
+	// dirty-component re-analysis, on the goroutine of the request that
+	// settles the workspace.
 	// Honors: KindDelay, KindError, KindPanic.
 	DynamicSettle = "dynamic.settle"
-	// PoolAcquire sits in pool.(*Pool).TryAcquire. Honors: KindStarve
-	// (refuse every token, simulating a saturated pool: parallel regions
-	// must degrade to inline serial execution, never deadlock).
-	PoolAcquire = "pool.acquire"
 	// ServerHandle sits at the head of every server endpoint handler, after
 	// admission and deadline setup. Honors: KindDelay, KindError, KindPanic.
 	ServerHandle = "server.handle"
@@ -93,8 +88,6 @@ const (
 	KindError
 	// KindPanic panics with Panic (a string value).
 	KindPanic
-	// KindStarve makes pool.TryAcquire-style sites refuse.
-	KindStarve
 	// KindTorn makes write-capable sites return ErrTorn after emitting a
 	// deliberately partial write — the simulation of a crash mid-write. At
 	// sites with nothing to tear it degrades to a plain injected error.
@@ -210,8 +203,6 @@ func kindName(k Kind) string {
 		return "error"
 	case KindPanic:
 		return "panic"
-	case KindStarve:
-		return "starve"
 	case KindTorn:
 		return "torn"
 	}
@@ -254,18 +245,4 @@ func HitCtx(ctx context.Context, name string) error {
 		return ErrTorn
 	}
 	return nil
-}
-
-// Starved is the instrumentation call for token-acquire sites: it reports
-// whether a KindStarve plan says the acquire must refuse.
-func Starved(name string) bool {
-	if armed.Load() == 0 {
-		return false
-	}
-	inj, ok := fire(name)
-	if ok && inj.Kind == KindStarve {
-		injectedTotal.Inc()
-		return true
-	}
-	return false
 }

@@ -14,9 +14,6 @@ func TestIdleIsFree(t *testing.T) {
 	if err := Hit(EngineAnalyze); err != nil {
 		t.Fatalf("idle Hit returned %v", err)
 	}
-	if Starved(PoolAcquire) {
-		t.Fatal("idle Starved returned true")
-	}
 	if Hits(EngineAnalyze) != 0 {
 		t.Fatal("idle registry counted hits")
 	}
@@ -85,13 +82,13 @@ func TestDelayInjection(t *testing.T) {
 
 func TestStarveAndDeactivate(t *testing.T) {
 	defer Reset()
-	Activate(PoolAcquire, Injection{Kind: KindStarve})
-	if !Starved(PoolAcquire) {
-		t.Fatal("starve plan did not fire")
+	Activate(ServerHandle, Injection{Kind: KindError, Err: errors.New("x")})
+	if Hit(ServerHandle) == nil {
+		t.Fatal("error plan did not fire")
 	}
-	Deactivate(PoolAcquire)
-	if Starved(PoolAcquire) {
-		t.Fatal("starve fired after Deactivate")
+	Deactivate(ServerHandle)
+	if Hit(ServerHandle) != nil {
+		t.Fatal("error fired after Deactivate")
 	}
 	if Active() {
 		t.Fatal("registry still armed after sole site deactivated")

@@ -135,7 +135,7 @@ func (h *Hypergraph) NodeID(name string) (int, bool) {
 // lookup resolves a name to an id: through the interning map for New-built
 // hypergraphs, arithmetically for the synthetic "N<id>" names of FromIDs
 // (no map is ever materialized, keeping those hypergraphs memory-light and
-// immutable — safe for the engine's concurrent workers).
+// immutable — safe for concurrent readers).
 func (h *Hypergraph) lookup(name string) (int, bool) {
 	if h.names != nil {
 		id, ok := h.index[name]

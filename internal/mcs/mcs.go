@@ -152,8 +152,7 @@ func Run(h *hypergraph.Hypergraph) *Result {
 // updates, roughly proportional to visited total edge size) runs between
 // context checks: coarse enough that the check is free, fine enough that a
 // single 10⁶-edge traversal stops within ~4096 work units of cancellation
-// instead of running to completion (the batch layer only observes ctx
-// between work items).
+// instead of running to completion.
 const cancelStride = 4096
 
 // RunCtx is Run with coarse-grained cooperative cancellation: the search
@@ -162,10 +161,10 @@ const cancelStride = 4096
 // edge-selection loop, so the worst-case latency is one stride plus the
 // processing of a single edge.
 func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
-	// Fail fast on an already-dead context: callers that fan many searches
-	// out (batch engines, workspace settling) rely on the first cancelled
-	// search aborting the rest, including searches too small to ever reach
-	// a stride boundary.
+	// Fail fast on an already-dead context: callers that run many searches
+	// in a loop (workspace settling) rely on every search after the
+	// cancellation aborting at once, including searches too small to ever
+	// reach a stride boundary.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

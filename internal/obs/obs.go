@@ -29,10 +29,10 @@
 // threshold or when the trace was force-retained (Span.Retain — the panic
 // path does this so incidents always keep their evidence).
 //
-// Concurrency: a span is owned by the goroutine that started it until End;
-// spans of one trace may End from many goroutines (batch or settle
-// workers), and the per-trace buffer is mutex-guarded. The registry, profiler, and tracer
-// are all safe for concurrent use.
+// Concurrency: a span is owned by the goroutine that started it until End.
+// A request's spans all start and end on the request goroutine, but the
+// per-trace buffer is mutex-guarded, so a span may End from any goroutine.
+// The registry, profiler, and tracer are all safe for concurrent use.
 package obs
 
 import (

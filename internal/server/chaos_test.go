@@ -102,7 +102,7 @@ func TestChaosEngineAnalyzePanic(t *testing.T) {
 
 func TestChaosEngineInternError(t *testing.T) {
 	defer fault.Reset()
-	_, ts := newTestServer(t, Config{Workers: 2}, nil)
+	_, ts := newTestServer(t, Config{}, nil)
 	resp, body := do(t, "POST", ts.URL+"/v1/workspaces", schemaBody(fig1Text), nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("create: %d %s", resp.StatusCode, body)
@@ -151,13 +151,13 @@ func TestChaosExecReduceStepError(t *testing.T) {
 
 func TestChaosExecReduceStepPanicUnderParallelEval(t *testing.T) {
 	defer fault.Reset()
-	_, ts := newTestServer(t, Config{Workers: 4}, nil)
+	_, ts := newTestServer(t, Config{}, nil)
 	fault.Reset()
 	fault.Activate(fault.ExecReduceStep, fault.Injection{
 		Kind: fault.KindPanic, Panic: "kernel corrupted", After: 1, Count: 1,
 	})
-	// A panic in a reduction step on a 4-worker server must reach the
-	// request recover, which turns it into a 500.
+	// A panic in a reduction step inside an eval must reach the request
+	// recover, which turns it into a 500.
 	resp, body := do(t, "POST", ts.URL+"/v1/eval", evalBody(256), nil)
 	assertTyped(t, resp, body, 500, CodeInternal)
 	assertAlive(t, ts.URL)
@@ -180,7 +180,7 @@ func TestChaosExecEvalJoinError(t *testing.T) {
 
 func TestChaosDynamicSettlePanicInParallelWorkers(t *testing.T) {
 	defer fault.Reset()
-	_, ts := newTestServer(t, Config{Workers: 4}, nil)
+	_, ts := newTestServer(t, Config{}, nil)
 	resp, body := do(t, "POST", ts.URL+"/v1/workspaces", "", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("create: %d %s", resp.StatusCode, body)
@@ -192,9 +192,9 @@ func TestChaosDynamicSettlePanicInParallelWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	wsURL := ts.URL + "/v1/workspaces/" + created.ID
-	// Several disjoint components, all dirty: the settle fans their
-	// re-analyses out across pool workers, so the injected panic fires on a
-	// spawned goroutine — the cross-goroutine propagation probe.
+	// Several disjoint components, all dirty: the settle loops over them, so
+	// the injected panic fires mid-settle, with components already settled
+	// before it and still dirty after it.
 	for i := 0; i < 8; i++ {
 		edge := fmt.Sprintf(`{"nodes":["S%dA","S%dB"]}`, i, i)
 		if resp, body = do(t, "POST", wsURL+"/edges", edge, nil); resp.StatusCode != 200 {
@@ -214,54 +214,6 @@ func TestChaosDynamicSettlePanicInParallelWorkers(t *testing.T) {
 	}
 }
 
-func TestChaosPoolStarvationDegradesInline(t *testing.T) {
-	defer fault.Reset()
-	_, ts := newTestServer(t, Config{Workers: 4}, nil)
-	// Many disjoint dirty components force the workspace settle through
-	// pool.Do, whose extra workers need TryAcquire tokens — the region a
-	// starved pool must degrade to inline execution, never deadlock.
-	resp, body := do(t, "POST", ts.URL+"/v1/workspaces", "", nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("create: %d %s", resp.StatusCode, body)
-	}
-	var created struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(body, &created); err != nil {
-		t.Fatal(err)
-	}
-	wsURL := ts.URL + "/v1/workspaces/" + created.ID
-	for i := 0; i < 8; i++ {
-		edge := fmt.Sprintf(`{"nodes":["P%dA","P%dB"]}`, i, i)
-		if resp, body = do(t, "POST", wsURL+"/edges", edge, nil); resp.StatusCode != 200 {
-			t.Fatalf("edge %d: %d %s", i, resp.StatusCode, body)
-		}
-	}
-	fault.Reset()
-	fault.Activate(fault.PoolAcquire, fault.Injection{Kind: fault.KindStarve})
-	resp, body = do(t, "GET", wsURL, "", nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("settle under starvation: %d %s", resp.StatusCode, body)
-	}
-	var out struct {
-		Acyclic    bool `json:"acyclic"`
-		Components int  `json:"components"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Acyclic || out.Components != 8 {
-		t.Fatalf("settle under starvation = %+v, want acyclic with 8 components", out)
-	}
-	if fault.Hits(fault.PoolAcquire) == 0 {
-		t.Fatal("pool.acquire site was never reached — parallel settle not engaged")
-	}
-	// A plain eval still answers correctly with the pool starved.
-	if resp, body = do(t, "POST", ts.URL+"/v1/eval", evalBody(64), nil); resp.StatusCode != 200 {
-		t.Fatalf("eval under starvation: %d %s", resp.StatusCode, body)
-	}
-}
-
 // TestChaosSweepNoLeaksNoCrashes is the suite's capstone: drive mixed
 // traffic with faults armed at every named site in turn, drain, and prove
 // (a) every response was a documented status, (b) the process survived,
@@ -269,7 +221,7 @@ func TestChaosPoolStarvationDegradesInline(t *testing.T) {
 func TestChaosSweepNoLeaksNoCrashes(t *testing.T) {
 	defer fault.Reset()
 	baseline := runtime.NumGoroutine()
-	s, ts := newTestServer(t, Config{Workers: 4, MaxInFlight: 16}, nil)
+	s, ts := newTestServer(t, Config{MaxInFlight: 16}, nil)
 
 	plans := []struct {
 		site string
@@ -282,7 +234,6 @@ func TestChaosSweepNoLeaksNoCrashes(t *testing.T) {
 		{fault.ExecReduceStep, fault.Injection{Kind: fault.KindPanic, Panic: "sweep", After: 4, Count: 1}},
 		{fault.ExecEvalJoin, fault.Injection{Kind: fault.KindError, Err: errors.New("sweep"), Count: 2}},
 		{fault.DynamicSettle, fault.Injection{Kind: fault.KindPanic, Panic: "sweep", After: 1, Count: 1}},
-		{fault.PoolAcquire, fault.Injection{Kind: fault.KindStarve}},
 		{fault.ServerHandle, fault.Injection{Kind: fault.KindPanic, Panic: "sweep", After: 5, Count: 2}},
 	}
 	for _, p := range plans {

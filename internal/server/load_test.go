@@ -1,12 +1,11 @@
 package server
 
-// The mixed edit/query multi-tenant load profile behind BENCH_serve.json:
-// four tenants hammer analyze / jointree / eval / workspace-edit traffic
-// against a deliberately small in-flight budget, so the run exercises
-// admission control (sheds), the memo plane (warm analyze), and the
-// workspace sessions concurrently. The test asserts the robustness
-// invariants (only documented statuses, coherent counters); the latency and
-// shed-rate numbers it logs are what BENCH_serve.json records.
+// The mixed edit/query multi-tenant load profile: four tenants hammer
+// analyze / jointree / eval / workspace-edit traffic against a deliberately
+// small in-flight budget, so the run exercises admission control (sheds),
+// the memo plane (warm analyze), and the workspace sessions concurrently.
+// The test asserts the robustness invariants (only documented statuses,
+// coherent counters) and logs the latency and shed-rate numbers.
 
 import (
 	"encoding/json"
@@ -24,7 +23,6 @@ func TestMixedTenantLoadProfile(t *testing.T) {
 	defer fault.Reset()
 	fault.Reset()
 	s, ts := newTestServer(t, Config{
-		Workers:     4,
 		MaxInFlight: 8, // small on purpose: the profile must show shedding
 		TenantRate:  100000,
 		TenantBurst: 100000,

@@ -85,7 +85,7 @@ func attrInt(t *testing.T, n *spanNode, key string) int64 {
 // independent run of the same evaluation reports.
 func TestTracezEvalSpanTree(t *testing.T) {
 	t.Cleanup(obs.Disable)
-	_, ts := newTestServer(t, Config{Workers: 1, Trace: true, SlowTraceThreshold: -1}, nil)
+	_, ts := newTestServer(t, Config{Trace: true, SlowTraceThreshold: -1}, nil)
 
 	resp, body := do(t, "POST", ts.URL+"/v1/eval", evalBody(64), nil)
 	if resp.StatusCode != 200 {
@@ -120,7 +120,7 @@ func TestTracezEvalSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := engine.New(engine.WithWorkers(1)).Analyze(h).Eval(context.Background(), d, []string{"A", "D"})
+	ref, err := engine.New().Analyze(h).Eval(context.Background(), d, []string{"A", "D"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +200,9 @@ func TestTracezEvalSpanTree(t *testing.T) {
 	if len(steps) != len(ref.Reduce.Steps) {
 		t.Fatalf("trace has %d exec.step spans, reference run has %d steps", len(steps), len(ref.Reduce.Steps))
 	}
-	// Children are ordered by span id — creation order. A one-worker pool
-	// runs the reducer's levels in order, and every level of this chain's
-	// tree holds one node, so creation order is program order and the spans
-	// line up index by index.
+	// Children are ordered by span id — creation order. The reduction runs
+	// its steps serially in program order, so the spans line up with the
+	// reference steps index by index.
 	for i, sp := range steps {
 		want := ref.Reduce.Steps[i]
 		if attrInt(t, sp, "target") != int64(want.Step.Target) ||
@@ -225,7 +224,7 @@ func TestTracezEvalSpanTree(t *testing.T) {
 // facet span lands under the request root like a frozen-schema query's.
 func TestTracezWorkspaceQuerySpans(t *testing.T) {
 	t.Cleanup(obs.Disable)
-	_, ts := newTestServer(t, Config{Workers: 1, Trace: true, TraceSampleN: 1, SlowTraceThreshold: -1}, nil)
+	_, ts := newTestServer(t, Config{Trace: true, TraceSampleN: 1, SlowTraceThreshold: -1}, nil)
 
 	resp, body := do(t, "POST", ts.URL+"/v1/workspaces", `{"schema":"A B C\nC D E\nA E F\nA C E"}`, nil)
 	if resp.StatusCode != 200 {
@@ -322,7 +321,7 @@ func TestIncidentTraceCorrelation(t *testing.T) {
 			defer fault.Reset()
 			t.Cleanup(obs.Disable)
 			fault.Reset()
-			_, ts := newTestServer(t, Config{Workers: 1, Trace: true, SlowTraceThreshold: -1}, nil)
+			_, ts := newTestServer(t, Config{Trace: true, SlowTraceThreshold: -1}, nil)
 			id := tc.req(t, ts.URL)
 			if id == "" {
 				t.Fatal("500 carried no incident id")

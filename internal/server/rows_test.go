@@ -78,7 +78,7 @@ func oracleReply(t *testing.T, path, body string, maxBody int64) (int, string, a
 		}
 		return status, eb.Code, nil
 	}
-	a := engine.New(engine.WithWorkers(1)).Analyze(d.Schema)
+	a := engine.New().Analyze(d.Schema)
 	var reply map[string]any
 	if path == "/v1/eval" {
 		res, err := a.Eval(context.Background(), d, attrs)
@@ -188,7 +188,7 @@ var parityCases = []struct {
 // same reply. A width error names its table.
 func TestEvalRowsParity(t *testing.T) {
 	const maxBody = 4096
-	_, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: maxBody, TenantBurst: 1 << 20}, nil)
+	_, ts := newTestServer(t, Config{MaxBodyBytes: maxBody, TenantBurst: 1 << 20}, nil)
 	for _, tc := range parityCases {
 		for _, path := range []string{"/v1/eval", "/v1/reduce"} {
 			t.Run(tc.name+path, func(t *testing.T) {
@@ -235,7 +235,7 @@ func TestEvalReplyRowsMatchRelation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("body %d: %v", i, err)
 		}
-		res, err := engine.New(engine.WithWorkers(1)).Analyze(d.Schema).Eval(context.Background(), d, attrs)
+		res, err := engine.New().Analyze(d.Schema).Eval(context.Background(), d, attrs)
 		if err != nil {
 			t.Fatalf("body %d: %v", i, err)
 		}

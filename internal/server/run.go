@@ -50,7 +50,6 @@ func RunCLI(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	burst := fs.Int("burst", 25, "per-tenant burst capacity")
 	timeout := fs.Duration("timeout", 2*time.Second, "default per-request deadline")
 	maxTimeout := fs.Duration("max-timeout", 10*time.Second, "upper clamp for client-requested deadlines")
-	workers := fs.Int("workers", 0, "engine worker parallelism (0 = GOMAXPROCS)")
 	seed := fs.Uint64("digest-seed", 0, "keyed memo digest seed (0 = unkeyed)")
 	trace := fs.Bool("trace", false, "collect request spans (/tracez); metrics are always on")
 	traceSample := fs.Int("trace-sample", 1, "head-sample 1 request in N when tracing")
@@ -69,7 +68,6 @@ func RunCLI(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		TenantBurst:        *burst,
 		DefaultTimeout:     *timeout,
 		MaxTimeout:         *maxTimeout,
-		Workers:            *workers,
 		DigestSeed:         *seed,
 		Logger:             log.New(stderr, "hgserved: ", log.LstdFlags),
 		DataDir:            *dataDir,

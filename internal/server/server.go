@@ -11,8 +11,8 @@
 //     in-flight work is counted, so Drain can hand the process a clean
 //     shutdown point.
 //  2. Panic isolation — a recover() wraps the whole request; a panic
-//     anywhere below (handler, executor, pool worker — the pool re-raises
-//     worker panics on the caller) becomes a 500 with a fresh incident id
+//     anywhere below (handler, engine, executor, workspace settle — all run
+//     on the request's goroutine) becomes a 500 with a fresh incident id
 //     and the process survives.
 //  3. Per-tenant quota — a token bucket per X-Tenant header (429
 //     "tenant_quota" + Retry-After when empty), so one tenant's burst
@@ -80,8 +80,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxBodyBytes caps request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// Workers sizes the engine's worker pool (default GOMAXPROCS).
-	Workers int
 	// DigestSeed, when nonzero, keys the engine's memo digests (SipHash)
 	// so untrusted tenants cannot craft fingerprint collisions.
 	DigestSeed uint64
@@ -220,7 +218,7 @@ func New(cfg Config, now func() time.Time) *Server {
 	if now == nil {
 		now = time.Now
 	}
-	opts := []engine.Option{engine.WithWorkers(cfg.Workers)}
+	var opts []engine.Option
 	if cfg.DigestSeed != 0 {
 		opts = append(opts, engine.WithKeyedDigest(cfg.DigestSeed))
 	}
@@ -258,9 +256,9 @@ func (s *Server) storeOptions() store.Options {
 }
 
 // wsOptions are the workspace options every session — created or recovered
-// — is built with: the shared engine memo and the configured parallelism.
+// — is built with: the shared engine memo.
 func (s *Server) wsOptions() []dynamic.Option {
-	return []dynamic.Option{dynamic.WithEngine(s.eng), dynamic.WithParallelism(s.cfg.Workers)}
+	return []dynamic.Option{dynamic.WithEngine(s.eng)}
 }
 
 // recoverSessions reopens every session directory under DataDir on boot. A
@@ -404,9 +402,9 @@ func (s *Server) guard(h handlerFunc) http.HandlerFunc {
 			root.End()
 		}()
 
-		// Panic isolation: anything below — handler code, executor kernels,
-		// pool workers (the pool re-raises worker panics here) — lands in
-		// this recover, mints an incident id, and answers 500. The process
+		// Panic isolation: anything below — handler code, engine facets,
+		// executor kernels, workspace settles, all on this goroutine — lands
+		// in this recover, mints an incident id, and answers 500. The process
 		// survives; the incident id correlates the response with the log,
 		// and is stamped on the (force-retained) trace for /tracez.
 		defer func() {

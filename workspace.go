@@ -64,12 +64,3 @@ func NewWorkspaceFrom(h *Hypergraph, opts ...WorkspaceOption) (*Workspace, error
 func WithWorkspaceEngine(e *Engine) WorkspaceOption {
 	return dynamic.WithEngine(e)
 }
-
-// WithWorkspaceParallelism makes the workspace settle dirty components with
-// up to n concurrent workers (values < 1 mean GOMAXPROCS). Results are
-// identical to the serial workspace — only wall-clock time changes. When the workspace also uses WithWorkspaceEngine, prefer sharing
-// the engine's pool sizing (Engine WithWorkers) so the two layers do not
-// oversubscribe the host.
-func WithWorkspaceParallelism(n int) WorkspaceOption {
-	return dynamic.WithParallelism(n)
-}

@@ -49,7 +49,7 @@ func TestWorkspaceFacade(t *testing.T) {
 
 	// The engine-backed path: a second tenant with the same content hits
 	// the first tenant's component entries.
-	e := NewEngine(0)
+	e := NewEngine()
 	w1 := NewWorkspace(WithWorkspaceEngine(e))
 	w1.AddEdge("X", "Y")
 	w1.AddEdge("Y", "Z")

@@ -686,6 +686,60 @@ func BenchmarkWorkspaceEdit(b *testing.B) {
 	})
 }
 
+// BenchmarkWorkspaceJoinTreeRead — the read side of a workspace edit, on
+// the shape of perfbench's workspace-edit sessions: 31 six-edge chains plus
+// one 3000-edge random acyclic component. Each op adds an edge inside a
+// uniformly chosen component (two nodes of one of its edges plus a fresh
+// node, so the epoch stays acyclic), reads the join forest of the new epoch
+// — settle, snapshot and forest assembly — and removes the edge again.
+func BenchmarkWorkspaceJoinTreeRead(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var comps [][][]string
+	for k := 0; k < 31; k++ {
+		var comp [][]string
+		for j := 0; j < 6; j++ {
+			c := func(i int) string { return "c" + strconv.Itoa(k) + "_" + strconv.Itoa(i) }
+			comp = append(comp, []string{c(2 * j), c(2*j + 1), c(2*j + 2)})
+		}
+		comps = append(comps, comp)
+	}
+	big := gen.RandomAcyclic(rng, gen.RandomSpec{Edges: 3000, MinArity: 2, MaxArity: 4}).EdgeLists()
+	for _, e := range big {
+		for i := range e {
+			e[i] = "b" + e[i]
+		}
+	}
+	comps = append(comps, big)
+	ws := NewWorkspace()
+	for _, comp := range comps {
+		for _, e := range comp {
+			if _, err := ws.AddEdge(e...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if _, err := ws.Analysis().JoinTree(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		comp := comps[rng.Intn(len(comps))]
+		e := comp[rng.Intn(len(comp))]
+		p := rng.Perm(len(e))
+		id, err := ws.AddEdge(e[p[0]], e[p[1]], "x"+strconv.Itoa(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ws.Analysis().JoinTree(); err != nil {
+			b.Fatal(err)
+		}
+		if err := ws.RemoveEdge(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSpectrumClassify — E-SPEC: the polynomial full-spectrum
 // classification (α via MCS, β via nest-point elimination, γ via
 // leaf/twin reduction, Berge via union-find) at the server-scale sizes the

@@ -64,8 +64,8 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "rebound: acyclic=%v\n", ws.Analysis().Verdict())
 
-	// Snapshot bridges back to the frozen API: a copy-on-write hypergraph
-	// of the current epoch, usable with Analyze, reductions, tableaux...
+	// Snapshot bridges back to the frozen API: an immutable hypergraph of
+	// the current epoch, usable with Analyze, reductions, tableaux...
 	snap := ws.Snapshot()
 	fmt.Fprintf(w, "snapshot: %v (frozen verdict %v)\n", snap, repro.Analyze(snap).Verdict())
 

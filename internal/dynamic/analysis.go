@@ -16,8 +16,9 @@ import (
 // Analysis is the epoch-bound analysis handle of a Workspace: an epoch
 // guard around one analysis.Analysis session over the workspace at the
 // epoch Workspace.Analysis was called. The incremental facts (Verdict,
-// Epoch, NumEdges) are settled at creation from the per-component state the
-// edits maintained, so reading them never materializes anything. The
+// Epoch, NumEdges, NumNodes, NumComponents) are settled at creation from the
+// per-component state the edits maintained, so reading them never
+// materializes anything and they always describe the same epoch. The
 // derived facets (Snapshot, JoinTree, FullReducer, Classification,
 // GrahamTrace, Witness, Reduce, Eval) delegate to the session, which is
 // built lazily on first use over the epoch snapshot, seeded with the
@@ -33,8 +34,8 @@ import (
 // execution plan of a hypergraph that no longer exists be served silently.
 // Values a caller already holds (a returned *JoinTree, a snapshot) stay
 // valid for the epoch they describe; recover from staleness by taking a
-// fresh handle with Workspace.Analysis. Only Verdict, Epoch, and NumEdges —
-// plain facts about the epoch — stay readable forever.
+// fresh handle with Workspace.Analysis. Only Verdict, Epoch, and the counts
+// — plain facts about the epoch — stay readable forever.
 //
 // Handles are safe for concurrent use.
 type Analysis struct {
@@ -42,6 +43,8 @@ type Analysis struct {
 	epoch   uint64
 	acyclic bool // conjunction of the per-component verdicts at the epoch
 	edges   int  // alive edges at the epoch
+	nodes   int  // current nodes at the epoch
+	comps   int  // connected components at the epoch
 
 	mu    sync.Mutex // guards building inner, never a facet run
 	inner *analysis.Analysis
@@ -52,6 +55,13 @@ func (a *Analysis) Epoch() uint64 { return a.epoch }
 
 // NumEdges returns the number of alive edges at the handle's epoch.
 func (a *Analysis) NumEdges() int { return a.edges }
+
+// NumNodes returns the number of current nodes at the handle's epoch.
+func (a *Analysis) NumNodes() int { return a.nodes }
+
+// NumComponents returns the number of connected components at the handle's
+// epoch.
+func (a *Analysis) NumComponents() int { return a.comps }
 
 // Verdict reports α-acyclicity at the handle's epoch: the conjunction of
 // the per-component verdicts the workspace maintains under edits. No

@@ -9,8 +9,9 @@ import (
 
 // FuzzEditScript interprets the fuzz input as an edit script — two bytes
 // per op: an opcode (add / remove / rename) and an argument selecting
-// nodes or edges — and checks after every op that the workspace's
-// incremental verdict matches a from-scratch analysis of the snapshot,
+// nodes or edges — and checks after every op that the snapshot matches a
+// name Builder over the alive edges and that the workspace's incremental
+// verdict matches a from-scratch analysis of the snapshot,
 // with a full forest/classification cross-check at the end of the script.
 func FuzzEditScript(f *testing.F) {
 	f.Add([]byte{0, 0x09, 0, 0x12, 2, 0x00})                   // add, add, remove
@@ -63,6 +64,7 @@ func FuzzEditScript(f *testing.F) {
 					t.Fatalf("RenameNode(%s, %s): %v", old, fresh, err)
 				}
 			}
+			checkSnapshot(t, ws, i/2)
 			snap := ws.Snapshot()
 			if got, want := ws.Analysis().Verdict(), analysis.New(snap).Verdict(); got != want {
 				t.Fatalf("verdict %v != from-scratch %v on %v", got, want, snap)

@@ -45,6 +45,9 @@ func TestBoundedGrowthUnderChurn(t *testing.T) {
 		t.Fatalf("node intern table grew with history: %d names, %d index entries after %d cycles (live: 0)",
 			len(ws.names), len(ws.index), cycles)
 	}
+	if len(ws.order.touched) > bound || len(ws.order.mark) > bound {
+		t.Fatalf("name-order bookkeeping grew with history: touched=%d mark=%d", len(ws.order.touched), len(ws.order.mark))
+	}
 	if len(ws.inc) > bound || len(ws.nodeComp) > bound {
 		t.Fatalf("per-node tables grew with history: inc=%d nodeComp=%d", len(ws.inc), len(ws.nodeComp))
 	}

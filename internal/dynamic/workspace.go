@@ -27,15 +27,22 @@
 // handle bound to the workspace epoch at the call; downstream facets taken
 // from a handle after further edits report *ErrStaleEpoch instead of
 // serving artifacts of a hypergraph that no longer exists. Snapshot()
-// materializes the current epoch as an ordinary immutable Hypergraph
-// (copy-on-write: edge payloads are shared, the snapshot is cached until
-// the next edit), which is the bridge back to the frozen-hypergraph API.
+// materializes the current epoch as an ordinary immutable Hypergraph, the
+// bridge back to the frozen-hypergraph API. It is built from the
+// workspace's interned ids, not re-interned from names: the workspace keeps
+// its node ids in name order (lazily — edits only note the ids they name,
+// rename or release, and the snapshot merges them in), so the snapshot is
+// the hypergraph New would build over the alive edges, down to node ids and
+// fingerprints, at the cost of one pass over the nodes and edges. It shares
+// no storage with the workspace and is cached until the next edit.
 package dynamic
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -66,6 +73,7 @@ type Workspace struct {
 	index    map[string]int
 	inc      [][]int32 // node id -> alive edge ids containing it (unordered)
 	freeNode []int32   // departed node ids available for reuse
+	order    nameOrder // current node ids in name order, for the snapshot
 
 	edges    []wedge // edge slot -> record; dead slots are reused (see wedge.gen)
 	freeEdge []int32 // dead edge slots available for reuse
@@ -210,13 +218,7 @@ func (ws *Workspace) NumNodes() int {
 func (ws *Workspace) NumComponents() int {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	n := 0
-	for _, c := range ws.comps {
-		if c != nil {
-			n++
-		}
-	}
-	return n
+	return ws.numComps()
 }
 
 // EdgeIDs returns the alive edge ids in ascending order.
@@ -362,6 +364,7 @@ func (ws *Workspace) RemoveEdge(id int) error {
 			delete(ws.index, ws.names[nid])
 			ws.names[nid] = ""
 			ws.freeNode = append(ws.freeNode, nid)
+			ws.order.touch(nid)
 		}
 	}
 	w.alive, w.ids = false, nil
@@ -409,6 +412,7 @@ func (ws *Workspace) RenameNode(oldName, newName string) error {
 	ws.names[id] = newName
 	delete(ws.index, oldName)
 	ws.index[newName] = id
+	ws.order.touch(int32(id))
 
 	cid := ws.nodeComp[id]
 	c := ws.comps[cid]
@@ -424,10 +428,12 @@ func (ws *Workspace) RenameNode(oldName, newName string) error {
 }
 
 // Snapshot materializes the current epoch as an immutable Hypergraph:
-// alive edges in edge-id order, nodes interned from their current names.
-// The snapshot is copy-on-write — it shares nothing mutable with the
-// workspace and is cached until the next edit, so repeated calls between
-// edits return the same value.
+// alive edges in slot order, nodes numbered in ascending name order — the
+// hypergraph New builds over the same edges, with the same Fingerprint and
+// Fingerprint128 — built from the workspace's ids without re-interning a
+// name. It owns its storage (later edits never show through) and is cached
+// until the next edit, so repeated calls between edits return the same
+// value.
 func (ws *Workspace) Snapshot() *hypergraph.Hypergraph {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
@@ -467,6 +473,8 @@ func (ws *Workspace) AnalysisCtx(ctx context.Context) (*Analysis, error) {
 			epoch:   ws.epoch.Load(),
 			acyclic: ws.cyclic == 0,
 			edges:   ws.alive,
+			nodes:   ws.covered,
+			comps:   ws.numComps(),
 		}
 	}
 	return ws.cur, nil
@@ -498,6 +506,7 @@ func (ws *Workspace) intern(name string) int {
 		ws.freeNode = ws.freeNode[:n-1]
 		ws.names[id] = name
 		ws.index[name] = id
+		ws.order.touch(int32(id))
 		return id
 	}
 	id := len(ws.names)
@@ -505,6 +514,8 @@ func (ws *Workspace) intern(name string) int {
 	ws.index[name] = id
 	ws.inc = append(ws.inc, nil)
 	ws.nodeComp = append(ws.nodeComp, -1)
+	ws.order.mark = append(ws.order.mark, false)
+	ws.order.touch(int32(id))
 	return id
 }
 
@@ -538,6 +549,17 @@ func (ws *Workspace) dropIncidence(nid int32, eid int32) {
 			return
 		}
 	}
+}
+
+// numComps counts the live components.
+func (ws *Workspace) numComps() int {
+	n := 0
+	for _, c := range ws.comps {
+		if c != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func containsComp(list []int32, c int32) bool {
@@ -808,29 +830,108 @@ func (s *byNameSeq) Less(i, j int) bool {
 }
 
 // snapshotLocked materializes (and caches) the current epoch's hypergraph
-// plus the edge-id -> snapshot-position map the forest assembly needs.
+// plus the edge-id -> snapshot-position map the forest assembly needs. The
+// snapshot is built from ids: node k is the k-th current node in name
+// order, and each alive edge, in slot order, maps its ids to those
+// positions — the hypergraph a name Builder over the alive edges would
+// build, sorting only the names touched since the last snapshot.
 func (ws *Workspace) snapshotLocked() *hypergraph.Hypergraph {
 	if ws.snap == nil {
-		b := hypergraph.NewBuilder()
+		sorted, rank := ws.order.merge(ws.names, ws.nodeComp)
+		names := make([]string, len(sorted))
+		for r, id := range sorted {
+			names[r] = ws.names[id]
+		}
+		size := 0
+		for id := range ws.edges {
+			size += len(ws.edges[id].ids)
+		}
+		buf := make([]int32, size) // one backing array for every edge's ids
+		edges := make([][]int32, 0, ws.alive)
 		ws.snapPos = make([]int32, len(ws.edges))
-		pos := int32(0)
 		for id := range ws.edges {
 			w := &ws.edges[id]
 			if !w.alive {
 				ws.snapPos[id] = -1
 				continue
 			}
-			names := make([]string, len(w.ids))
+			ids := buf[:len(w.ids):len(w.ids)]
+			buf = buf[len(w.ids):]
 			for i, nid := range w.ids {
-				names[i] = ws.names[nid]
+				ids[i] = rank[nid]
 			}
-			b.Edge(names...)
-			ws.snapPos[id] = pos
-			pos++
+			slices.Sort(ids)
+			ws.snapPos[id] = int32(len(edges))
+			edges = append(edges, ids)
 		}
-		ws.snap = b.MustBuild()
+		ws.snap = hypergraph.FromSortedNames(names, edges)
 	}
 	return ws.snap
+}
+
+// nameOrder keeps a workspace's current node ids in ascending name order,
+// lazily: sorted is the order as of the last merge, and touched lists the
+// ids named, renamed or departed since — each once, flagged in mark, so it
+// never outgrows the id universe however long the edits run without a
+// read. Edits only append to touched; merge pays O(nodes + k log k) for k
+// touched ids, once per snapshot.
+type nameOrder struct {
+	sorted  []int32
+	touched []int32
+	mark    []bool  // node id -> listed in touched; grown by intern
+	rank    []int32 // node id -> position in sorted, as of the last merge
+}
+
+// touch records that node id's name changed since the last merge.
+func (o *nameOrder) touch(id int32) {
+	if !o.mark[id] {
+		o.mark[id] = true
+		o.touched = append(o.touched, id)
+	}
+}
+
+// merge folds the touched ids into the order — untouched ids keep their
+// relative order, touched ids still current (nodeComp >= 0) are sorted by
+// name and merged in, departed ones drop out — and returns the current
+// node ids in ascending name order plus each one's position there.
+func (o *nameOrder) merge(names []string, nodeComp []int32) (sorted, rank []int32) {
+	if len(o.touched) > 0 {
+		kept := o.sorted[:0]
+		for _, id := range o.sorted {
+			if !o.mark[id] {
+				kept = append(kept, id)
+			}
+		}
+		fresh := o.touched[:0]
+		for _, id := range o.touched {
+			o.mark[id] = false
+			if nodeComp[id] >= 0 {
+				fresh = append(fresh, id)
+			}
+		}
+		slices.SortFunc(fresh, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+		// Merge from the back, in place: each kept id moves up by the number
+		// of fresh ids still to place.
+		i, out := len(kept)-1, len(kept)+len(fresh)-1
+		merged := slices.Grow(kept, len(fresh))[:out+1]
+		for j := len(fresh) - 1; j >= 0; out-- {
+			if i >= 0 && names[merged[i]] > names[fresh[j]] {
+				merged[out] = merged[i]
+				i--
+			} else {
+				merged[out] = fresh[j]
+				j--
+			}
+		}
+		o.sorted, o.touched = merged, fresh[:0]
+	}
+	if len(o.rank) < len(names) {
+		o.rank = make([]int32, len(names))
+	}
+	for r, id := range o.sorted {
+		o.rank[id] = int32(r)
+	}
+	return o.sorted, o.rank
 }
 
 func dedupStrings(sorted []string) []string {

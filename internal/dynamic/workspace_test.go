@@ -304,6 +304,10 @@ func checkAgainstScratch(t *testing.T, ws *Workspace, op int, classify bool) {
 		t.Fatalf("op %d: incremental verdict %v != from-scratch %v on %v",
 			op, a.Verdict(), ref.Verdict(), snap)
 	}
+	if a.NumEdges() != snap.NumEdges() || a.NumNodes() != snap.NumNodes() || a.NumComponents() != len(snap.Components()) {
+		t.Fatalf("op %d: handle counts %d edges / %d nodes / %d components, snapshot has %d / %d / %d",
+			op, a.NumEdges(), a.NumNodes(), a.NumComponents(), snap.NumEdges(), snap.NumNodes(), len(snap.Components()))
+	}
 	jt, err := a.JoinTree()
 	refJT, refErr := ref.JoinTree()
 	if (err == nil) != (refErr == nil) {

@@ -2,8 +2,10 @@ package hypergraph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,5 +204,80 @@ func TestFingerprint128IsolatedNodes(t *testing.T) {
 	}
 	if full.Fingerprint128() != h.Fingerprint128() {
 		t.Fatal("derive with identical content must digest identically")
+	}
+}
+
+// TestFromSortedNamesMatchesNew pins the adopting constructor against New:
+// given New's own name universe and each edge as sorted indices into it,
+// the result is the same hypergraph — node ids, names, edge order and
+// representation, Fingerprint and Fingerprint128.
+func TestFromSortedNamesMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		pool := 1 + rng.Intn(300) // large pools land edges on the sparse form
+		edges := make([][]string, rng.Intn(12))
+		for j := range edges {
+			e := make([]string, 1+rng.Intn(5))
+			for l := range e {
+				e[l] = fmt.Sprintf("v%d", rng.Intn(pool))
+			}
+			edges[j] = e
+		}
+		want := New(edges)
+		names := want.Nodes()
+		rank := map[string]int32{}
+		for i, n := range names {
+			rank[n] = int32(i)
+		}
+		ids := make([][]int32, len(edges))
+		for j, e := range edges {
+			for _, n := range e {
+				ids[j] = append(ids[j], rank[n])
+			}
+			slices.Sort(ids[j])
+			ids[j] = slices.Compact(ids[j])
+		}
+		got := FromSortedNames(names, ids)
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("trial %d: Fingerprint %q, want %q", trial, got.Fingerprint(), want.Fingerprint())
+		}
+		if got.Fingerprint128() != want.Fingerprint128() {
+			t.Fatalf("trial %d: Fingerprint128 differs", trial)
+		}
+		if !reflect.DeepEqual(got.Nodes(), want.Nodes()) || got.Universe() != want.Universe() {
+			t.Fatalf("trial %d: nodes %v, want %v", trial, got.Nodes(), want.Nodes())
+		}
+		if got.NumEdges() != want.NumEdges() {
+			t.Fatalf("trial %d: %d edges, want %d", trial, got.NumEdges(), want.NumEdges())
+		}
+		for i := 0; i < want.NumEdges(); i++ {
+			if g, w := got.EdgeView(i), want.EdgeView(i); g.IsSparse() != w.IsSparse() || !reflect.DeepEqual(got.EdgeNodes(i), want.EdgeNodes(i)) {
+				t.Fatalf("trial %d edge %d: %v (sparse %v), want %v (sparse %v)",
+					trial, i, got.EdgeNodes(i), g.IsSparse(), want.EdgeNodes(i), w.IsSparse())
+			}
+		}
+		for _, n := range names {
+			if g, _ := got.NodeID(n); g != int(rank[n]) {
+				t.Fatalf("trial %d: NodeID(%q) = %d, want %d", trial, n, g, rank[n])
+			}
+		}
+	}
+}
+
+func TestFromSortedNamesRejectsDisorder(t *testing.T) {
+	for name, build := range map[string]func(){
+		"names out of order": func() { FromSortedNames([]string{"B", "A"}, nil) },
+		"duplicate name":     func() { FromSortedNames([]string{"A", "A"}, nil) },
+		"edge out of order":  func() { FromSortedNames([]string{"A", "B"}, [][]int32{{1, 0}}) },
+		"edge out of range":  func() { FromSortedNames([]string{"A", "B"}, [][]int32{{0, 2}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: FromSortedNames must panic", name)
+				}
+			}()
+			build()
+		}()
 	}
 }

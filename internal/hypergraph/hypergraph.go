@@ -68,6 +68,42 @@ func FromIDs(n int, edges [][]int32) *Hypergraph {
 	return b.MustBuild()
 }
 
+// FromSortedNames builds a hypergraph over an already interned, name-ordered
+// universe: names is the strictly ascending union of the edges' nodes, and
+// each edge is a strictly ascending list of indices into names. The result
+// is exactly what New returns for the same edges — node id k is names[k],
+// same edge order, same Fingerprint and Fingerprint128 — but nothing is
+// sorted, deduplicated or allocated per name, so a caller that already keeps
+// its node ids in name order (the dynamic workspace's snapshot) skips the
+// interning New pays. Both slices are adopted without copying, so callers
+// must not reuse them; names out of order and edge ids out of order or out
+// of [0, len(names)) panic.
+func FromSortedNames(names []string, edges [][]int32) *Hypergraph {
+	n := len(names)
+	h := &Hypergraph{
+		names:   names,
+		index:   make(map[string]int, n),
+		n:       n,
+		nodeSet: bitset.Full(n),
+		edges:   make([]Edge, len(edges)),
+	}
+	for i, name := range names {
+		if i > 0 && names[i-1] >= name {
+			panic("hypergraph: FromSortedNames: names not strictly ascending at " + strconv.Itoa(i))
+		}
+		h.index[name] = i
+	}
+	for i, ids := range edges {
+		for j, id := range ids {
+			if id < 0 || int(id) >= n || (j > 0 && ids[j-1] >= id) {
+				panic("hypergraph: FromSortedNames: edge " + strconv.Itoa(i) + " is not strictly ascending within the universe")
+			}
+		}
+		h.edges[i] = edgeFromSortedIDs(ids, n)
+	}
+	return h
+}
+
 // fromParts assembles a hypergraph that shares the universe of an existing
 // one. It is the internal constructor used by derivation methods.
 func fromParts(names []string, index map[string]int, n int, nodeSet bitset.Set, edges []Edge) *Hypergraph {

@@ -386,9 +386,9 @@ func (s *Server) handleWorkspaceGet(r *http.Request) (any, error) {
 	}
 	return map[string]any{
 		"epoch":      a.Epoch(),
-		"edges":      ws.NumEdges(),
-		"nodes":      ws.NumNodes(),
-		"components": ws.NumComponents(),
+		"edges":      a.NumEdges(),
+		"nodes":      a.NumNodes(),
+		"components": a.NumComponents(),
 		"acyclic":    a.Verdict(),
 	}, nil
 }

@@ -490,6 +490,87 @@ func TestWorkspaceSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestWorkspaceGetCountsMatchEpoch: GET /v1/workspaces/{id} serves its
+// epoch and its edge, node and component counts from one analysis handle,
+// so a concurrent edit never mixes two epochs into one reply. The writer
+// toggles one disjoint edge on and off, so every count is a function of the
+// reply's epoch parity.
+func TestWorkspaceGetCountsMatchEpoch(t *testing.T) {
+	_, ts := newTestServer(t, Config{TenantRate: 1e9, TenantBurst: 1 << 30}, nil)
+	resp, body := do(t, "POST", ts.URL+"/v1/workspaces", schemaBody(fig1Text), nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	wsURL := ts.URL + "/v1/workspaces/" + created.ID
+	type reply struct {
+		Epoch      uint64 `json:"epoch"`
+		Edges      int    `json:"edges"`
+		Nodes      int    `json:"nodes"`
+		Components int    `json:"components"`
+	}
+	var base reply
+	if _, body = do(t, "GET", wsURL, "", nil); json.Unmarshal(body, &base) != nil {
+		t.Fatalf("get: %s", body)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := http.Get(wsURL)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got reply
+				err = json.NewDecoder(res.Body).Decode(&got)
+				res.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want := base
+				want.Epoch = got.Epoch
+				if (got.Epoch-base.Epoch)%2 == 1 {
+					want.Edges, want.Nodes, want.Components = base.Edges+1, base.Nodes+2, base.Components+1
+				}
+				if got != want {
+					t.Errorf("reply %+v mixes epochs: epoch %d has counts %+v", got, got.Epoch, want)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		resp, body := do(t, "POST", wsURL+"/edges", `{"nodes":["p","q"]}`, nil)
+		var added struct {
+			Edge int `json:"edge"`
+		}
+		if resp.StatusCode != 200 || json.Unmarshal(body, &added) != nil {
+			t.Fatalf("add: %d %s", resp.StatusCode, body)
+		}
+		if resp, body = do(t, "DELETE", fmt.Sprintf("%s/edges/%d", wsURL, added.Edge), "", nil); resp.StatusCode != 200 {
+			t.Fatalf("remove: %d %s", resp.StatusCode, body)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestGracefulDrain(t *testing.T) {
 	defer fault.Reset()
 	s, ts := newTestServer(t, Config{}, nil)

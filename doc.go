@@ -292,13 +292,17 @@
 //	GET  /metricsz, /tracez             Prometheus metrics and retained slow traces (see Observability)
 //
 // A /v1/reduce or /v1/eval table is {"attrs": [...], "rows": [[...], ...]},
-// one array of string cells per row in attrs order. encoding/json decodes
-// and validates the envelope; each table's rows then go straight from the
-// request bytes into the executor's int32 columns (exec.FromJSONRows), one
-// scan that interns every cell into the request's one Dict. Cells that are
-// not strings answer 400 bad_json and rows of the wrong width 400
-// bad_request, as when rows were decoded into [][]string. Result rows come
-// back sorted lexicographically over the sorted output attributes.
+// one array of string cells per row in attrs order. The body is read once
+// into one buffer and its envelope scanned once by hand; each table's rows
+// go from the request bytes straight into the executor's int32 columns
+// (exec.ScanJSONRows), interning every cell into the request's one Dict. A
+// body the scan does not take, such as one with case-variant, duplicate or
+// unknown keys, "rows" before "attrs", or an error anywhere, is decoded by
+// encoding/json with rows as [][]string, so every answer is the one that
+// decode gives: cells that are not strings answer 400 bad_json and rows of
+// the wrong width 400 bad_request, and bytes after the envelope are
+// ignored, even past the body cap. Result rows come back sorted
+// lexicographically over the sorted output attributes.
 //
 // The serving layer is engineered robustness-first; its behavior under
 // overload, faults, and shutdown is part of the contract:

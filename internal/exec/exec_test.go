@@ -55,6 +55,39 @@ func TestTableErrors(t *testing.T) {
 	}
 }
 
+// TestScanJSONRowsInPlace reads rows values where they sit inside a larger
+// document: the table is FromRows's, next lands just past the value, and a
+// rejected value leaves the offset where it was.
+func TestScanJSONRowsInPlace(t *testing.T) {
+	d := NewDict()
+	for _, tc := range []struct {
+		doc, rest string
+		rows      [][]string
+	}{
+		{`{"rows": [["a","b"],["c","d"],["a","b"]] ,"x":1}`, ` ,"x":1}`, [][]string{{"a", "b"}, {"c", "d"}}},
+		{`{"rows":null}`, `}`, nil},
+		{`{"rows":[ ]]`, `]`, nil},
+		{"{\"rows\":\n[[\"\\u0041\",\"\u00e9\"]],", `,`, [][]string{{"A", "\u00e9"}}},
+	} {
+		i := strings.Index(tc.doc, ":") + 1
+		got, next, ok := ScanJSONRows(d, []string{"B", "A"}, []byte(tc.doc), i)
+		if !ok {
+			t.Fatalf("%s: rejected", tc.doc)
+		}
+		if rest := tc.doc[next:]; rest != tc.rest {
+			t.Fatalf("%s: rest %q, want %q", tc.doc, rest, tc.rest)
+		}
+		if want := mustTable(t, d, []string{"B", "A"}, tc.rows...); !got.Equal(want) {
+			t.Fatalf("%s: built\n%v\nwant\n%v", tc.doc, got, want)
+		}
+	}
+	for _, doc := range []string{`{"rows":[["a"]]}`, `{"rows":[["a",1]]}`, `{"rows":[["a","b"]`, `{"rows":}`} {
+		if _, next, ok := ScanJSONRows(d, []string{"B", "A"}, []byte(doc), 8); ok || next != 8 {
+			t.Fatalf("%s: ok %v next %d, want rejected at 8", doc, ok, next)
+		}
+	}
+}
+
 func TestFromRelationRoundTrip(t *testing.T) {
 	r := relation.MustNew([]string{"A", "B", "C"},
 		[]string{"1", "2", "3"},

@@ -40,9 +40,3 @@ func JoinedNodes(tree *jointree.JoinTree, x bitset.Set) bitset.Set {
 	}
 	return out
 }
-
-// ScanJSONRows reports whether FromJSONRows's single pass accepts raw,
-// without the encoding/json fallback.
-func ScanJSONRows(dict *Dict, attrs []string, raw []byte) bool {
-	return scanJSONRows(dict, attrs, raw) != nil
-}

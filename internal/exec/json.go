@@ -11,19 +11,18 @@ import (
 // followed by FromRows builds, errors included: a null rows value is no
 // rows, a null row has width 0, and a null cell reads as "".
 //
-// Rows of that shape take one pass over raw. Each cell is interned into
-// dict straight from the bytes: a value already in dict costs one map probe
-// and no allocation, and a first sight copies the bytes, so dict never pins
-// raw. A cell holding a backslash escape or a non-ASCII byte is decoded
-// alone by json.Unmarshal, so escapes and invalid-UTF-8 replacement match
-// encoding/json. Anything else, such as malformed JSON, a non-string cell,
-// a row of the wrong width or bad attribute names, goes through
-// json.Unmarshal and FromRows, so the error is theirs: a
+// It is ScanJSONRows over the whole of raw. Rows that pass take that one
+// scan; anything else, such as malformed JSON, a non-string cell, a row of
+// the wrong width, bad attribute names or bytes after the value, goes
+// through json.Unmarshal and FromRows, so the error is theirs: a
 // *json.SyntaxError or *json.UnmarshalTypeError when raw is not rows of
 // strings, FromRows's error otherwise.
 func FromJSONRows(dict *Dict, attrs []string, raw []byte) (*Table, error) {
-	if t := scanJSONRows(dict, attrs, raw); t != nil {
-		return t.dedup(), nil
+	if t, next, ok := ScanJSONRows(dict, attrs, raw, 0); ok {
+		s := jsonScanner{b: raw, i: next}
+		if s.space(); s.i == len(raw) {
+			return t, nil
+		}
 	}
 	var rows [][]string
 	if err := json.Unmarshal(raw, &rows); err != nil {
@@ -32,40 +31,52 @@ func FromJSONRows(dict *Dict, attrs []string, raw []byte) (*Table, error) {
 	return FromRows(dict, attrs, rows)
 }
 
-// scanJSONRows is FromJSONRows's single pass. It returns the table before
-// dedup, or nil when raw is not rows of the right width or attrs are
-// invalid; the cells interned before it gave up stay in dict, as they do
-// when FromRows fails part way.
-func scanJSONRows(dict *Dict, attrs []string, raw []byte) *Table {
+// ScanJSONRows reads the JSON rows value that starts at b[i], after any
+// whitespace, in one pass, and returns its table and the offset just past
+// the value. Bytes after the value are not looked at, so a caller scanning
+// a larger document, such as a request envelope, reads the rows in place.
+//
+// Each cell is interned into dict straight from the bytes: a value already
+// in dict costs one map probe and no allocation, and a first sight copies
+// the bytes, so dict never pins b. A cell holding a backslash escape or a
+// non-ASCII byte is decoded alone by json.Unmarshal, so escapes and
+// invalid-UTF-8 replacement match encoding/json.
+//
+// ok is false when the value is not rows of strings of the width of attrs,
+// or attrs are invalid; the caller then owes the error, which
+// FromJSONRows takes from encoding/json and FromRows. The cells interned
+// before the scan gave up stay in dict, as they do when FromRows fails
+// part way.
+func ScanJSONRows(dict *Dict, attrs []string, b []byte, i int) (t *Table, next int, ok bool) {
 	t, err := NewTable(dict, attrs)
 	if err != nil {
-		return nil
+		return nil, i, false
 	}
 	perm := sortedPerm(t.attrs, attrs)
 	row := make([]int32, len(attrs))
-	s := jsonScanner{b: raw}
+	s := jsonScanner{b: b, i: i}
 	s.space()
 	if s.literal("null") {
-		return s.end(t)
+		return t, s.i, true
 	}
 	if !s.consume('[') {
-		return nil
+		return nil, i, false
 	}
 	if s.space(); s.consume(']') {
-		return s.end(t)
+		return t, s.i, true
 	}
 	for {
 		switch {
 		case s.literal("null"):
 			if len(attrs) != 0 {
-				return nil // a null row has width 0
+				return nil, i, false // a null row has width 0
 			}
 		case s.row(dict, row):
-			for i := range t.cols {
-				t.cols[i] = append(t.cols[i], row[perm[i]])
+			for c := range t.cols {
+				t.cols[c] = append(t.cols[c], row[perm[c]])
 			}
 		default:
-			return nil
+			return nil, i, false
 		}
 		t.rows++
 		if s.space(); s.consume(',') {
@@ -73,9 +84,9 @@ func scanJSONRows(dict *Dict, attrs []string, raw []byte) *Table {
 			continue
 		}
 		if s.consume(']') {
-			return s.end(t)
+			return t.dedup(), s.i, true
 		}
-		return nil
+		return nil, i, false
 	}
 }
 
@@ -113,14 +124,6 @@ func (s *jsonScanner) literal(lit string) bool {
 		return true
 	}
 	return false
-}
-
-// end returns t if only whitespace follows the rows value.
-func (s *jsonScanner) end(t *Table) *Table {
-	if s.space(); s.i != len(s.b) {
-		return nil
-	}
-	return t
 }
 
 // row reads one array of exactly len(row) cells into row.

@@ -1,0 +1,315 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+
+	"repro/internal/exec"
+)
+
+// The /v1/eval and /v1/reduce body path. readBody reads the body once into
+// one buffer; scanEval then reads the envelope
+//
+//	{"schema": "...", "attrs": [...], "tables": [{"attrs": [...], "rows": [[...], ...]}, ...]}
+//
+// in one hand-rolled pass, handing each table's rows to exec.ScanJSONRows
+// where they sit. encoding/json matches keys case-insensitively, lets the
+// last duplicate win and ignores unknown keys, so scanEval takes only the
+// shape whose meaning cannot differ from encoding/json's: the envelope keys
+// spelled exactly, each at most once, never null; a table's "attrs" first
+// and its optional "rows" second; strings and arrays of strings where the
+// struct has them. Any other body, and any body the scan finds wrong,
+// takes the path the scan stands in for: encoding/json decodes the
+// envelope with the rows as [][]string, and exec.FromRows loads each
+// table, so the answer, errors included, is theirs. That is the fallback
+// exec.FromJSONRows makes for one rows value, made for the whole body.
+
+// readBody reads r's body into one buffer, presized from Content-Length
+// capped at limit, the body cap. It returns the bytes read and the error
+// that stopped the read, nil at the end of the body; on an error the bytes
+// are the prefix read before it, such as the first limit bytes on a cap
+// hit.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	n := int64(512)
+	if r.ContentLength > 0 {
+		// One byte over the body so the read that reports its end does
+		// not regrow the buffer.
+		n = min(r.ContentLength, limit) + 1
+	}
+	b := make([]byte, 0, n)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		m, err := r.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// replay reads a body readBody has read: its bytes, then the error that
+// stopped the read, io.EOF if none. A json.Decoder over it answers what one
+// over the request body would have: a value that ends inside the bytes
+// decodes whatever follows, and one that does not meets the read error.
+type replay struct {
+	b   []byte
+	err error
+}
+
+func (r *replay) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		if r.err == nil {
+			return 0, io.EOF
+		}
+		return 0, r.err
+	}
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// loadEval reads an eval body's envelope and tables over one shared Dict:
+// scanEval's one pass when the body has its shape, else encoding/json and
+// exec.FromRows. A JSON error (bad_json, rows that are not strings
+// included, or the body cap) comes back as err at once; the first table
+// whose attributes or row widths are wrong comes back as rejected, a
+// bad_request the caller reports after the schema checks.
+func loadEval(body []byte, readErr error) (req evalRequest, tables []*exec.Table, rejected, err error) {
+	if req, tables, ok := scanEval(body); ok {
+		return req, tables, nil, nil
+	}
+	if err := decodeFrom(&replay{b: body, err: readErr}, &req); err != nil {
+		return req, nil, nil, err
+	}
+	dict := exec.NewDict()
+	tables = make([]*exec.Table, len(req.Tables))
+	for i, t := range req.Tables {
+		if tables[i], err = exec.FromRows(dict, t.Attrs, t.Rows); err != nil {
+			return req, nil, &errBadRequest{err: fmt.Errorf("table %d: %w", i, err)}, nil
+		}
+	}
+	return req, tables, nil, nil
+}
+
+// scanEval reads an envelope of the fast shape from the start of b and
+// ignores what follows it, as json.Decoder.Decode does. Its tables share one
+// Dict and leave req.Tables nil. ok is false for any body outside the shape
+// and for rows exec.ScanJSONRows rejects, whose error the caller owes.
+func scanEval(b []byte) (req evalRequest, tables []*exec.Table, ok bool) {
+	s := envScanner{b: b, dict: exec.NewDict()}
+	tables = []*exec.Table{} // no "tables" is no tables, as in loadEval's fallback
+	var seenSchema, seenAttrs, seenTables bool
+	s.space()
+	if !s.consume('{') {
+		return req, nil, false
+	}
+	if s.space(); s.consume('}') {
+		return req, tables, true
+	}
+	for {
+		switch s.key() {
+		case "schema":
+			if seenSchema {
+				return req, nil, false
+			}
+			seenSchema = true
+			req.Schema, ok = s.str()
+		case "attrs":
+			if seenAttrs {
+				return req, nil, false
+			}
+			seenAttrs = true
+			req.Attrs, ok = s.strs()
+		case "tables":
+			if seenTables {
+				return req, nil, false
+			}
+			seenTables = true
+			tables, ok = s.tables()
+		default:
+			return req, nil, false
+		}
+		if !ok {
+			return req, nil, false
+		}
+		if s.space(); s.consume(',') {
+			s.space()
+			continue
+		}
+		return req, tables, s.consume('}')
+	}
+}
+
+// envScanner walks an eval envelope. Every read is bounds-checked against
+// b.
+type envScanner struct {
+	b    []byte
+	i    int
+	dict *exec.Dict
+}
+
+// space skips JSON whitespace.
+func (s *envScanner) space() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// consume advances past c if it is the next byte.
+func (s *envScanner) consume(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// key reads an object key and its colon, and returns the key's bytes as
+// written. A key with an escape or a byte outside printable ASCII comes back
+// as "", which matches no key of the shape.
+func (s *envScanner) key() string {
+	if !s.consume('"') {
+		return ""
+	}
+	start := s.i
+	for s.i < len(s.b) {
+		c := s.b[s.i]
+		if c == '"' {
+			k := s.b[start:s.i]
+			s.i++
+			if s.space(); !s.consume(':') {
+				return ""
+			}
+			s.space()
+			return string(k)
+		}
+		if c == '\\' || c < 0x20 || c >= 0x7f {
+			return ""
+		}
+		s.i++
+	}
+	return ""
+}
+
+// str reads one string. A string holding a backslash escape or a
+// non-ASCII byte is decoded alone by json.Unmarshal, so escapes and
+// invalid-UTF-8 replacement match encoding/json.
+func (s *envScanner) str() (string, bool) {
+	if !s.consume('"') {
+		return "", false
+	}
+	open := s.i - 1
+	slow := false
+	for s.i < len(s.b) {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			if !slow {
+				return string(s.b[open+1 : s.i-1]), true
+			}
+			var v string
+			err := json.Unmarshal(s.b[open:s.i], &v)
+			return v, err == nil
+		case c == '\\':
+			slow = true
+			s.i += 2
+			continue
+		case c >= 0x80:
+			slow = true
+		case c < 0x20:
+			return "", false
+		}
+		s.i++
+	}
+	return "", false
+}
+
+// strs reads an array of strings; [] is an empty, non-nil slice, as
+// encoding/json makes it.
+func (s *envScanner) strs() ([]string, bool) {
+	if !s.consume('[') {
+		return nil, false
+	}
+	out := []string{}
+	if s.space(); s.consume(']') {
+		return out, true
+	}
+	for {
+		v, ok := s.str()
+		if !ok {
+			return nil, false
+		}
+		out = append(out, v)
+		if s.space(); s.consume(',') {
+			s.space()
+			continue
+		}
+		return out, s.consume(']')
+	}
+}
+
+// tables reads the tables array.
+func (s *envScanner) tables() ([]*exec.Table, bool) {
+	if !s.consume('[') {
+		return nil, false
+	}
+	out := []*exec.Table{}
+	if s.space(); s.consume(']') {
+		return out, true
+	}
+	for {
+		t, ok := s.table()
+		if !ok {
+			return nil, false
+		}
+		out = append(out, t)
+		if s.space(); s.consume(',') {
+			s.space()
+			continue
+		}
+		return out, s.consume(']')
+	}
+}
+
+// table reads {"attrs": [...]} or {"attrs": [...], "rows": ...}; an absent
+// "rows" is no rows.
+func (s *envScanner) table() (*exec.Table, bool) {
+	if !s.consume('{') {
+		return nil, false
+	}
+	if s.space(); s.key() != "attrs" {
+		return nil, false
+	}
+	attrs, ok := s.strs()
+	if !ok {
+		return nil, false
+	}
+	var t *exec.Table
+	if s.space(); s.consume(',') {
+		if s.space(); s.key() != "rows" {
+			return nil, false
+		}
+		t, s.i, ok = exec.ScanJSONRows(s.dict, attrs, s.b, s.i)
+	} else {
+		var err error
+		t, err = exec.NewTable(s.dict, attrs)
+		ok = err == nil
+	}
+	if !ok {
+		return nil, false
+	}
+	s.space()
+	return t, s.consume('}')
+}

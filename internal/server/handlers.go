@@ -23,17 +23,18 @@ import (
 
 // Request and response shapes. Schemas travel as the library's text format
 // (one edge per line; see hypergraph.Parse), data as per-object attribute
-// lists plus string rows. The envelope is decoded by encoding/json, which
-// also validates the rows' syntax; the rows stay raw bytes until
-// exec.FromJSONRows reads them into columns (see loadTables).
+// lists plus string rows. encoding/json decodes every body, except that an
+// eval body of the usual shape is read once and scanned once by hand, its
+// rows read into exec columns where they sit (see decodeEval and
+// loadEval); any other eval body is decoded into these structs.
 
 type schemaRequest struct {
 	Schema string `json:"schema"`
 }
 
 type tableJSON struct {
-	Attrs []string        `json:"attrs"`
-	Rows  json.RawMessage `json:"rows"` // [][]string
+	Attrs []string   `json:"attrs"`
+	Rows  [][]string `json:"rows"`
 }
 
 type evalRequest struct {
@@ -49,8 +50,11 @@ type stepJSON struct {
 
 // decode reads the JSON request body into v. Decoding failures map to 400
 // "bad_json" — except a body-cap hit, which classify turns into 413.
-func decode(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+func decode(r *http.Request, v any) error { return decodeFrom(r.Body, v) }
+
+// decodeFrom is decode over any reader of the body.
+func decodeFrom(body io.Reader, v any) error {
+	if err := json.NewDecoder(body).Decode(v); err != nil {
 		var maxBytes *http.MaxBytesError
 		if errors.As(err, &maxBytes) {
 			return maxBytes
@@ -173,23 +177,22 @@ func degreeString(c acyclic.Classification) string {
 	return d.String()
 }
 
-// decodeEval reads a /v1/eval or /v1/reduce body: the envelope, the schema,
-// and the tables, whose rows go straight from the request bytes into exec
-// columns over one shared Dict. It returns the projection attributes and
-// the database, and reports the first failure in this order: JSON errors
-// (bad_json, rows that are not strings included), the schema (parse), the
-// projection attributes when withAttrs is set (unknown_node), then the
-// tables' own shape and their match with the schema (bad_request).
-func decodeEval(r *http.Request, withAttrs bool) ([]string, *exec.Database, error) {
+// decodeEval reads a /v1/eval or /v1/reduce body, whose cap is limit: the
+// envelope, the schema, and the tables, whose rows go straight from the
+// request bytes into exec columns over one shared Dict. The body is read
+// once (server.decode) and scanned once (exec.load, see loadEval). It
+// returns the projection attributes and the database, and reports the
+// first failure in this order: JSON errors (bad_json, rows that are not
+// strings included, or 413 when the envelope does not end inside the
+// cap), the schema (parse), the projection attributes when withAttrs is
+// set (unknown_node), then the tables' own shape and their match with the
+// schema (bad_request).
+func decodeEval(r *http.Request, limit int64, withAttrs bool) ([]string, *exec.Database, error) {
 	_, dsp := obs.StartSpan(r.Context(), "server.decode")
-	var req evalRequest
-	err := decode(r, &req)
+	body, readErr := readBody(r, limit)
 	dsp.End()
-	if err != nil {
-		return nil, nil, err
-	}
 	_, lsp := obs.StartSpan(r.Context(), "exec.load")
-	tables, rejected, err := loadTables(req.Tables)
+	req, tables, rejected, err := loadEval(body, readErr)
 	lsp.End()
 	if err != nil {
 		return nil, nil, err
@@ -215,36 +218,8 @@ func decodeEval(r *http.Request, withAttrs bool) ([]string, *exec.Database, erro
 	return req.Attrs, d, nil
 }
 
-// loadTables reads every table's rows into exec columns over one shared
-// Dict. It keeps the answers the server gave when rows were decoded into
-// [][]string with the envelope: rows that are not arrays of strings fail
-// the request as bad_json, returned as err at once, while the first table
-// whose attributes or row widths are wrong comes back as rejected, a
-// bad_request the caller reports after the schema checks.
-func loadTables(ts []tableJSON) (tables []*exec.Table, rejected, err error) {
-	dict := exec.NewDict()
-	tables = make([]*exec.Table, len(ts))
-	for i, t := range ts {
-		rows := t.Rows
-		if rows == nil {
-			rows = json.RawMessage("null") // an absent "rows" is no rows
-		}
-		tab, err := exec.FromJSONRows(dict, t.Attrs, rows)
-		var syntax *json.SyntaxError
-		var typ *json.UnmarshalTypeError
-		switch {
-		case errors.As(err, &syntax) || errors.As(err, &typ):
-			return nil, nil, &errBadJSON{err: fmt.Errorf("table %d: %w", i, err)}
-		case err != nil && rejected == nil:
-			rejected = &errBadRequest{err: fmt.Errorf("table %d: %w", i, err)}
-		}
-		tables[i] = tab
-	}
-	return tables, rejected, nil
-}
-
 func (s *Server) handleReduce(r *http.Request) (any, error) {
-	_, d, err := decodeEval(r, false)
+	_, d, err := decodeEval(r, s.cfg.MaxBodyBytes, false)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +235,7 @@ func (s *Server) handleReduce(r *http.Request) (any, error) {
 }
 
 func (s *Server) handleEval(r *http.Request) (any, error) {
-	attrs, d, err := decodeEval(r, true)
+	attrs, d, err := decodeEval(r, s.cfg.MaxBodyBytes, true)
 	if err != nil {
 		return nil, err
 	}

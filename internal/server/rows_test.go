@@ -1,9 +1,10 @@
 package server
 
-// The /v1/eval and /v1/reduce body path reads table rows straight from the
-// request bytes into exec columns (exec.FromJSONRows). These tests pin it
-// to the path it replaced, kept here as the oracle: encoding/json decoding
-// rows into [][]string with the envelope, then exec.FromRows per table.
+// The /v1/eval and /v1/reduce body path scans the envelope once by hand and
+// reads table rows straight from the request bytes into exec columns
+// (scanEval, exec.ScanJSONRows). These tests pin it to the path it
+// replaced, kept here as the oracle: encoding/json decoding rows into
+// [][]string with the envelope, then exec.FromRows per table.
 
 import (
 	"bytes"
@@ -126,6 +127,11 @@ func rowsBody(schema string, tables ...string) string {
 	return `{"schema":` + strconv.Quote(schema) + `,"attrs":["A","C"],"tables":[` + strings.Join(tables, ",") + `]}`
 }
 
+// plainBody is a well-formed eval body over the chain A B — B C.
+var plainBody = rowsBody("A B\nB C",
+	`{"attrs":["A","B"],"rows":[["a1","b1"],["a2","b2"]]}`,
+	`{"attrs":["B","C"],"rows":[["b1","c1"],["b2","c2"]]}`)
+
 // parityCases are malformed and well-formed eval/reduce bodies, each with
 // the code /v1/eval answers ("" for 200).
 var parityCases = []struct {
@@ -179,6 +185,27 @@ var parityCases = []struct {
 	{"attrs not the edge", rowsBody("A B\nB C", `{"attrs":["A","C"],"rows":[]}`, `{"attrs":["B","C"],"rows":[]}`), CodeBadRequest},
 	{"table count", rowsBody("A B\nB C", `{"attrs":["A","B"],"rows":[["a","b"]]}`), CodeBadRequest},
 	{"truncated", rowsBody("A B\nB C", `{"attrs":["A","B"],"rows":[["a","b"]]}`)[:60], CodeBadJSON},
+	// Envelope edges: bodies outside the one-pass scan's shape take
+	// encoding/json, whose key matching, duplicates and trailing bytes the
+	// answers keep.
+	{"case-variant keys", strings.Replace(strings.Replace(plainBody, `"schema"`, `"Schema"`, 1), `"attrs":["A","C"]`, `"ATTRS":["A","C"]`, 1), ""},
+	{"duplicate tables", strings.Replace(plainBody, `"tables":`, `"tables":[],"tables":`, 1), ""},
+	{"duplicate tables last wins", strings.TrimSuffix(plainBody, "}") + `,"tables":[]}`, CodeBadRequest},
+	{"unknown key", strings.Replace(plainBody, `{"schema"`, `{"note":{"k":[1,{"v":null}],"s":"x"},"schema"`, 1), ""},
+	{"escaped key", strings.Replace(plainBody, `"schema"`, `"sch\u0065ma"`, 1), ""},
+	{"shadowed rows", rowsBody("A B\nB C",
+		`{"attrs":["A","B"],"rows":[["a",1]],"rows":[]}`, `{"attrs":["B","C"],"rows":[]}`), CodeBadJSON},
+	{"rows before attrs", rowsBody("A B\nB C",
+		`{"rows":[["a1","b1"]],"attrs":["A","B"]}`, `{"rows":[["b1","c1"]],"attrs":["B","C"]}`), ""},
+	{"null schema", strings.Replace(plainBody, `"schema":"A B\nB C"`, `"schema":null`, 1), CodeParse},
+	{"null attrs", strings.Replace(plainBody, `"attrs":["A","C"]`, `"attrs":null`, 1), ""},
+	{"null tables", `{"schema":"A B\nB C","attrs":["A","C"],"tables":null}`, CodeBadRequest},
+	{"empty body", "", CodeBadJSON},
+	{"whitespace body", " \n\t ", CodeBadJSON},
+	{"trailing garbage", plainBody + ` {"x" ]]`, ""},
+	{"trailing past cap", plainBody + strings.Repeat("x", 5000), ""},
+	{"non-ascii schema", strings.NewReplacer(`A B\nB C`, `Ä B\nB Ç`, `"A"`, `"Ä"`, `"C"`, `"Ç"`).Replace(plainBody), ""},
+	{"invalid utf8 attrs", strings.NewReplacer(`A B\nB C`, "A B\\nB C\xff", `"C"`, "\"C\xfe\"").Replace(plainBody), ""},
 	{"body cap", rowsBody("A B\nB C", `{"attrs":["A","B"],"rows":[`+strings.Repeat(`["a","b"],`, 500)+`["a","b"]]}`,
 		`{"attrs":["B","C"],"rows":[]}`), CodeBodyTooLarge},
 }
@@ -231,7 +258,7 @@ func TestEvalReplyRowsMatchRelation(t *testing.T) {
 	}
 	for i, body := range bodies {
 		r := httptest.NewRequest("POST", "/v1/eval", strings.NewReader(body))
-		attrs, d, err := decodeEval(r, true)
+		attrs, d, err := decodeEval(r, 1<<20, true)
 		if err != nil {
 			t.Fatalf("body %d: %v", i, err)
 		}
@@ -245,12 +272,26 @@ func TestEvalReplyRowsMatchRelation(t *testing.T) {
 	}
 }
 
-// BenchmarkEvalLoad decodes and loads an eval-join-shaped /v1/eval body:
-// the 8-object bushy schema with 2000–3000 rows per object, values drawn
-// from a 400-value domain (12 on the leaf attributes), as the benchmark
-// harness's eval-join workload sends them. Run with -benchmem: allocs/op
-// is the repeatable figure.
+// BenchmarkEvalLoad decodes and loads an eval-join-shaped /v1/eval body
+// (see evalJoinBody, 2000–3000 rows per object) as the benchmark harness's
+// eval-join workload sends it. Run with -benchmem: allocs/op is the
+// repeatable figure.
 func BenchmarkEvalLoad(b *testing.B) {
+	body := evalJoinBody(2000)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		r := httptest.NewRequest("POST", "/v1/eval", bytes.NewReader(body))
+		if _, _, err := decodeEval(r, 1<<20, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// evalJoinBody builds an eval-join-shaped /v1/eval body: the 8-object bushy
+// schema with minRows to 1.5×minRows rows per object, values drawn from a
+// 400-value domain (12 on the leaf attributes), projected on G and J.
+func evalJoinBody(minRows int) []byte {
 	edges := [][]string{{"A", "B", "C"}, {"A", "D"}, {"B", "E"}, {"C", "F"}, {"D", "G"}, {"E", "H"}, {"F", "I"}, {"A", "J"}}
 	var schema []string
 	var tables []oracleTableJSON
@@ -264,7 +305,7 @@ func BenchmarkEvalLoad(b *testing.B) {
 	for i, e := range edges {
 		schema = append(schema, fmt.Sprintf("R%d: %s", i, strings.Join(e, " ")))
 		tab := oracleTableJSON{Attrs: e}
-		for r := 0; r < 2000+1000*i/(len(edges)-1); r++ {
+		for r := 0; r < minRows+minRows/2*i/(len(edges)-1); r++ {
 			row := make([]string, len(e))
 			for k, a := range e {
 				dom := 400
@@ -279,14 +320,74 @@ func BenchmarkEvalLoad(b *testing.B) {
 	}
 	body, err := json.Marshal(oracleEvalRequest{Schema: strings.Join(schema, "\n"), Tables: tables, Attrs: []string{"G", "J"}})
 	if err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	for b.Loop() {
-		r := httptest.NewRequest("POST", "/v1/eval", bytes.NewReader(body))
-		if _, _, err := decodeEval(r, true); err != nil {
-			b.Fatal(err)
+	return body
+}
+
+// TestScanEvalShape pins which bodies take the one-pass envelope scan:
+// eval-join's and the parity cases of the fast shape do; every envelope
+// edge encoding/json could read differently, and every body that is not
+// well-formed rows of the right width, does not.
+func TestScanEvalShape(t *testing.T) {
+	if _, _, ok := scanEval(evalJoinBody(50)); !ok {
+		t.Fatal("eval-join body falls back")
+	}
+	fast := map[string]bool{
+		"plain": true, "reply order": true, "escapes": true, "lone surrogate": true, "invalid utf8": true,
+		"empty tables": true, "rows null": true, "rows absent": true, "duplicate rows": true, "null cell": true,
+		"trailing garbage": true, "trailing past cap": true, "non-ascii schema": true, "invalid utf8 attrs": true,
+		"table count": true, "attrs not the edge": true,
+		"body cap": true, // whole; the prefix under the cap falls back
+	}
+	for _, tc := range parityCases {
+		_, _, ok := scanEval([]byte(tc.body))
+		if ok != fast[tc.name] {
+			t.Errorf("%s: scanEval ok %v, want %v", tc.name, ok, fast[tc.name])
 		}
 	}
+}
+
+// FuzzEvalBody differences decodeEval against oracleDecodeEval, the body
+// path before the one-pass scan, on arbitrary bodies under a 4 KiB cap: the
+// same classified status and code, and on success the same schema, the
+// same projection attributes and the same rows in every table.
+func FuzzEvalBody(f *testing.F) {
+	for _, tc := range parityCases {
+		f.Add(tc.body, true)
+	}
+	f.Add(string(evalJoinBody(4)), true)
+	f.Add(plainBody, false)
+	const maxBody = 4096
+	f.Fuzz(func(t *testing.T, body string, withAttrs bool) {
+		req := func() *http.Request {
+			r := httptest.NewRequest("POST", "/v1/eval", strings.NewReader(body))
+			r.Body = http.MaxBytesReader(nil, r.Body, maxBody)
+			return r
+		}
+		attrs, d, err := decodeEval(req(), maxBody, withAttrs)
+		wantAttrs, want, wantErr := oracleDecodeEval(req(), withAttrs)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decodeEval err %v, oracle err %v", err, wantErr)
+		}
+		if err != nil {
+			status, eb, ok := classify(err)
+			wantStatus, wantEB, wantOK := classify(wantErr)
+			if !ok || !wantOK || status != wantStatus || eb.Code != wantEB.Code {
+				t.Fatalf("decodeEval answers %d %q (%v), oracle %d %q (%v)", status, eb.Code, err, wantStatus, wantEB.Code, wantErr)
+			}
+			return
+		}
+		if d.Schema.Fingerprint128() != want.Schema.Fingerprint128() {
+			t.Fatalf("schema %v, oracle %v", d.Schema, want.Schema)
+		}
+		if !reflect.DeepEqual(attrs, wantAttrs) {
+			t.Fatalf("attrs %q, oracle %q", attrs, wantAttrs)
+		}
+		for i, tab := range d.Tables {
+			if !tab.ToRelation().Equal(want.Tables[i].ToRelation()) {
+				t.Fatalf("table %d\n%v\noracle\n%v", i, tab, want.Tables[i])
+			}
+		}
+	})
 }

@@ -270,7 +270,10 @@
 // of two), so concurrent warm traffic scales across cores instead of
 // serializing behind one lock; engine.WithMaxEntries bounds it with
 // per-shard least-recently-used eviction, so adversarial schema churn
-// cannot grow it without limit.
+// cannot grow it without limit. Engine.AnalyzeText puts a text plane in
+// front of the memo, keyed by the exact schema text: a repeat answers the
+// resident session without parsing, and each entry keeps at most one text
+// key, which leaves with it on eviction.
 //
 // # Serving
 //
@@ -290,6 +293,14 @@
 //	POST /v1/workspaces/{id}/query      {"op": "verdict"|"jointree"|..., "epoch": n?}
 //	GET  /healthz, /statsz              liveness (503 while draining) and counters
 //	GET  /metricsz, /tracez             Prometheus metrics and retained slow traces (see Observability)
+//
+// The three schema endpoints (analyze, jointree, classify) hand the schema
+// text to the engine's text plane (Engine.AnalyzeText): a text repeated
+// byte for byte while its memo entry is resident answers without a parse,
+// a fingerprint or a hypergraph; any other text is parsed and probes the
+// fingerprint memo as before, and a parse error answers 400 "parse" and is
+// never cached. Either way the answer is byte-identical. The reduce, eval
+// and workspace endpoints parse their schema on every request.
 //
 // A /v1/reduce or /v1/eval table is {"attrs": [...], "rows": [[...], ...]},
 // one array of string cells per row in attrs order. The body is read once
@@ -414,7 +425,8 @@
 // nothing downstream), spans propagate by context through
 // server→engine→analysis→exec→dynamic: the server root records method,
 // path, tenant, deadline, status; engine.memo records hit/miss and edge
-// count; facet spans time MCS/spectrum/Graham computations, on frozen
+// count, and on the schema endpoints whether the request parsed its schema
+// (parsed), a parse timing as its hypergraph.parse child; facet spans time MCS/spectrum/Graham computations, on frozen
 // sessions and workspace handles alike (waiters that coalesced onto
 // another goroutine's computation get a facet.wait span instead); exec.eval/exec.reduce/exec.step record per-step target,
 // source, rows in/out, queueing wait, and the semijoin kernel the step ran

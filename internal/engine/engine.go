@@ -24,6 +24,16 @@
 // included — is memoized per fingerprint and classification is viable at
 // server scale.
 //
+// A text plane sits in front of the fingerprint memo (AnalyzeText): it maps
+// the exact schema text a session was parsed from to its memo entry, so a
+// byte-for-byte repeat of a schema answers without parsing, fingerprinting
+// or building a hypergraph. Map equality on the string is the byte
+// compare, so a text hit is the same content in every identity mode. The
+// plane follows the memo's rules: each entry holds at most one text key
+// (a different spelling of the same schema replaces it), an evicted
+// entry's key leaves with it, and the plane is sharded like the memo, by a
+// maphash of the text, so the warm path takes no global lock.
+//
 // The engine also hosts the component-granular memo plane of the dynamic
 // layer (InternComponent), which shares the shards, the WithMaxEntries
 // bound and the WithKeyedDigest posture.
@@ -31,6 +41,7 @@ package engine
 
 import (
 	"context"
+	"hash/maphash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -89,9 +100,13 @@ const keyedCacheMax = 4096
 // shard is one memo partition holding both memo planes: whole-hypergraph
 // Analysis sessions (memo) and the component-granular records of the
 // dynamic layer (cmemo), each with its own entry count but sharing the
-// recency clock and the mutex. The padding rounds the struct up to a full
-// 64-byte cache line (mutex 8 + two map headers 16 + counters 24 + 16), so
-// uncontended locks on neighboring shards do not false-share.
+// recency clock and the mutex. The slot also holds one partition of the
+// text plane (texts, see AnalyzeText) under its own lock: textMu is taken
+// alone or after some shard's mu, never before one, and its entries live
+// in whichever memo shard their fingerprint selects. The padding puts each
+// lock on its own 64-byte cache line (mutex 8 + two map headers 16 +
+// counters 24 + 16, then mutex 8 + map header 8 + 48), so uncontended
+// locks on neighboring shards and planes do not false-share.
 type shard struct {
 	mu    sync.Mutex
 	memo  map[uint64][]*entry  // fingerprint key -> entries (collision chain)
@@ -100,7 +115,14 @@ type shard struct {
 	cn    int                  // cmemo entries across all chains
 	clock uint64               // shard-local recency counter (see entry.seq)
 	_     [16]byte
+
+	textMu sync.Mutex
+	texts  map[string]*entry // exact schema text -> the entry its parse interned
+	_      [48]byte
 }
+
+// textSeed seeds the maphash that selects a text's text-plane shard.
+var textSeed = maphash.MakeSeed()
 
 // entry interns one hypergraph identity: the full 128-bit fingerprint
 // disambiguates key collisions, and the shared Analysis session carries
@@ -112,6 +134,7 @@ type entry struct {
 	an    *analysis.Analysis
 	key   uint64 // folded fingerprint: the entry's chain in shard.memo
 	seq   uint64 // shard clock at last touch; the eviction victim has the minimum
+	text  string // the entry's text-plane key, "" for none; guarded by the shard lock
 }
 
 // centry interns one connected component's analysis under its commutative
@@ -207,6 +230,7 @@ func (e *Engine) initShards(n int) {
 	for i := range e.shards {
 		e.shards[i].memo = make(map[uint64][]*entry)
 		e.shards[i].cmemo = make(map[uint64][]*centry)
+		e.shards[i].texts = make(map[string]*entry)
 	}
 	e.mask = uint64(size - 1)
 }
@@ -247,8 +271,10 @@ func (e *Engine) Stats() Stats {
 // FNV-128 collisions are negligible, but the digest is not a defense
 // against adversarially crafted schemas (see Fingerprint128). ctx carries
 // the span context for the chaos site, and hit reports the memo outcome so
-// AnalyzeCtx can attribute it on its span.
-func (e *Engine) entryFor(ctx context.Context, h *hypergraph.Hypergraph) (*entry, bool) {
+// callers can attribute it on their span. A non-empty text is the schema
+// text h was parsed from: it becomes the entry's text-plane key, under the
+// shard lock, so a concurrent eviction cannot leave it behind.
+func (e *Engine) entryFor(ctx context.Context, h *hypergraph.Hypergraph, text string) (*entry, bool) {
 	// Chaos site on the path of every memoized query. No error return here,
 	// so only delay and panic plans can fire (see fault.EngineAnalyze).
 	_ = fault.HitCtx(ctx, fault.EngineAnalyze)
@@ -268,8 +294,8 @@ func (e *Engine) entryFor(ctx context.Context, h *hypergraph.Hypergraph) (*entry
 	s.mu.Lock()
 	for _, en := range s.memo[key] {
 		if en.fp == fp && en.keyed == keyed {
-			en.seq = s.clock
-			s.clock++
+			s.touch(en)
+			e.keyText(en, text)
 			s.mu.Unlock()
 			e.hits.Add(1)
 			memoHits.Inc()
@@ -277,18 +303,57 @@ func (e *Engine) entryFor(ctx context.Context, h *hypergraph.Hypergraph) (*entry
 		}
 	}
 	if e.maxPerShard > 0 && s.n >= e.maxPerShard {
-		s.evictOldest()
+		e.dropText(s.evictOldest())
 		e.evictions.Add(1)
 		memoEvictions.Inc()
 	}
-	en := &entry{fp: fp, keyed: keyed, an: analysis.New(h), key: key, seq: s.clock}
-	s.clock++
+	en := &entry{fp: fp, keyed: keyed, an: analysis.New(h), key: key}
+	s.touch(en)
+	e.keyText(en, text)
 	s.memo[key] = append(s.memo[key], en)
 	s.n++
 	s.mu.Unlock()
 	e.misses.Add(1)
 	memoMisses.Inc()
 	return en, false
+}
+
+// touch stamps en with the shard clock. Callers hold the shard lock.
+func (s *shard) touch(en *entry) {
+	en.seq = s.clock
+	s.clock++
+}
+
+// textShard returns the shard whose text-plane partition holds text.
+func (e *Engine) textShard(text string) *shard {
+	return &e.shards[maphash.String(textSeed, text)&e.mask]
+}
+
+// keyText makes text en's one text-plane key, replacing any other spelling
+// it held. An empty text changes nothing. Callers hold en's shard lock.
+func (e *Engine) keyText(en *entry, text string) {
+	if text == "" || en.text == text {
+		return
+	}
+	e.dropText(en)
+	t := e.textShard(text)
+	t.textMu.Lock()
+	t.texts[text] = en
+	t.textMu.Unlock()
+	en.text = text
+}
+
+// dropText removes en's text-plane key, if it has one. Callers hold en's
+// shard lock (or en is nil, and nothing happens).
+func (e *Engine) dropText(en *entry) {
+	if en == nil || en.text == "" {
+		return
+	}
+	t := e.textShard(en.text)
+	t.textMu.Lock()
+	delete(t.texts, en.text)
+	t.textMu.Unlock()
+	en.text = ""
 }
 
 // keyedDigest returns the seeded confirmation digest of h, cached by
@@ -314,11 +379,12 @@ func (e *Engine) keyedDigest(h *hypergraph.Hypergraph) uint64 {
 	return d
 }
 
-// evictOldest removes the entry with the smallest recency stamp. The victim
-// scan is linear in the shard's population, which the WithMaxEntries cap
-// bounds — the price of not threading a linked list through the chains.
-// Callers hold the shard lock.
-func (s *shard) evictOldest() {
+// evictOldest removes the entry with the smallest recency stamp and returns
+// it (nil when the shard is empty). The victim scan is linear in the
+// shard's population, which the WithMaxEntries cap bounds — the price of
+// not threading a linked list through the chains. Callers hold the shard
+// lock.
+func (s *shard) evictOldest() *entry {
 	var victim *entry
 	for _, chain := range s.memo {
 		for _, en := range chain {
@@ -328,7 +394,7 @@ func (s *shard) evictOldest() {
 		}
 	}
 	if victim == nil {
-		return
+		return nil
 	}
 	chain := s.memo[victim.key]
 	for i, en := range chain {
@@ -343,6 +409,7 @@ func (s *shard) evictOldest() {
 		s.memo[victim.key] = chain
 	}
 	s.n--
+	return victim
 }
 
 // ComponentKey identifies one connected component's content for the
@@ -488,7 +555,7 @@ func (e *Engine) EdgeDigest(names []string) hypergraph.Fingerprint128 {
 // — is computed at most once per identity across the whole engine. The
 // handle is safe for concurrent use and must be treated as read-only.
 func (e *Engine) Analyze(h *hypergraph.Hypergraph) *analysis.Analysis {
-	en, _ := e.entryFor(context.Background(), h)
+	en, _ := e.entryFor(context.Background(), h, "")
 	return en.an
 }
 
@@ -498,9 +565,64 @@ func (e *Engine) Analyze(h *hypergraph.Hypergraph) *analysis.Analysis {
 // shared handle Analyze yields.
 func (e *Engine) AnalyzeCtx(ctx context.Context, h *hypergraph.Hypergraph) *analysis.Analysis {
 	ctx, sp := obs.StartSpan(ctx, "engine.memo")
-	en, hit := e.entryFor(ctx, h)
+	en, hit := e.entryFor(ctx, h, "")
 	sp.SetBool("hit", hit)
 	sp.SetInt("edges", int64(h.NumEdges()))
 	sp.End()
 	return en.an
+}
+
+// AnalyzeText returns the memoized Analysis session for the schema text
+// (see hypergraph.Parse): the session AnalyzeCtx(ctx, h) returns for the h
+// Parse builds from text. The text plane answers a byte-for-byte repeat of
+// a text whose entry is still resident without parsing, fingerprinting or
+// building a hypergraph; any other text is parsed, interned as AnalyzeCtx
+// interns it, and becomes its entry's text key. Parse errors are returned
+// unchanged and nothing is cached for them. The memo probe records as an
+// "engine.memo" span carrying the hit/miss outcome, whether this call
+// parsed, and the schema size; a parse runs in a "hypergraph.parse" child
+// span. A text hit counts as a memo hit, touches the entry's recency, and
+// passes the fault.EngineAnalyze chaos site as every memoized query does.
+func (e *Engine) AnalyzeText(ctx context.Context, text string) (*analysis.Analysis, error) {
+	ctx, sp := obs.StartSpan(ctx, "engine.memo")
+	en, hit, parsed, err := e.textEntry(ctx, text)
+	sp.SetBool("hit", hit)
+	sp.SetBool("parsed", parsed)
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	sp.SetInt("edges", int64(en.an.Hypergraph().NumEdges()))
+	sp.End()
+	return en.an, nil
+}
+
+// textEntry is AnalyzeText's memo probe: the text plane first, then a
+// parse and entryFor. parsed reports whether text was parsed.
+func (e *Engine) textEntry(ctx context.Context, text string) (en *entry, hit, parsed bool, err error) {
+	t := e.textShard(text)
+	t.textMu.Lock()
+	en = t.texts[text]
+	t.textMu.Unlock()
+	if en != nil {
+		// The key was resident when read, so en answers text even if an
+		// eviction drops it before the touch below; touching a dropped
+		// entry is harmless, as its shard no longer reaches it.
+		_ = fault.HitCtx(ctx, fault.EngineAnalyze)
+		s := &e.shards[en.key&e.mask]
+		s.mu.Lock()
+		s.touch(en)
+		s.mu.Unlock()
+		e.hits.Add(1)
+		memoHits.Inc()
+		return en, true, false, nil
+	}
+	_, psp := obs.StartSpan(ctx, "hypergraph.parse")
+	h, _, err := hypergraph.Parse(text)
+	psp.End()
+	if err != nil {
+		return nil, false, true, err
+	}
+	en, hit = e.entryFor(ctx, h, text)
+	return en, hit, true, nil
 }

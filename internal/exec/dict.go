@@ -10,8 +10,8 @@
 //   - Table: a set-semantics relation as per-attribute int32 columns over a
 //     shared value Dict. Three loaders fill it: FromRelation (and
 //     FromRelations for a whole database) from internal/relation, LoadCSV
-//     from CSV, and ScanJSONRows (FromJSONRows for a whole buffer) from
-//     JSON rows straight from the bytes of a request body.
+//     from CSV, and ScanJSONRows from JSON rows straight from the bytes of
+//     a request body, in place.
 //   - Semijoin / Join / Project: serial hash kernels on column ids, each
 //     observing context cancellation every ~4096 rows.
 //   - Database: a schema (hypergraph) bound to one Table per edge, all

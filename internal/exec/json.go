@@ -1,40 +1,15 @@
 package exec
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
-// FromJSONRows builds a table from a JSON rows value, an array of rows each
-// holding one string cell per attribute in the order of attrs, as it
-// arrives in a request body. It builds what json.Unmarshal into [][]string
-// followed by FromRows builds, errors included: a null rows value is no
-// rows, a null row has width 0, and a null cell reads as "".
-//
-// It is ScanJSONRows over the whole of raw. Rows that pass take that one
-// scan; anything else, such as malformed JSON, a non-string cell, a row of
-// the wrong width, bad attribute names or bytes after the value, goes
-// through json.Unmarshal and FromRows, so the error is theirs: a
-// *json.SyntaxError or *json.UnmarshalTypeError when raw is not rows of
-// strings, FromRows's error otherwise.
-func FromJSONRows(dict *Dict, attrs []string, raw []byte) (*Table, error) {
-	if t, next, ok := ScanJSONRows(dict, attrs, raw, 0); ok {
-		s := jsonScanner{b: raw, i: next}
-		if s.space(); s.i == len(raw) {
-			return t, nil
-		}
-	}
-	var rows [][]string
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		return nil, fmt.Errorf("exec: rows: %w", err)
-	}
-	return FromRows(dict, attrs, rows)
-}
+import "encoding/json"
 
 // ScanJSONRows reads the JSON rows value that starts at b[i], after any
 // whitespace, in one pass, and returns its table and the offset just past
-// the value. Bytes after the value are not looked at, so a caller scanning
-// a larger document, such as a request envelope, reads the rows in place.
+// the value: an array of rows each holding one string cell per attribute
+// in the order of attrs. The table is the one json.Unmarshal into
+// [][]string followed by FromRows builds: a null rows value is no rows, a
+// null row has width 0, and a null cell reads as "". Bytes after the value
+// are not looked at, so a caller scanning a larger document, such as a
+// request envelope, reads the rows in place.
 //
 // Each cell is interned into dict straight from the bytes: a value already
 // in dict costs one map probe and no allocation, and a first sight copies
@@ -43,10 +18,10 @@ func FromJSONRows(dict *Dict, attrs []string, raw []byte) (*Table, error) {
 // invalid-UTF-8 replacement match encoding/json.
 //
 // ok is false when the value is not rows of strings of the width of attrs,
-// or attrs are invalid; the caller then owes the error, which
-// FromJSONRows takes from encoding/json and FromRows. The cells interned
-// before the scan gave up stay in dict, as they do when FromRows fails
-// part way.
+// or attrs are invalid. The caller then owes the error, and takes it from
+// the path the scan stands in for, json.Unmarshal and FromRows, which
+// reject every value the scan rejects. The cells interned before the scan
+// gave up stay in dict, as they do when FromRows fails part way.
 func ScanJSONRows(dict *Dict, attrs []string, b []byte, i int) (t *Table, next int, ok bool) {
 	t, err := NewTable(dict, attrs)
 	if err != nil {

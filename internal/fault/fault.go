@@ -38,8 +38,10 @@ import (
 // error, it simply cannot fire the way the plan hoped (a KindError armed at
 // a void site still delays/panics but its Err is discarded by the caller).
 const (
-	// EngineAnalyze sits in engine.(*Engine).entryFor, on the path of every
-	// memoized query (Analyze, AnalyzeCtx).
+	// EngineAnalyze sits on the path of every memoized query (Analyze,
+	// AnalyzeCtx, AnalyzeText): in engine.(*Engine).entryFor, and on
+	// AnalyzeText's text-plane hits, which skip entryFor. A text that
+	// fails to parse never reaches it.
 	// Honors: KindDelay, KindPanic. (The site has no error return.)
 	EngineAnalyze = "engine.analyze"
 	// EngineIntern sits at the head of engine.(*Engine).InternComponent,

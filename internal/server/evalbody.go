@@ -23,8 +23,7 @@ import (
 // struct has them. Any other body, and any body the scan finds wrong,
 // takes the path the scan stands in for: encoding/json decodes the
 // envelope with the rows as [][]string, and exec.FromRows loads each
-// table, so the answer, errors included, is theirs. That is the fallback
-// exec.FromJSONRows makes for one rows value, made for the whole body.
+// table, so the answer, errors included, is theirs.
 
 // readBody reads r's body into one buffer, presized from Content-Length
 // capped at limit, the body cap. It returns the bytes read and the error

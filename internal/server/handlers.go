@@ -26,7 +26,11 @@ import (
 // lists plus string rows. encoding/json decodes every body, except that an
 // eval body of the usual shape is read once and scanned once by hand, its
 // rows read into exec columns where they sit (see decodeEval and
-// loadEval); any other eval body is decoded into these structs.
+// loadEval); any other eval body is decoded into these structs. The schema
+// endpoints (analyze, jointree, classify) hand the schema text to
+// Engine.AnalyzeText, so a byte-for-byte repeat of a resident schema is
+// answered from the memo without a parse; eval, reduce and workspace
+// create parse theirs with parseSchema.
 
 type schemaRequest struct {
 	Schema string `json:"schema"`
@@ -76,15 +80,15 @@ func (s *Server) handleAnalyze(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	h, err := parseSchema(req.Schema)
+	a, err := s.eng.AnalyzeText(r.Context(), req.Schema)
 	if err != nil {
 		return nil, err
 	}
-	a := s.eng.AnalyzeCtx(r.Context(), h)
 	acyclic, err := a.VerdictCtx(r.Context())
 	if err != nil {
 		return nil, err
 	}
+	h := a.Hypergraph()
 	return map[string]any{
 		"acyclic": acyclic,
 		"nodes":   h.NumNodes(),
@@ -97,11 +101,10 @@ func (s *Server) handleJoinTree(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	h, err := parseSchema(req.Schema)
+	a, err := s.eng.AnalyzeText(r.Context(), req.Schema)
 	if err != nil {
 		return nil, err
 	}
-	a := s.eng.AnalyzeCtx(r.Context(), h)
 	jt, err := a.JoinTreeCtx(r.Context())
 	if err != nil {
 		return nil, err
@@ -122,13 +125,13 @@ func (s *Server) handleClassify(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	h, err := parseSchema(req.Schema)
+	a, err := s.eng.AnalyzeText(r.Context(), req.Schema)
 	if err != nil {
 		return nil, err
 	}
 	// The polynomial spectrum testers poll ctx in-traversal, so the request
 	// deadline is the admission control — no size cap needed.
-	res, err := s.eng.AnalyzeCtx(r.Context(), h).SpectrumCtx(r.Context())
+	res, err := a.SpectrumCtx(r.Context())
 	if err != nil {
 		return nil, err
 	}

@@ -387,7 +387,7 @@ func evalCmd(w io.Writer, h *repro.Hypergraph, names []string, dir string, attrs
 	}
 	tab.Render(w)
 	fmt.Fprintf(w, "full reduction: %d -> %d rows in %v\n", res.Reduce.RowsIn, res.Reduce.RowsOut, res.Reduce.Elapsed)
-	fmt.Fprintf(w, "join phase:     %d rows joining the canonical connection\n\n", res.JoinRows)
+	fmt.Fprintf(w, "join phase:     %d row pairs matched joining the canonical connection\n\n", res.JoinRows)
 	fmt.Fprintf(w, "π{%s}(⋈ all objects): %d rows\n", strings.Join(attrs, " "), res.Out.NumRows())
 	// Print straight off the columnar table: the result can be large, and
 	// only a bounded prefix is shown — no reason to decode every row.

@@ -213,9 +213,11 @@
 // sacred, a per-query plan built from the tree and X alone, leaves exactly
 // the objects and attributes π_X needs. If any reduced object is empty the
 // answer is empty; components without a query attribute are never joined.
-// The surviving objects join bottom-up along the reduced tree, and every
-// intermediate is projected after each child onto X plus the attributes
-// its parent and its children still to be joined share with it, so the
+// The surviving objects join bottom-up along the reduced tree, and each
+// child join emits only distinct projected rows: one fused kernel probes
+// the child and writes just the cells of X plus the attributes the node's
+// parent and its children still to be joined share with it, dropping a
+// row already written, so the unprojected join is never built and the
 // join phase materializes only rows of the canonical connection —
 // evaluation is output-sensitive instead of intermediate-bound. An
 // 8-object × 10⁵-row chain database reduces in ~80 ms and evaluates end to
@@ -246,8 +248,10 @@
 // filter over dictionary value ids (no hashing), as long as the database's
 // dictionary is no larger than its cell count; every other step probes a
 // flat hash table (chain heads over a power-of-two bucket array, one next
-// link and stored hash per row), the same table the joins probe and the
-// projections dedup through.
+// link and stored hash per row), the same table the joins probe and an
+// object's projection dedups through. A join that drops attributes
+// dedups its output as it writes it, in an open-addressing row set sized
+// from its larger input, so the unprojected join is never allocated.
 //
 // The determinism contract: a run's output is a function of its input —
 // same rows in the same order, same per-step RowsIn/RowsOut in the full
@@ -431,8 +435,10 @@
 // another goroutine's computation get a facet.wait span instead); exec.eval/exec.reduce/exec.step record per-step target,
 // source, rows in/out, queueing wait, and the semijoin kernel the step ran
 // (kernel=dense|hash), and exec.eval how many objects the canonical
-// connection joined and pruned (joinNodes, prunedNodes) and the rows the
-// join phase materialized (joinRows); dynamic.settle and
+// connection joined and pruned (joinNodes, prunedNodes); exec.join times
+// the join phase after the reduction, and it and exec.eval carry joinRows,
+// the row pairs the phase's joins matched (what unfused joins would have
+// built), and rowsOut, the answer's rows; dynamic.settle and
 // dynamic.component cover workspace recomputation. Span buffers are
 // bounded per trace (default 512; overflow is counted, not grown).
 //

@@ -115,7 +115,7 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\nsynthetic chain (6 objects × 5000 rows): reduced %d -> %d rows, output %d rows\n",
 		bres.Reduce.RowsIn, bres.Reduce.RowsOut, bres.Out.NumRows())
-	fmt.Fprintf(w, "join phase materialized %d rows joining the canonical connection (output-sensitive after reduction)\n",
+	fmt.Fprintf(w, "join phase matched %d row pairs joining the canonical connection (output-sensitive after reduction)\n",
 		bres.JoinRows)
 	return nil
 }

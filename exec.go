@@ -26,7 +26,7 @@ type (
 	// columnar database: the reduced database plus per-step stats.
 	ReduceResult = exec.ReduceResult
 	// EvalResult is the outcome of a full Yannakakis evaluation: the output
-	// table, the embedded reduction, and the rows materialized while joining
+	// table, the embedded reduction, and the row pairs matched while joining
 	// the canonical connection.
 	EvalResult = exec.EvalResult
 )

@@ -494,8 +494,9 @@ func (a *Analysis) Reduce(ctx context.Context, d *exec.Database) (*exec.ReduceRe
 // full Yannakakis strategy: the session's full reducer makes every object
 // globally consistent, then only the objects of the canonical connection of
 // attrs are joined, bottom-up along the session's join tree reduced to that
-// connection, with projection after every child; the join phase
-// materializes only rows of the canonical connection (see exec.Eval). d's
+// connection, each child join emitting only distinct projected rows; the
+// join phase matches only row pairs of the canonical connection (see
+// exec.Eval). d's
 // schema must be the session's hypergraph (content-equal); cyclic schemas
 // report ErrCyclicSchema. Cancellation is observed inside the kernels every
 // ~4096 rows.

@@ -70,8 +70,8 @@ func benchBushy(rows, domain int) (*exec.Database, *jointree.JoinTree) {
 }
 
 // BenchmarkExecEval runs the full Yannakakis pipeline (reduce, then the
-// bottom-up join of the canonical connection with projection after every
-// child). The chains project onto their two endpoint attributes — the
+// bottom-up join of the canonical connection, each child join emitting only
+// distinct projected rows). The chains project onto their two endpoint attributes — the
 // query whose naive plan materializes the whole chain join. The bushy case
 // queries two leaves, {G, J}, whose canonical connection is the path
 // {D,G}-{A,D}-{A,J}: the join phase skips the other five objects.

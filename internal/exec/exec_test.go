@@ -299,6 +299,10 @@ func TestEvalChain(t *testing.T) {
 	if res.Reduce == nil || res.Reduce.RowsOut != 6 {
 		t.Fatalf("embedded reduction missing or wrong: %+v", res.Reduce)
 	}
+	// Each of the two child joins matches two row pairs.
+	if res.JoinRows != 4 {
+		t.Fatalf("JoinRows = %d, want 4", res.JoinRows)
+	}
 }
 
 func TestEvalValidation(t *testing.T) {
@@ -335,6 +339,49 @@ func TestCancellation(t *testing.T) {
 	}
 	if _, err := Project(ctx, r, []string{"A"}); err != context.Canceled {
 		t.Errorf("Project on cancelled ctx: err = %v", err)
+	}
+}
+
+// countdownCtx answers Err with nil n times, then with context.Canceled:
+// a context cancelled partway through a kernel.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestJoinProjectCancelsOnMatches: a 3·cancelStride × 8 cross product
+// projected onto one constant column collapses to a single row, yet the
+// fused kernel still sees cancellation. The row checks alone poll the
+// context 4 times here (3 on r, 1 building s's probe table), so a context
+// cancelled after 8 polls is seen only through the checks on matches.
+func TestJoinProjectCancelsOnMatches(t *testing.T) {
+	d := NewDict()
+	rows := make([][]string, 3*cancelStride)
+	for i := range rows {
+		rows[i] = []string{strconv.Itoa(i), "k"}
+	}
+	r := mustTable(t, d, []string{"A", "B"}, rows...)
+	s := mustTable(t, d, []string{"C"}, []string{"0"}, []string{"1"}, []string{"2"}, []string{"3"},
+		[]string{"4"}, []string{"5"}, []string{"6"}, []string{"7"})
+	out, matches, err := joinProject(context.Background(), r, s, []string{"B"})
+	if err != nil || out.NumRows() != 1 || matches != r.NumRows()*s.NumRows() {
+		t.Fatalf("uncancelled: %d rows, %d matches, err %v; want 1 row, %d matches",
+			out.NumRows(), matches, err, r.NumRows()*s.NumRows())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []context.Context{ctx, &countdownCtx{Context: context.Background(), n: 8}} {
+		if _, _, err := joinProject(c, r, s, []string{"B"}); err != context.Canceled {
+			t.Fatalf("joinProject on %T: err = %v, want context.Canceled", c, err)
+		}
 	}
 }
 

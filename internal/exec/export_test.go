@@ -23,6 +23,10 @@ func SemijoinDense(ctx context.Context, r, s *Table, st *Stamps) (*Table, error)
 	return out, err
 }
 
+// JoinProject is the fused join-and-project kernel: π_keep(r ⋈ s) and
+// |r ⋈ s|.
+var JoinProject = joinProject
+
 // DenseFits reports whether Reduce may pick the dense kernel for d.
 var DenseFits = denseFits
 

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -136,5 +138,133 @@ func TestDenseSemijoinCancellation(t *testing.T) {
 	}
 	if _, err := exec.Reduce(ctx, d, jt); err != context.Canceled {
 		t.Fatalf("dense reduce on cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// nestedLoopJoinProject is the fused kernel's reference: for each row of r,
+// for each row of s ascending, the keep cells of every agreeing pair, in
+// that order, each distinct row once. It returns the rows with the number
+// of agreeing pairs, and uses no hashing at all.
+func nestedLoopJoinProject(r, s *exec.Table, keep []string) (rows [][]string, pairs int) {
+	cell := func(t *exec.Table, row int, a string) (string, bool) {
+		for c := 0; c < t.NumAttrs(); c++ {
+			if t.Attr(c) == a {
+				return t.Value(row, c), true
+			}
+		}
+		return "", false
+	}
+	seen := map[string]bool{}
+	for i := 0; i < r.NumRows(); i++ {
+		for j := 0; j < s.NumRows(); j++ {
+			agree := true
+			for c := 0; c < r.NumAttrs() && agree; c++ {
+				v, ok := cell(s, j, r.Attr(c))
+				agree = !ok || v == r.Value(i, c)
+			}
+			if !agree {
+				continue
+			}
+			pairs++
+			row := make([]string, len(keep))
+			for k, a := range keep {
+				v, ok := cell(r, i, a)
+				if !ok {
+					v, _ = cell(s, j, a)
+				}
+				row[k] = v
+			}
+			if key := strings.Join(row, "\x00"); !seen[key] {
+				seen[key] = true
+				rows = append(rows, row)
+			}
+		}
+	}
+	return rows, pairs
+}
+
+// TestJoinProjectMatchesNestedLoop is the fused kernel's differential: on
+// randomized table pairs — cross products among them, empty sides, and
+// dictionaries padded far beyond the input — π_keep(r ⋈ s) must equal the
+// nested-loop reference row for row, for keep empty, every attribute, r's,
+// s's, the shared ones, and random subsets in random order; and the match count must be
+// |r ⋈ s| as internal/relation computes it.
+func TestJoinProjectMatchesNestedLoop(t *testing.T) {
+	ctx := context.Background()
+	crosses := 0
+	for trial := 0; trial < 300; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		dict := exec.NewDict()
+		if trial%3 == 0 {
+			for i := 0; i < 5000; i++ {
+				dict.Intern("pad-" + strconv.Itoa(i))
+			}
+		}
+		maxRows := 30
+		if trial%25 == 0 {
+			maxRows = 400
+		}
+		r, s := randomTable(rng, dict, maxRows), randomTable(rng, dict, maxRows)
+		var all, shared []string
+		for _, a := range []string{"A", "B", "C", "D"} {
+			inR, inS := slices.Contains(r.Attrs(), a), slices.Contains(s.Attrs(), a)
+			if inR || inS {
+				all = append(all, a)
+			}
+			if inR && inS {
+				shared = append(shared, a)
+			}
+		}
+		if len(shared) == 0 {
+			crosses++
+		}
+		keeps := [][]string{{}, all, r.Attrs(), s.Attrs(), shared}
+		for k := 0; k < 3; k++ {
+			var sub []string
+			for _, a := range all {
+				if rng.Intn(2) == 0 {
+					sub = append(sub, a)
+				}
+			}
+			rng.Shuffle(len(sub), func(i, j int) { sub[i], sub[j] = sub[j], sub[i] })
+			keeps = append(keeps, sub)
+		}
+		wantPairs := r.ToRelation().Join(s.ToRelation()).Card()
+		for _, keep := range keeps {
+			label := fmt.Sprintf("trial %d (%v ⋈ %v, %d ⋈ %d rows) keep %v",
+				trial, r.Attrs(), s.Attrs(), r.NumRows(), s.NumRows(), keep)
+			got, matches, err := exec.JoinProject(ctx, r, s, keep)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			rows, pairs := nestedLoopJoinProject(r, s, keep)
+			want, err := exec.FromRows(dict, keep, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			identicalTables(t, label, want, got)
+			if pairs != wantPairs || matches != wantPairs {
+				t.Fatalf("%s: %d matches, nested loop %d pairs, relation.Join %d rows",
+					label, matches, pairs, wantPairs)
+			}
+		}
+	}
+	if crosses == 0 {
+		t.Fatal("no trial drew a pair without shared attributes")
+	}
+}
+
+// TestEvalBushyJoinRows pins JoinRows, the row pairs the join phase
+// matches, on the eval benchmark's bushy instance, where the join phase
+// collapses most of them: a query on {G, J} matches 29,728 pairs for a
+// 900-row answer.
+func TestEvalBushyJoinRows(t *testing.T) {
+	db, jt := benchBushy(1000, 30)
+	res, err := exec.Eval(context.Background(), db, jt, []string{"G", "J"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.JoinRows != 29728 || res.Out.NumRows() != 900 {
+		t.Fatalf("JoinRows = %d, rows = %d; want 29728 and 900", res.JoinRows, res.Out.NumRows())
 	}
 }

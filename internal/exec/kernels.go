@@ -5,16 +5,20 @@ package exec
 //
 //   - Semijoin keeps r's surviving rows in r's order.
 //   - The probe table links its chains in descending row order, so every
-//     chain lists its rows ascending, and Join emits each probe row's
-//     matches in that order.
+//     chain lists its rows ascending.
+//   - The fused join (joinProject, and Join, which keeps every attribute)
+//     visits r's rows ascending and each row's chain matches ascending,
+//     writes only the kept cells of each pair, and keeps the first
+//     occurrence of every written row: its output is Project(Join(r, s),
+//     keep) row for row, without the unprojected join.
 //   - Projection keeps the first equal row of every chain in row order.
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // cancelStride is how many rows a kernel processes between context checks.
@@ -208,66 +212,173 @@ func denseFilter(ctx context.Context, rcol, scol []int32, dictLen int, st *stamp
 }
 
 // Join returns the natural join r ⋈ s over the sorted union of the
-// attribute lists; with no shared attributes it is the cross product. The
-// inputs' rows are distinct, so the output rows are distinct too (two
-// result rows coincide only if their generating row pairs do). The two
+// attribute lists; with no shared attributes it is the cross product. It is
+// joinProject keeping every attribute, so it builds no dedup set. The two
 // tables must share a Dict.
 func Join(ctx context.Context, r, s *Table) (*Table, error) {
+	out, _, err := joinProject(ctx, r, s, unionAttrs(r.attrs, s.attrs))
+	return out, err
+}
+
+// unionAttrs returns the sorted union of two attribute lists.
+func unionAttrs(a, b []string) []string {
+	u := slices.Concat(a, b)
+	slices.Sort(u)
+	return slices.Compact(u)
+}
+
+// feed routes one input column into one output column.
+type feed struct{ out, col int }
+
+// joinProject returns π_keep(r ⋈ s) and matches = |r ⋈ s|, the row pairs
+// that join, without building r ⋈ s: each matching pair writes only its
+// keep cells, and a rowSet drops a row equal to one already written. The
+// output is Project(Join(r, s), keep) row for row, because pairs are visited
+// in Join's order and the first occurrence of a row is the one kept. When
+// keep is every attribute of r ⋈ s the set is skipped: distinct inputs join
+// to distinct rows (two result rows coincide only if their generating pairs
+// do). Cancellation is observed on r's rows and on matches, so a cross
+// product that projects to a handful of rows still stops. keep may list
+// attributes in any order and repeat them; one of neither table is an
+// error. The two tables must share a Dict.
+func joinProject(ctx context.Context, r, s *Table, keep []string) (*Table, int, error) {
 	if r.dict != s.dict {
-		return nil, fmt.Errorf("exec: join across distinct dictionaries")
+		return nil, 0, fmt.Errorf("exec: join across distinct dictionaries")
 	}
 	rIdx, sIdx := sharedCols(r, s)
-	outAttrs := make([]string, 0, len(r.attrs)+len(s.attrs)-len(rIdx))
-	outAttrs = append(outAttrs, r.attrs...)
-	for _, a := range s.attrs {
-		if r.colIndex(a) < 0 {
-			outAttrs = append(outAttrs, a)
-		}
-	}
-	sort.Strings(outAttrs)
-	// Source of each output column: from r when present, else from s.
-	type src struct {
-		fromR bool
-		col   int
-	}
-	srcs := make([]src, len(outAttrs))
-	for c, a := range outAttrs {
+	attrs := slices.Compact(slices.Sorted(slices.Values(keep)))
+	// A shared attribute is fed from r; s feeds only its own.
+	var rFeed, sFeed []feed
+	for c, a := range attrs {
 		if i := r.colIndex(a); i >= 0 {
-			srcs[c] = src{fromR: true, col: i}
+			rFeed = append(rFeed, feed{c, i})
+		} else if j := s.colIndex(a); j >= 0 {
+			sFeed = append(sFeed, feed{c, j})
 		} else {
-			srcs[c] = src{col: s.colIndex(a)}
+			return nil, 0, fmt.Errorf("exec: projection on unknown attribute %q", a)
 		}
 	}
+	dedup := len(attrs) < len(r.attrs)+len(s.attrs)-len(rIdx)
 	pt, err := buildTable(ctx, s, sIdx)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out := &Table{dict: r.dict, attrs: outAttrs, cols: make([][]int32, len(outAttrs))}
+	out := &Table{dict: r.dict, attrs: attrs, cols: make([][]int32, len(attrs))}
+	var set rowSet
+	if dedup {
+		set = newRowSet(max(r.rows, s.rows))
+	}
+	matches := 0
 	for i := 0; i < r.rows; i++ {
 		if err := checkEvery(ctx, i); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		h := hashCells(r.cols, rIdx, i)
+		// A written row's hash folds r's kept cells once per r row, then
+		// each match's s cells.
+		var hr uint64
+		if dedup {
+			hr = foldCells(fnvOffset64, r.cols, rFeed, i)
+		}
 		for j := pt.first(h); j >= 0; j = pt.next[j] {
 			if pt.hash[j] != h || !equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
 				continue
 			}
-			// The output can be much larger than either input (cross
-			// products), so cancellation is also observed on emitted rows.
-			if err := checkEvery(ctx, out.rows); err != nil {
-				return nil, err
+			if err := checkEvery(ctx, matches); err != nil {
+				return nil, 0, err
+			}
+			matches++
+			if dedup && !set.add(foldCells(hr, s.cols, sFeed, int(j)), func(k int) bool {
+				return fedFrom(out, k, rFeed, r, i) && fedFrom(out, k, sFeed, s, int(j))
+			}) {
+				continue
+			}
+			for _, f := range rFeed {
+				out.cols[f.out] = append(out.cols[f.out], r.cols[f.col][i])
+			}
+			for _, f := range sFeed {
+				out.cols[f.out] = append(out.cols[f.out], s.cols[f.col][j])
 			}
 			out.rows++
-			for c, sc := range srcs {
-				if sc.fromR {
-					out.cols[c] = append(out.cols[c], r.cols[sc.col][i])
-				} else {
-					out.cols[c] = append(out.cols[c], s.cols[sc.col][j])
-				}
-			}
 		}
 	}
-	return out, nil
+	return out, matches, nil
+}
+
+// foldCells folds the cells feeds draw from row of cols into hash h.
+func foldCells(h uint64, cols [][]int32, feeds []feed, row int) uint64 {
+	for _, f := range feeds {
+		h = mixCell(h, cols[f.col][row])
+	}
+	return h
+}
+
+// fedFrom reports whether out's row k holds the cells feeds draw from t's
+// row.
+func fedFrom(out *Table, k int, feeds []feed, t *Table, row int) bool {
+	for _, f := range feeds {
+		if out.cols[f.out][k] != t.cols[f.col][row] {
+			return false
+		}
+	}
+	return true
+}
+
+// rowSet is joinProject's dedup set over the rows written so far: open
+// addressing with linear probing, never more than three quarters full. A
+// slot packs the low 32 bits of its row's hash, which fix the row's bucket
+// at every size up to 2³² slots, above row+1; 0 is empty. A probe thus
+// compares hashes without leaving the slot array, and runs of eight slots
+// share a cache line, which is what lets the load run this high.
+type rowSet struct {
+	slots []uint64
+	rows  int
+}
+
+// newRowSet returns a set of at least 2n slots, room for 1.5n rows before
+// it first doubles. joinProject passes its larger input's size: after full
+// reduction every row joins, so the output is rarely much smaller, and the
+// set costs no more than the probe table and scan the kernel already pays
+// for. Starting small and doubling instead spent a tenth of a 10⁵-row
+// chain evaluation in grow.
+func newRowSet(n int) rowSet {
+	return rowSet{slots: make([]uint64, 1<<bits.Len(uint(2*max(n, 1)-1)))}
+}
+
+// add registers the next row, with hash h, unless a row same accepts is
+// already in the set; it reports whether the row was new.
+func (rs *rowSet) add(h uint64, same func(k int) bool) bool {
+	mask, tag := uint64(len(rs.slots)-1), h<<32
+	b := h & mask
+	for ; rs.slots[b] != 0; b = (b + 1) & mask {
+		if v := rs.slots[b]; v&^math.MaxUint32 == tag && same(int(uint32(v))-1) {
+			return false
+		}
+	}
+	rs.rows++
+	rs.slots[b] = tag | uint64(rs.rows)
+	if 4*rs.rows > 3*len(rs.slots) {
+		rs.grow()
+	}
+	return true
+}
+
+// grow doubles the slot array and moves every slot to its bucket there;
+// the rows are distinct, so no cells are compared.
+func (rs *rowSet) grow() {
+	old := rs.slots
+	rs.slots = make([]uint64, 2*len(old))
+	mask := uint64(len(rs.slots) - 1)
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		b := v >> 32 & mask
+		for rs.slots[b] != 0 {
+			b = (b + 1) & mask
+		}
+		rs.slots[b] = v
+	}
 }
 
 // Project returns π_attrs(t) with duplicate result rows removed, keeping

@@ -41,11 +41,12 @@ type EvalResult struct {
 	Out *Table
 	// Reduce is the embedded reduction phase with its per-step stats.
 	Reduce *ReduceResult
-	// JoinRows counts the rows materialized while joining the canonical
-	// connection of the query attributes: the sum of every join's output
-	// across the join phase. It is the output-sensitivity metric: after
-	// full reduction the objects outside the canonical connection are never
-	// joined, and the joined ones are projected after every child.
+	// JoinRows counts the row pairs matched while joining the canonical
+	// connection of the query attributes: the sum over the join phase's
+	// joins of the rows an unprojected join would have built. None is
+	// built: each join writes only the distinct projected rows. It is the
+	// output-sensitivity metric: after full reduction the objects outside
+	// the canonical connection are never joined.
 	JoinRows int
 	Elapsed  time.Duration
 }
@@ -157,10 +158,11 @@ func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree) (*ReduceR
 // join tree of the schema, joining only the canonical connection of attrs:
 // Reduce, then Graham-reduce the tree with attrs sacred (see
 // planConnection) and join the surviving objects bottom-up along the
-// reduced forest. Every object, and every accumulator after each child
-// join, is projected onto the query attributes plus those its kept parent
-// and its children still to be joined share with it, so JoinRows counts
-// only rows materialized while joining the canonical connection. If any
+// reduced forest. Every object is projected, and each child join emits
+// only distinct projected rows (joinProject), onto the query attributes
+// plus those its kept parent and its children still to be joined share
+// with it, so the join phase only matches row pairs of the canonical
+// connection (JoinRows) and never builds an unprojected join. If any
 // reduced object is empty the answer is empty; otherwise components that
 // carry no query attribute are never joined, and the components that do
 // are cross-joined. Each node applies its child joins in child order. The
@@ -203,6 +205,8 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		return nil, err
 	}
 	res := &EvalResult{Reduce: red}
+	jctx, jsp := obs.StartSpan(ctx, "exec.join")
+	defer jsp.End()
 	reduced := red.DB.Tables
 	plan := planConnection(tree, want)
 	esp.SetInt("joinNodes", int64(len(plan.nodes)))
@@ -210,8 +214,10 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 	finish := func(out *Table) (*EvalResult, error) {
 		res.Out = out
 		res.Elapsed = time.Since(start)
-		esp.SetInt("joinRows", int64(res.JoinRows))
-		esp.SetInt("rowsOut", int64(out.rows))
+		for _, sp := range []*obs.Span{esp, jsp} {
+			sp.SetInt("joinRows", int64(res.JoinRows))
+			sp.SetInt("rowsOut", int64(out.rows))
+		}
 		return res, nil
 	}
 	// After full reduction an empty object empties the whole join, whether
@@ -221,6 +227,13 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		return finish(&Table{dict: d.Dict(), attrs: uniq, cols: make([][]int32, len(uniq))})
 	}
 
+	// join runs one fused join of the phase, counting the pairs the
+	// unfused join would have built.
+	join := func(acc, sub *Table, keep []string) (*Table, error) {
+		out, matches, err := joinProject(jctx, acc, sub, keep)
+		res.JoinRows += matches
+		return out, err
+	}
 	// buildAll computes the subtree tables of vs in order.
 	var build func(v int) (*Table, error)
 	buildAll := func(vs []int) ([]*Table, error) {
@@ -233,47 +246,39 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		}
 		return subs, nil
 	}
-	// build joins v's projected object with its kept subtrees, one child at
-	// a time, projecting after every join.
+	// build projects v's object, then joins its kept subtrees into it one
+	// child at a time, each join keeping only what v's later joins need.
 	build = func(v int) (*Table, error) {
 		kids := plan.children[v]
 		subs, err := buildAll(kids)
 		if err != nil {
 			return nil, err
 		}
-		acc := reduced[v]
-		for i := 0; ; i++ {
-			if acc, err = Project(ctx, acc, plan.need(acc.attrs, v, kids[i:])); err != nil || i == len(subs) {
-				return acc, err
-			}
-			if acc, err = Join(ctx, acc, subs[i]); err != nil {
-				return nil, err
-			}
-			res.JoinRows += acc.rows
+		acc, err := Project(jctx, reduced[v], plan.need(reduced[v].attrs, v, kids))
+		for i := 0; err == nil && i < len(subs); i++ {
+			acc, err = join(acc, subs[i], plan.need(unionAttrs(acc.attrs, subs[i].attrs), v, kids[i+1:]))
 		}
+		return acc, err
 	}
 	subs, err := buildAll(plan.roots)
 	if err != nil {
 		return nil, err
 	}
 	// With no kept node (no query attribute) the answer is the one empty
-	// tuple: every object is nonempty.
+	// tuple: every object is nonempty. Kept roots lie in distinct
+	// components and each carries only query attributes, so their cross
+	// product keeps every cell and covers exactly the query attributes.
 	acc := &Table{dict: d.Dict(), attrs: []string{}, cols: [][]int32{}, rows: 1}
 	for i, sub := range subs {
 		if i == 0 {
 			acc = sub
 			continue
 		}
-		if acc, err = Join(ctx, acc, sub); err != nil {
+		if acc, err = join(acc, sub, unionAttrs(acc.attrs, sub.attrs)); err != nil {
 			return nil, err
 		}
-		res.JoinRows += acc.rows
 	}
-	out, err := Project(ctx, acc, attrs)
-	if err != nil {
-		return nil, err
-	}
-	return finish(out)
+	return finish(acc)
 }
 
 // connection is the join plan of one query: the nodes of the join forest

@@ -157,12 +157,18 @@ const (
 func hashCells(cols [][]int32, idx []int, row int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range idx {
-		v := uint32(cols[c][row])
-		h ^= uint64(v & 0xff)
-		h *= fnvPrime64
-		h ^= uint64(v >> 8)
-		h *= fnvPrime64
+		h = mixCell(h, cols[c][row])
 	}
+	return h
+}
+
+// mixCell folds one cell into an FNV-1a hash.
+func mixCell(h uint64, v int32) uint64 {
+	u := uint32(v)
+	h ^= uint64(u & 0xff)
+	h *= fnvPrime64
+	h ^= uint64(u >> 8)
+	h *= fnvPrime64
 	return h
 }
 

@@ -81,8 +81,8 @@ func attrInt(t *testing.T, n *spanNode, key string) int64 {
 // TestTracezEvalSpanTree is the end-to-end attribution check: one /v1/eval
 // request under tracing yields a /tracez span tree whose layers — server
 // admission, engine memo, analysis facet, executor eval/reduce and every
-// semijoin step — carry row counts identical to the step stats an
-// independent run of the same evaluation reports.
+// semijoin step, and the join phase — carry row counts identical to the
+// stats an independent run of the same evaluation reports.
 func TestTracezEvalSpanTree(t *testing.T) {
 	t.Cleanup(obs.Disable)
 	_, ts := newTestServer(t, Config{Trace: true, SlowTraceThreshold: -1}, nil)
@@ -194,6 +194,20 @@ func TestTracezEvalSpanTree(t *testing.T) {
 	}
 	if got := attrInt(t, ev, "joinRows"); got != int64(ref.JoinRows) {
 		t.Fatalf("exec.eval joinRows = %d, reference run says %d", got, ref.JoinRows)
+	}
+	// The join phase is one span under exec.eval, after the reduction.
+	if n := len(byName["exec.join"]); n != 1 {
+		t.Fatalf("trace has %d exec.join spans, want 1", n)
+	}
+	join := byName["exec.join"][0]
+	if !slices.Contains(ev.Children, join) {
+		t.Fatal("exec.join span is not a child of exec.eval")
+	}
+	if got := attrInt(t, join, "joinRows"); got != int64(ref.JoinRows) {
+		t.Fatalf("exec.join joinRows = %d, reference run says %d", got, ref.JoinRows)
+	}
+	if got := attrInt(t, join, "rowsOut"); got != int64(ref.Out.NumRows()) {
+		t.Fatalf("exec.join rowsOut = %d, reference run says %d", got, ref.Out.NumRows())
 	}
 
 	steps := byName["exec.step"]

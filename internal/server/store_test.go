@@ -230,6 +230,13 @@ func TestCrashMatrixRecovery(t *testing.T) {
 			if tc.site == fault.StoreAppend && failed == 0 {
 				t.Fatalf("append fault never surfaced (%d acked)", acked)
 			}
+			// Snapshots are cut by background compaction, which may still
+			// be on its way to the site: wait for it rather than race it.
+			// FlushSessions would compact too, and the fault could fire
+			// there instead.
+			for deadline := time.Now().Add(5 * time.Second); fault.Hits(tc.site) == 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
 			if fault.Hits(tc.site) == 0 {
 				t.Fatalf("fault at %s never fired", tc.site)
 			}

@@ -5,9 +5,10 @@ import "repro/internal/analysis"
 type (
 	// Analysis is a concurrency-safe session over one hypergraph that
 	// lazily computes and caches every derived artifact — Verdict, MCS,
-	// JoinTree, Classification, GrahamTrace, FullReducer, Witness — each
-	// exactly once, no matter how many facets are queried or from how many
-	// goroutines. See internal/analysis for the facet documentation.
+	// JoinTree, Spectrum, GrahamTrace, FullReducer — each exactly once, no
+	// matter how many facets are queried or from how many goroutines. See
+	// internal/analysis for the facet documentation; the Theorem 6.1
+	// witness is the free function IndependentPathWitness.
 	Analysis = analysis.Analysis
 	// AnalyzeOption configures an Analysis session (see WithVerify).
 	AnalyzeOption = analysis.Option

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/acyclic"
 	"repro/internal/jointree"
 )
 
@@ -25,7 +26,8 @@ func facadeCorpus() []*Hypergraph {
 // TestAnalysisFacetsAgree: the facets of one session agree with each other
 // and with fresh handles — the verdict with the Graham reduction's, the join
 // tree with the MCS parents and with the GYO-built tree's existence, the
-// witness with the verdict (Theorem 6.1), the full reducer with the tree.
+// spectrum with the exponential testers, the witness with the verdict
+// (Theorem 6.1), the full reducer with the tree.
 func TestAnalysisFacetsAgree(t *testing.T) {
 	for i, h := range facadeCorpus() {
 		a := Analyze(h)
@@ -43,8 +45,8 @@ func TestAnalysisFacetsAgree(t *testing.T) {
 		if err == nil && (jt.Verify() != nil || !reflect.DeepEqual(jt.Parent, a.MCS().Parent)) {
 			t.Fatalf("instance %d: join tree is not the MCS tree or violates RIP", i)
 		}
-		if cl := a.Classification(); cl != Analyze(h).Classification() || cl.Alpha != a.Verdict() {
-			t.Fatalf("instance %d: classification %v, verdict %v", i, cl, a.Verdict())
+		if sp, want := a.Spectrum(), acyclic.Classify(h); sp.String() != want.String() || sp.Alpha != a.Verdict() {
+			t.Fatalf("instance %d: spectrum %v, acyclic.Classify %v, verdict %v", i, sp, want, a.Verdict())
 		}
 		gr, err := GrahamReductionTrace(h)
 		if err != nil {
@@ -53,7 +55,7 @@ func TestAnalysisFacetsAgree(t *testing.T) {
 		if a.GrahamTrace().Vanished() != gr.Vanished() {
 			t.Fatalf("instance %d: graham trace mismatch", i)
 		}
-		p, c, found, err := a.Witness()
+		p, c, found, err := IndependentPathWitness(h)
 		if err != nil || found == a.Verdict() {
 			t.Fatalf("instance %d: witness found=%v err=%v on verdict %v", i, found, err, a.Verdict())
 		}
@@ -84,16 +86,15 @@ func TestAnalysisComputesOncePerHandle(t *testing.T) {
 		a.Verdict()
 		a.MCS()
 		a.JoinTree()
-		a.Classification()
+		a.Spectrum()
 		a.GrahamTrace()
 		a.FullReducer()
-		a.Witness()
 	}
 	st := a.Stats()
 	if st.MCSRuns != 1 {
 		t.Fatalf("MCS ran %d times across all facets, want exactly 1", st.MCSRuns)
 	}
-	if st.GrahamRuns != 1 || st.HierarchyRuns != 1 || st.VerifyRuns != 1 || st.WitnessRuns != 0 {
+	if st.GrahamRuns != 1 || st.HierarchyRuns != 1 || st.VerifyRuns != 1 {
 		t.Fatalf("stats = %+v, want one run per queried traversal", st)
 	}
 }

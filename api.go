@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"repro/internal/acyclic"
 	"repro/internal/bitset"
 	"repro/internal/chase"
 	"repro/internal/core"
@@ -58,9 +57,6 @@ type (
 	// JoinDep is a join dependency for the chase engine (⋈[components]);
 	// MVDs are its two-component special case.
 	JoinDep = chase.JD
-	// Classification places a hypergraph in the acyclicity hierarchy
-	// (α ⊃ β ⊃ γ ⊃ Berge).
-	Classification = acyclic.Classification
 	// SpectrumResult is the full acyclicity-spectrum classification of a
 	// hypergraph: per-class verdicts with locally-checkable certificates
 	// (elimination orders and reduction sequences on accept, hereditary
@@ -174,6 +170,16 @@ func CanonicalConnection(h *Hypergraph, names ...string) (*Hypergraph, error) {
 // HasIndependentPath reports whether some pair of node sets of h admits an
 // independent path; by Theorem 6.1 this is equivalent to h being cyclic.
 func HasIndependentPath(h *Hypergraph) bool { return core.HasIndependentPath(h) }
+
+// IndependentPathWitness constructs the Theorem 6.1 independent path of a
+// cyclic h and returns it with the node-generated cyclic core it lives in;
+// found is false iff h is acyclic. Shrinking h to the core runs one Graham
+// reduction per node per pass, far more than the linear-time verdict, so
+// the witness is not an Analysis facet; for a workspace epoch, pass
+// WorkspaceAnalysis.Snapshot.
+func IndependentPathWitness(h *Hypergraph) (path *Path, coreGraph *Hypergraph, found bool, err error) {
+	return core.IndependentPathWitness(h)
+}
 
 // PathFromTree converts an independent tree into an independent path
 // between two of its leaves (Lemma 5.2).

@@ -61,14 +61,14 @@ func TestFacadeWitness(t *testing.T) {
 	if !HasIndependentPath(tri) {
 		t.Fatal("triangle must have an independent path")
 	}
-	p, coreGraph, found, err := Analyze(tri).Witness()
+	p, coreGraph, found, err := IndependentPathWitness(tri)
 	if err != nil || !found {
 		t.Fatalf("witness: found=%v err=%v", found, err)
 	}
 	if err := p.Validate(coreGraph); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, found, _ := Analyze(Fig1()).Witness(); found {
+	if _, _, found, _ := IndependentPathWitness(Fig1()); found {
 		t.Fatal("acyclic hypergraph has no witness")
 	}
 }
@@ -84,9 +84,9 @@ func TestFacadeJoinTreeAndBlocks(t *testing.T) {
 	if _, ok := FindRing(Fig1()); ok {
 		t.Fatal("Fig1 has no Lemma 4.1 ring")
 	}
-	c := Analyze(Fig1()).Classification()
+	c := Analyze(Fig1()).Spectrum()
 	if !c.Alpha || c.Berge {
-		t.Fatalf("classification = %v", c)
+		t.Fatalf("spectrum = %v", c)
 	}
 }
 

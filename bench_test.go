@@ -449,7 +449,7 @@ func BenchmarkIndependentPathWitness(b *testing.B) {
 		b.Run(f.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, found, err := core.IndependentPathWitness(f.h); err != nil || !found {
+				if _, _, found, err := core.IndependentPathWitness(f.h); err != nil || !found {
 					b.Fatalf("witness failed: %v", err)
 				}
 			}

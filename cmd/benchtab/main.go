@@ -485,7 +485,7 @@ func witnessTable(w io.Writer) {
 		d := timeIt(func() {
 			var err error
 			var found bool
-			p, found, err = core.IndependentPathWitness(f.h)
+			p, _, found, err = core.IndependentPathWitness(f.h)
 			if err != nil || !found {
 				panic(fmt.Sprintf("%s: %v", f.name, err))
 			}

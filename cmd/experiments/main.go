@@ -433,11 +433,10 @@ func runTheorem61(w io.Writer) error {
 		{"hyper-ring k=5", gen.HyperRing(5)},
 		{"grid 3×3", gen.Grid(3, 3)},
 	} {
-		p, found, err := core.IndependentPathWitness(f.h)
+		p, fCore, found, err := core.IndependentPathWitness(f.h)
 		if err != nil || !found {
 			return fmt.Errorf("%s: witness extraction failed: %v", f.name, err)
 		}
-		fCore, _ := core.WitnessCore(f.h)
 		t.Add(f.name, p.String(fCore))
 	}
 	t.Render(w)

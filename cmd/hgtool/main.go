@@ -213,7 +213,7 @@ func analyze(w io.Writer, h *repro.Hypergraph) error {
 	fmt.Fprintf(w, "hypergraph: %v\n", h)
 	fmt.Fprintf(w, "nodes: %d, edges: %d, connected: %v, reduced: %v\n",
 		h.NumNodes(), h.NumEdges(), h.IsConnected(), h.IsReduced())
-	fmt.Fprintf(w, "acyclicity: %v\n", a.Classification())
+	fmt.Fprintf(w, "acyclicity: %v\n", a.Spectrum())
 	arts := h.ArticulationSets()
 	if len(arts) == 0 {
 		fmt.Fprintln(w, "articulation sets: none")
@@ -533,11 +533,11 @@ func editLine(w io.Writer, ws *repro.Workspace, raw string) error {
 		fmt.Fprintf(w, "renamed %s -> %s — %s\n", args[0], args[1], status())
 	case "analyze":
 		a := ws.Analysis()
-		cl, err := a.Classification()
+		res, err := a.Spectrum(context.Background())
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%s\nclassification: %v\n", status(), cl)
+		fmt.Fprintf(w, "%s\nclassification: %v\n", status(), res)
 	case "jointree":
 		a := ws.Analysis()
 		jt, err := a.JoinTree()
@@ -656,8 +656,7 @@ func wsCmd(w io.Writer, args []string) error {
 }
 
 func witnessCmd(w io.Writer, h *repro.Hypergraph) error {
-	a := repro.Analyze(h)
-	p, coreGraph, found, err := a.Witness()
+	p, coreGraph, found, err := repro.IndependentPathWitness(h)
 	if err != nil {
 		return err
 	}

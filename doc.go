@@ -10,13 +10,14 @@
 //
 // # Quick start: the session-oriented API
 //
-// The paper's artifacts — acyclicity verdict, join tree, classification,
-// reduction trace, full reducer, cyclicity witness — are all derived views
-// of one hypergraph, so the API hands them out through one session: Analyze
-// opens a concurrency-safe Analysis whose facets are computed lazily and
-// cached, each underlying traversal running at most once per handle (the
-// join tree reuses the MCS order the verdict computed, the witness search
-// short-circuits on the verdict, and so on).
+// The paper's artifacts — acyclicity verdict, join tree, acyclicity
+// spectrum, reduction trace, full reducer — are all derived views of one
+// hypergraph, so the API hands them out through one session: Analyze opens
+// a concurrency-safe Analysis whose facets are computed lazily and cached,
+// each underlying traversal running at most once per handle (the join tree
+// reuses the MCS order the verdict computed, the spectrum's α component is
+// the verdict, and so on). The Theorem 6.1 cyclicity witness is the free
+// function IndependentPathWitness.
 //
 //	h := repro.NewHypergraph([][]string{
 //		{"A", "B", "C"}, {"C", "D", "E"}, {"A", "E", "F"}, {"A", "C", "E"},
@@ -25,7 +26,7 @@
 //	a.Verdict()                  // true — this is the paper's Fig. 1
 //	jt, _ := a.JoinTree()        // reuses the verdict's traversal
 //	prog, _ := a.FullReducer()   // semijoin program read off jt
-//	a.Classification()           // α✓ β✗ γ✗ Berge✗
+//	a.Spectrum()                 // α✓ β✗ γ✗ Berge✗
 //
 //	gr, _ := repro.GrahamReduction(h, "A", "D") // {{A,C,E}, {C,D,E}}
 //	cc, _ := repro.CanonicalConnection(h, "A", "D")
@@ -51,9 +52,15 @@
 //	repro.MCS(h)                       a.MCS()
 //	repro.BuildJoinTree(h)             a.JoinTree() (ErrCyclic, not false)
 //	repro.BuildJoinTreeMCS(h)          a.JoinTree()
-//	repro.Classify(h)                  a.Classification()
-//	repro.IndependentPathWitness(h)    a.Witness()
+//	repro.Classify(h)                  a.Spectrum()
 //	jt.FullReducer()                   a.FullReducer()
+//
+// Two later facets are gone as well. a.Classification() was a view of the
+// spectrum with the degree and certificates dropped; a.Spectrum() replaces
+// it, and its String renders the same text. a.Witness() is the free
+// function IndependentPathWitness(h) again: the witness search belongs to
+// the paper's reproduction packages, which the session layer (and so the
+// server) does not link.
 //
 // Operations report structured errors satisfying errors.Is / errors.As:
 // ErrCyclic (no join tree exists), ErrCyclicSchema (schema-level, wraps
@@ -85,7 +92,7 @@
 // search. Every other facet is the frozen session's own code: computed at
 // most once per handle, traced with the same facet.* spans, and coalesced
 // deadline-aware — a caller waiting behind another caller's in-flight
-// classification or Graham trace observes its own context.
+// spectrum or Graham trace observes its own context.
 //
 //	ws := repro.NewWorkspace()
 //	ws.AddEdge("A", "B", "C")
@@ -108,8 +115,9 @@
 //	a.Verdict()                         a.Verdict() (incremental, O(1) warm)
 //	a.JoinTree()                        a.JoinTree() (seeded fragment union)
 //	a.GrahamTrace()                     a.GrahamTrace(ctx) (cancellable)
-//	a.Classification()                  a.Classification() (α incremental)
-//	a.FullReducer / a.Witness           same session facets, epoch-checked
+//	a.Spectrum()                        a.Spectrum(ctx) (α incremental)
+//	a.FullReducer()                     a.FullReducer() (epoch-checked)
+//	IndependentPathWitness(h)           IndependentPathWitness(ws.Snapshot())
 //	a.Reduce / a.Eval                   same, epoch-checked per call
 //	Engine.Analyze(h) (memoized)        NewWorkspace(WithWorkspaceEngine(e))
 //	NewHypergraphFromIDs / Parse + h    NewWorkspaceFrom(h)
@@ -159,7 +167,7 @@
 //	a := repro.Analyze(h)
 //	r := a.Spectrum()            // *SpectrumResult: verdicts + certificates
 //	r.Degree                     // e.g. spectrum.DegreeGamma ("gamma-acyclic")
-//	a.Classification()           // the same verdicts as a plain Classification
+//	r.String()                   // "α✓ β✓ γ✓ Berge✗" — the four verdicts
 //
 // The exponential definition-based testers in internal/acyclic remain as
 // executable specifications (now ctx-aware), pinned to the polynomial
@@ -269,7 +277,7 @@
 // incrementally during construction — a warm repeat query costs a digest
 // read and a sharded map probe, with no canonical string ever built).
 // Engine.Analyze returns the memoized session, and its facets (Verdict,
-// JoinTree, Classification, ...) are the queries. The memo is partitioned
+// JoinTree, Spectrum, ...) are the queries. The memo is partitioned
 // into fingerprint-keyed shards (at least GOMAXPROCS, rounded up to a power
 // of two), so concurrent warm traffic scales across cores instead of
 // serializing behind one lock; engine.WithMaxEntries bounds it with

@@ -86,7 +86,7 @@ func run(w io.Writer) error {
 	// that its notion is weaker than Berge's).
 	fmt.Fprintln(w, "\nacyclicity hierarchy (α ⊇ β ⊇ γ ⊇ Berge):")
 	for _, a := range sessions {
-		fmt.Fprintf(w, "  %v: %v\n", a.Hypergraph(), a.Classification())
+		fmt.Fprintf(w, "  %v: %v\n", a.Hypergraph(), a.Spectrum())
 	}
 	return nil
 }

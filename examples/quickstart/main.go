@@ -38,7 +38,7 @@ func run(w io.Writer) error {
 	a := repro.Analyze(h)
 	fmt.Fprintln(w, "hypergraph:    ", h)
 	fmt.Fprintln(w, "acyclic:       ", a.Verdict())
-	fmt.Fprintln(w, "classification:", a.Classification())
+	fmt.Fprintln(w, "classification:", a.Spectrum())
 	if jt, err := a.JoinTree(); err == nil {
 		fmt.Fprintln(w, "join tree:     ", jt)
 	}
@@ -88,12 +88,12 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "TR(H,{D}):", trBad, " — collapsed")
 	fmt.Fprintln(w, "equal:", grBad.EqualEdges(trBad), "(Theorem 3.5 needs acyclicity)")
 
-	// The cyclic side of the session: no join tree (a structured error),
-	// and a Theorem 6.1 independent-path witness.
+	// The cyclic side: the session has no join tree (a structured error),
+	// and IndependentPathWitness exhibits a Theorem 6.1 independent path.
 	if _, err := ab.JoinTree(); errors.Is(err, repro.ErrCyclic) {
 		fmt.Fprintln(w, "join tree:", err)
 	}
-	path, coreGraph, found, err := ab.Witness()
+	path, coreGraph, found, err := repro.IndependentPathWitness(bad)
 	if err != nil {
 		return err
 	}

@@ -35,9 +35,9 @@ func run(w io.Writer) error {
 		fmt.Fprintf(w, "epoch %d: added %v -> acyclic=%v\n", ws.Epoch(), edge, a.Verdict())
 	}
 
-	// The three edges form the cyclic core of Fig. 1; the witness facet
-	// exhibits the Theorem 6.1 independent path.
-	if path, coreGraph, found, err := ws.Analysis().Witness(); err != nil {
+	// The three edges form the cyclic core of Fig. 1; IndependentPathWitness
+	// exhibits the Theorem 6.1 independent path in the epoch's snapshot.
+	if path, coreGraph, found, err := repro.IndependentPathWitness(ws.Snapshot()); err != nil {
 		return err
 	} else if found {
 		fmt.Fprintf(w, "cyclic: independent path %s in core %v\n", path.String(coreGraph), coreGraph)

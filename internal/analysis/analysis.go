@@ -1,16 +1,16 @@
 // Package analysis provides the session-oriented query surface over one
 // hypergraph: an Analysis handle that lazily computes and caches every
-// derived artifact — acyclicity verdict, MCS run, join tree, acyclicity-
-// hierarchy classification, Graham reduction trace, semijoin full reducer,
-// and the Theorem 6.1 independent-path witness — each exactly once.
+// derived artifact — acyclicity verdict, MCS run, join tree, acyclicity
+// spectrum, Graham reduction trace and semijoin full reducer — each exactly
+// once.
 //
 // The paper's artifacts are all facets of a single per-instance analysis:
 // the MCS run that decides the verdict already carries the join-tree parent
 // links, the join tree is what the full reducer is read off, and the
-// witness search is only meaningful on the cyclic side of the verdict. The
-// handle makes that sharing explicit: each facet is guarded by a sync.Once,
-// so the underlying traversals run at most once per handle no matter how
-// many facets are queried, in which order, or from how many goroutines.
+// spectrum's α component is the verdict. The handle makes that sharing
+// explicit: each facet is guarded by a sync.Once, so the underlying
+// traversals run at most once per handle no matter how many facets are
+// queried, in which order, or from how many goroutines.
 // Stats exposes the per-traversal run counters so tests (and monitoring)
 // can assert the caching contract.
 //
@@ -24,6 +24,11 @@
 // the session's cached full-reducer program and join tree over a columnar
 // database. Only the program derivation is cached — the data-dependent
 // work runs per call.
+//
+// The Theorem 6.1 independent-path witness is not a facet: its core
+// shrinking runs one Graham reduction per node per pass, and it lives with
+// the paper's other artefacts in internal/core, which production code does
+// not import.
 package analysis
 
 import (
@@ -33,9 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/acyclic"
 	"repro/internal/bitset"
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gyo"
 	"repro/internal/hypergraph"
@@ -123,10 +126,9 @@ type Analysis struct {
 	verify bool // cross-check the join tree's running-intersection invariant
 
 	// The verdict is the root of the sharing: the join tree, the
-	// classification's α component, the full reducer, and the witness
-	// short-circuit all reuse it. A settled handle (NewSettled) carries the
-	// verdict and join-tree parents from construction; otherwise both come
-	// from the mcs facet.
+	// spectrum's α component and the full reducer all reuse it. A settled
+	// handle (NewSettled) carries the verdict and join-tree parents from
+	// construction; otherwise both come from the mcs facet.
 	settled bool
 	acyclic bool
 	parent  []int
@@ -151,12 +153,6 @@ type Analysis struct {
 	fr     []jointree.SemijoinStep
 	frErr  error
 
-	witOnce  sync.Once
-	witPath  *core.Path
-	witCore  *hypergraph.Hypergraph
-	witFound bool
-	witErr   error
-
 	stats statsCounters
 }
 
@@ -164,7 +160,7 @@ type Analysis struct {
 // completion. Cancelled attempts are not counted: they leave the facet
 // uncomputed, so the "at most once" contract is about completed work.
 type statsCounters struct {
-	mcs, graham, hierarchy, witness, verify atomic.Int32
+	mcs, graham, hierarchy, verify atomic.Int32
 }
 
 // Stats reports how many times each underlying traversal has run to
@@ -173,14 +169,12 @@ type statsCounters struct {
 // so tests and monitoring can assert the caching contract.
 type Stats struct {
 	// MCSRuns counts maximum-cardinality-search traversals (verdict, join
-	// tree, classification α, and witness short-circuit all share one).
+	// tree and the spectrum's α component all share one).
 	MCSRuns int32
 	// GrahamRuns counts Graham reduction traces.
 	GrahamRuns int32
 	// HierarchyRuns counts spectrum (β/γ/Berge) classification passes.
 	HierarchyRuns int32
-	// WitnessRuns counts independent-path witness searches.
-	WitnessRuns int32
 	// VerifyRuns counts running-intersection cross-checks (WithVerify).
 	VerifyRuns int32
 }
@@ -191,7 +185,6 @@ func (a *Analysis) Stats() Stats {
 		MCSRuns:       a.stats.mcs.Load(),
 		GrahamRuns:    a.stats.graham.Load(),
 		HierarchyRuns: a.stats.hierarchy.Load(),
-		WitnessRuns:   a.stats.witness.Load(),
 		VerifyRuns:    a.stats.verify.Load(),
 	}
 }
@@ -222,9 +215,9 @@ func New(h *hypergraph.Hypergraph, opts ...Option) *Analysis {
 // NewSettled opens a session over h whose α verdict — and, when acyclic,
 // join-tree parent links (parent[i] is edge i's parent, -1 for a root) —
 // the caller has already settled, as a workspace does incrementally. The
-// session trusts them: JoinTree, FullReducer, Spectrum, Classification,
-// Witness, Reduce, and Eval never run the maximum cardinality search (MCS
-// alone still runs it, on first call, for its orders and certificate).
+// session trusts them: JoinTree, FullReducer, Spectrum, Reduce, and Eval
+// never run the maximum cardinality search (MCS alone still runs it, on
+// first call, for its orders and certificate).
 // WithVerify still cross-checks the seeded join tree.
 func NewSettled(h *hypergraph.Hypergraph, acyclic bool, parent []int, opts ...Option) *Analysis {
 	a := New(h, opts...)
@@ -365,30 +358,6 @@ func (a *Analysis) SpectrumCtx(ctx context.Context) (*spectrum.Result, error) {
 	return a.spec, nil
 }
 
-// Classification places the hypergraph in the acyclicity hierarchy
-// (α ⊇ β ⊇ γ ⊇ Berge), backed by the polynomial spectrum facet — the
-// exponential definition testers in internal/acyclic survive only as the
-// differential reference. The α component reuses the verdict's MCS run; the
-// whole spectrum computes at most once per handle.
-func (a *Analysis) Classification() acyclic.Classification {
-	return must(a.ClassificationCtx(context.Background()))
-}
-
-// ClassificationCtx is Classification with cooperative cancellation (see
-// SpectrumCtx).
-func (a *Analysis) ClassificationCtx(ctx context.Context) (acyclic.Classification, error) {
-	r, err := a.SpectrumCtx(ctx)
-	if err != nil {
-		return acyclic.Classification{}, err
-	}
-	return acyclic.Classification{
-		Alpha: r.Alpha,
-		Beta:  r.Beta.Acyclic,
-		Gamma: r.Gamma.Acyclic,
-		Berge: r.Berge,
-	}, nil
-}
-
 // GrahamTrace returns the Graham (GYO) reduction of the hypergraph with no
 // sacred nodes, including the full step trace — the paper's own machinery,
 // retained alongside MCS for its trace. Computed once per handle; the
@@ -506,26 +475,4 @@ func (a *Analysis) Eval(ctx context.Context, d *exec.Database, attrs []string) (
 		return nil, err
 	}
 	return exec.Eval(ctx, d, jt, attrs)
-}
-
-// Witness returns the Theorem 6.1 independent-path witness for a cyclic
-// hypergraph: the path, the node-generated core it lives in, and found =
-// true. On the acyclic side it short-circuits on the verdict — no search
-// runs — and reports found = false. The results are shared and must be
-// treated as read-only.
-func (a *Analysis) Witness() (path *core.Path, coreGraph *hypergraph.Hypergraph, found bool, err error) {
-	a.witOnce.Do(func() {
-		if a.Verdict() {
-			return // acyclic: by Theorem 6.1 no independent path exists
-		}
-		a.stats.witness.Add(1)
-		p, found, err := core.IndependentPathWitness(a.h)
-		if err != nil || !found {
-			a.witFound, a.witErr = found, err
-			return
-		}
-		f, _ := core.WitnessCore(a.h)
-		a.witPath, a.witCore, a.witFound = p, f, true
-	})
-	return a.witPath, a.witCore, a.witFound, a.witErr
 }

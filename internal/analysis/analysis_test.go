@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/acyclic"
 	"repro/internal/bitset"
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/gendb"
 	"repro/internal/gyo"
@@ -77,8 +76,10 @@ func TestFacetsMatchFreeFunctions(t *testing.T) {
 		}
 
 		if h.NumEdges() <= 14 { // the γ test is exponential
-			if cl, want := a.Classification(), acyclic.Classify(h); cl != want {
-				t.Fatalf("instance %d: Classification=%v, acyclic.Classify=%v", i, cl, want)
+			sp, want := a.Spectrum(), acyclic.Classify(h)
+			if sp.Alpha != want.Alpha || sp.Beta.Acyclic != want.Beta || sp.Gamma.Acyclic != want.Gamma ||
+				sp.Berge != want.Berge || sp.String() != want.String() {
+				t.Fatalf("instance %d: Spectrum=%v, acyclic.Classify=%v", i, sp, want)
 			}
 		}
 
@@ -102,32 +103,12 @@ func TestFacetsMatchFreeFunctions(t *testing.T) {
 		} else if !errors.Is(err, hypergraph.ErrCyclicSchema) || !errors.Is(err, hypergraph.ErrCyclic) {
 			t.Fatalf("instance %d: FullReducer err=%v, want ErrCyclicSchema", i, err)
 		}
-
-		path, coreGraph, found, err := a.Witness()
-		wantPath, wantFound, wantErr := core.IndependentPathWitness(h)
-		if found != wantFound || (err == nil) != (wantErr == nil) {
-			t.Fatalf("instance %d: Witness found=%v err=%v, want %v %v", i, found, err, wantFound, wantErr)
-		}
-		if found {
-			if coreGraph == nil || path == nil {
-				t.Fatalf("instance %d: Witness found but path/core nil", i)
-			}
-			if err := path.Validate(coreGraph); err != nil {
-				t.Fatalf("instance %d: witness path invalid: %v", i, err)
-			}
-			if len(path.Sets) != len(wantPath.Sets) {
-				t.Fatalf("instance %d: witness path length %d != %d", i, len(path.Sets), len(wantPath.Sets))
-			}
-		}
-		if found == a.Verdict() {
-			t.Fatalf("instance %d: witness found=%v must equal cyclicity", i, found)
-		}
 	}
 }
 
 // TestEachTraversalRunsAtMostOnce: hammering every facet repeatedly must
 // leave every underlying traversal counter at <= 1 — and the shared MCS
-// root at exactly 1 even though five facets depend on it.
+// root at exactly 1 even though four facets depend on it.
 func TestEachTraversalRunsAtMostOnce(t *testing.T) {
 	for _, h := range []*hypergraph.Hypergraph{hypergraph.Fig1(), hypergraph.Triangle()} {
 		a := New(h, WithVerify())
@@ -135,16 +116,15 @@ func TestEachTraversalRunsAtMostOnce(t *testing.T) {
 			a.Verdict()
 			a.MCS()
 			a.JoinTree()
-			a.Classification()
+			a.Spectrum()
 			a.GrahamTrace()
 			a.FullReducer()
-			a.Witness()
 		}
 		st := a.Stats()
 		if st.MCSRuns != 1 {
 			t.Fatalf("%v: MCS ran %d times, want exactly 1", h, st.MCSRuns)
 		}
-		if st.GrahamRuns > 1 || st.HierarchyRuns > 1 || st.WitnessRuns > 1 || st.VerifyRuns > 1 {
+		if st.GrahamRuns > 1 || st.HierarchyRuns > 1 || st.VerifyRuns > 1 {
 			t.Fatalf("%v: stats %+v exceed one run per traversal", h, st)
 		}
 	}
@@ -177,16 +157,12 @@ func TestConcurrentFacetAccess(t *testing.T) {
 						t.Error("join tree mismatch")
 						return
 					}
-					if a.Classification().Alpha != want {
-						t.Error("classification mismatch")
+					if a.Spectrum().Alpha != want {
+						t.Error("spectrum mismatch")
 						return
 					}
 					if a.GrahamTrace().Vanished() != want {
 						t.Error("graham mismatch")
-						return
-					}
-					if _, _, found, _ := a.Witness(); found == want {
-						t.Error("witness mismatch")
 						return
 					}
 					if _, err := a.FullReducer(); (err == nil) != want {
@@ -198,21 +174,9 @@ func TestConcurrentFacetAccess(t *testing.T) {
 		}
 		wg.Wait()
 		st := a.Stats()
-		if st.MCSRuns != 1 || st.GrahamRuns > 1 || st.HierarchyRuns > 1 || st.WitnessRuns > 1 || st.VerifyRuns > 1 {
+		if st.MCSRuns != 1 || st.GrahamRuns > 1 || st.HierarchyRuns > 1 || st.VerifyRuns > 1 {
 			t.Fatalf("concurrent stats %+v exceed one run per traversal", st)
 		}
-	}
-}
-
-// TestWitnessShortCircuitsOnAcyclic: the acyclic side must not run the
-// exponential witness search at all.
-func TestWitnessShortCircuitsOnAcyclic(t *testing.T) {
-	a := New(hypergraph.Fig1())
-	if _, _, found, err := a.Witness(); found || err != nil {
-		t.Fatalf("acyclic witness: found=%v err=%v", found, err)
-	}
-	if st := a.Stats(); st.WitnessRuns != 0 {
-		t.Fatalf("witness search ran %d times on acyclic input, want 0", st.WitnessRuns)
 	}
 }
 
@@ -261,11 +225,8 @@ func TestSettledSessionSkipsMCS(t *testing.T) {
 		if !errors.Is(err, wantErr) || !reflect.DeepEqual(fr, wantFR) {
 			t.Fatalf("instance %d: FullReducer diverges (err %v vs %v)", i, err, wantErr)
 		}
-		if cl, err := s.ClassificationCtx(ctx); err != nil || cl != fresh.Classification() {
-			t.Fatalf("instance %d: classification %v (%v), fresh %v", i, cl, err, fresh.Classification())
-		}
-		if _, _, found, _ := s.Witness(); found == ref.Acyclic {
-			t.Fatalf("instance %d: witness found=%v on verdict %v", i, found, ref.Acyclic)
+		if sp, err := s.SpectrumCtx(ctx); err != nil || sp.String() != fresh.Spectrum().String() || sp.Degree != fresh.Spectrum().Degree {
+			t.Fatalf("instance %d: spectrum %v (%v), fresh %v", i, sp, err, fresh.Spectrum())
 		}
 		if st := s.Stats(); st.MCSRuns != 0 {
 			t.Fatalf("instance %d: seeded session ran MCS %d times", i, st.MCSRuns)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gyo"
 	"repro/internal/hypergraph"
+	"repro/internal/mcs"
 )
 
 func TestCCExample51(t *testing.T) {
@@ -167,14 +168,13 @@ func TestWitnessOnFamilies(t *testing.T) {
 		gen.CliqueGraph(5),
 	}
 	for _, h := range graphs {
-		p, found, err := IndependentPathWitness(h)
+		p, f, found, err := IndependentPathWitness(h)
 		if err != nil {
 			t.Fatalf("%v: %v", h, err)
 		}
 		if !found {
 			t.Fatalf("%v: witness must exist for cyclic hypergraph", h)
 		}
-		f, _ := WitnessCore(h)
 		if err := p.Validate(f); err != nil {
 			t.Fatalf("%v: witness path invalid in core %v: %v", h, f, err)
 		}
@@ -188,7 +188,7 @@ func TestWitnessAbsentForAcyclic(t *testing.T) {
 	for _, h := range []*hypergraph.Hypergraph{
 		hypergraph.Fig1(), hypergraph.Fig5(), gen.PathGraph(6), gen.Star(5),
 	} {
-		if _, found, _ := IndependentPathWitness(h); found {
+		if _, _, found, _ := IndependentPathWitness(h); found {
 			t.Fatalf("%v: acyclic hypergraph must have no witness", h)
 		}
 		if HasIndependentPath(h) {
@@ -209,11 +209,10 @@ func TestWitnessOnRandomCyclic(t *testing.T) {
 		if gyo.IsAcyclic(h) {
 			continue
 		}
-		p, found, err := IndependentPathWitness(h)
+		p, f, found, err := IndependentPathWitness(h)
 		if err != nil || !found {
 			t.Fatalf("%v: witness extraction failed: found=%v err=%v", h, found, err)
 		}
-		f, _ := WitnessCore(h)
 		if err := p.Validate(f); err != nil {
 			t.Fatalf("%v: invalid witness: %v", h, err)
 		}
@@ -224,6 +223,54 @@ func TestWitnessOnRandomCyclic(t *testing.T) {
 	}
 	if tested < 20 {
 		t.Fatalf("only %d cyclic graphs exercised", tested)
+	}
+}
+
+// TestWitnessFoundIffCyclic is Theorem 6.1 on the paper fixtures and the
+// generator families, against the linear-time verdict: the witness exists
+// exactly when mcs rejects, and a found path is an independent path of the
+// core it is returned with.
+func TestWitnessFoundIffCyclic(t *testing.T) {
+	hs := []*hypergraph.Hypergraph{
+		hypergraph.Fig1(),
+		hypergraph.Fig1MinusACE(),
+		hypergraph.Fig5(),
+		hypergraph.Triangle(),
+		hypergraph.CyclicCounterexample(),
+		gen.AcyclicChain(40, 3, 1),
+		gen.Star(9),
+		gen.CycleGraph(8),
+		gen.Grid(3, 3),
+		gen.HyperRing(6),
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		hs = append(hs,
+			gen.RandomAcyclic(rng, gen.RandomSpec{Edges: 12, MinArity: 2, MaxArity: 4}),
+			gen.Random(rng, gen.RandomSpec{Nodes: 12, Edges: 10, MinArity: 2, MaxArity: 4}),
+		)
+	}
+	for i, h := range hs {
+		cyclic := !mcs.Run(h).Acyclic
+		p, f, found, err := IndependentPathWitness(h)
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		if found != cyclic {
+			t.Fatalf("instance %d: witness found=%v, mcs cyclic=%v on %v", i, found, cyclic, h)
+		}
+		if !found {
+			if p != nil || f != nil {
+				t.Fatalf("instance %d: acyclic input returned a path or core", i)
+			}
+			continue
+		}
+		if err := p.Validate(f); err != nil {
+			t.Fatalf("instance %d: witness path invalid in its core %v: %v", i, f, err)
+		}
+		if ok, _ := p.IsIndependent(f); !ok {
+			t.Fatalf("instance %d: witness path not independent in its core", i)
+		}
 	}
 }
 

@@ -67,11 +67,10 @@ func TestQuickWitnessEndpointsInsideAnEdge(t *testing.T) {
 		if gyo.IsAcyclic(h) {
 			return true
 		}
-		p, found, err := IndependentPathWitness(h)
+		p, f2, found, err := IndependentPathWitness(h)
 		if err != nil || !found {
 			return false
 		}
-		f2, _ := WitnessCore(h)
 		n, m := p.Endpoints()
 		return f2.IsPartialEdge(n.Or(m))
 	}

@@ -47,40 +47,31 @@ func MinimalCyclicCore(h *hypergraph.Hypergraph) (bitset.Set, bool) {
 //  4. shrink the sequence (M₁, …, M_k, X) whenever an edge of F contains
 //     three of its sets, per the proof's induction.
 //
-// The returned path is stated over h's node ids (the core is node-generated,
-// so its nodes are h's nodes) and is verified before being returned. found
-// is false iff h is acyclic.
-func IndependentPathWitness(h *hypergraph.Hypergraph) (*Path, bool, error) {
+// It returns the path and the node-generated core F it lives in. The path
+// is stated over h's node ids (the core is node-generated, so its nodes are
+// h's nodes) and is verified in F before being returned. found is false iff
+// h is acyclic; the acyclic side costs one Graham reduction.
+func IndependentPathWitness(h *hypergraph.Hypergraph) (*Path, *hypergraph.Hypergraph, bool, error) {
 	coreNodes, found := MinimalCyclicCore(h)
 	if !found {
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
 	f := h.NodeGenerated(coreNodes)
 	path, err := witnessInCore(f)
 	if err != nil {
-		return nil, true, err
+		return nil, nil, true, err
 	}
 	// The witness is valid in the core f; by the theorem's argument it stays
 	// independent in f. Verify against f (paths in a node-generated core do
 	// not always transfer verbatim to h, since h's larger edges may contain
 	// three of the sets).
 	if err := path.Validate(f); err != nil {
-		return nil, true, fmt.Errorf("core: witness invalid: %w", err)
+		return nil, nil, true, fmt.Errorf("core: witness invalid: %w", err)
 	}
 	if ok, _ := path.IsIndependent(f); !ok {
-		return nil, true, fmt.Errorf("core: witness not independent in core")
+		return nil, nil, true, fmt.Errorf("core: witness not independent in core")
 	}
-	return path, true, nil
-}
-
-// WitnessCore returns the node-generated hypergraph on which
-// IndependentPathWitness's path lives.
-func WitnessCore(h *hypergraph.Hypergraph) (*hypergraph.Hypergraph, bool) {
-	n, found := MinimalCyclicCore(h)
-	if !found {
-		return nil, false
-	}
-	return h.NodeGenerated(n), true
+	return path, f, true, nil
 }
 
 // witnessInCore builds the stepping-stone path inside a cyclic core

@@ -4,13 +4,12 @@ import (
 	"context"
 	"sync"
 
-	"repro/internal/acyclic"
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gyo"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
+	"repro/internal/spectrum"
 )
 
 // Analysis is the epoch-bound analysis handle of a Workspace: an epoch
@@ -19,13 +18,14 @@ import (
 // Epoch, NumEdges, NumNodes, NumComponents) are settled at creation from the
 // per-component state the edits maintained, so reading them never
 // materializes anything and they always describe the same epoch. The
-// derived facets (Snapshot, JoinTree, FullReducer, Classification,
-// GrahamTrace, Witness, Reduce, Eval) delegate to the session, which is
-// built lazily on first use over the epoch snapshot, seeded with the
-// settled verdict and join forest (no search re-runs). Each facet's
-// traversal therefore runs at most once per handle, records the session's
-// facet spans, and coalesces concurrent callers deadline-aware: a caller
-// waiting behind another's in-flight traversal observes its own context.
+// derived facets (Snapshot, JoinTree, FullReducer, Spectrum, GrahamTrace,
+// Reduce, Eval) delegate to the session, which is built lazily on first use
+// over the epoch snapshot, seeded with the settled verdict and join forest
+// (no search re-runs). Each facet's traversal therefore runs at most once
+// per handle, records the session's facet spans, and coalesces concurrent
+// callers deadline-aware: a caller waiting behind another's in-flight
+// traversal observes its own context. The Theorem 6.1 witness is not a
+// facet: pass Snapshot to the root package's IndependentPathWitness.
 //
 // Consistency is explicit: every derived facet checks on every call that
 // the workspace is still at the handle's epoch and reports *ErrStaleEpoch
@@ -125,23 +125,18 @@ func (a *Analysis) FullReducer() ([]jointree.SemijoinStep, error) {
 	return s.FullReducer()
 }
 
-// Classification places the epoch's hypergraph in the acyclicity hierarchy
-// (α ⊇ β ⊇ γ ⊇ Berge). It is ClassificationCtx without cancellation.
-func (a *Analysis) Classification() (acyclic.Classification, error) {
-	return a.ClassificationCtx(context.Background())
-}
-
-// ClassificationCtx places the epoch's hypergraph in the acyclicity
-// hierarchy, backed by the session's spectrum facet — the α component is
-// the incremental verdict, the stricter notions run at most once per handle
-// and observe ctx every ~4096 work units. A cancelled run leaves the facet
-// uncomputed for a later retry.
-func (a *Analysis) ClassificationCtx(ctx context.Context) (acyclic.Classification, error) {
+// Spectrum returns the acyclicity spectrum of the epoch's hypergraph: the
+// α ⊇ β ⊇ γ ⊇ Berge verdicts with their certificates and the degree. The α
+// component is the incremental verdict; the stricter testers run at most
+// once per handle and observe ctx every ~4096 work units. A cancelled run
+// leaves the facet uncomputed for a later retry. The result is shared and
+// must be treated as read-only.
+func (a *Analysis) Spectrum(ctx context.Context) (*spectrum.Result, error) {
 	s, err := a.session()
 	if err != nil {
-		return acyclic.Classification{}, err
+		return nil, err
 	}
-	return s.ClassificationCtx(ctx)
+	return s.SpectrumCtx(ctx)
 }
 
 // GrahamTrace returns the Graham (GYO) reduction of the epoch snapshot with
@@ -154,22 +149,6 @@ func (a *Analysis) GrahamTrace(ctx context.Context) (*gyo.Result, error) {
 		return nil, err
 	}
 	return s.GrahamTraceCtx(ctx)
-}
-
-// Witness returns the Theorem 6.1 independent-path witness when the epoch
-// is cyclic: the path, the node-generated core it lives in, and found =
-// true. On the acyclic side it short-circuits on the incremental verdict —
-// no search, no snapshot. The results are shared and must be treated as
-// read-only.
-func (a *Analysis) Witness() (path *core.Path, coreGraph *hypergraph.Hypergraph, found bool, err error) {
-	if a.acyclic {
-		return nil, nil, false, a.ws.stale(a.epoch)
-	}
-	s, err := a.session()
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return s.Witness()
 }
 
 // Reduce applies the epoch's full reducer to the columnar database d, serially

@@ -46,7 +46,7 @@ func TestFacetWaitersObserveOwnDeadline(t *testing.T) {
 	defer release()
 	runnerDone := make(chan error, 1)
 	go func() {
-		_, err := a.ClassificationCtx(runner)
+		_, err := a.Spectrum(runner)
 		runnerDone <- err
 	}()
 	<-runner.started // the runner is inside the spectrum traversal
@@ -55,7 +55,7 @@ func TestFacetWaitersObserveOwnDeadline(t *testing.T) {
 	defer cancel()
 	waiter := make(chan error, 1)
 	go func() {
-		_, err := a.ClassificationCtx(ctx)
+		_, err := a.Spectrum(ctx)
 		waiter <- err
 	}()
 	select {
@@ -84,8 +84,8 @@ func TestFacetWaitersObserveOwnDeadline(t *testing.T) {
 	if err := <-runnerDone; err != nil {
 		t.Fatalf("runner: %v", err)
 	}
-	if cl, err := a.Classification(); err != nil || !cl.Gamma {
-		t.Fatalf("latched classification = %v, %v; want γ-acyclic", cl, err)
+	if res, err := a.Spectrum(context.Background()); err != nil || !res.Gamma.Acyclic {
+		t.Fatalf("latched spectrum = %v, %v; want γ-acyclic", res, err)
 	}
 }
 
@@ -112,15 +112,11 @@ func TestHandleNeverRerunsMCS(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			_, jtErr := a.JoinTree()
 			_, frErr := a.FullReducer()
-			if _, err := a.ClassificationCtx(ctx); err != nil {
+			if _, err := a.Spectrum(ctx); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := a.GrahamTrace(ctx); err != nil {
 				t.Fatal(err)
-			}
-			_, _, found, err := a.Witness()
-			if err != nil || found != cyclic {
-				t.Fatalf("Witness: found=%v err=%v on cyclic=%v", found, err, cyclic)
 			}
 			_, redErr := a.Reduce(ctx, d)
 			_, evalErr := a.Eval(ctx, d, attrs)
@@ -142,11 +138,7 @@ func TestHandleNeverRerunsMCS(t *testing.T) {
 			}
 		}
 		st := a.inner.Stats()
-		witnessRuns := int32(0)
-		if cyclic {
-			witnessRuns = 1
-		}
-		if st.MCSRuns != 0 || st.HierarchyRuns != 1 || st.GrahamRuns != 1 || st.WitnessRuns != witnessRuns {
+		if st.MCSRuns != 0 || st.HierarchyRuns != 1 || st.GrahamRuns != 1 {
 			t.Fatalf("cyclic=%v: stats = %+v, want no MCS and one run per queried traversal", cyclic, st)
 		}
 	}

@@ -9,7 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/acyclic"
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/gendb"
@@ -48,7 +50,7 @@ func TestBasicEdits(t *testing.T) {
 	if ws.Analysis().Verdict() {
 		t.Fatal("Fig. 1 minus {A,C,E} must be cyclic")
 	}
-	if _, _, found, err := ws.Analysis().Witness(); err != nil || !found {
+	if _, _, found, err := core.IndependentPathWitness(ws.Snapshot()); err != nil || !found {
 		t.Fatalf("cyclic epoch must yield a witness (found=%v, err=%v)", found, err)
 	}
 	// Healing: put the articulation edge back.
@@ -168,8 +170,8 @@ func TestStaleEpoch(t *testing.T) {
 	if _, err := a.FullReducer(); !errors.As(err, &stale) {
 		t.Fatalf("FullReducer on a stale handle: err = %v", err)
 	}
-	if _, err := a.Classification(); !errors.As(err, &stale) {
-		t.Fatalf("Classification on a stale handle: err = %v", err)
+	if _, err := a.Spectrum(context.Background()); !errors.As(err, &stale) {
+		t.Fatalf("Spectrum on a stale handle: err = %v", err)
 	}
 	if _, err := a.GrahamTrace(context.Background()); !errors.As(err, &stale) {
 		t.Fatalf("GrahamTrace on a stale handle: err = %v", err)
@@ -328,12 +330,14 @@ func checkAgainstScratch(t *testing.T, ws *Workspace, op int, classify bool) {
 	}
 	// γ is exponential in the edge count; classify only compact epochs.
 	if classify && snap.NumEdges() <= 12 {
-		cl, err := a.Classification()
+		sp, err := a.Spectrum(context.Background())
 		if err != nil {
-			t.Fatalf("op %d: Classification: %v", op, err)
+			t.Fatalf("op %d: Spectrum: %v", op, err)
 		}
-		if cl != ref.Classification() {
-			t.Fatalf("op %d: classification %v != from-scratch %v on %v", op, cl, ref.Classification(), snap)
+		want := acyclic.Classify(snap)
+		if sp.Alpha != want.Alpha || sp.Beta.Acyclic != want.Beta || sp.Gamma.Acyclic != want.Gamma ||
+			sp.Berge != want.Berge || sp.String() != want.String() {
+			t.Fatalf("op %d: spectrum %v != acyclic.Classify %v on %v", op, sp, want, snap)
 		}
 	}
 }
@@ -506,8 +510,8 @@ func TestRaceHammer(t *testing.T) {
 				}
 				if i%10 == 0 {
 					var stale *ErrStaleEpoch
-					if _, err := a.ClassificationCtx(context.Background()); err != nil && !errors.As(err, &stale) {
-						t.Errorf("reader: unexpected Classification error %v", err)
+					if _, err := a.Spectrum(context.Background()); err != nil && !errors.As(err, &stale) {
+						t.Errorf("reader: unexpected Spectrum error %v", err)
 						return
 					}
 				}
@@ -527,7 +531,7 @@ func TestRaceHammer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := a.ClassificationCtx(context.Background()); err != nil {
+			if _, err := a.Spectrum(context.Background()); err != nil {
 				t.Error(err)
 			}
 		}()

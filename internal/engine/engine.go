@@ -19,10 +19,9 @@
 // duplicate queries compute each traversal at most once per identity — the
 // memoized flavor of the session-oriented API (analysis.New is the
 // standalone one). Acyclicity and join trees run on the linear-time MCS
-// engine (internal/mcs); Classification delegates to the polynomial
-// spectrum testers (internal/spectrum), so the full degree — certificates
-// included — is memoized per fingerprint and classification is viable at
-// server scale.
+// engine (internal/mcs); the Spectrum facet runs the polynomial testers of
+// internal/spectrum, so the full degree — certificates included — is
+// memoized per fingerprint and classification is viable at server scale.
 //
 // A text plane sits in front of the fingerprint memo (AnalyzeText): it maps
 // the exact schema text a session was parsed from to its memo entry, so a
@@ -551,9 +550,9 @@ func (e *Engine) EdgeDigest(names []string) hypergraph.Fingerprint128 {
 
 // Analyze returns the memoized Analysis session for h: every caller passing
 // a content-equal hypergraph shares one handle, so each derived artifact —
-// Verdict, MCS, JoinTree, Classification, GrahamTrace, FullReducer, Witness
-// — is computed at most once per identity across the whole engine. The
-// handle is safe for concurrent use and must be treated as read-only.
+// Verdict, MCS, JoinTree, Spectrum, GrahamTrace, FullReducer — is computed
+// at most once per identity across the whole engine. The handle is safe for
+// concurrent use and must be treated as read-only.
 func (e *Engine) Analyze(h *hypergraph.Hypergraph) *analysis.Analysis {
 	en, _ := e.entryFor(context.Background(), h, "")
 	return en.an

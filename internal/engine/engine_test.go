@@ -68,8 +68,8 @@ func TestClassifyBatchAlphaAgreesWithIsAcyclic(t *testing.T) {
 	e := New()
 	for i, h := range workload(60) {
 		a := e.Analyze(h)
-		if cl := a.Classification(); cl.Alpha != a.Verdict() {
-			t.Fatalf("instance %d: classify alpha=%v engine=%v", i, cl.Alpha, a.Verdict())
+		if sp := a.Spectrum(); sp.Alpha != a.Verdict() {
+			t.Fatalf("instance %d: spectrum alpha=%v engine=%v", i, sp.Alpha, a.Verdict())
 		}
 	}
 }

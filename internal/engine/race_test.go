@@ -11,9 +11,9 @@ import (
 	"repro/internal/hypergraph"
 )
 
-// TestClassifyRaceHammer hammers Classification from many goroutines on a shared
-// engine memo across several GOMAXPROCS widths: every caller must observe
-// the same classification per schema, and the spectrum facet must compute
+// TestClassifyRaceHammer hammers the Spectrum facet from many goroutines on
+// a shared engine memo across several GOMAXPROCS widths: every caller must
+// observe the same verdicts per schema, and the spectrum facet must compute
 // at most once per identity (the latch contract under contention). Run
 // under -race in CI, this is the concurrency pin for the spectrum facet.
 func TestClassifyRaceHammer(t *testing.T) {
@@ -32,7 +32,7 @@ func TestClassifyRaceHammer(t *testing.T) {
 			e := New()
 			want := make([]string, len(schemas))
 			for i, h := range schemas {
-				want[i] = e.Analyze(h).Classification().String()
+				want[i] = e.Analyze(h).Spectrum().String()
 			}
 			var wg sync.WaitGroup
 			const hammers = 16
@@ -43,7 +43,7 @@ func TestClassifyRaceHammer(t *testing.T) {
 					defer wg.Done()
 					for iter := 0; iter < 50; iter++ {
 						i := (g + iter) % len(schemas)
-						if got := e.Analyze(schemas[i]).Classification().String(); got != want[i] {
+						if got := e.Analyze(schemas[i]).Spectrum().String(); got != want[i] {
 							errs <- fmt.Errorf("schema %d: got %s, want %s", i, got, want[i])
 							return
 						}

@@ -140,7 +140,7 @@ func TestDiffRejectWitness(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		h := gen.Random(rng, gen.RandomSpec{Nodes: 7, Edges: 6, MinArity: 2, MaxArity: 3})
 		r := mcs.Run(h)
-		path, found, err := core.IndependentPathWitness(h)
+		path, f, found, err := core.IndependentPathWitness(h)
 		if err != nil {
 			t.Fatalf("seed %d: witness error: %v", seed, err)
 		}
@@ -151,7 +151,6 @@ func TestDiffRejectWitness(t *testing.T) {
 			if err := r.Cert.Validate(h); err != nil {
 				t.Fatalf("seed %d: certificate: %v", seed, err)
 			}
-			f, _ := core.WitnessCore(h)
 			if err := path.Validate(f); err != nil {
 				t.Fatalf("seed %d: path does not validate in core: %v", seed, err)
 			}

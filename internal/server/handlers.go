@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strconv"
 
-	"repro/internal/acyclic"
 	"repro/internal/dynamic"
 	"repro/internal/exec"
 	"repro/internal/hypergraph"
@@ -161,23 +160,6 @@ func spectrumJSON(res *spectrum.Result) map[string]any {
 		"degree":       res.Degree.String(),
 		"certificates": certs,
 	}
-}
-
-// degreeString names the longest true prefix of a classification — the wire
-// rendering for paths that hold a Classification without certificates.
-func degreeString(c acyclic.Classification) string {
-	d := spectrum.DegreeCyclic
-	switch {
-	case c.Alpha && c.Beta && c.Gamma && c.Berge:
-		d = spectrum.DegreeBerge
-	case c.Alpha && c.Beta && c.Gamma:
-		d = spectrum.DegreeGamma
-	case c.Alpha && c.Beta:
-		d = spectrum.DegreeBeta
-	case c.Alpha:
-		d = spectrum.DegreeAlpha
-	}
-	return d.String()
 }
 
 // decodeEval reads a /v1/eval or /v1/reduce body, whose cap is limit: the
@@ -510,14 +492,14 @@ func (s *Server) queryBody(r *http.Request, a *dynamic.Analysis, op string) (any
 		}
 		return map[string]any{"epoch": a.Epoch(), "program": stepsJSON(prog)}, nil
 	case "classification":
-		c, err := a.ClassificationCtx(r.Context())
+		res, err := a.Spectrum(r.Context())
 		if err != nil {
 			return nil, err
 		}
 		return map[string]any{
 			"epoch": a.Epoch(),
-			"alpha": c.Alpha, "beta": c.Beta, "gamma": c.Gamma, "berge": c.Berge,
-			"degree": degreeString(c),
+			"alpha": res.Alpha, "beta": res.Beta.Acyclic, "gamma": res.Gamma.Acyclic, "berge": res.Berge,
+			"degree": res.Degree.String(),
 		}, nil
 	case "snapshot":
 		h, err := a.Snapshot()

@@ -711,6 +711,45 @@ func TestClassifySpectrum(t *testing.T) {
 	}
 }
 
+// TestWorkspaceClassificationReply pins the bytes of the workspace
+// {"op":"classification"} reply on one schema per degree: the four
+// verdicts, the degree name and the epoch, read off the epoch handle's
+// spectrum. The repeat on the same epoch is served from the response
+// cache and must be the same bytes.
+func TestWorkspaceClassificationReply(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, nil)
+	cases := []struct{ name, schema, want string }{
+		{"cyclic", triangleText,
+			`{"alpha":false,"berge":false,"beta":false,"degree":"cyclic","epoch":3,"gamma":false}` + "\n"},
+		{"alpha", "A B\nB C\nC A\nA B C",
+			`{"alpha":true,"berge":false,"beta":false,"degree":"alpha-acyclic","epoch":4,"gamma":false}` + "\n"},
+		{"beta", "A B\nB C\nA B C",
+			`{"alpha":true,"berge":false,"beta":true,"degree":"beta-acyclic","epoch":3,"gamma":false}` + "\n"},
+		{"gamma", "A B\nA B C",
+			`{"alpha":true,"berge":false,"beta":true,"degree":"gamma-acyclic","epoch":2,"gamma":true}` + "\n"},
+		{"berge", "A B\nB C",
+			`{"alpha":true,"berge":true,"beta":true,"degree":"berge-acyclic","epoch":2,"gamma":true}` + "\n"},
+	}
+	for _, tc := range cases {
+		resp, body := do(t, "POST", ts.URL+"/v1/workspaces", schemaBody(tc.schema), nil)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: create workspace: %d %s", tc.name, resp.StatusCode, body)
+		}
+		var created struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(body, &created); err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			resp, body = do(t, "POST", ts.URL+"/v1/workspaces/"+created.ID+"/query", `{"op":"classification"}`, nil)
+			if resp.StatusCode != 200 || string(body) != tc.want {
+				t.Errorf("%s round %d: reply %d %q, want 200 %q", tc.name, round, resp.StatusCode, body, tc.want)
+			}
+		}
+	}
+}
+
 // TestClassifyLargeSchemaUnderDeadline is the server-scale pin for the
 // polynomial path: a 10⁴-edge schema — which the retired MaxClassifyEdges
 // cap would have refused with 422 — classifies fully under the default 2s

@@ -101,6 +101,18 @@ type Result struct {
 	Degree Degree
 }
 
+// String renders the four verdicts, e.g. "α✓ β✓ γ✗ Berge✗" — the same
+// text as the exponential testers' acyclic.Classification.
+func (r *Result) String() string {
+	mark := func(b bool) string {
+		if b {
+			return "✓"
+		}
+		return "✗"
+	}
+	return "α" + mark(r.Alpha) + " β" + mark(r.Beta.Acyclic) + " γ" + mark(r.Gamma.Acyclic) + " Berge" + mark(r.Berge)
+}
+
 // cancelStride is how many work units a tester performs between context
 // checks — the repo-wide convention (mcs, gyo, exec kernels), coarse enough
 // to stay out of profiles, fine enough to bound cancellation latency.

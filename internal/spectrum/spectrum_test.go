@@ -77,6 +77,24 @@ func TestSpectrumExhaustiveSmall(t *testing.T) {
 	}
 }
 
+// TestResultStringMatchesClassification pins Result.String to the text the
+// exponential testers render for the same verdicts, on every connected
+// reduced hypergraph over up to 4 nodes, so callers printing a spectrum
+// print what they printed for acyclic.Classification.
+func TestResultStringMatchesClassification(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		for _, h := range gen.AllConnectedReduced(n) {
+			res, err := Classify(context.Background(), h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.String(), acyclic.Classify(h).String(); got != want {
+				t.Fatalf("String() = %q, acyclic.Classify = %q\n%s", got, want, h.Format())
+			}
+		}
+	}
+}
+
 // TestSpectrumKnownExamples walks the named boundary instances of the
 // hierarchy: each rung's classic witness classifies to exactly that degree.
 func TestSpectrumKnownExamples(t *testing.T) {

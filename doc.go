@@ -306,13 +306,25 @@
 //	GET  /healthz, /statsz              liveness (503 while draining) and counters
 //	GET  /metricsz, /tracez             Prometheus metrics and retained slow traces (see Observability)
 //
-// The three schema endpoints (analyze, jointree, classify) hand the schema
-// text to the engine's text plane (Engine.AnalyzeText): a text repeated
-// byte for byte while its memo entry is resident answers without a parse,
-// a fingerprint or a hypergraph; any other text is parsed and probes the
-// fingerprint memo as before, and a parse error answers 400 "parse" and is
-// never cached. Either way the answer is byte-identical. The reduce, eval
-// and workspace endpoints parse their schema on every request.
+// A {"schema": ...} body (the three schema endpoints and workspace
+// create) is read once into one buffer and scanned once by hand; the scan
+// decodes the escapes \" \\ \/ \b \f \n \r \t itself, into one copy of
+// the string, and leaves a string with \u escapes or non-ASCII bytes to
+// json.Unmarshal. Any other body, such as one with case-variant, duplicate
+// or unknown keys, is decoded by encoding/json over the same bytes, so
+// every answer is the one that decode gives. The three schema endpoints
+// (analyze, jointree, classify) hand the schema text to the engine's text
+// plane (Engine.AnalyzeText): a text repeated byte for byte while its memo
+// entry is resident answers without a parse, a fingerprint or a
+// hypergraph; any other text is parsed and probes the fingerprint memo as
+// before, and a parse error answers 400 "parse" and is never cached.
+// Either way the answer is byte-identical. The reduce, eval and workspace
+// endpoints parse their schema on every request. A parse reads the text
+// once: each node name is interned through one map on first sight, the
+// distinct names are sorted once, and the names the hypergraph keeps are
+// substrings of the schema text. Cached workspace query replies
+// (jointree, fullreducer, classification) are written to the wire as they
+// were marshalled, without a second pass through encoding/json.
 //
 // A /v1/reduce or /v1/eval table is {"attrs": [...], "rows": [[...], ...]},
 // one array of string cells per row in attrs order. The body is read once
@@ -436,9 +448,15 @@
 // sampled (1-in-N, decided once at the root, so unsampled requests pay
 // nothing downstream), spans propagate by context through
 // server→engine→analysis→exec→dynamic: the server root records method,
-// path, tenant, deadline, status; engine.memo records hit/miss and edge
-// count, and on the schema endpoints whether the request parsed its schema
-// (parsed), a parse timing as its hypergraph.parse child; facet spans time MCS/spectrum/Graham computations, on frozen
+// path, tenant, deadline, status; server.decode times a request body's
+// read on the schema, eval, reduce and workspace-create endpoints, with
+// the scan of a {"schema"} body (an eval or reduce body's scan is
+// exec.load); engine.memo records hit/miss and edge count, and on the
+// schema endpoints whether the request parsed its schema (parsed), a parse
+// timing as its hypergraph.parse child; eval, reduce and workspace create
+// time their parse as a hypergraph.parse span of their own, and every
+// hypergraph.parse span carries the schema's bytes, plus its edges and
+// nodes when it parsed; facet spans time MCS/spectrum/Graham computations, on frozen
 // sessions and workspace handles alike (waiters that coalesced onto
 // another goroutine's computation get a facet.wait span instead); exec.eval/exec.reduce/exec.step record per-step target,
 // source, rows in/out, queueing wait, and the semijoin kernel the step ran

@@ -617,11 +617,15 @@ func (e *Engine) textEntry(ctx context.Context, text string) (en *entry, hit, pa
 		return en, true, false, nil
 	}
 	_, psp := obs.StartSpan(ctx, "hypergraph.parse")
+	psp.SetInt("bytes", int64(len(text)))
 	h, _, err := hypergraph.Parse(text)
-	psp.End()
 	if err != nil {
+		psp.End()
 		return nil, false, true, err
 	}
+	psp.SetInt("edges", int64(h.NumEdges()))
+	psp.SetInt("nodes", int64(h.NumNodes()))
+	psp.End()
 	en, hit = e.entryFor(ctx, h, text)
 	return en, hit, true, nil
 }

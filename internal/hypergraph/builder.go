@@ -2,9 +2,10 @@ package hypergraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/bitset"
 )
@@ -22,14 +23,24 @@ import (
 //		Edge("C", "D", "E").
 //		Build()
 //
+// Name mode has one interner: every node name, from Edge, NamedEdge or
+// Text, is looked up in one map and given a provisional id on first sight,
+// and every edge is a run of provisional ids in one flat slice. Build sorts
+// the distinct names once, remaps the runs to ranks, and hands the map on
+// as the hypergraph's name index. Names are kept as given, so those read by
+// Text are substrings of the text.
+//
 // Builders are not safe for concurrent use; the built Hypergraph is.
 type Builder struct {
-	universe  int        // declared id universe; < 0 when undeclared
-	nameEdges [][]string // name-mode edge list
-	idEdges   [][]int32  // id-mode edge list
-	edgeNames []string   // optional per-edge names, aligned with edges
-	named     bool       // some edge carries a nonempty name
-	err       error      // first recorded error
+	universe  int            // declared id universe; < 0 when undeclared
+	index     map[string]int // name mode: name -> provisional id; nil once Build hands it on
+	names     []string       // name mode: provisional id -> name, in order of first sight
+	flat      []int32        // name mode: every edge's provisional ids, edge after edge
+	ends      []int          // name mode: the end of each edge's run in flat
+	idEdges   [][]int32      // id-mode edge list
+	edgeNames []string       // optional per-edge names, aligned with edges
+	named     bool           // some edge carries a nonempty name
+	err       error          // first recorded error
 }
 
 // NewBuilder returns an empty Builder.
@@ -48,7 +59,7 @@ func (b *Builder) fail(err error) *Builder {
 // UniverseSize declares the id universe {0, ..., n-1} for EdgeIDs edges and
 // switches the builder to id mode.
 func (b *Builder) UniverseSize(n int) *Builder {
-	if len(b.nameEdges) > 0 {
+	if len(b.ends) > 0 {
 		return b.fail(fmt.Errorf("hypergraph: Builder: cannot mix id universe with name edges"))
 	}
 	if n < 0 {
@@ -66,22 +77,62 @@ func (b *Builder) Edge(nodes ...string) *Builder {
 // NamedEdge appends an edge given as node names, recording an optional edge
 // name ("" for unnamed) retrievable from EdgeNames after Build.
 func (b *Builder) NamedEdge(name string, nodes ...string) *Builder {
-	if len(b.idEdges) > 0 || b.universe >= 0 {
-		return b.fail(fmt.Errorf("hypergraph: Builder: cannot mix name edges with id edges"))
+	if b.idMode() {
+		return b.fail(errMixNames)
 	}
-	b.nameEdges = append(b.nameEdges, nodes)
+	for _, n := range nodes {
+		b.intern(n)
+	}
+	b.endEdge(name)
+	return b
+}
+
+// errMixNames reports a name edge added to an id-mode builder.
+var errMixNames = fmt.Errorf("hypergraph: Builder: cannot mix name edges with id edges")
+
+// idMode reports whether the builder took an id edge or a universe.
+func (b *Builder) idMode() bool { return len(b.idEdges) > 0 || b.universe >= 0 }
+
+// intern appends name's provisional id to the current edge's run, giving
+// the name the next id on first sight.
+func (b *Builder) intern(name string) {
+	index := b.nameIndex()
+	id, ok := index[name]
+	if !ok {
+		id = len(b.names)
+		index[name] = id
+		b.names = append(b.names, name)
+	}
+	b.flat = append(b.flat, int32(id))
+}
+
+// nameIndex returns the interning map, rebuilding it from names when Build
+// has handed the previous one on.
+func (b *Builder) nameIndex() map[string]int {
+	if b.index == nil {
+		b.index = make(map[string]int, len(b.names))
+		for i, n := range b.names {
+			b.index[n] = i
+		}
+	}
+	return b.index
+}
+
+// endEdge closes the run of ids interned since the previous edge as one
+// edge named name.
+func (b *Builder) endEdge(name string) {
+	b.ends = append(b.ends, len(b.flat))
 	b.edgeNames = append(b.edgeNames, name)
 	if name != "" {
 		b.named = true
 	}
-	return b
 }
 
 // EdgeIDs appends an edge given as node ids over the declared universe and
 // switches the builder to id mode. Already-sorted slices are adopted without
 // copying (the FromIDs contract), so callers must not reuse them.
 func (b *Builder) EdgeIDs(ids ...int32) *Builder {
-	if len(b.nameEdges) > 0 {
+	if len(b.ends) > 0 {
 		return b.fail(fmt.Errorf("hypergraph: Builder: cannot mix id edges with name edges"))
 	}
 	b.idEdges = append(b.idEdges, ids)
@@ -93,30 +144,92 @@ func (b *Builder) EdgeIDs(ids ...int32) *Builder {
 // nodes separated by whitespace or commas, optional "name:" prefixes, '#'
 // comments. Syntax errors are reported by Build as *ErrParse with 1-based
 // line and column.
+//
+// The text is read once, line by line, and each node is interned as it is
+// met. A line is trimmed as strings.TrimSpace trims it and split as
+// strings.FieldsFunc splits on unicode.IsSpace or ',': bytes below 0x80
+// are classified by table, and a byte at or above it is decoded as UTF-8
+// where it occurs.
 func (b *Builder) Text(text string) *Builder {
-	for lineNo, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	for lineNo := 1; text != ""; lineNo++ {
+		raw := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			raw, text = text[:i], text[i+1:]
+		} else {
+			text = ""
 		}
-		col := 1 + len(raw) - len(strings.TrimLeft(raw, " \t"))
-		name := ""
-		if i := strings.Index(line, ":"); i >= 0 {
-			name = strings.TrimSpace(line[:i])
-			line = line[i+1:]
-			if name == "" {
-				return b.fail(&ErrParse{Line: lineNo + 1, Col: col, Msg: "empty edge name"})
-			}
+		if !b.textLine(raw, lineNo) {
+			break
 		}
-		fields := strings.FieldsFunc(line, func(r rune) bool {
-			return unicode.IsSpace(r) || r == ','
-		})
-		if len(fields) == 0 {
-			return b.fail(&ErrParse{Line: lineNo + 1, Col: col, Msg: "edge with no nodes"})
-		}
-		b.NamedEdge(name, fields...)
 	}
 	return b
+}
+
+// textLine appends the edge on one line of text, if any, and reports false
+// once an error is recorded.
+func (b *Builder) textLine(raw string, lineNo int) bool {
+	line := strings.TrimSpace(raw)
+	if line == "" || line[0] == '#' {
+		return true
+	}
+	name := ""
+	if i := strings.IndexByte(line, ':'); i >= 0 {
+		name, line = strings.TrimSpace(line[:i]), line[i+1:]
+		if name == "" {
+			b.fail(parseErrorAt(raw, lineNo, "empty edge name"))
+			return false
+		}
+	}
+	start := len(b.flat)
+	for i := 0; i < len(line); {
+		w, sep := classify(line, i)
+		if sep {
+			i += w
+			continue
+		}
+		j := i + w
+		for j < len(line) {
+			if w, sep = classify(line, j); sep {
+				break
+			}
+			j += w
+		}
+		b.intern(line[i:j])
+		i = j
+	}
+	if len(b.flat) == start {
+		b.fail(parseErrorAt(raw, lineNo, "edge with no nodes"))
+		return false
+	}
+	// Checked after the line's own errors, which are reported first.
+	if b.idMode() {
+		b.flat = b.flat[:start]
+		b.fail(errMixNames)
+		return false
+	}
+	b.endEdge(name)
+	return true
+}
+
+// asciiSep marks the bytes below 0x80 that separate nodes: commas and the
+// ASCII white space of unicode.IsSpace.
+var asciiSep = [utf8.RuneSelf]bool{',': true, ' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
+
+// classify returns the width of the byte or UTF-8 sequence at s[i], and
+// whether it separates nodes. An invalid sequence is one byte wide and
+// never a separator, as in strings.FieldsFunc.
+func classify(s string, i int) (int, bool) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return 1, asciiSep[c]
+	}
+	r, w := utf8.DecodeRuneInString(s[i:])
+	return w, unicode.IsSpace(r)
+}
+
+// parseErrorAt builds the *ErrParse for a line whose column is that of its
+// first byte other than a space or a tab.
+func parseErrorAt(raw string, lineNo int, msg string) *ErrParse {
+	return &ErrParse{Line: lineNo, Col: 1 + len(raw) - len(strings.TrimLeft(raw, " \t")), Msg: msg}
 }
 
 // EdgeNames returns the recorded per-edge names, aligned with edge order
@@ -136,7 +249,7 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.idEdges) > 0 || b.universe >= 0 {
+	if b.idMode() {
 		return b.buildIDs()
 	}
 	return b.buildNames(), nil
@@ -152,41 +265,43 @@ func (b *Builder) MustBuild() *Hypergraph {
 	return h
 }
 
-// buildNames interns the sorted union of all names to dense ids and
-// assembles adaptive edges; the streaming fingerprint folds in as edges are
-// laid down (finish128 seals it).
+// buildNames sorts the distinct names once, remaps every edge's run from
+// provisional ids to ranks, and assembles adaptive edges; the streaming
+// fingerprint folds in as edges are laid down (finish128 seals it). The
+// interning map becomes the hypergraph's name index, its values rewritten
+// to ranks, so the builder rebuilds its own on reuse. Sparse edges adopt
+// their run of one shared rank slice.
 func (b *Builder) buildNames() *Hypergraph {
-	seen := map[string]bool{}
-	for _, e := range b.nameEdges {
-		for _, n := range e {
-			seen[n] = true
-		}
+	index := b.nameIndex()
+	b.index = nil
+	n := len(b.names)
+	names := make([]string, n)
+	copy(names, b.names)
+	slices.Sort(names)
+	rank := make([]int32, n)
+	for i, name := range names {
+		rank[index[name]] = int32(i)
+		index[name] = i
 	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	h := &Hypergraph{
 		names:   names,
-		index:   make(map[string]int, len(names)),
-		n:       len(names),
-		nodeSet: bitset.Full(len(names)),
+		index:   index,
+		n:       n,
+		nodeSet: bitset.Full(n),
+		edges:   make([]Edge, len(b.ends)),
 	}
-	for i, n := range names {
-		h.index[n] = i
+	ids := make([]int32, len(b.flat))
+	for k, id := range b.flat {
+		ids[k] = rank[id]
 	}
-	fp := newFingerprintState(modeNames, len(b.nameEdges))
-	for _, e := range b.nameEdges {
-		ids := make([]int32, 0, len(e))
-		for _, n := range e {
-			ids = append(ids, int32(h.index[n]))
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		ids = bitset.DedupSorted(ids)
-		edge := edgeFromSortedIDs(ids, h.n)
-		fp.writeEdge(h, edge)
-		h.edges = append(h.edges, edge)
+	fp := newFingerprintState(modeNames, len(b.ends))
+	start := 0
+	for e, end := range b.ends {
+		run := ids[start:end:end]
+		slices.Sort(run)
+		h.edges[e] = edgeFromSortedIDs(bitset.DedupSorted(run), n)
+		fp.writeEdge(h, h.edges[e])
+		start = end
 	}
 	h.finish128(fp)
 	return h
@@ -225,7 +340,7 @@ func (b *Builder) buildIDs() (*Hypergraph, error) {
 		if !sorted {
 			cp := make([]int32, len(ids))
 			copy(cp, ids)
-			sort.Slice(cp, func(a, b int) bool { return cp[a] < cp[b] })
+			slices.Sort(cp)
 			ids = bitset.DedupSorted(cp)
 		}
 		edge := edgeFromSortedIDs(ids, n)

@@ -18,7 +18,9 @@ import (
 //
 // Edge names are returned in edge order; unnamed edges get "" entries.
 // Syntax errors are reported as *ErrParse with 1-based line and column.
-// It is a thin wrapper over Builder.
+// It is a thin wrapper over Builder.Text: the text is read once, each node
+// name is interned on first sight, and the names the hypergraph keeps are
+// substrings of text.
 func Parse(text string) (*Hypergraph, []string, error) {
 	b := NewBuilder().Text(text)
 	h, err := b.Build()
@@ -28,11 +30,9 @@ func Parse(text string) (*Hypergraph, []string, error) {
 	if h.NumEdges() == 0 {
 		return nil, nil, &ErrParse{Line: 1, Col: 1, Msg: "no edges in input"}
 	}
-	names := b.EdgeNames()
-	if names == nil {
-		names = make([]string, h.NumEdges())
-	}
-	return h, names, nil
+	// b is Parse's own, so its per-edge names ("" when unnamed) are
+	// returned without the copy EdgeNames makes.
+	return h, b.edgeNames, nil
 }
 
 // MustParse is Parse that panics on error, for tests and examples.

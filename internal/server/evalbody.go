@@ -1,29 +1,35 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	"repro/internal/exec"
 )
 
-// The /v1/eval and /v1/reduce body path. readBody reads the body once into
-// one buffer; scanEval then reads the envelope
+// The request bodies read by hand. readBody reads a body once into one
+// buffer. For /v1/eval and /v1/reduce, scanEval then reads the envelope
 //
 //	{"schema": "...", "attrs": [...], "tables": [{"attrs": [...], "rows": [[...], ...]}, ...]}
 //
 // in one hand-rolled pass, handing each table's rows to exec.ScanJSONRows
-// where they sit. encoding/json matches keys case-insensitively, lets the
-// last duplicate win and ignores unknown keys, so scanEval takes only the
-// shape whose meaning cannot differ from encoding/json's: the envelope keys
-// spelled exactly, each at most once, never null; a table's "attrs" first
-// and its optional "rows" second; strings and arrays of strings where the
-// struct has them. Any other body, and any body the scan finds wrong,
-// takes the path the scan stands in for: encoding/json decodes the
-// envelope with the rows as [][]string, and exec.FromRows loads each
-// table, so the answer, errors included, is theirs.
+// where they sit. For the schema endpoints and workspace create, scanSchema
+// reads exactly {"schema": "..."}. encoding/json matches keys
+// case-insensitively, lets the last duplicate win and ignores unknown keys,
+// so the scans take only the shape whose meaning cannot differ from
+// encoding/json's: the keys spelled exactly, each at most once, never null;
+// a table's "attrs" first and its optional "rows" second; strings and
+// arrays of strings where the struct has them. A string's escapes \" \\ \/
+// \b \f \n \r \t are decoded by the scan; a string holding a \u escape or
+// a byte outside ASCII is decoded by json.Unmarshal alone. Any other body,
+// and any body the scan finds wrong, takes the path the scan stands in
+// for: encoding/json decodes it over a replay of the same bytes (for eval,
+// with the rows as [][]string, each table loaded by exec.FromRows), so the
+// answer, errors included, is theirs.
 
 // readBody reads r's body into one buffer, presized from Content-Length
 // capped at limit, the body cap. It returns the bytes read and the error
@@ -146,8 +152,26 @@ func scanEval(b []byte) (req evalRequest, tables []*exec.Table, ok bool) {
 	}
 }
 
-// envScanner walks an eval envelope. Every read is bounds-checked against
-// b.
+// scanSchema reads a body of exactly {"schema": "..."} from the start of b
+// and ignores what follows it, as json.Decoder.Decode does. ok is false for
+// any other body.
+func scanSchema(b []byte) (schema string, ok bool) {
+	s := envScanner{b: b}
+	if s.space(); !s.consume('{') {
+		return "", false
+	}
+	if s.space(); s.key() != "schema" {
+		return "", false
+	}
+	if schema, ok = s.str(); !ok {
+		return "", false
+	}
+	s.space()
+	return schema, s.consume('}')
+}
+
+// envScanner walks a request body. Every read is bounds-checked against
+// b; dict, which only eval bodies use, holds their tables' values.
 type envScanner struct {
 	b    []byte
 	i    int
@@ -202,27 +226,36 @@ func (s *envScanner) key() string {
 	return ""
 }
 
-// str reads one string. A string holding a backslash escape or a
-// non-ASCII byte is decoded alone by json.Unmarshal, so escapes and
-// invalid-UTF-8 replacement match encoding/json.
+// str reads one string. The escapes in simpleEscapes are decoded here,
+// into a strings.Builder grown to the raw length, so a string costs one
+// copy either way. A string holding a \u escape or a non-ASCII byte is
+// decoded alone by json.Unmarshal, so surrogates and invalid-UTF-8
+// replacement match encoding/json.
 func (s *envScanner) str() (string, bool) {
 	if !s.consume('"') {
 		return "", false
 	}
 	open := s.i - 1
-	slow := false
+	escaped, slow := false, false
 	for s.i < len(s.b) {
 		switch c := s.b[s.i]; {
 		case c == '"':
 			s.i++
-			if !slow {
-				return string(s.b[open+1 : s.i-1]), true
+			raw := s.b[open+1 : s.i-1]
+			switch {
+			case slow:
+				var v string
+				err := json.Unmarshal(s.b[open:s.i], &v)
+				return v, err == nil
+			case escaped:
+				return unescape(raw), true
 			}
-			var v string
-			err := json.Unmarshal(s.b[open:s.i], &v)
-			return v, err == nil
+			return string(raw), true
 		case c == '\\':
-			slow = true
+			if s.i+1 < len(s.b) && simpleEscapes[s.b[s.i+1]] == 0 {
+				slow = true
+			}
+			escaped = true
 			s.i += 2
 			continue
 		case c >= 0x80:
@@ -233,6 +266,27 @@ func (s *envScanner) str() (string, bool) {
 		s.i++
 	}
 	return "", false
+}
+
+// simpleEscapes maps the byte after a backslash to the byte it stands for,
+// for every JSON escape but \u; 0 marks the rest.
+var simpleEscapes = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// unescape decodes raw, the bytes between a string's quotes, whose every
+// backslash starts an escape in simpleEscapes.
+func unescape(raw []byte) string {
+	var b strings.Builder
+	b.Grow(len(raw))
+	for {
+		k := bytes.IndexByte(raw, '\\')
+		if k < 0 {
+			b.Write(raw)
+			return b.String()
+		}
+		b.Write(raw[:k])
+		b.WriteByte(simpleEscapes[raw[k+1]])
+		raw = raw[k+2:]
+	}
 }
 
 // strs reads an array of strings; [] is an empty, non-nil slice, as

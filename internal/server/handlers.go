@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,14 +23,16 @@ import (
 
 // Request and response shapes. Schemas travel as the library's text format
 // (one edge per line; see hypergraph.Parse), data as per-object attribute
-// lists plus string rows. encoding/json decodes every body, except that an
-// eval body of the usual shape is read once and scanned once by hand, its
-// rows read into exec columns where they sit (see decodeEval and
-// loadEval); any other eval body is decoded into these structs. The schema
-// endpoints (analyze, jointree, classify) hand the schema text to
-// Engine.AnalyzeText, so a byte-for-byte repeat of a resident schema is
-// answered from the memo without a parse; eval, reduce and workspace
-// create parse theirs with parseSchema.
+// lists plus string rows. Every body that carries a schema is read once
+// into one buffer and scanned once by hand: a {"schema": ...} body by
+// decodeSchema, an eval or reduce body by decodeEval, whose rows go into
+// exec columns where they sit (see evalbody.go). A body of another shape
+// is decoded into these structs by encoding/json over the same bytes, as
+// are the workspace edit and query bodies. The schema endpoints (analyze,
+// jointree, classify) hand the schema text to Engine.AnalyzeText, so a
+// byte-for-byte repeat of a resident schema is answered from the memo
+// without a parse; eval, reduce and workspace create parse theirs with
+// parseSchema.
 
 type schemaRequest struct {
 	Schema string `json:"schema"`
@@ -67,19 +70,44 @@ func decodeFrom(body io.Reader, v any) error {
 	return nil
 }
 
-// parseSchema turns request text into a hypergraph; *hypergraph.ErrParse
-// surfaces as 400 "parse" with line and column.
-func parseSchema(text string) (*hypergraph.Hypergraph, error) {
+// decodeSchema reads a {"schema": ...} body, whose cap is limit, inside a
+// server.decode span: the body is read once (readBody) and scanned once
+// (scanSchema); any other shape is decoded by encoding/json over the same
+// bytes. Errors are decode's.
+func decodeSchema(r *http.Request, limit int64) (string, error) {
+	_, sp := obs.StartSpan(r.Context(), "server.decode")
+	defer sp.End()
+	body, readErr := readBody(r, limit)
+	sp.SetInt("bytes", int64(len(body)))
+	if schema, ok := scanSchema(body); ok {
+		return schema, nil
+	}
+	var req schemaRequest
+	err := decodeFrom(&replay{b: body, err: readErr}, &req)
+	return req.Schema, err
+}
+
+// parseSchema turns request text into a hypergraph inside a
+// hypergraph.parse span; *hypergraph.ErrParse surfaces as 400 "parse" with
+// line and column.
+func parseSchema(ctx context.Context, text string) (*hypergraph.Hypergraph, error) {
+	_, sp := obs.StartSpan(ctx, "hypergraph.parse")
+	defer sp.End()
+	sp.SetInt("bytes", int64(len(text)))
 	h, _, err := hypergraph.Parse(text)
+	if err == nil {
+		sp.SetInt("edges", int64(h.NumEdges()))
+		sp.SetInt("nodes", int64(h.NumNodes()))
+	}
 	return h, err
 }
 
 func (s *Server) handleAnalyze(r *http.Request) (any, error) {
-	var req schemaRequest
-	if err := decode(r, &req); err != nil {
+	schema, err := decodeSchema(r, s.cfg.MaxBodyBytes)
+	if err != nil {
 		return nil, err
 	}
-	a, err := s.eng.AnalyzeText(r.Context(), req.Schema)
+	a, err := s.eng.AnalyzeText(r.Context(), schema)
 	if err != nil {
 		return nil, err
 	}
@@ -96,11 +124,11 @@ func (s *Server) handleAnalyze(r *http.Request) (any, error) {
 }
 
 func (s *Server) handleJoinTree(r *http.Request) (any, error) {
-	var req schemaRequest
-	if err := decode(r, &req); err != nil {
+	schema, err := decodeSchema(r, s.cfg.MaxBodyBytes)
+	if err != nil {
 		return nil, err
 	}
-	a, err := s.eng.AnalyzeText(r.Context(), req.Schema)
+	a, err := s.eng.AnalyzeText(r.Context(), schema)
 	if err != nil {
 		return nil, err
 	}
@@ -120,11 +148,11 @@ func (s *Server) handleJoinTree(r *http.Request) (any, error) {
 }
 
 func (s *Server) handleClassify(r *http.Request) (any, error) {
-	var req schemaRequest
-	if err := decode(r, &req); err != nil {
+	schema, err := decodeSchema(r, s.cfg.MaxBodyBytes)
+	if err != nil {
 		return nil, err
 	}
-	a, err := s.eng.AnalyzeText(r.Context(), req.Schema)
+	a, err := s.eng.AnalyzeText(r.Context(), schema)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +210,7 @@ func decodeEval(r *http.Request, limit int64, withAttrs bool) ([]string, *exec.D
 	if err != nil {
 		return nil, nil, err
 	}
-	h, err := parseSchema(req.Schema)
+	h, err := parseSchema(r.Context(), req.Schema)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -261,13 +289,13 @@ func replyRows(t *exec.Table) [][]string {
 func (s *Server) handleWorkspaceCreate(r *http.Request) (any, error) {
 	// An empty body is a valid "empty workspace" request; anything else
 	// malformed is still a 400.
-	var req schemaRequest
-	if err := decode(r, &req); err != nil && !errors.Is(err, io.EOF) {
+	schema, err := decodeSchema(r, s.cfg.MaxBodyBytes)
+	if err != nil && !errors.Is(err, io.EOF) {
 		return nil, err
 	}
 	var seed *hypergraph.Hypergraph
-	if req.Schema != "" {
-		h, err := parseSchema(req.Schema)
+	if schema != "" {
+		h, err := parseSchema(r.Context(), schema)
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +311,6 @@ func (s *Server) handleWorkspaceCreate(r *http.Request) (any, error) {
 	var ws *dynamic.Workspace
 	var sess *store.Session
 	if s.cfg.DataDir != "" {
-		var err error
 		sess, ws, err = store.Create(filepath.Join(s.cfg.DataDir, id), s.storeOptions(), s.wsOptions()...)
 		if err != nil {
 			return nil, fmt.Errorf("create session %s: %w", id, err)

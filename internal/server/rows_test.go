@@ -41,7 +41,7 @@ func oracleDecodeEval(r *http.Request, withAttrs bool) ([]string, *exec.Database
 	if err := decode(r, &req); err != nil {
 		return nil, nil, err
 	}
-	h, err := parseSchema(req.Schema)
+	h, err := parseSchema(r.Context(), req.Schema)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/hypergraph"
 	"repro/internal/obs"
 )
 
@@ -134,5 +137,191 @@ func BenchmarkSchemaHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve()
+	}
+}
+
+// schemaBodySeeds are {"schema"} bodies on the edges of the fast shape,
+// each marked with whether scanSchema takes it: every escape the scan
+// decodes, \u escapes and non-ASCII bytes it leaves to json.Unmarshal,
+// trailing bytes it ignores as json.Decoder does, and the envelopes it
+// leaves to encoding/json.
+var schemaBodySeeds = []struct {
+	body string
+	fast bool
+}{
+	{`{"schema":"A B C\nC D E\nA E F\nA C E"}`, true},
+	{` { "schema" : "R1: A,B\r\n\tB C" } `, true},
+	{`{"schema":"q\"u\\o\/t\be\ff"}`, true},
+	{`{"schema":"A é B C\ud800"}`, true},
+	{"{\"schema\":\"A \xc3\xa9 \xff B\"}", true},
+	{`{"schema":"A B"} trailing`, true},
+	{`{"schema":"A B"}{"schema":"C D"}`, true},
+	{`{"schema":""}`, true},
+	{`{"schema":"A B","schema":"C D"}`, false},
+	{`{"Schema":"A B"}`, false},
+	{`{"schema":null}`, false},
+	{`{"schema":"A B","extra":1}`, false},
+	{`{"schema":12}`, false},
+	{"{\"schema\":\"A\x01B\"}", false},
+	{`{"schema":"A B\x"}`, false},
+	{`{"schema":"A B\`, false},
+	{`{}`, false},
+	{``, false},
+	{`[]`, false},
+}
+
+// TestScanSchemaShape pins which bodies take the one-pass scan, among them
+// the schema-mix shape: a schema-sized text with \n escapes.
+func TestScanSchemaShape(t *testing.T) {
+	for _, c := range append(schemaBodySeeds, struct {
+		body string
+		fast bool
+	}{schemaBody(bigSchemaText()), true}) {
+		if _, ok := scanSchema([]byte(c.body)); ok != c.fast {
+			t.Errorf("scanSchema(%.40q) ok %v, want %v", c.body, ok, c.fast)
+		}
+	}
+	if got, _ := scanSchema([]byte(schemaBodySeeds[2].body)); got != "q\"u\\o/t\be\ff" {
+		t.Errorf("escapes decode to %q", got)
+	}
+}
+
+// FuzzSchemaBody: whenever scanSchema accepts a body, encoding/json
+// decodes the same schema from it; and decodeSchema answers every body as
+// decode, the path before the scan, does under a 4 KiB cap: the same
+// classified status and code, or the same schema.
+func FuzzSchemaBody(f *testing.F) {
+	for _, c := range schemaBodySeeds {
+		f.Add(c.body)
+	}
+	const maxBody = 4096
+	f.Fuzz(func(t *testing.T, body string) {
+		if schema, ok := scanSchema([]byte(body)); ok {
+			var req schemaRequest
+			if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil || req.Schema != schema {
+				t.Fatalf("scanSchema read %q, encoding/json %q (%v)", schema, req.Schema, err)
+			}
+		}
+		req := func() *http.Request {
+			r := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(body))
+			r.Body = http.MaxBytesReader(nil, r.Body, maxBody)
+			return r
+		}
+		schema, err := decodeSchema(req(), maxBody)
+		var want schemaRequest
+		wantErr := decode(req(), &want)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decodeSchema err %v, decode err %v", err, wantErr)
+		}
+		if err != nil {
+			status, eb, _ := classify(err)
+			wantStatus, wantEB, _ := classify(wantErr)
+			if status != wantStatus || eb.Code != wantEB.Code {
+				t.Fatalf("decodeSchema answers %d %q (%v), decode %d %q (%v)", status, eb.Code, err, wantStatus, wantEB.Code, wantErr)
+			}
+			return
+		}
+		if schema != want.Schema {
+			t.Fatalf("decodeSchema read %q, decode %q", schema, want.Schema)
+		}
+	})
+}
+
+// TestTracezParseSpans: every server parse and decode is spanned. A fresh
+// /v1/analyze has one server.decode span and one hypergraph.parse span
+// carrying bytes, edges and nodes; so do /v1/eval (its parse under no
+// engine.memo) and a seeded workspace create.
+func TestTracezParseSpans(t *testing.T) {
+	t.Cleanup(obs.Disable)
+	_, ts := newTestServer(t, Config{Trace: true, SlowTraceThreshold: -1}, nil)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/analyze", schemaBody(fig1Text)},
+		{"/v1/eval", plainBody},
+		{"/v1/workspaces", schemaBody(fig1Text)},
+	} {
+		if resp, body := do(t, "POST", ts.URL+c.path, c.body, nil); resp.StatusCode != 200 {
+			t.Fatalf("%s: %d %s", c.path, resp.StatusCode, body)
+		}
+	}
+	want := map[string][3]int64{ // bytes, edges, nodes of the parsed schema
+		"/v1/analyze":    {int64(len(fig1Text)), 4, 6},
+		"/v1/eval":       {int64(len("A B\nB C")), 2, 3},
+		"/v1/workspaces": {int64(len(fig1Text)), 4, 6},
+	}
+	seen := 0
+	for _, tr := range getTracez(t, ts.URL).Traces {
+		if tr.Root == nil {
+			continue
+		}
+		path, _ := tr.Root.Attrs["path"].(string)
+		w, ok := want[path]
+		if !ok {
+			continue
+		}
+		seen++
+		var decodes int
+		var parses []*spanNode
+		walk(tr.Root, func(n *spanNode) {
+			switch n.Name {
+			case "server.decode":
+				decodes++
+			case "hypergraph.parse":
+				parses = append(parses, n)
+			}
+		})
+		if decodes != 1 || len(parses) != 1 {
+			t.Fatalf("%s: %d server.decode and %d hypergraph.parse spans, want 1 and 1", path, decodes, len(parses))
+		}
+		got := [3]int64{attrInt(t, parses[0], "bytes"), attrInt(t, parses[0], "edges"), attrInt(t, parses[0], "nodes")}
+		if got != w {
+			t.Fatalf("%s: hypergraph.parse bytes, edges, nodes = %v, want %v", path, got, w)
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("saw %d of the %d traces", seen, len(want))
+	}
+}
+
+// relabel prefixes every node name of a schema in the text format, so the
+// result has the same shape but a text and fingerprint the memo has never
+// seen.
+func relabel(edges [][]string, prefix string) string {
+	var b strings.Builder
+	for i, e := range edges {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		for j, n := range e {
+			if j > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(prefix)
+			b.WriteString(n)
+		}
+	}
+	return b.String()
+}
+
+// BenchmarkSchemaMiss is one /v1/analyze request through Handler() on a
+// schema-mix-sized schema the memo has never seen: a fresh relabelling
+// every iteration, so it times the body read and scan, the parse, the
+// memo insert and the MCS verdict. The server is replaced every 256
+// iterations so the memo it fills stays small.
+func BenchmarkSchemaMiss(b *testing.B) {
+	edges := hypergraph.MustParse(bigSchemaText()).EdgeLists()
+	var h http.Handler
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%256 == 0 {
+			h = New(Config{TenantRate: 1e9, TenantBurst: 1 << 30}, nil).Handler()
+		}
+		req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(schemaBody(relabel(edges, fmt.Sprintf("m%d_", i)))))
+		rec := httptest.NewRecorder()
+		b.StartTimer()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("analyze: %d %s", rec.Code, rec.Body)
+		}
 	}
 }

@@ -522,11 +522,25 @@ func (s *Server) writeError(w http.ResponseWriter, status int, body ErrorBody) {
 	s.writeJSON(w, status, errorResponse{Error: body})
 }
 
+// newline ends every reply body, as json.Encoder.Encode ends a value.
+var newline = []byte{'\n'}
+
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil && s.logger != nil {
+	var err error
+	if raw, ok := v.(json.RawMessage); ok {
+		// A response-cache body was marshalled once, already compact and
+		// escaped as Encode would leave it: it goes out as it is, with the
+		// newline Encode ends a value with, written apart so the shared
+		// cached slice is never appended to.
+		if _, err = w.Write(raw); err == nil {
+			_, err = w.Write(newline)
+		}
+	} else {
+		err = json.NewEncoder(w).Encode(v)
+	}
+	if err != nil && s.logger != nil {
 		s.logger.Printf("encode response: %v", err)
 	}
 }

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -402,6 +404,42 @@ func TestWatchLongPoll(t *testing.T) {
 // TestRespCacheEpochKeyed: identical queries at one epoch hit the cache and
 // serve byte-identical bodies; an edit moves the epoch and misses; the entry
 // count respects the configured bound; the counters are on /metricsz.
+// TestCachedRepliesMatchEncoder: the jointree, fullreducer and
+// classification replies, written from the response cache on a miss and on
+// a hit, are byte for byte what json.Encoder writes for the body queryBody
+// builds, and serving them leaves the cached bytes as json.Marshal made
+// them.
+func TestCachedRepliesMatchEncoder(t *testing.T) {
+	s, ts := newTestServer(t, Config{}, nil)
+	do(t, "POST", ts.URL+"/v1/workspaces", schemaBody(fig1Text), nil)
+	ws := s.spaces["ws-1"]
+	for _, op := range []string{"jointree", "fullreducer", "classification"} {
+		b, _ := json.Marshal(map[string]string{"op": op})
+		_, miss := do(t, "POST", ts.URL+"/v1/workspaces/ws-1/query", string(b), nil)
+		_, hit := do(t, "POST", ts.URL+"/v1/workspaces/ws-1/query", string(b), nil)
+
+		a, err := ws.AnalysisCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.queryBody(httptest.NewRequest("POST", "/", nil), a, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(res); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(miss, want.Bytes()) || !bytes.Equal(hit, want.Bytes()) {
+			t.Fatalf("%s: miss %q, hit %q, encoder %q", op, miss, hit, want.Bytes())
+		}
+		cached, ok := s.respCache.get(fmt.Sprintf("ws-1@%d:%s", a.Epoch(), op))
+		if marshalled, _ := json.Marshal(res); !ok || !bytes.Equal(cached, marshalled) {
+			t.Fatalf("%s: cached %q (present %v), json.Marshal %q", op, cached, ok, marshalled)
+		}
+	}
+}
+
 func TestRespCacheEpochKeyed(t *testing.T) {
 	ts := newDurableServer(t, Config{RespCacheEntries: 2})
 	do(t, "POST", ts.url+"/v1/workspaces", schemaBody(fig1Text), nil)

@@ -690,8 +690,11 @@ func BenchmarkWorkspaceEdit(b *testing.B) {
 // the shape of perfbench's workspace-edit sessions: 31 six-edge chains plus
 // one 3000-edge random acyclic component. Each op adds an edge inside a
 // uniformly chosen component (two nodes of one of its edges plus a fresh
-// node, so the epoch stays acyclic), reads the join forest of the new epoch
-// — settle, snapshot and forest assembly — and removes the edge again.
+// node, so the epoch stays acyclic), reads the new epoch, and removes the
+// edge again. The jointree read is the full JoinTree — settle, snapshot
+// and forest assembly; the parent read is the server's jointree query —
+// settle and parent links from the settled fragments, with no snapshot.
+// Both reads run the same edit sequence.
 func BenchmarkWorkspaceJoinTreeRead(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var comps [][][]string
@@ -721,22 +724,33 @@ func BenchmarkWorkspaceJoinTreeRead(b *testing.B) {
 	if _, err := ws.Analysis().JoinTree(); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		comp := comps[rng.Intn(len(comps))]
-		e := comp[rng.Intn(len(comp))]
-		p := rng.Perm(len(e))
-		id, err := ws.AddEdge(e[p[0]], e[p[1]], "x"+strconv.Itoa(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ws.Analysis().JoinTree(); err != nil {
-			b.Fatal(err)
-		}
-		if err := ws.RemoveEdge(id); err != nil {
-			b.Fatal(err)
-		}
+	reads := []struct {
+		name string
+		read func(*WorkspaceAnalysis) error
+	}{
+		{"jointree", func(a *WorkspaceAnalysis) error { _, err := a.JoinTree(); return err }},
+		{"parent", func(a *WorkspaceAnalysis) error { _, err := a.Parent(); return err }},
+	}
+	for _, r := range reads {
+		b.Run(r.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2)) // both reads see the same edits
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				comp := comps[rng.Intn(len(comps))]
+				e := comp[rng.Intn(len(comp))]
+				p := rng.Perm(len(e))
+				id, err := ws.AddEdge(e[p[0]], e[p[1]], "x"+strconv.Itoa(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := r.read(ws.Analysis()); err != nil {
+					b.Fatal(err)
+				}
+				if err := ws.RemoveEdge(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

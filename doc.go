@@ -86,19 +86,23 @@
 // magnitude faster than a from-scratch Analyze (BENCH_dynamic.json).
 //
 // ws.Analysis() returns an epoch guard around one Analysis session: the
-// verdict is settled by the edits, and the first derived facet builds the
-// session over the epoch snapshot, seeded with that verdict and the union
-// of the per-component join-tree fragments, so no facet re-runs the
-// search. Every other facet is the frozen session's own code: computed at
-// most once per handle, traced with the same facet.* spans, and coalesced
-// deadline-aware — a caller waiting behind another caller's in-flight
-// spectrum or Graham trace observes its own context.
+// verdict is settled by the edits, and a.Parent() reads the join forest's
+// parent links straight off the per-component join-tree fragments — once
+// per handle, with no hypergraph built. The first derived facet (Snapshot,
+// JoinTree, FullReducer, Spectrum, GrahamTrace, Reduce, Eval) builds the
+// session over the epoch snapshot, seeded with that verdict and the same
+// parent links, so no facet re-runs the search. Every other facet is the
+// frozen session's own code: computed at most once per handle, traced with
+// the same facet.* spans, and coalesced deadline-aware — a caller waiting
+// behind another caller's in-flight spectrum or Graham trace observes its
+// own context.
 //
 //	ws := repro.NewWorkspace()
 //	ws.AddEdge("A", "B", "C")
 //	id, _ := ws.AddEdge("C", "D")
 //	a := ws.Analysis()           // epoch-bound handle; only dirty components settle
 //	a.Verdict()
+//	parent, _ := a.Parent()      // forest parent links; no snapshot built
 //	jt, _ := a.JoinTree()        // union of per-component fragments; no re-search
 //	ws.RemoveEdge(id)            // bumps the epoch
 //	_, err := a.JoinTree()       // *ErrStaleEpoch — edits invalidate loudly
@@ -114,6 +118,7 @@
 //	a := Analyze(h)                     a := ws.Analysis() (epoch guard)
 //	a.Verdict()                         a.Verdict() (incremental, O(1) warm)
 //	a.JoinTree()                        a.JoinTree() (seeded fragment union)
+//	a.JoinTree().Parent                 a.Parent() (no snapshot built)
 //	a.GrahamTrace()                     a.GrahamTrace(ctx) (cancellable)
 //	a.Spectrum()                        a.Spectrum(ctx) (α incremental)
 //	a.FullReducer()                     a.FullReducer() (epoch-checked)
@@ -291,7 +296,10 @@
 //
 // cmd/hgserved (alias: hgtool serve) exposes the whole surface over
 // HTTP/JSON for many concurrent tenants, backed by one shared Engine so
-// warm analyses answer from the fingerprint memo across tenants:
+// warm analyses answer from the fingerprint memo across tenants. The memo
+// is bounded at 1,024 entries per plane (schema sessions, component
+// records), evicting each shard's least-recently-touched entry, so a
+// long-running server's heap does not grow with every schema it was sent:
 //
 //	POST /v1/analyze                    {"schema": "A B C\nC D E"} → verdict + sizes
 //	POST /v1/jointree                   join-tree parents, roots, full-reducer program
@@ -324,7 +332,9 @@
 // distinct names are sorted once, and the names the hypergraph keeps are
 // substrings of the schema text. Cached workspace query replies
 // (jointree, fullreducer, classification) are written to the wire as they
-// were marshalled, without a second pass through encoding/json.
+// were built, without a second pass through encoding/json. The workspace
+// jointree reply is appended by hand from the handle's Parent links, so
+// that read builds no hypergraph; its bytes are those json.Marshal writes.
 //
 // A /v1/reduce or /v1/eval table is {"attrs": [...], "rows": [[...], ...]},
 // one array of string cells per row in attrs order. The body is read once

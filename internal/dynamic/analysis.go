@@ -17,25 +17,30 @@ import (
 // epoch Workspace.Analysis was called. The incremental facts (Verdict,
 // Epoch, NumEdges, NumNodes, NumComponents) are settled at creation from the
 // per-component state the edits maintained, so reading them never
-// materializes anything and they always describe the same epoch. The
-// derived facets (Snapshot, JoinTree, FullReducer, Spectrum, GrahamTrace,
-// Reduce, Eval) delegate to the session, which is built lazily on first use
-// over the epoch snapshot, seeded with the settled verdict and join forest
-// (no search re-runs). Each facet's traversal therefore runs at most once
-// per handle, records the session's facet spans, and coalesces concurrent
-// callers deadline-aware: a caller waiting behind another's in-flight
-// traversal observes its own context. The Theorem 6.1 witness is not a
-// facet: pass Snapshot to the root package's IndependentPathWitness.
+// materializes anything and they always describe the same epoch. Parent is
+// settled too, lazily: the join forest's parent links are assembled once
+// per handle straight from the per-component join-tree fragments, with no
+// hypergraph built. The derived facets (Snapshot, JoinTree, FullReducer,
+// Spectrum, GrahamTrace, Reduce, Eval) delegate to the session, which is
+// built lazily on first use over the epoch snapshot, seeded with the
+// settled verdict and the same parent links (no search re-runs) — so those
+// facets, and only those, materialize the snapshot. Each facet's traversal
+// therefore runs at most once per handle, records the session's facet
+// spans, and coalesces concurrent callers deadline-aware: a caller waiting
+// behind another's in-flight traversal observes its own context. The
+// Theorem 6.1 witness is not a facet: pass Snapshot to the root package's
+// IndependentPathWitness.
 //
-// Consistency is explicit: every derived facet checks on every call that
-// the workspace is still at the handle's epoch and reports *ErrStaleEpoch
-// otherwise — even when the artifact was already materialized — so an edit
-// invalidates downstream plans loudly instead of letting a join tree or
-// execution plan of a hypergraph that no longer exists be served silently.
-// Values a caller already holds (a returned *JoinTree, a snapshot) stay
-// valid for the epoch they describe; recover from staleness by taking a
-// fresh handle with Workspace.Analysis. Only Verdict, Epoch, and the counts
-// — plain facts about the epoch — stay readable forever.
+// Consistency is explicit: Parent and every derived facet check on every
+// call that the workspace is still at the handle's epoch and report
+// *ErrStaleEpoch otherwise — even when the artifact was already
+// materialized — so an edit invalidates downstream plans loudly instead of
+// letting a join tree or execution plan of a hypergraph that no longer
+// exists be served silently. Values a caller already holds (a returned
+// *JoinTree, a snapshot) stay valid for the epoch they describe; recover
+// from staleness by taking a fresh handle with Workspace.Analysis. Only
+// Verdict, Epoch, and the counts — plain facts about the epoch — stay
+// readable forever.
 //
 // Handles are safe for concurrent use.
 type Analysis struct {
@@ -46,8 +51,9 @@ type Analysis struct {
 	nodes   int  // current nodes at the epoch
 	comps   int  // connected components at the epoch
 
-	mu    sync.Mutex // guards building inner, never a facet run
-	inner *analysis.Analysis
+	mu     sync.Mutex // guards building inner and parent, never a facet run
+	inner  *analysis.Analysis
+	parent []int // the join forest's parent links, once assembled
 }
 
 // Epoch returns the workspace epoch this handle describes.
@@ -70,9 +76,37 @@ func (a *Analysis) NumComponents() int { return a.comps }
 // fact about this epoch).
 func (a *Analysis) Verdict() bool { return a.acyclic }
 
+// Parent returns the join forest's parent links at the handle's epoch: for
+// each alive edge, in slot order (the snapshot's edge order), the position
+// of its parent edge, or -1 for a root — exactly JoinTree().Parent. The
+// links are assembled once per handle from the per-component join-tree
+// fragments the workspace settled, without building the epoch snapshot. It
+// reports hypergraph.ErrCyclic when any component is cyclic and
+// *ErrStaleEpoch when the workspace has moved on. The slice is shared (the
+// session's JoinTree holds the same one) and must be treated as read-only.
+func (a *Analysis) Parent() ([]int, error) {
+	if err := a.ws.stale(a.epoch); err != nil {
+		return nil, err
+	}
+	if !a.acyclic {
+		return nil, hypergraph.ErrCyclic
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.parent == nil {
+		parent, err := a.ws.parentFor(a.epoch)
+		if err != nil {
+			return nil, err
+		}
+		a.parent = parent
+	}
+	return a.parent, nil
+}
+
 // session returns the epoch's analysis session, or *ErrStaleEpoch when the
 // workspace has moved on. The first call builds it over the epoch snapshot,
-// seeded with the settled verdict and join forest.
+// seeded with the settled verdict and the handle's parent links (assembled
+// now if Parent has not yet been read).
 func (a *Analysis) session() (*analysis.Analysis, error) {
 	if err := a.ws.stale(a.epoch); err != nil {
 		return nil, err
@@ -80,10 +114,11 @@ func (a *Analysis) session() (*analysis.Analysis, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.inner == nil {
-		snap, parent, err := a.ws.settledFor(a.epoch)
+		snap, parent, err := a.ws.settledFor(a.epoch, a.parent)
 		if err != nil {
 			return nil, err
 		}
+		a.parent = parent
 		a.inner = analysis.NewSettled(snap, a.acyclic, parent)
 	}
 	return a.inner, nil
@@ -189,33 +224,30 @@ func (ws *Workspace) stale(epoch uint64) error {
 
 // settledFor returns the snapshot of epoch and, when every component is
 // acyclic, the join forest's parent links over it (nil on a cyclic epoch):
-// each fragment's canonical-order parent links are rebased onto snapshot
-// edge positions, and the roots of all fragments stay roots of the forest.
-// The check and both materializations happen under one lock acquisition,
-// so they describe exactly the requested epoch; *ErrStaleEpoch otherwise.
-func (ws *Workspace) settledFor(epoch uint64) (*hypergraph.Hypergraph, []int, error) {
+// parent itself when the handle already holds the links, else parentLocked's
+// assembly. The check and the materializations happen under one lock
+// acquisition, so they describe exactly the requested epoch;
+// *ErrStaleEpoch otherwise.
+func (ws *Workspace) settledFor(epoch uint64, parent []int) (*hypergraph.Hypergraph, []int, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	if err := ws.stale(epoch); err != nil {
 		return nil, nil, err
 	}
-	snap := ws.snapshotLocked()
-	if ws.cyclic > 0 {
-		return snap, nil, nil
+	if parent == nil && ws.cyclic == 0 {
+		parent = ws.parentLocked()
 	}
-	parent := make([]int, snap.NumEdges())
-	for i := range parent {
-		parent[i] = -1
+	return ws.snapshotLocked(), parent, nil
+}
+
+// parentFor returns the join forest's parent links at epoch, an acyclic
+// one, assembled under ws.mu by parentLocked; *ErrStaleEpoch when the
+// workspace has moved past epoch.
+func (ws *Workspace) parentFor(epoch uint64) ([]int, error) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if err := ws.stale(epoch); err != nil {
+		return nil, err
 	}
-	for _, c := range ws.comps {
-		if c == nil {
-			continue
-		}
-		for j, eid := range c.order {
-			if p := c.parent[j]; p >= 0 {
-				parent[ws.snapPos[eid]] = int(ws.snapPos[c.order[p]])
-			}
-		}
-	}
-	return snap, parent, nil
+	return ws.parentLocked(), nil
 }

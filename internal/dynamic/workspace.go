@@ -96,9 +96,8 @@ type Workspace struct {
 	watch   chan struct{}
 
 	// Per-epoch caches, reset by every edit.
-	cur     *Analysis
-	snap    *hypergraph.Hypergraph
-	snapPos []int32 // edge id -> snapshot position (alive edges only)
+	cur  *Analysis
+	snap *hypergraph.Hypergraph
 }
 
 // wedge is one edge record. Public edge ids are generational — slot in the
@@ -488,7 +487,6 @@ func (ws *Workspace) bump() {
 	ws.epoch.Add(1)
 	ws.cur = nil
 	ws.snap = nil
-	ws.snapPos = nil
 	if ws.watch != nil {
 		close(ws.watch)
 		ws.watch = nil
@@ -829,9 +827,8 @@ func (s *byNameSeq) Less(i, j int) bool {
 	return s.members[i] < s.members[j]
 }
 
-// snapshotLocked materializes (and caches) the current epoch's hypergraph
-// plus the edge-id -> snapshot-position map the forest assembly needs. The
-// snapshot is built from ids: node k is the k-th current node in name
+// snapshotLocked materializes (and caches) the current epoch's hypergraph.
+// The snapshot is built from ids: node k is the k-th current node in name
 // order, and each alive edge, in slot order, maps its ids to those
 // positions — the hypergraph a name Builder over the alive edges would
 // build, sorting only the names touched since the last snapshot.
@@ -848,11 +845,9 @@ func (ws *Workspace) snapshotLocked() *hypergraph.Hypergraph {
 		}
 		buf := make([]int32, size) // one backing array for every edge's ids
 		edges := make([][]int32, 0, ws.alive)
-		ws.snapPos = make([]int32, len(ws.edges))
 		for id := range ws.edges {
 			w := &ws.edges[id]
 			if !w.alive {
-				ws.snapPos[id] = -1
 				continue
 			}
 			ids := buf[:len(w.ids):len(w.ids)]
@@ -861,12 +856,43 @@ func (ws *Workspace) snapshotLocked() *hypergraph.Hypergraph {
 				ids[i] = rank[nid]
 			}
 			slices.Sort(ids)
-			ws.snapPos[id] = int32(len(edges))
 			edges = append(edges, ids)
 		}
 		ws.snap = hypergraph.FromSortedNames(names, edges)
 	}
 	return ws.snap
+}
+
+// parentLocked assembles the join forest's parent links over the alive
+// edges in slot order — the snapshot's edge order — from the settled
+// per-component fragments: each fragment's canonical-order links are
+// rebased onto those positions, and every fragment root stays a root of
+// the forest. A position is the count of alive slots before the edge's
+// own, so no snapshot is built. Callers hold ws.mu, and every component is
+// settled and acyclic.
+func (ws *Workspace) parentLocked() []int {
+	pos := make([]int32, len(ws.edges))
+	n := int32(0)
+	for slot := range ws.edges {
+		if ws.edges[slot].alive {
+			pos[slot] = n
+			n++
+		}
+	}
+	parent := make([]int, n)
+	for _, c := range ws.comps {
+		if c == nil {
+			continue
+		}
+		for j, eid := range c.order {
+			p := -1
+			if k := c.parent[j]; k >= 0 {
+				p = int(pos[c.order[k]])
+			}
+			parent[pos[eid]] = p
+		}
+	}
+	return parent
 }
 
 // nameOrder keeps a workspace's current node ids in ascending name order,

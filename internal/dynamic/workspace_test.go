@@ -456,9 +456,9 @@ func TestExecFacets(t *testing.T) {
 }
 
 // TestRaceHammer runs GOMAXPROCS writers (random edits on disjoint name
-// spaces plus shared ones) against GOMAXPROCS readers (Analysis facets,
-// snapshots) — the -race target for the mutable surface — then GOMAXPROCS
-// concurrent classifications of one handle.
+// spaces plus shared ones) against GOMAXPROCS readers (Parent, Analysis
+// facets, snapshots) — the -race target for the mutable surface — then
+// GOMAXPROCS concurrent classifications of one handle.
 func TestRaceHammer(t *testing.T) {
 	ws := New(WithEngine(engine.New()))
 	workers := runtime.GOMAXPROCS(0)
@@ -499,6 +499,13 @@ func TestRaceHammer(t *testing.T) {
 			for i := 0; i < opsPerWorker; i++ {
 				a := ws.Analysis()
 				_ = a.Verdict()
+				if _, err := a.Parent(); err != nil {
+					var stale *ErrStaleEpoch
+					if !errors.Is(err, hypergraph.ErrCyclic) && !errors.As(err, &stale) {
+						t.Errorf("reader: unexpected Parent error %v", err)
+						return
+					}
+				}
 				if jt, err := a.JoinTree(); err == nil {
 					_ = jt.Parent
 				} else {

@@ -15,10 +15,12 @@ var (
 
 // respCache is the epoch-keyed response cache for workspace query bodies:
 // the memo plane already answers verdicts and join-tree fragments, but the
-// JSON body was re-marshalled on every request. Keys embed the workspace id,
+// JSON body would be rebuilt on every request. Keys embed the workspace id,
 // its epoch, and the op — an edit bumps the epoch, so stale entries are
 // unreachable by construction and a FIFO bound recycles them. Values are
-// fully marshalled bodies (json.RawMessage), written to the wire verbatim.
+// finished bodies (json.RawMessage), written to the wire verbatim: the
+// jointree body as jointreeJSON appended it from the handle's parent links,
+// the others as json.Marshal made them.
 type respCache struct {
 	mu      sync.Mutex
 	max     int

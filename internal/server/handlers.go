@@ -492,26 +492,29 @@ func (s *Server) handleQuery(r *http.Request) (any, error) {
 	if err != nil || cacheKey == "" {
 		return res, err
 	}
-	body, merr := json.Marshal(res)
-	if merr != nil {
-		return res, nil // uncacheable body; serve it anyway
+	body, ok := res.(json.RawMessage) // already wire bytes: cached as they are
+	if !ok {
+		if body, err = json.Marshal(res); err != nil {
+			return res, nil // uncacheable body; serve it anyway
+		}
 	}
 	s.respCache.put(cacheKey, body)
-	return json.RawMessage(body), nil
+	return body, nil
 }
 
 // queryBody builds the response body for one query op against a settled
-// analysis handle.
+// analysis handle. The jointree body is appended by hand (jointreeJSON)
+// from the handle's parent links, so the read builds no hypergraph.
 func (s *Server) queryBody(r *http.Request, a *dynamic.Analysis, op string) (any, error) {
 	switch op {
 	case "verdict":
 		return map[string]any{"epoch": a.Epoch(), "acyclic": a.Verdict()}, nil
 	case "jointree":
-		jt, err := a.JoinTree()
+		parent, err := a.Parent()
 		if err != nil {
 			return nil, err
 		}
-		return map[string]any{"epoch": a.Epoch(), "parent": jt.Parent, "roots": jt.Roots()}, nil
+		return jointreeJSON(a.Epoch(), parent), nil
 	case "fullreducer":
 		prog, err := a.FullReducer()
 		if err != nil {
@@ -569,6 +572,38 @@ func (s *Server) handleWatch(r *http.Request) (any, error) {
 		// Deadline expiry is the long-poll's normal idle outcome, not a 408.
 		return map[string]any{"changed": false, "epoch": ws.Epoch()}, nil
 	}
+}
+
+// jointreeJSON appends the jointree query body — the bytes json.Marshal
+// writes for map{"epoch": epoch, "parent": parent, "roots": the root
+// positions}: keys in sorted order, "parent" a (possibly empty) array, and
+// "roots" null when no edge is a root, as Marshal writes a nil slice.
+func jointreeJSON(epoch uint64, parent []int) json.RawMessage {
+	b := make([]byte, 0, 48+6*len(parent))
+	b = append(b, `{"epoch":`...)
+	b = strconv.AppendUint(b, epoch, 10)
+	b = append(b, `,"parent":[`...)
+	for i, p := range parent {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(p), 10)
+	}
+	b = append(b, `],"roots":`...)
+	sep := byte('[')
+	for i, p := range parent {
+		if p == -1 {
+			b = append(b, sep)
+			b = strconv.AppendInt(b, int64(i), 10)
+			sep = ','
+		}
+	}
+	if sep == '[' {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, ']')
+	}
+	return append(b, '}')
 }
 
 func stepsJSON(prog []jointree.SemijoinStep) []stepJSON {

@@ -325,3 +325,41 @@ func BenchmarkSchemaMiss(b *testing.B) {
 		}
 	}
 }
+
+// TestEngineMemoBounded: a stream of more distinct schemas than the
+// server's memo bound through /v1/analyze keeps the resident entries at or
+// under the bound — and with them the text plane, whose every key is a
+// resident entry's — while a schema sent between every distinct one keeps
+// answering from the text plane, and the first distinct schema, evicted
+// long since, is parsed again.
+func TestEngineMemoBounded(t *testing.T) {
+	s := New(Config{TenantRate: 1e9, TenantBurst: 1 << 30}, nil)
+	h := s.Handler()
+	analyze := func(schema string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(schemaBody(schema))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("analyze %q: %d %s", schema, rec.Code, rec.Body)
+		}
+	}
+	distinct := func(i int) string { return fmt.Sprintf("A B\nB C%d", i) }
+	const hot = "H1 H2\nH2 H3"
+	analyze(hot)
+	for i := 0; i < memoEntries+memoEntries/4; i++ {
+		analyze(distinct(i))
+		before := s.eng.Stats()
+		analyze(hot)
+		if st := s.eng.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
+			t.Fatalf("after %d distinct schemas the hot schema missed: %+v -> %+v", i+1, before, st)
+		}
+	}
+	st := s.eng.Stats()
+	if st.Entries > memoEntries || st.Evictions == 0 {
+		t.Fatalf("memo holds %d entries after %d evictions, bound %d", st.Entries, st.Evictions, memoEntries)
+	}
+	analyze(distinct(0))
+	if again := s.eng.Stats(); again.Misses != st.Misses+1 {
+		t.Fatalf("an evicted schema answered from the memo: %+v -> %+v", st, again)
+	}
+}

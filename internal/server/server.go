@@ -211,6 +211,14 @@ func (s *Server) bump(f func(*Stats)) {
 	s.statsMu.Unlock()
 }
 
+// memoEntries bounds each plane of the server's engine memo (schema
+// sessions, and component records of the workspaces). Without a bound every
+// distinct schema a long-running server was ever sent stays resident with
+// its text, hypergraph and facets; with it each shard evicts its
+// least-recently-touched entry, and a repeated schema touches its entry on
+// every hit, so a hot set far below the bound stays resident.
+const memoEntries = 1024
+
 // New builds a Server from cfg (zero value: all defaults). now is the quota
 // clock; pass nil for time.Now (tests inject a fake).
 func New(cfg Config, now func() time.Time) *Server {
@@ -218,7 +226,7 @@ func New(cfg Config, now func() time.Time) *Server {
 	if now == nil {
 		now = time.Now
 	}
-	var opts []engine.Option
+	opts := []engine.Option{engine.WithMaxEntries(memoEntries)}
 	if cfg.DigestSeed != 0 {
 		opts = append(opts, engine.WithKeyedDigest(cfg.DigestSeed))
 	}

@@ -401,45 +401,85 @@ func TestWatchLongPoll(t *testing.T) {
 	}
 }
 
-// TestRespCacheEpochKeyed: identical queries at one epoch hit the cache and
-// serve byte-identical bodies; an edit moves the epoch and misses; the entry
-// count respects the configured bound; the counters are on /metricsz.
 // TestCachedRepliesMatchEncoder: the jointree, fullreducer and
 // classification replies, written from the response cache on a miss and on
-// a hit, are byte for byte what json.Encoder writes for the body queryBody
-// builds, and serving them leaves the cached bytes as json.Marshal made
-// them.
+// a hit, are byte for byte what json.Encoder writes for the body they stand
+// for, and the cached bytes are what json.Marshal makes of it. The jointree
+// body is appended by hand from the handle's parent links; its reference
+// is the map built from the session's JoinTree, on an empty workspace, one
+// edge, one tree and a multi-root forest. On a cyclic workspace the
+// jointree reply is the 422 error body the JoinTree error classifies to.
 func TestCachedRepliesMatchEncoder(t *testing.T) {
 	s, ts := newTestServer(t, Config{}, nil)
-	do(t, "POST", ts.URL+"/v1/workspaces", schemaBody(fig1Text), nil)
-	ws := s.spaces["ws-1"]
-	for _, op := range []string{"jointree", "fullreducer", "classification"} {
+	query := func(id, op string) (int, []byte) {
+		t.Helper()
 		b, _ := json.Marshal(map[string]string{"op": op})
-		_, miss := do(t, "POST", ts.URL+"/v1/workspaces/ws-1/query", string(b), nil)
-		_, hit := do(t, "POST", ts.URL+"/v1/workspaces/ws-1/query", string(b), nil)
-
-		a, err := ws.AnalysisCtx(context.Background())
+		resp, body := do(t, "POST", ts.URL+"/v1/workspaces/"+id+"/query", string(b), nil)
+		return resp.StatusCode, body
+	}
+	check := func(id, op string) {
+		t.Helper()
+		status, miss := query(id, op)
+		_, hit := query(id, op)
+		a, err := s.spaces[id].AnalysisCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.queryBody(httptest.NewRequest("POST", "/", nil), a, op)
-		if err != nil {
+		var res any
+		if op == "jointree" {
+			jt, err := a.JoinTree()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = map[string]any{"epoch": a.Epoch(), "parent": jt.Parent, "roots": jt.Roots()}
+		} else if res, err = s.queryBody(httptest.NewRequest("POST", "/", nil), a, op); err != nil {
 			t.Fatal(err)
 		}
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(res); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(miss, want.Bytes()) || !bytes.Equal(hit, want.Bytes()) {
-			t.Fatalf("%s: miss %q, hit %q, encoder %q", op, miss, hit, want.Bytes())
+		if status != http.StatusOK || !bytes.Equal(miss, want.Bytes()) || !bytes.Equal(hit, want.Bytes()) {
+			t.Fatalf("%s %s: [%d] miss %q, hit %q, encoder %q", id, op, status, miss, hit, want.Bytes())
 		}
-		cached, ok := s.respCache.get(fmt.Sprintf("ws-1@%d:%s", a.Epoch(), op))
+		cached, ok := s.respCache.get(fmt.Sprintf("%s@%d:%s", id, a.Epoch(), op))
 		if marshalled, _ := json.Marshal(res); !ok || !bytes.Equal(cached, marshalled) {
-			t.Fatalf("%s: cached %q (present %v), json.Marshal %q", op, cached, ok, marshalled)
+			t.Fatalf("%s %s: cached %q (present %v), json.Marshal %q", id, op, cached, ok, marshalled)
 		}
+	}
+
+	for _, schema := range []string{fig1Text, "", "A B", "A B\nC D E\nE F\nG"} {
+		do(t, "POST", ts.URL+"/v1/workspaces", schemaBody(schema), nil)
+	}
+	for _, op := range []string{"jointree", "fullreducer", "classification"} {
+		check("ws-1", op)
+	}
+	for _, id := range []string{"ws-2", "ws-3", "ws-4"} {
+		check(id, "jointree")
+	}
+
+	do(t, "POST", ts.URL+"/v1/workspaces", schemaBody(triangleText), nil)
+	a, err := s.spaces["ws-5"].AnalysisCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, jtErr := a.JoinTree()
+	wantStatus, eb, ok := classify(jtErr)
+	if !ok || wantStatus != http.StatusUnprocessableEntity {
+		t.Fatalf("cyclic JoinTree error %v classifies to %d (%v)", jtErr, wantStatus, ok)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(errorResponse{Error: eb}); err != nil {
+		t.Fatal(err)
+	}
+	if status, body := query("ws-5", "jointree"); status != wantStatus || !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("cyclic jointree: [%d] %q, want [%d] %q", status, body, wantStatus, want.Bytes())
 	}
 }
 
+// TestRespCacheEpochKeyed: identical queries at one epoch hit the cache and
+// serve byte-identical bodies; an edit moves the epoch and misses; the entry
+// count respects the configured bound; the counters are on /metricsz.
 func TestRespCacheEpochKeyed(t *testing.T) {
 	ts := newDurableServer(t, Config{RespCacheEntries: 2})
 	do(t, "POST", ts.url+"/v1/workspaces", schemaBody(fig1Text), nil)

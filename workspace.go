@@ -14,9 +14,10 @@ type (
 	// WorkspaceAnalysis is the epoch-bound analysis handle of a Workspace:
 	// an epoch guard around one frozen Analysis session over the epoch's
 	// snapshot, seeded with the incrementally settled verdict and join
-	// forest. Every derived facet epoch-checks against the live workspace
-	// and reports *ErrStaleEpoch once it has been edited past the handle.
-	// See internal/dynamic.
+	// forest. Parent reads the forest's parent links without building the
+	// snapshot. Parent and every derived facet epoch-check against the live
+	// workspace and report *ErrStaleEpoch once it has been edited past the
+	// handle. See internal/dynamic.
 	WorkspaceAnalysis = dynamic.Analysis
 	// WorkspaceOption configures a Workspace (see WithWorkspaceEngine).
 	WorkspaceOption = dynamic.Option

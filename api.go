@@ -112,7 +112,8 @@ func ParseHypergraph(text string) (*Hypergraph, []string, error) { return hyperg
 // {A,B,C}, {C,D,E}, {A,E,F}, {A,C,E}.
 func Fig1() *Hypergraph { return hypergraph.Fig1() }
 
-// Fig5 returns the reconstruction of the paper's Figure 5 (see DESIGN.md).
+// Fig5 returns a reconstruction of the paper's Figure 5: edges chosen to
+// have exactly the properties the paper's text states for it.
 func Fig5() *Hypergraph { return hypergraph.Fig5() }
 
 // NewEngine returns an engine with per-hypergraph memoization keyed by the

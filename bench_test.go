@@ -22,8 +22,9 @@ import (
 	"repro/internal/tableau"
 )
 
-// Each benchmark regenerates one experiment from DESIGN.md's index; the
-// cmd/benchtab binary prints the same data as shaped tables.
+// Each benchmark times one experiment of `go run ./cmd/experiments` (the
+// E-* tags name them); `go run ./cmd/benchtab` prints the same data as
+// shaped tables.
 
 // BenchmarkFig1Acyclicity — E-F1: the Figure 1 acyclicity test.
 func BenchmarkFig1Acyclicity(b *testing.B) {

@@ -1,10 +1,9 @@
-// Command benchtab prints the performance-shape tables recorded in
-// EXPERIMENTS.md: scaling of Graham reduction and of the linear-time MCS
-// engine, engine memo throughput, tableau reduction and canonical
-// connections, Yannakakis vs. naive join evaluation, and independent-path
-// witness extraction. The absolute numbers depend on the host; the shapes
-// (who wins, how growth behaves) are the reproduction target, since the
-// paper itself reports no measurements.
+// Command benchtab prints performance-shape tables: scaling of Graham
+// reduction and of the linear-time MCS engine, engine memo throughput,
+// tableau reduction and canonical connections, Yannakakis vs. naive join
+// evaluation, and independent-path witness extraction. The absolute numbers
+// depend on the host; the shapes (who wins, how growth behaves) are the
+// reproduction target, since the paper itself reports no measurements.
 //
 // Usage:
 //

@@ -1,7 +1,7 @@
 // Command experiments reproduces every figure, worked example, and theorem
 // of Maier & Ullman, "Connections in Acyclic Hypergraphs", printing what the
-// paper states next to what this implementation computes. EXPERIMENTS.md
-// records the output.
+// paper states next to what this implementation computes. The output is
+// the record: every line is recomputed on each run, so no copy is kept.
 //
 // Usage:
 //
@@ -330,7 +330,7 @@ func runLemma42(w io.Writer) error {
 
 func runFig5(w io.Writer) error {
 	h := hypergraph.Fig5()
-	fmt.Fprintf(w, "H5 = %v (reconstruction; see DESIGN.md)\n", h)
+	fmt.Fprintf(w, "H5 = %v (reconstructed from the properties the paper states)\n", h)
 	// Two apparent paths: dropping edge 1 or edge 2 keeps A connected to F.
 	drop := func(skip int) *hypergraph.Hypergraph {
 		var edges [][]string

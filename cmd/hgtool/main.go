@@ -575,7 +575,9 @@ func editLine(w io.Writer, ws *repro.Workspace, raw string) error {
 // and report what a booting server would see. A directory holding a data
 // root (session subdirectories) is expanded. -log additionally dumps the
 // WAL records; -json emits machine-readable reports. A torn tail is
-// reported, never repaired: inspection must not mutate evidence.
+// reported, never repaired: inspection must not mutate evidence. A damaged
+// frame with frames after it fails the session with the store's
+// corruption error, as Open would.
 func wsCmd(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("ws", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit one JSON report per session")
@@ -626,7 +628,7 @@ func wsCmd(w io.Writer, args []string) error {
 			fmt.Fprintf(w, "  %d edges, %d nodes, %d components, acyclic=%v\n", info.Edges, info.Nodes, info.Components, info.Acyclic)
 			fmt.Fprintf(w, "  digest %s\n", info.Digest)
 			if info.TornTail {
-				fmt.Fprintln(w, "  torn tail: the WAL ends mid-frame (a crashed write); the next Open truncates it")
+				fmt.Fprintln(w, "  torn tail: the WAL's last frame is cut short or damaged (a crashed write); the next Open truncates it")
 			}
 		}
 		if *showLog {

@@ -410,7 +410,10 @@
 //
 // Recovery (on boot, per session directory) restores the snapshot, replays
 // the WAL tail in epoch order, and truncates a torn tail — a half-written
-// final record from a crash mid-append, detected by length or checksum.
+// final record from a crash mid-append, detected by length or checksum. A
+// damaged record with records after it is corruption, not a torn tail:
+// those later edits were acknowledged, so recovery refuses the session
+// rather than drop them.
 // The recovered workspace is observationally identical to the crashed one
 // up to its last acknowledged edit: epoch, per-component fingerprints, and
 // verdict, a property the store's differential harness checks across
@@ -496,6 +499,7 @@
 // metrics on /metricsz; new dashboards should scrape those. Overhead
 // numbers live in BENCH_obs.json.
 //
-// See the examples/ directory for runnable programs and DESIGN.md for the
-// paper-to-package map.
+// See the examples/ directory for runnable programs, and run
+// `go run ./cmd/experiments` for each of the paper's figures, examples and
+// theorems next to what this implementation computes.
 package repro

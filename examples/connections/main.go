@@ -20,8 +20,8 @@ func main() {
 }
 
 func run(w io.Writer) error {
-	// Figure 5 (reconstructed; see DESIGN.md): acyclic, yet there "appear"
-	// to be two distinct paths from A to F.
+	// Figure 5 (reconstructed from what the paper states): acyclic, yet
+	// there "appear" to be two distinct paths from A to F.
 	fig5 := repro.Fig5()
 	fmt.Fprintln(w, "Figure 5:", fig5, "— acyclic:", repro.Analyze(fig5).Verdict())
 

@@ -124,7 +124,8 @@ func Fig1MinusACE() *Hypergraph {
 // hypergraph with two apparent paths between A and F (either the second or
 // the third edge can be dropped while keeping A connected to F), in which
 // the canonical connection CC({A,F}) nevertheless contains all four edges.
-// See DESIGN.md ("Substitutions") for the reconstruction argument.
+// The edges are a reconstruction, chosen to have exactly these properties,
+// which are what the paper's text states for the figure.
 func Fig5() *Hypergraph {
 	return New([][]string{
 		{"A", "B", "C"},

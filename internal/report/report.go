@@ -1,6 +1,6 @@
 // Package report renders aligned text tables for the experiment and
 // benchmark binaries. It keeps the CLI output deterministic and easy to
-// diff against EXPERIMENTS.md.
+// diff between runs.
 package report
 
 import (

@@ -118,9 +118,6 @@ type Config struct {
 	SlowTraceThreshold time.Duration
 	// TraceRingCap bounds how many slow traces /tracez retains (default 64).
 	TraceRingCap int
-	// TraceMaxSpans bounds each trace's span buffer (default 512); overflow
-	// is counted, not grown.
-	TraceMaxSpans int
 }
 
 func (c Config) withDefaults() Config {
@@ -244,7 +241,7 @@ func New(cfg Config, now func() time.Time) *Server {
 		quota:    newQuotas(cfg.TenantRate, cfg.TenantBurst, now),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		logger:   cfg.Logger,
-		tracer:   obs.NewTracer(cfg.TraceSampleN, cfg.TraceMaxSpans, prof),
+		tracer:   obs.NewTracer(cfg.TraceSampleN, 0, prof),
 		prof:     prof,
 		spaces:   make(map[string]*dynamic.Workspace),
 		sessions: make(map[string]*store.Session),

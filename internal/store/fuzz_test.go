@@ -2,6 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -85,20 +89,59 @@ func FuzzWALRecord(f *testing.F) {
 
 // FuzzWALRecordRaw throws arbitrary bytes at the parse path: whatever the
 // input, no panic, and a successful parse implies a checksum-consistent
-// payload (re-framing it reproduces the parsed prefix).
+// payload (re-framing it reproduces the parsed prefix). The same bytes behind
+// a WAL magic go through the frame walker, which may report a torn tail only
+// where the failing frame reaches end of file, must reject anything else as
+// ErrCorrupt, and must hand over as many records as ScanWAL reads.
 func FuzzWALRecordRaw(f *testing.F) {
 	f.Add([]byte(walMagic))
 	f.Add([]byte("\x04\x00\x00\x00\xde\xad\xbe\xefAAAA"))
 	f.Add([]byte{})
+	f.Add(appendFrame(appendFrame(nil, []byte{1, 1, 0, 1, 1, 'a'}), []byte{2, 2, 0}))
+	path := filepath.Join(f.TempDir(), WALFile) // one file, rewritten per input
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		payload, n, err := parseFrame(raw)
-		if err != nil {
-			return
+		if payload, n, err := parseFrame(raw); err == nil {
+			if re := appendFrame(nil, payload); !bytes.Equal(re, raw[:n]) {
+				t.Fatal("parsed frame does not re-frame to its own bytes")
+			}
+			_, _ = decodeRecord(payload) // must not panic
+			_, _ = decodeSnapshot(payload)
 		}
-		if re := appendFrame(nil, payload); !bytes.Equal(re, raw[:n]) {
-			t.Fatal("parsed frame does not re-frame to its own bytes")
+
+		wal := append([]byte(walMagic), raw...)
+		records := 0
+		end, torn, err := walkWAL("fuzz", wal, func(off, size int, _ dynamic.JournalRecord) error {
+			if off+size > len(wal) {
+				t.Fatalf("frame at %d of size %d runs past the %d-byte log", off, size, len(wal))
+			}
+			records++
+			return nil
+		})
+		switch {
+		case err != nil:
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("walk error is not ErrCorrupt: %v", err)
+			}
+		case torn:
+			rest := wal[end:]
+			if _, _, perr := parseFrame(rest); perr == nil {
+				t.Fatalf("torn tail reported at offset %d, where a frame parses", end)
+			}
+			if len(rest) >= frameHeaderLen && frameHeaderLen+uint64(binary.LittleEndian.Uint32(rest)) < uint64(len(rest)) {
+				t.Fatalf("torn tail reported at offset %d for a frame that ends before EOF", end)
+			}
+		case end != len(wal):
+			t.Fatalf("clean walk ended at %d of %d bytes", end, len(wal))
 		}
-		_, _ = decodeRecord(payload) // must not panic
-		_, _ = decodeSnapshot(payload)
+
+		if err := os.WriteFile(path, wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		scanned := 0
+		storn, serr := ScanWAL(path, func(dynamic.JournalRecord) error { scanned++; return nil })
+		if scanned != records || storn != torn || (serr == nil) != (err == nil) {
+			t.Fatalf("ScanWAL read %d records (torn=%v, err=%v); walker %d (torn=%v, err=%v)",
+				scanned, storn, serr, records, torn, err)
+		}
 	})
 }

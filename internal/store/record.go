@@ -33,9 +33,15 @@
 // the snapshot already covers (epoch ≤ snapshot epoch) and requiring the
 // rest to be epoch-contiguous. Replayed AddEdges must reproduce the exact
 // recorded edge id — id allocation is deterministic, so any disagreement is
-// corruption, not drift. A torn tail (short or checksum-failing trailing
-// frame, the signature of a crash mid-append) is truncated: recovery lands
-// on the longest acknowledged prefix, never on made-up state.
+// corruption, not drift. A frame that does not parse (short, oversized
+// length word, or checksum mismatch) is a torn tail only when it is the
+// last thing in the file — its header is cut short, or its declared extent
+// reaches or passes end of file, the signature of a crash mid-append — and
+// Open truncates it: recovery lands on the longest acknowledged prefix,
+// never on made-up state. A damaged frame with bytes after its extent is
+// ErrCorrupt: the edits behind it were acknowledged, so Open refuses the
+// session and leaves its files as they are. Verify runs the same recovery
+// and never writes.
 package store
 
 import (
@@ -48,9 +54,10 @@ import (
 )
 
 // ErrCorrupt reports a structurally damaged session file: a bad magic, a
-// checksum-failing frame before the tail, an epoch gap, or a replayed edit
-// that disagrees with the recorded outcome. (A damaged *trailing* frame is
-// not corruption — it is a torn tail, repaired by truncation.)
+// damaged frame with bytes after its extent, an undecodable record, an
+// epoch gap, or a replayed edit that disagrees with the recorded outcome.
+// (A damaged frame that is the last thing in the WAL is not corruption — it
+// is a torn tail, repaired by truncation.)
 var ErrCorrupt = errors.New("store: corrupt session data")
 
 // ErrSessionFailed is the sticky error a failed session returns from every
@@ -83,10 +90,8 @@ func appendFrame(buf, payload []byte) []byte {
 }
 
 // parseFrame reads one frame from the head of b. It returns the payload
-// and the total frame size. A frame that runs past b reports errTornFrame
-// (the caller decides whether a short tail is a torn write or corruption);
-// a checksum mismatch likewise reports errTornFrame — both are the
-// signature of a write that never completed.
+// and the total frame size. A frame that runs past b, declares an oversized
+// payload or fails its checksum reports errTornFrame.
 func parseFrame(b []byte) (payload []byte, size int, err error) {
 	if len(b) < frameHeaderLen {
 		return nil, 0, errTornFrame
@@ -106,10 +111,51 @@ func parseFrame(b []byte) (payload []byte, size int, err error) {
 	return payload, frameHeaderLen + int(n), nil
 }
 
-// errTornFrame marks a frame that does not parse cleanly — short, oversized
-// length word, or checksum mismatch. At the tail of a WAL it means a torn
-// write; anywhere else it is corruption.
+// errTornFrame marks a frame that does not parse cleanly. It is a torn write
+// only when the frame is the last thing in the WAL; with bytes after its
+// extent it is corruption (walkWAL applies the rule).
 var errTornFrame = errors.New("store: torn or damaged frame")
+
+// walkWAL walks a WAL image read from path (which only labels errors): it
+// checks the magic, then decodes the frames in order, handing fn each one's
+// offset, size and record. It returns end, the length of the parseable
+// prefix, and whether a torn tail follows it.
+//
+// A frame that does not parse is a torn tail only when it is the last thing
+// in raw: its header is cut short, or its declared extent reaches or passes
+// end of file. A damaged frame with bytes after its extent is ErrCorrupt, as
+// are a bad magic and an undecodable record. An image shorter than the
+// magic can only be a crash during Create's header write: a torn empty log,
+// whose end is magicLen. An error from fn stops the walk and is returned as
+// is.
+func walkWAL(path string, raw []byte, fn func(off, size int, rec dynamic.JournalRecord) error) (end int, torn bool, err error) {
+	if len(raw) < magicLen {
+		return magicLen, true, nil
+	}
+	if string(raw[:magicLen]) != walMagic {
+		return 0, false, fmt.Errorf("%w: bad WAL magic in %s", ErrCorrupt, path)
+	}
+	off := magicLen
+	for off < len(raw) {
+		payload, n, perr := parseFrame(raw[off:])
+		if perr != nil {
+			rest := uint64(len(raw) - off)
+			if rest < frameHeaderLen || frameHeaderLen+uint64(binary.LittleEndian.Uint32(raw[off:])) >= rest {
+				return off, true, nil
+			}
+			return 0, false, fmt.Errorf("%w: %s at offset %d: damaged frame before the tail", ErrCorrupt, path, off)
+		}
+		rec, derr := decodeRecord(payload)
+		if derr != nil {
+			return 0, false, fmt.Errorf("%s at offset %d: %w", path, off, derr)
+		}
+		if err := fn(off, n, rec); err != nil {
+			return 0, false, err
+		}
+		off += n
+	}
+	return off, false, nil
+}
 
 // encodeRecord appends rec's payload encoding to buf:
 //

@@ -110,134 +110,121 @@ func Create(dir string, opts Options, wsOpts ...dynamic.Option) (*Session, *dyna
 // Open recovers a session directory: restore the snapshot (if any), replay
 // the WAL tail, truncate a torn tail, and return the session attached to
 // the recovered workspace. The workspace is observationally identical to
-// the one that wrote the directory, up to its last acknowledged edit.
+// the one that wrote the directory, up to its last acknowledged edit. A
+// directory that fails recovery (ErrCorrupt) is left as it was found.
 func Open(dir string, opts Options, wsOpts ...dynamic.Option) (*Session, *dynamic.Workspace, error) {
 	ctx, sp := obs.StartSpan(context.Background(), "store.recover")
 	sp.SetAttr("dir", dir)
 	defer sp.End()
 	start := time.Now()
-	if err := fault.HitCtx(ctx, fault.StoreRecover); err != nil {
-		return nil, nil, err
-	}
 
-	ws, snapEpoch, err := recoverSnapshot(dir, wsOpts...)
+	r, err := recoverDir(ctx, dir, wsOpts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	wal, walSize, walRecords, torn, err := replayWAL(ctx, dir, ws, snapEpoch)
+	wal, err := os.OpenFile(filepath.Join(dir, WALFile), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	if torn {
+	if r.walEnd != r.walLen {
+		// Repair: drop the torn suffix so the next append starts on a clean
+		// frame boundary, and rewrite the magic of a log that was cut
+		// inside it or is missing.
+		if err := wal.Truncate(int64(r.walEnd)); err != nil {
+			wal.Close()
+			return nil, nil, err
+		}
+		if r.walEnd == magicLen {
+			if _, err := wal.WriteAt([]byte(walMagic), 0); err != nil {
+				wal.Close()
+				return nil, nil, err
+			}
+		}
+		// A failed sync is harmless: a repair that does not survive a
+		// crash leaves the same damage for the next Open to cut.
+		_ = wal.Sync()
+	}
+	if r.torn {
 		tornTails.Inc()
 		sp.SetBool("tornTail", true)
 	}
+	ws := r.ws
 	sp.SetInt("epoch", int64(ws.Epoch()))
-	sp.SetInt("tailRecords", int64(walRecords))
+	sp.SetInt("tailRecords", int64(r.records))
 
 	s := &Session{
 		dir: dir, opts: opts, wal: wal,
-		walSize: walSize, walRecords: walRecords,
-		snapEpoch: snapEpoch, lastEpoch: ws.Epoch(),
+		walSize: int64(r.walEnd), walRecords: r.records,
+		snapEpoch: r.snapEpoch, lastEpoch: ws.Epoch(),
 	}
 	s.ws = ws
 	ws.SetJournal(s)
 	recoverTotal.Inc()
 	recoverSeconds.Observe(time.Since(start))
-	walBytes.Set(walSize)
+	walBytes.Set(s.walSize)
 	return s, ws, nil
 }
 
-// recoverSnapshot restores the snapshot's workspace, or a fresh one when
-// the directory has no snapshot yet.
-func recoverSnapshot(dir string, wsOpts ...dynamic.Option) (*dynamic.Workspace, uint64, error) {
-	st, err := readSnapshotFile(filepath.Join(dir, SnapshotFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return dynamic.New(wsOpts...), 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	ws, err := dynamic.RestoreWorkspace(st, wsOpts...)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return ws, st.Epoch, nil
+// recovery is what replaying a session directory found.
+type recovery struct {
+	ws        *dynamic.Workspace
+	snapEpoch uint64 // 0: no snapshot
+	records   int    // WAL records replayed or skipped
+	torn      bool   // the WAL ended in a torn tail
+	walEnd    int    // length of the WAL's acknowledged prefix
+	walLen    int    // length of the WAL as found; 0 when it is missing
 }
 
-// replayWAL applies the log's records past the snapshot epoch to ws, in
-// order, verifying epoch contiguity and recorded edge ids. A torn tail is
-// truncated away; the file is returned open for appending at its repaired
-// length.
-func replayWAL(ctx context.Context, dir string, ws *dynamic.Workspace, snapEpoch uint64) (f *os.File, size int64, records int, torn bool, err error) {
+// recoverDir rebuilds a session directory's workspace without writing to
+// it: restore the snapshot (or start empty), then replay the WAL records
+// past the snapshot epoch in order, requiring epoch contiguity and the
+// recorded outcomes. Records the snapshot covers — stale head records left
+// by a crash between the snapshot rename and the WAL rewrite — are skipped.
+// Open and Verify both run it; only Open repairs what it finds.
+func recoverDir(ctx context.Context, dir string, wsOpts ...dynamic.Option) (recovery, error) {
+	var r recovery
+	if err := fault.HitCtx(ctx, fault.StoreRecover); err != nil {
+		return r, err
+	}
+	st, err := readSnapshotFile(filepath.Join(dir, SnapshotFile))
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		r.ws = dynamic.New(wsOpts...)
+	case err != nil:
+		return r, err
+	default:
+		if r.ws, err = dynamic.RestoreWorkspace(st, wsOpts...); err != nil {
+			return r, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		r.snapEpoch = st.Epoch
+	}
+
 	path := filepath.Join(dir, WALFile)
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		// A session dir with a snapshot but no WAL (lost between compaction
-		// steps): treat as an empty log.
-		raw = []byte(walMagic)
-	} else if err != nil {
-		return nil, 0, 0, false, err
+		// A snapshot with no WAL beside it: an empty log.
+		r.walEnd = magicLen
+		return r, nil
 	}
-	if len(raw) < magicLen || string(raw[:magicLen]) != walMagic {
-		// A file too short to hold the magic can only be a crash during
-		// Create's header write: recover as an empty log. Wrong bytes, by
-		// contrast, mean this is not a WAL at all.
-		if len(raw) >= magicLen {
-			return nil, 0, 0, false, fmt.Errorf("%w: bad WAL magic in %s", ErrCorrupt, path)
-		}
-		raw = []byte(walMagic)
-		torn = true
+	if err != nil {
+		return r, err
 	}
-	off := magicLen
-	for off < len(raw) {
-		payload, n, perr := parseFrame(raw[off:])
-		if perr != nil {
-			// Short or checksum-failing frame: everything before it is the
-			// acknowledged prefix; the rest is a torn write.
-			torn = true
-			break
-		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
-			return nil, 0, 0, false, fmt.Errorf("%s at offset %d: %w", path, off, derr)
-		}
-		if rec.Epoch <= snapEpoch {
-			// Pre-snapshot record surviving a crash between the snapshot
-			// rename and the WAL rewrite: already folded in, skip.
-			off += n
-			records++
-			continue
+	r.walLen = len(raw)
+	ws := r.ws
+	r.walEnd, r.torn, err = walkWAL(path, raw, func(off, _ int, rec dynamic.JournalRecord) error {
+		r.records++
+		if rec.Epoch <= r.snapEpoch {
+			return nil
 		}
 		if rec.Epoch != ws.Epoch()+1 {
-			return nil, 0, 0, false, fmt.Errorf("%w: %s at offset %d: epoch %d after %d", ErrCorrupt, path, off, rec.Epoch, ws.Epoch())
+			return fmt.Errorf("%w: %s at offset %d: epoch %d after %d", ErrCorrupt, path, off, rec.Epoch, ws.Epoch())
 		}
-		if aerr := applyRecord(ws, rec); aerr != nil {
-			return nil, 0, 0, false, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, path, off, aerr)
+		if err := applyRecord(ws, rec); err != nil {
+			return fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, path, off, err)
 		}
-		off += n
-		records++
-	}
-	f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	if torn {
-		// Repair: drop the torn suffix so the next append starts on a clean
-		// frame boundary. (Also rebuilds a WAL lost mid-compaction.)
-		if terr := f.Truncate(int64(off)); terr != nil {
-			f.Close()
-			return nil, 0, 0, false, terr
-		}
-		if off == magicLen {
-			if _, werr := f.WriteAt([]byte(walMagic), 0); werr != nil {
-				f.Close()
-				return nil, 0, 0, false, werr
-			}
-		}
-		f.Sync()
-	}
-	return f, int64(off), records, torn, nil
+		return nil
+	})
+	return r, err
 }
 
 // applyRecord replays one edit into ws, checking that the outcome matches
@@ -435,6 +422,8 @@ func (s *Session) Compact() error {
 		// The snapshot landed but the log still has pre-snapshot records;
 		// recovery skips them by epoch, so this is a space leak, not a
 		// correctness problem. Fail-stop only if the WAL fd is now suspect.
+		// (ErrCorrupt — a damaged acknowledged frame — is the exception: the
+		// log is left as it is, and the next Open refuses it.)
 		sp.SetAttr("error", err.Error())
 		return err
 	}
@@ -451,36 +440,28 @@ func (s *Session) rewriteWALLocked(epoch uint64) error {
 	if err != nil {
 		return err
 	}
-	if int64(len(raw)) > s.walSize {
-		raw = raw[:s.walSize] // never resurrect bytes past our own offset
-	}
+	// Read only the acknowledged bytes, never resurrecting any past our own
+	// offset. They are whole frames, so a torn tail among them is damage.
+	raw = raw[:min(int64(len(raw)), s.walSize)]
 	out := make([]byte, 0, 1024)
 	out = append(out, walMagic...)
 	kept := 0
-	off := magicLen
-	for off < len(raw) {
-		payload, n, perr := parseFrame(raw[off:])
-		if perr != nil {
-			break // torn tail: drop (nothing acknowledged lives there)
-		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
-			return derr
-		}
+	_, torn, err := walkWAL(path, raw, func(off, size int, rec dynamic.JournalRecord) error {
 		if rec.Epoch > epoch {
-			out = append(out, raw[off:off+n]...)
+			out = append(out, raw[off:off+size]...)
 			kept++
 		}
-		off += n
-	}
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, out); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if torn {
+		return fmt.Errorf("%w: %s: damaged frame among acknowledged records", ErrCorrupt, path)
+	}
+	if err := writeFileAtomic(path, out); err != nil {
 		return err
 	}
-	syncDir(s.dir)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		s.failed = fmt.Errorf("%w: WAL reopen after rewrite: %v", ErrSessionFailed, err)
@@ -530,98 +511,44 @@ type Info struct {
 	Digest        string `json:"digest"` // canonical content digest, hex
 }
 
-// Verify recovers a session directory read-only — snapshot restore, digest
-// cross-check, tail replay (in memory; a torn tail is reported, not
-// repaired) — and returns what a server booting on it would see. It is the
-// engine behind `hgtool ws`.
+// Verify recovers a session directory read-only — the recovery Open runs,
+// in memory: a torn tail is reported, not repaired — and returns what a
+// server booting on it would see. It is the engine behind `hgtool ws`.
 func Verify(dir string) (Info, error) {
 	ctx, sp := obs.StartSpan(context.Background(), "store.verify")
 	sp.SetAttr("dir", dir)
 	defer sp.End()
-	if err := fault.HitCtx(ctx, fault.StoreRecover); err != nil {
-		return Info{}, err
-	}
-	ws, snapEpoch, err := recoverSnapshot(dir)
+	r, err := recoverDir(ctx, dir)
 	if err != nil {
 		return Info{}, err
 	}
-	info := Info{Dir: dir, SnapshotEpoch: snapEpoch}
-	raw, err := os.ReadFile(filepath.Join(dir, WALFile))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return Info{}, err
-	}
-	if err == nil {
-		if len(raw) < magicLen || string(raw[:magicLen]) != walMagic {
-			if len(raw) >= magicLen {
-				return Info{}, fmt.Errorf("%w: bad WAL magic in %s", ErrCorrupt, dir)
-			}
-			info.TornTail = true
-			raw = raw[:0]
-		} else {
-			raw = raw[magicLen:]
-		}
-		for len(raw) > 0 {
-			payload, n, perr := parseFrame(raw)
-			if perr != nil {
-				info.TornTail = true
-				break
-			}
-			rec, derr := decodeRecord(payload)
-			if derr != nil {
-				return Info{}, derr
-			}
-			if rec.Epoch > snapEpoch {
-				if rec.Epoch != ws.Epoch()+1 {
-					return Info{}, fmt.Errorf("%w: WAL epoch %d after %d", ErrCorrupt, rec.Epoch, ws.Epoch())
-				}
-				if aerr := applyRecord(ws, rec); aerr != nil {
-					return Info{}, fmt.Errorf("%w: %v", ErrCorrupt, aerr)
-				}
-			}
-			raw = raw[n:]
-			info.TailRecords++
-		}
-	}
-	info.Epoch = ws.Epoch()
-	info.Edges = ws.NumEdges()
-	info.Nodes = ws.NumNodes()
-	info.Components = ws.NumComponents()
-	info.Acyclic = ws.Analysis().Verdict()
+	ws := r.ws
 	d := ws.ContentDigest()
-	info.Digest = fmt.Sprintf("%016x%016x", d.Hi, d.Lo)
-	return info, nil
+	return Info{
+		Dir:           dir,
+		SnapshotEpoch: r.snapEpoch,
+		Epoch:         ws.Epoch(),
+		TailRecords:   r.records,
+		TornTail:      r.torn,
+		Edges:         ws.NumEdges(),
+		Nodes:         ws.NumNodes(),
+		Components:    ws.NumComponents(),
+		Acyclic:       ws.Analysis().Verdict(),
+		Digest:        fmt.Sprintf("%016x%016x", d.Hi, d.Lo),
+	}, nil
 }
 
 // ScanWAL streams a WAL file's records in order, stopping at a torn tail
-// (reported via the return, not an error). The callback returning an error
-// stops the scan.
+// (reported via the return, not an error). A bad magic, a damaged frame
+// before the tail or an undecodable record is ErrCorrupt. The callback
+// returning an error stops the scan.
 func ScanWAL(path string, fn func(rec dynamic.JournalRecord) error) (torn bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return false, err
 	}
-	if len(raw) < magicLen || string(raw[:magicLen]) != walMagic {
-		if len(raw) >= magicLen {
-			return false, fmt.Errorf("%w: bad WAL magic in %s", ErrCorrupt, path)
-		}
-		return true, nil
-	}
-	raw = raw[magicLen:]
-	for len(raw) > 0 {
-		payload, n, perr := parseFrame(raw)
-		if perr != nil {
-			return true, nil
-		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
-			return false, derr
-		}
-		if err := fn(rec); err != nil {
-			return false, err
-		}
-		raw = raw[n:]
-	}
-	return false, nil
+	_, torn, err = walkWAL(path, raw, func(_, _ int, rec dynamic.JournalRecord) error { return fn(rec) })
+	return torn, err
 }
 
 // ListSessions returns the names of the session directories under a data

@@ -138,22 +138,15 @@ func stateDigest(st *dynamic.State) hypergraph.Fingerprint128 {
 	return sum
 }
 
-// writeSnapshotFile writes st to path atomically: encode to path+".tmp",
-// fsync, rename over path, fsync the directory. A crash at any point leaves
-// either the old snapshot or the new one, never a blend. Returns the
-// snapshot's size in bytes.
+// writeSnapshotFile writes st to path atomically (see writeFileAtomic).
+// Returns the snapshot's size in bytes.
 func writeSnapshotFile(path string, st *dynamic.State) (int64, error) {
 	buf := make([]byte, 0, 4096)
 	buf = append(buf, snapMagic...)
 	buf = appendFrame(buf, encodeSnapshot(nil, st))
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := writeFileAtomic(path, buf); err != nil {
 		return 0, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, err
-	}
-	syncDir(filepath.Dir(path))
 	return int64(len(buf)), nil
 }
 
@@ -177,20 +170,30 @@ func readSnapshotFile(path string) (*dynamic.State, error) {
 	return decodeSnapshot(payload)
 }
 
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// writeFileAtomic replaces path with data: write path+".tmp", fsync,
+// rename over path, fsync the directory. A crash at any point leaves either
+// the old file or the new one, never a blend.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return f.Close()
+	syncDir(filepath.Dir(path))
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.

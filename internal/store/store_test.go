@@ -526,59 +526,215 @@ func TestRecoverFault(t *testing.T) {
 	}
 }
 
-func TestVerifyMatchesOpen(t *testing.T) {
+// frameOffsets returns the offset of every whole frame in a WAL image.
+func frameOffsets(t *testing.T, raw []byte) []int {
+	t.Helper()
+	var offs []int
+	for off := magicLen; off < len(raw); {
+		_, n, err := parseFrame(raw[off:])
+		if err != nil {
+			t.Fatalf("frame at offset %d: %v", off, err)
+		}
+		offs = append(offs, off)
+		off += n
+	}
+	return offs
+}
+
+// dirFiles reads every session file in dir (absent files map to nil), so a
+// test can assert a read-only path wrote nothing.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for _, name := range []string{WALFile, SnapshotFile} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+		out[name] = b
+	}
+	return out
+}
+
+// copySession copies src's session files into a fresh directory.
+func copySession(t *testing.T, src map[string][]byte) string {
+	t.Helper()
 	dir := t.TempDir()
-	s, ws, err := Create(dir, Options{SnapshotEvery: -1})
+	for name, b := range src {
+		if b == nil {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestVerifyMatchesOpen damages one session directory in each of the ways
+// recovery distinguishes, then runs Verify and Open on separate copies:
+// when recovery succeeds they agree on what was recovered, otherwise both
+// report ErrCorrupt — and Verify never writes.
+func TestVerifyMatchesOpen(t *testing.T) {
+	base := t.TempDir()
+	s, live, err := Create(base, Options{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var preWAL []byte // the log just before compaction: epochs 1..25
 	ops, _ := genScript(t, rand.New(rand.NewSource(11)), 50)
 	for i, op := range ops {
-		if err := applyOp(ws, op); err != nil {
+		if err := applyOp(live, op); err != nil {
 			t.Fatal(err)
 		}
 		if i == 24 {
+			if preWAL, err = os.ReadFile(filepath.Join(base, WALFile)); err != nil {
+				t.Fatal(err)
+			}
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	s.Close()
-	info, err := Verify(dir)
+	baseFiles := dirFiles(t, base)
+	wal := baseFiles[WALFile]
+	offs := frameOffsets(t, wal) // epochs 26..50
+	d := live.ContentDigest()
+	liveDigest := fmt.Sprintf("%016x%016x", d.Hi, d.Lo)
+
+	cases := []struct {
+		name      string
+		wal       []byte // the damaged log; nil removes it
+		wantErr   bool
+		wantEpoch uint64
+		wantTail  int
+		wantTorn  bool
+	}{
+		{name: "clean", wal: wal, wantEpoch: 50, wantTail: 25},
+		{name: "bad magic", wal: append([]byte("NOTAWAL!"), wal[magicLen:]...), wantErr: true},
+		{name: "shorter than magic", wal: wal[:magicLen-3], wantEpoch: 25, wantTorn: true},
+		{name: "torn tail", wal: wal[:len(wal)-3], wantEpoch: 49, wantTail: 24, wantTorn: true},
+		{name: "mid-log flip", wal: flipByte(wal, offs[2]+frameHeaderLen), wantErr: true},
+		{name: "final-frame flip", wal: flipByte(wal, offs[24]+frameHeaderLen), wantEpoch: 49, wantTail: 24, wantTorn: true},
+		{name: "epoch gap", wal: append(append([]byte(nil), wal[:offs[2]]...), wal[offs[3]:]...), wantErr: true},
+		{name: "stale head records", wal: append(append([]byte(nil), preWAL...), wal[magicLen:]...), wantEpoch: 50, wantTail: 50},
+		{name: "snapshot with no WAL", wal: nil, wantEpoch: 25},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string][]byte{SnapshotFile: baseFiles[SnapshotFile], WALFile: tc.wal}
+			vdir, odir := copySession(t, files), copySession(t, files)
+
+			info, verr := Verify(vdir)
+			if !reflect.DeepEqual(dirFiles(t, vdir), files) {
+				t.Fatal("Verify modified the session files")
+			}
+			tornBefore := tornTails.Value()
+			s, ws, oerr := Open(odir, Options{SnapshotEvery: -1})
+			if tc.wantErr {
+				if !errors.Is(verr, ErrCorrupt) || !errors.Is(oerr, ErrCorrupt) {
+					t.Fatalf("Verify: %v; Open: %v; want ErrCorrupt from both", verr, oerr)
+				}
+				if !reflect.DeepEqual(dirFiles(t, odir), files) {
+					t.Fatal("Open modified a session it refused")
+				}
+				return
+			}
+			if verr != nil || oerr != nil {
+				t.Fatalf("Verify: %v; Open: %v", verr, oerr)
+			}
+			openTorn := tornTails.Value() > tornBefore
+			d := ws.ContentDigest()
+			if info.Epoch != ws.Epoch() || info.TailRecords != s.walRecords || info.TornTail != openTorn ||
+				info.Edges != ws.NumEdges() || info.Nodes != ws.NumNodes() ||
+				info.Components != ws.NumComponents() || info.Acyclic != ws.Analysis().Verdict() ||
+				info.Digest != fmt.Sprintf("%016x%016x", d.Hi, d.Lo) {
+				t.Fatalf("Verify reported %+v; Open recovered epoch %d, %d tail records, torn=%v, %d edges",
+					info, ws.Epoch(), s.walRecords, openTorn, ws.NumEdges())
+			}
+			if info.SnapshotEpoch != 25 || info.Epoch != tc.wantEpoch || info.TailRecords != tc.wantTail || info.TornTail != tc.wantTorn {
+				t.Fatalf("recovered %+v, want epoch %d, %d tail records, torn=%v", info, tc.wantEpoch, tc.wantTail, tc.wantTorn)
+			}
+			if info.Epoch == live.Epoch() && info.Digest != liveDigest {
+				t.Fatal("recovered digest disagrees with the live workspace")
+			}
+			// The repaired log takes the next edit and recovers it.
+			if _, err := ws.AddEdge("next", "edge"); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			s2, re, err := Open(odir, Options{SnapshotEvery: -1})
+			if err != nil {
+				t.Fatalf("reopen after an append: %v", err)
+			}
+			s2.Close()
+			wsEqual(t, re, ws)
+		})
+	}
+}
+
+// flipByte returns a copy of b with one bit of b[i] flipped.
+func flipByte(b []byte, i int) []byte {
+	out := append([]byte(nil), b...)
+	out[i] ^= 0x10
+	return out
+}
+
+// TestMidLogFlipIsCorrupt pins the torn-tail rule: a damaged frame with
+// acknowledged frames after it is corruption, so Open and Verify refuse the
+// session and leave the log as it was; only a damaged final frame is a torn
+// tail, truncated to the prefix before it.
+func TestMidLogFlipIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	s, ws, err := Create(dir, Options{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Epoch != ws.Epoch() || info.Edges != ws.NumEdges() || info.Nodes != ws.NumNodes() {
-		t.Fatalf("Verify reported %+v, workspace has epoch %d, %d edges, %d nodes",
-			info, ws.Epoch(), ws.NumEdges(), ws.NumNodes())
+	for i := 0; i < 10; i++ {
+		if _, err := ws.AddEdge(fmt.Sprintf("a%d", i), fmt.Sprintf("a%d", i+1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if info.SnapshotEpoch != 25 {
-		t.Fatalf("snapshot epoch %d, want 25", info.SnapshotEpoch)
+	s.Close()
+	path := filepath.Join(dir, WALFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d := ws.ContentDigest()
-	if info.Digest != fmt.Sprintf("%016x%016x", d.Hi, d.Lo) {
-		t.Fatal("Verify digest disagrees with the live workspace")
+	offs := frameOffsets(t, raw)
+
+	mid := flipByte(raw, offs[2]+frameHeaderLen)
+	if err := os.WriteFile(path, mid, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if info.Acyclic != ws.Analysis().Verdict() {
-		t.Fatal("Verify verdict disagrees with the live workspace")
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over a mid-log flip: %v, want ErrCorrupt", err)
 	}
-	if info.TornTail {
-		t.Fatal("clean session reported a torn tail")
+	if _, err := Verify(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Verify over a mid-log flip: %v, want ErrCorrupt", err)
+	}
+	if after, _ := os.ReadFile(path); !reflect.DeepEqual(after, mid) {
+		t.Fatalf("refused recovery changed the WAL (%d bytes, was %d)", len(after), len(mid))
 	}
 
-	// Tear the tail: Verify reports it without repairing the file.
-	raw, _ := os.ReadFile(filepath.Join(dir, WALFile))
-	os.WriteFile(filepath.Join(dir, WALFile), raw[:len(raw)-3], 0o644)
-	info2, err := Verify(dir)
+	if err := os.WriteFile(path, flipByte(raw, offs[9]+frameHeaderLen), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, err := Verify(dir)
+	if err != nil || !info.TornTail || info.Epoch != 9 {
+		t.Fatalf("Verify over a final-frame flip: %+v, %v", info, err)
+	}
+	s2, re, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info2.TornTail || info2.Epoch != info.Epoch-1 {
-		t.Fatalf("torn Verify reported %+v", info2)
+	s2.Close()
+	if re.Epoch() != 9 || re.NumEdges() != 9 {
+		t.Fatalf("recovered epoch %d with %d edges, want 9/9", re.Epoch(), re.NumEdges())
 	}
-	after, _ := os.ReadFile(filepath.Join(dir, WALFile))
-	if len(after) != len(raw)-3 {
-		t.Fatal("Verify modified the WAL")
+	if after, _ := os.ReadFile(path); len(after) != offs[9] {
+		t.Fatalf("torn tail repaired to %d bytes, want %d", len(after), offs[9])
 	}
 }
 

@@ -49,7 +49,8 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 // BenchmarkMinimizeFastPathAblation measures the value of the pinned-first
-// design choice called out in DESIGN.md.
+// design choice: Minimize tries removing each row with all other rows held
+// fixed before it falls back to the general multi-row fold search.
 func BenchmarkMinimizeFastPathAblation(b *testing.B) {
 	for _, m := range []int{8, 16, 32} {
 		h := gen.RandomAcyclic(rand.New(rand.NewSource(int64(m))), gen.RandomSpec{Edges: m, MinArity: 2, MaxArity: 4})

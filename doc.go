@@ -340,7 +340,9 @@
 // one array of string cells per row in attrs order. The body is read once
 // into one buffer and its envelope scanned once by hand; each table's rows
 // go from the request bytes straight into the executor's int32 columns
-// (exec.ScanJSONRows), interning every cell into the request's one Dict. A
+// (exec.ScanJSONRows), interning every cell into the request's one Dict
+// with one probe of its open-addressing table and deduplicating each
+// table's rows in a scratch that Dict keeps for the whole body. A
 // body the scan does not take, such as one with case-variant, duplicate or
 // unknown keys, "rows" before "attrs", or an error anywhere, is decoded by
 // encoding/json with rows as [][]string, so every answer is the one that
@@ -464,7 +466,8 @@
 // path, tenant, deadline, status; server.decode times a request body's
 // read on the schema, eval, reduce and workspace-create endpoints, with
 // the scan of a {"schema"} body (an eval or reduce body's scan is
-// exec.load); engine.memo records hit/miss and edge count, and on the
+// exec.load, which carries the body's bytes, the rows sent, the distinct
+// rows kept and the values interned); engine.memo records hit/miss and edge count, and on the
 // schema endpoints whether the request parsed its schema (parsed), a parse
 // timing as its hypergraph.parse child; eval, reduce and workspace create
 // time their parse as a hypergraph.parse span of their own, and every

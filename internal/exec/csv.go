@@ -36,6 +36,7 @@ func LoadCSV(dict *Dict, r io.Reader) (*Table, error) {
 		return nil, err
 	}
 	perm := sortedPerm(t.attrs, attrs)
+	cells, n := dict.cells[:0], 0
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -44,24 +45,17 @@ func LoadCSV(dict *Dict, r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exec: reading CSV row: %w", err)
 		}
-		for i := range t.cols {
-			t.cols[i] = append(t.cols[i], internField(dict, normalizeCRLF(rec[perm[i]])))
+		// encoding/csv materializes all fields of a record as substrings of
+		// one backing string, so each field is cloned on first sight rather
+		// than pinning its whole line in the dictionary; a hit costs one
+		// probe and no copy.
+		for _, p := range perm {
+			cells = append(cells, dict.internClone(normalizeCRLF(rec[p])))
 		}
-		t.rows++
+		n++
 	}
-	return t.dedup(), nil
-}
-
-// internField interns a csv.Reader field, cloning it on first sight:
-// encoding/csv materializes all fields of a record as substrings of one
-// backing string, so interning the substring directly would pin the whole
-// line in the dictionary for its lifetime. Hits (the common case under
-// dictionary encoding) pay one map probe and no copy.
-func internField(dict *Dict, s string) int32 {
-	if id, ok := dict.Lookup(s); ok {
-		return id
-	}
-	return dict.Intern(strings.Clone(s))
+	dict.cells = cells
+	return t.loadRows(n), nil
 }
 
 func normalizeCRLF(s string) string {

@@ -8,10 +8,16 @@
 // The layering mirrors the paper's pipeline:
 //
 //   - Table: a set-semantics relation as per-attribute int32 columns over a
-//     shared value Dict. Three loaders fill it: FromRelation (and
-//     FromRelations for a whole database) from internal/relation, LoadCSV
-//     from CSV, and ScanJSONRows from JSON rows straight from the bytes of
-//     a request body, in place.
+//     shared value Dict. Four loaders fill it: FromRelation (and
+//     FromRelations for a whole database) from internal/relation, FromRows
+//     from string rows, LoadCSV from CSV, and ScanJSONRows from JSON rows
+//     straight from the bytes of a request body, in place. The last three
+//     share one tail: each table's cells go row-major into a scratch the
+//     Dict owns, one open-addressing set drops repeated rows there, and
+//     the columns are allocated once, at the distinct-row count.
+//   - Dict: one open-addressing table of value ids, probed once per cell.
+//     A value of at most 7 bytes is its own exact key, so interning it
+//     compares one word and never hashes.
 //   - Semijoin / Join / Project: serial hash kernels on column ids, each
 //     observing context cancellation every ~4096 rows.
 //   - Database: a schema (hypergraph) bound to one Table per edge, all
@@ -41,46 +47,100 @@
 // randomized databases on the gen corpus (see diff_test.go).
 package exec
 
+import (
+	"encoding/binary"
+	"hash/maphash"
+	"math/rand/v2"
+	"strings"
+)
+
 // Dict interns attribute values to dense int32 ids. Every Table of a
 // Database shares one Dict, so equality of values across tables is equality
 // of ids — the property the hash kernels rely on. The zero value is not
 // usable; construct with NewDict. A Dict is not safe for concurrent
 // mutation; load tables from one goroutine (kernels never intern).
+//
+// The ids live in one open-addressing table probed linearly, never more
+// than three quarters full. A slot holds a value's 64-bit key and its id.
+// A value of at most 7 bytes is its own exact key: its bytes packed
+// little-endian, with len+1 in the top byte, so a probe compares one word
+// and never the string. A longer value's key is its maphash under the
+// Dict's seed with the top bit set, which no short key has, and a key
+// match is confirmed by comparing the strings. A key's bucket is the top
+// bits of key*mul for the Dict's random odd mul, so a hostile body cannot
+// aim values at one probe run.
+//
+// The Dict also owns the scratch of its row loaders (FromRows, LoadCSV,
+// ScanJSONRows): loads into one Dict are serial, so every table it loads
+// reuses the same cells and row set (see Table.loadRows).
 type Dict struct {
-	vals []string
-	ids  map[string]int32
+	vals   []string
+	slots  []dictSlot // power-of-two length; key 0 is empty
+	shift  uint       // 64 - log2(len(slots))
+	mul    uint64     // odd
+	seed   maphash.Seed
+	cells  []int32  // a table's cells, row-major in sorted attribute order
+	rowSet []uint64 // loadRows' dedup set
 }
+
+type dictSlot struct {
+	key uint64
+	id  int32
+}
+
+// longKey marks the key of a value of 8 bytes or more.
+const longKey = 1 << 63
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{ids: make(map[string]int32)}
+	return newDict(rand.Uint64(), maphash.MakeSeed())
+}
+
+// newDict returns an empty dictionary probing with multiplier mul|1 and
+// hashing long values under seed.
+func newDict(mul uint64, seed maphash.Seed) *Dict {
+	const logSlots = 6
+	return &Dict{slots: make([]dictSlot, 1<<logSlots), shift: 64 - logSlots, mul: mul | 1, seed: seed}
 }
 
 // Intern returns the id of s, assigning the next free id on first sight.
 func (d *Dict) Intern(s string) int32 {
-	if id, ok := d.ids[s]; ok {
-		return id
+	k := d.stringKey(s)
+	i, ok := probe(d, k, s)
+	if !ok {
+		return d.add(i, k, s)
 	}
-	id := int32(len(d.vals))
-	d.vals = append(d.vals, s)
-	d.ids[s] = id
-	return id
+	return d.slots[i].id
 }
 
 // internBytes is Intern for a value still in its source buffer: a hit
-// costs one map probe and no allocation, and a first sight copies b, so the
+// costs one probe and no allocation, and a first sight copies b, so the
 // dictionary never pins the buffer.
 func (d *Dict) internBytes(b []byte) int32 {
-	if id, ok := d.ids[string(b)]; ok {
-		return id
+	k := d.bytesKey(b)
+	i, ok := probe(d, k, b)
+	if !ok {
+		return d.add(i, k, string(b))
 	}
-	return d.Intern(string(b))
+	return d.slots[i].id
+}
+
+// internClone is Intern for a substring of a larger string, such as a
+// csv.Reader field: a first sight clones s, so the dictionary never pins
+// the rest of its backing string.
+func (d *Dict) internClone(s string) int32 {
+	k := d.stringKey(s)
+	i, ok := probe(d, k, s)
+	if !ok {
+		return d.add(i, k, strings.Clone(s))
+	}
+	return d.slots[i].id
 }
 
 // Lookup returns the id of s without interning.
 func (d *Dict) Lookup(s string) (int32, bool) {
-	id, ok := d.ids[s]
-	return id, ok
+	i, ok := probe(d, d.stringKey(s), s)
+	return d.slots[i].id, ok
 }
 
 // Value returns the string for a value id. It panics on an invalid id.
@@ -88,3 +148,84 @@ func (d *Dict) Value(id int32) string { return d.vals[id] }
 
 // Len returns the number of distinct values interned.
 func (d *Dict) Len() int { return len(d.vals) }
+
+// probe returns the slot of v, whose key is k, and whether v is there; when
+// it is not, the slot is the empty one that ends v's probe run. It is the
+// one probe loop of every intern and lookup.
+func probe[T string | []byte](d *Dict, k uint64, v T) (uint64, bool) {
+	mask := uint64(len(d.slots) - 1)
+	for i := k * d.mul >> d.shift; ; i = (i + 1) & mask {
+		switch sk := d.slots[i].key; {
+		case sk == 0:
+			return i, false
+		case sk == k && (k&longKey == 0 || d.vals[d.slots[i].id] == string(v)):
+			return i, true
+		}
+	}
+}
+
+// add assigns s, whose key is k, the next id in the empty slot i.
+func (d *Dict) add(i, k uint64, s string) int32 {
+	id := int32(len(d.vals))
+	d.vals = append(d.vals, s)
+	d.slots[i] = dictSlot{key: k, id: id}
+	if 4*len(d.vals) > 3*len(d.slots) {
+		d.grow()
+	}
+	return id
+}
+
+// grow doubles the slot array and moves every slot to its bucket there.
+// Keys are stored, so no value is hashed again.
+func (d *Dict) grow() {
+	old := d.slots
+	d.slots = make([]dictSlot, 2*len(old))
+	d.shift--
+	mask := uint64(len(d.slots) - 1)
+	for _, sl := range old {
+		if sl.key == 0 {
+			continue
+		}
+		i := sl.key * d.mul >> d.shift
+		for d.slots[i].key != 0 {
+			i = (i + 1) & mask
+		}
+		d.slots[i] = sl
+	}
+}
+
+// shortKey packs w, the bytes of a value of length n <= 7 little-endian
+// with garbage above them, into the value's exact key.
+func shortKey(w uint64, n int) uint64 {
+	return w&(1<<(8*n)-1) | uint64(n+1)<<56
+}
+
+// bytesKey returns b's key. A short b is read as one 8-byte word when its
+// capacity allows, as it does for every cell but one ending at the very
+// end of its buffer.
+func (d *Dict) bytesKey(b []byte) uint64 {
+	switch n := len(b); {
+	case n > 7:
+		return maphash.Bytes(d.seed, b) | longKey
+	case cap(b) >= 8:
+		return shortKey(binary.LittleEndian.Uint64(b[:8]), n)
+	default:
+		var w uint64
+		for i, c := range b {
+			w |= uint64(c) << (8 * i)
+		}
+		return shortKey(w, n)
+	}
+}
+
+// stringKey returns s's key, the key bytesKey gives for s's bytes.
+func (d *Dict) stringKey(s string) uint64 {
+	if len(s) > 7 {
+		return maphash.String(d.seed, s) | longKey
+	}
+	var w uint64
+	for i := 0; i < len(s); i++ {
+		w |= uint64(s[i]) << (8 * i)
+	}
+	return shortKey(w, len(s))
+}

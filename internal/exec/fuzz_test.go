@@ -37,8 +37,7 @@ func FuzzTableLoad(f *testing.F) {
 			}
 		}
 		// Row distinctness: rebuilding through the deduplicating FromRows
-		// must not shrink the table. (Calling tab.dedup() here would mutate
-		// tab in place and compare it against itself.)
+		// must not shrink the table.
 		rows := make([][]string, tab.NumRows())
 		for r := range rows {
 			row := make([]string, tab.NumAttrs())

@@ -1,6 +1,9 @@
 package exec
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"slices"
+)
 
 // ScanJSONRows reads the JSON rows value that starts at b[i], after any
 // whitespace, in one pass, and returns its table and the offset just past
@@ -12,10 +15,11 @@ import "encoding/json"
 // request envelope, reads the rows in place.
 //
 // Each cell is interned into dict straight from the bytes: a value already
-// in dict costs one map probe and no allocation, and a first sight copies
-// the bytes, so dict never pins b. A cell holding a backslash escape or a
-// non-ASCII byte is decoded alone by json.Unmarshal, so escapes and
-// invalid-UTF-8 replacement match encoding/json.
+// in dict costs one dictionary probe and no allocation, and a first sight
+// copies the bytes, so dict never pins b. A cell holding a backslash escape
+// or a non-ASCII byte is decoded alone by json.Unmarshal, so escapes and
+// invalid-UTF-8 replacement match encoding/json. The rows go into dict's
+// load scratch and are deduplicated there (see Table.loadRows).
 //
 // ok is false when the value is not rows of strings of the width of attrs,
 // or attrs are invalid. The caller then owes the error, and takes it from
@@ -27,8 +31,12 @@ func ScanJSONRows(dict *Dict, attrs []string, b []byte, i int) (t *Table, next i
 	if err != nil {
 		return nil, i, false
 	}
-	perm := sortedPerm(t.attrs, attrs)
-	row := make([]int32, len(attrs))
+	// pos[n] is the sorted column of the n-th cell of a row.
+	pos := make([]int, len(attrs))
+	for c, p := range sortedPerm(t.attrs, attrs) {
+		pos[p] = c
+	}
+	dict.cells = dict.cells[:0]
 	s := jsonScanner{b: b, i: i}
 	s.space()
 	if s.literal("null") {
@@ -40,26 +48,24 @@ func ScanJSONRows(dict *Dict, attrs []string, b []byte, i int) (t *Table, next i
 	if s.space(); s.consume(']') {
 		return t, s.i, true
 	}
+	n := 0
 	for {
 		switch {
 		case s.literal("null"):
 			if len(attrs) != 0 {
 				return nil, i, false // a null row has width 0
 			}
-		case s.row(dict, row):
-			for c := range t.cols {
-				t.cols[c] = append(t.cols[c], row[perm[c]])
-			}
+		case s.row(dict, pos):
 		default:
 			return nil, i, false
 		}
-		t.rows++
+		n++
 		if s.space(); s.consume(',') {
 			s.space()
 			continue
 		}
 		if s.consume(']') {
-			return t.dedup(), s.i, true
+			return t.loadRows(n), s.i, true
 		}
 		return nil, i, false
 	}
@@ -101,51 +107,55 @@ func (s *jsonScanner) literal(lit string) bool {
 	return false
 }
 
-// row reads one array of exactly len(row) cells into row.
-func (s *jsonScanner) row(dict *Dict, row []int32) bool {
+// row reads one array of exactly len(pos) cells onto the end of dict's
+// cell scratch, the n-th cell into sorted column pos[n].
+func (s *jsonScanner) row(dict *Dict, pos []int) bool {
 	if !s.consume('[') {
 		return false
 	}
-	n := 0
 	if s.space(); s.consume(']') {
-		return n == len(row)
+		return len(pos) == 0
 	}
-	for n < len(row) {
+	base := len(dict.cells)
+	dict.cells = slices.Grow(dict.cells, len(pos))[:base+len(pos)]
+	row := dict.cells[base:]
+	for n := range pos {
 		id, ok := s.cell(dict)
 		if !ok {
 			return false
 		}
-		row[n] = id
-		n++
+		row[pos[n]] = id
 		if s.space(); s.consume(',') {
 			s.space()
 			continue
 		}
-		return n == len(row) && s.consume(']')
+		return n+1 == len(pos) && s.consume(']')
 	}
 	return false
 }
 
-// cell reads one string or null cell and interns its value.
+// cell reads one string or null cell and interns its value. A string, the
+// common case, is tested for first, and its bytes are walked on locals.
 func (s *jsonScanner) cell(dict *Dict) (int32, bool) {
-	if s.literal("null") {
-		return dict.Intern(""), true
-	}
-	if !s.consume('"') {
+	b, i := s.b, s.i
+	if i >= len(b) || b[i] != '"' {
+		if s.literal("null") {
+			return dict.Intern(""), true
+		}
 		return 0, false
 	}
-	start := s.i
-	for s.i < len(s.b) {
-		switch c := s.b[s.i]; {
+	start := i + 1
+	for i = start; i < len(b); i++ {
+		switch c := b[i]; {
 		case c == '"':
-			s.i++
-			return dict.internBytes(s.b[start : s.i-1]), true
+			s.i = i + 1
+			return dict.internBytes(b[start:i]), true
 		case c == '\\' || c >= 0x80:
+			s.i = i
 			return s.slowString(dict, start-1)
 		case c < 0x20:
 			return 0, false
 		}
-		s.i++
 	}
 	return 0, false
 }

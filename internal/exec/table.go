@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -54,16 +56,81 @@ func FromRows(dict *Dict, attrs []string, rows [][]string) (*Table, error) {
 		return nil, err
 	}
 	perm := sortedPerm(t.attrs, attrs)
+	cells := dict.cells[:0]
 	for _, row := range rows {
 		if len(row) != len(attrs) {
 			return nil, fmt.Errorf("exec: row width %d != %d attributes", len(row), len(attrs))
 		}
-		for i := range t.cols {
-			t.cols[i] = append(t.cols[i], dict.Intern(row[perm[i]]))
+		for _, p := range perm {
+			cells = append(cells, dict.Intern(row[p]))
 		}
-		t.rows++
 	}
-	return t.dedup(), nil
+	dict.cells = cells
+	return t.loadRows(len(rows)), nil
+}
+
+// maxScratch bounds the cells and row-set slots a Dict keeps between
+// loads, so a dictionary that once loaded a huge table does not pin its
+// scratch for life; eval-join's tables fit well inside it.
+const maxScratch = 1 << 16
+
+// loadRows is the tail of every row loader: t is empty, and t.dict.cells
+// holds its n rows, row-major in t's column order. loadRows keeps the first
+// occurrence of each distinct row, in order, compacting the scratch in
+// place through an open-addressing set of at least 2n slots, then
+// allocates t's columns once, at the distinct count. A slot packs the top
+// 32 bits of its row's hash above the row's compacted index + 1; 0 is
+// empty. The row hash is seeded with the Dict's random multiplier, so a
+// hostile body cannot aim rows at one probe run either.
+func (t *Table) loadRows(n int) *Table {
+	d, w := t.dict, len(t.cols)
+	cells := d.cells[:n*w]
+	size := 1 << bits.Len(uint(2*max(n, 1)-1))
+	if cap(d.rowSet) < size {
+		d.rowSet = make([]uint64, size)
+	}
+	set := d.rowSet[:size]
+	clear(set)
+	shift, mask := uint(65-bits.Len(uint(size))), uint64(size-1)
+	k := 0
+	for r := 0; r < n; r++ {
+		row := cells[r*w : r*w+w]
+		h := d.mul
+		for _, c := range row {
+			h = (h ^ uint64(uint32(c))) * d.mul
+		}
+		tag := h &^ math.MaxUint32
+		for b := h >> shift; ; b = (b + 1) & mask {
+			v := set[b]
+			if v == 0 {
+				set[b] = tag | uint64(k+1)
+				copy(cells[k*w:], row)
+				k++
+				break
+			}
+			if j := int(uint32(v)) - 1; v&^math.MaxUint32 == tag && slices.Equal(cells[j*w:j*w+w], row) {
+				break
+			}
+		}
+	}
+	t.rows = k
+	if k > 0 && w > 0 {
+		back := make([]int32, k*w)
+		for c := range t.cols {
+			col := back[c*k : (c+1)*k : (c+1)*k]
+			for r := range col {
+				col[r] = cells[r*w+c]
+			}
+			t.cols[c] = col
+		}
+	}
+	if cap(d.cells) > maxScratch {
+		d.cells = nil
+	}
+	if cap(d.rowSet) > maxScratch {
+		d.rowSet = nil
+	}
+	return t
 }
 
 // sortedPerm returns perm with perm[i] = the position in attrs of sorted[i],
@@ -188,23 +255,6 @@ func allCols(n int) []int {
 		idx[i] = i
 	}
 	return idx
-}
-
-// dedup removes duplicate rows in place (first occurrence wins) and returns
-// the receiver. Only constructors call it: the kernels preserve row
-// distinctness (semijoin filters, join of distinct inputs is distinct,
-// projection dedups its own output).
-func (t *Table) dedup() *Table {
-	// A background context is never cancelled, so distinctRows cannot fail.
-	keep, _ := distinctRows(context.Background(), t, allCols(len(t.cols)))
-	for c, col := range t.cols {
-		for k, r := range keep { // keep is ascending, so k <= r
-			col[k] = col[r]
-		}
-		t.cols[c] = col[:len(keep)]
-	}
-	t.rows = len(keep)
-	return t
 }
 
 // Equal reports set equality of rows over identical schemas and a shared

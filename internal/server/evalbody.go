@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/exec"
+	"repro/internal/obs"
 )
 
 // The request bodies read by hand. readBody reads a body once into one
@@ -85,9 +86,15 @@ func (r *replay) Read(p []byte) (int, error) {
 // exec.FromRows. A JSON error (bad_json, rows that are not strings
 // included, or the body cap) comes back as err at once; the first table
 // whose attributes or row widths are wrong comes back as rejected, a
-// bad_request the caller reports after the schema checks.
-func loadEval(body []byte, readErr error) (req evalRequest, tables []*exec.Table, rejected, err error) {
-	if req, tables, ok := scanEval(body); ok {
+// bad_request the caller reports after the schema checks. A load that
+// succeeds records its size on sp, when sp is recording (see loadAttrs).
+func loadEval(body []byte, readErr error, sp *obs.Span) (req evalRequest, tables []*exec.Table, rejected, err error) {
+	var rows *int // counted only for sp
+	if sp != nil {
+		rows = new(int)
+	}
+	if req, tables, ok := scanEval(body, rows); ok {
+		loadAttrs(sp, body, rows, tables)
 		return req, tables, nil, nil
 	}
 	if err := decodeFrom(&replay{b: body, err: readErr}, &req); err != nil {
@@ -99,16 +106,39 @@ func loadEval(body []byte, readErr error) (req evalRequest, tables []*exec.Table
 		if tables[i], err = exec.FromRows(dict, t.Attrs, t.Rows); err != nil {
 			return req, nil, &errBadRequest{err: fmt.Errorf("table %d: %w", i, err)}, nil
 		}
+		if rows != nil {
+			*rows += len(t.Rows)
+		}
 	}
+	loadAttrs(sp, body, rows, tables)
 	return req, tables, nil, nil
+}
+
+// loadAttrs records a load's size on its exec.load span: the body's bytes,
+// the rows its tables were sent with, the distinct rows they kept, and the
+// values in their shared Dict.
+func loadAttrs(sp *obs.Span, body []byte, rows *int, tables []*exec.Table) {
+	if sp == nil {
+		return
+	}
+	distinct, values := 0, 0
+	for _, t := range tables {
+		distinct += t.NumRows()
+		values = t.Dict().Len()
+	}
+	sp.SetInt("bytes", int64(len(body)))
+	sp.SetInt("rows", int64(*rows))
+	sp.SetInt("distinct", int64(distinct))
+	sp.SetInt("values", int64(values))
 }
 
 // scanEval reads an envelope of the fast shape from the start of b and
 // ignores what follows it, as json.Decoder.Decode does. Its tables share one
 // Dict and leave req.Tables nil. ok is false for any body outside the shape
-// and for rows exec.ScanJSONRows rejects, whose error the caller owes.
-func scanEval(b []byte) (req evalRequest, tables []*exec.Table, ok bool) {
-	s := envScanner{b: b, dict: exec.NewDict()}
+// and for rows exec.ScanJSONRows rejects, whose error the caller owes. When
+// rows is not nil, the rows the tables were sent with are added to it.
+func scanEval(b []byte, rows *int) (req evalRequest, tables []*exec.Table, ok bool) {
+	s := envScanner{b: b, dict: exec.NewDict(), rows: rows}
 	tables = []*exec.Table{} // no "tables" is no tables, as in loadEval's fallback
 	var seenSchema, seenAttrs, seenTables bool
 	s.space()
@@ -171,11 +201,13 @@ func scanSchema(b []byte) (schema string, ok bool) {
 }
 
 // envScanner walks a request body. Every read is bounds-checked against
-// b; dict, which only eval bodies use, holds their tables' values.
+// b; dict, which only eval bodies use, holds their tables' values, and
+// rows, when not nil, counts their rows.
 type envScanner struct {
 	b    []byte
 	i    int
 	dict *exec.Dict
+	rows *int
 }
 
 // space skips JSON whitespace.
@@ -354,7 +386,11 @@ func (s *envScanner) table() (*exec.Table, bool) {
 		if s.space(); s.key() != "rows" {
 			return nil, false
 		}
+		start := s.i
 		t, s.i, ok = exec.ScanJSONRows(s.dict, attrs, s.b, s.i)
+		if ok && s.rows != nil {
+			*s.rows += rowCount(s.b[start:s.i], len(attrs))
+		}
 	} else {
 		var err error
 		t, err = exec.NewTable(s.dict, attrs)
@@ -365,4 +401,38 @@ func (s *envScanner) table() (*exec.Table, bool) {
 	}
 	s.space()
 	return t, s.consume('}')
+}
+
+// rowCount returns the number of rows in v, a rows value of width w that
+// exec.ScanJSONRows accepted. With no backslash and no null in v, each row
+// is w strings of two quotes each, so one vectorized count of the quotes
+// suffices; otherwise the arrays and nulls directly inside v are counted
+// by walking it.
+func rowCount(v []byte, w int) int {
+	if w > 0 && bytes.IndexByte(v, '\\') < 0 && !bytes.Contains(v, []byte("null")) {
+		return bytes.Count(v, []byte{'"'}) / (2 * w)
+	}
+	n, depth := 0, 0
+	for i := 0; i < len(v); i++ {
+		switch v[i] {
+		case '"':
+			for i++; v[i] != '"'; i++ {
+				if v[i] == '\\' {
+					i++
+				}
+			}
+		case '[':
+			if depth++; depth == 2 {
+				n++
+			}
+		case ']':
+			depth--
+		case 'n':
+			if depth == 1 {
+				n++
+			}
+			i += len("null") - 1
+		}
+	}
+	return n
 }

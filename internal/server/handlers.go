@@ -205,7 +205,7 @@ func decodeEval(r *http.Request, limit int64, withAttrs bool) ([]string, *exec.D
 	body, readErr := readBody(r, limit)
 	dsp.End()
 	_, lsp := obs.StartSpan(r.Context(), "exec.load")
-	req, tables, rejected, err := loadEval(body, readErr)
+	req, tables, rejected, err := loadEval(body, readErr, lsp)
 	lsp.End()
 	if err != nil {
 		return nil, nil, err

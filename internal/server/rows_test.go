@@ -325,12 +325,66 @@ func evalJoinBody(minRows int) []byte {
 	return body
 }
 
+// TestEvalLoadIndependentOfSeed: every scan draws a Dict of its own
+// random multiplier and seed, yet two scans of the eval-join body build
+// the same value ids and the same columns, and /v1/eval answers it byte
+// for byte as it answers the same body through the encoding/json fallback
+// and exec.FromRows.
+func TestEvalLoadIndependentOfSeed(t *testing.T) {
+	body := evalJoinBody(2000)
+	_, a, okA := scanEval(body, nil)
+	_, b, okB := scanEval(body, nil)
+	if !okA || !okB {
+		t.Fatal("eval-join body falls back")
+	}
+	da, db := a[0].Dict(), b[0].Dict()
+	if da.Len() != db.Len() {
+		t.Fatalf("%d values, then %d", da.Len(), db.Len())
+	}
+	for id := range int32(da.Len()) {
+		if da.Value(id) != db.Value(id) {
+			t.Fatalf("value %d: %q, then %q", id, da.Value(id), db.Value(id))
+		}
+	}
+	for i := range a {
+		if a[i].NumRows() != b[i].NumRows() {
+			t.Fatalf("table %d: %d rows, then %d", i, a[i].NumRows(), b[i].NumRows())
+		}
+		for r := range a[i].NumRows() {
+			for c := range a[i].NumAttrs() {
+				idA, _ := da.Lookup(a[i].Value(r, c))
+				idB, _ := db.Lookup(b[i].Value(r, c))
+				if idA != idB {
+					t.Fatalf("table %d cell (%d, %d): id %d, then %d", i, r, c, idA, idB)
+				}
+			}
+		}
+	}
+
+	_, ts := newTestServer(t, Config{}, nil)
+	fallback := `{"x":0,` + string(body[1:]) // an unknown key takes the fallback
+	if _, _, ok := scanEval([]byte(fallback), nil); ok {
+		t.Fatal("the fallback body takes the scan")
+	}
+	var replies [][]byte
+	for _, in := range []string{string(body), string(body), fallback} {
+		resp, reply := do(t, "POST", ts.URL+"/v1/eval", in, nil)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%d %s", resp.StatusCode, reply)
+		}
+		replies = append(replies, reply)
+	}
+	if !bytes.Equal(replies[0], replies[1]) || !bytes.Equal(replies[0], replies[2]) {
+		t.Fatalf("replies differ:\n%.200s\n%.200s\n%.200s", replies[0], replies[1], replies[2])
+	}
+}
+
 // TestScanEvalShape pins which bodies take the one-pass envelope scan:
 // eval-join's and the parity cases of the fast shape do; every envelope
 // edge encoding/json could read differently, and every body that is not
 // well-formed rows of the right width, does not.
 func TestScanEvalShape(t *testing.T) {
-	if _, _, ok := scanEval(evalJoinBody(50)); !ok {
+	if _, _, ok := scanEval(evalJoinBody(50), nil); !ok {
 		t.Fatal("eval-join body falls back")
 	}
 	fast := map[string]bool{
@@ -341,7 +395,7 @@ func TestScanEvalShape(t *testing.T) {
 		"body cap": true, // whole; the prefix under the cap falls back
 	}
 	for _, tc := range parityCases {
-		_, _, ok := scanEval([]byte(tc.body))
+		_, _, ok := scanEval([]byte(tc.body), nil)
 		if ok != fast[tc.name] {
 			t.Errorf("%s: scanEval ok %v, want %v", tc.name, ok, fast[tc.name])
 		}
@@ -387,6 +441,22 @@ func FuzzEvalBody(f *testing.F) {
 		for i, tab := range d.Tables {
 			if !tab.ToRelation().Equal(want.Tables[i].ToRelation()) {
 				t.Fatalf("table %d\n%v\noracle\n%v", i, tab, want.Tables[i])
+			}
+		}
+		// The exec.load span's row count is the rows the tables were sent
+		// with.
+		var rows int
+		if _, _, ok := scanEval([]byte(body), &rows); ok {
+			var sent oracleEvalRequest
+			if err := json.NewDecoder(strings.NewReader(body)).Decode(&sent); err != nil {
+				t.Fatalf("oracle decode: %v", err)
+			}
+			n := 0
+			for _, tab := range sent.Tables {
+				n += len(tab.Rows)
+			}
+			if rows != n {
+				t.Fatalf("scan counted %d rows, the body has %d", rows, n)
 			}
 		}
 	})

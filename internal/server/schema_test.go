@@ -282,6 +282,48 @@ func TestTracezParseSpans(t *testing.T) {
 	}
 }
 
+// TestTracezLoadSpan: the exec.load span of /v1/eval carries the load's
+// size, on the one-pass scan and on the encoding/json fallback alike: the
+// body's bytes, the rows sent (a repeat, a null cell and a bracket inside
+// a string included), the distinct rows kept, and the values interned.
+func TestTracezLoadSpan(t *testing.T) {
+	t.Cleanup(obs.Disable)
+	_, ts := newTestServer(t, Config{Trace: true, SlowTraceThreshold: -1}, nil)
+	fast := rowsBody("A B\nB C",
+		`{"attrs":["A","B"],"rows":[["a1","b1"],["a1","b1"],["a[\"2","b2"]]}`,
+		`{"attrs":["B","C"],"rows":[["b1",null],["b2","c2"]]}`)
+	slow := `{"x":0,` + fast[1:] // an unknown key takes the fallback
+	if _, _, ok := scanEval([]byte(slow), nil); ok {
+		t.Fatal("the fallback body takes the scan")
+	}
+	want := map[int64][4]int64{} // by bytes: bytes, rows, distinct, values
+	for _, body := range []string{fast, slow} {
+		if resp, reply := do(t, "POST", ts.URL+"/v1/eval", body, nil); resp.StatusCode != 200 {
+			t.Fatalf("%s: %d %s", body, resp.StatusCode, reply)
+		}
+		want[int64(len(body))] = [4]int64{int64(len(body)), 5, 4, 6}
+	}
+	for _, tr := range getTracez(t, ts.URL).Traces {
+		walk(tr.Root, func(n *spanNode) {
+			if n.Name != "exec.load" {
+				return
+			}
+			got := [4]int64{attrInt(t, n, "bytes"), attrInt(t, n, "rows"), attrInt(t, n, "distinct"), attrInt(t, n, "values")}
+			w, ok := want[got[0]]
+			if !ok {
+				t.Fatalf("exec.load bytes %d, want one of %v", got[0], want)
+			}
+			if got != w {
+				t.Fatalf("exec.load bytes, rows, distinct, values = %v, want %v", got, w)
+			}
+			delete(want, got[0])
+		})
+	}
+	if len(want) != 0 {
+		t.Fatalf("no exec.load span for the bodies of %v bytes", want)
+	}
+}
+
 // relabel prefixes every node name of a schema in the text format, so the
 // result has the same shape but a text and fingerprint the memo has never
 // seen.

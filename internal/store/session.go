@@ -421,9 +421,13 @@ func (s *Session) Compact() error {
 	if err := s.rewriteWALLocked(st.Epoch); err != nil {
 		// The snapshot landed but the log still has pre-snapshot records;
 		// recovery skips them by epoch, so this is a space leak, not a
-		// correctness problem. Fail-stop only if the WAL fd is now suspect.
-		// (ErrCorrupt — a damaged acknowledged frame — is the exception: the
-		// log is left as it is, and the next Open refuses it.)
+		// correctness problem, unless the WAL fd is now suspect (the
+		// rewrite fail-stops that itself). ErrCorrupt, a damaged
+		// acknowledged frame, fail-stops here: the log is left as it is and
+		// the next Open refuses it, so no later edit may be acknowledged.
+		if errors.Is(err, ErrCorrupt) {
+			s.failed = fmt.Errorf("%w: %w", ErrSessionFailed, err)
+		}
 		sp.SetAttr("error", err.Error())
 		return err
 	}

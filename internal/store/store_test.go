@@ -738,6 +738,44 @@ func TestMidLogFlipIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestCompactOverCorruptFailStops: a compaction whose WAL rewrite meets a
+// damaged acknowledged frame returns ErrCorrupt and fail-stops the session,
+// so no edit is acknowledged that the next Open, which refuses the log,
+// could not recover.
+func TestCompactOverCorruptFailStops(t *testing.T) {
+	dir := t.TempDir()
+	s, ws, err := Create(dir, Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 10; i++ {
+		if _, err := ws.AddEdge(fmt.Sprintf("a%d", i), fmt.Sprintf("a%d", i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, WALFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, flipByte(raw, frameOffsets(t, raw)[2]+frameHeaderLen), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Compact over a damaged frame: %v, want ErrCorrupt", err)
+	}
+	if _, err := ws.AddEdge("b0", "b1"); !errors.Is(err, ErrSessionFailed) {
+		t.Fatalf("edit after a failed compaction: %v, want ErrSessionFailed", err)
+	}
+	if ws.Epoch() != 10 {
+		t.Fatalf("epoch %d after the refused edit, want 10", ws.Epoch())
+	}
+	if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open after the failed compaction: %v, want ErrCorrupt", err)
+	}
+}
+
 func TestScanWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, ws, err := Create(dir, Options{})

@@ -241,8 +241,7 @@ func RestoreWorkspace(st *State, opts ...Option) (*Workspace, error) {
 			c.edges[eid] = struct{}{}
 			c.sum = c.sum.Add(w.digest)
 			for _, nid := range w.ids {
-				if _, ok := c.nodes[int(nid)]; !ok {
-					c.nodes[int(nid)] = struct{}{}
+				if ws.nodeComp[nid] < 0 {
 					ws.nodeComp[nid] = cid
 					ws.covered++
 					for _, f := range ws.inc[nid] {

@@ -137,7 +137,6 @@ func (ws *Workspace) decodeEdge(id int) (int, bool) {
 // and canonical join-tree fragment.
 type component struct {
 	edges map[int]struct{} // alive edge ids
-	nodes map[int]struct{} // covered node ids
 	sum   hypergraph.Fingerprint128
 
 	settled bool
@@ -320,7 +319,6 @@ func (ws *Workspace) AddEdge(nodes ...string) (int, error) {
 		if ws.nodeComp[nid] < 0 {
 			ws.nodeComp[nid] = cid
 			ws.covered++
-			c.nodes[int(nid)] = struct{}{}
 		}
 	}
 	ws.bump()
@@ -359,7 +357,6 @@ func (ws *Workspace) RemoveEdge(id int) error {
 		if len(ws.inc[nid]) == 0 {
 			ws.nodeComp[nid] = -1
 			ws.covered--
-			delete(c.nodes, int(nid))
 			delete(ws.index, ws.names[nid])
 			ws.names[nid] = ""
 			ws.freeNode = append(ws.freeNode, nid)
@@ -579,7 +576,7 @@ func (ws *Workspace) newComp() int32 {
 		cid = int32(len(ws.comps))
 		ws.comps = append(ws.comps, nil)
 	}
-	ws.comps[cid] = &component{edges: map[int]struct{}{}, nodes: map[int]struct{}{}}
+	ws.comps[cid] = &component{edges: map[int]struct{}{}}
 	ws.dirty[cid] = struct{}{}
 	return cid
 }
@@ -626,10 +623,9 @@ func (ws *Workspace) mergeComps(touched []int32) int32 {
 		for eid := range oc.edges {
 			bc.edges[eid] = struct{}{}
 			ws.edges[eid].comp = base
-		}
-		for nid := range oc.nodes {
-			bc.nodes[nid] = struct{}{}
-			ws.nodeComp[nid] = base
+			for _, nid := range ws.edges[eid].ids {
+				ws.nodeComp[nid] = base
+			}
 		}
 		bc.sum = bc.sum.Add(oc.sum)
 		ws.destroyComp(cid)
@@ -687,10 +683,7 @@ func (ws *Workspace) splitOrDirty(cid int32) {
 			nc.edges[eid] = struct{}{}
 			nc.sum = nc.sum.Add(w.digest)
 			for _, node := range w.ids {
-				if _, ok := nc.nodes[int(node)]; !ok {
-					ws.nodeComp[node] = pid
-					nc.nodes[int(node)] = struct{}{}
-				}
+				ws.nodeComp[node] = pid
 			}
 		}
 	}

@@ -41,7 +41,10 @@ package engine
 import (
 	"context"
 	"hash/maphash"
+	"iter"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -73,15 +76,6 @@ type Engine struct {
 	keyed bool   // WithKeyedDigest: confirm identities with seeded SipHash
 	seed  uint64 // the keyed-digest seed (meaningful only when keyed)
 
-	// keyedCache memoizes the per-engine keyed confirmation digest by
-	// hypergraph identity (pointer — Hypergraph is immutable, so a pointer
-	// pins content; a content-equal copy merely recomputes). Keying by the
-	// unkeyed fingerprint instead would re-open the forgery hole the keyed
-	// digest exists to close. Bounded: at keyedCacheMax entries the map is
-	// dropped and restarted, so schema churn cannot grow it without bound.
-	keyedMu    sync.RWMutex
-	keyedCache map[*hypergraph.Hypergraph]uint64
-
 	shards []shard // fingerprint-keyed memo shards, len is a power of two
 	mask   uint64
 
@@ -91,29 +85,26 @@ type Engine struct {
 	keyedWalks atomic.Int64
 }
 
-// keyedCacheMax bounds the keyed-digest cache; when full it is cleared
-// rather than LRU-tracked (the cache exists to make the warm steady-state
-// ~constant, and a steady state fits far under the bound).
-const keyedCacheMax = 4096
-
 // shard is one memo partition holding both memo planes: whole-hypergraph
 // Analysis sessions (memo) and the component-granular records of the
-// dynamic layer (cmemo), each with its own entry count but sharing the
-// recency clock and the mutex. The slot also holds one partition of the
-// text plane (texts, see AnalyzeText) under its own lock: textMu is taken
-// alone or after some shard's mu, never before one, and its entries live
-// in whichever memo shard their fingerprint selects. The padding puts each
-// lock on its own 64-byte cache line (mutex 8 + two map headers 16 +
-// counters 24 + 16, then mutex 8 + map header 8 + 48), so uncontended
-// locks on neighboring shards and planes do not false-share.
+// dynamic layer (cmemo), sharing the recency clock and the mutex. Each
+// plane is keyed by its full identity, so a probe is one map lookup; a
+// session chain is longer than one only when two schemas with one 128-bit
+// fingerprint meet in a keyed engine, where their seeded digests tell them
+// apart. The slot also holds one partition of the text plane (texts, see
+// AnalyzeText) under its own lock: textMu is taken alone or after some
+// shard's mu, never before one, and its entries live in whichever memo
+// shard their fingerprint selects. The padding puts each lock on its own
+// 64-byte cache line (mutex 8 + two map headers 16 + counters 16 + 24,
+// then mutex 8 + map header 8 + 48), so uncontended locks on neighboring
+// shards and planes do not false-share.
 type shard struct {
 	mu    sync.Mutex
-	memo  map[uint64][]*entry  // fingerprint key -> entries (collision chain)
-	cmemo map[uint64][]*centry // component key -> records (collision chain)
-	n     int                  // memo entries across all chains
-	cn    int                  // cmemo entries across all chains
-	clock uint64               // shard-local recency counter (see entry.seq)
-	_     [16]byte
+	memo  map[hypergraph.Fingerprint128][]*entry // fingerprint -> sessions
+	cmemo map[ComponentKey]*centry               // component identity -> record
+	n     int                                    // sessions across all chains
+	clock uint64                                 // shard-local recency counter (see stamp)
+	_     [24]byte
 
 	textMu sync.Mutex
 	texts  map[string]*entry // exact schema text -> the entry its parse interned
@@ -123,26 +114,22 @@ type shard struct {
 // textSeed seeds the maphash that selects a text's text-plane shard.
 var textSeed = maphash.MakeSeed()
 
-// entry interns one hypergraph identity: the full 128-bit fingerprint
-// disambiguates key collisions, and the shared Analysis session carries
-// every memoized facet (each computed at most once under its own
+// entry interns one hypergraph identity; the shared Analysis session
+// carries every memoized facet (each computed at most once under its own
 // sync.Once).
 type entry struct {
+	stamp
 	fp    hypergraph.Fingerprint128
 	keyed uint64 // seeded SipHash confirmation digest (WithKeyedDigest only)
 	an    *analysis.Analysis
-	key   uint64 // folded fingerprint: the entry's chain in shard.memo
-	seq   uint64 // shard clock at last touch; the eviction victim has the minimum
 	text  string // the entry's text-plane key, "" for none; guarded by the shard lock
 }
 
-// centry interns one connected component's analysis under its commutative
-// content key (see InternComponent).
+// centry is one connected component's memoized analysis (see
+// InternComponent); its ComponentKey is its map key in shard.cmemo.
 type centry struct {
-	ck  ComponentKey
+	stamp
 	res ComponentAnalysis
-	key uint64 // folded component key: the record's chain in shard.cmemo
-	seq uint64 // shard clock at last touch
 }
 
 // Option configures an Engine.
@@ -187,9 +174,12 @@ func WithMaxEntries(n int) Option {
 // but not against adversarially crafted schemas (FNV is invertible, so a
 // tenant could collide two schemas and poison the shared memo); with a
 // secret seed the confirmation digest is a PRF the adversary cannot
-// predict. The price is an O(total edge size) keyed walk per query instead
-// of the cached-field read — the warm path stops being ~constant-time, so
-// enable this only for memos shared across untrusted multi-tenant traffic.
+// predict. A query passing the very *Hypergraph its resident session was
+// built from answers without the digest (an immutable Hypergraph pins its
+// content); any other hypergraph, such as each fresh parse of a request,
+// pays an O(total edge size) keyed walk, outside the shard lock. So the
+// warm path of parsed traffic stops being ~constant-time: enable this only
+// for memos shared across untrusted multi-tenant traffic.
 // The component-granular memo is hardened through the same seed: workspaces
 // attached to a keyed engine fold component fingerprints from
 // Engine.EdgeDigest, which switches to the keyed per-edge digest.
@@ -214,9 +204,6 @@ func New(opts ...Option) *Engine {
 			e.maxPerShard = 1
 		}
 	}
-	if e.keyed {
-		e.keyedCache = make(map[*hypergraph.Hypergraph]uint64)
-	}
 	return e
 }
 
@@ -227,8 +214,8 @@ func (e *Engine) initShards(n int) {
 	}
 	e.shards = make([]shard, size)
 	for i := range e.shards {
-		e.shards[i].memo = make(map[uint64][]*entry)
-		e.shards[i].cmemo = make(map[uint64][]*centry)
+		e.shards[i].memo = make(map[hypergraph.Fingerprint128][]*entry)
+		e.shards[i].cmemo = make(map[ComponentKey]*centry)
 		e.shards[i].texts = make(map[string]*entry)
 	}
 	e.mask = uint64(size - 1)
@@ -244,7 +231,7 @@ type Stats struct {
 	Hits       int64 // queries answered by an existing memo entry
 	Misses     int64 // queries that created a new memo entry
 	Evictions  int64 // entries dropped by the WithMaxEntries bound
-	KeyedWalks int64 // keyed-digest walks actually computed (cache misses)
+	KeyedWalks int64 // keyed-digest walks: queries whose hypergraph is not its session's own
 	Entries    int   // distinct hypergraph identities currently resident
 	Components int   // distinct component identities currently resident
 }
@@ -256,7 +243,7 @@ func (e *Engine) Stats() Stats {
 		s := &e.shards[i]
 		s.mu.Lock()
 		n += s.n
-		cn += s.cn
+		cn += len(s.cmemo)
 		s.mu.Unlock()
 	}
 	return Stats{Hits: e.hits.Load(), Misses: e.misses.Load(), Evictions: e.evictions.Load(), KeyedWalks: e.keyedWalks.Load(), Entries: n, Components: cn}
@@ -264,52 +251,53 @@ func (e *Engine) Stats() Stats {
 
 // entryFor interns h's identity under the streaming 128-bit fingerprint
 // (computed during construction, so the warm path costs a shard lock and a
-// map probe — no canonical string is ever built). The folded 64-bit key
-// selects the shard and buckets the map; the full fingerprint disambiguates
-// the chain. Equal digests are treated as equal content: accidental
-// FNV-128 collisions are negligible, but the digest is not a defense
-// against adversarially crafted schemas (see Fingerprint128). ctx carries
-// the span context for the chaos site, and hit reports the memo outcome so
-// callers can attribute it on their span. A non-empty text is the schema
-// text h was parsed from: it becomes the entry's text-plane key, under the
-// shard lock, so a concurrent eviction cannot leave it behind.
+// map probe — no canonical string is ever built). Equal digests are
+// treated as equal content: accidental FNV-128 collisions are negligible,
+// but the digest is not a defense against adversarially crafted schemas
+// (see Fingerprint128) — WithKeyedDigest is. ctx carries the span context
+// for the chaos site, and hit reports the memo outcome so callers can
+// attribute it on their span. A non-empty text is the schema text h was
+// parsed from: it becomes the entry's text-plane key, under the shard
+// lock, so a concurrent eviction cannot leave it behind.
 func (e *Engine) entryFor(ctx context.Context, h *hypergraph.Hypergraph, text string) (*entry, bool) {
 	// Chaos site on the path of every memoized query. No error return here,
 	// so only delay and panic plans can fire (see fault.EngineAnalyze).
 	_ = fault.HitCtx(ctx, fault.EngineAnalyze)
 	fp := h.Fingerprint128()
+	s := e.memoShard(fp)
 	var keyed uint64
-	if e.keyed {
-		// The keyed confirmation digest is engine-specific (it depends on
-		// the seed), so it cannot be cached on the hypergraph itself; the
-		// engine caches it per hypergraph identity instead, so the warm
-		// path of trusted-but-keyed deployments regains its ~constant cost
-		// (only the first query of each *Hypergraph pays the O(total edge
-		// size) walk).
-		keyed = e.keyedDigest(h)
-	}
-	key := fp.Hi ^ fp.Lo
-	s := &e.shards[key&e.mask]
 	s.mu.Lock()
-	for _, en := range s.memo[key] {
-		if en.fp == fp && en.keyed == keyed {
-			s.touch(en)
-			e.keyText(en, text)
-			s.mu.Unlock()
-			e.hits.Add(1)
-			memoHits.Inc()
-			return en, true
+	en := e.session(s, fp, h, 0, false)
+	if en == nil && e.keyed {
+		// h is not a resident session's own hypergraph: confirm it by the
+		// seeded digest, an O(total edge size) walk kept off the lock.
+		s.mu.Unlock()
+		e.keyedWalks.Add(1)
+		keyedWalksStat.Inc()
+		keyed = hypergraph.KeyedDigest(h, e.seed)
+		s.mu.Lock()
+		en = e.session(s, fp, h, keyed, true)
+	}
+	if en != nil {
+		e.keyText(en, text)
+		s.mu.Unlock()
+		e.hits.Add(1)
+		memoHits.Inc()
+		return en, true
+	}
+	if vfp, victim, ok := evictOldest(e, s.n, s.sessions); ok {
+		if chain := slices.DeleteFunc(s.memo[vfp], func(c *entry) bool { return c == victim }); len(chain) > 0 {
+			s.memo[vfp] = chain
+		} else {
+			delete(s.memo, vfp)
 		}
+		s.n--
+		e.dropText(victim)
 	}
-	if e.maxPerShard > 0 && s.n >= e.maxPerShard {
-		e.dropText(s.evictOldest())
-		e.evictions.Add(1)
-		memoEvictions.Inc()
-	}
-	en := &entry{fp: fp, keyed: keyed, an: analysis.New(h), key: key}
-	s.touch(en)
+	en = &entry{fp: fp, keyed: keyed, an: analysis.New(h)}
+	s.touch(&en.stamp)
 	e.keyText(en, text)
-	s.memo[key] = append(s.memo[key], en)
+	s.memo[fp] = append(s.memo[fp], en)
 	s.n++
 	s.mu.Unlock()
 	e.misses.Add(1)
@@ -317,10 +305,67 @@ func (e *Engine) entryFor(ctx context.Context, h *hypergraph.Hypergraph, text st
 	return en, false
 }
 
-// touch stamps en with the shard clock. Callers hold the shard lock.
-func (s *shard) touch(en *entry) {
-	en.seq = s.clock
+// session finds the resident session of fingerprint fp that answers h, and
+// touches it; nil if none does. Unkeyed, an equal fingerprint is equal
+// content. Keyed, h answers for the session built from it, since an
+// immutable Hypergraph pins its content; any other session needs h's
+// seeded digest, once walked. Callers hold s.mu.
+func (e *Engine) session(s *shard, fp hypergraph.Fingerprint128, h *hypergraph.Hypergraph, keyed uint64, walked bool) *entry {
+	for _, en := range s.memo[fp] {
+		if !e.keyed || en.an.Hypergraph() == h || walked && en.keyed == keyed {
+			s.touch(&en.stamp)
+			return en
+		}
+	}
+	return nil
+}
+
+// sessions yields every session of the shard with its fingerprint.
+func (s *shard) sessions(yield func(hypergraph.Fingerprint128, *entry) bool) {
+	for fp, chain := range s.memo {
+		for _, en := range chain {
+			if !yield(fp, en) {
+				return
+			}
+		}
+	}
+}
+
+// stamp is a memo record's recency: the shard clock at its last touch. A
+// full plane evicts the record with the least.
+type stamp struct{ seq uint64 }
+
+func (t *stamp) touched() uint64 { return t.seq }
+
+// touch stamps a record with the shard clock. Callers hold the shard lock.
+func (s *shard) touch(t *stamp) {
+	t.seq = s.clock
 	s.clock++
+}
+
+// evictOldest makes room for an insert into a shard plane that holds n
+// records: under the WithMaxEntries bound, a full plane gives up the
+// record with the least recent touch among those all yields, which the
+// caller unlinks; ok is false while the plane has room. The victim scan is
+// linear in the shard's population, which the bound caps — the price of
+// threading no list through the records. Callers hold the shard lock.
+func evictOldest[K any, R interface{ touched() uint64 }](e *Engine, n int, all iter.Seq2[K, R]) (k K, victim R, ok bool) {
+	if e.maxPerShard == 0 || n < e.maxPerShard {
+		return k, victim, false
+	}
+	for key, r := range all {
+		if !ok || r.touched() < victim.touched() {
+			k, victim, ok = key, r, true
+		}
+	}
+	e.evictions.Add(1)
+	memoEvictions.Inc()
+	return k, victim, ok
+}
+
+// memoShard returns the shard whose memo plane holds fingerprint fp.
+func (e *Engine) memoShard(fp hypergraph.Fingerprint128) *shard {
+	return &e.shards[(fp.Hi^fp.Lo)&e.mask]
 }
 
 // textShard returns the shard whose text-plane partition holds text.
@@ -355,62 +400,6 @@ func (e *Engine) dropText(en *entry) {
 	en.text = ""
 }
 
-// keyedDigest returns the seeded confirmation digest of h, cached by
-// pointer identity (sound: Hypergraph is immutable, so a pointer pins one
-// content forever; a content-equal copy under a different pointer just
-// recomputes the same digest).
-func (e *Engine) keyedDigest(h *hypergraph.Hypergraph) uint64 {
-	e.keyedMu.RLock()
-	d, ok := e.keyedCache[h]
-	e.keyedMu.RUnlock()
-	if ok {
-		return d
-	}
-	e.keyedWalks.Add(1)
-	keyedWalksStat.Inc()
-	d = hypergraph.KeyedDigest(h, e.seed)
-	e.keyedMu.Lock()
-	if len(e.keyedCache) >= keyedCacheMax {
-		e.keyedCache = make(map[*hypergraph.Hypergraph]uint64)
-	}
-	e.keyedCache[h] = d
-	e.keyedMu.Unlock()
-	return d
-}
-
-// evictOldest removes the entry with the smallest recency stamp and returns
-// it (nil when the shard is empty). The victim scan is linear in the
-// shard's population, which the WithMaxEntries cap bounds — the price of
-// not threading a linked list through the chains. Callers hold the shard
-// lock.
-func (s *shard) evictOldest() *entry {
-	var victim *entry
-	for _, chain := range s.memo {
-		for _, en := range chain {
-			if victim == nil || en.seq < victim.seq {
-				victim = en
-			}
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	chain := s.memo[victim.key]
-	for i, en := range chain {
-		if en == victim {
-			chain = append(chain[:i], chain[i+1:]...)
-			break
-		}
-	}
-	if len(chain) == 0 {
-		delete(s.memo, victim.key)
-	} else {
-		s.memo[victim.key] = chain
-	}
-	s.n--
-	return victim
-}
-
 // ComponentKey identifies one connected component's content for the
 // component-granular memo plane: the commutative 128-bit sum of the
 // member edges' digests (hypergraph.EdgeDigestNames, or the keyed variant
@@ -424,7 +413,7 @@ type ComponentKey struct {
 	Count int
 }
 
-// fold selects the chain key (and shard) for a component key.
+// fold selects the shard of a component key.
 func (k ComponentKey) fold() uint64 {
 	return k.Sum.Hi ^ k.Sum.Lo ^ uint64(k.Count)*0x9e3779b97f4a7c15
 }
@@ -456,84 +445,36 @@ func (e *Engine) InternComponent(ck ComponentKey, build func() (ComponentAnalysi
 	if err := fault.Hit(fault.EngineIntern); err != nil {
 		return ComponentAnalysis{}, false, err
 	}
-	key := ck.fold()
-	s := &e.shards[key&e.mask]
+	s := &e.shards[ck.fold()&e.mask]
 	s.mu.Lock()
-	if en, ok := s.lookupComponent(key, ck); ok {
+	en, hit := s.cmemo[ck]
+	if !hit {
 		s.mu.Unlock()
-		e.hits.Add(1)
-		internHits.Inc()
-		return en.res, true, nil
-	}
-	s.mu.Unlock()
-	built, err := build()
-	if err != nil {
-		return ComponentAnalysis{}, false, err
-	}
-	s.mu.Lock()
-	if en, ok := s.lookupComponent(key, ck); ok {
-		// A concurrent builder inserted the identity first; adopt its
-		// record so every caller shares one fragment.
-		s.mu.Unlock()
-		e.hits.Add(1)
-		internHits.Inc()
-		return en.res, true, nil
-	}
-	if e.maxPerShard > 0 && s.cn >= e.maxPerShard {
-		s.evictOldestComponent()
-		e.evictions.Add(1)
-		memoEvictions.Inc()
-	}
-	en := &centry{ck: ck, res: built, key: key, seq: s.clock}
-	s.clock++
-	s.cmemo[key] = append(s.cmemo[key], en)
-	s.cn++
-	s.mu.Unlock()
-	e.misses.Add(1)
-	internMisses.Inc()
-	return built, false, nil
-}
-
-// lookupComponent finds a component record and touches its recency stamp.
-// Callers hold the shard lock.
-func (s *shard) lookupComponent(key uint64, ck ComponentKey) (*centry, bool) {
-	for _, en := range s.cmemo[key] {
-		if en.ck == ck {
-			en.seq = s.clock
-			s.clock++
-			return en, true
+		built, err := build()
+		if err != nil {
+			return ComponentAnalysis{}, false, err
 		}
-	}
-	return nil, false
-}
-
-// evictOldestComponent is evictOldest for the component plane. Callers hold
-// the shard lock.
-func (s *shard) evictOldestComponent() {
-	var victim *centry
-	for _, chain := range s.cmemo {
-		for _, en := range chain {
-			if victim == nil || en.seq < victim.seq {
-				victim = en
+		s.mu.Lock()
+		// A concurrent builder may have inserted the identity first; its
+		// record then answers, so every caller shares one fragment.
+		if en, hit = s.cmemo[ck]; !hit {
+			if victim, _, ok := evictOldest(e, len(s.cmemo), maps.All(s.cmemo)); ok {
+				delete(s.cmemo, victim)
 			}
+			en = &centry{res: built}
+			s.cmemo[ck] = en
 		}
 	}
-	if victim == nil {
-		return
-	}
-	chain := s.cmemo[victim.key]
-	for i, en := range chain {
-		if en == victim {
-			chain = append(chain[:i], chain[i+1:]...)
-			break
-		}
-	}
-	if len(chain) == 0 {
-		delete(s.cmemo, victim.key)
+	s.touch(&en.stamp)
+	s.mu.Unlock()
+	if hit {
+		e.hits.Add(1)
+		internHits.Inc()
 	} else {
-		s.cmemo[victim.key] = chain
+		e.misses.Add(1)
+		internMisses.Inc()
 	}
-	s.cn--
+	return en.res, hit, nil
 }
 
 // EdgeDigest returns the per-edge digest workspaces fold ComponentKey sums
@@ -608,9 +549,9 @@ func (e *Engine) textEntry(ctx context.Context, text string) (en *entry, hit, pa
 		// eviction drops it before the touch below; touching a dropped
 		// entry is harmless, as its shard no longer reaches it.
 		_ = fault.HitCtx(ctx, fault.EngineAnalyze)
-		s := &e.shards[en.key&e.mask]
+		s := e.memoShard(en.fp)
 		s.mu.Lock()
-		s.touch(en)
+		s.touch(&en.stamp)
 		s.mu.Unlock()
 		e.hits.Add(1)
 		memoHits.Inc()

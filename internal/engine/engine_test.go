@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/gen"
 	"repro/internal/gyo"
@@ -374,6 +376,66 @@ func TestInternComponent(t *testing.T) {
 	}
 }
 
+// TestInternComponentIdentityAndEviction: component records are keyed by
+// their full ComponentKey, so two keys that fold alike (and so share a
+// shard) stay two records, each answering its own result; and a full plane
+// evicts its least recently touched record, a hit refreshing it.
+func TestInternComponentIdentityAndEviction(t *testing.T) {
+	record := func(p int) func() (ComponentAnalysis, error) {
+		return func() (ComponentAnalysis, error) {
+			return ComponentAnalysis{Acyclic: true, Parent: []int{p}}, nil
+		}
+	}
+	k1 := ComponentKey{Sum: hypergraph.Fingerprint128{Hi: 1}, Count: 1}
+	k2 := ComponentKey{Sum: hypergraph.Fingerprint128{Lo: 1}, Count: 1}
+	if k1.fold() != k2.fold() {
+		t.Fatal("test keys must fold alike")
+	}
+	e := New(WithShards(1))
+	for i, k := range []ComponentKey{k1, k2} {
+		if res, hit, err := e.InternComponent(k, record(i)); err != nil || hit || res.Parent[0] != i {
+			t.Fatalf("first intern of key %d: res=%+v hit=%v err=%v", i, res, hit, err)
+		}
+	}
+	for i, k := range []ComponentKey{k1, k2} {
+		if res, hit, err := e.InternComponent(k, record(-1)); err != nil || !hit || res.Parent[0] != i {
+			t.Fatalf("repeat of key %d answered res=%+v hit=%v err=%v, want its own record", i, res, hit, err)
+		}
+	}
+	if st := e.Stats(); st.Components != 2 {
+		t.Fatalf("stats = %+v, want 2 component records", st)
+	}
+
+	keys := make([]ComponentKey, 3)
+	for i := range keys {
+		keys[i] = ComponentKey{Sum: hypergraph.Fingerprint128{Lo: uint64(i + 1)}, Count: 1}
+	}
+	a, b, c := keys[0], keys[1], keys[2]
+	bounded := New(WithShards(1), WithMaxEntries(2))
+	hits := func(k ComponentKey) bool {
+		_, hit, err := bounded.InternComponent(k, record(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hit
+	}
+	hits(a) // miss: {a}
+	hits(b) // miss: {a, b}
+	if !hits(a) {
+		t.Fatal("a must hit") // and the hit refreshes a, so b is now the eviction victim
+	}
+	hits(c) // miss: evicts b -> {a, c}
+	if !hits(a) {
+		t.Fatal("a was evicted although b was staler")
+	}
+	if hits(b) {
+		t.Fatal("b survived eviction")
+	}
+	if st := bounded.Stats(); st.Evictions != 2 || st.Components != 2 || st.Hits != 2 || st.Misses != 4 {
+		t.Fatalf("stats = %+v, want 2 evictions, 2 resident, 2 hits, 4 misses", st)
+	}
+}
+
 // TestKeyedDigestMemo: a keyed engine still memoizes correctly (same schema
 // hits, distinct schemas miss), its per-edge digest is seed-dependent, and
 // two engines with different seeds produce unrelated digests.
@@ -447,8 +509,34 @@ func TestKeyedDigestWalkedOncePerIdentity(t *testing.T) {
 	}
 }
 
-// BenchmarkKeyedWarmQuery pins the fix's effect: the warm keyed path is a
-// digest-cache probe plus a memo probe, independent of schema size.
+// TestKeyedEngineReleasesEvicted: a keyed engine holds a hypergraph only
+// through its resident sessions, so the schemas the WithMaxEntries bound
+// evicts become garbage.
+func TestKeyedEngineReleasesEvicted(t *testing.T) {
+	e := New(WithShards(1), WithMaxEntries(4), WithKeyedDigest(5))
+	refs := make([]weak.Pointer[hypergraph.Hypergraph], 64)
+	for i := range refs {
+		h := gen.AcyclicChain(2+i, 2, 1)
+		e.Analyze(h).Verdict()
+		refs[i] = weak.Make(h)
+	}
+	runtime.GC()
+	runtime.GC()
+	live := 0
+	for _, r := range refs {
+		if r.Value() != nil {
+			live++
+		}
+	}
+	runtime.KeepAlive(e)
+	if live > 4 {
+		t.Fatalf("%d of %d hypergraphs still reachable, want at most the 4 resident", live, len(refs))
+	}
+}
+
+// BenchmarkKeyedWarmQuery pins the pointer rule: a warm keyed query of the
+// session's own hypergraph is a memo probe and a pointer compare, with no
+// seeded walk, so its cost is independent of schema size.
 func BenchmarkKeyedWarmQuery(b *testing.B) {
 	e := New(WithKeyedDigest(11))
 	edges := make([][]string, 400)
@@ -456,7 +544,7 @@ func BenchmarkKeyedWarmQuery(b *testing.B) {
 		edges[i] = []string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)}
 	}
 	h := hypergraph.New(edges)
-	e.Analyze(h).Verdict() // warm both the memo and the digest cache
+	e.Analyze(h).Verdict() // warm the memo: h is now its session's own hypergraph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Analyze(h).Verdict()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -31,15 +32,10 @@ func (e *Engine) textKeys() map[string]*entry {
 
 // resident reports whether en is in its shard's memo.
 func (e *Engine) resident(en *entry) bool {
-	s := &e.shards[en.key&e.mask]
+	s := e.memoShard(en.fp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, c := range s.memo[en.key] {
-		if c == en {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.memo[en.fp], en)
 }
 
 // checkTextPlane asserts the plane's invariants: no more keys than resident
@@ -54,7 +50,7 @@ func checkTextPlane(t *testing.T, e *Engine) {
 		if !e.resident(en) {
 			t.Fatalf("text key %q names an evicted entry", k)
 		}
-		s := &e.shards[en.key&e.mask]
+		s := e.memoShard(en.fp)
 		s.mu.Lock()
 		held := en.text
 		s.mu.Unlock()

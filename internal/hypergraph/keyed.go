@@ -11,8 +11,8 @@ import "math/bits"
 // keyed by a secret seed held by the memo owner. SipHash is a PRF — without
 // the key an adversary cannot predict digests, let alone collide them —
 // and is cheap enough to stream over a schema at intern time (the price is
-// an O(total edge size) walk per query instead of the cached-field read;
-// see engine.WithKeyedDigest for the trade).
+// an O(total edge size) walk per query whose hypergraph is not the
+// resident session's own; see engine.WithKeyedDigest for the trade).
 
 // sipKeys expands a 64-bit seed into the two SipHash key words via
 // splitmix64, so callers configure a single secret value.

@@ -342,9 +342,7 @@ func (s *Server) handleWorkspaceCreate(r *http.Request) (any, error) {
 // seedWorkspace replays a parsed schema into a fresh workspace edge by edge.
 func seedWorkspace(ws *dynamic.Workspace, h *hypergraph.Hypergraph) error {
 	for i := 0; i < h.NumEdges(); i++ {
-		var names []string
-		h.EdgeView(i).ForEach(func(id int) { names = append(names, h.NodeName(id)) })
-		if _, err := ws.AddEdge(names...); err != nil {
+		if _, err := ws.AddEdge(h.EdgeNodes(i)...); err != nil {
 			return fmt.Errorf("seed edge %d: %w", i, err)
 		}
 	}

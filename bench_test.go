@@ -369,7 +369,7 @@ func BenchmarkFingerprint(b *testing.B) {
 	b.Run("string/ids-m=100000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			hypergraph.FingerprintHash(h.Fingerprint())
+			h.Fingerprint()
 		}
 	})
 	b.Run("streaming128-cold/ids-m=100000", func(b *testing.B) {
@@ -390,7 +390,7 @@ func BenchmarkFingerprint(b *testing.B) {
 	b.Run("string/names-m=10000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			hypergraph.FingerprintHash(named.Fingerprint())
+			named.Fingerprint()
 		}
 	})
 	b.Run("streaming128-cold/names-m=10000", func(b *testing.B) {
@@ -760,9 +760,30 @@ func BenchmarkWorkspaceJoinTreeRead(b *testing.B) {
 // leaf/twin reduction, Berge via union-find) at the server-scale sizes the
 // retired serving cap used to refuse. The γ-acyclic family exercises the
 // accept path of every tester; the random family exercises the reject
-// paths (cores instead of elimination orders).
+// paths (cores instead of elimination orders). The "schema" cases are the
+// 500-edge families a schema-mix classify miss runs, timed through
+// ClassifyWithAlpha with the α verdict already held, as the session facet
+// calls it.
 func BenchmarkSpectrumClassify(b *testing.B) {
 	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		h    *hypergraph.Hypergraph
+	}{
+		{"gamma", gen.GammaAcyclic(rand.New(rand.NewSource(500)), 500, 300)},
+		{"alpha", gen.RandomAcyclic(rand.New(rand.NewSource(501)), gen.RandomSpec{Edges: 500, MinArity: 2, MaxArity: 6})},
+		{"cyclic", gen.Random(rand.New(rand.NewSource(502)), gen.RandomSpec{Nodes: 400, Edges: 500, MinArity: 2, MaxArity: 6})},
+	} {
+		alpha := mcs.Run(c.h).Acyclic
+		b.Run(fmt.Sprintf("schema-%s/edges=%d", c.name, c.h.NumEdges()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := spectrum.ClassifyWithAlpha(ctx, c.h, alpha); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, m := range []int{10_000, 100_000} {
 		h := gen.GammaAcyclic(rand.New(rand.NewSource(int64(m))), m, m*3/5)
 		b.Run(fmt.Sprintf("gamma/edges=%d", m), func(b *testing.B) {

@@ -1,7 +1,6 @@
 package hypergraph
 
 import (
-	"hash/fnv"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -225,20 +224,4 @@ func (h *Hypergraph) Fingerprint() string {
 		iso.ForEach(func(id int) { writeName(h.nameOf(id)) })
 	}
 	return b.String()
-}
-
-// Hash returns FingerprintHash(h.Fingerprint()): the canonical hash used
-// to key memoized per-hypergraph results (the engine package). Callers
-// needing collision safety compare Fingerprint on hash hits.
-func (h *Hypergraph) Hash() uint64 {
-	return FingerprintHash(h.Fingerprint())
-}
-
-// FingerprintHash hashes an already-computed Fingerprint with 64-bit
-// FNV-1a. Callers that need both the fingerprint and its hash (the engine's
-// memo) use this to avoid rebuilding the canonical string.
-func FingerprintHash(fp string) uint64 {
-	f := fnv.New64a()
-	f.Write([]byte(fp))
-	return f.Sum64()
 }

@@ -11,48 +11,33 @@ import (
 // incidence that closes a cycle; multi-incidence of a node pair in two edges
 // shows up the same way, so no separate multiplicity check is needed.
 func Berge(ctx context.Context, h *hypergraph.Hypergraph) (bool, error) {
-	if err := ctx.Err(); err != nil {
+	w, err := load(ctx, h)
+	if err != nil {
 		return false, err
 	}
-	t := &ticker{ctx: ctx}
-	covered := h.CoveredNodes()
-	dense := make(map[int32]int32, covered.Len())
-	covered.ForEach(func(id int) {
-		dense[int32(id)] = int32(len(dense))
-	})
-	n, m := len(dense), h.NumEdges()
+	n := len(w.nodeOf)
 	// Items 0..n-1 are nodes, n..n+m-1 are edges.
-	parent := make([]int32, n+m)
+	parent := make([]int32, n+len(w.members))
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]] // path halving
 			x = parent[x]
 		}
 		return x
 	}
-	for e := 0; e < m; e++ {
-		ev := h.EdgeView(e)
-		if err := t.tick(ev.Len()); err != nil {
+	for e, mem := range w.members {
+		if err := w.t.tick(len(mem)); err != nil {
 			return false, err
 		}
-		cyclic := false
-		ev.ForEach(func(id int) {
-			if cyclic {
-				return
-			}
-			a, b := find(dense[int32(id)]), find(int32(n+e))
+		for _, v := range mem {
+			a, b := find(v), find(int32(n+e))
 			if a == b {
-				cyclic = true
-				return
+				return false, nil
 			}
 			parent[a] = b
-		})
-		if cyclic {
-			return false, nil
 		}
 	}
 	return true, nil

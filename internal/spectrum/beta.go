@@ -27,73 +27,28 @@ type BetaResult struct {
 // with an eliminated node — removal elsewhere cannot create a new chain among
 // untouched incident-edge families.
 func Beta(ctx context.Context, h *hypergraph.Hypergraph) (*BetaResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	st, err := newBetaState(ctx, h)
+	w, err := load(ctx, h)
 	if err != nil {
 		return nil, err
+	}
+	n := len(w.nodeOf)
+	st := &betaState{view: w, edgeLen: make([]int, len(w.members)), inQueue: make([]bool, n), queue: make([]int32, n)}
+	for e, mem := range w.members {
+		st.edgeLen[e] = len(mem)
+	}
+	for v := range st.queue {
+		st.queue[v], st.inQueue[v] = int32(v), true
 	}
 	return st.run()
 }
 
-// betaState is the live view of the hypergraph during elimination: edge
-// member lists (sorted), per-node incidence lists, and alive markers with
-// counters. Dead members/edges are filtered lazily on traversal.
+// betaState is the elimination's worklist over the view: the live member
+// count of each edge and the queue of nodes pending a nest-point check.
 type betaState struct {
-	t        *ticker
-	members  [][]int32 // edge -> sorted node ids, as loaded
-	incident [][]int32 // node -> edge indices, as loaded
-	nodeOf   []int32   // dense index -> original node id
-	deadV    []bool    // dense node index
-	deadE    []bool
-	edgeLen  []int // live member count per edge
-	liveV    int
-	inQueue  []bool
-	queue    []int32 // dense node indices pending a nest-point check
-}
-
-func newBetaState(ctx context.Context, h *hypergraph.Hypergraph) (*betaState, error) {
-	st := &betaState{t: &ticker{ctx: ctx}}
-	m := h.NumEdges()
-	// Dense-index the nodes actually covered by edges; isolated universe
-	// nodes are vacuously eliminable and never constrain β.
-	covered := h.CoveredNodes()
-	dense := make(map[int32]int32, covered.Len())
-	covered.ForEach(func(id int) {
-		dense[int32(id)] = int32(len(st.nodeOf))
-		st.nodeOf = append(st.nodeOf, int32(id))
-	})
-	n := len(st.nodeOf)
-	st.members = make([][]int32, m)
-	st.incident = make([][]int32, n)
-	st.edgeLen = make([]int, m)
-	for e := 0; e < m; e++ {
-		ids := h.EdgeView(e).IDs()
-		mem := make([]int32, len(ids))
-		for i, id := range ids {
-			mem[i] = dense[id]
-		}
-		sort.Slice(mem, func(i, j int) bool { return mem[i] < mem[j] })
-		st.members[e] = mem
-		st.edgeLen[e] = len(mem)
-		for _, v := range mem {
-			st.incident[v] = append(st.incident[v], int32(e))
-		}
-		if err := st.t.tick(len(mem)); err != nil {
-			return nil, err
-		}
-	}
-	st.deadV = make([]bool, n)
-	st.deadE = make([]bool, m)
-	st.liveV = n
-	st.inQueue = make([]bool, n)
-	st.queue = make([]int32, n)
-	for v := range st.queue {
-		st.queue[v] = int32(v)
-		st.inQueue[v] = true
-	}
-	return st, nil
+	*view
+	edgeLen []int
+	inQueue []bool
+	queue   []int32 // dense node indices pending a nest-point check
 }
 
 func (st *betaState) run() (*BetaResult, error) {
@@ -117,24 +72,19 @@ func (st *betaState) run() (*BetaResult, error) {
 		}
 		order = append(order, st.nodeOf[v])
 	}
-	if st.liveV == 0 {
-		return &BetaResult{Acyclic: true, Order: order}, nil
+	if core := st.liveIDs(); core != nil {
+		return &BetaResult{Core: core}, nil
 	}
-	core := make([]int32, 0, st.liveV)
-	for v, dead := range st.deadV {
-		if !dead {
-			core = append(core, st.nodeOf[v])
-		}
-	}
-	return &BetaResult{Core: core}, nil
+	return &BetaResult{Acyclic: true, Order: order}, nil
 }
 
 // isNestPoint reports whether v's live incident edges form a ⊆-chain.
 // Sorting them by live length makes chain-ness equivalent to each edge
 // containing its predecessor, so the check is a sequence of sorted-merge
-// subset tests.
+// subset tests. The sort reorders v's stored incidence list, which later
+// reads walk in that order.
 func (st *betaState) isNestPoint(v int32) (bool, error) {
-	live := st.liveIncident(v)
+	live := st.liveEdges(v)
 	if len(live) <= 1 {
 		return true, nil
 	}
@@ -148,31 +98,16 @@ func (st *betaState) isNestPoint(v int32) (bool, error) {
 	return true, nil
 }
 
-// liveIncident compacts v's incidence list in place, dropping dead edges.
-func (st *betaState) liveIncident(v int32) []int32 {
-	inc := st.incident[v][:0]
-	for _, e := range st.incident[v] {
-		if !st.deadE[e] {
-			inc = append(inc, e)
-		}
-	}
-	st.incident[v] = inc
-	return inc
-}
-
 // subset reports whether edge a's live members are all live members of edge
-// b, by merging the two sorted lists and skipping dead nodes.
+// b, by merging the two ascending live lists.
 func (st *betaState) subset(a, b int32) (bool, error) {
-	am, bm := st.members[a], st.members[b]
+	am, bm := st.liveNodes(a), st.liveNodes(b)
 	if err := st.t.tick(len(am) + len(bm)); err != nil {
 		return false, err
 	}
 	j := 0
 	for _, x := range am {
-		if st.deadV[x] {
-			continue
-		}
-		for j < len(bm) && (st.deadV[bm[j]] || bm[j] < x) {
+		for j < len(bm) && bm[j] < x {
 			j++
 		}
 		if j == len(bm) || bm[j] != x {
@@ -188,8 +123,7 @@ func (st *betaState) subset(a, b int32) (bool, error) {
 // families changed.
 func (st *betaState) eliminate(v int32) error {
 	st.deadV[v] = true
-	st.liveV--
-	for _, e := range st.liveIncident(v) {
+	for _, e := range st.liveEdges(v) {
 		st.edgeLen[e]--
 		if st.edgeLen[e] == 0 {
 			st.deadE[e] = true

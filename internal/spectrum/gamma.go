@@ -2,7 +2,6 @@ package spectrum
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/hypergraph"
 )
@@ -69,12 +68,23 @@ type GammaResult struct {
 // but never a missed twin; the dirty worklist re-examines an item only when
 // its live incidence changed.
 func Gamma(ctx context.Context, h *hypergraph.Hypergraph) (*GammaResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	st, err := newGammaState(ctx, h)
+	w, err := load(ctx, h)
 	if err != nil {
 		return nil, err
+	}
+	n, m := len(w.nodeOf), len(w.members)
+	st := &gammaState{
+		view:     w,
+		inQueue:  [][]bool{make([]bool, n), make([]bool, m)},
+		queue:    make([]gItem, 0, n+m),
+		vBuckets: make(map[uint64][]int32, n),
+		eBuckets: make(map[uint64][]int32, m),
+	}
+	for v := 0; v < n; v++ {
+		st.enqueue(gItem{0, int32(v)})
+	}
+	for e := 0; e < m; e++ {
+		st.enqueue(gItem{1, int32(e)})
 	}
 	return st.run()
 }
@@ -85,73 +95,18 @@ type gItem struct {
 	id   int32
 }
 
+// gammaState is the reduction's worklist over the view: the dirty queue,
+// the twin signature buckets, and the steps taken so far.
 type gammaState struct {
-	t        *ticker
-	members  [][]int32 // edge -> sorted dense node ids
-	incident [][]int32 // dense node -> sorted edge indices
-	nodeOf   []int32   // dense index -> original node id
-	deadV    []bool
-	deadE    []bool
-	vDeg     []int // live edge count per node
-	eLen     []int // live node count per edge
-	liveV    int
-	liveE    int
-	inQueue  [][]bool // [kind][id]
-	queue    []gItem
+	*view
+	inQueue [][]bool // [kind][id]
+	queue   []gItem
 	// Signature buckets: FNV-64 over the live incidence list -> candidate
 	// ids. Entries go stale when items die or their incidence changes;
 	// verification filters them out.
 	vBuckets map[uint64][]int32
 	eBuckets map[uint64][]int32
 	steps    []Step
-}
-
-func newGammaState(ctx context.Context, h *hypergraph.Hypergraph) (*gammaState, error) {
-	st := &gammaState{t: &ticker{ctx: ctx}}
-	m := h.NumEdges()
-	covered := h.CoveredNodes()
-	dense := make(map[int32]int32, covered.Len())
-	covered.ForEach(func(id int) {
-		dense[int32(id)] = int32(len(st.nodeOf))
-		st.nodeOf = append(st.nodeOf, int32(id))
-	})
-	n := len(st.nodeOf)
-	st.members = make([][]int32, m)
-	st.incident = make([][]int32, n)
-	st.eLen = make([]int, m)
-	st.vDeg = make([]int, n)
-	for e := 0; e < m; e++ {
-		ids := h.EdgeView(e).IDs()
-		mem := make([]int32, len(ids))
-		for i, id := range ids {
-			mem[i] = dense[id]
-		}
-		sort.Slice(mem, func(i, j int) bool { return mem[i] < mem[j] })
-		st.members[e] = mem
-		st.eLen[e] = len(mem)
-		for _, v := range mem {
-			st.incident[v] = append(st.incident[v], int32(e))
-			st.vDeg[v]++
-		}
-		if err := st.t.tick(len(mem)); err != nil {
-			return nil, err
-		}
-	}
-	// Edge loading appends in edge order, so incidence lists are sorted.
-	st.deadV = make([]bool, n)
-	st.deadE = make([]bool, m)
-	st.liveV, st.liveE = n, m
-	st.inQueue = [][]bool{make([]bool, n), make([]bool, m)}
-	st.vBuckets = make(map[uint64][]int32, n)
-	st.eBuckets = make(map[uint64][]int32, m)
-	st.queue = make([]gItem, 0, n+m)
-	for v := 0; v < n; v++ {
-		st.enqueue(gItem{0, int32(v)})
-	}
-	for e := 0; e < m; e++ {
-		st.enqueue(gItem{1, int32(e)})
-	}
-	return st, nil
 }
 
 func (st *gammaState) enqueue(it gItem) {
@@ -176,19 +131,14 @@ func (st *gammaState) run() (*GammaResult, error) {
 			return nil, err
 		}
 	}
-	if st.liveV == 0 && st.liveE == 0 {
-		return &GammaResult{Acyclic: true, Steps: st.steps}, nil
-	}
-	res := &GammaResult{}
-	for v, dead := range st.deadV {
-		if !dead {
-			res.CoreNodes = append(res.CoreNodes, st.nodeOf[v])
-		}
-	}
+	res := &GammaResult{CoreNodes: st.liveIDs()}
 	for e, dead := range st.deadE {
 		if !dead {
 			res.CoreEdges = append(res.CoreEdges, int32(e))
 		}
+	}
+	if res.CoreNodes == nil && res.CoreEdges == nil {
+		res.Acyclic, res.Steps = true, st.steps
 	}
 	return res, nil
 }
@@ -203,37 +153,13 @@ func fnvMix(h uint64, x int32) uint64 {
 	return h * fnvPrime
 }
 
-// liveEdgesOf compacts and returns v's live incidence list (kept sorted).
-func (st *gammaState) liveEdgesOf(v int32) []int32 {
-	inc := st.incident[v][:0]
-	for _, e := range st.incident[v] {
-		if !st.deadE[e] {
-			inc = append(inc, e)
-		}
-	}
-	st.incident[v] = inc
-	return inc
-}
-
-// liveNodesOf compacts and returns e's live member list (kept sorted).
-func (st *gammaState) liveNodesOf(e int32) []int32 {
-	mem := st.members[e][:0]
-	for _, v := range st.members[e] {
-		if !st.deadV[v] {
-			mem = append(mem, v)
-		}
-	}
-	st.members[e] = mem
-	return mem
-}
-
 // tryNode applies the first node rule that fits v: leaf (≤1 live edge) or
 // false twin (identical live edge list as a surviving bucket candidate).
 func (st *gammaState) tryNode(v int32) error {
 	if st.deadV[v] {
 		return nil
 	}
-	live := st.liveEdgesOf(v)
+	live := st.liveEdges(v)
 	if err := st.t.tick(len(live) + 1); err != nil {
 		return err
 	}
@@ -248,7 +174,7 @@ func (st *gammaState) tryNode(v int32) error {
 		if u == v || st.deadV[u] {
 			continue
 		}
-		same, err := st.sameList(st.liveEdgesOf(u), live)
+		same, err := st.sameList(st.liveEdges(u), live)
 		if err != nil {
 			return err
 		}
@@ -268,7 +194,7 @@ func (st *gammaState) tryEdge(e int32) error {
 	if st.deadE[e] {
 		return nil
 	}
-	live := st.liveNodesOf(e)
+	live := st.liveNodes(e)
 	if err := st.t.tick(len(live) + 1); err != nil {
 		return err
 	}
@@ -283,7 +209,7 @@ func (st *gammaState) tryEdge(e int32) error {
 		if f == e || st.deadE[f] {
 			continue
 		}
-		same, err := st.sameList(st.liveNodesOf(f), live)
+		same, err := st.sameList(st.liveNodes(f), live)
 		if err != nil {
 			return err
 		}
@@ -314,22 +240,16 @@ func (st *gammaState) sameList(a, b []int32) (bool, error) {
 // changed) plus, transitively via the queue, anything those edges affect.
 func (st *gammaState) deleteNode(v int32, step Step) error {
 	st.deadV[v] = true
-	st.liveV--
 	st.steps = append(st.steps, step)
-	for _, e := range st.incident[v] {
-		if st.deadE[e] {
-			continue
-		}
-		st.eLen[e]--
+	for _, e := range st.liveEdges(v) {
 		st.enqueue(gItem{1, e})
 		// The edge's surviving members may now be twins/leaves of each
 		// other, so they go dirty too.
-		for _, u := range st.members[e] {
-			if !st.deadV[u] && u != v {
-				st.enqueue(gItem{0, u})
-			}
+		live := st.liveNodes(e)
+		for _, u := range live {
+			st.enqueue(gItem{0, u})
 		}
-		if err := st.t.tick(len(st.members[e])); err != nil {
+		if err := st.t.tick(len(live)); err != nil {
 			return err
 		}
 	}
@@ -340,20 +260,14 @@ func (st *gammaState) deleteNode(v int32, step Step) error {
 // changed) plus the other edges those members belong to.
 func (st *gammaState) deleteEdge(e int32, step Step) error {
 	st.deadE[e] = true
-	st.liveE--
 	st.steps = append(st.steps, step)
-	for _, v := range st.members[e] {
-		if st.deadV[v] {
-			continue
-		}
-		st.vDeg[v]--
+	for _, v := range st.liveNodes(e) {
 		st.enqueue(gItem{0, v})
-		for _, f := range st.incident[v] {
-			if !st.deadE[f] && f != e {
-				st.enqueue(gItem{1, f})
-			}
+		live := st.liveEdges(v)
+		for _, f := range live {
+			st.enqueue(gItem{1, f})
 		}
-		if err := st.t.tick(len(st.incident[v])); err != nil {
+		if err := st.t.tick(len(live)); err != nil {
 			return err
 		}
 	}

@@ -34,9 +34,13 @@
 //   - Berge-acyclicity via a union-find pass over the node–edge incidence
 //     graph (Berge-acyclic iff the incidence graph is a forest).
 //
-// Every tester observes ctx every ~4096 work units, so server deadlines
-// reach mid-traversal — the property that lets the serving layer classify
-// 10⁴-edge schemas under its default deadline instead of refusing them.
+// The three testers read a hypergraph one way: each loads its own view of
+// it (covered nodes numbered densely in id order, ascending member and
+// incidence lists, dead marks that lists shed lazily) and keeps only its
+// worklist on top. Loading and every tester observe ctx every ~4096 work
+// units, so server deadlines reach mid-traversal — the property that lets
+// the serving layer classify 10⁴-edge schemas under its default deadline
+// instead of refusing them.
 //
 // Certificates are validated by independent checkers (VerifyBeta,
 // VerifyGamma) that share no state or search logic with the testers: they

@@ -2,6 +2,7 @@ package spectrum
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -203,9 +204,29 @@ func TestSpectrumLargeUnderDeadline(t *testing.T) {
 	t.Logf("10⁴-edge spectrum in %v", time.Since(start))
 }
 
+// errPolled is what a pollCtx reports once it has been polled enough.
+var errPolled = errors.New("cancelled at poll k")
+
+// pollCtx counts its Err polls; from the k-th on (k > 0) it reports
+// errPolled, so a run sees its cancellation at a chosen point mid-traversal.
+type pollCtx struct {
+	context.Context
+	polls, k int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.k > 0 && c.polls >= c.k {
+		return errPolled
+	}
+	return nil
+}
+
 // TestSpectrumCancellation checks that a pre-cancelled context surfaces
-// ctx.Err() from every tester on an instance large enough to cross the
-// polling stride.
+// ctx.Err() from every tester, and that a cancellation first seen mid-run —
+// at the loader's or a tester's first poll after the entry check, at a
+// middle one, and at its last — surfaces too, on an instance large enough
+// to cross the polling stride many times: neither loading nor any worklist
+// runs to its end unpolled.
 func TestSpectrumCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	h := gen.GammaAcyclic(rng, 3000, 2000)
@@ -222,6 +243,28 @@ func TestSpectrumCancellation(t *testing.T) {
 	}
 	if _, err := Classify(ctx, h); err == nil {
 		t.Error("Classify ignored cancelled context")
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context) error
+	}{
+		{"load", func(ctx context.Context) error { _, err := load(ctx, h); return err }},
+		{"Beta", func(ctx context.Context) error { _, err := Beta(ctx, h); return err }},
+		{"Gamma", func(ctx context.Context) error { _, err := Gamma(ctx, h); return err }},
+		{"Berge", func(ctx context.Context) error { _, err := Berge(ctx, h); return err }},
+	} {
+		count := &pollCtx{Context: context.Background()}
+		if err := tc.run(count); err != nil {
+			t.Fatalf("%s: uncancelled run: %v", tc.name, err)
+		}
+		if count.polls < 2 {
+			t.Fatalf("%s polled ctx %d times; want the entry check and at least one mid-run poll", tc.name, count.polls)
+		}
+		for _, k := range []int{2, (2 + count.polls) / 2, count.polls} {
+			if err := tc.run(&pollCtx{Context: context.Background(), k: k}); !errors.Is(err, errPolled) {
+				t.Fatalf("%s cancelled at poll %d of %d returned %v, want %v", tc.name, k, count.polls, err, errPolled)
+			}
+		}
 	}
 }
 

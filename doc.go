@@ -210,8 +210,10 @@
 //
 // internal/exec executes what the session derives: columnar, set-semantics
 // tables (ExecTable: per-attribute int32 columns over a shared value Dict)
-// bound to a schema as an ExecDatabase, with hash semijoin/join/projection
-// kernels operating on dictionary ids. Two session facets drive it:
+// bound to a schema as an ExecDatabase, with semijoin/join/projection
+// kernels operating on dictionary ids: hash kernels, plus dense
+// value-id-indexed ones the drivers pick when the dictionary fits. Two
+// session facets drive it:
 //
 //	db, _ := repro.ExecDatabaseFromRelations(h, objects) // or CSV/row loaders
 //	a := repro.Analyze(h)
@@ -261,18 +263,24 @@
 // filter over dictionary value ids (no hashing), as long as the database's
 // dictionary is no larger than its cell count; every other step probes a
 // flat hash table (chain heads over a power-of-two bucket array, one next
-// link and stored hash per row), the same table the joins probe and an
-// object's projection dedups through. A join that drops attributes
-// dedups its output as it writes it, in an open-addressing row set sized
-// from its larger input, so the unprojected join is never allocated.
+// link and stored hash per row), the same table an object's projection
+// dedups through. Eval's joins choose the same way, under the same
+// dictionary bound: a join whose two
+// inputs share exactly one column finds its matches through chain heads
+// indexed by value id, with no hashing or cell compare, and any other
+// probes the hash table. A join that drops attributes dedups its output
+// as it writes it, so the unprojected join is never allocated: in a bitmap
+// over the kept columns' value-id tuples when that span is at most 64 bits
+// per input row, else in an open-addressing row set sized from its larger
+// input. Public exec.Join, like exec.Semijoin, keeps the hash kernels.
 //
 // The determinism contract: a run's output is a function of its input —
 // same rows in the same order, same per-step RowsIn/RowsOut in the full
 // reducer's program order, same JoinRows — and only wall-clock time may
 // differ between runs. The differential suites run every corpus instance
 // twice, once with a dictionary padded past the cell count so that every
-// step takes the hash kernel, and a kernel differential pins the dense
-// filter to the hash kernel row for row.
+// step takes the hash kernel, and kernel differentials pin the dense
+// semijoin and join kernels to the hash kernels row for row.
 //
 // # Engine
 //

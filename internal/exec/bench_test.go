@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -52,29 +54,75 @@ func BenchmarkExecReduce(b *testing.B) {
 	}
 }
 
-// benchBushy builds the eval-join shape: eight objects in a bushy join
-// tree, {A,B,C} with the subtrees {A,D}-{D,G}, {B,E}-{E,H}, {C,F}-{F,I}
-// and {A,J}, rows tuples per object over domain values per attribute.
-func benchBushy(rows, domain int) (*exec.Database, *jointree.JoinTree) {
-	h := hypergraph.New([][]string{
-		{"A", "B", "C"}, {"A", "D"}, {"B", "E"}, {"C", "F"},
-		{"D", "G"}, {"E", "H"}, {"F", "I"}, {"A", "J"},
-	})
-	rng := rand.New(rand.NewSource(int64(rows + domain)))
-	db := gendb.Random(rng, h, gen.InstanceSpec{Rows: rows, DomainSize: domain})
+// bushyEdges is the eval-join workload's schema: eight objects in a bushy
+// join tree, {A,B,C} with the subtrees {A,D}-{D,G}, {B,E}-{E,H},
+// {C,F}-{F,I} and {A,J}.
+var bushyEdges = [][]string{
+	{"A", "B", "C"}, {"A", "D"}, {"B", "E"}, {"C", "F"},
+	{"D", "G"}, {"E", "H"}, {"F", "I"}, {"A", "J"},
+}
+
+// bushyTree returns a join tree of the bushy schema h.
+func bushyTree(h *hypergraph.Hypergraph) *jointree.JoinTree {
 	jt, ok := jointree.BuildMCS(h)
 	if !ok {
 		panic("bushy schema must be acyclic")
 	}
-	return db, jt
+	return jt
+}
+
+// benchBushy builds the bushy schema with rows tuples per object over
+// domain values per attribute.
+func benchBushy(rows, domain int) (*exec.Database, *jointree.JoinTree) {
+	h := hypergraph.New(bushyEdges)
+	rng := rand.New(rand.NewSource(int64(rows + domain)))
+	return gendb.Random(rng, h, gen.InstanceSpec{Rows: rows, DomainSize: domain}), bushyTree(h)
+}
+
+// benchEvalJoin builds the join-phase shape of the eval-join workload on
+// the bushy schema, as internal/server's evalJoinBody draws it: minRows to
+// 1.5×minRows tuples per object, values from a 400-value domain, 12 on the
+// leaf attributes G, H, I and J.
+func benchEvalJoin(minRows int) (*exec.Database, *jointree.JoinTree) {
+	h := hypergraph.New(bushyEdges)
+	rng := rand.New(rand.NewSource(int64(minRows)))
+	dict := exec.NewDict()
+	tables := make([]*exec.Table, h.NumEdges())
+	for i := range tables {
+		attrs := h.EdgeNodes(i)
+		rows := make([][]string, minRows+minRows/2*i/(len(tables)-1))
+		for r := range rows {
+			rows[r] = make([]string, len(attrs))
+			for k, a := range attrs {
+				dom := 400
+				if strings.Contains("GHIJ", a) {
+					dom = 12
+				}
+				rows[r][k] = "v" + strconv.Itoa(rng.Intn(dom))
+			}
+		}
+		t, err := exec.FromRows(dict, attrs, rows)
+		if err != nil {
+			panic(err)
+		}
+		tables[i] = t
+	}
+	db, err := exec.NewDatabase(h, tables)
+	if err != nil {
+		panic(err)
+	}
+	return db, bushyTree(h)
 }
 
 // BenchmarkExecEval runs the full Yannakakis pipeline (reduce, then the
 // bottom-up join of the canonical connection, each child join emitting only
-// distinct projected rows). The chains project onto their two endpoint attributes — the
-// query whose naive plan materializes the whole chain join. The bushy case
-// queries two leaves, {G, J}, whose canonical connection is the path
-// {D,G}-{A,D}-{A,J}: the join phase skips the other five objects.
+// distinct projected rows). The chains project onto their two endpoint
+// attributes — the query whose naive plan materializes the whole chain
+// join. The bushy cases query two leaves, {G, J}, whose canonical
+// connection is the path {D,G}-{A,D}-{A,J}: the join phase skips the other
+// five objects. bushy/rows=1000 draws every attribute from 30 values;
+// evaljoin is the eval-join workload's shape (see benchEvalJoin), where
+// the join phase matches tens of thousands of pairs for about 144 rows.
 func BenchmarkExecEval(b *testing.B) {
 	ctx := context.Background()
 	run := func(name string, db *exec.Database, jt *jointree.JoinTree, attrs []string) {
@@ -100,6 +148,8 @@ func BenchmarkExecEval(b *testing.B) {
 	}
 	db, jt := benchBushy(1000, 30)
 	run("bushy/rows=1000", db, jt, []string{"G", "J"})
+	db, jt = benchEvalJoin(2000)
+	run("evaljoin/rows=2000-3000", db, jt, []string{"G", "J"})
 }
 
 // TestExecChain100k is the at-scale acceptance pin: a 10⁵-row acyclic-chain

@@ -18,8 +18,10 @@
 //   - Dict: one open-addressing table of value ids, probed once per cell.
 //     A value of at most 7 bytes is its own exact key, so interning it
 //     compares one word and never hashes.
-//   - Semijoin / Join / Project: serial hash kernels on column ids, each
-//     observing context cancellation every ~4096 rows.
+//   - Semijoin / Join / Project: serial kernels on column ids, each
+//     observing context cancellation every ~4096 rows. The public ones
+//     are hash kernels; Reduce and Eval also pick dense, value-id-indexed
+//     kernels when the database's dictionary fits (denseFits).
 //   - Database: a schema (hypergraph) bound to one Table per edge, all
 //     sharing one Dict so cross-table comparisons stay id-equality.
 //   - Reduce: runs a join tree's full reducer as a streaming two-pass
@@ -28,7 +30,11 @@
 //     the input: a dense stamp filter when the pair shares exactly one
 //     column, the hash kernel otherwise.
 //   - Eval: full Yannakakis evaluation — reduce, then join bottom-up along
-//     the join tree with projection pushdown, output-sensitive.
+//     the join tree with projection pushdown, output-sensitive. Each join
+//     picks its kernels from the input: it probes value-id chain heads
+//     when the pair shares exactly one column, and dedups its projected
+//     rows in a bitmap when their span fits, the hash probe and row set
+//     otherwise.
 //
 // Reduce and Eval are the only drivers, and both run serially: a query's
 // output, row order included, is a function of its input.
@@ -56,7 +62,7 @@ import (
 
 // Dict interns attribute values to dense int32 ids. Every Table of a
 // Database shares one Dict, so equality of values across tables is equality
-// of ids — the property the hash kernels rely on. The zero value is not
+// of ids — the property the kernels rely on. The zero value is not
 // usable; construct with NewDict. A Dict is not safe for concurrent
 // mutation; load tables from one goroutine (kernels never intern).
 //

@@ -357,10 +357,11 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestJoinProjectCancelsOnMatches: a 3·cancelStride × 8 cross product
-// projected onto one constant column collapses to a single row, yet the
-// fused kernel still sees cancellation. The row checks alone poll the
-// context 4 times here (3 on r, 1 building s's probe table), so a context
+// TestJoinProjectCancelsOnMatches: a 3·cancelStride × 8 join projected
+// onto one constant column collapses to a single row, yet the fused kernel
+// still sees cancellation, on the hash kernels (a cross product) and on the
+// dense ones (every r row matches all of s on B). The row checks alone
+// poll the context 4 times here (3 on r, 1 indexing s), so a context
 // cancelled after 8 polls is seen only through the checks on matches.
 func TestJoinProjectCancelsOnMatches(t *testing.T) {
 	d := NewDict()
@@ -369,18 +370,35 @@ func TestJoinProjectCancelsOnMatches(t *testing.T) {
 		rows[i] = []string{strconv.Itoa(i), "k"}
 	}
 	r := mustTable(t, d, []string{"A", "B"}, rows...)
-	s := mustTable(t, d, []string{"C"}, []string{"0"}, []string{"1"}, []string{"2"}, []string{"3"},
-		[]string{"4"}, []string{"5"}, []string{"6"}, []string{"7"})
-	out, matches, err := joinProject(context.Background(), r, s, []string{"B"})
-	if err != nil || out.NumRows() != 1 || matches != r.NumRows()*s.NumRows() {
-		t.Fatalf("uncancelled: %d rows, %d matches, err %v; want 1 row, %d matches",
-			out.NumRows(), matches, err, r.NumRows()*s.NumRows())
+	var cross, keyed [][]string
+	for i := range 8 {
+		cross = append(cross, []string{strconv.Itoa(i)})
+		keyed = append(keyed, []string{"k", strconv.Itoa(i)})
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, c := range []context.Context{ctx, &countdownCtx{Context: context.Background(), n: 8}} {
-		if _, _, err := joinProject(c, r, s, []string{"B"}); err != context.Canceled {
-			t.Fatalf("joinProject on %T: err = %v, want context.Canceled", c, err)
+	for _, tc := range []struct {
+		s    *Table
+		js   *joinScratch
+		want joinKernels
+	}{
+		{mustTable(t, d, []string{"C"}, cross...), nil, joinKernels{dense: false, dedup: dedupSet}},
+		{mustTable(t, d, []string{"B", "C"}, keyed...), new(joinScratch), joinKernels{dense: true, dedup: dedupBitmap}},
+	} {
+		s := tc.s
+		out, matches, k, err := joinProject(context.Background(), r, s, []string{"B"}, tc.js)
+		if err != nil || out.NumRows() != 1 || matches != r.NumRows()*s.NumRows() || k != tc.want {
+			t.Fatalf("uncancelled on %v: %d rows, %d matches, kernels %+v, err %v; want 1 row, %d matches, kernels %+v",
+				s.Attrs(), out.NumRows(), matches, k, err, r.NumRows()*s.NumRows(), tc.want)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, c := range []context.Context{ctx, &countdownCtx{Context: context.Background(), n: 8}} {
+			if _, _, _, err := joinProject(c, r, s, []string{"B"}, tc.js); err != context.Canceled {
+				t.Fatalf("joinProject on %v, %T: err = %v, want context.Canceled", s.Attrs(), c, err)
+			}
+		}
+		// A cancelled join leaves its scratch clean for the next one.
+		if again, _, _, err := joinProject(context.Background(), r, s, []string{"B"}, tc.js); err != nil || !again.Equal(out) {
+			t.Fatalf("after cancellation on %v: err %v, rows %d, want the uncancelled result", s.Attrs(), err, again.NumRows())
 		}
 	}
 }

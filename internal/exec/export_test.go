@@ -23,9 +23,25 @@ func SemijoinDense(ctx context.Context, r, s *Table, st *Stamps) (*Table, error)
 	return out, err
 }
 
-// JoinProject is the fused join-and-project kernel: π_keep(r ⋈ s) and
-// |r ⋈ s|.
-var JoinProject = joinProject
+// JoinProject is the fused join-and-project kernel on the hash probe and
+// row set: π_keep(r ⋈ s) and |r ⋈ s|.
+func JoinProject(ctx context.Context, r, s *Table, keep []string) (*Table, int, error) {
+	out, matches, _, err := joinProject(ctx, r, s, keep, nil)
+	return out, matches, err
+}
+
+// JoinScratch is the dense join kernels' scratch, exposed to the kernel
+// differential.
+type JoinScratch = joinScratch
+
+// JoinProjectDense is JoinProject with the dense kernels enabled, as Eval
+// runs it when the dictionary fits. It also reports whether the probe went
+// through value-id chain heads, and the dedup kernel: "bitmap", "set", or
+// "" when every attribute is kept.
+func JoinProjectDense(ctx context.Context, r, s *Table, keep []string, js *JoinScratch) (out *Table, matches int, denseProbe bool, dedup string, err error) {
+	out, matches, k, err := joinProject(ctx, r, s, keep, js)
+	return out, matches, k.dense, [...]string{dedupNone: "", dedupSet: "set", dedupBitmap: "bitmap"}[k.dedup], err
+}
 
 // DenseFits reports whether Reduce may pick the dense kernel for d.
 var DenseFits = denseFits

@@ -254,6 +254,123 @@ func TestJoinProjectMatchesNestedLoop(t *testing.T) {
 	}
 }
 
+// TestDenseJoinMatchesHash is the join kernels' differential: on the
+// randomized pairs of TestJoinProjectMatchesNestedLoop (padded
+// dictionaries, cross products, empty sides) and every keep shape, the
+// dense kernels Eval takes when the dictionary fits (value-id chain heads,
+// bitmap dedup) must return exactly the hash probe and row set's table,
+// rows and row order, and the same match count. One scratch serves every
+// trial, so chain heads left by an earlier join must never leak. Pairs
+// whose kept span lands exactly on the bitmap bound, 64·(|r|+|s|) bits,
+// must take the bitmap, and one dictionary value more must take the set.
+func TestDenseJoinMatchesHash(t *testing.T) {
+	ctx := context.Background()
+	js := &exec.JoinScratch{}
+	var denseProbes, bitmaps, sets int
+	check := func(label string, r, s *exec.Table, keep []string) (dedup string) {
+		t.Helper()
+		hash, hashMatches, err := exec.JoinProject(ctx, r, s, keep)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		dense, matches, denseProbe, dedup, err := exec.JoinProjectDense(ctx, r, s, keep, js)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		identicalTables(t, label+" dense vs hash", hash, dense)
+		if matches != hashMatches {
+			t.Fatalf("%s: dense kernels match %d pairs, hash kernels %d", label, matches, hashMatches)
+		}
+		if denseProbe {
+			denseProbes++
+		}
+		switch dedup {
+		case "bitmap":
+			bitmaps++
+		case "set":
+			sets++
+		}
+		return dedup
+	}
+	for trial := 0; trial < 300; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		dict := exec.NewDict()
+		if trial%3 == 0 {
+			for i := 0; i < 5000; i++ {
+				dict.Intern("pad-" + strconv.Itoa(i))
+			}
+		}
+		maxRows := 30
+		if trial%25 == 0 {
+			maxRows = 400
+		}
+		r, s := randomTable(rng, dict, maxRows), randomTable(rng, dict, maxRows)
+		var all, shared []string
+		for _, a := range []string{"A", "B", "C", "D"} {
+			inR, inS := slices.Contains(r.Attrs(), a), slices.Contains(s.Attrs(), a)
+			if inR || inS {
+				all = append(all, a)
+			}
+			if inR && inS {
+				shared = append(shared, a)
+			}
+		}
+		keeps := [][]string{{}, all, r.Attrs(), s.Attrs(), shared}
+		for k := 0; k < 3; k++ {
+			var sub []string
+			for _, a := range all {
+				if rng.Intn(2) == 0 {
+					sub = append(sub, a)
+				}
+			}
+			rng.Shuffle(len(sub), func(i, j int) { sub[i], sub[j] = sub[j], sub[i] })
+			keeps = append(keeps, sub)
+		}
+		for _, keep := range keeps {
+			check(fmt.Sprintf("trial %d (%v ⋈ %v, %d ⋈ %d rows) keep %v",
+				trial, r.Attrs(), s.Attrs(), r.NumRows(), s.NumRows(), keep), r, s, keep)
+		}
+	}
+	if denseProbes == 0 || bitmaps == 0 || sets == 0 {
+		t.Fatalf("randomized trials ran %d dense probes, %d bitmaps, %d row sets; want each", denseProbes, bitmaps, sets)
+	}
+
+	// 16 rows in all, so the bound is 1,024 bits: one kept column spans
+	// dict.Len() ids, two span dict.Len()².
+	for _, tc := range []struct {
+		keep  []string
+		bound int // dictionary size whose span is exactly the bound
+	}{{[]string{"A"}, 1024}, {[]string{"A", "C"}, 32}} {
+		for _, size := range []int{tc.bound, tc.bound + 1} {
+			dict := exec.NewDict()
+			var rRows, sRows [][]string
+			for i := 0; i < 8; i++ {
+				rRows = append(rRows, []string{"v" + strconv.Itoa(i), "v" + strconv.Itoa(i%2)})
+				sRows = append(sRows, []string{"v" + strconv.Itoa(i%2), "v" + strconv.Itoa(8+i)})
+			}
+			r, err := exec.FromRows(dict, []string{"A", "B"}, rRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := exec.FromRows(dict, []string{"B", "C"}, sRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; dict.Len() < size; i++ {
+				dict.Intern("pad-" + strconv.Itoa(i))
+			}
+			label := fmt.Sprintf("keep %v over %d values", tc.keep, dict.Len())
+			want := "set"
+			if size == tc.bound {
+				want = "bitmap"
+			}
+			if dedup := check(label, r, s, tc.keep); dedup != want {
+				t.Fatalf("%s: dedup kernel %q, want %q", label, dedup, want)
+			}
+		}
+	}
+}
+
 // TestEvalBushyJoinRows pins JoinRows, the row pairs the join phase
 // matches, on the eval benchmark's bushy instance, where the join phase
 // collapses most of them: a query on {G, J} matches 29,728 pairs for a

@@ -4,13 +4,14 @@ package exec
 // order is a function of the input alone:
 //
 //   - Semijoin keeps r's surviving rows in r's order.
-//   - The probe table links its chains in descending row order, so every
-//     chain lists its rows ascending.
+//   - The probe table and the dense join's value-id chains link their rows
+//     in descending order, so every chain lists its rows ascending.
 //   - The fused join (joinProject, and Join, which keeps every attribute)
 //     visits r's rows ascending and each row's chain matches ascending,
 //     writes only the kept cells of each pair, and keeps the first
 //     occurrence of every written row: its output is Project(Join(r, s),
-//     keep) row for row, without the unprojected join.
+//     keep) row for row, without the unprojected join, whichever probe
+//     and dedup kernels run.
 //   - Projection keeps the first equal row of every chain in row order.
 
 import (
@@ -213,10 +214,11 @@ func denseFilter(ctx context.Context, rcol, scol []int32, dictLen int, st *stamp
 
 // Join returns the natural join r ⋈ s over the sorted union of the
 // attribute lists; with no shared attributes it is the cross product. It is
-// joinProject keeping every attribute, so it builds no dedup set. The two
-// tables must share a Dict.
+// joinProject keeping every attribute, so it dedups nothing, and like
+// public Semijoin it runs the hash kernel. The two tables must share a
+// Dict.
 func Join(ctx context.Context, r, s *Table) (*Table, error) {
-	out, _, err := joinProject(ctx, r, s, unionAttrs(r.attrs, s.attrs))
+	out, _, _, err := joinProject(ctx, r, s, unionAttrs(r.attrs, s.attrs), nil)
 	return out, err
 }
 
@@ -230,20 +232,106 @@ func unionAttrs(a, b []string) []string {
 // feed routes one input column into one output column.
 type feed struct{ out, col int }
 
+// joinKernels records the kernels one fused join ran.
+type joinKernels struct {
+	dense bool      // the probe went through value-id chain heads
+	dedup dedupKind // how repeated output rows were dropped
+}
+
+// dedupKind is how a fused join drops repeated output rows.
+type dedupKind uint8
+
+const (
+	dedupNone   dedupKind = iota // every attribute is kept: no repeats
+	dedupSet                     // a rowSet
+	dedupBitmap                  // a bitmap over the kept columns' span
+)
+
+// joinScratch is the scratch of the dense join kernels, reused from join
+// to join: a chain head per dictionary value id (-1 between joins) and a
+// next link per row of s, each s row's share of the bitmap key, and the
+// bitmap. A scratch serves one evaluation at a time.
+type joinScratch struct {
+	head  []int32
+	next  []int32
+	share []uint64
+	bits  []uint64
+}
+
+// resize returns buf at length n, reusing its storage when it is large
+// enough; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// chains links the rows of col by value: head[v] is the first row holding
+// v, next[j] the row after j with j's value, -1 ending both. Rows are
+// linked in descending order, so every chain runs ascending, as the probe
+// table's do. release must run before the scratch serves another join.
+func (js *joinScratch) chains(ctx context.Context, col []int32, dictLen int) error {
+	for len(js.head) < dictLen {
+		js.head = append(js.head, -1)
+	}
+	js.next = resize(js.next, len(col))
+	for j := len(col) - 1; j >= 0; j-- {
+		if err := checkEvery(ctx, j); err != nil {
+			return err
+		}
+		v := col[j]
+		js.next[j], js.head[v] = js.head[v], int32(j)
+	}
+	return nil
+}
+
+// release resets the heads col linked, in O(len(col)).
+func (js *joinScratch) release(col []int32) {
+	for _, v := range col {
+		js.head[v] = -1
+	}
+}
+
+// bitmapSpan returns dictLen^cols, the number of distinct rows of cols
+// columns over dictLen value ids, and whether it is at most limit.
+func bitmapSpan(dictLen, cols int, limit uint64) (uint64, bool) {
+	span := uint64(1)
+	for range cols {
+		if dictLen > 0 && span > limit/uint64(dictLen) {
+			return 0, false
+		}
+		span *= uint64(dictLen)
+	}
+	return span, span <= limit
+}
+
 // joinProject returns π_keep(r ⋈ s) and matches = |r ⋈ s|, the row pairs
 // that join, without building r ⋈ s: each matching pair writes only its
-// keep cells, and a rowSet drops a row equal to one already written. The
+// keep cells, and a row equal to one already written is dropped. The
 // output is Project(Join(r, s), keep) row for row, because pairs are visited
 // in Join's order and the first occurrence of a row is the one kept. When
-// keep is every attribute of r ⋈ s the set is skipped: distinct inputs join
-// to distinct rows (two result rows coincide only if their generating pairs
-// do). Cancellation is observed on r's rows and on matches, so a cross
-// product that projects to a handful of rows still stops. keep may list
-// attributes in any order and repeat them; one of neither table is an
+// keep is every attribute of r ⋈ s nothing is deduped: distinct inputs
+// join to distinct rows (two result rows coincide only if their generating
+// pairs do). Cancellation is observed on r's rows and on matches, so a
+// cross product that projects to a handful of rows still stops. keep may
+// list attributes in any order and repeat them; one of neither table is an
 // error. The two tables must share a Dict.
-func joinProject(ctx context.Context, r, s *Table, keep []string) (*Table, int, error) {
+//
+// The kernels are chosen from the input, as semijoin's are. Given scratch
+// js (nil allows only the hash kernels):
+//
+//   - Probe: a pair sharing exactly one column finds s's matching rows
+//     through chain heads indexed by value id (joinScratch.chains), with
+//     no hashing or cell compare; any other pair probes s's probeTable.
+//   - Dedup: when the kept columns' span, dict.Len()^len(keep) rows keyed
+//     Σ cell·dict.Len()^pos, is at most 64·(|r|+|s|) bits, a bitmap over
+//     it marks the rows written, one test-and-set per pair, and is never
+//     larger than the row set it replaces. Otherwise a rowSet holds them.
+func joinProject(ctx context.Context, r, s *Table, keep []string, js *joinScratch) (*Table, int, joinKernels, error) {
+	var k joinKernels
 	if r.dict != s.dict {
-		return nil, 0, fmt.Errorf("exec: join across distinct dictionaries")
+		return nil, 0, k, fmt.Errorf("exec: join across distinct dictionaries")
 	}
 	rIdx, sIdx := sharedCols(r, s)
 	attrs := slices.Compact(slices.Sorted(slices.Values(keep)))
@@ -255,43 +343,99 @@ func joinProject(ctx context.Context, r, s *Table, keep []string) (*Table, int, 
 		} else if j := s.colIndex(a); j >= 0 {
 			sFeed = append(sFeed, feed{c, j})
 		} else {
-			return nil, 0, fmt.Errorf("exec: projection on unknown attribute %q", a)
+			return nil, 0, k, fmt.Errorf("exec: projection on unknown attribute %q", a)
 		}
 	}
-	dedup := len(attrs) < len(r.attrs)+len(s.attrs)-len(rIdx)
-	pt, err := buildTable(ctx, s, sIdx)
-	if err != nil {
-		return nil, 0, err
+	dictLen := r.dict.Len()
+
+	var next []int32
+	var pt *probeTable
+	var rKey []int32 // r's key column, on the dense probe
+	if k.dense = js != nil && len(rIdx) == 1; k.dense {
+		sKey := s.cols[sIdx[0]]
+		defer js.release(sKey)
+		if err := js.chains(ctx, sKey, dictLen); err != nil {
+			return nil, 0, k, err
+		}
+		rKey, next = r.cols[rIdx[0]], js.next
+	} else {
+		var err error
+		if pt, err = buildTable(ctx, s, sIdx); err != nil {
+			return nil, 0, k, err
+		}
+		next = pt.next
 	}
-	out := &Table{dict: r.dict, attrs: attrs, cols: make([][]int32, len(attrs))}
+
 	var set rowSet
-	if dedup {
-		set = newRowSet(max(r.rows, s.rows))
+	var bits []uint64
+	var weight []uint64 // out column -> dictLen^column, on the bitmap
+	var sShare []uint64 // s row -> its cells' share of the bitmap key
+	if len(attrs) < len(r.attrs)+len(s.attrs)-len(rIdx) {
+		k.dedup = dedupSet
+		if span, ok := bitmapSpan(dictLen, len(attrs), 64*uint64(r.rows+s.rows)); ok && js != nil {
+			k.dedup = dedupBitmap
+			js.bits = resize(js.bits, int((span+63)/64))
+			clear(js.bits)
+			bits = js.bits
+			weight = make([]uint64, len(attrs))
+			for c, w := 0, uint64(1); c < len(attrs); c, w = c+1, w*uint64(dictLen) {
+				weight[c] = w
+			}
+			js.share = resize(js.share, s.rows)
+			sShare = js.share
+			for j := range sShare {
+				sShare[j] = weighCells(0, s.cols, sFeed, weight, j)
+			}
+		} else {
+			set = newRowSet(max(r.rows, s.rows))
+		}
 	}
+
+	out := &Table{dict: r.dict, attrs: attrs, cols: make([][]int32, len(attrs))}
 	matches := 0
 	for i := 0; i < r.rows; i++ {
 		if err := checkEvery(ctx, i); err != nil {
-			return nil, 0, err
+			return nil, 0, k, err
 		}
-		h := hashCells(r.cols, rIdx, i)
-		// A written row's hash folds r's kept cells once per r row, then
+		var h uint64
+		var j int32
+		if pt != nil {
+			h = hashCells(r.cols, rIdx, i)
+			j = pt.first(h)
+		} else {
+			j = js.head[rKey[i]]
+		}
+		// A written row's key folds r's kept cells once per r row, then
 		// each match's s cells.
-		var hr uint64
-		if dedup {
-			hr = foldCells(fnvOffset64, r.cols, rFeed, i)
+		var kr uint64
+		switch k.dedup {
+		case dedupBitmap:
+			kr = weighCells(0, r.cols, rFeed, weight, i)
+		case dedupSet:
+			kr = foldCells(fnvOffset64, r.cols, rFeed, i)
 		}
-		for j := pt.first(h); j >= 0; j = pt.next[j] {
-			if pt.hash[j] != h || !equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j)) {
+		for ; j >= 0; j = next[j] {
+			if pt != nil && (pt.hash[j] != h || !equalCells(r.cols, rIdx, i, s.cols, sIdx, int(j))) {
 				continue
 			}
 			if err := checkEvery(ctx, matches); err != nil {
-				return nil, 0, err
+				return nil, 0, k, err
 			}
 			matches++
-			if dedup && !set.add(foldCells(hr, s.cols, sFeed, int(j)), func(k int) bool {
-				return fedFrom(out, k, rFeed, r, i) && fedFrom(out, k, sFeed, s, int(j))
-			}) {
-				continue
+			switch k.dedup {
+			case dedupBitmap:
+				key := kr + sShare[j]
+				word, bit := &bits[key>>6], uint64(1)<<(key&63)
+				if *word&bit != 0 {
+					continue
+				}
+				*word |= bit
+			case dedupSet:
+				if !set.add(foldCells(kr, s.cols, sFeed, int(j)), func(row int) bool {
+					return fedFrom(out, row, rFeed, r, i) && fedFrom(out, row, sFeed, s, int(j))
+				}) {
+					continue
+				}
 			}
 			for _, f := range rFeed {
 				out.cols[f.out] = append(out.cols[f.out], r.cols[f.col][i])
@@ -302,7 +446,16 @@ func joinProject(ctx context.Context, r, s *Table, keep []string) (*Table, int, 
 			out.rows++
 		}
 	}
-	return out, matches, nil
+	return out, matches, k, nil
+}
+
+// weighCells adds to key the cells feeds draw from row of cols, each
+// times its output column's weight.
+func weighCells(key uint64, cols [][]int32, feeds []feed, weight []uint64, row int) uint64 {
+	for _, f := range feeds {
+		key += uint64(cols[f.col][row]) * weight[f.out]
+	}
+	return key
 }
 
 // foldCells folds the cells feeds draw from row of cols into hash h.
@@ -336,11 +489,13 @@ type rowSet struct {
 }
 
 // newRowSet returns a set of at least 2n slots, room for 1.5n rows before
-// it first doubles. joinProject passes its larger input's size: after full
-// reduction every row joins, so the output is rarely much smaller, and the
-// set costs no more than the probe table and scan the kernel already pays
-// for. Starting small and doubling instead spent a tenth of a 10⁵-row
-// chain evaluation in grow.
+// it first doubles. joinProject passes its larger input's size, which
+// costs no more than the probe table and scan the kernel already pays for
+// and fits a projection that keeps a key of either input. A narrow
+// projection can write far fewer rows (on the eval-join workload 46k
+// matches write 144), but its span mostly fits the bitmap, which then
+// replaces the set. Starting small and doubling instead spent a tenth of a
+// 10⁵-row chain evaluation in grow.
 func newRowSet(n int) rowSet {
 	return rowSet{slots: make([]uint64, 1<<bits.Len(uint(2*max(n, 1)-1)))}
 }

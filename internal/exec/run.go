@@ -168,6 +168,14 @@ func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree) (*ReduceR
 // are cross-joined. Each node applies its child joins in child order. The
 // tree must belong to d's schema (same content; fingerprints are
 // compared), and every requested attribute must appear in some edge.
+//
+// When d's dictionary fits (see denseFits), each join picks its kernels
+// from the input as Reduce's steps do: a join sharing exactly one column
+// probes chain heads indexed by value id, and one whose kept columns span
+// few enough value-id tuples dedups in a bitmap (see joinProject). One
+// scratch, O(dictionary + largest join input), serves every join. The
+// kernels change no output, row order included, and the exec.join span
+// counts the joins that took each.
 func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []string) (*EvalResult, error) {
 	ctx, esp := obs.StartSpan(ctx, "exec.eval")
 	defer esp.End()
@@ -211,6 +219,13 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 	plan := planConnection(tree, want)
 	esp.SetInt("joinNodes", int64(len(plan.nodes)))
 	esp.SetInt("prunedNodes", int64(len(reduced)-len(plan.nodes)))
+	// One join scratch serves every dense join; nil allows only the hash
+	// kernels.
+	var js *joinScratch
+	if denseFits(d) {
+		js = new(joinScratch)
+	}
+	var denseJoins, hashJoins, bitmapDedups, setDedups int64
 	finish := func(out *Table) (*EvalResult, error) {
 		res.Out = out
 		res.Elapsed = time.Since(start)
@@ -218,6 +233,10 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 			sp.SetInt("joinRows", int64(res.JoinRows))
 			sp.SetInt("rowsOut", int64(out.rows))
 		}
+		jsp.SetInt("denseJoins", denseJoins)
+		jsp.SetInt("hashJoins", hashJoins)
+		jsp.SetInt("bitmapDedups", bitmapDedups)
+		jsp.SetInt("setDedups", setDedups)
 		return res, nil
 	}
 	// After full reduction an empty object empties the whole join, whether
@@ -228,10 +247,21 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 	}
 
 	// join runs one fused join of the phase, counting the pairs the
-	// unfused join would have built.
+	// unfused join would have built and the kernels it ran.
 	join := func(acc, sub *Table, keep []string) (*Table, error) {
-		out, matches, err := joinProject(jctx, acc, sub, keep)
+		out, matches, k, err := joinProject(jctx, acc, sub, keep, js)
 		res.JoinRows += matches
+		if k.dense {
+			denseJoins++
+		} else {
+			hashJoins++
+		}
+		switch k.dedup {
+		case dedupBitmap:
+			bitmapDedups++
+		case dedupSet:
+			setDedups++
+		}
 		return out, err
 	}
 	// buildAll computes the subtree tables of vs in order.

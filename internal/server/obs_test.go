@@ -209,6 +209,16 @@ func TestTracezEvalSpanTree(t *testing.T) {
 	if got := attrInt(t, join, "rowsOut"); got != int64(ref.Out.NumRows()) {
 		t.Fatalf("exec.join rowsOut = %d, reference run says %d", got, ref.Out.NumRows())
 	}
+	// The join phase names its kernels as the steps do: the three kept
+	// objects take two joins, each keyed by one column over the request's
+	// own 64-value dictionary, so both probe by value id, and each keeps
+	// two columns, whose 64² span fits the bitmap.
+	if dense, hash := attrInt(t, join, "denseJoins"), attrInt(t, join, "hashJoins"); dense != 2 || hash != 0 {
+		t.Fatalf("exec.join denseJoins/hashJoins = %d/%d, want 2/0", dense, hash)
+	}
+	if bitmap, set := attrInt(t, join, "bitmapDedups"), attrInt(t, join, "setDedups"); bitmap != 2 || set != 0 {
+		t.Fatalf("exec.join bitmapDedups/setDedups = %d/%d, want 2/0", bitmap, set)
+	}
 
 	steps := byName["exec.step"]
 	if len(steps) != len(ref.Reduce.Steps) {

@@ -258,21 +258,22 @@
 // requests concurrently, and the shared engine memo and workspace handles
 // are safe for that.
 //
-// The semijoin kernel is chosen per step from the input, for any schema: a
-// step whose two objects share exactly one column runs a dense stamp
-// filter over dictionary value ids (no hashing), as long as the database's
-// dictionary is no larger than its cell count; every other step probes a
-// flat hash table (chain heads over a power-of-two bucket array, one next
-// link and stored hash per row), the same table an object's projection
-// dedups through. Eval's joins choose the same way, under the same
-// dictionary bound: a join whose two
-// inputs share exactly one column finds its matches through chain heads
-// indexed by value id, with no hashing or cell compare, and any other
-// probes the hash table. A join that drops attributes dedups its output
-// as it writes it, so the unprojected join is never allocated: in a bitmap
-// over the kept columns' value-id tuples when that span is at most 64 bits
-// per input row, else in an open-addressing row set sized from its larger
-// input. Public exec.Join, like exec.Semijoin, keeps the hash kernels.
+// Each reduction step's semijoin, each projection and each of Eval's joins
+// picks its kernels through one chooser, from its input: a pair of objects sharing exactly one column probes chain heads indexed by
+// dictionary value id (a semijoin only marks the source's values there),
+// with no hashing or cell compare, as long as the database's dictionary is
+// no larger than its cell count; every other pair probes a flat hash table
+// (chain heads over a power-of-two bucket array, one next link and stored
+// hash per row). A projection is the join with the one-row nullary table,
+// and a join that drops attributes dedups its output as it writes it, so
+// the unprojected join is never allocated: in a bitmap over the kept
+// columns' value-id tuples when that span is at most 64 bits per input
+// row, else in the row set the loaders dedup through, an open-addressing
+// set of staged rows that keeps each row's first occurrence. The hash
+// table and the row set hash rows one way, with the request dictionary's
+// random multiplier, so no body can aim its rows at one chain. One scratch
+// per evaluation serves the reduction and the join phase. Public
+// exec.Semijoin, exec.Join and exec.Project keep the hash kernels.
 //
 // The determinism contract: a run's output is a function of its input —
 // same rows in the same order, same per-step RowsIn/RowsOut in the full

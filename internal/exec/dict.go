@@ -13,28 +13,33 @@
 //     from string rows, LoadCSV from CSV, and ScanJSONRows from JSON rows
 //     straight from the bytes of a request body, in place. The last three
 //     share one tail: each table's cells go row-major into a scratch the
-//     Dict owns, one open-addressing set drops repeated rows there, and
-//     the columns are allocated once, at the distinct-row count.
+//     Dict owns, the package's one row set (rowSet) drops repeated rows
+//     there, and the columns are allocated once, at the distinct-row count.
 //   - Dict: one open-addressing table of value ids, probed once per cell.
 //     A value of at most 7 bytes is its own exact key, so interning it
-//     compares one word and never hashes.
+//     compares one word and never hashes. Its random multiplier also
+//     seeds the one row hash of the probe table and the row set.
 //   - Semijoin / Join / Project: serial kernels on column ids, each
-//     observing context cancellation every ~4096 rows. The public ones
-//     are hash kernels; Reduce and Eval also pick dense, value-id-indexed
-//     kernels when the database's dictionary fits (denseFits).
+//     observing context cancellation every ~4096 rows. Project is the join
+//     with the one-row nullary table, and every join writes its rows
+//     through a rowSet. The public ones are hash kernels; Reduce and Eval
+//     hand every kernel one scratch when the database's dictionary fits
+//     (denseFits), and one chooser (chooseKernels) then picks each
+//     kernel's dense, value-id-indexed probe and bitmap dedup where they
+//     apply.
 //   - Database: a schema (hypergraph) bound to one Table per edge, all
 //     sharing one Dict so cross-table comparisons stay id-equality.
 //   - Reduce: runs a join tree's full reducer as a streaming two-pass
 //     reduction, step by step in program order, with per-step statistics
-//     (rows in/out, elapsed). Each step picks its semijoin kernel from
-//     the input: a dense stamp filter when the pair shares exactly one
-//     column, the hash kernel otherwise.
+//     (rows in/out, elapsed). A step whose pair shares exactly one column
+//     marks the source's values in value-id heads, and the others take
+//     the hash kernel.
 //   - Eval: full Yannakakis evaluation — reduce, then join bottom-up along
-//     the join tree with projection pushdown, output-sensitive. Each join
-//     picks its kernels from the input: it probes value-id chain heads
-//     when the pair shares exactly one column, and dedups its projected
-//     rows in a bitmap when their span fits, the hash probe and row set
-//     otherwise.
+//     the join tree with projection pushdown, output-sensitive, on the
+//     reduction's scratch. Each projection and join probes value-id chain
+//     heads when the pair shares exactly one column, and dedups its
+//     projected rows in a bitmap when their span fits, the hash probe and
+//     the row set's slots otherwise.
 //
 // Reduce and Eval are the only drivers, and both run serially: a query's
 // output, row order included, is a function of its input.
@@ -74,11 +79,13 @@ import (
 // Dict's seed with the top bit set, which no short key has, and a key
 // match is confirmed by comparing the strings. A key's bucket is the top
 // bits of key*mul for the Dict's random odd mul, so a hostile body cannot
-// aim values at one probe run.
+// aim values at one probe run. The kernels' one row hash (hashCells) is
+// seeded with the same mul, for the same reason.
 //
 // The Dict also owns the scratch of its row loaders (FromRows, LoadCSV,
 // ScanJSONRows): loads into one Dict are serial, so every table it loads
-// reuses the same cells and row set (see Table.loadRows).
+// reuses the same cells and row-set slots (see Table.loadRows). Kernels
+// never touch it, so kernels over one Dict may run concurrently.
 type Dict struct {
 	vals   []string
 	slots  []dictSlot // power-of-two length; key 0 is empty
@@ -86,7 +93,7 @@ type Dict struct {
 	mul    uint64     // odd
 	seed   maphash.Seed
 	cells  []int32  // a table's cells, row-major in sorted attribute order
-	rowSet []uint64 // loadRows' dedup set
+	rowSet []uint64 // the slots of loadRows' rowSet
 }
 
 type dictSlot struct {

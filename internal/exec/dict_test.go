@@ -1,11 +1,17 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"hash/maphash"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/hypergraph"
+	"repro/internal/jointree"
 )
 
 // dictOracle is the map-based dictionary Dict replaced: ids dense in
@@ -213,6 +219,109 @@ func TestLoadIndependentOfSeed(t *testing.T) {
 			}
 			if tab.rows != first.rows || !reflect.DeepEqual(tab.cols, first.cols) || !reflect.DeepEqual(d.vals, first.dict.vals) {
 				t.Fatalf("%s: the load depends on the dictionary's seed", name)
+			}
+		}
+	}
+}
+
+// TestKernelsIndependentOfSeed runs Semijoin, Join, Project and Eval over
+// one database loaded into dictionaries of different multipliers and
+// seeds, each with the dense scratch and without: the columns come out
+// identical, row order included, since probe chains and row sets keep row
+// order whatever the hashes. r and s share two columns, so the hash probe
+// runs on the scratch too, and a projection onto two of their wide columns
+// overflows the bitmap bound, so the row set's slots run as well; the
+// multiplier 1 puts every row in one bucket.
+func TestKernelsIndependentOfSeed(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(7, 7))
+	draw := func(attrs string) [][]string {
+		rows := make([][]string, 200)
+		for i := range rows {
+			for _, a := range attrs {
+				n := 150 // wide columns
+				if a == 'B' || a == 'C' {
+					n = 4 // key columns, so pairs match
+				}
+				rows[i] = append(rows[i], fmt.Sprintf("%c%d", a, rng.IntN(n)))
+			}
+		}
+		return rows
+	}
+	edges := []string{"ABC", "BCD", "DE"}
+	data := make([][][]string, len(edges))
+	for i, e := range edges {
+		data[i] = draw(e)
+	}
+	h := hypergraph.New([][]string{{"A", "B", "C"}, {"B", "C", "D"}, {"D", "E"}})
+	jt, ok := jointree.BuildMCS(h)
+	if !ok {
+		t.Fatal("schema not acyclic")
+	}
+	// run returns every kernel's output over the database in d, with the
+	// dense scratch and without, and pads d to run Eval both ways.
+	run := func(d *Dict) (outs []*Table, kernels []joinKernels) {
+		tabs := make([]*Table, len(edges))
+		for i, e := range edges {
+			tabs[i] = mustTable(t, d, strings.Split(e, ""), data[i]...)
+		}
+		r, s, u := tabs[0], tabs[1], tabs[2]
+		add := func(out *Table, k joinKernels, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, kernels = append(outs, out), append(kernels, k)
+		}
+		for _, sc := range []*evalScratch{new(evalScratch), nil} {
+			for _, pair := range [][2]*Table{{r, s}, {s, u}} {
+				out, kernel, err := semijoin(ctx, pair[0], pair[1], sc)
+				add(out, joinKernels{dense: kernel == "dense"}, err)
+			}
+			for _, keep := range [][]string{{"A", "D"}, {"C", "D"}, {"A", "B", "C", "D"}} {
+				out, _, k, err := joinProject(ctx, r, s, keep, sc)
+				add(out, k, err)
+			}
+			for _, keep := range [][]string{{"A", "C"}, {"B"}} {
+				add(project(ctx, r, keep, sc))
+			}
+		}
+		for _, pad := range []bool{false, true} {
+			if pad {
+				for i := 0; i <= 3*len(edges)*200; i++ {
+					d.Intern(fmt.Sprint("pad-", i))
+				}
+			}
+			db, err := NewDatabase(h, tabs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if denseFits(db) == pad {
+				t.Fatalf("padded %v: denseFits %v", pad, !pad)
+			}
+			res, err := Eval(ctx, db, jt, []string{"A", "E"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(res.Out, joinKernels{}, nil)
+			for _, red := range res.Reduce.DB.Tables {
+				add(red, joinKernels{}, nil)
+			}
+		}
+		return outs, kernels
+	}
+	want, kernels := run(newDict(1, maphash.MakeSeed()))
+	// On the scratch: the two semijoins, the three joins, the two
+	// projections.
+	onScratch := []joinKernels{{}, {dense: true}, {dedup: dedupSet}, {dedup: dedupSet}, {}, {dedup: dedupSet}, {dedup: dedupBitmap}}
+	if !slices.Equal(kernels[:len(onScratch)], onScratch) {
+		t.Fatalf("kernels on the scratch %v, want %v", kernels[:len(onScratch)], onScratch)
+	}
+	for _, d := range []*Dict{newDict(0x9e3779b97f4a7c15, maphash.MakeSeed()), NewDict()} {
+		got, _ := run(d)
+		for i := range want {
+			if got[i].rows != want[i].rows || !slices.Equal(got[i].attrs, want[i].attrs) || !reflect.DeepEqual(got[i].cols, want[i].cols) {
+				t.Fatalf("output %d (%v, %d rows) depends on the dictionary's seed", i, want[i].attrs, want[i].rows)
 			}
 		}
 	}

@@ -40,6 +40,22 @@ func TestTableBasics(t *testing.T) {
 	if !r.Equal(want) {
 		t.Fatalf("round trip mismatch:\n%v\nwant\n%v", r, want)
 	}
+	// Equal is set equality: row order does not matter, one differing row
+	// does, and so does the schema.
+	for _, tc := range []struct {
+		attrs []string
+		rows  [][]string
+		equal bool
+	}{
+		{[]string{"A", "B"}, [][]string{{"y", "2"}, {"x", "1"}}, true},
+		{[]string{"A", "B"}, [][]string{{"x", "1"}, {"y", "1"}}, false},
+		{[]string{"A", "C"}, [][]string{{"x", "1"}, {"y", "2"}}, false},
+		{[]string{"A", "B"}, [][]string{{"x", "1"}}, false},
+	} {
+		if other := mustTable(t, d, tc.attrs, tc.rows...); tab.Equal(other) != tc.equal || other.Equal(tab) != tc.equal {
+			t.Fatalf("Equal(%v %v) = %v, want %v", tc.attrs, tc.rows, !tc.equal, tc.equal)
+		}
+	}
 }
 
 func TestTableErrors(t *testing.T) {
@@ -362,7 +378,8 @@ func (c *countdownCtx) Err() error {
 // still sees cancellation, on the hash kernels (a cross product) and on the
 // dense ones (every r row matches all of s on B). The row checks alone
 // poll the context 4 times here (3 on r, 1 indexing s), so a context
-// cancelled after 8 polls is seen only through the checks on matches.
+// cancelled after 8 polls is seen only through the checks on matches. A
+// cancelled dense join leaves every value-id head at -1.
 func TestJoinProjectCancelsOnMatches(t *testing.T) {
 	d := NewDict()
 	rows := make([][]string, 3*cancelStride)
@@ -377,11 +394,11 @@ func TestJoinProjectCancelsOnMatches(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		s    *Table
-		js   *joinScratch
+		js   *evalScratch
 		want joinKernels
 	}{
 		{mustTable(t, d, []string{"C"}, cross...), nil, joinKernels{dense: false, dedup: dedupSet}},
-		{mustTable(t, d, []string{"B", "C"}, keyed...), new(joinScratch), joinKernels{dense: true, dedup: dedupBitmap}},
+		{mustTable(t, d, []string{"B", "C"}, keyed...), new(evalScratch), joinKernels{dense: true, dedup: dedupBitmap}},
 	} {
 		s := tc.s
 		out, matches, k, err := joinProject(context.Background(), r, s, []string{"B"}, tc.js)
@@ -394,6 +411,9 @@ func TestJoinProjectCancelsOnMatches(t *testing.T) {
 		for _, c := range []context.Context{ctx, &countdownCtx{Context: context.Background(), n: 8}} {
 			if _, _, _, err := joinProject(c, r, s, []string{"B"}, tc.js); err != context.Canceled {
 				t.Fatalf("joinProject on %v, %T: err = %v, want context.Canceled", s.Attrs(), c, err)
+			}
+			if tc.js != nil && !HeadsClean(tc.js) {
+				t.Fatalf("a cancelled joinProject on %v, %T, leaves heads linked", s.Attrs(), c)
 			}
 		}
 		// A cancelled join leaves its scratch clean for the next one.

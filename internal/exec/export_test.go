@@ -2,24 +2,33 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/jointree"
 )
 
-// Stamps is the dense semijoin's scratch, exposed to the kernel
-// differential.
-type Stamps = stamps
+// JoinScratch is the scratch of the dense kernels Reduce and Eval run,
+// exposed to the kernel differentials.
+type JoinScratch = evalScratch
 
-// StampsAt returns scratch whose next epoch is epoch+1, so tests can drive
-// the wraparound clear.
-func StampsAt(epoch uint32) *Stamps { return &stamps{epoch: epoch} }
+// HeadsClean reports whether every value-id head of sc reads -1, as it
+// must between kernels.
+func HeadsClean(sc *JoinScratch) bool {
+	return !slices.ContainsFunc(sc.head, func(h int32) bool { return h != -1 })
+}
 
-// SemijoinDense is r ⋉ s with the dense stamp filter enabled: a pair
-// sharing exactly one column takes it, any other pair the kernel Reduce
-// would pick.
-func SemijoinDense(ctx context.Context, r, s *Table, st *Stamps) (*Table, error) {
-	out, _, err := semijoin(ctx, r, s, st)
+// CancelAfter returns a context whose Err answers nil n times, then
+// context.Canceled: one cancelled partway through a kernel.
+func CancelAfter(n int) context.Context {
+	return &countdownCtx{Context: context.Background(), n: n}
+}
+
+// SemijoinDense is r ⋉ s with the dense kernel enabled, as Reduce runs it
+// when the dictionary fits: a pair sharing exactly one column takes it,
+// any other pair the hash kernel.
+func SemijoinDense(ctx context.Context, r, s *Table, sc *JoinScratch) (*Table, error) {
+	out, _, err := semijoin(ctx, r, s, sc)
 	return out, err
 }
 
@@ -30,9 +39,8 @@ func JoinProject(ctx context.Context, r, s *Table, keep []string) (*Table, int, 
 	return out, matches, err
 }
 
-// JoinScratch is the dense join kernels' scratch, exposed to the kernel
-// differential.
-type JoinScratch = joinScratch
+// dedupNames names the dedup kernels for the differentials.
+var dedupNames = [...]string{dedupNone: "", dedupSet: "set", dedupBitmap: "bitmap"}
 
 // JoinProjectDense is JoinProject with the dense kernels enabled, as Eval
 // runs it when the dictionary fits. It also reports whether the probe went
@@ -40,7 +48,15 @@ type JoinScratch = joinScratch
 // "" when every attribute is kept.
 func JoinProjectDense(ctx context.Context, r, s *Table, keep []string, js *JoinScratch) (out *Table, matches int, denseProbe bool, dedup string, err error) {
 	out, matches, k, err := joinProject(ctx, r, s, keep, js)
-	return out, matches, k.dense, [...]string{dedupNone: "", dedupSet: "set", dedupBitmap: "bitmap"}[k.dedup], err
+	return out, matches, k.dense, dedupNames[k.dedup], err
+}
+
+// ProjectDense is Project with the dense kernels enabled, as Eval runs it
+// when the dictionary fits, and the dedup kernel it ran: "bitmap", "set",
+// or "" when every attribute is kept and t itself is returned.
+func ProjectDense(ctx context.Context, t *Table, attrs []string, sc *JoinScratch) (*Table, string, error) {
+	out, k, err := project(ctx, t, attrs, sc)
+	return out, dedupNames[k.dedup], err
 }
 
 // DenseFits reports whether Reduce may pick the dense kernel for d.

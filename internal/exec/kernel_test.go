@@ -3,7 +3,6 @@ package exec_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -62,14 +61,14 @@ func randomTable(rng *rand.Rand, dict *exec.Dict, maxRows int) *exec.Table {
 
 // TestDenseSemijoinMatchesHash is the kernel differential: on randomized
 // table pairs — no shared column, one, or several; empty sides; and
-// dictionaries padded far beyond the input — the dense stamp filter must
-// return exactly the hash kernel's table (rows and row order), and both
-// must equal relation.Semijoin. One scratch serves every trial, so stale
-// epochs from earlier steps must never leak, and a second one starts at the
-// edge of the epoch range to drive the wraparound clear.
+// dictionaries padded far beyond the input — the dense semijoin, which
+// marks s's values in the scratch's value-id heads, must return exactly
+// the hash kernel's table (rows and row order), and both must equal
+// relation.Semijoin. One scratch serves every trial, so marks from earlier
+// steps must never leak: every head reads -1 after each step.
 func TestDenseSemijoinMatchesHash(t *testing.T) {
 	ctx := context.Background()
-	reused, wrapping := &exec.Stamps{}, exec.StampsAt(math.MaxUint32-3)
+	reused := &exec.JoinScratch{}
 	for trial := 0; trial < 400; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		dict := exec.NewDict()
@@ -93,19 +92,20 @@ func TestDenseSemijoinMatchesHash(t *testing.T) {
 		if !hash.ToRelation().Equal(want) {
 			t.Fatalf("%s: hash kernel differs from relation.Semijoin", label)
 		}
-		for _, st := range []*exec.Stamps{reused, wrapping} {
-			dense, err := exec.SemijoinDense(ctx, r, s, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			identicalTables(t, label+" dense vs hash", hash, dense)
+		dense, err := exec.SemijoinDense(ctx, r, s, reused)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identicalTables(t, label+" dense vs hash", hash, dense)
+		if !exec.HeadsClean(reused) {
+			t.Fatalf("%s: the scratch keeps marks after the step", label)
 		}
 	}
 }
 
-// TestDenseSemijoinCancellation checks that the dense stamp filter and a
+// TestDenseSemijoinCancellation checks that the dense semijoin and a
 // reduction whose steps take it observe cancellation like every other
-// kernel.
+// kernel, and that a cancelled dense semijoin leaves its scratch clean.
 func TestDenseSemijoinCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -122,8 +122,17 @@ func TestDenseSemijoinCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.SemijoinDense(ctx, r, s, &exec.Stamps{}); err != context.Canceled {
-		t.Fatalf("dense semijoin on cancelled ctx: err = %v, want context.Canceled", err)
+	// Cancelled at once, while marking s (s's three polls run on j =
+	// 8192, 4096, 0), and while testing r's rows (after s's polls and r's
+	// first): every head reads -1 afterwards.
+	sc := &exec.JoinScratch{}
+	for i, c := range []context.Context{ctx, exec.CancelAfter(1), exec.CancelAfter(4)} {
+		if _, err := exec.SemijoinDense(c, r, s, sc); err != context.Canceled {
+			t.Fatalf("dense semijoin on cancelled ctx %d: err = %v, want context.Canceled", i, err)
+		}
+		if !exec.HeadsClean(sc) {
+			t.Fatalf("a cancelled dense semijoin (ctx %d) leaves marks in its scratch", i)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(11))
@@ -368,6 +377,85 @@ func TestDenseJoinMatchesHash(t *testing.T) {
 				t.Fatalf("%s: dedup kernel %q, want %q", label, dedup, want)
 			}
 		}
+	}
+}
+
+// TestProjectMatchesFirstOccurrence is Project's row-order differential:
+// on randomized tables, some over dictionaries padded far beyond the
+// input, π_keep(t) must equal the first-occurrence reference row for row
+// (the first row of t with each distinct kept tuple, in t's order), for
+// keep empty, every attribute, random subsets in random order, and lists
+// with repeats, on the hash kernels and on the dense ones Eval runs. One
+// scratch serves every trial; at least one bitmap and one row set must
+// run.
+func TestProjectMatchesFirstOccurrence(t *testing.T) {
+	ctx := context.Background()
+	sc := &exec.JoinScratch{}
+	var bitmaps, sets int
+	for trial := 0; trial < 300; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		dict := exec.NewDict()
+		if trial%3 == 0 {
+			for i := 0; i < 5000; i++ {
+				dict.Intern("pad-" + strconv.Itoa(i))
+			}
+		}
+		maxRows := 30
+		if trial%25 == 0 {
+			maxRows = 400
+		}
+		tab := randomTable(rng, dict, maxRows)
+		all := tab.Attrs()
+		keeps := [][]string{{}, all}
+		for k := 0; k < 3; k++ {
+			var sub []string
+			for _, a := range all {
+				if rng.Intn(2) == 0 {
+					sub = append(sub, a)
+				}
+			}
+			rng.Shuffle(len(sub), func(i, j int) { sub[i], sub[j] = sub[j], sub[i] })
+			keeps = append(keeps, sub, append(slices.Clone(sub), sub...))
+		}
+		for _, keep := range keeps {
+			label := fmt.Sprintf("trial %d (%v, %d rows) keep %v", trial, all, tab.NumRows(), keep)
+			uniq := slices.Compact(slices.Sorted(slices.Values(keep)))
+			var rows [][]string
+			seen := map[string]bool{}
+			for r := 0; r < tab.NumRows(); r++ {
+				row := make([]string, len(uniq))
+				for k, a := range uniq {
+					row[k] = tab.Value(r, slices.Index(all, a))
+				}
+				if key := strings.Join(row, "\x00"); !seen[key] {
+					seen[key] = true
+					rows = append(rows, row)
+				}
+			}
+			want, err := exec.FromRows(dict, uniq, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash, err := exec.Project(ctx, tab, keep)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			identicalTables(t, label+" hash", want, hash)
+			dense, dedup, err := exec.ProjectDense(ctx, tab, keep, sc)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			identicalTables(t, label+" dense", want, dense)
+			switch dedup {
+			case "bitmap":
+				bitmaps++
+			case "set":
+				sets++
+			}
+		}
+	}
+	if bitmaps == 0 || sets == 0 {
+		t.Fatalf("randomized trials ran %d bitmaps and %d row sets; want each", bitmaps, sets)
 	}
 }
 

@@ -62,7 +62,7 @@ func checkTree(d *Database, tree *jointree.JoinTree) error {
 }
 
 // denseFits reports whether d's dictionary is no larger than its total cell
-// count, which keeps the dense semijoin's O(dict) scratch within the input
+// count, which keeps the dense kernels' O(dict) scratch within the input
 // size. A dictionary built for one request always fits.
 func denseFits(d *Database) bool {
 	cells := 0
@@ -82,12 +82,19 @@ func denseFits(d *Database) bool {
 // The steps run serially in tree.FullReducer() order, and each step's
 // stats land in its slot of that order.
 //
-// The semijoin kernel is chosen per step: a step sharing exactly one column
-// takes the dense stamp filter when d's dictionary fits (see denseFits),
-// every other step the hash kernel. Cancellation is observed inside the
-// kernels every ~4096 rows; on cancellation the partial work is discarded
-// and ctx.Err() returned.
+// The semijoin kernel is chosen per step (see chooseKernels): when d's
+// dictionary fits (see denseFits), a step sharing exactly one column marks
+// the source's values in value-id heads, and every other step takes the
+// hash kernel. Cancellation is observed inside the kernels every ~4096
+// rows; on cancellation the partial work is discarded and ctx.Err()
+// returned.
 func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree) (*ReduceResult, error) {
+	return reduce(ctx, d, tree, newScratch(d))
+}
+
+// reduce is Reduce on scratch sc, which Eval shares with its join phase;
+// nil allows only the hash kernel.
+func reduce(ctx context.Context, d *Database, tree *jointree.JoinTree, sc *evalScratch) (*ReduceResult, error) {
 	if err := checkTree(d, tree); err != nil {
 		return nil, err
 	}
@@ -95,12 +102,6 @@ func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree) (*ReduceR
 	defer rsp.End()
 	start := time.Now()
 	work := slices.Clone(d.Tables)
-	// One stamp scratch serves every dense step; nil allows only the hash
-	// kernel.
-	var st *stamps
-	if denseFits(d) {
-		st = new(stamps)
-	}
 	prog := tree.FullReducer()
 	steps := make([]StepStats, len(prog))
 	// step runs prog[i], replacing work[Target] by work[Target] ⋉
@@ -116,7 +117,7 @@ func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree) (*ReduceR
 		var next *Table
 		var kernel string
 		if err == nil {
-			next, kernel, err = semijoin(sctx, r, s, st)
+			next, kernel, err = semijoin(sctx, r, s, sc)
 		}
 		if err != nil {
 			ssp.SetAttr("error", err.Error())
@@ -169,13 +170,14 @@ func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree) (*ReduceR
 // tree must belong to d's schema (same content; fingerprints are
 // compared), and every requested attribute must appear in some edge.
 //
-// When d's dictionary fits (see denseFits), each join picks its kernels
-// from the input as Reduce's steps do: a join sharing exactly one column
-// probes chain heads indexed by value id, and one whose kept columns span
-// few enough value-id tuples dedups in a bitmap (see joinProject). One
-// scratch, O(dictionary + largest join input), serves every join. The
-// kernels change no output, row order included, and the exec.join span
-// counts the joins that took each.
+// When d's dictionary fits (see denseFits), every semijoin, projection and
+// join picks its kernels from the input through chooseKernels: one sharing
+// exactly one column probes chain heads indexed by value id, and one whose
+// kept columns span few enough value-id tuples dedups in a bitmap. One
+// scratch, O(dictionary + largest kernel input), serves the reduction and
+// the join phase. The kernels change no output, row order included, and
+// the exec.join span counts the joins (not the projections) that took
+// each.
 func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []string) (*EvalResult, error) {
 	ctx, esp := obs.StartSpan(ctx, "exec.eval")
 	defer esp.End()
@@ -208,7 +210,8 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		}
 		want.Add(id)
 	}
-	red, err := Reduce(ctx, d, tree)
+	sc := newScratch(d)
+	red, err := reduce(ctx, d, tree, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -219,12 +222,6 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 	plan := planConnection(tree, want)
 	esp.SetInt("joinNodes", int64(len(plan.nodes)))
 	esp.SetInt("prunedNodes", int64(len(reduced)-len(plan.nodes)))
-	// One join scratch serves every dense join; nil allows only the hash
-	// kernels.
-	var js *joinScratch
-	if denseFits(d) {
-		js = new(joinScratch)
-	}
 	var denseJoins, hashJoins, bitmapDedups, setDedups int64
 	finish := func(out *Table) (*EvalResult, error) {
 		res.Out = out
@@ -249,7 +246,7 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 	// join runs one fused join of the phase, counting the pairs the
 	// unfused join would have built and the kernels it ran.
 	join := func(acc, sub *Table, keep []string) (*Table, error) {
-		out, matches, k, err := joinProject(jctx, acc, sub, keep, js)
+		out, matches, k, err := joinProject(jctx, acc, sub, keep, sc)
 		res.JoinRows += matches
 		if k.dense {
 			denseJoins++
@@ -284,7 +281,7 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		if err != nil {
 			return nil, err
 		}
-		acc, err := Project(jctx, reduced[v], plan.need(reduced[v].attrs, v, kids))
+		acc, _, err := project(jctx, reduced[v], plan.need(reduced[v].attrs, v, kids), sc)
 		for i := 0; err == nil && i < len(subs); i++ {
 			acc, err = join(acc, subs[i], plan.need(unionAttrs(acc.attrs, subs[i].attrs), v, kids[i+1:]))
 		}
@@ -298,7 +295,7 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 	// tuple: every object is nonempty. Kept roots lie in distinct
 	// components and each carries only query attributes, so their cross
 	// product keeps every cell and covers exactly the query attributes.
-	acc := &Table{dict: d.Dict(), attrs: []string{}, cols: [][]int32{}, rows: 1}
+	acc := unitTable(d.Dict())
 	for i, sub := range subs {
 		if i == 0 {
 			acc = sub

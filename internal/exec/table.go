@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -76,54 +75,17 @@ const maxScratch = 1 << 16
 
 // loadRows is the tail of every row loader: t is empty, and t.dict.cells
 // holds its n rows, row-major in t's column order. loadRows keeps the first
-// occurrence of each distinct row, in order, compacting the scratch in
-// place through an open-addressing set of at least 2n slots, then
-// allocates t's columns once, at the distinct count. A slot packs the top
-// 32 bits of its row's hash above the row's compacted index + 1; 0 is
-// empty. The row hash is seeded with the Dict's random multiplier, so a
-// hostile body cannot aim rows at one probe run either.
+// occurrence of each distinct row, in order, compacting the cells in place
+// through a rowSet on the Dict's scratch, then allocates t's columns once,
+// at the distinct count.
 func (t *Table) loadRows(n int) *Table {
 	d, w := t.dict, len(t.cols)
-	cells := d.cells[:n*w]
-	size := 1 << bits.Len(uint(2*max(n, 1)-1))
-	if cap(d.rowSet) < size {
-		d.rowSet = make([]uint64, size)
-	}
-	set := d.rowSet[:size]
-	clear(set)
-	shift, mask := uint(65-bits.Len(uint(size))), uint64(size-1)
-	k := 0
-	for r := 0; r < n; r++ {
-		row := cells[r*w : r*w+w]
-		h := d.mul
-		for _, c := range row {
-			h = (h ^ uint64(uint32(c))) * d.mul
-		}
-		tag := h &^ math.MaxUint32
-		for b := h >> shift; ; b = (b + 1) & mask {
-			v := set[b]
-			if v == 0 {
-				set[b] = tag | uint64(k+1)
-				copy(cells[k*w:], row)
-				k++
-				break
-			}
-			if j := int(uint32(v)) - 1; v&^math.MaxUint32 == tag && slices.Equal(cells[j*w:j*w+w], row) {
-				break
-			}
-		}
-	}
-	t.rows = k
-	if k > 0 && w > 0 {
-		back := make([]int32, k*w)
-		for c := range t.cols {
-			col := back[c*k : (c+1)*k : (c+1)*k]
-			for r := range col {
-				col[r] = cells[r*w+c]
-			}
-			t.cols[c] = col
-		}
-	}
+	set := rowSet{cells: d.cells[:n*w], slots: d.rowSet}
+	set.reset(d.mul, w, n, true)
+	set.add(n)
+	t.rows = set.rows
+	set.columns(t.cols)
+	d.cells, d.rowSet = set.cells, set.slots
 	if cap(d.cells) > maxScratch {
 		d.cells = nil
 	}
@@ -214,29 +176,152 @@ func (t *Table) colIndex(a string) int {
 // Value returns the string value at (row, attribute-index).
 func (t *Table) Value(row, col int) string { return t.dict.Value(t.cols[col][row]) }
 
-// FNV-1a over the int32 cells of selected columns; the kernels' row and key
-// hash. Collisions are resolved by cell comparison, never trusted.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func hashCells(cols [][]int32, idx []int, row int) uint64 {
-	h := uint64(fnvOffset64)
+// hashCells is the package's one row hash, over the cells of columns idx
+// of row: it starts at a Dict's random odd multiplier mul and folds each
+// cell in as h = (h ^ cell) * mul, and its users take buckets from the top
+// bits, so a hostile body cannot aim rows at one chain or probe run.
+// Collisions are resolved by cell comparison, never trusted; chains and
+// row sets keep row order, so no output depends on the hash.
+func hashCells(mul uint64, cols [][]int32, idx []int, row int) uint64 {
+	h := mul
 	for _, c := range idx {
-		h = mixCell(h, cols[c][row])
+		h = mix(h, mul, cols[c][row])
 	}
 	return h
 }
 
-// mixCell folds one cell into an FNV-1a hash.
-func mixCell(h uint64, v int32) uint64 {
-	u := uint32(v)
-	h ^= uint64(u & 0xff)
-	h *= fnvPrime64
-	h ^= uint64(u >> 8)
-	h *= fnvPrime64
-	return h
+// mix folds cell c into the row hash h under multiplier mul.
+func mix(h, mul uint64, c int32) uint64 { return (h ^ uint64(uint32(c))) * mul }
+
+// rowSet is the package's one set of rows: the loaders dedup each table
+// through it, and every fused join (so every projection) writes its output
+// rows through it. Rows are staged row-major after the rows kept so far, a
+// loader's all at once and a join's one at a time at next, and add keeps
+// each that is new, so the set holds the first occurrence of each distinct
+// row, in order; columns then turns the kept rows into columns once, at
+// the distinct count. A set reset without dedup keeps every staged row and
+// never touches its slots, for a caller whose rows are distinct already or
+// deduped in a bitmap.
+//
+// The slots are open addressing with linear probing, never more than
+// three quarters full. A slot packs the top 32 bits of its row's hash,
+// which fix the row's bucket at every size up to 2³² slots, above the
+// row's index + 1; 0 is empty. A probe thus compares hashes without
+// leaving the slot array, and runs of eight slots share a cache line,
+// which is what lets the load run this high.
+type rowSet struct {
+	mul   uint64  // the hash multiplier of the rows' Dict
+	width int     // cells per row
+	cells []int32 // kept rows, then the staged one, row-major
+	slots []uint64
+	shift uint // 64 - log2(len(slots))
+	rows  int  // rows kept
+	dedup bool
+}
+
+// reset empties the set for rows of width cells hashed under mul, with
+// room for hint rows and, when it dedups, at least 2·hint slots. The cells
+// are not cleared, so a loader's rows staged there survive.
+func (rs *rowSet) reset(mul uint64, width, hint int, dedup bool) {
+	rs.mul, rs.width, rs.rows, rs.dedup = mul, width, 0, dedup
+	if cap(rs.cells) < hint*width {
+		rs.cells = make([]int32, 0, hint*width)
+	}
+	if !dedup {
+		return
+	}
+	size := 1 << bits.Len(uint(2*max(hint, 1)-1))
+	rs.slots = resize(rs.slots, size)
+	clear(rs.slots)
+	rs.shift = uint(65 - bits.Len(uint(size)))
+}
+
+// next returns the staging row, after the rows kept so far, for the
+// caller to fill before add(1). The cells double when full, so a kernel
+// that writes many rows discards at most as many cells as it keeps.
+func (rs *rowSet) next() []int32 {
+	lo, hi := rs.rows*rs.width, (rs.rows+1)*rs.width
+	if hi > cap(rs.cells) {
+		rs.cells = append(make([]int32, 0, 2*hi), rs.cells[:lo]...)
+	}
+	if hi > len(rs.cells) {
+		rs.cells = rs.cells[:hi]
+	}
+	return rs.cells[lo:hi]
+}
+
+// add takes the n rows staged back to back after the kept ones, in order,
+// and keeps each that the set does not dedup away as equal to a row kept
+// before it, moving it up to follow them.
+func (rs *rowSet) add(n int) {
+	if !rs.dedup { // every staged row is kept, in place
+		rs.rows += n
+		return
+	}
+	w, k, end := rs.width, rs.rows, rs.rows+n
+	cells, slots, mul, shift := rs.cells, rs.slots, rs.mul, rs.shift
+	for r := k; r < end; r++ {
+		row := cells[r*w : r*w+w]
+		h := mul
+		for _, c := range row {
+			h = mix(h, mul, c)
+		}
+		tag, mask := h&^math.MaxUint32, uint64(len(slots)-1)
+		b := h >> shift
+		for ; slots[b] != 0; b = (b + 1) & mask {
+			if v := slots[b]; v&^math.MaxUint32 == tag && slices.Equal(cells[(int(uint32(v))-1)*w:][:w], row) {
+				break
+			}
+		}
+		if slots[b] != 0 {
+			continue // an equal row is kept
+		}
+		slots[b] = tag | uint64(k+1)
+		if r != k {
+			copy(cells[k*w:], row)
+		}
+		if k++; 4*k > 3*len(slots) {
+			rs.grow()
+			slots, shift = rs.slots, rs.shift
+		}
+	}
+	rs.rows = k
+}
+
+// grow doubles the slot array and moves every slot to its bucket there;
+// the rows are distinct, so no cells are compared.
+func (rs *rowSet) grow() {
+	old := rs.slots
+	rs.slots = make([]uint64, 2*len(old))
+	rs.shift--
+	mask := uint64(len(rs.slots) - 1)
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		b := v >> rs.shift
+		for rs.slots[b] != 0 {
+			b = (b + 1) & mask
+		}
+		rs.slots[b] = v
+	}
+}
+
+// columns sets cols, one per cell of a row, to the kept rows, allocated
+// once.
+func (rs *rowSet) columns(cols [][]int32) {
+	k, w := rs.rows, rs.width
+	if k == 0 || w == 0 {
+		return
+	}
+	back := make([]int32, k*w)
+	for c := range cols {
+		col := back[c*k : (c+1)*k : (c+1)*k]
+		for r := range col {
+			col[r] = rs.cells[r*w+c]
+		}
+		cols[c] = col
+	}
 }
 
 func equalCells(aCols [][]int32, aIdx []int, aRow int, bCols [][]int32, bIdx []int, bRow int) bool {
@@ -248,40 +333,24 @@ func equalCells(aCols [][]int32, aIdx []int, aRow int, bCols [][]int32, bIdx []i
 	return true
 }
 
-// allCols returns [0, 1, ..., n).
-func allCols(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
 // Equal reports set equality of rows over identical schemas and a shared
-// dictionary.
+// dictionary. Both tables' rows are distinct, so they are equal when s's
+// rows, staged in a rowSet after t's, add none.
 func (t *Table) Equal(s *Table) bool {
-	if t.dict != s.dict || t.rows != s.rows || len(t.attrs) != len(s.attrs) {
+	if t.dict != s.dict || t.rows != s.rows || !slices.Equal(t.attrs, s.attrs) {
 		return false
 	}
-	for i := range t.attrs {
-		if t.attrs[i] != s.attrs[i] {
-			return false
+	var set rowSet
+	set.reset(t.dict.mul, len(t.cols), t.rows+s.rows, true)
+	for _, u := range []*Table{t, s} {
+		for r := range u.rows {
+			for _, col := range u.cols {
+				set.cells = append(set.cells, col[r])
+			}
 		}
 	}
-	idx := allCols(len(t.cols))
-	// A background context is never cancelled, so buildTable cannot fail.
-	pt, _ := buildTable(context.Background(), t, idx)
-	for r := 0; r < s.rows; r++ {
-		h := hashCells(s.cols, idx, r)
-		j := pt.first(h)
-		for j >= 0 && (pt.hash[j] != h || !equalCells(t.cols, idx, int(j), s.cols, idx, r)) {
-			j = pt.next[j]
-		}
-		if j < 0 {
-			return false
-		}
-	}
-	return true
+	set.add(t.rows + s.rows)
+	return set.rows == t.rows
 }
 
 // String renders a small header-plus-rows view, decoding the dictionary.

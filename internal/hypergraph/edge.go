@@ -123,17 +123,6 @@ func (e Edge) Elems() []int {
 	return e.d.Elems()
 }
 
-// IDs returns the edge's sorted node ids as int32. For sparse edges the
-// backing slice is shared — callers must not mutate it.
-func (e Edge) IDs() []int32 {
-	if e.sparse {
-		return e.s.IDs()
-	}
-	out := make([]int32, 0, e.d.Len())
-	e.d.ForEach(func(id int) { out = append(out, int32(id)) })
-	return out
-}
-
 // Set returns the edge as a dense bitset. For dense edges this is the stored
 // set (shared — callers must not mutate it, the same contract as
 // Hypergraph.Edge); sparse edges are materialized, which charges the full
@@ -322,35 +311,4 @@ func (e Edge) String() string {
 		return e.s.String()
 	}
 	return e.d.String()
-}
-
-// hash64 returns an FNV-1a hash of the edge's sorted id sequence: the
-// content identity used to bucket edges in the linearized Reduce. Equal
-// contents hash equally across representations.
-func (e Edge) hash64() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	e.ForEach(func(id int) {
-		x := uint64(uint32(id))
-		for k := 0; k < 4; k++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
-	})
-	return h
-}
-
-// signature64 returns a 64-bit Bloom-style signature (one hashed bit per
-// node): if e ⊆ f then signature(e) &^ signature(f) == 0, so a single word
-// test rejects most non-subset candidate pairs before the merge check runs.
-func (e Edge) signature64() uint64 {
-	var sig uint64
-	e.ForEach(func(id int) {
-		sig |= 1 << ((uint64(id) * 0x9E3779B97F4A7C15) >> 58)
-	})
-	return sig
 }

@@ -121,11 +121,11 @@ func TestEdgeMatchesSetDifferential(t *testing.T) {
 			t.Fatalf("trial %d: Sparse %v vs %v", trial, got, want)
 		}
 		// Content hash and signature invariants.
-		if ea.hash64() != edgeOfSet(da, ua).hash64() {
-			t.Fatalf("trial %d: hash64 differs across representations", trial)
+		if hashIDs(ea.Sparse().IDs()) != hashIDs(edgeOfSet(da, ua).Sparse().IDs()) {
+			t.Fatalf("trial %d: hashIDs differs across representations", trial)
 		}
-		if ea.IsSubset(eb) && ea.signature64()&^eb.signature64() != 0 {
-			t.Fatalf("trial %d: signature64 violates subset invariant", trial)
+		if ea.IsSubset(eb) && signatureIDs(ea.Sparse().IDs())&^signatureIDs(eb.Sparse().IDs()) != 0 {
+			t.Fatalf("trial %d: signatureIDs violates subset invariant", trial)
 		}
 	}
 }

@@ -11,11 +11,13 @@
 // Edge representation (dense bitset or sorted-id sparse, chosen per edge by
 // density), so total storage is proportional to total edge size even over
 // million-node universes. The public API accepts and returns node names
-// ([]string); the id-based forms (EdgeView, Universe, FromIDs) are exposed
-// for the algorithm packages layered on top.
+// ([]string); the id-based forms (EdgeView, Universe, FromIDs, and the one
+// node–edge incidence index, Incidence) are exposed for the algorithm
+// packages layered on top.
 package hypergraph
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -292,7 +294,7 @@ func (h *Hypergraph) IsPartialEdge(s bitset.Set) bool {
 // same set of edges (as sets of name sets, ignoring order and duplicates).
 // It is name-based, so hypergraphs over different universes compare sanely.
 func (h *Hypergraph) Equal(g *Hypergraph) bool {
-	if !equalStringSets(h.Nodes(), g.Nodes()) {
+	if !slices.Equal(h.Nodes(), g.Nodes()) {
 		return false
 	}
 	return equalEdgeSets(h.EdgeLists(), g.EdgeLists())
@@ -302,18 +304,6 @@ func (h *Hypergraph) Equal(g *Hypergraph) bool {
 // sets of node names), ignoring node sets, edge order, and duplicates.
 func (h *Hypergraph) EqualEdges(g *Hypergraph) bool {
 	return equalEdgeSets(h.EdgeLists(), g.EdgeLists())
-}
-
-func equalStringSets(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func edgeKeySet(lists [][]string) map[string]bool {

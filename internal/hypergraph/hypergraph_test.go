@@ -254,8 +254,8 @@ func TestEdgesTouchingAndContaining(t *testing.T) {
 		t.Fatalf("EdgesTouching(B) = %v", got)
 	}
 	aID, _ := h.NodeID("A")
-	if got := h.EdgesContainingNode(aID); !reflect.DeepEqual(got, []int{0, 2, 3}) {
-		t.Fatalf("EdgesContainingNode(A) = %v", got)
+	if got := h.Incidence().Edges(aID); !reflect.DeepEqual(got, []int32{0, 2, 3}) {
+		t.Fatalf("Incidence().Edges(A) = %v", got)
 	}
 	if got := h.EdgeContaining(h.MustSet("C", "E")); got != 1 {
 		t.Fatalf("EdgeContaining({C,E}) = %d, want 1", got)

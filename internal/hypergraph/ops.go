@@ -165,17 +165,6 @@ func (h *Hypergraph) EdgesTouching(s bitset.Set) []int {
 	return out
 }
 
-// EdgesContainingNode returns the indices of edges containing node id.
-func (h *Hypergraph) EdgesContainingNode(id int) []int {
-	var out []int
-	for i, e := range h.edges {
-		if e.Contains(id) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // EdgeContaining returns the index of the first edge that contains s as a
 // subset, or -1 if s is not a partial edge.
 func (h *Hypergraph) EdgeContaining(s bitset.Set) int {

@@ -2,24 +2,26 @@ package hypergraph
 
 // This file holds the linearized reduction machinery. The seed implementation
 // compared all edge pairs (O(m²) subset tests — fine at paper scale, the
-// first thing to melt at 10⁵+ edges). The rewrite works in three passes over
-// the sorted-id views:
+// first thing to melt at 10⁵+ edges). The rewrite works in two passes over
+// the hypergraph's incidence index (Incidence: ascending members per edge,
+// ascending edges per node):
 //
 //  1. Duplicate removal: edges are bucketed by a 64-bit content hash
-//     (Edge.hash64 over the sorted id sequence); within a bucket, id-sequence
+//     (hashIDs over the sorted id sequence); within a bucket, id-sequence
 //     equality picks the earliest occurrence as the surviving representative.
-//  2. Candidate generation: a CSR incidence index (node id -> distinct edges
-//     containing it) is built in O(total edge size). An edge e can only be
-//     contained in edges incident to ANY of its nodes, so it suffices to scan
-//     the occurrence list of e's minimum-degree node.
-//  3. Containment: each candidate pair is pre-filtered by the single-word
-//     Bloom signature (Edge.signature64 — e ⊆ f requires sig(e)&^sig(f)==0)
-//     and confirmed by a linear merge over the sorted ids.
+//  2. Containment: an edge e can only be contained in edges incident to ANY
+//     of its nodes, so the candidates are the incidence list of e's
+//     minimum-degree node. Each candidate pair is pre-filtered by the
+//     single-word Bloom signature (signatureIDs — e ⊆ f requires
+//     sig(e)&^sig(f)==0) and confirmed by a linear merge over the sorted ids.
 //
-// Total cost is O(Σ|e|) for passes 1–2 plus Σ_e d_min(e)·(|e|+|f|) for the
-// candidates that survive the signature filter — linear on the generator
-// families (chains, blocks, bounded-overlap randoms) whose minimum-degree
-// occurrence lists stay bounded, and never worse than the old all-pairs scan.
+// Total cost is O(universe + Σ|e|) for the index and pass 1 plus
+// Σ_e d_min(e)·(|e|+|f|) for the candidates that survive the signature
+// filter — linear on the generator families (chains, blocks, bounded-overlap
+// randoms) whose minimum-degree incidence lists stay bounded, and never
+// worse than the old all-pairs scan.
+
+import "slices"
 
 // reducePlan computes which edges survive reduction: keep[i] is false when
 // edge i is a duplicate of an earlier edge or a proper subset of another
@@ -37,65 +39,43 @@ func (h *Hypergraph) reducePlan() (keep []bool, removed bool) {
 		return keep, false
 	}
 
-	ids := make([][]int32, m)
-	for i := range h.edges {
-		ids[i] = h.edges[i].IDs()
-	}
+	x := h.Incidence()
 
-	// Pass 1: duplicate removal via hash buckets.
+	// Pass 1: duplicate removal via hash buckets. A bucket is its newest
+	// representative; next chains it to the older ones of the same hash.
 	anyNonempty := false
-	byHash := make(map[uint64][]int32, m)
+	bucket := make(map[uint64]int32, m)
+	next := make([]int32, m)
 	reps := make([]int32, 0, m)
 	for i := 0; i < m; i++ {
-		if len(ids[i]) > 0 {
-			anyNonempty = true
+		e := x.Members(i)
+		anyNonempty = anyNonempty || len(e) > 0
+		hsh := hashIDs(e)
+		head, ok := bucket[hsh]
+		if !ok {
+			head = -1
 		}
-		hsh := h.edges[i].hash64()
-		dup := false
-		for _, j := range byHash[hsh] {
-			if equalIDSeq(ids[i], ids[j]) {
-				keep[i] = false
-				removed = true
-				dup = true
-				break
-			}
+		j := head
+		for j >= 0 && !slices.Equal(e, x.Members(int(j))) {
+			j = next[j]
 		}
-		if !dup {
-			byHash[hsh] = append(byHash[hsh], int32(i))
-			reps = append(reps, int32(i))
+		if j >= 0 {
+			keep[i], removed = false, true
+			continue
 		}
+		next[i], bucket[hsh] = head, int32(i)
+		reps = append(reps, int32(i))
 	}
 
-	// Pass 2: CSR incidence over the distinct edges.
-	deg := make([]int32, h.n)
-	total := 0
-	for _, r := range reps {
-		for _, v := range ids[r] {
-			deg[v]++
-		}
-		total += len(ids[r])
-	}
-	off := make([]int32, h.n+1)
-	for v := 0; v < h.n; v++ {
-		off[v+1] = off[v] + deg[v]
-	}
-	occ := make([]int32, total)
-	fill := make([]int32, h.n)
-	copy(fill, off[:h.n])
-	for _, r := range reps {
-		for _, v := range ids[r] {
-			occ[fill[v]] = r
-			fill[v]++
-		}
-	}
-
-	// Pass 3: subset detection through each edge's minimum-degree node.
+	// Pass 2: subset detection through each edge's minimum-degree node.
+	// Only representatives get a signature: a duplicate's zero signature
+	// fails the filter, and its representative sits in the same list.
 	sig := make([]uint64, m)
 	for _, r := range reps {
-		sig[r] = h.edges[r].signature64()
+		sig[r] = signatureIDs(x.Members(int(r)))
 	}
 	for _, r := range reps {
-		e := ids[r]
+		e := x.Members(int(r))
 		if len(e) == 0 {
 			// ∅ is a proper subset of every nonempty edge.
 			if anyNonempty {
@@ -104,23 +84,23 @@ func (h *Hypergraph) reducePlan() (keep []bool, removed bool) {
 			}
 			continue
 		}
-		minV := e[0]
+		occ := x.Edges(int(e[0]))
 		for _, v := range e[1:] {
-			if deg[v] < deg[minV] {
-				minV = v
+			if o := x.Edges(int(v)); len(o) < len(occ) {
+				occ = o
 			}
 		}
-		if deg[minV] == 1 {
-			continue // only r itself holds minV; nothing can contain r
+		if len(occ) == 1 {
+			continue // only r itself holds the node; nothing can contain r
 		}
 		se := sig[r]
-		for _, f := range occ[off[minV]:off[minV+1]] {
+		for _, f := range occ {
 			// Distinct contents of equal size cannot nest, so only strictly
 			// larger candidates matter.
-			if f == r || len(ids[f]) <= len(e) || se&^sig[f] != 0 {
+			if f == r || len(x.Members(int(f))) <= len(e) || se&^sig[f] != 0 {
 				continue
 			}
-			if sortedIDsSubset(e, ids[f]) {
+			if sortedIDsSubset(e, x.Members(int(f))) {
 				keep[r] = false
 				removed = true
 				break
@@ -130,16 +110,35 @@ func (h *Hypergraph) reducePlan() (keep []bool, removed bool) {
 	return keep, removed
 }
 
-func equalIDSeq(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if b[i] != v {
-			return false
+// hashIDs returns an FNV-1a hash of a sorted id sequence, byte by byte: the
+// content identity that buckets edges in pass 1.
+func hashIDs(ids []int32) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, id := range ids {
+		x := uint64(uint32(id))
+		for k := 0; k < 4; k++ {
+			h ^= x & 0xff
+			h *= prime64
+			x >>= 8
 		}
 	}
-	return true
+	return h
+}
+
+// signatureIDs returns a 64-bit Bloom-style signature of an id set (one
+// hashed bit per node): if e ⊆ f then signatureIDs(e) &^ signatureIDs(f) ==
+// 0, so a single word test rejects most non-subset candidate pairs before
+// the merge check runs.
+func signatureIDs(ids []int32) uint64 {
+	var sig uint64
+	for _, id := range ids {
+		sig |= 1 << ((uint64(id) * 0x9E3779B97F4A7C15) >> 58)
+	}
+	return sig
 }
 
 // sortedIDsSubset reports a ⊆ b for strictly increasing id slices by a

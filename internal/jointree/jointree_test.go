@@ -136,17 +136,18 @@ func naiveVerify(t *JoinTree) bool {
 		}
 	}
 	ok := true
+	x := t.H.Incidence()
 	t.H.CoveredNodes().ForEach(func(n int) {
-		holders := t.H.EdgesContainingNode(n)
+		holders := x.Edges(n)
 		if len(holders) <= 1 {
 			return
 		}
 		in := map[int]bool{}
 		for _, e := range holders {
-			in[e] = true
+			in[int(e)] = true
 		}
-		seen := map[int]bool{holders[0]: true}
-		queue := []int{holders[0]}
+		seen := map[int]bool{int(holders[0]): true}
+		queue := []int{int(holders[0])}
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]

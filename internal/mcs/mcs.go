@@ -175,39 +175,13 @@ func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 		return res, nil
 	}
 
-	// Per-node state is indexed by the hypergraph's id universe. Edges are
-	// adaptive views (dense or sorted-id sparse), so nothing here charges
-	// universe-sized storage per edge — total memory is O(universe + Σ|e|).
+	// Per-node state is indexed by the hypergraph's id universe, and sizes,
+	// members and node -> edge incidences come from the hypergraph's one CSR
+	// index, so memory stays O(universe + Σ|e|) whatever representation each
+	// edge landed on.
 	n := h.Universe()
 	edges := h.EdgeViews()
-
-	// Incidence index node -> edges containing it, in CSR layout: one counting
-	// pass, one prefix sum, one fill. A slice-of-slices would cost a slice
-	// header and a separate allocation per node — prohibitive at 10⁶ nodes.
-	size := make([]int32, m)
-	deg := make([]int32, n)
-	total := 0
-	for i, e := range edges {
-		e.ForEach(func(id int) {
-			deg[id]++
-			size[i]++
-		})
-		total += int(size[i])
-	}
-	incOff := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		incOff[v+1] = incOff[v] + deg[v]
-	}
-	incData := make([]int32, total)
-	fill := make([]int32, n)
-	copy(fill, incOff[:n])
-	for i, e := range edges {
-		e.ForEach(func(id int) {
-			incData[fill[id]] = int32(i)
-			fill[id]++
-		})
-	}
-	incidence := func(v int) []int32 { return incData[incOff[v]:incOff[v+1]] }
+	x := h.Incidence()
 
 	var (
 		numbered = make([]bool, n)  // vertex already numbered
@@ -223,10 +197,8 @@ func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 	// total O(Σ|e|), and the max pointer only descends between pushes, so the
 	// queue adds O(Σ|e| + m) work overall.
 	maxSize := 0
-	for _, s := range size {
-		if int(s) > maxSize {
-			maxSize = int(s)
-		}
+	for e := 0; e < m; e++ {
+		maxSize = max(maxSize, len(x.Members(e)))
 	}
 	buckets := make([][]int32, maxSize+1)
 	buckets[0] = make([]int32, 0, m)
@@ -252,7 +224,7 @@ func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 	clock := int32(0)
 	spread := make([]int, 0, maxSize)
 	work := 0
-	for range edges {
+	for range m {
 		if work >= cancelStride {
 			work = 0
 			if err := ctx.Err(); err != nil {
@@ -265,14 +237,14 @@ func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 		// numbered vertex w. Any selected edge containing S contains w.
 		spread = spread[:0]
 		w := -1
-		edges[e].ForEach(func(id int) {
+		for _, id := range x.Members(e) {
 			if numbered[id] {
-				spread = append(spread, id)
+				spread = append(spread, int(id))
 				if w < 0 || timeOf[id] > timeOf[w] {
-					w = id
+					w = int(id)
 				}
 			}
-		})
+		}
 
 		switch {
 		case len(spread) == 0:
@@ -280,10 +252,10 @@ func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 		case len(spread) == 1:
 			parent[e] = int(pivotOf[w])
 		default:
-			p := findParent(edges, e, spread, int(pivotOf[w]), incidence(w), selected)
+			p := findParent(edges, e, spread, int(pivotOf[w]), x.Edges(w), selected)
 			if p < 0 {
 				var cands []int
-				for _, g := range incidence(w) {
+				for _, g := range x.Edges(w) {
 					if selected[g] {
 						cands = append(cands, int(g))
 					}
@@ -299,16 +271,16 @@ func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 		selected[e] = true
 		res.EdgeOrder = append(res.EdgeOrder, e)
 		work += len(spread) + 1
-		edges[e].ForEach(func(id int) {
+		for _, id := range x.Members(e) {
 			if numbered[id] {
-				return
+				continue
 			}
 			numbered[id] = true
 			timeOf[id] = clock
 			clock++
 			pivotOf[id] = int32(e)
-			res.VertexOrder = append(res.VertexOrder, id)
-			inc := incidence(id)
+			res.VertexOrder = append(res.VertexOrder, int(id))
+			inc := x.Edges(int(id))
 			work += len(inc)
 			for _, f := range inc {
 				if !selected[f] {
@@ -319,7 +291,7 @@ func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 					buckets[count[f]] = append(buckets[count[f]], f)
 				}
 			}
-		})
+		}
 	}
 	res.Parent = parent
 	return res, nil

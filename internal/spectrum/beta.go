@@ -27,17 +27,25 @@ type BetaResult struct {
 // with an eliminated node — removal elsewhere cannot create a new chain among
 // untouched incident-edge families.
 func Beta(ctx context.Context, h *hypergraph.Hypergraph) (*BetaResult, error) {
-	w, err := load(ctx, h)
+	return runBeta(ctx, h.Incidence())
+}
+
+// runBeta is Beta over an incidence index already built.
+func runBeta(ctx context.Context, x hypergraph.Incidence) (*BetaResult, error) {
+	w, err := load(ctx, x)
 	if err != nil {
 		return nil, err
 	}
-	n := len(w.nodeOf)
-	st := &betaState{view: w, edgeLen: make([]int, len(w.members)), inQueue: make([]bool, n), queue: make([]int32, n)}
+	n := len(w.deadV)
+	st := &betaState{view: w, edgeLen: make([]int, len(w.members)), inQueue: make([]bool, n), queue: make([]int32, 0, n)}
 	for e, mem := range w.members {
 		st.edgeLen[e] = len(mem)
 	}
-	for v := range st.queue {
-		st.queue[v], st.inQueue[v] = int32(v), true
+	for v, dead := range w.deadV {
+		if !dead {
+			st.queue = append(st.queue, int32(v))
+			st.inQueue[v] = true
+		}
 	}
 	return st.run()
 }
@@ -48,11 +56,11 @@ type betaState struct {
 	*view
 	edgeLen []int
 	inQueue []bool
-	queue   []int32 // dense node indices pending a nest-point check
+	queue   []int32 // node ids pending a nest-point check
 }
 
 func (st *betaState) run() (*BetaResult, error) {
-	order := make([]int32, 0, len(st.nodeOf))
+	order := make([]int32, 0, len(st.queue))
 	for len(st.queue) > 0 {
 		v := st.queue[0]
 		st.queue = st.queue[1:]
@@ -70,7 +78,7 @@ func (st *betaState) run() (*BetaResult, error) {
 		if err := st.eliminate(v); err != nil {
 			return nil, err
 		}
-		order = append(order, st.nodeOf[v])
+		order = append(order, v)
 	}
 	if core := st.liveIDs(); core != nil {
 		return &BetaResult{Core: core}, nil

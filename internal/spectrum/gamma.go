@@ -2,6 +2,7 @@ package spectrum
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/hypergraph"
 )
@@ -68,11 +69,16 @@ type GammaResult struct {
 // but never a missed twin; the dirty worklist re-examines an item only when
 // its live incidence changed.
 func Gamma(ctx context.Context, h *hypergraph.Hypergraph) (*GammaResult, error) {
-	w, err := load(ctx, h)
+	return runGamma(ctx, h.Incidence())
+}
+
+// runGamma is Gamma over an incidence index already built.
+func runGamma(ctx context.Context, x hypergraph.Incidence) (*GammaResult, error) {
+	w, err := load(ctx, x)
 	if err != nil {
 		return nil, err
 	}
-	n, m := len(w.nodeOf), len(w.members)
+	n, m := len(w.deadV), len(w.members)
 	st := &gammaState{
 		view:     w,
 		inQueue:  [][]bool{make([]bool, n), make([]bool, m)},
@@ -80,8 +86,10 @@ func Gamma(ctx context.Context, h *hypergraph.Hypergraph) (*GammaResult, error) 
 		vBuckets: make(map[uint64][]int32, n),
 		eBuckets: make(map[uint64][]int32, m),
 	}
-	for v := 0; v < n; v++ {
-		st.enqueue(gItem{0, int32(v)})
+	for v, dead := range w.deadV {
+		if !dead {
+			st.enqueue(gItem{0, int32(v)})
+		}
 	}
 	for e := 0; e < m; e++ {
 		st.enqueue(gItem{1, int32(e)})
@@ -164,7 +172,7 @@ func (st *gammaState) tryNode(v int32) error {
 		return err
 	}
 	if len(live) <= 1 {
-		return st.deleteNode(v, Step{Kind: StepLeafNode, ID: st.nodeOf[v]})
+		return st.deleteNode(v, Step{Kind: StepLeafNode, ID: v})
 	}
 	sig := uint64(fnvOffset)
 	for _, e := range live {
@@ -179,7 +187,7 @@ func (st *gammaState) tryNode(v int32) error {
 			return err
 		}
 		if same {
-			return st.deleteNode(v, Step{Kind: StepTwinNode, ID: st.nodeOf[v], Twin: st.nodeOf[u]})
+			return st.deleteNode(v, Step{Kind: StepTwinNode, ID: v, Twin: u})
 		}
 	}
 	// Not reducible now; park v under its current signature so a future
@@ -225,15 +233,7 @@ func (st *gammaState) sameList(a, b []int32) (bool, error) {
 	if err := st.t.tick(len(a)); err != nil {
 		return false, err
 	}
-	if len(a) != len(b) {
-		return false, nil
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false, nil
-		}
-	}
-	return true, nil
+	return slices.Equal(a, b), nil
 }
 
 // deleteNode kills v and dirties the edges it lived in (their member lists

@@ -34,13 +34,16 @@
 //   - Berge-acyclicity via a union-find pass over the node–edge incidence
 //     graph (Berge-acyclic iff the incidence graph is a forest).
 //
-// The three testers read a hypergraph one way: each loads its own view of
-// it (covered nodes numbered densely in id order, ascending member and
-// incidence lists, dead marks that lists shed lazily) and keeps only its
-// worklist on top. Loading and every tester observe ctx every ~4096 work
-// units, so server deadlines reach mid-traversal — the property that lets
-// the serving layer classify 10⁴-edge schemas under its default deadline
-// instead of refusing them.
+// The three testers read a hypergraph one way, through its incidence index
+// (hypergraph.Incidence: ascending member and incidence lists over universe
+// ids), which ClassifyWithAlpha builds once. β and γ each copy only the
+// mutable parts into their view (the lists they compact, and dead marks
+// under which uncovered ids start dead) and keep their worklist on top;
+// Berge's union-find reads the index's member lists and copies nothing.
+// Loading and every tester observe ctx every ~4096 work units, so server
+// deadlines reach mid-traversal — the property that lets the serving layer
+// classify 10⁴-edge schemas under its default deadline instead of refusing
+// them.
 //
 // Certificates are validated by independent checkers (VerifyBeta,
 // VerifyGamma) that share no state or search logic with the testers: they
@@ -152,17 +155,19 @@ func Classify(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 }
 
 // ClassifyWithAlpha is Classify for callers that already hold the α verdict
-// (the session API shares its MCS run), so no second search runs.
+// (the session API shares its MCS run), so no second search runs. It builds
+// h's incidence index once for the three testers.
 func ClassifyWithAlpha(ctx context.Context, h *hypergraph.Hypergraph, alpha bool) (*Result, error) {
-	beta, err := Beta(ctx, h)
+	x := h.Incidence()
+	beta, err := runBeta(ctx, x)
 	if err != nil {
 		return nil, err
 	}
-	gamma, err := Gamma(ctx, h)
+	gamma, err := runGamma(ctx, x)
 	if err != nil {
 		return nil, err
 	}
-	berge, err := Berge(ctx, h)
+	berge, err := runBerge(ctx, x)
 	if err != nil {
 		return nil, err
 	}

@@ -248,7 +248,7 @@ func TestSpectrumCancellation(t *testing.T) {
 		name string
 		run  func(context.Context) error
 	}{
-		{"load", func(ctx context.Context) error { _, err := load(ctx, h); return err }},
+		{"load", func(ctx context.Context) error { _, err := load(ctx, h.Incidence()); return err }},
 		{"Beta", func(ctx context.Context) error { _, err := Beta(ctx, h); return err }},
 		{"Gamma", func(ctx context.Context) error { _, err := Gamma(ctx, h); return err }},
 		{"Berge", func(ctx context.Context) error { _, err := Berge(ctx, h); return err }},

@@ -6,69 +6,56 @@ import (
 	"repro/internal/hypergraph"
 )
 
-// view is the live hypergraph a tester works on. Covered nodes are numbered
-// densely in id order, so each edge's members are ascending dense ids and
-// each node's incident edges are ascending edge indices; isolated universe
-// nodes are left out, since they constrain no class. Deletions only set the
-// dead marks: liveEdges and liveNodes drop dead entries lazily, compacting
-// a list in place the next time it is read, which keeps its order.
+// view is the live hypergraph a tester works on: its own copy of the
+// incidence index's lists — each edge's members as ascending node ids, each
+// node id's incident edges as ascending edge indices — plus dead marks.
+// Node ids no edge covers are dead from the start, since they constrain no
+// class. Deletions only set the dead marks: liveEdges and liveNodes drop
+// dead entries lazily, compacting a list in place the next time it is read,
+// which keeps its order.
 type view struct {
 	t        ticker
-	members  [][]int32 // edge -> ascending dense node ids
-	incident [][]int32 // dense node -> ascending edge indices
-	nodeOf   []int32   // dense node -> node id
-	deadV    []bool    // dense node
+	members  [][]int32 // edge -> ascending node ids
+	incident [][]int32 // node id -> ascending edge indices
+	deadV    []bool    // node id
 	deadE    []bool
 }
 
-// load builds the view of h, polling ctx on entry and per cancelStride
-// incidences. Members and incidences each fill one capped backing array.
-func load(ctx context.Context, h *hypergraph.Hypergraph) (*view, error) {
+// load copies the mutable parts of x into a fresh view, polling ctx on
+// entry and per cancelStride copied entries. Members and incidences each
+// fill one backing array.
+func load(ctx context.Context, x hypergraph.Incidence) (*view, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	covered := h.CoveredNodes()
-	w := &view{t: ticker{ctx: ctx}, nodeOf: make([]int32, 0, covered.Len())}
-	m := h.NumEdges()
-	dense := make([]int32, h.Universe())
-	covered.ForEach(func(id int) {
-		dense[id] = int32(len(w.nodeOf))
-		w.nodeOf = append(w.nodeOf, int32(id))
-	})
-	n := len(w.nodeOf)
-	size := 0
-	for e := 0; e < m; e++ {
-		size += h.EdgeView(e).Len()
+	w := &view{t: ticker{ctx: ctx}, deadV: make([]bool, x.Universe()), deadE: make([]bool, x.NumEdges())}
+	var err error
+	if w.members, err = w.copyLists(x.NumEdges(), x.Size(), x.Members); err != nil {
+		return nil, err
 	}
+	if w.incident, err = w.copyLists(x.Universe(), x.Size(), x.Edges); err != nil {
+		return nil, err
+	}
+	for v, inc := range w.incident {
+		w.deadV[v] = len(inc) == 0
+	}
+	return w, nil
+}
+
+// copyLists copies lists 0..k-1 of one kind into one backing array of
+// size entries, capping each copy so a compaction stays inside its list.
+func (w *view) copyLists(k, size int, list func(int) []int32) ([][]int32, error) {
+	out := make([][]int32, k)
 	flat := make([]int32, 0, size)
-	deg := make([]int32, n)
-	w.members = make([][]int32, m)
-	for e := 0; e < m; e++ {
+	for i := range out {
 		start := len(flat)
-		h.EdgeView(e).ForEach(func(id int) {
-			flat = append(flat, dense[id])
-			deg[dense[id]]++
-		})
-		w.members[e] = flat[start:len(flat):len(flat)]
+		flat = append(flat, list(i)...)
+		out[i] = flat[start:len(flat):len(flat)]
 		if err := w.t.tick(len(flat) - start); err != nil {
 			return nil, err
 		}
 	}
-	inc := make([]int32, size)
-	w.incident = make([][]int32, n)
-	off := 0
-	for v, d := range deg {
-		w.incident[v] = inc[off : off : off+int(d)]
-		off += int(d)
-	}
-	for e, mem := range w.members {
-		for _, v := range mem {
-			w.incident[v] = append(w.incident[v], int32(e))
-		}
-	}
-	w.deadV = make([]bool, n)
-	w.deadE = make([]bool, m)
-	return w, nil
+	return out, nil
 }
 
 // liveEdges compacts v's incidence list in place, dropping dead edges, and
@@ -97,12 +84,13 @@ func (w *view) liveNodes(e int32) []int32 {
 	return mem
 }
 
-// liveIDs lists the live nodes' ids in id order, nil when none is live.
+// liveIDs lists the live node ids in ascending order, nil when none is
+// live.
 func (w *view) liveIDs() []int32 {
 	var ids []int32
 	for v, dead := range w.deadV {
 		if !dead {
-			ids = append(ids, w.nodeOf[v])
+			ids = append(ids, int32(v))
 		}
 	}
 	return ids

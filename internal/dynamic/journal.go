@@ -188,21 +188,11 @@ func RestoreWorkspace(st *State, opts ...Option) (*Workspace, error) {
 			dead++
 			continue
 		}
-		if len(es.Nodes) == 0 {
-			return nil, fmt.Errorf("dynamic: restore: alive slot %d has no nodes", slot)
+		ids, digest, err := ws.intake(es.Nodes, nil)
+		if err != nil {
+			return nil, fmt.Errorf("dynamic: restore: alive slot %d: %w", slot, err)
 		}
-		names := append([]string(nil), es.Nodes...)
-		sort.Strings(names)
-		names = dedupStrings(names)
-		ids := make([]int32, len(names))
-		for i, n := range names {
-			if n == "" {
-				return nil, fmt.Errorf("dynamic: restore: alive slot %d has an empty node name", slot)
-			}
-			ids[i] = int32(ws.intern(n))
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		ws.edges[slot] = wedge{ids: ids, gen: es.Gen, alive: true, digest: ws.edgeDigest(names)}
+		ws.edges[slot] = wedge{ids: ids, gen: es.Gen, alive: true, digest: digest}
 		ws.alive++
 		for _, nid := range ids {
 			ws.inc[nid] = append(ws.inc[nid], int32(slot))

@@ -35,9 +35,16 @@
 // the hypergraph New would build over the alive edges, down to node ids and
 // fingerprints, at the cost of one pass over the nodes and edges. It shares
 // no storage with the workspace and is cached until the next edit.
+//
+// The snapshot and every component settle lay out an edge one way
+// (layout): its node ids are mapped through a name-order rank and the run
+// is sorted. The snapshot ranks by the workspace-wide name order; a settle
+// numbers only its component's nodes, with one name sort over those, so a
+// settle costs the dirty component and never the workspace.
 package dynamic
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"slices"
@@ -74,6 +81,7 @@ type Workspace struct {
 	inc      [][]int32 // node id -> alive edge ids containing it (unordered)
 	freeNode []int32   // departed node ids available for reuse
 	order    nameOrder // current node ids in name order, for the snapshot
+	compRank []int32   // node id -> position in the settling component's name order; -1 outside recompute
 
 	edges    []wedge // edge slot -> record; dead slots are reused (see wedge.gen)
 	freeEdge []int32 // dead edge slots available for reuse
@@ -251,40 +259,27 @@ func (ws *Workspace) EdgeNodes(id int) ([]string, error) {
 func (ws *Workspace) AddEdge(nodes ...string) (int, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	if len(nodes) == 0 {
-		return 0, errors.New("repro: AddEdge requires at least one node")
-	}
-	sorted := append([]string(nil), nodes...)
-	sort.Strings(sorted)
-	sorted = dedupStrings(sorted)
-	for _, n := range sorted {
-		if n == "" {
-			return 0, errors.New("repro: empty node name")
-		}
-	}
 	// Journal before apply: the record carries the id the allocator will
-	// issue (predicted without mutating it — nothing, interning included,
-	// may happen before the journal accepts the edit, so an append error
-	// leaves the workspace byte-identical to before the call).
-	if err := ws.journalAppend(JournalRecord{
-		Op:    JournalAddEdge,
-		Epoch: ws.epoch.Load() + 1,
-		Edge:  ws.peekEdgeID(),
-		Nodes: sorted,
-	}); err != nil {
+	// issue (predicted without mutating it — intake interns nothing before
+	// the journal accepts the edit, so an append error leaves the workspace
+	// byte-identical to before the call).
+	ids, digest, err := ws.intake(nodes, func(names []string) error {
+		return ws.journalAppend(JournalRecord{
+			Op:    JournalAddEdge,
+			Epoch: ws.epoch.Load() + 1,
+			Edge:  ws.peekEdgeID(),
+			Nodes: names,
+		})
+	})
+	if err != nil {
 		return 0, err
 	}
-	ids := make([]int32, len(sorted))
-	for i, n := range sorted {
-		ids[i] = int32(ws.intern(n))
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 
 	// Resolve the receiving component: none of the nodes covered -> a new
 	// component; one component touched -> that one; several -> merge.
 	var touched []int32
 	for _, nid := range ids {
-		if c := ws.nodeComp[nid]; c >= 0 && !containsComp(touched, c) {
+		if c := ws.nodeComp[nid]; c >= 0 && !slices.Contains(touched, c) {
 			touched = append(touched, c)
 		}
 	}
@@ -300,7 +295,6 @@ func (ws *Workspace) AddEdge(nodes ...string) (int, error) {
 	}
 
 	c := ws.comps[cid]
-	digest := ws.edgeDigest(sorted)
 	var slot int
 	if n := len(ws.freeEdge); n > 0 {
 		slot = int(ws.freeEdge[n-1])
@@ -510,8 +504,38 @@ func (ws *Workspace) intern(name string) int {
 	ws.inc = append(ws.inc, nil)
 	ws.nodeComp = append(ws.nodeComp, -1)
 	ws.order.mark = append(ws.order.mark, false)
+	ws.compRank = append(ws.compRank, -1)
 	ws.order.touch(int32(id))
 	return id
+}
+
+// intake is the one way an edge's node names enter the workspace, for
+// AddEdge and RestoreWorkspace alike: a copy of them is sorted,
+// deduplicated and checked (at least one name, none empty), offered to
+// accept when one is given — before anything is interned, so a refusal
+// leaves the workspace untouched — and interned. It returns the edge's
+// ascending node ids and its canonical digest.
+func (ws *Workspace) intake(nodes []string, accept func(names []string) error) ([]int32, hypergraph.Fingerprint128, error) {
+	if len(nodes) == 0 {
+		return nil, hypergraph.Fingerprint128{}, errors.New("repro: AddEdge requires at least one node")
+	}
+	names := slices.Clone(nodes)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	if names[0] == "" {
+		return nil, hypergraph.Fingerprint128{}, errors.New("repro: empty node name")
+	}
+	if accept != nil {
+		if err := accept(names); err != nil {
+			return nil, hypergraph.Fingerprint128{}, err
+		}
+	}
+	ids := make([]int32, len(names))
+	for i, n := range names {
+		ids[i] = int32(ws.intern(n))
+	}
+	slices.Sort(ids)
+	return ids, ws.edgeDigest(names), nil
 }
 
 // edgeDigest folds one edge's canonical (name-sorted) content, in the
@@ -555,15 +579,6 @@ func (ws *Workspace) numComps() int {
 		}
 	}
 	return n
-}
-
-func containsComp(list []int32, c int32) bool {
-	for _, x := range list {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }
 
 // newComp allocates a fresh (dirty, unsettled) component.
@@ -730,10 +745,15 @@ func (ws *Workspace) settleLocked(ctx context.Context) error {
 
 // recompute derives a component's verdict and canonical join-tree fragment,
 // through the engine's component-granular memo when one is attached. The
-// canonical edge order — members sorted by their name-sorted node lists —
-// is content-determined, so the memoized fragment is portable across
-// workspaces holding the same component. A cancelled search reports the
-// context error and leaves the component untouched (and uninterned).
+// component's distinct nodes are numbered in name order (one name sort over
+// those nodes only, never the workspace's), each member is laid out in that
+// numbering, and the members are sorted by their runs, duplicates by edge
+// id. Runs compare as the members' name-sorted node lists do, so the
+// canonical order is content-determined and the memoized fragment portable
+// across workspaces holding the same component, whatever their node ids. On
+// a miss the runs are the component's hypergraph as they stand. A cancelled
+// search reports the context error and leaves the component untouched (and
+// uninterned).
 func (ws *Workspace) recompute(ctx context.Context, c *component) error {
 	ctx, csp := obs.StartSpan(ctx, "dynamic.component")
 	defer csp.End()
@@ -743,18 +763,60 @@ func (ws *Workspace) recompute(ctx context.Context, c *component) error {
 		csp.SetAttr("error", err.Error())
 		return err
 	}
-	members := make([]int, 0, len(c.edges))
+	type member struct {
+		eid int
+		run []int32
+	}
+	members := make([]member, 0, len(c.edges))
+	var nodes []int32 // the component's nodes, each once
+	size := 0
 	for eid := range c.edges {
-		members = append(members, eid)
+		ids := ws.edges[eid].ids
+		members = append(members, member{eid: eid})
+		size += len(ids)
+		for _, nid := range ids {
+			if ws.compRank[nid] < 0 {
+				ws.compRank[nid] = 0
+				nodes = append(nodes, nid)
+			}
+		}
 	}
 	csp.SetInt("members", int64(len(members)))
-	keys := make([][]string, len(members))
-	for i, eid := range members {
-		keys[i] = ws.sortedNames(ws.edges[eid].ids)
+	slices.SortFunc(nodes, func(a, b int32) int { return strings.Compare(ws.names[a], ws.names[b]) })
+	for r, nid := range nodes {
+		ws.compRank[nid] = int32(r)
 	}
-	sort.Sort(&byNameSeq{members: members, keys: keys})
+	buf := make([]int32, 0, size)
+	for i := range members {
+		buf, members[i].run = layout(buf, ws.edges[members[i].eid].ids, ws.compRank)
+	}
+	for _, nid := range nodes {
+		ws.compRank[nid] = -1
+	}
+	slices.SortFunc(members, func(a, b member) int {
+		if c := slices.Compare(a.run, b.run); c != 0 {
+			return c
+		}
+		// Duplicate-content edges tie-break by edge id: the canonical order —
+		// and with it the memoized fragment's position space — must be a pure
+		// function of the component, not of map iteration order.
+		return cmp.Compare(a.eid, b.eid)
+	})
 
-	build := func() (engine.ComponentAnalysis, error) { return analyzeMembers(ctx, keys) }
+	order, runs := make([]int, len(members)), make([][]int32, len(members))
+	for i, m := range members {
+		order[i], runs[i] = m.eid, m.run
+	}
+
+	// A miss runs the maximum cardinality search over the runs as they
+	// stand; the memo record is the verdict plus parent links over order.
+	build := func() (engine.ComponentAnalysis, error) {
+		r, err := mcs.RunCtx(ctx, hypergraph.FromIDs(len(nodes), runs))
+		if err != nil || !r.Acyclic {
+			return engine.ComponentAnalysis{}, err
+		}
+		return engine.ComponentAnalysis{Acyclic: true, Parent: r.Parent}, nil
+	}
 	var res engine.ComponentAnalysis
 	var err error
 	if ws.eng != nil {
@@ -770,61 +832,29 @@ func (ws *Workspace) recompute(ctx context.Context, c *component) error {
 	}
 	c.acyclic = res.Acyclic
 	c.parent = res.Parent
-	c.order = members
+	c.order = order
 	return nil
 }
 
-// analyzeMembers runs the maximum cardinality search over one component,
-// given its edges as canonical name lists in canonical order, and returns
-// the memo record: verdict plus parent links over that order.
-func analyzeMembers(ctx context.Context, keys [][]string) (engine.ComponentAnalysis, error) {
-	b := hypergraph.NewBuilder()
-	for _, names := range keys {
-		b.Edge(names...)
+// layout appends an edge's node ids to buf, mapped through a name-order
+// rank and sorted, and returns the grown buffer and the edge's run: the one
+// way the workspace lays out an edge. The snapshot ranks by the global name
+// order, a settle by its component's own.
+func layout(buf, ids, rank []int32) (grown, run []int32) {
+	n := len(buf)
+	for _, nid := range ids {
+		buf = append(buf, rank[nid])
 	}
-	r, err := mcs.RunCtx(ctx, b.MustBuild())
-	if err != nil {
-		return engine.ComponentAnalysis{}, err
-	}
-	if !r.Acyclic {
-		return engine.ComponentAnalysis{}, nil
-	}
-	return engine.ComponentAnalysis{Acyclic: true, Parent: r.Parent}, nil
-}
-
-// byNameSeq sorts component members by their canonical name sequences,
-// keeping the parallel key slice aligned.
-type byNameSeq struct {
-	members []int
-	keys    [][]string
-}
-
-func (s *byNameSeq) Len() int { return len(s.members) }
-func (s *byNameSeq) Swap(i, j int) {
-	s.members[i], s.members[j] = s.members[j], s.members[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-func (s *byNameSeq) Less(i, j int) bool {
-	a, b := s.keys[i], s.keys[j]
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	// Duplicate-content edges tie-break by edge id: the canonical order —
-	// and with it the memoized fragment's position space — must be a pure
-	// function of the component, not of map iteration order.
-	return s.members[i] < s.members[j]
+	run = buf[n:len(buf):len(buf)]
+	slices.Sort(run)
+	return buf, run
 }
 
 // snapshotLocked materializes (and caches) the current epoch's hypergraph.
 // The snapshot is built from ids: node k is the k-th current node in name
-// order, and each alive edge, in slot order, maps its ids to those
-// positions — the hypergraph a name Builder over the alive edges would
-// build, sorting only the names touched since the last snapshot.
+// order, and each alive edge, in slot order, is laid out through that rank
+// — the hypergraph a name Builder over the alive edges would build, sorting
+// only the names touched since the last snapshot.
 func (ws *Workspace) snapshotLocked() *hypergraph.Hypergraph {
 	if ws.snap == nil {
 		sorted, rank := ws.order.merge(ws.names, ws.nodeComp)
@@ -836,20 +866,14 @@ func (ws *Workspace) snapshotLocked() *hypergraph.Hypergraph {
 		for id := range ws.edges {
 			size += len(ws.edges[id].ids)
 		}
-		buf := make([]int32, size) // one backing array for every edge's ids
+		buf := make([]int32, 0, size) // one backing array for every edge's run
 		edges := make([][]int32, 0, ws.alive)
 		for id := range ws.edges {
-			w := &ws.edges[id]
-			if !w.alive {
-				continue
+			if w := &ws.edges[id]; w.alive {
+				var run []int32
+				buf, run = layout(buf, w.ids, rank)
+				edges = append(edges, run)
 			}
-			ids := buf[:len(w.ids):len(w.ids)]
-			buf = buf[len(w.ids):]
-			for i, nid := range w.ids {
-				ids[i] = rank[nid]
-			}
-			slices.Sort(ids)
-			edges = append(edges, ids)
 		}
 		ws.snap = hypergraph.FromSortedNames(names, edges)
 	}
@@ -951,14 +975,4 @@ func (o *nameOrder) merge(names []string, nodeComp []int32) (sorted, rank []int3
 		o.rank[id] = int32(r)
 	}
 	return o.sorted, o.rank
-}
-
-func dedupStrings(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
 }

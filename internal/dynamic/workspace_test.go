@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -139,6 +140,53 @@ func TestCrossWorkspaceMemoSharing(t *testing.T) {
 	}
 	if after.Components != base.Components {
 		t.Fatalf("no new component identity expected: %+v -> %+v", base, after)
+	}
+
+	// Reverse name order: single-node edges claim ids for F, E, …, A first
+	// and are removed once Fig. 1 covers those nodes, so this workspace's
+	// node ids run against name order. It must hit the entry a name-ordered
+	// workspace left, and the fragment it reads back must give the parent
+	// links a workspace without an engine computes on its own.
+	fig1 := [][]string{{"A", "B", "C"}, {"C", "D", "E"}, {"A", "E", "F"}, {"A", "C", "E"}}
+	addAll := func(ws *Workspace, edges [][]string) []int {
+		var ids []int
+		for _, edge := range edges {
+			id, err := ws.AddEdge(edge...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	first := New(WithEngine(e))
+	addAll(first, fig1)
+	first.Analysis()
+	base = e.Stats()
+	rev := New(WithEngine(e))
+	claims := addAll(rev, [][]string{{"F"}, {"E"}, {"D"}, {"C"}, {"B"}, {"A"}})
+	addAll(rev, fig1)
+	for _, id := range claims {
+		if err := rev.RemoveEdge(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := rev.Analysis().Parent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after = e.Stats()
+	if after.Hits <= base.Hits || after.Components != base.Components {
+		t.Fatalf("reverse-interned Fig. 1 must hit the name-ordered entry: %+v -> %+v", base, after)
+	}
+	alone := New()
+	addAll(alone, fig1)
+	want, err := alone.Analysis().Parent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("reverse-interned Fig. 1 parent %v, a workspace without an engine %v", got, want)
 	}
 }
 

@@ -1,8 +1,9 @@
 package spectrum
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/hypergraph"
 )
@@ -96,7 +97,7 @@ func (st *betaState) isNestPoint(v int32) (bool, error) {
 	if len(live) <= 1 {
 		return true, nil
 	}
-	sort.Slice(live, func(i, j int) bool { return st.edgeLen[live[i]] < st.edgeLen[live[j]] })
+	slices.SortFunc(live, func(a, b int32) int { return cmp.Compare(st.edgeLen[a], st.edgeLen[b]) })
 	for i := 0; i+1 < len(live); i++ {
 		ok, err := st.subset(live[i], live[i+1])
 		if err != nil || !ok {

@@ -10,15 +10,14 @@
 //	hgserved [-addr host:port] [-grace 5s] [-inflight 64]
 //	         [-rate 50] [-burst 25] [-timeout 2s] [-max-timeout 10s]
 //	         [-digest-seed S]
-//	         [-data dir] [-snap-every N] [-data-sync] [-resp-cache N]
+//	         [-data dir] [-snap-every N] [-data-sync]
 //
 // With -data, workspace sessions are durable: every acknowledged edit is
 // journaled to a per-session WAL under the directory before it takes
 // effect, sessions found there are recovered on boot, and shutdown flushes
 // a final snapshot per dirty session. -snap-every tunes how many WAL
-// records trigger a background compaction, -data-sync fsyncs the WAL on
-// every edit (power-failure durability at a latency cost), and -resp-cache
-// sizes the epoch-keyed response cache for workspace query bodies. Inspect
+// records trigger a background compaction, and -data-sync fsyncs the WAL
+// on every edit (power-failure durability at a latency cost). Inspect
 // session directories offline with `hgtool ws`.
 //
 // The process exits on SIGINT/SIGTERM after draining in-flight requests

@@ -441,15 +441,22 @@
 //	                                    {"changed": bool, "epoch": M}; the
 //	                                    deadline answers changed=false, so
 //	                                    pollers re-arm on any 200
-//	POST .../query response cache       jointree/fullreducer/classification
-//	                                    bodies are cached under id@epoch:op
-//	                                    keys (-resp-cache, default 256
-//	                                    entries); edits move the epoch, so
-//	                                    hits can never serve stale state
+//	POST .../query reply memo           each session keeps the jointree,
+//	                                    fullreducer and classification
+//	                                    bodies of the newest epoch it
+//	                                    answered (at most three); an edit
+//	                                    moves the epoch, so a hit can never
+//	                                    serve stale state, and a query that
+//	                                    pins no epoch is answered again on
+//	                                    a fresh handle when an edit lands
+//	                                    mid-reply
 //
 // Shutdown flushes a final snapshot per dirty session (Drain reports
 // per-session outcomes); store_* and server_respcache_* metrics are on
-// /metricsz.
+// /metricsz. store_wal_bytes and store_snapshot_bytes are the summed file
+// sizes of the open sessions (a closed session leaves them), and
+// server_respcache_hits_total/_misses_total count one hit or one miss per
+// memoized query.
 //
 // # Observability
 //

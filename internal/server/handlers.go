@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/dynamic"
 	"repro/internal/exec"
@@ -282,9 +283,66 @@ func replyRows(t *exec.Table) [][]string {
 
 // Workspace sessions. POST /v1/workspaces creates one (optionally seeded
 // with a schema); the id routes edits and epoch-pinned queries to it. The
-// registry is never pruned — sessions live until the process exits, which
-// matches the tool's interactive-session lifetime; a production deployment
-// would put an idle TTL here.
+// registry holds one session record per id and is never pruned — sessions
+// live until the process exits, which matches the tool's
+// interactive-session lifetime; a delete path or an idle TTL would drop the
+// record, and with it the workspace, its durable backing and its memo.
+
+// Query-memo metrics, visible on /metricsz: one hit or one miss per query
+// of a memoized op.
+var (
+	respCacheHits   = obs.C("server_respcache_hits_total")
+	respCacheMisses = obs.C("server_respcache_misses_total")
+)
+
+// memoOps are the query ops whose reply a session memoizes: bodies that are
+// a pure function of the workspace at one epoch and cost real work to
+// build. "verdict" is a two-field body, cheaper to build than to look up;
+// "snapshot" bodies can be arbitrarily large relative to their reuse.
+var memoOps = [...]string{"jointree", "fullreducer", "classification"}
+
+// session is one workspace session: the workspace, its durable backing (nil
+// when memory-only) and the memoized reply bytes of the newest epoch it
+// answered, one slot per memoOps entry. A query answers only the current
+// epoch, so bodies of an older one are never read again: a newer epoch's
+// first body clears them, and an older handle's body never replaces a
+// newer epoch's. Bodies are written to the wire verbatim — the jointree
+// body as jointreeJSON appended it, the others as json.Marshal made them.
+type session struct {
+	ws    *dynamic.Workspace
+	store *store.Session
+
+	mu     sync.Mutex // guards epoch and bodies
+	epoch  uint64
+	bodies [len(memoOps)]json.RawMessage
+}
+
+// memo returns the body memoized for slot at epoch, or nil.
+func (sn *session) memo(epoch uint64, slot int) json.RawMessage {
+	if slot < 0 {
+		return nil
+	}
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	if epoch != sn.epoch {
+		return nil
+	}
+	return sn.bodies[slot]
+}
+
+// remember memoizes body for slot at epoch, unless the session already
+// holds a newer epoch's bodies.
+func (sn *session) remember(epoch uint64, slot int, body json.RawMessage) {
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	switch {
+	case epoch < sn.epoch:
+		return
+	case epoch > sn.epoch:
+		sn.epoch, sn.bodies = epoch, [len(memoOps)]json.RawMessage{}
+	}
+	sn.bodies[slot] = body
+}
 
 func (s *Server) handleWorkspaceCreate(r *http.Request) (any, error) {
 	// An empty body is a valid "empty workspace" request; anything else
@@ -308,35 +366,31 @@ func (s *Server) handleWorkspaceCreate(r *http.Request) (any, error) {
 	id := fmt.Sprintf("ws-%d", s.nextWS)
 	s.mu.Unlock()
 
-	var ws *dynamic.Workspace
-	var sess *store.Session
+	rec := &session{}
 	if s.cfg.DataDir != "" {
-		sess, ws, err = store.Create(filepath.Join(s.cfg.DataDir, id), s.storeOptions(), s.wsOptions()...)
+		rec.store, rec.ws, err = store.Create(filepath.Join(s.cfg.DataDir, id), s.storeOptions(), s.wsOptions()...)
 		if err != nil {
 			return nil, fmt.Errorf("create session %s: %w", id, err)
 		}
 	} else {
-		ws = dynamic.New(s.wsOptions()...)
+		rec.ws = dynamic.New(s.wsOptions()...)
 	}
 	if seed != nil {
 		// Seed edges ride the normal edit path so durable sessions journal
 		// them; an in-memory NewFrom would bypass the WAL.
-		if err := seedWorkspace(ws, seed); err != nil {
-			if sess != nil {
-				sess.Close()
-				os.RemoveAll(sess.Dir())
+		if err := seedWorkspace(rec.ws, seed); err != nil {
+			if rec.store != nil {
+				rec.store.Close()
+				os.RemoveAll(rec.store.Dir())
 			}
 			return nil, &errBadRequest{err: err}
 		}
 	}
 
 	s.mu.Lock()
-	s.spaces[id] = ws
-	if sess != nil {
-		s.sessions[id] = sess
-	}
+	s.spaces[id] = rec
 	s.mu.Unlock()
-	return map[string]any{"id": id, "epoch": ws.Epoch()}, nil
+	return map[string]any{"id": id, "epoch": rec.ws.Epoch()}, nil
 }
 
 // seedWorkspace replays a parsed schema into a fresh workspace edge by edge.
@@ -349,23 +403,24 @@ func seedWorkspace(ws *dynamic.Workspace, h *hypergraph.Hypergraph) error {
 	return nil
 }
 
-func (s *Server) workspace(r *http.Request) (*dynamic.Workspace, error) {
+// workspace returns the session the request's {id} names.
+func (s *Server) workspace(r *http.Request) (*session, error) {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	ws := s.spaces[id]
+	rec := s.spaces[id]
 	s.mu.Unlock()
-	if ws == nil {
+	if rec == nil {
 		return nil, fmt.Errorf("%w: %q", errUnknownWorkspace, id)
 	}
-	return ws, nil
+	return rec, nil
 }
 
 func (s *Server) handleWorkspaceGet(r *http.Request) (any, error) {
-	ws, err := s.workspace(r)
+	rec, err := s.workspace(r)
 	if err != nil {
 		return nil, err
 	}
-	a, err := ws.AnalysisCtx(r.Context())
+	a, err := rec.ws.AnalysisCtx(r.Context())
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +438,7 @@ type addEdgeRequest struct {
 }
 
 func (s *Server) handleAddEdge(r *http.Request) (any, error) {
-	ws, err := s.workspace(r)
+	rec, err := s.workspace(r)
 	if err != nil {
 		return nil, err
 	}
@@ -391,16 +446,16 @@ func (s *Server) handleAddEdge(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	id, err := ws.AddEdge(req.Nodes...)
+	id, err := rec.ws.AddEdge(req.Nodes...)
 	if err != nil {
 		// AddEdge only fails validation (no nodes, empty names): client error.
 		return nil, &errBadRequest{err: err}
 	}
-	return map[string]any{"edge": id, "epoch": ws.Epoch()}, nil
+	return map[string]any{"edge": id, "epoch": rec.ws.Epoch()}, nil
 }
 
 func (s *Server) handleRemoveEdge(r *http.Request) (any, error) {
-	ws, err := s.workspace(r)
+	rec, err := s.workspace(r)
 	if err != nil {
 		return nil, err
 	}
@@ -408,10 +463,10 @@ func (s *Server) handleRemoveEdge(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, &errBadRequest{err: fmt.Errorf("edge id %q is not a number", r.PathValue("edge"))}
 	}
-	if err := ws.RemoveEdge(eid); err != nil {
+	if err := rec.ws.RemoveEdge(eid); err != nil {
 		return nil, err // *ErrUnknownEdge -> 404
 	}
-	return map[string]any{"epoch": ws.Epoch()}, nil
+	return map[string]any{"epoch": rec.ws.Epoch()}, nil
 }
 
 type renameRequest struct {
@@ -420,7 +475,7 @@ type renameRequest struct {
 }
 
 func (s *Server) handleRename(r *http.Request) (any, error) {
-	ws, err := s.workspace(r)
+	rec, err := s.workspace(r)
 	if err != nil {
 		return nil, err
 	}
@@ -431,10 +486,10 @@ func (s *Server) handleRename(r *http.Request) (any, error) {
 	if req.New == "" {
 		return nil, &errBadRequest{err: errors.New("rename target must be non-empty")}
 	}
-	if err := ws.RenameNode(req.Old, req.New); err != nil {
+	if err := rec.ws.RenameNode(req.Old, req.New); err != nil {
 		return nil, err // *ErrUnknownNode -> 400, *ErrNodeExists -> 409
 	}
-	return map[string]any{"epoch": ws.Epoch()}, nil
+	return map[string]any{"epoch": rec.ws.Epoch()}, nil
 }
 
 type queryRequest struct {
@@ -445,21 +500,14 @@ type queryRequest struct {
 	Epoch *uint64 `json:"epoch,omitempty"`
 }
 
-// cacheableOp reports whether a query op's JSON body may be served from the
-// epoch-keyed response cache: ops whose body is a pure function of the
-// workspace state at one epoch and costs real marshalling work. "verdict"
-// is a two-field body (cheaper to build than to look up); "snapshot" bodies
-// can be arbitrarily large relative to their hit rate.
-func cacheableOp(op string) bool {
-	switch op {
-	case "jointree", "fullreducer", "classification":
-		return true
-	}
-	return false
-}
-
+// handleQuery answers a query at the workspace's current epoch. An edit
+// that lands while the reply is built makes the handle stale: a pinned
+// query answers 409 "stale_epoch", an unpinned one is answered again on a
+// fresh handle until its deadline. A memoized op's body is built outside
+// the session's lock and memoized under the epoch it was built at, so a
+// hit can never serve stale state.
 func (s *Server) handleQuery(r *http.Request) (any, error) {
-	ws, err := s.workspace(r)
+	rec, err := s.workspace(r)
 	if err != nil {
 		return nil, err
 	}
@@ -467,37 +515,43 @@ func (s *Server) handleQuery(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	a, err := ws.AnalysisCtx(r.Context())
-	if err != nil {
-		return nil, err
-	}
-	if req.Epoch != nil && *req.Epoch != a.Epoch() {
-		return nil, &dynamic.ErrStaleEpoch{Handle: *req.Epoch, Current: a.Epoch()}
-	}
-
-	// Epoch-keyed body cache: the key pins the workspace id, the epoch the
-	// analysis handle answered at, and the op — an edit bumps the epoch, so
-	// a hit can never serve stale state.
-	var cacheKey string
-	if s.respCache != nil && cacheableOp(req.Op) {
-		cacheKey = fmt.Sprintf("%s@%d:%s", r.PathValue("id"), a.Epoch(), req.Op)
-		if body, ok := s.respCache.get(cacheKey); ok {
+	slot := slices.Index(memoOps[:], req.Op)
+	for {
+		a, err := rec.ws.AnalysisCtx(r.Context())
+		if err != nil {
+			return nil, err
+		}
+		if req.Epoch != nil && *req.Epoch != a.Epoch() {
+			return nil, &dynamic.ErrStaleEpoch{Handle: *req.Epoch, Current: a.Epoch()}
+		}
+		if body := rec.memo(a.Epoch(), slot); body != nil {
+			respCacheHits.Inc()
 			return body, nil
 		}
-	}
-
-	res, err := s.queryBody(r, a, req.Op)
-	if err != nil || cacheKey == "" {
-		return res, err
-	}
-	body, ok := res.(json.RawMessage) // already wire bytes: cached as they are
-	if !ok {
-		if body, err = json.Marshal(res); err != nil {
-			return res, nil // uncacheable body; serve it anyway
+		res, err := s.queryBody(r, a, req.Op)
+		var stale *dynamic.ErrStaleEpoch
+		if req.Epoch == nil && errors.As(err, &stale) {
+			if err := r.Context().Err(); err != nil {
+				return nil, err
+			}
+			continue
 		}
+		if slot < 0 {
+			return res, err
+		}
+		respCacheMisses.Inc()
+		if err != nil {
+			return nil, err
+		}
+		body, ok := res.(json.RawMessage) // already wire bytes: memoized as they are
+		if !ok {
+			if body, err = json.Marshal(res); err != nil {
+				return res, nil // unmarshallable body; serve it anyway
+			}
+		}
+		rec.remember(a.Epoch(), slot, body)
+		return body, nil
 	}
-	s.respCache.put(cacheKey, body)
-	return body, nil
 }
 
 // queryBody builds the response body for one query op against a settled
@@ -551,10 +605,11 @@ func (s *Server) queryBody(r *http.Request, a *dynamic.Analysis, op string) (any
 // timeout answers {"changed": false} so pollers distinguish "nothing
 // happened" from errors and immediately re-arm with the same cursor.
 func (s *Server) handleWatch(r *http.Request) (any, error) {
-	ws, err := s.workspace(r)
+	rec, err := s.workspace(r)
 	if err != nil {
 		return nil, err
 	}
+	ws := rec.ws
 	after := ws.Epoch()
 	if q := r.URL.Query().Get("after"); q != "" {
 		n, err := strconv.ParseUint(q, 10, 64)

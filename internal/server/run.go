@@ -58,7 +58,6 @@ func RunCLI(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	dataDir := fs.String("data", "", "durable session directory (empty: sessions are memory-only)")
 	snapEvery := fs.Int("snap-every", 0, "WAL records between background snapshots (0 = default 4096, negative disables)")
 	dataSync := fs.Bool("data-sync", false, "fsync the session WAL on every edit")
-	respCache := fs.Int("resp-cache", 0, "epoch-keyed response cache entries (0 = default 256, negative disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -73,7 +72,6 @@ func RunCLI(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		DataDir:            *dataDir,
 		SnapshotEvery:      *snapEvery,
 		SyncAppends:        *dataSync,
-		RespCacheEntries:   *respCache,
 		Trace:              *trace,
 		TraceSampleN:       *traceSample,
 		SlowTraceThreshold: *traceSlow,

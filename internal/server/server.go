@@ -100,9 +100,6 @@ type Config struct {
 	// acknowledged edit survives a process crash but not necessarily a
 	// whole-machine power failure.
 	SyncAppends bool
-	// RespCacheEntries bounds the epoch-keyed response cache for workspace
-	// query bodies (default 256; negative disables the cache).
-	RespCacheEntries int
 
 	// Trace turns span collection on for this process (obs.Enable). Off by
 	// default: the disabled instrumentation path costs one atomic load per
@@ -148,9 +145,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceRingCap <= 0 {
 		c.TraceRingCap = 64
 	}
-	if c.RespCacheEntries == 0 {
-		c.RespCacheEntries = 256
-	}
 	return c
 }
 
@@ -168,7 +162,7 @@ type Stats struct {
 }
 
 // Server is one service instance: a memoizing engine shared by all tenants,
-// a registry of mutable workspace sessions, and the admission machinery.
+// a registry of workspace sessions, and the admission machinery.
 // Construct with New; all methods are safe for concurrent use.
 type Server struct {
 	cfg    Config
@@ -182,12 +176,9 @@ type Server struct {
 	tracer *obs.Tracer   // per-request root spans (nil-safe when tracing is off)
 	prof   *obs.Profiler // slow-trace retention behind /tracez
 
-	mu       sync.Mutex
-	nextWS   int
-	spaces   map[string]*dynamic.Workspace
-	sessions map[string]*store.Session // durable backing per workspace (DataDir only)
-
-	respCache *respCache // epoch-keyed query bodies; nil when disabled
+	mu     sync.Mutex
+	nextWS int
+	spaces map[string]*session // workspace sessions by id
 
 	incidents atomic.Uint64
 	ring      incidentRing
@@ -236,18 +227,14 @@ func New(cfg Config, now func() time.Time) *Server {
 		obs.Enable()
 	}
 	s := &Server{
-		cfg:      cfg,
-		eng:      engine.New(opts...),
-		quota:    newQuotas(cfg.TenantRate, cfg.TenantBurst, now),
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		logger:   cfg.Logger,
-		tracer:   obs.NewTracer(cfg.TraceSampleN, 0, prof),
-		prof:     prof,
-		spaces:   make(map[string]*dynamic.Workspace),
-		sessions: make(map[string]*store.Session),
-	}
-	if cfg.RespCacheEntries > 0 {
-		s.respCache = newRespCache(cfg.RespCacheEntries)
+		cfg:    cfg,
+		eng:    engine.New(opts...),
+		quota:  newQuotas(cfg.TenantRate, cfg.TenantBurst, now),
+		sem:    make(chan struct{}, cfg.MaxInFlight),
+		logger: cfg.Logger,
+		tracer: obs.NewTracer(cfg.TraceSampleN, 0, prof),
+		prof:   prof,
+		spaces: make(map[string]*session),
 	}
 	if cfg.DataDir != "" {
 		s.recoverSessions()
@@ -268,7 +255,9 @@ func (s *Server) wsOptions() []dynamic.Option {
 
 // recoverSessions reopens every session directory under DataDir on boot. A
 // session that fails recovery is logged and skipped — its directory stays
-// on disk for `hgtool ws` inspection — and never blocks the others.
+// on disk for `hgtool ws` inspection — and never blocks the others. ws-N
+// creation resumes past the highest listed id, recovered or not, so a fresh
+// session never lands on a directory that is already there.
 func (s *Server) recoverSessions() {
 	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
 		if s.logger != nil {
@@ -284,21 +273,18 @@ func (s *Server) recoverSessions() {
 		return
 	}
 	for _, id := range names {
-		sess, ws, err := store.Open(filepath.Join(s.cfg.DataDir, id), s.storeOptions(), s.wsOptions()...)
+		var n int
+		if _, err := fmt.Sscanf(id, "ws-%d", &n); err == nil && n > s.nextWS {
+			s.nextWS = n
+		}
+		st, ws, err := store.Open(filepath.Join(s.cfg.DataDir, id), s.storeOptions(), s.wsOptions()...)
 		if err != nil {
 			if s.logger != nil {
 				s.logger.Printf("session %s: recovery failed, left on disk: %v", id, err)
 			}
 			continue
 		}
-		s.spaces[id] = ws
-		s.sessions[id] = sess
-		// Recovered ids stay authoritative: ws-N creation resumes past the
-		// highest one so fresh sessions never collide with a directory.
-		var n int
-		if _, err := fmt.Sscanf(id, "ws-%d", &n); err == nil && n > s.nextWS {
-			s.nextWS = n
-		}
+		s.spaces[id] = &session{ws: ws, store: st}
 		if s.logger != nil {
 			s.logger.Printf("session %s: recovered at epoch %d (%d edges)", id, ws.Epoch(), ws.NumEdges())
 		}
@@ -535,10 +521,10 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	var err error
 	if raw, ok := v.(json.RawMessage); ok {
-		// A response-cache body was marshalled once, already compact and
+		// A memoized query body was marshalled once, already compact and
 		// escaped as Encode would leave it: it goes out as it is, with the
-		// newline Encode ends a value with, written apart so the shared
-		// cached slice is never appended to.
+		// newline Encode ends a value with, written apart so the session's
+		// shared slice is never appended to.
 		if _, err = w.Write(raw); err == nil {
 			_, err = w.Write(newline)
 		}
@@ -634,20 +620,19 @@ func (s *Server) Drain(ctx context.Context) error {
 // the two. Safe to call repeatedly; sessions already clean just close.
 func (s *Server) FlushSessions() []FlushOutcome {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
+	ids := make([]string, 0, len(s.spaces))
+	for id, rec := range s.spaces {
+		if rec.store != nil {
+			ids = append(ids, id)
+		}
 	}
 	s.mu.Unlock()
 	sort.Strings(ids)
 	out := make([]FlushOutcome, 0, len(ids))
 	for _, id := range ids {
 		s.mu.Lock()
-		sess := s.sessions[id]
+		sess := s.spaces[id].store
 		s.mu.Unlock()
-		if sess == nil {
-			continue
-		}
 		o := FlushOutcome{ID: id, Epoch: sess.Epoch()}
 		func() {
 			// An injected panic at store.snapshot runs outside the request

@@ -571,6 +571,75 @@ func TestWorkspaceGetCountsMatchEpoch(t *testing.T) {
 	wg.Wait()
 }
 
+// TestUnpinnedQueryRacesEdits: a query that pins no epoch is answered at
+// whatever epoch is current, so an edit landing while its reply is built
+// must not surface as 409 "stale_epoch": one goroutine adds and removes an
+// edge while the test runs unpinned jointree, fullreducer and
+// classification queries, and every reply must be 200.
+func TestUnpinnedQueryRacesEdits(t *testing.T) {
+	s, _ := newTestServer(t, Config{TenantRate: 1e9, TenantBurst: 1 << 30}, nil)
+	h := s.Handler()
+	serve := func(method, path, body string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	if code, body := serve("POST", "/v1/workspaces", schemaBody(fig1Text)); code != http.StatusOK {
+		t.Fatalf("create: %d %s", code, body)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			code, body := serve("POST", "/v1/workspaces/ws-1/edges", `{"nodes":["p","q"]}`)
+			var added struct {
+				Edge int `json:"edge"`
+			}
+			if code != http.StatusOK || json.Unmarshal(body, &added) != nil {
+				t.Errorf("add: %d %s", code, body)
+				return
+			}
+			if code, body = serve("DELETE", fmt.Sprintf("/v1/workspaces/ws-1/edges/%d", added.Edge), ""); code != http.StatusOK {
+				t.Errorf("remove: %d %s", code, body)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	ops := []string{"jointree", "fullreducer", "classification"}
+	var first uint64
+	for i := 0; i < 3000; i++ {
+		op := ops[i%len(ops)]
+		code, body := serve("POST", "/v1/workspaces/ws-1/query", `{"op":"`+op+`"}`)
+		if code != http.StatusOK {
+			t.Fatalf("unpinned %s query %d: %d %s", op, i, code, body)
+		}
+		var reply struct {
+			Epoch uint64 `json:"epoch"`
+		}
+		if err := json.Unmarshal(body, &reply); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = reply.Epoch
+		} else if i == 2999 && reply.Epoch == first {
+			t.Fatal("no edit landed while the queries ran")
+		}
+	}
+}
+
 func TestGracefulDrain(t *testing.T) {
 	defer fault.Reset()
 	s, ts := newTestServer(t, Config{}, nil)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -174,6 +175,39 @@ func TestBootRecoverySessions(t *testing.T) {
 	// The recovered session keeps journaling: edit on server 2, recover cold.
 	addEdge(t, ts2, model, "ws-1", "H", "I")
 	assertRecovered(t, filepath.Join(dataDir, "ws-1"), model)
+}
+
+// TestBootSkipsQuarantinedSessionIDs: a session directory that fails
+// recovery stays on disk, and its id is still taken: boot over ws-1, ws-2
+// and a corrupt ws-3 must create ws-4 next, not collide with ws-3's
+// directory and answer 500.
+func TestBootSkipsQuarantinedSessionIDs(t *testing.T) {
+	dataDir := t.TempDir()
+	ts1 := newDurableServer(t, Config{DataDir: dataDir})
+	for i := 0; i < 3; i++ {
+		if resp, body := do(t, "POST", ts1.url+"/v1/workspaces", schemaBody("A B"), nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("create: %d %s", resp.StatusCode, body)
+		}
+	}
+	corrupt := filepath.Join(dataDir, "ws-3", store.WALFile)
+	if err := os.WriteFile(corrupt, []byte("not a session log"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ts2 := newDurableServer(t, Config{DataDir: dataDir})
+	if resp, _ := do(t, "GET", ts2.url+"/v1/workspaces/ws-3", "", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("corrupt ws-3 answered %d, want 404", resp.StatusCode)
+	}
+	resp, body := do(t, "POST", ts2.url+"/v1/workspaces", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("create after a quarantined session: %d %s", resp.StatusCode, body)
+	}
+	if got := jsonMap(t, body)["id"]; got != "ws-4" {
+		t.Errorf("create after a quarantined session: id %v, want ws-4", got)
+	}
+	if raw, err := os.ReadFile(corrupt); err != nil || string(raw) != "not a session log" {
+		t.Errorf("quarantined ws-3 log changed: %q, %v", raw, err)
+	}
 }
 
 // TestCrashMatrixRecovery injects every store fault kind at every store fault
@@ -402,9 +436,9 @@ func TestWatchLongPoll(t *testing.T) {
 }
 
 // TestCachedRepliesMatchEncoder: the jointree, fullreducer and
-// classification replies, written from the response cache on a miss and on
+// classification replies, written from the session's memo on a miss and on
 // a hit, are byte for byte what json.Encoder writes for the body they stand
-// for, and the cached bytes are what json.Marshal makes of it. The jointree
+// for, and the memoized bytes are what json.Marshal makes of it. The jointree
 // body is appended by hand from the handle's parent links; its reference
 // is the map built from the session's JoinTree, on an empty workspace, one
 // edge, one tree and a multi-root forest. On a cyclic workspace the
@@ -421,7 +455,8 @@ func TestCachedRepliesMatchEncoder(t *testing.T) {
 		t.Helper()
 		status, miss := query(id, op)
 		_, hit := query(id, op)
-		a, err := s.spaces[id].AnalysisCtx(context.Background())
+		rec := s.spaces[id]
+		a, err := rec.ws.AnalysisCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,9 +477,9 @@ func TestCachedRepliesMatchEncoder(t *testing.T) {
 		if status != http.StatusOK || !bytes.Equal(miss, want.Bytes()) || !bytes.Equal(hit, want.Bytes()) {
 			t.Fatalf("%s %s: [%d] miss %q, hit %q, encoder %q", id, op, status, miss, hit, want.Bytes())
 		}
-		cached, ok := s.respCache.get(fmt.Sprintf("%s@%d:%s", id, a.Epoch(), op))
-		if marshalled, _ := json.Marshal(res); !ok || !bytes.Equal(cached, marshalled) {
-			t.Fatalf("%s %s: cached %q (present %v), json.Marshal %q", id, op, cached, ok, marshalled)
+		cached := rec.memo(a.Epoch(), slices.Index(memoOps[:], op))
+		if marshalled, _ := json.Marshal(res); cached == nil || !bytes.Equal(cached, marshalled) {
+			t.Fatalf("%s %s: memoized %q, json.Marshal %q", id, op, cached, marshalled)
 		}
 	}
 
@@ -459,7 +494,7 @@ func TestCachedRepliesMatchEncoder(t *testing.T) {
 	}
 
 	do(t, "POST", ts.URL+"/v1/workspaces", schemaBody(triangleText), nil)
-	a, err := s.spaces["ws-5"].AnalysisCtx(context.Background())
+	a, err := s.spaces["ws-5"].ws.AnalysisCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +512,12 @@ func TestCachedRepliesMatchEncoder(t *testing.T) {
 	}
 }
 
-// TestRespCacheEpochKeyed: identical queries at one epoch hit the cache and
-// serve byte-identical bodies; an edit moves the epoch and misses; the entry
-// count respects the configured bound; the counters are on /metricsz.
+// TestRespCacheEpochKeyed: identical queries at one epoch hit the session's
+// memo and serve byte-identical bodies; an edit moves the epoch and misses;
+// after it the session holds only the new epoch's bodies, and a body built
+// on an older handle cannot replace them; the counters are on /metricsz.
 func TestRespCacheEpochKeyed(t *testing.T) {
-	ts := newDurableServer(t, Config{RespCacheEntries: 2})
+	ts := newDurableServer(t, Config{})
 	do(t, "POST", ts.url+"/v1/workspaces", schemaBody(fig1Text), nil)
 	query := func(op string) []byte {
 		b, _ := json.Marshal(map[string]string{"op": op})
@@ -492,6 +528,7 @@ func TestRespCacheEpochKeyed(t *testing.T) {
 		return body
 	}
 
+	query("classification") // an epoch-4 body the edit below must retire
 	hits0, misses0 := respCacheHits.Value(), respCacheMisses.Value()
 	first := query("jointree")
 	if got := respCacheMisses.Value() - misses0; got != 1 {
@@ -517,17 +554,37 @@ func TestRespCacheEpochKeyed(t *testing.T) {
 		t.Fatalf("post-edit query: %d misses total, want 2", got)
 	}
 
-	// Bound: three distinct keys through a 2-entry cache.
-	query("fullreducer")
-	if n := ts.s.respCache.len(); n > 2 {
-		t.Fatalf("cache holds %d entries, bound is 2", n)
+	// Only the new epoch's bodies are held: the pre-edit jointree and
+	// classification bodies are gone, the post-edit ones are the replies
+	// just served.
+	want := [len(memoOps)][]byte{third, query("fullreducer"), nil}
+	rec := ts.s.spaces["ws-1"]
+	rec.mu.Lock()
+	epoch, bodies := rec.epoch, rec.bodies
+	rec.mu.Unlock()
+	if epoch != 5 {
+		t.Fatalf("session memo at epoch %d, want 5", epoch)
+	}
+	for i, op := range memoOps {
+		if w := bytes.TrimSuffix(want[i], newline); !bytes.Equal(bodies[i], w) {
+			t.Fatalf("memoized %s at epoch 5: %q, want %q", op, bodies[i], w)
+		}
+	}
+
+	// A body built on an older handle never replaces the newer epoch's.
+	rec.remember(4, 0, first)
+	if got := rec.memo(5, 0); !bytes.Equal(got, bodies[0]) {
+		t.Fatalf("epoch-4 body replaced epoch 5's: %q", got)
+	}
+	if got := rec.memo(4, 0); got != nil {
+		t.Fatalf("epoch-4 lookup answered %q after epoch 5 was memoized", got)
 	}
 
 	// verdict is deliberately uncacheable: counters must not move.
 	h, ms := respCacheHits.Value(), respCacheMisses.Value()
 	query("verdict")
 	if respCacheHits.Value() != h || respCacheMisses.Value() != ms {
-		t.Fatal("verdict consulted the response cache")
+		t.Fatal("verdict consulted the session's memo")
 	}
 
 	resp, metrics := do(t, "GET", ts.url+"/metricsz", "", nil)

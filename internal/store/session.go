@@ -43,8 +43,10 @@ var (
 	recoverSeconds = obs.H("store_recover_seconds")
 	recoverTotal   = obs.C("store_recover_total")
 	tornTails      = obs.C("store_torn_tail_total")
-	snapshotBytes  = obs.G("store_snapshot_bytes")
-	walBytes       = obs.G("store_wal_bytes")
+	// The byte gauges sum the file sizes of every open session; a session
+	// leaves them when it closes.
+	snapshotBytes = obs.G("store_snapshot_bytes")
+	walBytes      = obs.G("store_wal_bytes")
 )
 
 // Session is one workspace's durable backing: the open WAL plus the
@@ -64,6 +66,7 @@ type Session struct {
 	mu         sync.Mutex // guards the WAL fd and counters below
 	wal        *os.File
 	walSize    int64 // current WAL length (our own offset authority)
+	snapSize   int64 // current snapshot file length; 0 before the first
 	walRecords int   // records past the last snapshot
 	snapEpoch  uint64
 	lastEpoch  uint64 // epoch of the most recent acknowledged record
@@ -100,7 +103,8 @@ func Create(dir string, opts Options, wsOpts ...dynamic.Option) (*Session, *dyna
 		return nil, nil, err
 	}
 	syncDir(dir)
-	s := &Session{dir: dir, opts: opts, wal: wal, walSize: magicLen}
+	s := &Session{dir: dir, opts: opts, wal: wal}
+	s.resizeLocked(magicLen, 0)
 	ws := dynamic.New(wsOpts...)
 	s.ws = ws
 	ws.SetJournal(s)
@@ -154,14 +158,14 @@ func Open(dir string, opts Options, wsOpts ...dynamic.Option) (*Session, *dynami
 
 	s := &Session{
 		dir: dir, opts: opts, wal: wal,
-		walSize: int64(r.walEnd), walRecords: r.records,
-		snapEpoch: r.snapEpoch, lastEpoch: ws.Epoch(),
+		walRecords: r.records,
+		snapEpoch:  r.snapEpoch, lastEpoch: ws.Epoch(),
 	}
+	s.resizeLocked(int64(r.walEnd), r.snapLen)
 	s.ws = ws
 	ws.SetJournal(s)
 	recoverTotal.Inc()
 	recoverSeconds.Observe(time.Since(start))
-	walBytes.Set(s.walSize)
 	return s, ws, nil
 }
 
@@ -173,6 +177,7 @@ type recovery struct {
 	torn      bool   // the WAL ended in a torn tail
 	walEnd    int    // length of the WAL's acknowledged prefix
 	walLen    int    // length of the WAL as found; 0 when it is missing
+	snapLen   int64  // length of the snapshot file; 0 when it is missing
 }
 
 // recoverDir rebuilds a session directory's workspace without writing to
@@ -186,7 +191,7 @@ func recoverDir(ctx context.Context, dir string, wsOpts ...dynamic.Option) (reco
 	if err := fault.HitCtx(ctx, fault.StoreRecover); err != nil {
 		return r, err
 	}
-	st, err := readSnapshotFile(filepath.Join(dir, SnapshotFile))
+	st, snapLen, err := readSnapshotFile(filepath.Join(dir, SnapshotFile))
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		r.ws = dynamic.New(wsOpts...)
@@ -196,7 +201,7 @@ func recoverDir(ctx context.Context, dir string, wsOpts ...dynamic.Option) (reco
 		if r.ws, err = dynamic.RestoreWorkspace(st, wsOpts...); err != nil {
 			return r, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		r.snapEpoch = st.Epoch
+		r.snapEpoch, r.snapLen = st.Epoch, snapLen
 	}
 
 	path := filepath.Join(dir, WALFile)
@@ -328,10 +333,9 @@ func (s *Session) Append(rec dynamic.JournalRecord) error {
 			return s.failed
 		}
 	}
-	s.walSize += int64(len(frame))
+	s.resizeLocked(s.walSize+int64(len(frame)), s.snapSize)
 	s.walRecords++
 	s.lastEpoch = rec.Epoch
-	walBytes.Set(s.walSize)
 	appendSeconds.Observe(time.Since(start))
 
 	if every := s.snapshotEveryLocked(); every > 0 && s.walRecords >= every && s.compacting.CompareAndSwap(false, true) {
@@ -407,7 +411,6 @@ func (s *Session) Compact() error {
 		sp.SetAttr("error", err.Error())
 		return err
 	}
-	snapshotBytes.Set(size)
 	sp.SetInt("snapshotBytes", size)
 	sp.SetInt("epoch", int64(st.Epoch))
 
@@ -415,6 +418,7 @@ func (s *Session) Compact() error {
 	// s.mu so no append interleaves with the swap.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.resizeLocked(s.walSize, size)
 	if s.failed != nil {
 		return s.failed
 	}
@@ -473,10 +477,21 @@ func (s *Session) rewriteWALLocked(epoch uint64) error {
 	}
 	s.wal.Close()
 	s.wal = f
-	s.walSize = int64(len(out))
+	s.resizeLocked(int64(len(out)), s.snapSize)
 	s.walRecords = kept
-	walBytes.Set(s.walSize)
 	return nil
+}
+
+// resizeLocked records the session's new WAL and snapshot sizes and moves
+// the store's byte gauges by the change; a closed session, whose bytes
+// Close already took out of the gauges, moves them no more. Called with
+// s.mu held, or before the session is shared.
+func (s *Session) resizeLocked(wal, snap int64) {
+	if !s.closed {
+		walBytes.Add(wal - s.walSize)
+		snapshotBytes.Add(snap - s.snapSize)
+	}
+	s.walSize, s.snapSize = wal, snap
 }
 
 // Close releases the WAL file handle. It does not flush a final snapshot —
@@ -490,7 +505,10 @@ func (s *Session) Close() error {
 		return nil
 	}
 	// No compaction starts past this point: Append refuses a closed
-	// session before it can cross the threshold.
+	// session before it can cross the threshold. Its bytes leave the
+	// gauges now; the files' sizes stay recorded.
+	walBytes.Add(-s.walSize)
+	snapshotBytes.Add(-s.snapSize)
 	s.closed = true
 	s.mu.Unlock()
 	s.bg.Wait() // the compaction takes s.mu to swap the WAL, so wait unlocked

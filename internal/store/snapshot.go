@@ -150,24 +150,26 @@ func writeSnapshotFile(path string, st *dynamic.State) (int64, error) {
 	return int64(len(buf)), nil
 }
 
-// readSnapshotFile loads and validates a snapshot file. A missing file is
-// reported as os.ErrNotExist (a fresh session, not an error).
-func readSnapshotFile(path string) (*dynamic.State, error) {
+// readSnapshotFile loads and validates a snapshot file, returning the state
+// and the file's size in bytes. A missing file is reported as
+// os.ErrNotExist (a fresh session, not an error).
+func readSnapshotFile(path string) (*dynamic.State, int64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(raw) < magicLen || string(raw[:magicLen]) != snapMagic {
-		return nil, fmt.Errorf("%w: bad snapshot magic in %s", ErrCorrupt, path)
+		return nil, 0, fmt.Errorf("%w: bad snapshot magic in %s", ErrCorrupt, path)
 	}
 	payload, size, err := parseFrame(raw[magicLen:])
 	if err != nil {
-		return nil, fmt.Errorf("%w: snapshot frame in %s does not parse", ErrCorrupt, path)
+		return nil, 0, fmt.Errorf("%w: snapshot frame in %s does not parse", ErrCorrupt, path)
 	}
 	if magicLen+size != len(raw) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot frame in %s", ErrCorrupt, len(raw)-magicLen-size, path)
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes after snapshot frame in %s", ErrCorrupt, len(raw)-magicLen-size, path)
 	}
-	return decodeSnapshot(payload)
+	st, err := decodeSnapshot(payload)
+	return st, int64(len(raw)), err
 }
 
 // writeFileAtomic replaces path with data: write path+".tmp", fsync,

@@ -826,3 +826,76 @@ func TestListSessions(t *testing.T) {
 		t.Fatalf("missing data dir: %v, %v", got, err)
 	}
 }
+
+// TestByteGaugesSumOpenSessions: store_wal_bytes and store_snapshot_bytes
+// are sums over the open sessions' files, whichever session wrote last: two
+// sessions of different sizes both count, a compaction moves the gauges by
+// its own change, a recovered session adds its files, and a closed one
+// leaves them.
+func TestByteGaugesSumOpenSessions(t *testing.T) {
+	wal0, snap0 := walBytes.Value(), snapshotBytes.Value()
+	size := func(dir, name string) int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if errors.Is(err, os.ErrNotExist) {
+			return 0
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	check := func(step string, dirs ...string) {
+		t.Helper()
+		var wal, snap int64
+		for _, d := range dirs {
+			wal += size(d, WALFile)
+			snap += size(d, SnapshotFile)
+		}
+		if got := walBytes.Value() - wal0; got != wal {
+			t.Errorf("%s: store_wal_bytes moved %d, open sessions' logs hold %d", step, got, wal)
+		}
+		if got := snapshotBytes.Value() - snap0; got != snap {
+			t.Errorf("%s: store_snapshot_bytes moved %d, open sessions' snapshots hold %d", step, got, snap)
+		}
+	}
+	opts := Options{SnapshotEvery: -1}
+	dirA, dirB := filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")
+	a, wsA, err := Create(dirA, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, wsB, err := Create(dirB, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("two empty sessions", dirA, dirB)
+	for i := 0; i < 50; i++ {
+		if _, err := wsA.AddEdge(fmt.Sprint("a", i), fmt.Sprint("a", i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := wsB.AddEdge("x", "y"); err != nil {
+		t.Fatal(err)
+	}
+	check("after edits", dirA, dirB)
+	if err := a.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("after compacting a", dirA, dirB)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after closing a", dirB)
+	a, _, err = Open(dirA, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after recovering a", dirA, dirB)
+	for _, s := range []*Session{a, b} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after closing both")
+}

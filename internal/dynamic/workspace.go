@@ -82,8 +82,10 @@ type Workspace struct {
 	freeNode []int32   // departed node ids available for reuse
 	order    nameOrder // current node ids in name order, for the snapshot
 	compRank []int32   // node id -> position in the settling component's name order; -1 outside recompute
+	nodeSeen []bool    // node id -> reached by splitOrDirty's sweep; false outside it
 
 	edges    []wedge // edge slot -> record; dead slots are reused (see wedge.gen)
+	edgeSeen []bool  // edge slot -> reached by splitOrDirty's sweep; false outside it
 	freeEdge []int32 // dead edge slots available for reuse
 	alive    int     // alive edge count
 	covered  int     // current (covered) node count
@@ -505,6 +507,7 @@ func (ws *Workspace) intern(name string) int {
 	ws.nodeComp = append(ws.nodeComp, -1)
 	ws.order.mark = append(ws.order.mark, false)
 	ws.compRank = append(ws.compRank, -1)
+	ws.nodeSeen = append(ws.nodeSeen, false)
 	ws.order.touch(int32(id))
 	return id
 }
@@ -653,27 +656,30 @@ func (ws *Workspace) mergeComps(touched []int32) int32 {
 // first sweep over the component's own edges (linear in the component's
 // total edge size — the bounded rebuild) either confirms it is still
 // connected, in which case it is merely dirtied, or replaces it with one
-// fresh component per connected piece.
+// fresh component per connected piece. The sweep marks the edges and
+// nodes it reaches in edgeSeen and nodeSeen and clears them again before
+// it returns, so it allocates no set of its own.
 func (ws *Workspace) splitOrDirty(cid int32) {
 	c := ws.comps[cid]
-	assigned := make(map[int]bool, len(c.edges))
-	seenNode := make(map[int32]bool)
+	if n := len(ws.edges); len(ws.edgeSeen) < n {
+		ws.edgeSeen = append(ws.edgeSeen, make([]bool, n-len(ws.edgeSeen))...)
+	}
 	var pieces [][]int
 	for eid := range c.edges {
-		if assigned[eid] {
+		if ws.edgeSeen[eid] {
 			continue
 		}
 		piece := []int{eid}
-		assigned[eid] = true
+		ws.edgeSeen[eid] = true
 		for i := 0; i < len(piece); i++ {
 			for _, nid := range ws.edges[piece[i]].ids {
-				if seenNode[nid] {
+				if ws.nodeSeen[nid] {
 					continue
 				}
-				seenNode[nid] = true
+				ws.nodeSeen[nid] = true
 				for _, f := range ws.inc[nid] {
-					if !assigned[int(f)] {
-						assigned[int(f)] = true
+					if !ws.edgeSeen[f] {
+						ws.edgeSeen[f] = true
 						piece = append(piece, int(f))
 					}
 				}
@@ -682,6 +688,14 @@ func (ws *Workspace) splitOrDirty(cid int32) {
 		pieces = append(pieces, piece)
 		if len(piece) == len(c.edges) {
 			break // the first sweep reached everything: still connected
+		}
+	}
+	for _, piece := range pieces {
+		for _, eid := range piece {
+			ws.edgeSeen[eid] = false
+			for _, nid := range ws.edges[eid].ids {
+				ws.nodeSeen[nid] = false
+			}
 		}
 	}
 	if len(pieces) == 1 && len(pieces[0]) == len(c.edges) {

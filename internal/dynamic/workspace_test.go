@@ -463,6 +463,37 @@ func TestSplitsAndMerges(t *testing.T) {
 	}
 }
 
+// TestSplitSweepClearsStamps: after every removal of a random edit
+// script, whether it split its component or only dirtied it, the sweep's
+// edge and node stamps read false again, and the settle's name ranks -1.
+func TestSplitSweepClearsStamps(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ws := New()
+	var ids []int
+	for op := 0; op < 600; op++ {
+		if len(ids) > 0 && rng.Intn(3) == 0 {
+			k := rng.Intn(len(ids))
+			if err := ws.RemoveEdge(ids[k]); err != nil {
+				t.Fatal(err)
+			}
+			ids = slices.Delete(ids, k, k+1)
+			if slices.Contains(ws.edgeSeen, true) || slices.Contains(ws.nodeSeen, true) {
+				t.Fatalf("op %d: a removal left sweep stamps set", op)
+			}
+			ws.Analysis() // settles the dirtied components
+			if slices.ContainsFunc(ws.compRank, func(r int32) bool { return r != -1 }) {
+				t.Fatalf("op %d: a settle left name ranks set", op)
+			}
+			continue
+		}
+		id, err := ws.AddEdge(fmt.Sprintf("n%d", rng.Intn(40)), fmt.Sprintf("n%d", rng.Intn(40)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+}
+
 // TestExecFacets: the workspace's Reduce/Eval plans run over a real
 // columnar database and match the frozen session's answers; after an edit
 // the same handle refuses with *ErrStaleEpoch.

@@ -36,13 +36,15 @@ func LoadCSV(dict *Dict, r io.Reader) (*Table, error) {
 		return nil, err
 	}
 	perm := sortedPerm(t.attrs, attrs)
-	cells, n := dict.cells[:0], 0
+	sc := dict.take()
+	cells, n := sc.rows.cells[:0], 0
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
+			dict.give(sc)
 			return nil, fmt.Errorf("exec: reading CSV row: %w", err)
 		}
 		// encoding/csv materializes all fields of a record as substrings of
@@ -54,8 +56,10 @@ func LoadCSV(dict *Dict, r io.Reader) (*Table, error) {
 		}
 		n++
 	}
-	dict.cells = cells
-	return t.loadRows(n), nil
+	sc.rows.cells = cells
+	t.loadRows(n, sc)
+	dict.give(sc)
+	return t, nil
 }
 
 func normalizeCRLF(s string) string {

@@ -37,7 +37,7 @@ func NewDatabase(schema *hypergraph.Hypergraph, tables []*Table) (*Database, err
 		// Table attributes are sorted; edge node names are in id order,
 		// which is sorted for name-built hypergraphs but not for FromIDs
 		// universes ("N10" < "N2"), so compare as sets.
-		want := append([]string{}, schema.EdgeNodes(i)...)
+		want := schema.EdgeNodes(i) // a fresh slice
 		sort.Strings(want)
 		if len(want) != t.NumAttrs() {
 			return nil, fmt.Errorf("exec: table %d has attributes %v, want %v", i, t.Attrs(), want)

@@ -14,7 +14,8 @@
 //     straight from the bytes of a request body, in place. The last three
 //     share one tail: each table's cells go row-major into a scratch the
 //     Dict owns, the package's one row set (rowSet) drops repeated rows
-//     there, and the columns are allocated once, at the distinct-row count.
+//     there, and the columns are cut once, at the distinct-row count, from
+//     the scratch's slab.
 //   - Dict: one open-addressing table of value ids, probed once per cell.
 //     A value of at most 7 bytes is its own exact key, so interning it
 //     compares one word and never hashes. Its random multiplier also
@@ -44,6 +45,20 @@
 // Reduce and Eval are the only drivers, and both run serially: a query's
 // output, row order included, is a function of its input.
 //
+// The Dict is the arena of everything loaded into it. It owns one scratch
+// (evalScratch), which its row loaders, Reduce and Eval take for their
+// duration and hand back: the row set, the dense kernels' value-id heads,
+// chains and bitmap, and a slab from which every loaded table's columns,
+// every semijoin output and every join output are cut. Without Reset the
+// slab only grows, so every table stays valid for as long as it is
+// reachable. Dict.Reset empties the Dict for the next request, with a
+// fresh multiplier and seed, and rewinds the slab, sized by then to what
+// the request before it cut: after it, no table loaded into the Dict or
+// derived from one may be read again. A server that resets one Dict per
+// request therefore cuts a request's columns from memory it already has.
+// A scratch that grew past maxScratch bytes is not kept, and one whose
+// holder panicked is never handed back.
+//
 // The reduce→eval contract: Reduce makes every object globally consistent
 // (for acyclic schemas, by Bernstein–Goodman), after which Eval joins only
 // the canonical connection of the query attributes, and every intermediate
@@ -61,8 +76,10 @@ package exec
 import (
 	"encoding/binary"
 	"hash/maphash"
+	"math/bits"
 	"math/rand/v2"
 	"strings"
+	"sync/atomic"
 )
 
 // Dict interns attribute values to dense int32 ids. Every Table of a
@@ -82,18 +99,18 @@ import (
 // aim values at one probe run. The kernels' one row hash (hashCells) is
 // seeded with the same mul, for the same reason.
 //
-// The Dict also owns the scratch of its row loaders (FromRows, LoadCSV,
-// ScanJSONRows): loads into one Dict are serial, so every table it loads
-// reuses the same cells and row-set slots (see Table.loadRows). Kernels
-// never touch it, so kernels over one Dict may run concurrently.
+// A Dict is also the arena of the tables loaded into it (see the package
+// doc): its row loaders (FromRows, LoadCSV, ScanJSONRows), Reduce and Eval
+// take its one evalScratch for their duration and hand it back (take,
+// give). While one holds it, a concurrent one runs on a fresh scratch, so
+// evaluations over one Dict may still run concurrently.
 type Dict struct {
-	vals   []string
-	slots  []dictSlot // power-of-two length; key 0 is empty
-	shift  uint       // 64 - log2(len(slots))
-	mul    uint64     // odd
-	seed   maphash.Seed
-	cells  []int32  // a table's cells, row-major in sorted attribute order
-	rowSet []uint64 // the slots of loadRows' rowSet
+	vals    []string
+	slots   []dictSlot // power-of-two length; key 0 is empty
+	shift   uint       // 64 - log2(len(slots))
+	mul     uint64     // odd
+	seed    maphash.Seed
+	scratch atomic.Pointer[evalScratch] // nil while held, or once dropped
 }
 
 type dictSlot struct {
@@ -104,6 +121,9 @@ type dictSlot struct {
 // longKey marks the key of a value of 8 bytes or more.
 const longKey = 1 << 63
 
+// minSlots is the slot count of an empty Dict.
+const minSlots = 1 << 6
+
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
 	return newDict(rand.Uint64(), maphash.MakeSeed())
@@ -112,8 +132,59 @@ func NewDict() *Dict {
 // newDict returns an empty dictionary probing with multiplier mul|1 and
 // hashing long values under seed.
 func newDict(mul uint64, seed maphash.Seed) *Dict {
-	const logSlots = 6
-	return &Dict{slots: make([]dictSlot, 1<<logSlots), shift: 64 - logSlots, mul: mul | 1, seed: seed}
+	d := new(Dict)
+	d.empty(mul, seed)
+	return d
+}
+
+// Reset empties d for reuse, as NewDict would return it: it forgets every
+// value and draws a new random multiplier and seed, so what one body taught
+// d about its hashes says nothing about the next. It keeps d's slot table
+// and value list, unless they outgrew maxScratch bytes, and its scratch,
+// whose slab it rewinds. Every table loaded into d, and every table Reduce
+// or Eval derived from those, must never be read after Reset: its columns
+// may be overwritten by the next load. Reset must not run concurrently with
+// any other use of d.
+func (d *Dict) Reset() {
+	d.empty(rand.Uint64(), maphash.MakeSeed())
+	if sc := d.scratch.Load(); sc != nil {
+		sc.rewind()
+	}
+}
+
+// empty forgets every value and probes with multiplier mul|1 and seed from
+// now on, reusing the slot table and value list within maxScratch bytes.
+func (d *Dict) empty(mul uint64, seed maphash.Seed) {
+	clear(d.vals) // the list must not pin the old values
+	d.vals = d.vals[:0]
+	if 16*(len(d.slots)+cap(d.vals)) > maxScratch {
+		d.slots, d.vals = nil, nil
+	}
+	if d.slots == nil {
+		d.slots = make([]dictSlot, minSlots)
+	}
+	clear(d.slots)
+	d.shift = uint(65 - bits.Len(uint(len(d.slots))))
+	d.mul, d.seed = mul|1, seed
+}
+
+// take returns d's scratch for one load or evaluation, or a fresh one
+// while another holds it (or after it was dropped).
+func (d *Dict) take() *evalScratch {
+	if sc := d.scratch.Swap(nil); sc != nil {
+		return sc
+	}
+	return new(evalScratch)
+}
+
+// give hands sc, taken from d, back for the next load or evaluation, unless
+// sc is nil or grew past maxScratch bytes, so a Dict that once served a
+// huge table does not pin its scratch for life. A caller that panics never
+// gets here, so a scratch a kernel left half-written is dropped.
+func (d *Dict) give(sc *evalScratch) {
+	if sc != nil && sc.bytes() <= maxScratch {
+		d.scratch.Store(sc)
+	}
 }
 
 // Intern returns the id of s, assigning the next free id on first sight.

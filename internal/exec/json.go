@@ -18,8 +18,9 @@ import (
 // in dict costs one dictionary probe and no allocation, and a first sight
 // copies the bytes, so dict never pins b. A cell holding a backslash escape
 // or a non-ASCII byte is decoded alone by json.Unmarshal, so escapes and
-// invalid-UTF-8 replacement match encoding/json. The rows go into dict's
-// load scratch and are deduplicated there (see Table.loadRows).
+// invalid-UTF-8 replacement match encoding/json. The rows are staged and
+// deduplicated in dict's scratch, and the columns cut from its slab (see
+// Table.loadRows).
 //
 // ok is false when the value is not rows of strings of the width of attrs,
 // or attrs are invalid. The caller then owes the error, and takes it from
@@ -27,17 +28,25 @@ import (
 // reject every value the scan rejects. The cells interned before the scan
 // gave up stay in dict, as they do when FromRows fails part way.
 func ScanJSONRows(dict *Dict, attrs []string, b []byte, i int) (t *Table, next int, ok bool) {
+	sc := dict.take()
+	t, next, ok = scanRows(dict, sc, attrs, b, i)
+	dict.give(sc)
+	return t, next, ok
+}
+
+// scanRows is ScanJSONRows on sc, the scratch taken from dict.
+func scanRows(dict *Dict, sc *evalScratch, attrs []string, b []byte, i int) (*Table, int, bool) {
 	t, err := NewTable(dict, attrs)
 	if err != nil {
 		return nil, i, false
 	}
 	// pos[n] is the sorted column of the n-th cell of a row.
 	pos := make([]int, len(attrs))
-	for c, p := range sortedPerm(t.attrs, attrs) {
-		pos[p] = c
+	for c, a := range t.attrs {
+		pos[slices.Index(attrs, a)] = c
 	}
-	dict.cells = dict.cells[:0]
-	s := jsonScanner{b: b, i: i}
+	sc.rows.cells = sc.rows.cells[:0]
+	s := jsonScanner{b: b, i: i, dict: dict, set: &sc.rows}
 	s.space()
 	if s.literal("null") {
 		return t, s.i, true
@@ -55,7 +64,7 @@ func ScanJSONRows(dict *Dict, attrs []string, b []byte, i int) (t *Table, next i
 			if len(attrs) != 0 {
 				return nil, i, false // a null row has width 0
 			}
-		case s.row(dict, pos):
+		case s.row(pos):
 		default:
 			return nil, i, false
 		}
@@ -65,16 +74,20 @@ func ScanJSONRows(dict *Dict, attrs []string, b []byte, i int) (t *Table, next i
 			continue
 		}
 		if s.consume(']') {
-			return t.loadRows(n), s.i, true
+			t.loadRows(n, sc)
+			return t, s.i, true
 		}
 		return nil, i, false
 	}
 }
 
-// jsonScanner walks JSON rows. Every read is bounds-checked against b.
+// jsonScanner walks JSON rows, interning their cells into dict and staging
+// them in set's cells. Every read is bounds-checked against b.
 type jsonScanner struct {
-	b []byte
-	i int
+	b    []byte
+	i    int
+	dict *Dict
+	set  *rowSet
 }
 
 // space skips JSON whitespace.
@@ -107,20 +120,20 @@ func (s *jsonScanner) literal(lit string) bool {
 	return false
 }
 
-// row reads one array of exactly len(pos) cells onto the end of dict's
-// cell scratch, the n-th cell into sorted column pos[n].
-func (s *jsonScanner) row(dict *Dict, pos []int) bool {
+// row reads one array of exactly len(pos) cells onto the end of the staged
+// cells, the n-th cell into sorted column pos[n].
+func (s *jsonScanner) row(pos []int) bool {
 	if !s.consume('[') {
 		return false
 	}
 	if s.space(); s.consume(']') {
 		return len(pos) == 0
 	}
-	base := len(dict.cells)
-	dict.cells = slices.Grow(dict.cells, len(pos))[:base+len(pos)]
-	row := dict.cells[base:]
+	base := len(s.set.cells)
+	s.set.cells = slices.Grow(s.set.cells, len(pos))[:base+len(pos)]
+	row := s.set.cells[base:]
 	for n := range pos {
-		id, ok := s.cell(dict)
+		id, ok := s.cell()
 		if !ok {
 			return false
 		}
@@ -136,8 +149,8 @@ func (s *jsonScanner) row(dict *Dict, pos []int) bool {
 
 // cell reads one string or null cell and interns its value. A string, the
 // common case, is tested for first, and its bytes are walked on locals.
-func (s *jsonScanner) cell(dict *Dict) (int32, bool) {
-	b, i := s.b, s.i
+func (s *jsonScanner) cell() (int32, bool) {
+	b, i, dict := s.b, s.i, s.dict
 	if i >= len(b) || b[i] != '"' {
 		if s.literal("null") {
 			return dict.Intern(""), true
@@ -152,7 +165,7 @@ func (s *jsonScanner) cell(dict *Dict) (int32, bool) {
 			return dict.internBytes(b[start:i]), true
 		case c == '\\' || c >= 0x80:
 			s.i = i
-			return s.slowString(dict, start-1)
+			return s.slowString(start - 1)
 		case c < 0x20:
 			return 0, false
 		}
@@ -162,7 +175,7 @@ func (s *jsonScanner) cell(dict *Dict) (int32, bool) {
 
 // slowString decodes the string token opening at b[open] with
 // json.Unmarshal, for cells with escapes or non-ASCII bytes.
-func (s *jsonScanner) slowString(dict *Dict, open int) (int32, bool) {
+func (s *jsonScanner) slowString(open int) (int32, bool) {
 	for s.i < len(s.b) {
 		switch s.b[s.i] {
 		case '\\':
@@ -174,7 +187,7 @@ func (s *jsonScanner) slowString(dict *Dict, open int) (int32, bool) {
 			if json.Unmarshal(s.b[open:s.i], &v) != nil {
 				return 0, false
 			}
-			return dict.Intern(v), true
+			return s.dict.Intern(v), true
 		}
 		s.i++
 	}

@@ -34,11 +34,14 @@ func checkEvery(ctx context.Context, row int) error {
 	return nil
 }
 
-// gather materializes rows keep (ascending) of t.
-func gather(t *Table, keep []int32) *Table {
-	out := &Table{dict: t.dict, attrs: t.attrs, cols: make([][]int32, len(t.cols)), rows: len(keep)}
+// gather materializes rows keep (ascending) of t, its columns cut from
+// sc's slab (see evalScratch.ints).
+func gather(t *Table, keep []int32, sc *evalScratch) *Table {
+	n := len(keep)
+	out := &Table{dict: t.dict, attrs: t.attrs, cols: make([][]int32, len(t.cols)), rows: n}
+	back := sc.ints(n * len(t.cols))
 	for c, src := range t.cols {
-		dst := make([]int32, len(keep))
+		dst := back[c*n : (c+1)*n : (c+1)*n]
 		for k, r := range keep {
 			dst[k] = src[r]
 		}
@@ -48,9 +51,13 @@ func gather(t *Table, keep []int32) *Table {
 }
 
 // sharedCols returns the positions of the attributes common to r and s, as
-// parallel index slices (rIdx[k] in r matches sIdx[k] in s). Both attribute
-// lists are sorted, so one merge pass suffices.
+// parallel index slices (rIdx[k] in r matches sIdx[k] in s), both cut from
+// one allocation. Both attribute lists are sorted, so one merge pass
+// suffices.
 func sharedCols(r, s *Table) (rIdx, sIdx []int) {
+	m := min(len(r.attrs), len(s.attrs))
+	idx := make([]int, 2*m)
+	rIdx, sIdx = idx[:0:m], idx[m:m]
 	i, j := 0, 0
 	for i < len(r.attrs) && j < len(s.attrs) {
 		switch {
@@ -170,11 +177,14 @@ func spanFits(dictLen, cols int, limit uint64) bool {
 	return span <= limit
 }
 
-// evalScratch is the scratch of one evaluation's dense kernels, reused from
-// kernel to kernel: a chain head per dictionary value id (-1 between
-// kernels) and a next link per row of s, the rows a semijoin keeps, each s
-// row's share of the bitmap key, the bitmap, and the row set the fused
-// joins write through. A scratch serves one evaluation at a time.
+// evalScratch is the scratch of a Dict's loads and evaluations (see
+// Dict.take): a chain head per dictionary value id (-1 between kernels)
+// and a next link per row of s, the rows a semijoin keeps, each s row's
+// share of the bitmap key, the bitmap, the row set the loaders and the
+// fused joins write through, and the slab their output columns are cut
+// from. A scratch serves one load or evaluation at a time, and every
+// kernel leaves it ready for the next, cancellation included: the heads
+// read -1 again, and the rest is overwritten before it is read.
 type evalScratch struct {
 	head  []int32
 	next  []int32
@@ -182,16 +192,47 @@ type evalScratch struct {
 	share []uint64
 	bits  []uint64
 	rows  rowSet
+	slab  []int32 // cut so far: [0, len)
+	cut   int     // cells asked of ints since the last rewind
 }
 
-// newScratch returns the scratch of one evaluation over d, or nil, which
-// allows only the hash kernels, when d's dictionary does not fit (see
-// denseFits).
-func newScratch(d *Database) *evalScratch {
-	if !denseFits(d) {
-		return nil
+// maxScratch bounds the bytes a Dict keeps for reuse in its scratch (see
+// Dict.give), and in its slot table and value list (see Dict.Reset).
+// Eval-join's requests, 2000–3000 rows in each of eight tables, fit well
+// inside it.
+const maxScratch = 4 << 20
+
+// bytes returns the bytes sc keeps for reuse.
+func (sc *evalScratch) bytes() int {
+	return 4*(cap(sc.head)+cap(sc.next)+cap(sc.keep)+cap(sc.rows.cells)+cap(sc.slab)) +
+		8*(cap(sc.share)+cap(sc.bits)+cap(sc.rows.slots))
+}
+
+// ints returns n cells for a table's columns, cut from sc's slab, or
+// allocated alone when the slab is full or sc is nil. The slab is never
+// cut twice between rewinds, so a table's columns stay its own until then.
+func (sc *evalScratch) ints(n int) []int32 {
+	if sc == nil {
+		return make([]int32, n)
 	}
-	return new(evalScratch)
+	sc.cut += n
+	lo := len(sc.slab)
+	if lo+n > cap(sc.slab) {
+		return make([]int32, n)
+	}
+	sc.slab = sc.slab[:lo+n]
+	return sc.slab[lo : lo+n : lo+n]
+}
+
+// rewind makes the whole slab free to cut again (see Dict.Reset), first
+// growing it to the cells cut since the last rewind, up to half of
+// maxScratch: a server that reuses the Dict for requests of one shape
+// allocates their columns once.
+func (sc *evalScratch) rewind() {
+	if sc.cut > cap(sc.slab) && 4*sc.cut <= maxScratch/2 {
+		sc.slab = make([]int32, 0, sc.cut)
+	}
+	sc.slab, sc.cut = sc.slab[:0], 0
 }
 
 // resize returns buf at length n, reusing its storage when it is large
@@ -307,7 +348,7 @@ func semijoin(ctx context.Context, r, s *Table, sc *evalScratch) (out *Table, ke
 	if len(keep) == r.rows {
 		return r, kernel, nil // nothing filtered: share the immutable input
 	}
-	return gather(r, keep), kernel, nil
+	return gather(r, keep, sc), kernel, nil
 }
 
 // Join returns the natural join r ⋈ s over the sorted union of the
@@ -320,9 +361,10 @@ func Join(ctx context.Context, r, s *Table) (*Table, error) {
 	return out, err
 }
 
-// unionAttrs returns the sorted union of two attribute lists.
-func unionAttrs(a, b []string) []string {
-	u := slices.Concat(a, b)
+// unionAttrs returns the sorted union of attribute lists, in one
+// allocation.
+func unionAttrs(lists ...[]string) []string {
+	u := slices.Concat(lists...)
 	slices.Sort(u)
 	return slices.Compact(u)
 }
@@ -341,7 +383,7 @@ func Project(ctx context.Context, t *Table, attrs []string) (*Table, error) {
 // once, and the kernels it ran. Projection onto every attribute is the
 // identity and returns t.
 func project(ctx context.Context, t *Table, attrs []string, sc *evalScratch) (*Table, joinKernels, error) {
-	if uniq := slices.Compact(slices.Sorted(slices.Values(attrs))); slices.Equal(uniq, t.attrs) {
+	if slices.Equal(unionAttrs(attrs), t.attrs) {
 		return t, joinKernels{}, nil
 	}
 	out, _, k, err := joinProject(ctx, t, unitTable(t.dict), attrs, sc)
@@ -371,9 +413,10 @@ func joinProject(ctx context.Context, r, s *Table, keep []string, sc *evalScratc
 		return nil, 0, joinKernels{}, fmt.Errorf("exec: join across distinct dictionaries")
 	}
 	rIdx, sIdx := sharedCols(r, s)
-	attrs := slices.Compact(slices.Sorted(slices.Values(keep)))
+	attrs := unionAttrs(keep)
 	// A shared attribute is fed from r; s feeds only its own.
-	var rFeed, sFeed []feed
+	feeds := make([]feed, 2*len(attrs))
+	rFeed, sFeed := feeds[:0:len(attrs)], feeds[len(attrs):len(attrs)]
 	for c, a := range attrs {
 		if i := r.colIndex(a); i >= 0 {
 			rFeed = append(rFeed, feed{c, i})
@@ -477,7 +520,7 @@ func joinProject(ctx context.Context, r, s *Table, keep []string, sc *evalScratc
 		}
 	}
 	out := &Table{dict: r.dict, attrs: attrs, cols: make([][]int32, len(attrs)), rows: set.rows}
-	set.columns(out.cols)
+	set.columns(out.cols, sc.ints(set.rows*len(attrs)))
 	return out, matches, k, nil
 }
 

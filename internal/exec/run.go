@@ -89,7 +89,21 @@ func denseFits(d *Database) bool {
 // rows; on cancellation the partial work is discarded and ctx.Err()
 // returned.
 func Reduce(ctx context.Context, d *Database, tree *jointree.JoinTree) (*ReduceResult, error) {
-	return reduce(ctx, d, tree, newScratch(d))
+	sc := takeScratch(d)
+	res, err := reduce(ctx, d, tree, sc)
+	d.Dict().give(sc) // not deferred: a panic drops the scratch
+	return res, err
+}
+
+// takeScratch takes the scratch of one evaluation over d from its Dict,
+// or returns nil, which allows only the hash kernels and allocates every
+// output, when the dictionary does not fit (see denseFits). The caller
+// hands it back with give.
+func takeScratch(d *Database) *evalScratch {
+	if !denseFits(d) {
+		return nil
+	}
+	return d.Dict().take()
 }
 
 // reduce is Reduce on scratch sc, which Eval shares with its join phase;
@@ -179,6 +193,15 @@ func reduce(ctx context.Context, d *Database, tree *jointree.JoinTree, sc *evalS
 // the exec.join span counts the joins (not the projections) that took
 // each.
 func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []string) (*EvalResult, error) {
+	sc := takeScratch(d)
+	res, err := eval(ctx, d, tree, attrs, sc)
+	d.Dict().give(sc) // not deferred: a panic drops the scratch
+	return res, err
+}
+
+// eval is Eval on scratch sc, which its reduction and join phase share;
+// nil allows only the hash kernels.
+func eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []string, sc *evalScratch) (*EvalResult, error) {
 	ctx, esp := obs.StartSpan(ctx, "exec.eval")
 	defer esp.End()
 	// Chaos site: head of the Yannakakis pipeline, one hit per evaluation.
@@ -210,7 +233,6 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		}
 		want.Add(id)
 	}
-	sc := newScratch(d)
 	red, err := reduce(ctx, d, tree, sc)
 	if err != nil {
 		return nil, err
@@ -239,7 +261,7 @@ func Eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 	// After full reduction an empty object empties the whole join, whether
 	// or not its component carries a query attribute.
 	if slices.ContainsFunc(reduced, func(t *Table) bool { return t.rows == 0 }) {
-		uniq := slices.Compact(slices.Sorted(slices.Values(attrs)))
+		uniq := unionAttrs(attrs)
 		return finish(&Table{dict: d.Dict(), attrs: uniq, cols: make([][]int32, len(uniq))})
 	}
 

@@ -55,44 +55,36 @@ func FromRows(dict *Dict, attrs []string, rows [][]string) (*Table, error) {
 		return nil, err
 	}
 	perm := sortedPerm(t.attrs, attrs)
-	cells := dict.cells[:0]
+	sc := dict.take()
+	cells := sc.rows.cells[:0]
 	for _, row := range rows {
 		if len(row) != len(attrs) {
+			dict.give(sc)
 			return nil, fmt.Errorf("exec: row width %d != %d attributes", len(row), len(attrs))
 		}
 		for _, p := range perm {
 			cells = append(cells, dict.Intern(row[p]))
 		}
 	}
-	dict.cells = cells
-	return t.loadRows(len(rows)), nil
+	sc.rows.cells = cells
+	t.loadRows(len(rows), sc)
+	dict.give(sc)
+	return t, nil
 }
 
-// maxScratch bounds the cells and row-set slots a Dict keeps between
-// loads, so a dictionary that once loaded a huge table does not pin its
-// scratch for life; eval-join's tables fit well inside it.
-const maxScratch = 1 << 16
-
-// loadRows is the tail of every row loader: t is empty, and t.dict.cells
-// holds its n rows, row-major in t's column order. loadRows keeps the first
-// occurrence of each distinct row, in order, compacting the cells in place
-// through a rowSet on the Dict's scratch, then allocates t's columns once,
-// at the distinct count.
-func (t *Table) loadRows(n int) *Table {
-	d, w := t.dict, len(t.cols)
-	set := rowSet{cells: d.cells[:n*w], slots: d.rowSet}
-	set.reset(d.mul, w, n, true)
+// loadRows is the tail of every row loader, on sc, the scratch taken from
+// t's Dict: t is empty, and sc.rows.cells holds its n rows, row-major in
+// t's column order. loadRows keeps the first occurrence of each distinct
+// row, in order, compacting the cells in place through the scratch's row
+// set, then cuts t's columns from the scratch's slab, at the distinct
+// count.
+func (t *Table) loadRows(n int, sc *evalScratch) {
+	set, w := &sc.rows, len(t.cols)
+	set.cells = set.cells[:n*w]
+	set.reset(t.dict.mul, w, n, true)
 	set.add(n)
 	t.rows = set.rows
-	set.columns(t.cols)
-	d.cells, d.rowSet = set.cells, set.slots
-	if cap(d.cells) > maxScratch {
-		d.cells = nil
-	}
-	if cap(d.rowSet) > maxScratch {
-		d.rowSet = nil
-	}
-	return t
+	set.columns(t.cols, sc.ints(t.rows*w))
 }
 
 // sortedPerm returns perm with perm[i] = the position in attrs of sorted[i],
@@ -307,14 +299,13 @@ func (rs *rowSet) grow() {
 	}
 }
 
-// columns sets cols, one per cell of a row, to the kept rows, allocated
-// once.
-func (rs *rowSet) columns(cols [][]int32) {
+// columns sets cols, one per cell of a row, to the kept rows, cut from
+// back, which holds exactly their cells.
+func (rs *rowSet) columns(cols [][]int32, back []int32) {
 	k, w := rs.rows, rs.width
 	if k == 0 || w == 0 {
 		return
 	}
-	back := make([]int32, k*w)
 	for c := range cols {
 		col := back[c*k : (c+1)*k : (c+1)*k]
 		for r := range col {

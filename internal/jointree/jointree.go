@@ -317,7 +317,17 @@ func (t *JoinTree) Verify() error {
 
 // Children returns the child lists of each edge.
 func (t *JoinTree) Children() [][]int {
-	ch := make([][]int, len(t.Parent))
+	n := make([]int, len(t.Parent)) // children per node
+	for _, p := range t.Parent {
+		if p >= 0 {
+			n[p]++
+		}
+	}
+	// Every list is cut, capped, from one backing array in node order.
+	ch, back := make([][]int, len(t.Parent)), make([]int, 0, len(t.Parent))
+	for v := range ch {
+		ch[v], back = back[len(back):len(back):len(back)+n[v]], back[:len(back)+n[v]]
+	}
 	for i, p := range t.Parent {
 		if p >= 0 {
 			ch[p] = append(ch[p], i)
@@ -340,7 +350,7 @@ func (t *JoinTree) Roots() []int {
 // PostOrder returns the edges so that every child precedes its parent.
 func (t *JoinTree) PostOrder() []int {
 	ch := t.Children()
-	var out []int
+	out := make([]int, 0, len(t.Parent))
 	var rec func(v int)
 	rec = func(v int) {
 		for _, c := range ch[v] {
@@ -372,7 +382,7 @@ func (s SemijoinStep) String() string {
 // (Bernstein–Goodman: full reducers exist exactly for acyclic schemas).
 func (t *JoinTree) FullReducer() []SemijoinStep {
 	post := t.PostOrder()
-	var prog []SemijoinStep
+	prog := make([]SemijoinStep, 0, 2*len(post)) // two steps per non-root
 	for _, v := range post {
 		if p := t.Parent[v]; p >= 0 {
 			prog = append(prog, SemijoinStep{Target: p, Source: v})

@@ -7,13 +7,15 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
 // The request bodies read by hand. readBody reads a body once into one
-// buffer. For /v1/eval and /v1/reduce, scanEval then reads the envelope
+// buffer, the request's scratch. For /v1/eval and /v1/reduce,
+// scanEvalInto then reads the envelope
 //
 //	{"schema": "...", "attrs": [...], "tables": [{"attrs": [...], "rows": [[...], ...]}, ...]}
 //
@@ -32,32 +34,101 @@ import (
 // with the rows as [][]string, each table loaded by exec.FromRows), so the
 // answer, errors included, is theirs.
 
-// readBody reads r's body into one buffer, presized from Content-Length
-// capped at limit, the body cap. It returns the bytes read and the error
-// that stopped the read, nil at the end of the body; on an error the bytes
-// are the prefix read before it, such as the first limit bytes on a cap
-// hit.
-func readBody(r *http.Request, limit int64) ([]byte, error) {
+// scratch is the reusable memory of one request: the buffer readBody reads
+// its body into, and the Dict an eval or reduce body's tables load into.
+// guard takes one from the server's free list (scratchPool) for every
+// admitted request, hands it down in the request's context (see
+// requestScratch), and puts it back after the reply is written, so nothing
+// reads its bytes or its tables after that. Nothing built for the reply
+// aliases them either: the scans copy every string they keep, and the Dict
+// copies each value on first sight.
+type scratch struct {
+	body []byte
+	dict *exec.Dict
+}
+
+// scratchKey keys a request's scratch in its context.
+type scratchKey struct{}
+
+// requestScratch returns the scratch guard handed r, or a fresh one for a
+// request that did not come through guard.
+func requestScratch(r *http.Request) *scratch {
+	if sc, ok := r.Context().Value(scratchKey{}).(*scratch); ok {
+		return sc
+	}
+	return &scratch{dict: exec.NewDict()}
+}
+
+// maxPooledBody bounds the body buffer a pooled scratch keeps: a scratch
+// whose buffer grew past it is dropped, not pooled. Eval-join's bodies,
+// about 300 KB, fit well inside it.
+const maxPooledBody = 1 << 20
+
+// scratchPool is the server's free list of request scratch. Only admitted
+// requests hold one, so the list never holds more than MaxInFlight, and
+// each keeps at most maxPooledBody body bytes plus what its Dict keeps for
+// reuse, which exec bounds (see exec.Dict.Reset).
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*scratch
+}
+
+// get returns a pooled scratch, or a new one when none is free.
+func (p *scratchPool) get() *scratch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		sc := p.free[n-1]
+		p.free = p.free[:n-1]
+		return sc
+	}
+	return &scratch{dict: exec.NewDict()}
+}
+
+// put resets sc and pools it for the next request, unless its body buffer
+// grew past maxPooledBody or the list is full.
+func (p *scratchPool) put(sc *scratch) {
+	if cap(sc.body) > maxPooledBody {
+		return
+	}
+	sc.dict.Reset()
+	p.mu.Lock()
+	if len(p.free) < cap(p.free) {
+		p.free = append(p.free, sc)
+	}
+	p.mu.Unlock()
+}
+
+// readBody reads r's body into one buffer, sc's when it is large enough,
+// else one presized from Content-Length capped at limit, the body cap, and
+// keeps it in sc. It returns the bytes read and the error that stopped the
+// read, nil at the end of the body; on an error the bytes are the prefix
+// read before it, such as the first limit bytes on a cap hit.
+func (sc *scratch) readBody(r *http.Request, limit int64) ([]byte, error) {
 	n := int64(512)
 	if r.ContentLength > 0 {
 		// One byte over the body so the read that reports its end does
 		// not regrow the buffer.
 		n = min(r.ContentLength, limit) + 1
 	}
-	b := make([]byte, 0, n)
-	for {
+	b := sc.body[:0]
+	if int64(cap(b)) < n {
+		b = make([]byte, 0, n)
+	}
+	var err error
+	for err == nil {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
-		m, err := r.Body.Read(b[len(b):cap(b)])
+		var m int
+		m, err = r.Body.Read(b[len(b):cap(b)])
 		b = b[:len(b)+m]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
 	}
+	sc.body = b
+	if err == io.EOF {
+		err = nil
+	}
+	return b, err
 }
 
 // replay reads a body readBody has read: its bytes, then the error that
@@ -82,25 +153,25 @@ func (r *replay) Read(p []byte) (int, error) {
 }
 
 // loadEval reads an eval body's envelope and tables over one shared Dict:
-// scanEval's one pass when the body has its shape, else encoding/json and
-// exec.FromRows. A JSON error (bad_json, rows that are not strings
+// scanEvalInto's one pass when the body has its shape, else encoding/json
+// and exec.FromRows, dict reset first. A JSON error (bad_json, rows that are not strings
 // included, or the body cap) comes back as err at once; the first table
 // whose attributes or row widths are wrong comes back as rejected, a
 // bad_request the caller reports after the schema checks. A load that
 // succeeds records its size on sp, when sp is recording (see loadAttrs).
-func loadEval(body []byte, readErr error, sp *obs.Span) (req evalRequest, tables []*exec.Table, rejected, err error) {
+func loadEval(body []byte, readErr error, dict *exec.Dict, sp *obs.Span) (req evalRequest, tables []*exec.Table, rejected, err error) {
 	var rows *int // counted only for sp
 	if sp != nil {
 		rows = new(int)
 	}
-	if req, tables, ok := scanEval(body, rows); ok {
+	if req, tables, ok := scanEvalInto(body, dict, rows); ok {
 		loadAttrs(sp, body, rows, tables)
 		return req, tables, nil, nil
 	}
 	if err := decodeFrom(&replay{b: body, err: readErr}, &req); err != nil {
 		return req, nil, nil, err
 	}
-	dict := exec.NewDict()
+	dict.Reset() // forget what the scan interned before it gave up
 	tables = make([]*exec.Table, len(req.Tables))
 	for i, t := range req.Tables {
 		if tables[i], err = exec.FromRows(dict, t.Attrs, t.Rows); err != nil {
@@ -132,13 +203,19 @@ func loadAttrs(sp *obs.Span, body []byte, rows *int, tables []*exec.Table) {
 	sp.SetInt("values", int64(values))
 }
 
-// scanEval reads an envelope of the fast shape from the start of b and
-// ignores what follows it, as json.Decoder.Decode does. Its tables share one
-// Dict and leave req.Tables nil. ok is false for any body outside the shape
-// and for rows exec.ScanJSONRows rejects, whose error the caller owes. When
-// rows is not nil, the rows the tables were sent with are added to it.
-func scanEval(b []byte, rows *int) (req evalRequest, tables []*exec.Table, ok bool) {
-	s := envScanner{b: b, dict: exec.NewDict(), rows: rows}
+// scanEval is scanEvalInto over a fresh Dict.
+func scanEval(b []byte, rows *int) (evalRequest, []*exec.Table, bool) {
+	return scanEvalInto(b, exec.NewDict(), rows)
+}
+
+// scanEvalInto reads an envelope of the fast shape from the start of b and
+// ignores what follows it, as json.Decoder.Decode does. Its tables load
+// into dict and leave req.Tables nil. ok is false for any body outside the
+// shape and for rows exec.ScanJSONRows rejects, whose error the caller
+// owes. When rows is not nil, the rows the tables were sent with are added
+// to it.
+func scanEvalInto(b []byte, dict *exec.Dict, rows *int) (req evalRequest, tables []*exec.Table, ok bool) {
+	s := envScanner{b: b, dict: dict, rows: rows}
 	tables = []*exec.Table{} // no "tables" is no tables, as in loadEval's fallback
 	var seenSchema, seenAttrs, seenTables bool
 	s.space()
@@ -149,7 +226,7 @@ func scanEval(b []byte, rows *int) (req evalRequest, tables []*exec.Table, ok bo
 		return req, tables, true
 	}
 	for {
-		switch s.key() {
+		switch string(s.key()) {
 		case "schema":
 			if seenSchema {
 				return req, nil, false
@@ -190,7 +267,7 @@ func scanSchema(b []byte) (schema string, ok bool) {
 	if s.space(); !s.consume('{') {
 		return "", false
 	}
-	if s.space(); s.key() != "schema" {
+	if s.space(); string(s.key()) != "schema" {
 		return "", false
 	}
 	if schema, ok = s.str(); !ok {
@@ -201,13 +278,14 @@ func scanSchema(b []byte) (schema string, ok bool) {
 }
 
 // envScanner walks a request body. Every read is bounds-checked against
-// b; dict, which only eval bodies use, holds their tables' values, and
-// rows, when not nil, counts their rows.
+// b; dict, which only eval bodies use, holds their tables' values, rows,
+// when not nil, counts their rows, and names backs their attribute lists.
 type envScanner struct {
-	b    []byte
-	i    int
-	dict *exec.Dict
-	rows *int
+	b     []byte
+	i     int
+	dict  *exec.Dict
+	rows  *int
+	names []string
 }
 
 // space skips JSON whitespace.
@@ -232,11 +310,12 @@ func (s *envScanner) consume(c byte) bool {
 }
 
 // key reads an object key and its colon, and returns the key's bytes as
-// written. A key with an escape or a byte outside printable ASCII comes back
-// as "", which matches no key of the shape.
-func (s *envScanner) key() string {
+// written, still in b, for the caller to compare. A key with an escape or a
+// byte outside printable ASCII comes back empty, which matches no key of
+// the shape.
+func (s *envScanner) key() []byte {
 	if !s.consume('"') {
-		return ""
+		return nil
 	}
 	start := s.i
 	for s.i < len(s.b) {
@@ -245,17 +324,17 @@ func (s *envScanner) key() string {
 			k := s.b[start:s.i]
 			s.i++
 			if s.space(); !s.consume(':') {
-				return ""
+				return nil
 			}
 			s.space()
-			return string(k)
+			return k
 		}
 		if c == '\\' || c < 0x20 || c >= 0x7f {
-			return ""
+			return nil
 		}
 		s.i++
 	}
-	return ""
+	return nil
 }
 
 // str reads one string. The escapes in simpleEscapes are decoded here,
@@ -322,26 +401,28 @@ func unescape(raw []byte) string {
 }
 
 // strs reads an array of strings; [] is an empty, non-nil slice, as
-// encoding/json makes it.
+// encoding/json makes it. Every array is cut from the one backing slice
+// s.names, capped, so no array grows into the next.
 func (s *envScanner) strs() ([]string, bool) {
 	if !s.consume('[') {
 		return nil, false
 	}
-	out := []string{}
 	if s.space(); s.consume(']') {
-		return out, true
+		return []string{}, true
 	}
+	start := len(s.names)
 	for {
 		v, ok := s.str()
 		if !ok {
 			return nil, false
 		}
-		out = append(out, v)
+		s.names = append(s.names, v)
 		if s.space(); s.consume(',') {
 			s.space()
 			continue
 		}
-		return out, s.consume(']')
+		end := len(s.names)
+		return s.names[start:end:end], s.consume(']')
 	}
 }
 
@@ -374,7 +455,7 @@ func (s *envScanner) table() (*exec.Table, bool) {
 	if !s.consume('{') {
 		return nil, false
 	}
-	if s.space(); s.key() != "attrs" {
+	if s.space(); string(s.key()) != "attrs" {
 		return nil, false
 	}
 	attrs, ok := s.strs()
@@ -383,7 +464,7 @@ func (s *envScanner) table() (*exec.Table, bool) {
 	}
 	var t *exec.Table
 	if s.space(); s.consume(',') {
-		if s.space(); s.key() != "rows" {
+		if s.space(); string(s.key()) != "rows" {
 			return nil, false
 		}
 		start := s.i

@@ -78,7 +78,7 @@ func decodeFrom(body io.Reader, v any) error {
 func decodeSchema(r *http.Request, limit int64) (string, error) {
 	_, sp := obs.StartSpan(r.Context(), "server.decode")
 	defer sp.End()
-	body, readErr := readBody(r, limit)
+	body, readErr := requestScratch(r).readBody(r, limit)
 	sp.SetInt("bytes", int64(len(body)))
 	if schema, ok := scanSchema(body); ok {
 		return schema, nil
@@ -203,10 +203,11 @@ func spectrumJSON(res *spectrum.Result) map[string]any {
 // schema (bad_request).
 func decodeEval(r *http.Request, limit int64, withAttrs bool) ([]string, *exec.Database, error) {
 	_, dsp := obs.StartSpan(r.Context(), "server.decode")
-	body, readErr := readBody(r, limit)
+	sc := requestScratch(r)
+	body, readErr := sc.readBody(r, limit)
 	dsp.End()
 	_, lsp := obs.StartSpan(r.Context(), "exec.load")
-	req, tables, rejected, err := loadEval(body, readErr, lsp)
+	req, tables, rejected, err := loadEval(body, readErr, sc.dict, lsp)
 	lsp.End()
 	if err != nil {
 		return nil, nil, err
@@ -257,21 +258,34 @@ func (s *Server) handleEval(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return map[string]any{
-		"attrs":    res.Out.Attrs(),
-		"rows":     replyRows(res.Out),
-		"joinRows": res.JoinRows,
-		"rowsIn":   res.Reduce.RowsIn,
-		"rowsOut":  res.Reduce.RowsOut,
+	return evalReply{
+		Attrs:    res.Out.Attrs(),
+		JoinRows: res.JoinRows,
+		Rows:     replyRows(res.Out),
+		RowsIn:   res.Reduce.RowsIn,
+		RowsOut:  res.Reduce.RowsOut,
 	}, nil
 }
 
+// evalReply is /v1/eval's reply. Its fields are in the order encoding/json
+// writes the keys of a map, so its bytes are those of the map[string]any
+// the other replies are, without the map or the boxed values.
+type evalReply struct {
+	Attrs    []string   `json:"attrs"`
+	JoinRows int        `json:"joinRows"`
+	Rows     [][]string `json:"rows"`
+	RowsIn   int        `json:"rowsIn"`
+	RowsOut  int        `json:"rowsOut"`
+}
+
 // replyRows renders a result table's rows for the wire, sorted
-// lexicographically over the sorted attributes.
+// lexicographically over the sorted attributes. Every row is cut from one
+// backing slice of cells.
 func replyRows(t *exec.Table) [][]string {
-	rows := make([][]string, t.NumRows())
+	w := t.NumAttrs()
+	rows, cells := make([][]string, t.NumRows()), make([]string, t.NumRows()*w)
 	for r := range rows {
-		row := make([]string, t.NumAttrs())
+		row := cells[r*w : (r+1)*w : (r+1)*w]
 		for c := range row {
 			row[c] = t.Value(r, c)
 		}

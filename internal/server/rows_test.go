@@ -288,6 +288,33 @@ func BenchmarkEvalLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalRequest is one warm /v1/eval request of an eval-join-shaped
+// body (see evalJoinBody) through Handler(): the body read, the load, the
+// parse, the reduction, the join phase and the reply. One request before
+// the timer answers the cold work (the schema's analysis, the first
+// request scratch). Run with -benchmem: B/op and allocs/op show what a
+// warm request allocates.
+func BenchmarkEvalRequest(b *testing.B) {
+	h := New(Config{TenantRate: 1e9, TenantBurst: 1 << 30}, nil).Handler()
+	body := evalJoinBody(2000)
+	request := func() (*httptest.ResponseRecorder, *http.Request) {
+		return httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/eval", bytes.NewReader(body))
+	}
+	h.ServeHTTP(request())
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rec, req := request()
+		b.StartTimer()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("eval: %d %s", rec.Code, rec.Body)
+		}
+	}
+}
+
 // evalJoinBody builds an eval-join-shaped /v1/eval body: the 8-object bushy
 // schema with minRows to 1.5×minRows rows per object, values drawn from a
 // 400-value domain (12 on the leaf attributes), projected on G and J.

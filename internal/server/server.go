@@ -27,6 +27,10 @@
 //     ~4096 rows, so a deadline stops real work mid-flight (408
 //     "deadline").
 //  6. Body cap — request bodies over MaxBodyBytes report 413.
+//  7. Request scratch — every admitted request takes a body buffer and a
+//     value Dict from one free list (scratchPool, at most MaxInFlight) and
+//     returns them, the Dict reset, once its reply is written; a buffer
+//     past 1 MiB, or a request that panicked, is dropped instead.
 //
 // Failures map to the one JSON error envelope (see ErrorBody); the status
 // and code for every library error is pinned by the error-fidelity tests.
@@ -173,6 +177,8 @@ type Server struct {
 
 	gate gate // drain gate: counts in-flight, refuses when draining
 
+	scratch scratchPool // request scratch: body buffers and eval Dicts
+
 	tracer *obs.Tracer   // per-request root spans (nil-safe when tracing is off)
 	prof   *obs.Profiler // slow-trace retention behind /tracez
 
@@ -236,6 +242,7 @@ func New(cfg Config, now func() time.Time) *Server {
 		prof:   prof,
 		spaces: make(map[string]*session),
 	}
+	s.scratch.free = make([]*scratch, 0, cfg.MaxInFlight)
 	if cfg.DataDir != "" {
 		s.recoverSessions()
 	}
@@ -442,7 +449,8 @@ func (s *Server) guard(h handlerFunc) http.HandlerFunc {
 			}
 		}
 		root.SetInt("deadlineMs", d.Milliseconds())
-		ctx, cancel := context.WithTimeout(r.Context(), d)
+		sc := s.scratch.get()
+		ctx, cancel := context.WithTimeout(context.WithValue(r.Context(), scratchKey{}, sc), d)
 		defer cancel()
 		r = r.WithContext(ctx)
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -450,18 +458,20 @@ func (s *Server) guard(h handlerFunc) http.HandlerFunc {
 		// Chaos site: after admission and deadline setup, before the
 		// endpoint — where the fault suite injects delays, errors, and
 		// panics that must surface through this envelope.
-		if err := fault.HitCtx(r.Context(), fault.ServerHandle); err != nil {
-			s.fail(w, r, err)
-			return
+		var res any
+		err := fault.HitCtx(r.Context(), fault.ServerHandle)
+		if err == nil {
+			res, err = h(r)
 		}
-
-		res, err := h(r)
 		if err != nil {
 			s.fail(w, r, err)
-			return
+		} else {
+			s.bump(func(st *Stats) { st.OK++ })
+			s.writeJSON(w, http.StatusOK, res)
 		}
-		s.bump(func(st *Stats) { st.OK++ })
-		s.writeJSON(w, http.StatusOK, res)
+		// The reply is written, so nothing reads the scratch any more. Not
+		// deferred: a panic drops the scratch, whatever state it was in.
+		s.scratch.put(sc)
 	}
 }
 

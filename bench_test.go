@@ -635,12 +635,15 @@ func BenchmarkRingSearch(b *testing.B) {
 // BenchmarkWorkspaceEdit — the dynamic-layer headline: a component-local
 // edit on a 10⁶-edge multi-component schema (1000 disjoint chain components
 // of 1000 edges each). "edit+analyze" alternates adding and removing one
-// bridging edge on a single component and re-reads the incrementally
-// maintained verdict — only that component re-analyzes (~10³ of 10⁶ edges).
-// "scratch-analyze" is the from-scratch baseline the acceptance criterion
-// compares against: one full MCS traversal of the same 10⁶-edge snapshot
-// per op (not even counting the snapshot rebuild an immutable client would
-// also pay after every edit). Recorded in BENCH_dynamic.json.
+// edge that extends a single chain and re-reads the incrementally
+// maintained verdict — the edge is an ear, hung on the settled chain and
+// dropped again with no re-analysis. "settle+analyze" does the same with
+// an edge that is no ear ({n0, n1, n2} overlaps the chain in three nodes no
+// one member holds), so every op re-analyzes that component (~10³ of 10⁶
+// edges). "scratch-analyze" is the from-scratch baseline the acceptance
+// criterion compares against: one full MCS traversal of the same 10⁶-edge
+// snapshot per op (not even counting the snapshot rebuild an immutable
+// client would also pay after every edit). Recorded in BENCH_dynamic.json.
 func BenchmarkWorkspaceEdit(b *testing.B) {
 	const comps, edgesPer = 1000, 1000
 	ws := NewWorkspace()
@@ -655,27 +658,41 @@ func BenchmarkWorkspaceEdit(b *testing.B) {
 	if !ws.Analysis().Verdict() { // settle every component once
 		b.Fatal("chains must be acyclic")
 	}
-	b.Run("edit+analyze/m=1000000", func(b *testing.B) {
-		b.ReportAllocs()
-		extra := -1
-		for i := 0; i < b.N; i++ {
-			if extra < 0 {
-				id, err := ws.AddEdge(name(0, edgesPer), name(0, edgesPer+1))
-				if err != nil {
-					b.Fatal(err)
+	edits := []struct {
+		name  string
+		nodes []string
+	}{
+		{"edit+analyze/m=1000000", []string{name(0, edgesPer), name(0, edgesPer+1)}},
+		{"settle+analyze/m=1000000", []string{name(0, 0), name(0, 1), name(0, 2)}},
+	}
+	for _, e := range edits {
+		b.Run(e.name, func(b *testing.B) {
+			b.ReportAllocs()
+			extra := -1
+			for i := 0; i < b.N; i++ {
+				if extra < 0 {
+					id, err := ws.AddEdge(e.nodes...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					extra = id
+				} else {
+					if err := ws.RemoveEdge(extra); err != nil {
+						b.Fatal(err)
+					}
+					extra = -1
 				}
-				extra = id
-			} else {
+				if !ws.Analysis().Verdict() {
+					b.Fatal("chains must stay acyclic")
+				}
+			}
+			if extra >= 0 {
 				if err := ws.RemoveEdge(extra); err != nil {
 					b.Fatal(err)
 				}
-				extra = -1
 			}
-			if !ws.Analysis().Verdict() {
-				b.Fatal("chains must stay acyclic")
-			}
-		}
-	})
+		})
+	}
 	snap := ws.Snapshot()
 	b.Run("scratch-analyze/m=1000000", func(b *testing.B) {
 		b.ReportAllocs()

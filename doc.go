@@ -85,6 +85,18 @@
 // multi-component schema a component-local edit re-analyzes orders of
 // magnitude faster than a from-scratch Analyze (BENCH_dynamic.json).
 //
+// An ear edit re-analyzes nothing. Graham reduction deletes ears — edges
+// whose overlap with the rest of their component lies inside one other
+// member f — so adding an ear to a settled α-acyclic component keeps it
+// acyclic, and the workspace hangs the new edge as a join-tree leaf under
+// f; removing a leaf hung that way gives back the tree from before. Both
+// cost the edit, not the component (dynamic_ear_edits_total on /metricsz
+// counts them), and every other edit dirties its component as before. So
+// a.Parent() is always a valid join forest of the handle's epoch, and it is
+// the canonical, content-determined forest a full settle derives whenever
+// no ear is hung; a component with ears hung is never interned in the
+// engine memo.
+//
 // ws.Analysis() returns an epoch guard around one Analysis session: the
 // verdict is settled by the edits, and a.Parent() reads the join forest's
 // parent links straight off the per-component join-tree fragments — once
@@ -439,7 +451,11 @@
 // The recovered workspace is observationally identical to the crashed one
 // up to its last acknowledged edit: epoch, per-component fingerprints, and
 // verdict, a property the store's differential harness checks across
-// thousands of randomized edit scripts (with and without torn tails). A
+// thousands of randomized edit scripts (with and without torn tails). Its
+// join forest is re-canonicalized: recovery settles every component in
+// full, so where the crashed session had ears hung, the recovered one reads
+// the canonical parent links of the same content — another valid join
+// forest of the same epoch. A
 // session that fails recovery is logged and skipped, never deleted;
 // `hgtool ws [-json] [-log] dir` inspects session directories offline
 // (read-only — a torn tail is reported, not repaired).

@@ -80,7 +80,9 @@ func (a *Analysis) Verdict() bool { return a.acyclic }
 // each alive edge, in slot order (the snapshot's edge order), the position
 // of its parent edge, or -1 for a root — exactly JoinTree().Parent. The
 // links are assembled once per handle from the per-component join-tree
-// fragments the workspace settled, without building the epoch snapshot. It
+// fragments the workspace settled, ears hung since included, without
+// building the epoch snapshot: always a valid join forest of the epoch, and
+// the canonical one a full settle derives while no ear is hung. It
 // reports hypergraph.ErrCyclic when any component is cyclic and
 // *ErrStaleEpoch when the workspace has moved on. The slice is shared (the
 // session's JoinTree holds the same one) and must be treated as read-only.

@@ -17,6 +17,7 @@ func FuzzEditScript(f *testing.F) {
 	f.Add([]byte{0, 0x09, 0, 0x12, 2, 0x00})                   // add, add, remove
 	f.Add([]byte{0, 0x3f, 1, 0x24, 3, 0x01, 0, 0x09})          // adds, rename, re-add
 	f.Add([]byte{0, 0x09, 0, 0x0a, 0, 0x53, 2, 0x01, 2, 0x00}) // build then shatter
+	f.Add([]byte{1, 0x08, 1, 0x11, 2, 0x01})                   // {f0,f1}, the ear {f1,f2}, drop the ear
 	f.Fuzz(func(t *testing.T, script []byte) {
 		pool := make([]string, 8)
 		for i := range pool {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -42,11 +41,11 @@ func (s *byNameSeq) Less(i, j int) bool {
 	return s.members[i] < s.members[j]
 }
 
-// nameOracle settles one component the old way: members sorted by their
-// name-sorted node lists, the component re-interned by name through a
+// nameOracle settles one member set the old way: members sorted by their
+// name-sorted node lists, the set re-interned by name through a
 // hypergraph.Builder, and MCS over that. Callers hold ws.mu.
-func nameOracle(ws *Workspace, c *component) (order, parent []int, acyclic bool) {
-	members := slices.Collect(maps.Keys(c.edges))
+func nameOracle(ws *Workspace, members []int) (order, parent []int, acyclic bool) {
+	members = slices.Clone(members)
 	keys := make([][]string, len(members))
 	for i, eid := range members {
 		keys[i] = ws.sortedNames(ws.edges[eid].ids)
@@ -66,11 +65,50 @@ func nameOracle(ws *Workspace, c *component) (order, parent []int, acyclic bool)
 	return members, r.Parent, true
 }
 
-// checkComponentOrder settles ws and asserts that every component's order,
-// parent links and verdict are the name oracle's. It reports how many
-// components a member order taken from raw node ids would have put in a
-// different order.
-func checkComponentOrder(t *testing.T, ws *Workspace, op int) (idOrderDiffers int) {
+// checkEarTail asserts that every entry of a settled component's ear tail
+// was hung as an ear of the entries before it: its parent is the
+// lowest-positioned earlier entry holding each of its nodes that an earlier
+// entry covers. Callers hold ws.mu.
+func checkEarTail(t *testing.T, ws *Workspace, c *component, op int) {
+	t.Helper()
+	covered := map[int32]bool{}
+	for q, eid := range c.order {
+		ids := ws.edges[eid].ids
+		if q >= c.base {
+			holds := func(r int) bool {
+				f := ws.edges[c.order[r]].ids
+				for _, nid := range ids {
+					if _, in := slices.BinarySearch(f, nid); covered[nid] && !in {
+						return false
+					}
+				}
+				return true
+			}
+			want := -1
+			for r := range q {
+				if holds(r) {
+					want = r
+					break
+				}
+			}
+			if p := c.parent[q]; p != want {
+				t.Fatalf("op %d: tail entry %d (edge %d) has parent %d; the lowest earlier entry holding its overlap is %d",
+					op, q, eid, p, want)
+			}
+		}
+		for _, nid := range ids {
+			covered[nid] = true
+		}
+	}
+}
+
+// checkComponentOrder settles ws and asserts that every component's
+// canonical fragment — order, parent links and verdict below base — is the
+// name oracle's over the same members, and that its ear tail is an ear
+// sequence. It reports how many components a member order taken from raw
+// node ids would have put in a different order, and how many carried a
+// non-empty tail.
+func checkComponentOrder(t *testing.T, ws *Workspace, op int) (idOrderDiffers, tailed int) {
 	t.Helper()
 	ws.Analysis()
 	ws.mu.Lock()
@@ -82,13 +120,29 @@ func checkComponentOrder(t *testing.T, ws *Workspace, op int) (idOrderDiffers in
 		if !c.settled {
 			t.Fatalf("op %d: component %d unsettled after Analysis", op, cid)
 		}
-		order, parent, acyclic := nameOracle(ws, c)
-		if !slices.Equal(c.order, order) {
-			t.Fatalf("op %d: component %d order %v, name oracle %v", op, cid, c.order, order)
+		if len(c.order) != len(c.edges) || c.acyclic && len(c.parent) != len(c.order) {
+			t.Fatalf("op %d: component %d has %d members, %d positions, %d links", op, cid, len(c.edges), len(c.order), len(c.parent))
 		}
-		if c.acyclic != acyclic || !slices.Equal(c.parent, parent) {
+		order, parent, acyclic := nameOracle(ws, c.order[:c.base])
+		if !slices.Equal(c.order[:c.base], order) {
+			t.Fatalf("op %d: component %d order %v, name oracle %v", op, cid, c.order[:c.base], order)
+		}
+		fragment := c.parent // nil on a cyclic component
+		if c.acyclic {
+			fragment = c.parent[:c.base]
+		}
+		if c.acyclic != acyclic || !slices.Equal(fragment, parent) {
 			t.Fatalf("op %d: component %d acyclic=%v parent %v, name oracle acyclic=%v parent %v",
 				op, cid, c.acyclic, c.parent, acyclic, parent)
+		}
+		if c.base < len(c.order) {
+			tailed++
+			checkEarTail(t, ws, c, op)
+		}
+		for q, eid := range c.order {
+			if int(ws.edges[eid].pos) != q {
+				t.Fatalf("op %d: edge %d at position %d records position %d", op, eid, q, ws.edges[eid].pos)
+			}
 		}
 		byID := slices.Clone(order)
 		slices.SortFunc(byID, func(a, b int) int {
@@ -101,23 +155,41 @@ func checkComponentOrder(t *testing.T, ws *Workspace, op int) (idOrderDiffers in
 			idOrderDiffers++
 		}
 	}
-	return idOrderDiffers
+	return idOrderDiffers, tailed
+}
+
+// lastEar reports whether removing edge id drops the only ear hung on its
+// settled component, so that the removal empties the component's tail; it
+// returns that component.
+func lastEar(ws *Workspace, id int) (*component, bool) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	slot, ok := ws.decodeEdge(id)
+	if !ok {
+		return nil, false
+	}
+	w := &ws.edges[slot]
+	c := ws.comps[w.comp]
+	return c, c.settled && len(c.order) == c.base+1 && int(w.pos) == c.base
 }
 
 // TestComponentOrderMatchesNames differences every settled component's
-// canonical order, parent links and verdict against the name oracle over
-// random edit scripts, with and without an engine (odd seeds share one, so
-// components also come back as memo hits from other workspaces). The
-// scripts intern names in first-use order, remove edges so node ids and
-// edge slots are reused, and rename nodes to fresh and released names, so
-// node-id order and name order part ways; the test fails if they never do.
+// canonical fragment against the name oracle over random edit scripts, with
+// and without an engine (odd seeds share one, so components also come back
+// as memo hits from other workspaces). The scripts intern names in
+// first-use order, remove edges so node ids and edge slots are reused, and
+// rename nodes to fresh and released names, so node-id order and name order
+// part ways; the test fails if they never do. They settle often and remove
+// the newest edge now and then, so ears are hung and dropped: the test also
+// fails unless some check sees an ear tail, and some removal empties a tail
+// — each such component is then checked to be exactly canonical again.
 func TestComponentOrderMatchesNames(t *testing.T) {
 	nOps := 400
 	if testing.Short() {
 		nOps = 100
 	}
 	shared := engine.New()
-	idOrderDiffers := 0
+	idOrderDiffers, tailed, emptied := 0, 0, 0
 	for seed := int64(0); seed < 6; seed++ {
 		var opts []Option
 		if seed%2 == 1 {
@@ -131,6 +203,11 @@ func TestComponentOrderMatchesNames(t *testing.T) {
 			}
 			ws := New(opts...)
 			var alive []int
+			check := func(op int) {
+				d, n := checkComponentOrder(t, ws, op)
+				idOrderDiffers += d
+				tailed += n
+			}
 			for op := 0; op < nOps; op++ {
 				switch r := rng.Intn(10); {
 				case r < 5 || len(alive) == 0:
@@ -145,11 +222,22 @@ func TestComponentOrderMatchesNames(t *testing.T) {
 					alive = append(alive, id)
 				case r < 8:
 					i := rng.Intn(len(alive))
+					if r == 7 {
+						i = len(alive) - 1 // the newest edge: an ear just hung, often
+					}
+					c, last := lastEar(ws, alive[i])
 					if err := ws.RemoveEdge(alive[i]); err != nil {
 						t.Fatalf("op %d: RemoveEdge(%d): %v", op, alive[i], err)
 					}
-					alive[i] = alive[len(alive)-1]
-					alive = alive[:len(alive)-1]
+					alive = slices.Delete(alive, i, i+1)
+					if last {
+						if !c.settled || c.base != len(c.order) {
+							t.Fatalf("op %d: dropping the only ear left the component settled=%v with %d of %d positions in the tail",
+								op, c.settled, len(c.order)-c.base, len(c.order))
+						}
+						emptied++
+						check(op)
+					}
 				default:
 					names, err := ws.EdgeNodes(alive[rng.Intn(len(alive))])
 					if err != nil {
@@ -165,15 +253,21 @@ func TestComponentOrderMatchesNames(t *testing.T) {
 						t.Fatalf("op %d: RenameNode(%s, %s): %v", op, old, fresh, err)
 					}
 				}
-				if rng.Intn(3) == 0 {
-					idOrderDiffers += checkComponentOrder(t, ws, op)
+				switch rng.Intn(3) {
+				case 0:
+					check(op)
+				case 1:
+					ws.Analysis() // settle unchecked: the next edit may hang an ear
 				}
 			}
-			idOrderDiffers += checkComponentOrder(t, ws, nOps)
+			check(nOps)
 		})
 	}
 	if idOrderDiffers == 0 {
 		t.Fatal("no settled component had a node-id order differing from its name order")
+	}
+	if tailed == 0 || emptied == 0 {
+		t.Fatalf("scripts reached %d checked components with an ear tail and %d removals emptying one; want both", tailed, emptied)
 	}
 }
 

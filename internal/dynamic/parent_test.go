@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -182,11 +183,14 @@ func TestParentBuildsNoSnapshot(t *testing.T) {
 }
 
 // TestParentAllocsIndependentOfIdleComponents is the read side's
-// locality pin: an edit-and-read cycle on one component — add an edge
-// inside it, settle, read Parent, remove the edge — allocates as many
-// objects with 30 idle chains beside it as with one.
+// locality pin: an edit-and-read cycle on one component — hang an ear
+// inside it, read Parent, drop the ear — allocates as many objects with 30
+// idle chains beside it as with one. The read reuses the workspace's one
+// position scratch, so the only bytes that grow with the idle edges are
+// the parent links the read returns: under 9 bytes per idle edge, where a
+// per-read position slice would add 4 more.
 func TestParentAllocsIndependentOfIdleComponents(t *testing.T) {
-	cycle := func(idle int) float64 {
+	cycle := func(idle int) (allocs, bytes float64, edges int) {
 		ws := New()
 		for k := 0; k < idle; k++ {
 			for j := 0; j < 6; j++ {
@@ -204,7 +208,8 @@ func TestParentAllocsIndependentOfIdleComponents(t *testing.T) {
 		if _, err := ws.Analysis().Parent(); err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(20, func() {
+		scratch := &ws.livePos[0]
+		step := func() {
 			id, err := ws.AddEdge("b7", "b8", "x")
 			if err != nil {
 				t.Fatal(err)
@@ -215,9 +220,27 @@ func TestParentAllocsIndependentOfIdleComponents(t *testing.T) {
 			if err := ws.RemoveEdge(id); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs = testing.AllocsPerRun(20, step)
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if &ws.livePos[0] != scratch {
+			t.Fatalf("beside %d idle chains: Parent reads replaced the position scratch", idle)
+		}
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs, ws.NumEdges()
 	}
-	if one, thirty := cycle(1), cycle(30); one != thirty {
-		t.Fatalf("edit-and-read cycle allocates %v objects beside 1 idle chain, %v beside 30", one, thirty)
+	oneA, oneB, oneE := cycle(1)
+	thirtyA, thirtyB, thirtyE := cycle(30)
+	if oneA != thirtyA {
+		t.Fatalf("edit-and-read cycle allocates %v objects beside 1 idle chain, %v beside 30", oneA, thirtyA)
+	}
+	if perEdge := (thirtyB - oneB) / float64(thirtyE-oneE); perEdge >= 9 {
+		t.Fatalf("edit-and-read cycle allocates %.0f B beside 1 idle chain, %.0f B beside 30: %.1f B per idle edge, want < 9",
+			oneB, thirtyB, perEdge)
 	}
 }

@@ -41,6 +41,24 @@
 // is sorted. The snapshot ranks by the workspace-wide name order; a settle
 // numbers only its component's nodes, with one name sort over those, so a
 // settle costs the dirty component and never the workspace.
+//
+// Ears skip the settle. Graham reduction deletes ears — edges whose overlap
+// with the rest of their component lies inside one other member f — and
+// run backwards it keeps an α-acyclic component acyclic, with the ear hung
+// as a join-tree leaf under f. So an AddEdge that touches one settled
+// acyclic component and finds such an f appends the edge to the
+// component's fragment as a leaf under f and leaves the component settled;
+// a RemoveEdge of a leaf hung that way drops it again, and a leaf cannot
+// disconnect its component. Both cost the edit (plus the ears hung after
+// it), not the component, and count dynamic_ear_edits_total on /metricsz.
+// Every other edit dirties its component as before. The parent links a
+// handle reads are therefore always a valid join forest of its epoch, and
+// they are the canonical, content-determined fragments a full settle
+// derives whenever no ear is hung: removing the hung ears, in any order,
+// gives back the settled fragment exactly. A component with ears hung is
+// never interned in the engine memo (only a full settle interns), and a
+// restored workspace settles every component in full, so a recovered
+// session reads canonical links again.
 package dynamic
 
 import (
@@ -59,6 +77,10 @@ import (
 	"repro/internal/mcs"
 	"repro/internal/obs"
 )
+
+// earEdits counts the edits that hung an ear on, or dropped one from, a
+// settled component without re-analyzing it.
+var earEdits = obs.C("dynamic_ear_edits_total")
 
 // Workspace is a concurrency-safe mutable hypergraph. Construct with New or
 // NewFrom; the zero value is not usable. All methods are safe for
@@ -83,6 +105,7 @@ type Workspace struct {
 	order    nameOrder // current node ids in name order, for the snapshot
 	compRank []int32   // node id -> position in the settling component's name order; -1 outside recompute
 	nodeSeen []bool    // node id -> reached by splitOrDirty's sweep; false outside it
+	livePos  []int32   // edge slot -> position among the alive slots; parentLocked's scratch
 
 	edges    []wedge // edge slot -> record; dead slots are reused (see wedge.gen)
 	edgeSeen []bool  // edge slot -> reached by splitOrDirty's sweep; false outside it
@@ -120,6 +143,7 @@ type wedge struct {
 	comp   int32
 	gen    uint32 // generation of the current (or next) occupant
 	alive  bool
+	pos    int32                     // position in its component's fragment; valid while the component is settled
 	digest hypergraph.Fingerprint128 // canonical content digest (sorted names)
 }
 
@@ -144,15 +168,20 @@ func (ws *Workspace) decodeEdge(id int) (int, bool) {
 
 // component is the per-component incremental state: membership, the
 // deletion-capable content fingerprint, and — once settled — the verdict
-// and canonical join-tree fragment.
+// and join-tree fragment. order[:base] and parent[:base] are the canonical
+// fragment of the last full settle; positions from base on are the ear
+// tail, edges hung since as join-tree leaves, each after its parent. The
+// tail is empty right after a full settle, and whenever it is empty the
+// fragment is canonical again.
 type component struct {
 	edges map[int]struct{} // alive edge ids
 	sum   hypergraph.Fingerprint128
 
 	settled bool
 	acyclic bool
-	order   []int // canonical position -> edge id (content-sorted)
-	parent  []int // canonical position -> parent position, -1 for the root
+	base    int   // length of the canonical fragment; order[base:] is the ear tail
+	order   []int // position -> edge id (content-sorted below base)
+	parent  []int // position -> parent position, -1 for the root
 }
 
 // Option configures a Workspace.
@@ -257,7 +286,9 @@ func (ws *Workspace) EdgeNodes(id int) ([]string, error) {
 // AddEdge adds an edge over the named nodes (duplicates collapse; at least
 // one node is required) and returns its stable edge id. New names are
 // interned; nodes spanning several components merge them (union on insert),
-// and only the receiving component is marked for re-analysis.
+// and only the receiving component is marked for re-analysis — unless the
+// edge is an ear of one settled acyclic component, which it joins as a
+// join-tree leaf with no re-analysis at all.
 func (ws *Workspace) AddEdge(nodes ...string) (int, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
@@ -278,7 +309,8 @@ func (ws *Workspace) AddEdge(nodes ...string) (int, error) {
 	}
 
 	// Resolve the receiving component: none of the nodes covered -> a new
-	// component; one component touched -> that one; several -> merge.
+	// component; one component touched -> that one, left settled when the
+	// edge is an ear of it; several -> merge.
 	var touched []int32
 	for _, nid := range ids {
 		if c := ws.nodeComp[nid]; c >= 0 && !slices.Contains(touched, c) {
@@ -286,12 +318,15 @@ func (ws *Workspace) AddEdge(nodes ...string) (int, error) {
 		}
 	}
 	var cid int32
+	ear := int32(-1) // fragment position of the member the edge hangs under
 	switch len(touched) {
 	case 0:
 		cid = ws.newComp()
 	case 1:
 		cid = touched[0]
-		ws.markDirty(cid)
+		if ear = ws.earParent(cid, ids); ear < 0 {
+			ws.markDirty(cid)
+		}
 	default:
 		cid = ws.mergeComps(touched)
 	}
@@ -317,6 +352,12 @@ func (ws *Workspace) AddEdge(nodes ...string) (int, error) {
 			ws.covered++
 		}
 	}
+	if ear >= 0 {
+		ws.edges[slot].pos = int32(len(c.order))
+		c.order = append(c.order, slot)
+		c.parent = append(c.parent, int(ear))
+		earEdits.Inc()
+	}
 	ws.bump()
 	return encodeEdgeID(slot, ws.edges[slot].gen), nil
 }
@@ -326,9 +367,11 @@ func (ws *Workspace) AddEdge(nodes ...string) (int, error) {
 // RenameNode may claim them afresh) and their ids are recycled, so churn
 // does not accumulate. The edge's slot is recycled too, under a bumped
 // generation, so the removed id (and every other id the slot ever issued)
-// keeps reporting *ErrUnknownEdge. If the removal disconnects the edge's
+// keeps reporting *ErrUnknownEdge. An ear leaf (see AddEdge) leaves its
+// component settled; otherwise, if the removal disconnects the edge's
 // component, the component is re-partitioned by a rebuild bounded by that
-// component's size (the rest of the workspace is untouched).
+// component's size (the rest of the workspace is untouched), and the
+// component is marked for re-analysis.
 func (ws *Workspace) RemoveEdge(id int) error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
@@ -346,6 +389,7 @@ func (ws *Workspace) RemoveEdge(id int) error {
 	w := &ws.edges[slot]
 	cid := w.comp
 	c := ws.comps[cid]
+	leaf := c.earLeaf(w.pos)
 	delete(c.edges, slot)
 	c.sum = c.sum.Sub(w.digest)
 	for _, nid := range w.ids {
@@ -363,9 +407,12 @@ func (ws *Workspace) RemoveEdge(id int) error {
 	w.gen++
 	ws.freeEdge = append(ws.freeEdge, int32(slot))
 	ws.alive--
-	if len(c.edges) == 0 {
+	switch {
+	case len(c.edges) == 0:
 		ws.destroyComp(cid)
-	} else {
+	case leaf:
+		ws.dropEar(c, int(w.pos))
+	default:
 		ws.splitOrDirty(cid)
 	}
 	ws.bump()
@@ -652,6 +699,69 @@ func (ws *Workspace) mergeComps(touched []int32) int32 {
 	return base
 }
 
+// earParent returns the fragment position of the member an edge over ids
+// hangs under as an ear of component cid, or -1 when cid is not settled
+// and acyclic or the edge is no ear of it. Every node of ids is either in
+// cid or uncovered; the candidates are the members containing the covered
+// node with the fewest incident members, each checked against the other
+// covered nodes by binary search over its sorted ids, and the lowest
+// position among those containing them all wins.
+func (ws *Workspace) earParent(cid int32, ids []int32) int32 {
+	c := ws.comps[cid]
+	if !c.settled || !c.acyclic {
+		return -1
+	}
+	pivot := int32(-1)
+	for _, nid := range ids {
+		if ws.nodeComp[nid] >= 0 && (pivot < 0 || len(ws.inc[nid]) < len(ws.inc[pivot])) {
+			pivot = nid
+		}
+	}
+	best := int32(-1)
+candidates:
+	for _, f := range ws.inc[pivot] {
+		w := &ws.edges[f]
+		if best >= 0 && w.pos >= best {
+			continue
+		}
+		for _, nid := range ids {
+			if ws.nodeComp[nid] < 0 {
+				continue
+			}
+			if _, ok := slices.BinarySearch(w.ids, nid); !ok {
+				continue candidates
+			}
+		}
+		best = w.pos
+	}
+	return best
+}
+
+// earLeaf reports whether c is settled and its fragment position p is an
+// ear hung since the last full settle with no ear hung under it. Tail
+// entries follow their parents, so only the entries after p can point at
+// it. (While c is unsettled, its members' positions are stale.)
+func (c *component) earLeaf(p int32) bool {
+	return c.settled && int(p) >= c.base && !slices.Contains(c.parent[p+1:], int(p))
+}
+
+// dropEar deletes the ear leaf at fragment position p from c's tail,
+// shifting the later tail entries down one so that each still follows its
+// parent; dropping the last ear costs O(1).
+func (ws *Workspace) dropEar(c *component, p int) {
+	n := len(c.order) - 1
+	for q := p; q < n; q++ {
+		c.order[q] = c.order[q+1]
+		c.parent[q] = c.parent[q+1]
+		if c.parent[q] > p {
+			c.parent[q]--
+		}
+		ws.edges[c.order[q]].pos = int32(q)
+	}
+	c.order, c.parent = c.order[:n], c.parent[:n]
+	earEdits.Inc()
+}
+
 // splitOrDirty re-partitions a component after an edge removal: a breadth-
 // first sweep over the component's own edges (linear in the component's
 // total edge size — the bounded rebuild) either confirms it is still
@@ -748,7 +858,10 @@ func (ws *Workspace) settleLocked(ctx context.Context) error {
 			}
 			continue
 		}
-		c.settled = true
+		c.settled, c.base = true, len(c.order)
+		for i, eid := range c.order {
+			ws.edges[eid].pos = int32(i)
+		}
 		if !c.acyclic {
 			ws.cyclic++
 		}
@@ -757,8 +870,9 @@ func (ws *Workspace) settleLocked(ctx context.Context) error {
 	return firstErr
 }
 
-// recompute derives a component's verdict and canonical join-tree fragment,
-// through the engine's component-granular memo when one is attached. The
+// recompute derives a component's verdict and canonical join-tree fragment
+// from its members alone — an ear tail it carried is folded in — through
+// the engine's component-granular memo when one is attached. The
 // component's distinct nodes are numbered in name order (one name sort over
 // those nodes only, never the workspace's), each member is laid out in that
 // numbering, and the members are sorted by their runs, duplicates by edge
@@ -767,7 +881,9 @@ func (ws *Workspace) settleLocked(ctx context.Context) error {
 // across workspaces holding the same component, whatever their node ids. On
 // a miss the runs are the component's hypergraph as they stand. A cancelled
 // search reports the context error and leaves the component untouched (and
-// uninterned).
+// uninterned). The parent links may be the memo record's own, so they are
+// clipped: the first ear appended to them copies them. The caller records
+// the fragment's length as base and each member's position.
 func (ws *Workspace) recompute(ctx context.Context, c *component) error {
 	ctx, csp := obs.StartSpan(ctx, "dynamic.component")
 	defer csp.End()
@@ -845,7 +961,7 @@ func (ws *Workspace) recompute(ctx context.Context, c *component) error {
 		return err
 	}
 	c.acyclic = res.Acyclic
-	c.parent = res.Parent
+	c.parent = slices.Clip(res.Parent)
 	c.order = order
 	return nil
 }
@@ -896,13 +1012,15 @@ func (ws *Workspace) snapshotLocked() *hypergraph.Hypergraph {
 
 // parentLocked assembles the join forest's parent links over the alive
 // edges in slot order — the snapshot's edge order — from the settled
-// per-component fragments: each fragment's canonical-order links are
+// per-component fragments, ear tails included: each fragment's links are
 // rebased onto those positions, and every fragment root stays a root of
 // the forest. A position is the count of alive slots before the edge's
-// own, so no snapshot is built. Callers hold ws.mu, and every component is
-// settled and acyclic.
+// own, kept in the workspace's livePos scratch, so no snapshot is built
+// and a read allocates only the links it returns. Callers hold ws.mu, and
+// every component is settled and acyclic.
 func (ws *Workspace) parentLocked() []int {
-	pos := make([]int32, len(ws.edges))
+	pos := slices.Grow(ws.livePos[:0], len(ws.edges))[:len(ws.edges)]
+	ws.livePos = pos
 	n := int32(0)
 	for slot := range ws.edges {
 		if ws.edges[slot].alive {

@@ -76,8 +76,9 @@ func TestBasicEdits(t *testing.T) {
 
 // TestComponentLocality: edits must dirty only the touched component — the
 // others keep their settled state (observed through the engine memo: a
-// second Analysis() after a component-local edit interns exactly one
-// component).
+// second Analysis() after a component-local edit that is no ear interns
+// exactly one component) — and an ear edit dirties nothing at all: it
+// neither probes nor fills the memo.
 func TestComponentLocality(t *testing.T) {
 	e := engine.New(engine.WithShards(1))
 	ws := New(WithEngine(e))
@@ -97,9 +98,22 @@ func TestComponentLocality(t *testing.T) {
 	if base.Components != 3 {
 		t.Fatalf("3 components must be interned, got %+v", base)
 	}
-	// A component-local edit: extend chain 1. Settling must intern exactly
-	// one new component identity (the edited one) — misses grow by 1.
+	// An ear: extending chain 1 by one edge overlaps it in c1n4 alone,
+	// which its last edge holds. Settling must re-intern nothing.
 	if _, err := ws.AddEdge("c1n4", "c1n5"); err != nil {
+		t.Fatal(err)
+	}
+	if !ws.Analysis().Verdict() {
+		t.Fatal("chains must stay acyclic")
+	}
+	if after := e.Stats(); after != base {
+		t.Fatalf("an ear edit touched the memo: %+v -> %+v", base, after)
+	}
+	// A component-local edit that is no ear: {c1n1, c1n2, c1n3} overlaps
+	// chain 1 in three nodes no one member holds. Settling must intern
+	// exactly one new component identity (the edited one) — misses grow
+	// by 1.
+	if _, err := ws.AddEdge("c1n1", "c1n2", "c1n3"); err != nil {
 		t.Fatal(err)
 	}
 	if !ws.Analysis().Verdict() {

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -283,6 +284,96 @@ func TestTracezWorkspaceQuerySpans(t *testing.T) {
 	}
 }
 
+// TestTracezEarEditSkipsSettle: the verdict read after an ear edit — an
+// edge whose overlap with its component lies inside one member — settles
+// nothing, so its trace has no dynamic.component span, while the reads
+// after the create and after an edit that is no ear each re-analyze the
+// component under one. dynamic_ear_edits_total on /metricsz counts the ear
+// and its removal, and nothing else.
+func TestTracezEarEditSkipsSettle(t *testing.T) {
+	t.Cleanup(obs.Disable)
+	_, ts := newTestServer(t, Config{Trace: true, TraceSampleN: 1, SlowTraceThreshold: -1}, nil)
+	earEdits := func() int {
+		t.Helper()
+		_, body := do(t, "GET", ts.URL+"/metricsz", "", nil)
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, "dynamic_ear_edits_total "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metricsz has no dynamic_ear_edits_total:\n%s", body)
+		return 0
+	}
+	resp, body := do(t, "POST", ts.URL+"/v1/workspaces", `{"schema":"A B C\nC D E"}`, nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("create workspace: %d %s", resp.StatusCode, body)
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	ws := ts.URL + "/v1/workspaces/" + created.ID
+	path := "/v1/workspaces/" + created.ID + "/query"
+	// components reads the verdict and counts the dynamic.component spans
+	// in its trace, the newest retained for the query path.
+	components := func() int {
+		t.Helper()
+		if resp, body := do(t, "POST", ts.URL+path, `{"op":"verdict"}`, nil); resp.StatusCode != 200 {
+			t.Fatalf("verdict: %d %s", resp.StatusCode, body)
+		}
+		for _, tr := range getTracez(t, ts.URL).Traces { // newest first
+			if tr.Root != nil && tr.Root.Attrs["path"] == path {
+				n := 0
+				walk(tr.Root, func(s *spanNode) {
+					if s.Name == "dynamic.component" {
+						n++
+					}
+				})
+				return n
+			}
+		}
+		t.Fatalf("no retained trace for %s", path)
+		return 0
+	}
+	edit := func(method, url, body string) map[string]any {
+		t.Helper()
+		resp, b := do(t, method, url, body, nil)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s %s: %d %s", method, url, resp.StatusCode, b)
+		}
+		return jsonMap(t, b)
+	}
+
+	if n := components(); n != 1 {
+		t.Fatalf("first verdict read: %d dynamic.component spans, want 1", n)
+	}
+	before := earEdits()
+	ear := edit("POST", ws+"/edges", `{"nodes":["C","D","X"]}`) // overlap {C,D} inside {C,D,E}
+	if n := components(); n != 0 {
+		t.Fatalf("verdict read after an ear edit: %d dynamic.component spans, want 0", n)
+	}
+	edit("DELETE", fmt.Sprintf("%s/edges/%d", ws, int(ear["edge"].(float64))), "")
+	if n := components(); n != 0 {
+		t.Fatalf("verdict read after dropping the ear: %d dynamic.component spans, want 0", n)
+	}
+	if got := earEdits() - before; got != 2 {
+		t.Fatalf("dynamic_ear_edits_total moved by %d over an ear and its removal, want 2", got)
+	}
+	edit("POST", ws+"/edges", `{"nodes":["A","C","E"]}`) // overlap {A,C,E}: no one member holds it
+	if n := components(); n != 1 {
+		t.Fatalf("verdict read after an edit that is no ear: %d dynamic.component spans, want 1", n)
+	}
+	if got := earEdits() - before; got != 2 {
+		t.Fatalf("an edit that is no ear moved dynamic_ear_edits_total to %d past the start, want 2", got)
+	}
+}
+
 func keys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -390,6 +481,7 @@ func TestMetricszExposition(t *testing.T) {
 		`server_request_seconds_bucket{le="+Inf"}`,
 		"server_request_seconds_count",
 		"engine_memo_misses_total",
+		"# TYPE dynamic_ear_edits_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metricsz missing %q:\n%s", want, text)

@@ -23,12 +23,6 @@ type (
 	Hypergraph = hypergraph.Hypergraph
 	// NodeSet is a set of node ids of a particular Hypergraph.
 	NodeSet = bitset.Set
-	// SparseNodeSet is the sorted-id sparse set: storage proportional to
-	// cardinality instead of universe size. See internal/bitset.Sparse.
-	SparseNodeSet = bitset.Sparse
-	// EdgeSet is the adaptive per-edge representation (dense or sparse,
-	// chosen by density). See internal/hypergraph.Edge.
-	EdgeSet = hypergraph.Edge
 	// GrahamResult is the outcome of a Graham (GYO) reduction, including the
 	// step trace.
 	GrahamResult = gyo.Result

@@ -129,7 +129,7 @@ func BenchmarkAcyclicityTests(b *testing.B) {
 // largeFamilies builds the 10⁴–10⁵-edge benchmark instances. The
 // name-interned AcyclicChain historically stopped at 10⁴ edges because the
 // dense bitset representation charged universe/64 words per edge (~2.5 GB
-// at 10⁵); the adaptive sparse representation removed that wall — see
+// at 10⁵); storing edges as sorted id runs removed that wall — see
 // BenchmarkSparseMillionEdges for the unbounded-universe tier — and these
 // families are kept for the name-interning construction path.
 func largeFamilies() []struct {
@@ -201,8 +201,8 @@ func BenchmarkJoinTreeLarge(b *testing.B) {
 // BenchmarkSparseMillionEdges — the representation-layer headline: a
 // 10⁶-edge unbounded-universe chain (≈2·10⁶ nodes), the family the dense
 // representation capped near 10⁵ edges (universe/64 words per edge ≈ 250 KB,
-// ≈250 GB total at this size). Under the adaptive sparse representation the
-// whole instance costs ~edge-size memory and every stage — construction,
+// ≈250 GB total at this size). Stored as one flat member list the whole
+// instance costs ~edge-size memory and every stage — construction,
 // MCS verdict, join-tree build, running-intersection verification — runs in
 // well under a second on commodity hardware.
 func BenchmarkSparseMillionEdges(b *testing.B) {
@@ -360,9 +360,9 @@ func BenchmarkEngineMemo(b *testing.B) {
 // fingerprint per query, so the "string" vs "streaming128" gap is the
 // warm-path win; "engine-warm-single" measures the end-to-end repeat query
 // (fingerprint + shard probe) on a 10⁵-edge schema. The streaming digest is
-// cached at construction, so "streaming128" on a constructed hypergraph is
-// a field read; "streaming128-cold" clones first to measure the digest
-// computation itself.
+// cached on the hypergraph at first use, so "streaming128" on a warmed
+// hypergraph is a field read; "streaming128-cold" clones first to measure
+// the digest computation itself.
 func BenchmarkFingerprint(b *testing.B) {
 	h := gen.AcyclicChainIDs(100_000, 3, 1)
 	named := gen.AcyclicChain(10_000, 3, 1)

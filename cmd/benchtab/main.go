@@ -179,16 +179,17 @@ func engineTable(w io.Writer) {
 	}
 	t.Render(w)
 	fmt.Fprintln(w, "shape: the warm memo answers repeat traffic at digest-read-plus-map-probe cost")
-	fmt.Fprintln(w, "(the streaming 128-bit fingerprint is cached at construction), independent of")
+	fmt.Fprintln(w, "(the streaming 128-bit fingerprint is cached on the hypergraph), independent of")
 	fmt.Fprintln(w, "instance hardness")
 }
 
 // sparseTable: P-SPARSE — the representation layer at scale: unbounded-
-// universe chains (the family the dense representation capped near 10⁵
-// edges) through construction, MCS verdict, join-tree build, and the
-// single-sweep Verify, plus the linearized Reduce on subset-heavy blocks.
+// universe chains (the family dense bitset edges capped near 10⁵ edges),
+// stored as one flat member list, through construction, MCS verdict,
+// join-tree build, and the single-sweep Verify, plus the linearized Reduce
+// on subset-heavy blocks.
 func sparseTable(w io.Writer) {
-	report.Section(w, "P-SPARSE: sparse representation scaling (unbounded-universe families)")
+	report.Section(w, "P-SPARSE: flat member-list scaling (unbounded-universe families)")
 	t := report.NewTable("family", "edges", "nodes", "construct", "MCS", "join tree", "verify", "reduce")
 	sizesAll := []int{10_000, 100_000, 1_000_000}
 	if quick {
@@ -215,8 +216,8 @@ func sparseTable(w io.Writer) {
 		t.Add("chain+blocks", m, chain.NumNodes(), dBuild, dMCS, dTree, dVerify, dReduce)
 	}
 	t.Render(w)
-	fmt.Fprintln(w, "shape: every column grows linearly in edges — the dense representation ran out of")
-	fmt.Fprintln(w, "memory near 10⁵ edges on this family (universe/64 words per edge); per-edge cost is flat")
+	fmt.Fprintln(w, "shape: every column grows linearly in edges — dense bitset edges ran out of memory")
+	fmt.Fprintln(w, "near 10⁵ edges on this family (universe/64 words per edge); per-edge cost is flat")
 }
 
 // dynamicTable: P-DYN — the incremental workspace: a component-local edit

@@ -239,9 +239,10 @@ func runLemma39(w io.Writer) error {
 		mn := tableau.Reduce(h, x)
 		trNodes := mn.Hypergraph().CoveredNodes()
 		bad := false
+		edges := h.Edges()
 		h.NodeSet().ForEach(func(n int) {
-			for r := 0; r < h.NumEdges(); r++ {
-				if h.Edge(r).Contains(n) && !h.Edge(mn.Mapping[r]).Contains(n) && trNodes.Contains(n) {
+			for r, e := range edges {
+				if e.Contains(n) && !edges[mn.Mapping[r]].Contains(n) && trNodes.Contains(n) {
 					bad = true
 				}
 			}

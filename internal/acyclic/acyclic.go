@@ -123,13 +123,14 @@ func IsBergeAcyclic(h *hypergraph.Hypergraph) bool {
 	// DFS over the incidence graph detecting any cycle. Vertices: node ids
 	// (even keys 2i) and edge ids (odd keys 2j+1).
 	type vertex struct{ id, parent int }
+	edges := h.Edges()
 	adjNode := map[int][]int{} // node id -> edge ids
-	for j, e := range h.Edges() {
+	for j, e := range edges {
 		e.ForEach(func(id int) { adjNode[id] = append(adjNode[id], j) })
 	}
 	seenNode := map[int]bool{}
 	seenEdge := map[int]bool{}
-	for j := range h.Edges() {
+	for j := range edges {
 		if seenEdge[j] {
 			continue
 		}
@@ -146,9 +147,7 @@ func IsBergeAcyclic(h *hypergraph.Hypergraph) bool {
 			if f.isEdge {
 				cameFromNode := f.parent
 				skipped := false
-				var visit []int
-				h.Edge(f.id).ForEach(func(nid int) { visit = append(visit, nid) })
-				for _, nid := range visit {
+				for _, nid := range edges[f.id].Elems() {
 					if nid == cameFromNode && !skipped {
 						skipped = true
 						continue
@@ -185,10 +184,7 @@ func IsBergeAcyclic(h *hypergraph.Hypergraph) bool {
 // This is the polynomial test; see IsBetaAcyclicByDefinition for the
 // executable specification (every edge subfamily α-acyclic).
 func IsBetaAcyclic(h *hypergraph.Hypergraph) bool {
-	edges := make([]bitset.Set, 0, h.NumEdges())
-	for _, e := range h.Edges() {
-		edges = append(edges, e.Clone())
-	}
+	edges := h.Edges() // fresh sets, eliminated from in place
 	remaining := h.CoveredNodes()
 	for !remaining.IsEmpty() {
 		nest := -1
@@ -306,9 +302,9 @@ func IsGammaAcyclicCtx(ctx context.Context, h *hypergraph.Hypergraph) (bool, err
 		return false, err
 	}
 	tk := &specTicker{ctx: ctx}
-	m := h.NumEdges()
-	for start := 0; start < m; start++ {
-		if searchGamma(h, tk, start, []int{start}, nil) {
+	edges := h.Edges()
+	for start := range edges {
+		if searchGamma(edges, tk, start, []int{start}, nil) {
 			return false, nil
 		}
 		if tk.err != nil {
@@ -322,7 +318,7 @@ func IsGammaAcyclicCtx(ctx context.Context, h *hypergraph.Hypergraph) (bool, err
 // xs (len(xs) == len(seq)-1) and reports whether a γ-cycle through
 // seq[0] exists. On cancellation it unwinds returning false with tk.err
 // set; the caller must check tk.err before trusting a negative answer.
-func searchGamma(h *hypergraph.Hypergraph, tk *specTicker, start int, seq []int, xs []int) bool {
+func searchGamma(edges []bitset.Set, tk *specTicker, start int, seq []int, xs []int) bool {
 	if tk.tick() {
 		return false
 	}
@@ -330,7 +326,7 @@ func searchGamma(h *hypergraph.Hypergraph, tk *specTicker, start int, seq []int,
 	// Try closing the cycle: need len(seq) >= 3 and x_m ∈ S_m ∩ S_1 distinct
 	// from earlier x's. x_m is exempt from the "no other edge" condition.
 	if len(seq) >= 3 {
-		closing := h.Edge(last).And(h.Edge(start))
+		closing := edges[last].And(edges[start])
 		ok := false
 		closing.ForEach(func(x int) {
 			if ok || containsInt(xs, x) {
@@ -342,14 +338,14 @@ func searchGamma(h *hypergraph.Hypergraph, tk *specTicker, start int, seq []int,
 			return true
 		}
 	}
-	if len(seq) == h.NumEdges() {
+	if len(seq) == len(edges) {
 		return false
 	}
-	for next := 0; next < h.NumEdges(); next++ {
+	for next := range edges {
 		if containsInt(seq, next) {
 			continue
 		}
-		inter := h.Edge(last).And(h.Edge(next))
+		inter := edges[last].And(edges[next])
 		found := false
 		inter.ForEach(func(x int) {
 			if found || containsInt(xs, x) {
@@ -360,20 +356,20 @@ func searchGamma(h *hypergraph.Hypergraph, tk *specTicker, start int, seq []int,
 			// enforce it incrementally against the current prefix and
 			// retro-check when extending.
 			for _, s := range seq[:len(seq)-1] {
-				if h.Edge(s).Contains(x) {
+				if edges[s].Contains(x) {
 					return
 				}
 			}
 			// Also, earlier interior x's must not be contained in the new
 			// edge `next`.
 			for _, px := range xs {
-				if h.Edge(next).Contains(px) {
+				if edges[next].Contains(px) {
 					return
 				}
 			}
 			seq2 := append(append([]int{}, seq...), next)
 			xs2 := append(append([]int{}, xs...), x)
-			if searchGamma(h, tk, start, seq2, xs2) {
+			if searchGamma(edges, tk, start, seq2, xs2) {
 				found = true
 			}
 		})

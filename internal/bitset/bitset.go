@@ -1,8 +1,8 @@
 // Package bitset provides a dense bit-set over small integer universes.
 //
-// It is the arithmetic substrate for every hypergraph algorithm in this
-// repository: hypergraph nodes are interned to dense ids, edges are Sets, and
-// subset tests, intersections and component sweeps all reduce to
+// It is the arithmetic substrate of the paper-scale hypergraph algorithms
+// in this repository: hypergraph nodes are interned to dense ids, node sets
+// are Sets, and subset tests, intersections and component sweeps reduce to
 // word-parallel operations here.
 //
 // A Set is a value type backed by a slice of 64-bit words. The zero value is
@@ -16,9 +16,9 @@
 // needed; the derivation operations (And, Or, AndNot) always return freshly
 // allocated sets.
 //
-// For edges over large universes the dense representation charges
-// ⌈universe/64⌉ words regardless of cardinality; Sparse is the sorted-id
-// sibling whose storage is proportional to the number of elements.
+// A Set charges a word per 64 ids of its universe whatever its cardinality,
+// so hypergraphs store their edges as sorted id lists instead (see
+// internal/hypergraph) and build a Set of an edge on request.
 package bitset
 
 import (

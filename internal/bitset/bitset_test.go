@@ -287,3 +287,48 @@ func TestQuickAlgebraLaws(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEnsureZeroesReusedCapacity: growth into spare capacity must not expose
+// stale bits left behind by another Set that grew through the same backing
+// array (the regression the single-resize ensure guards against).
+func TestEnsureZeroesReusedCapacity(t *testing.T) {
+	big := New(1024)
+	big.Add(700)
+	// Simulate a short set whose slice shares the polluted backing array.
+	short := Set{words: big.words[:1]}
+	short.Add(800)
+	if short.Contains(700) {
+		t.Fatal("growth into dirty capacity resurrected element 700")
+	}
+	if got := short.Elems(); !reflect.DeepEqual(got, []int{800}) {
+		t.Fatalf("Elems = %v, want [800]", got)
+	}
+}
+
+// TestInPlaceOrAliasedGrowth: s |= t where s is a shorter prefix copy
+// sharing t's backing array must not lose t's high words.
+func TestInPlaceOrAliasedGrowth(t *testing.T) {
+	var full Set
+	full.Add(3)
+	full.Add(200)
+	short := Set{words: full.words[:1]} // shares storage, sees only {3}
+	short.InPlaceOr(full)
+	if got := short.Elems(); !reflect.DeepEqual(got, []int{3, 200}) {
+		t.Fatalf("aliased InPlaceOr lost elements: %v", got)
+	}
+	if got := full.Elems(); !reflect.DeepEqual(got, []int{3, 200}) {
+		t.Fatalf("aliased InPlaceOr corrupted source: %v", got)
+	}
+}
+
+func TestFull(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		f := Full(n)
+		if f.Len() != n {
+			t.Fatalf("Full(%d).Len = %d", n, f.Len())
+		}
+		if n > 0 && (!f.Contains(0) || !f.Contains(n-1) || f.Contains(n)) {
+			t.Fatalf("Full(%d) membership wrong", n)
+		}
+	}
+}

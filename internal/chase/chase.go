@@ -294,11 +294,12 @@ func JoinTreeMVDs(h *hypergraph.Hypergraph, parent []int) ([]JD, error) {
 		}
 		return m
 	}
+	edges := h.Edges()
 	for c, p := range parent {
 		if p < 0 {
 			continue
 		}
-		sep := h.NodeNames(h.Edge(c).And(h.Edge(p)))
+		sep := h.NodeNames(edges[c].And(edges[p]))
 		branch := side(c)
 		var y []string
 		for a := range branch {

@@ -76,13 +76,14 @@ func (r *Ring) Validate(h *hypergraph.Hypergraph) error {
 			}
 		}
 	}
+	edges := h.Edges()
 	for i := 0; i < k; i++ {
 		e := r.Edges[i]
-		if e < 0 || e >= h.NumEdges() {
+		if e < 0 || e >= len(edges) {
 			return errRing("edge index out of range")
 		}
 		pair := r.Sets[i].Or(r.Sets[(i+1)%k])
-		if !pair.IsSubset(h.Edge(e)) {
+		if !pair.IsSubset(edges[e]) {
 			return errRing("consecutive sets not inside their edge")
 		}
 	}
@@ -197,9 +198,10 @@ func CheckLemma42(h *hypergraph.Hypergraph, x bitset.Set) error {
 }
 
 func isEdgeIntersection(h *hypergraph.Hypergraph, y bitset.Set) bool {
-	for i := 0; i < h.NumEdges(); i++ {
-		for j := i + 1; j < h.NumEdges(); j++ {
-			if h.Edge(i).And(h.Edge(j)).Equal(y) {
+	edges := h.Edges()
+	for i, e := range edges {
+		for _, f := range edges[i+1:] {
+			if e.And(f).Equal(y) {
 				return true
 			}
 		}

@@ -30,13 +30,14 @@ func MinimalConnectors(h *hypergraph.Hypergraph, x bitset.Set) ([][]int, error) 
 	if !x.IsSubset(h.CoveredNodes()) {
 		return nil, fmt.Errorf("core: nodes %v not covered by any edge", h.NodeNames(x.AndNot(h.CoveredNodes())))
 	}
+	all := h.Edges()
 	connects := func(mask int) bool {
 		var edges []bitset.Set
 		var nodes bitset.Set
 		for b := 0; b < m; b++ {
 			if mask&(1<<b) != 0 {
-				edges = append(edges, h.Edge(b))
-				nodes.InPlaceOr(h.Edge(b))
+				edges = append(edges, all[b])
+				nodes.InPlaceOr(all[b])
 			}
 		}
 		if !x.IsSubset(nodes) {
@@ -101,9 +102,10 @@ func ConnectorsWithinCC(h *hypergraph.Hypergraph, x bitset.Set) (count int, allI
 	cc := CC(h, x)
 	ccNodes := cc.CoveredNodes()
 	allInsideCC = true
+	edges := h.Edges()
 	for _, conn := range conns {
 		for _, e := range conn {
-			if !cc.IsPartialEdge(h.Edge(e).And(ccNodes)) {
+			if !cc.IsPartialEdge(edges[e].And(ccNodes)) {
 				allInsideCC = false
 			}
 		}

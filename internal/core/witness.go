@@ -87,13 +87,14 @@ func witnessInCore(f *hypergraph.Hypergraph) (*Path, error) {
 	}
 	// Stepping stones: M1 = F*−X, interior = consecutive intersections − X,
 	// Mk = G*−X, then X itself.
+	edges := f.Edges()
 	var sets []bitset.Set
-	sets = append(sets, f.Edge(fi).AndNot(x))
+	sets = append(sets, edges[fi].AndNot(x))
 	for i := 0; i+1 < len(steps); i++ {
-		m := f.Edge(steps[i]).And(f.Edge(steps[i+1])).AndNot(x)
+		m := edges[steps[i]].And(edges[steps[i+1]]).AndNot(x)
 		sets = append(sets, m)
 	}
-	sets = append(sets, f.Edge(gi).AndNot(x))
+	sets = append(sets, edges[gi].AndNot(x))
 	sets = append(sets, x.Clone())
 	return shrinkPath(f, sets)
 }
@@ -104,10 +105,11 @@ func witnessInCore(f *hypergraph.Hypergraph) (*Path, error) {
 func maximalIntersection(f *hypergraph.Hypergraph) (int, int, bitset.Set) {
 	bi, bj := -1, -1
 	var best bitset.Set
-	m := f.NumEdges()
+	edges := f.Edges()
+	m := len(edges)
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
-			x := f.Edge(i).And(f.Edge(j))
+			x := edges[i].And(edges[j])
 			if x.IsEmpty() {
 				continue
 			}
@@ -124,7 +126,7 @@ func maximalIntersection(f *hypergraph.Hypergraph) (int, int, bitset.Set) {
 		changed = false
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
-				x := f.Edge(i).And(f.Edge(j))
+				x := edges[i].And(edges[j])
 				if best.IsProperSubset(x) {
 					bi, bj, best = i, j, x
 					changed = true
@@ -139,7 +141,8 @@ func maximalIntersection(f *hypergraph.Hypergraph) (int, int, bitset.Set) {
 // consecutive edges intersect outside x. It exists because removing an
 // articulation-set-free core's edge intersection never disconnects it.
 func edgeWalk(f *hypergraph.Hypergraph, a, b int, x bitset.Set) ([]int, error) {
-	m := f.NumEdges()
+	edges := f.Edges()
+	m := len(edges)
 	parent := make([]int, m)
 	for i := range parent {
 		parent[i] = -2
@@ -163,7 +166,7 @@ func edgeWalk(f *hypergraph.Hypergraph, a, b int, x bitset.Set) ([]int, error) {
 			if parent[w] != -2 {
 				continue
 			}
-			if f.Edge(v).And(f.Edge(w)).AndNot(x).IsEmpty() {
+			if edges[v].And(edges[w]).AndNot(x).IsEmpty() {
 				continue
 			}
 			parent[w] = v

@@ -91,8 +91,9 @@ func (d *Database) QueryCC(attrs []string) (*relation.Relation, error) {
 	}
 	parts := make([]*relation.Relation, 0, len(mn.Rows))
 	kept := mn.KeptNodes()
+	edges := d.Schema.Edges()
 	for _, r := range mn.Rows {
-		partial := d.Schema.NodeNames(d.Schema.Edge(r).And(kept))
+		partial := d.Schema.NodeNames(edges[r].And(kept))
 		p, err := d.Objects[r].Project(partial)
 		if err != nil {
 			return nil, err
@@ -129,6 +130,7 @@ func (d *Database) QueryYannakakis(attrs []string) (*relation.Relation, error) {
 		want[a] = true
 	}
 	ch := t.Children()
+	edges := d.Schema.Edges()
 	var build func(v int) (*relation.Relation, error)
 	build = func(v int) (*relation.Relation, error) {
 		acc := reduced[v]
@@ -151,7 +153,7 @@ func (d *Database) QueryYannakakis(attrs []string) (*relation.Relation, error) {
 			}
 			p := t.Parent[v]
 			if p >= 0 {
-				if id, ok := d.Schema.NodeID(a); ok && d.Schema.Edge(p).Contains(id) {
+				if id, ok := d.Schema.NodeID(a); ok && edges[p].Contains(id) {
 					keep = append(keep, a)
 				}
 			}
@@ -205,9 +207,10 @@ func (d *Database) IsGloballyConsistent() bool {
 // pairwise consistency implies global consistency (BFMY); for cyclic schemas
 // it does not, which is the §7 warning this package demonstrates.
 func (d *Database) IsPairwiseConsistent() bool {
+	edges := d.Schema.Edges()
 	for i := 0; i < len(d.Objects); i++ {
 		for j := i + 1; j < len(d.Objects); j++ {
-			shared := d.Schema.NodeNames(d.Schema.Edge(i).And(d.Schema.Edge(j)))
+			shared := d.Schema.NodeNames(edges[i].And(edges[j]))
 			if len(shared) == 0 {
 				continue
 			}

@@ -27,13 +27,14 @@ func MaximalObjects(d *Database) ([][]int, error) {
 	if m > maxEdges {
 		return nil, fmt.Errorf("db: maximal-object enumeration capped at %d edges, have %d", maxEdges, m)
 	}
+	all := d.Schema.Edges()
 	sub := func(mask int) ([]bitset.Set, bitset.Set) {
 		var edges []bitset.Set
 		var nodes bitset.Set
 		for b := 0; b < m; b++ {
 			if mask&(1<<b) != 0 {
-				edges = append(edges, d.Schema.Edge(b))
-				nodes.InPlaceOr(d.Schema.Edge(b))
+				edges = append(edges, all[b])
+				nodes.InPlaceOr(all[b])
 			}
 		}
 		return edges, nodes
@@ -94,13 +95,14 @@ func (d *Database) QueryMaximalObjects(attrs []string) (*relation.Relation, erro
 		return nil, err
 	}
 	var acc *relation.Relation
+	all := d.Schema.Edges()
 	for _, mo := range mos {
 		var nodes bitset.Set
 		var edges []bitset.Set
 		objects := make([]*relation.Relation, 0, len(mo))
 		for _, e := range mo {
-			nodes.InPlaceOr(d.Schema.Edge(e))
-			edges = append(edges, d.Schema.Edge(e))
+			nodes.InPlaceOr(all[e])
+			edges = append(edges, all[e])
 			objects = append(objects, d.Objects[e])
 		}
 		if !x.IsSubset(nodes) {

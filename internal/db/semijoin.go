@@ -21,6 +21,7 @@ func (d *Database) SemijoinFixpoint() ([]*relation.Relation, int) {
 	objects := make([]*relation.Relation, len(d.Objects))
 	copy(objects, d.Objects)
 	passes := 0
+	edges := d.Schema.Edges()
 	for {
 		passes++
 		changed := false
@@ -29,7 +30,7 @@ func (d *Database) SemijoinFixpoint() ([]*relation.Relation, int) {
 				if i == j {
 					continue
 				}
-				if !d.Schema.Edge(i).Intersects(d.Schema.Edge(j)) {
+				if !edges[i].Intersects(edges[j]) {
 					continue
 				}
 				next := objects[i].Semijoin(objects[j])

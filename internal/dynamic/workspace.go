@@ -994,18 +994,21 @@ func (ws *Workspace) snapshotLocked() *hypergraph.Hypergraph {
 		}
 		size := 0
 		for id := range ws.edges {
-			size += len(ws.edges[id].ids)
-		}
-		buf := make([]int32, 0, size) // one backing array for every edge's run
-		edges := make([][]int32, 0, ws.alive)
-		for id := range ws.edges {
 			if w := &ws.edges[id]; w.alive {
-				var run []int32
-				buf, run = layout(buf, w.ids, rank)
-				edges = append(edges, run)
+				size += len(w.ids)
 			}
 		}
-		ws.snap = hypergraph.FromSortedNames(names, edges)
+		// The runs, laid edge after edge into one buffer, are the
+		// snapshot's member list.
+		members := make([]int32, 0, size)
+		off := make([]int32, 1, ws.alive+1)
+		for id := range ws.edges {
+			if w := &ws.edges[id]; w.alive {
+				members, _ = layout(members, w.ids, rank)
+				off = append(off, int32(len(members)))
+			}
+		}
+		ws.snap = hypergraph.FromSortedNames(names, members, off)
 	}
 	return ws.snap
 }

@@ -174,9 +174,10 @@ func TestExecChain100k(t *testing.T) {
 	}
 	// Full reduction = semijoin fixpoint: re-semijoining any pair of
 	// overlapping objects must remove nothing.
+	edges := db.Schema.Edges()
 	for i, ti := range res.DB.Tables {
 		for j, tj := range res.DB.Tables {
-			if i == j || !db.Schema.EdgeView(i).Intersects(db.Schema.EdgeView(j)) {
+			if i == j || !edges[i].Intersects(edges[j]) {
 				continue
 			}
 			again, err := exec.Semijoin(ctx, ti, tj)

@@ -226,7 +226,7 @@ func eval(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []str
 		}
 		covered := false
 		for i := 0; i < h.NumEdges() && !covered; i++ {
-			covered = h.EdgeView(i).Contains(id)
+			covered = holds(h, i, id)
 		}
 		if !covered {
 			return nil, fmt.Errorf("exec: query attribute %q occurs in no object", a)
@@ -406,17 +406,18 @@ func planConnection(tree *jointree.JoinTree, x bitset.Set) *connection {
 		queued[v] = false
 		nb := neighbours(v)
 		proj = proj[:0]
-		h.EdgeView(v).ForEach(func(a int) {
-			if x.Contains(a) || slices.ContainsFunc(nb, func(u int) bool { return h.EdgeView(u).Contains(a) }) {
+		for _, id := range h.Members(v) {
+			a := int(id)
+			if x.Contains(a) || slices.ContainsFunc(nb, func(u int) bool { return holds(h, u, a) }) {
 				proj = append(proj, a)
 			}
-		})
+		}
 		if len(nb) == 0 {
 			dropped[v] = len(proj) == 0
 			continue
 		}
 		for _, w := range nb {
-			if !slices.ContainsFunc(proj, func(a int) bool { return !h.EdgeView(w).Contains(a) }) {
+			if !slices.ContainsFunc(proj, func(a int) bool { return !holds(h, w, a) }) {
 				rep[v] = w
 				adj[w] = append(adj[w], adj[v]...)
 				adj[v] = nil
@@ -468,10 +469,16 @@ func (c *connection) need(attrs []string, v int, rest []int) []string {
 	keep := make([]string, 0, len(attrs))
 	for _, a := range attrs {
 		id, _ := c.h.NodeID(a)
-		shares := func(u int) bool { return c.h.EdgeView(u).Contains(id) }
+		shares := func(u int) bool { return holds(c.h, u, id) }
 		if c.x.Contains(id) || (c.parent[v] >= 0 && shares(c.parent[v])) || slices.ContainsFunc(rest, shares) {
 			keep = append(keep, a)
 		}
 	}
 	return keep
+}
+
+// holds reports whether edge e of h contains node id.
+func holds(h *hypergraph.Hypergraph, e, id int) bool {
+	_, ok := slices.BinarySearch(h.Members(e), int32(id))
+	return ok
 }

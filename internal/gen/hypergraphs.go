@@ -134,10 +134,10 @@ func AcyclicChain(m, arity, overlap int) *hypergraph.Hypergraph {
 
 // AcyclicChainIDs is the id-based AcyclicChain: the same chained structure
 // built through hypergraph.FromIDs, skipping name interning entirely. With
-// the adaptive sparse edge representation this is the family that scales to
-// 10⁶ edges — the node universe grows with m, which the dense representation
-// cannot afford (universe/64 words per edge), and construction is O(total
-// edge size). Edge i covers the contiguous ids [i·(arity-overlap),
+// edges stored as sorted id runs this is the family that scales to 10⁶
+// edges — the node universe grows with m, which dense bitset edges cannot
+// afford (universe/64 words per edge), and construction is O(total edge
+// size). Edge i covers the contiguous ids [i·(arity-overlap),
 // i·(arity-overlap)+arity). Requires 1 <= overlap < arity.
 func AcyclicChainIDs(m, arity, overlap int) *hypergraph.Hypergraph {
 	if overlap < 1 || overlap >= arity {
@@ -146,7 +146,7 @@ func AcyclicChainIDs(m, arity, overlap int) *hypergraph.Hypergraph {
 	step := arity - overlap
 	n := arity + (m-1)*step
 	edges := make([][]int32, m)
-	flat := make([]int32, m*arity) // one backing array: FromIDs adopts sorted slices
+	flat := make([]int32, m*arity) // one backing array for every edge
 	for i := 0; i < m; i++ {
 		e := flat[i*arity : (i+1)*arity]
 		for j := range e {
@@ -217,9 +217,9 @@ func RandomRawIDs(rng *rand.Rand, spec RandomSpec) *hypergraph.Hypergraph {
 
 // AcyclicBlocks returns a large guaranteed-acyclic hypergraph with m edges
 // over a bounded node universe of blockCount*blockSize nodes — the
-// large-instance benchmark family. (The dense bitset edge representation
-// costs universe/64 words per edge, so unbounded-universe families like
-// AcyclicChain become memory-bound near 10⁵ edges; this family does not.)
+// large-instance benchmark family. (Dense bitset edges cost universe/64
+// words each, which made unbounded-universe families like AcyclicChain
+// memory-bound near 10⁵ edges; this family never was.)
 //
 // Structure: one full edge per block of nodes, 2-node connector edges
 // chaining consecutive blocks, and the remaining m-(2*blockCount-1) edges

@@ -2,9 +2,11 @@ package gen
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/gyo"
+	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/mcs"
 )
@@ -42,8 +44,8 @@ func TestAcyclicBlocksPanics(t *testing.T) {
 
 // TestIDGeneratorsMatchNamedFamilies: the id-based generators must produce
 // structurally identical hypergraphs to their name-interning twins (same
-// edge count, same verdicts, same reduction behavior), while landing on the
-// sparse representation when the universe warrants it.
+// edge count, same verdicts, same reduction behavior), with storage
+// proportional to the total edge size, not the universe.
 func TestIDGeneratorsMatchNamedFamilies(t *testing.T) {
 	chain := AcyclicChainIDs(1000, 3, 1)
 	named := AcyclicChain(1000, 3, 1)
@@ -57,8 +59,8 @@ func TestIDGeneratorsMatchNamedFamilies(t *testing.T) {
 	if !chain.IsConnected() {
 		t.Fatal("chain must be connected")
 	}
-	if !chain.EdgeView(0).IsSparse() {
-		t.Fatal("chain over a 1000+-node universe must use the sparse representation")
+	if b := retainedBytesPerMember(func() *hypergraph.Hypergraph { return AcyclicChainIDs(1000, 3, 1) }); b > 8 {
+		t.Fatalf("chain over a 1000+-node universe keeps %.1f bytes per member, want at most 8", b)
 	}
 
 	rng := rand.New(rand.NewSource(1))
@@ -80,7 +82,7 @@ func TestIDGeneratorsMatchNamedFamilies(t *testing.T) {
 		t.Fatalf("raw edges = %d", raw.NumEdges())
 	}
 	for i := 0; i < raw.NumEdges(); i++ {
-		if l := raw.EdgeView(i).Len(); l < 2 || l > 5 {
+		if l := len(raw.Members(i)); l < 2 || l > 5 {
 			t.Fatalf("raw edge %d arity %d out of range", i, l)
 		}
 	}
@@ -121,4 +123,22 @@ func TestRandomRawShape(t *testing.T) {
 			t.Fatal("arity must be capped at the node count")
 		}
 	}
+}
+
+// retainedBytesPerMember returns the live heap a hypergraph from build keeps
+// after two collections, per edge member.
+func retainedBytesPerMember(build func() *hypergraph.Hypergraph) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	h := build()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	members := 0
+	for i := range h.NumEdges() {
+		members += len(h.Members(i))
+	}
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(members)
 }

@@ -92,7 +92,7 @@ func (r *Result) Vanished() bool {
 	case 0:
 		return true
 	case 1:
-		return h.Edge(0).IsEmpty()
+		return len(h.Members(0)) == 0
 	default:
 		return false
 	}
@@ -264,15 +264,15 @@ func newState(h *hypergraph.Hypergraph, sacred bitset.Set) *state {
 	})
 	st.count = make([]int, maxID+1)
 	st.nodeEdges = make([][]int, maxID+1)
-	for i, e := range h.EdgeViews() {
-		// Dense materializes a fresh mutable copy whatever representation
-		// the edge landed on; the reduction state shrinks edges in place.
-		st.edges = append(st.edges, e.Dense())
+	// Edges builds fresh dense sets the reduction state owns and shrinks in
+	// place.
+	st.edges = h.Edges()
+	for i := range st.edges {
 		st.alive[i] = true
-		e.ForEach(func(id int) {
+		for _, id := range h.Members(i) {
 			st.count[id]++
 			st.nodeEdges[id] = append(st.nodeEdges[id], i)
-		})
+		}
 	}
 	return st
 }

@@ -23,22 +23,24 @@ import (
 //		Edge("C", "D", "E").
 //		Build()
 //
-// Name mode has one interner: every node name, from Edge, NamedEdge or
-// Text, is looked up in one map and given a provisional id on first sight,
-// and every edge is a run of provisional ids in one flat slice. Build sorts
-// the distinct names once, remaps the runs to ranks, and hands the map on
-// as the hypergraph's name index. Names are kept as given, so those read by
-// Text are substrings of the text.
+// Every edge, in either mode, is a run of ids in one flat slice. Name mode
+// has one interner: every node name, from Edge, NamedEdge or Text, is
+// looked up in one map and given a provisional id on first sight. Build
+// sorts the distinct names once, remaps the runs to ranks, and hands the
+// map on as the hypergraph's name index. Names are kept as given, so those
+// read by Text are substrings of the text. Either way, Build sorts and
+// deduplicates each run in a copy of the flat slice and compacts the runs,
+// and the copy becomes the hypergraph's member list.
 //
 // Builders are not safe for concurrent use; the built Hypergraph is.
 type Builder struct {
 	universe  int            // declared id universe; < 0 when undeclared
+	byID      bool           // id mode: a universe or an id edge was given
 	index     map[string]int // name mode: name -> provisional id; nil once Build hands it on
 	names     []string       // name mode: provisional id -> name, in order of first sight
-	flat      []int32        // name mode: every edge's provisional ids, edge after edge
-	ends      []int          // name mode: the end of each edge's run in flat
-	idEdges   [][]int32      // id-mode edge list
-	edgeNames []string       // optional per-edge names, aligned with edges
+	flat      []int32        // every edge's ids (provisional ones in name mode), edge after edge
+	ends      []int          // the end of each edge's run in flat
+	edgeNames []string       // name mode: per-edge names, aligned with edges
 	named     bool           // some edge carries a nonempty name
 	err       error          // first recorded error
 }
@@ -59,13 +61,13 @@ func (b *Builder) fail(err error) *Builder {
 // UniverseSize declares the id universe {0, ..., n-1} for EdgeIDs edges and
 // switches the builder to id mode.
 func (b *Builder) UniverseSize(n int) *Builder {
-	if len(b.ends) > 0 {
+	if !b.byID && len(b.ends) > 0 {
 		return b.fail(fmt.Errorf("hypergraph: Builder: cannot mix id universe with name edges"))
 	}
 	if n < 0 {
 		return b.fail(fmt.Errorf("hypergraph: Builder: negative universe size %d", n))
 	}
-	b.universe = n
+	b.universe, b.byID = n, true
 	return b
 }
 
@@ -77,7 +79,7 @@ func (b *Builder) Edge(nodes ...string) *Builder {
 // NamedEdge appends an edge given as node names, recording an optional edge
 // name ("" for unnamed) retrievable from EdgeNames after Build.
 func (b *Builder) NamedEdge(name string, nodes ...string) *Builder {
-	if b.idMode() {
+	if b.byID {
 		return b.fail(errMixNames)
 	}
 	for _, n := range nodes {
@@ -89,9 +91,6 @@ func (b *Builder) NamedEdge(name string, nodes ...string) *Builder {
 
 // errMixNames reports a name edge added to an id-mode builder.
 var errMixNames = fmt.Errorf("hypergraph: Builder: cannot mix name edges with id edges")
-
-// idMode reports whether the builder took an id edge or a universe.
-func (b *Builder) idMode() bool { return len(b.idEdges) > 0 || b.universe >= 0 }
 
 // intern appends name's provisional id to the current edge's run, giving
 // the name the next id on first sight.
@@ -129,14 +128,14 @@ func (b *Builder) endEdge(name string) {
 }
 
 // EdgeIDs appends an edge given as node ids over the declared universe and
-// switches the builder to id mode. Already-sorted slices are adopted without
-// copying (the FromIDs contract), so callers must not reuse them.
+// switches the builder to id mode. The ids are copied.
 func (b *Builder) EdgeIDs(ids ...int32) *Builder {
-	if len(b.ends) > 0 {
+	if !b.byID && len(b.ends) > 0 {
 		return b.fail(fmt.Errorf("hypergraph: Builder: cannot mix id edges with name edges"))
 	}
-	b.idEdges = append(b.idEdges, ids)
-	b.edgeNames = append(b.edgeNames, "")
+	b.byID = true
+	b.flat = append(b.flat, ids...)
+	b.ends = append(b.ends, len(b.flat))
 	return b
 }
 
@@ -202,7 +201,7 @@ func (b *Builder) textLine(raw string, lineNo int) bool {
 		return false
 	}
 	// Checked after the line's own errors, which are reported first.
-	if b.idMode() {
+	if b.byID {
 		b.flat = b.flat[:start]
 		b.fail(errMixNames)
 		return false
@@ -249,7 +248,7 @@ func (b *Builder) Build() (*Hypergraph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if b.idMode() {
+	if b.byID {
 		return b.buildIDs()
 	}
 	return b.buildNames(), nil
@@ -265,17 +264,15 @@ func (b *Builder) MustBuild() *Hypergraph {
 	return h
 }
 
-// buildNames sorts the distinct names once, remaps every edge's run from
-// provisional ids to ranks, and assembles adaptive edges; the streaming
-// fingerprint folds in as edges are laid down (finish128 seals it). The
-// interning map becomes the hypergraph's name index, its values rewritten
-// to ranks, so the builder rebuilds its own on reuse. Sparse edges adopt
-// their run of one shared rank slice.
+// buildNames sorts the distinct names once and lays every edge's run down
+// remapped from provisional ids to ranks. The interning map becomes the
+// hypergraph's name index, its values rewritten to ranks, so the builder
+// rebuilds its own on reuse.
 func (b *Builder) buildNames() *Hypergraph {
 	index := b.nameIndex()
 	b.index = nil
 	n := len(b.names)
-	names := make([]string, n)
+	names := make([]string, n) // never nil: a name-built hypergraph keeps name mode
 	copy(names, b.names)
 	slices.Sort(names)
 	rank := make([]int32, n)
@@ -283,70 +280,43 @@ func (b *Builder) buildNames() *Hypergraph {
 		rank[index[name]] = int32(i)
 		index[name] = i
 	}
-	h := &Hypergraph{
-		names:   names,
-		index:   index,
-		n:       n,
-		nodeSet: bitset.Full(n),
-		edges:   make([]Edge, len(b.ends)),
-	}
 	ids := make([]int32, len(b.flat))
 	for k, id := range b.flat {
 		ids[k] = rank[id]
 	}
-	fp := newFingerprintState(modeNames, len(b.ends))
-	start := 0
-	for e, end := range b.ends {
-		run := ids[start:end:end]
-		slices.Sort(run)
-		h.edges[e] = edgeFromSortedIDs(bitset.DedupSorted(run), n)
-		fp.writeEdge(h, h.edges[e])
-		start = end
-	}
-	h.finish128(fp)
-	return h
+	members, off := compactRuns(ids, b.ends)
+	return &Hypergraph{names: names, index: index, n: n, nodeSet: bitset.Full(n), members: members, memberOff: off}
 }
 
-// buildIDs assembles an id-universe hypergraph (synthetic "N<id>" names),
-// sorting and deduplicating unsorted inputs and adopting sorted ones.
+// buildIDs assembles an id-universe hypergraph (synthetic "N<id>" names)
+// from a copy of the runs.
 func (b *Builder) buildIDs() (*Hypergraph, error) {
 	n := b.universe
-	if n < 0 {
-		n = 0
-		for _, ids := range b.idEdges {
-			for _, id := range ids {
-				if int(id) >= n {
-					n = int(id) + 1
-				}
-			}
+	if n < 0 && len(b.flat) > 0 {
+		n = int(slices.Max(b.flat)) + 1
+	}
+	n = max(n, 0)
+	for _, id := range b.flat {
+		if id < 0 || int(id) >= n {
+			return nil, fmt.Errorf("hypergraph: Builder: id %d out of universe [0, %d)", id, n)
 		}
 	}
-	h := &Hypergraph{
-		n:       n,
-		nodeSet: bitset.Full(n),
+	members, off := compactRuns(slices.Clone(b.flat), b.ends)
+	return &Hypergraph{n: n, nodeSet: bitset.Full(n), members: members, memberOff: off}, nil
+}
+
+// compactRuns sorts and deduplicates in place each run of ids, the runs
+// ending at ends, and moves them together to the front: the member list
+// and offsets of the CSR layout.
+func compactRuns(ids []int32, ends []int) (members, off []int32) {
+	off = make([]int32, len(ends)+1)
+	k, start := 0, 0
+	for e, end := range ends {
+		run := ids[start:end]
+		slices.Sort(run)
+		k += copy(ids[k:], slices.Compact(run))
+		off[e+1] = int32(k)
+		start = end
 	}
-	fp := newFingerprintState(modeIDs, len(b.idEdges))
-	h.edges = make([]Edge, 0, len(b.idEdges))
-	for _, ids := range b.idEdges {
-		sorted := true
-		for i, id := range ids {
-			if id < 0 || int(id) >= n {
-				return nil, fmt.Errorf("hypergraph: Builder: id %d out of universe [0, %d)", id, n)
-			}
-			if i > 0 && ids[i-1] >= id {
-				sorted = false
-			}
-		}
-		if !sorted {
-			cp := make([]int32, len(ids))
-			copy(cp, ids)
-			slices.Sort(cp)
-			ids = bitset.DedupSorted(cp)
-		}
-		edge := edgeFromSortedIDs(ids, n)
-		fp.writeEdge(h, edge)
-		h.edges = append(h.edges, edge)
-	}
-	h.finish128(fp)
-	return h, nil
+	return ids[:k:k], off
 }

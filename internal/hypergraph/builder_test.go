@@ -210,11 +210,11 @@ func TestFingerprint128IsolatedNodes(t *testing.T) {
 // TestFromSortedNamesMatchesNew pins the adopting constructor against New:
 // given New's own name universe and each edge as sorted indices into it,
 // the result is the same hypergraph — node ids, names, edge order and
-// representation, Fingerprint and Fingerprint128.
+// members, Fingerprint and Fingerprint128.
 func TestFromSortedNamesMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
-		pool := 1 + rng.Intn(300) // large pools land edges on the sparse form
+		pool := 1 + rng.Intn(300)
 		edges := make([][]string, rng.Intn(12))
 		for j := range edges {
 			e := make([]string, 1+rng.Intn(5))
@@ -229,15 +229,18 @@ func TestFromSortedNamesMatchesNew(t *testing.T) {
 		for i, n := range names {
 			rank[n] = int32(i)
 		}
-		ids := make([][]int32, len(edges))
-		for j, e := range edges {
+		var members []int32
+		off := []int32{0}
+		for _, e := range edges {
+			start := len(members)
 			for _, n := range e {
-				ids[j] = append(ids[j], rank[n])
+				members = append(members, rank[n])
 			}
-			slices.Sort(ids[j])
-			ids[j] = slices.Compact(ids[j])
+			slices.Sort(members[start:])
+			members = append(members[:start], slices.Compact(members[start:])...)
+			off = append(off, int32(len(members)))
 		}
-		got := FromSortedNames(names, ids)
+		got := FromSortedNames(names, members, off)
 		if got.Fingerprint() != want.Fingerprint() {
 			t.Fatalf("trial %d: Fingerprint %q, want %q", trial, got.Fingerprint(), want.Fingerprint())
 		}
@@ -251,9 +254,8 @@ func TestFromSortedNamesMatchesNew(t *testing.T) {
 			t.Fatalf("trial %d: %d edges, want %d", trial, got.NumEdges(), want.NumEdges())
 		}
 		for i := 0; i < want.NumEdges(); i++ {
-			if g, w := got.EdgeView(i), want.EdgeView(i); g.IsSparse() != w.IsSparse() || !reflect.DeepEqual(got.EdgeNodes(i), want.EdgeNodes(i)) {
-				t.Fatalf("trial %d edge %d: %v (sparse %v), want %v (sparse %v)",
-					trial, i, got.EdgeNodes(i), g.IsSparse(), want.EdgeNodes(i), w.IsSparse())
+			if !slices.Equal(got.Members(i), want.Members(i)) || !reflect.DeepEqual(got.EdgeNodes(i), want.EdgeNodes(i)) {
+				t.Fatalf("trial %d edge %d: %v, want %v", trial, i, got.EdgeNodes(i), want.EdgeNodes(i))
 			}
 		}
 		for _, n := range names {
@@ -266,10 +268,13 @@ func TestFromSortedNamesMatchesNew(t *testing.T) {
 
 func TestFromSortedNamesRejectsDisorder(t *testing.T) {
 	for name, build := range map[string]func(){
-		"names out of order": func() { FromSortedNames([]string{"B", "A"}, nil) },
-		"duplicate name":     func() { FromSortedNames([]string{"A", "A"}, nil) },
-		"edge out of order":  func() { FromSortedNames([]string{"A", "B"}, [][]int32{{1, 0}}) },
-		"edge out of range":  func() { FromSortedNames([]string{"A", "B"}, [][]int32{{0, 2}}) },
+		"names out of order":   func() { FromSortedNames([]string{"B", "A"}, nil, []int32{0}) },
+		"duplicate name":       func() { FromSortedNames([]string{"A", "A"}, nil, []int32{0}) },
+		"edge out of order":    func() { FromSortedNames([]string{"A", "B"}, []int32{1, 0}, []int32{0, 2}) },
+		"edge out of range":    func() { FromSortedNames([]string{"A", "B"}, []int32{0, 2}, []int32{0, 2}) },
+		"no offsets":           func() { FromSortedNames([]string{"A"}, nil, nil) },
+		"offsets short":        func() { FromSortedNames([]string{"A", "B"}, []int32{0, 1}, []int32{0, 1}) },
+		"offsets out of order": func() { FromSortedNames([]string{"A", "B"}, []int32{0, 1}, []int32{0, 2, 1, 2}) },
 	} {
 		func() {
 			defer func() {

@@ -4,8 +4,6 @@ import (
 	"math/bits"
 	"strconv"
 	"strings"
-
-	"repro/internal/bitset"
 )
 
 // Fingerprint128 is the 128-bit streaming identity of a hypergraph: an
@@ -17,14 +15,13 @@ import (
 // adversarially crafted inputs, though, so a service memoizing verdicts
 // for untrusted schemas should not rely on the digest as a security
 // boundary (a keyed, collision-resistant identity is a ROADMAP item).
-// Unlike Fingerprint it is computed during
-// construction without materializing the O(total name length) canonical
-// string: constructors fold edges into the digest as they are laid down,
-// and FromIDs-built hypergraphs hash raw node ids instead of synthesizing
-// "N<k>" names. The two construction modes are domain-separated by a
-// leading mode byte, so a name-built and an id-built hypergraph never
-// collide by accident (the same content built both ways may already
-// fingerprint differently — see Fingerprint).
+// Unlike Fingerprint it streams over the member list without materializing
+// the O(total name length) canonical string, once per hypergraph on first
+// use, and FromIDs-built hypergraphs hash raw node ids instead of
+// synthesizing "N<k>" names. The two construction modes are
+// domain-separated by a leading mode byte, so a name-built and an id-built
+// hypergraph never collide by accident (the same content built both ways
+// may already fingerprint differently — see Fingerprint).
 type Fingerprint128 struct {
 	Hi, Lo uint64
 }
@@ -92,20 +89,9 @@ const (
 	modeEdgeUnit byte = 3 // standalone per-edge digest (EdgeDigestNames)
 )
 
-// fpState streams FNV-128a over the hypergraph encoding: a mode byte, the
-// edge count, then per edge a node-count prefix followed by length-prefixed
-// names (name mode) or varint ids (id mode), then the isolated-node section.
-// Every token is prefix-free and the counts delimit the sections, so the
-// digest input is injective in (mode, edge sequence, isolated nodes).
+// fpState streams FNV-128a over a token encoding (see encode).
 type fpState struct {
 	hi, lo uint64
-}
-
-func newFingerprintState(mode byte, numEdges int) *fpState {
-	s := &fpState{hi: fnvOffset128Hi, lo: fnvOffset128Lo}
-	s.writeByte(mode)
-	s.writeUvarint(uint64(numEdges))
-	return s
 }
 
 // writeByte folds one byte: XOR into the low word, then multiply the
@@ -132,52 +118,52 @@ func (s *fpState) writeString(x string) {
 	}
 }
 
-// writeEdge folds one edge into the digest under h's construction mode.
-func (s *fpState) writeEdge(h *Hypergraph, e Edge) {
-	s.writeUvarint(uint64(e.Len()))
+// tokenWriter is the sink of encode: the FNV state of Fingerprint128 and
+// the SipHash state of KeyedDigest.
+type tokenWriter interface {
+	writeByte(b byte)
+	writeUvarint(v uint64)
+	writeString(x string)
+}
+
+// encode writes h's injective encoding: a mode byte, the edge count, per
+// edge a node-count prefix followed by length-prefixed names (name mode) or
+// varint ids (id mode), then the isolated nodes' count and members in id
+// order. Every token is prefix-free and the counts delimit the sections,
+// so the encoding is injective in (mode, edge sequence, isolated nodes).
+func (h *Hypergraph) encode(w tokenWriter) {
+	node := func(id int) {
+		if h.names == nil {
+			w.writeUvarint(uint64(id))
+		} else {
+			w.writeString(h.names[id])
+		}
+	}
 	if h.names == nil {
-		e.ForEach(func(id int) { s.writeUvarint(uint64(id)) })
+		w.writeByte(modeIDs)
 	} else {
-		e.ForEach(func(id int) { s.writeString(h.names[id]) })
+		w.writeByte(modeNames)
 	}
+	w.writeUvarint(uint64(h.NumEdges()))
+	for i := range h.NumEdges() {
+		ids := h.Members(i)
+		w.writeUvarint(uint64(len(ids)))
+		for _, id := range ids {
+			node(int(id))
+		}
+	}
+	iso := h.isolated()
+	w.writeUvarint(uint64(iso.Len()))
+	iso.ForEach(node)
 }
 
-// seal folds the isolated-node section (count, then members in id order)
-// and returns the digest.
-func (s *fpState) seal(h *Hypergraph) Fingerprint128 {
-	covered := bitset.New(h.n)
-	for i := range h.edges {
-		h.edges[i].OrInto(&covered)
-	}
-	iso := h.nodeSet.AndNot(covered)
-	s.writeUvarint(uint64(iso.Len()))
-	if h.names == nil {
-		iso.ForEach(func(id int) { s.writeUvarint(uint64(id)) })
-	} else {
-		iso.ForEach(func(id int) { s.writeString(h.names[id]) })
-	}
-	return Fingerprint128{Hi: s.hi, Lo: s.lo}
-}
-
-// finish128 seals the streamed digest into the constructor's hypergraph.
-func (h *Hypergraph) finish128(s *fpState) {
-	h.fpOnce.Do(func() { h.fp128 = s.seal(h) })
-}
-
-// Fingerprint128 returns the cached streaming identity, computing it on
-// first use for hypergraphs built by derivation (Derive, Reduce, Clone)
-// rather than by a constructor. Safe for concurrent use.
+// Fingerprint128 returns the streaming identity, computed on first use and
+// cached on the hypergraph. Safe for concurrent use.
 func (h *Hypergraph) Fingerprint128() Fingerprint128 {
 	h.fpOnce.Do(func() {
-		mode := modeIDs
-		if h.names != nil {
-			mode = modeNames
-		}
-		s := newFingerprintState(mode, len(h.edges))
-		for i := range h.edges {
-			s.writeEdge(h, h.edges[i])
-		}
-		h.fp128 = s.seal(h)
+		s := &fpState{hi: fnvOffset128Hi, lo: fnvOffset128Lo}
+		h.encode(s)
+		h.fp128 = Fingerprint128{Hi: s.hi, Lo: s.lo}
 	})
 	return h.fp128
 }
@@ -196,32 +182,28 @@ func (h *Hypergraph) Fingerprint128() Fingerprint128 {
 // answer). CanonicalString is the edge-order-insensitive sibling.
 func (h *Hypergraph) Fingerprint() string {
 	var b strings.Builder
-	size := 0
-	for _, e := range h.edges {
-		size += 2 + 8*e.Len() // rough name-length guess to avoid regrowth
-	}
-	b.Grow(size)
+	b.Grow(2*h.NumEdges() + 8*len(h.members)) // rough name-length guess to avoid regrowth
 	// Iterating each edge by id yields a deterministic name order without
 	// per-edge sorting or allocation (sorted-name order for New-built
 	// hypergraphs, numeric id order for FromIDs). Every name is
 	// length-prefixed, so fingerprints stay collision-free no matter which
 	// bytes (braces, separators) the names themselves contain.
-	writeName := func(name string) {
+	writeName := func(id int) {
+		name := h.nameOf(id)
 		b.WriteString(strconv.Itoa(len(name)))
 		b.WriteByte(':')
 		b.WriteString(name)
 	}
-	covered := bitset.New(h.n)
-	for i := range h.edges {
-		h.edges[i].OrInto(&covered)
+	for i := range h.NumEdges() {
 		b.WriteByte('{')
-		h.edges[i].ForEach(func(id int) { writeName(h.nameOf(id)) })
+		for _, id := range h.Members(i) {
+			writeName(int(id))
+		}
 		b.WriteByte('}')
 	}
-	iso := h.nodeSet.AndNot(covered)
-	if !iso.IsEmpty() {
+	if iso := h.isolated(); !iso.IsEmpty() {
 		b.WriteString("|iso:")
-		iso.ForEach(func(id int) { writeName(h.nameOf(id)) })
+		iso.ForEach(writeName)
 	}
 	return b.String()
 }

@@ -7,13 +7,13 @@
 // paper builds on: reduction, connected components, node-generated sets of
 // edges, partial edges, node removal, and articulation sets.
 //
-// Nodes are interned to dense integer ids; edges are stored in the adaptive
-// Edge representation (dense bitset or sorted-id sparse, chosen per edge by
-// density), so total storage is proportional to total edge size even over
-// million-node universes. The public API accepts and returns node names
-// ([]string); the id-based forms (EdgeView, Universe, FromIDs, and the one
-// node–edge incidence index, Incidence) are exposed for the algorithm
-// packages layered on top.
+// Nodes are interned to dense integer ids, and the edges are stored as
+// the edge half of a CSR layout: one flat list of every edge's node ids,
+// each edge's run ascending, plus one offset per edge. Storage is
+// proportional to the total edge size even over million-node universes.
+// The public API accepts and returns node names ([]string); the id-based
+// forms (Members, Universe, FromIDs, and the one node–edge incidence index,
+// Incidence) are exposed for the algorithm packages layered on top.
 package hypergraph
 
 import (
@@ -34,11 +34,14 @@ type Hypergraph struct {
 	index   map[string]int // name -> node id; nil when names is nil
 	n       int            // universe size: node ids live in [0, n)
 	nodeSet bitset.Set     // the hypergraph's node set N (may include isolated nodes)
-	edges   []Edge         // edge id -> node set (adaptive representation)
 
-	// fp128 caches the streaming 128-bit identity (see Fingerprint128):
-	// constructors seal it while laying edges down; derived hypergraphs
-	// compute it on first use.
+	// Edge i's node ids are members[memberOff[i]:memberOff[i+1]], strictly
+	// ascending; memberOff has one entry more than there are edges.
+	members   []int32
+	memberOff []int32
+
+	// fp128 caches the streaming 128-bit identity, computed on first use
+	// (see Fingerprint128).
 	fpOnce sync.Once
 	fp128  Fingerprint128
 }
@@ -59,11 +62,17 @@ func New(edges [][]string) *Hypergraph {
 // with edges given as id lists, skipping name interning entirely — the
 // constructor of choice for large generated instances (10⁶ edges build in
 // O(total edge size)). Node id k is named "N<k>"; ids out of [0, n) panic.
-// Unsorted or duplicated ids within an edge are sorted and collapsed; sorted
-// id slices are adopted without copying, so callers must not reuse them.
-// It is a thin wrapper over Builder.
+// Unsorted or duplicated ids within an edge are sorted and collapsed. The
+// ids are copied, so callers keep their slices. It is a thin wrapper over
+// Builder.
 func FromIDs(n int, edges [][]int32) *Hypergraph {
 	b := NewBuilder().UniverseSize(n)
+	size := 0
+	for _, ids := range edges {
+		size += len(ids)
+	}
+	b.flat = make([]int32, 0, size)
+	b.ends = make([]int, 0, len(edges))
 	for _, ids := range edges {
 		b.EdgeIDs(ids...)
 	}
@@ -72,61 +81,60 @@ func FromIDs(n int, edges [][]int32) *Hypergraph {
 
 // FromSortedNames builds a hypergraph over an already interned, name-ordered
 // universe: names is the strictly ascending union of the edges' nodes, and
-// each edge is a strictly ascending list of indices into names. The result
-// is exactly what New returns for the same edges — node id k is names[k],
-// same edge order, same Fingerprint and Fingerprint128 — but nothing is
-// sorted, deduplicated or allocated per name, so a caller that already keeps
-// its node ids in name order (the dynamic workspace's snapshot) skips the
-// interning New pays. Both slices are adopted without copying, so callers
-// must not reuse them; names out of order and edge ids out of order or out
-// of [0, len(names)) panic.
-func FromSortedNames(names []string, edges [][]int32) *Hypergraph {
+// the edges are given in the hypergraph's own layout — edge i is
+// members[off[i]:off[i+1]], a strictly ascending run of indices into names,
+// and off has one entry more than there are edges, starting at 0 and
+// ending at len(members). The result is exactly what New returns for the
+// same edges — node id k is names[k], same edge order, same Fingerprint and
+// Fingerprint128 — but nothing is sorted, deduplicated or allocated per
+// name or edge, so a caller that already keeps its node ids in name order
+// (the dynamic workspace's snapshot) skips the interning New pays. All
+// three slices are adopted without copying, so callers must not reuse
+// them; names out of order, offsets out of order and edge ids out of order
+// or out of [0, len(names)) panic.
+func FromSortedNames(names []string, members, off []int32) *Hypergraph {
 	n := len(names)
-	h := &Hypergraph{
-		names:   names,
-		index:   make(map[string]int, n),
-		n:       n,
-		nodeSet: bitset.Full(n),
-		edges:   make([]Edge, len(edges)),
-	}
+	index := make(map[string]int, n)
 	for i, name := range names {
 		if i > 0 && names[i-1] >= name {
 			panic("hypergraph: FromSortedNames: names not strictly ascending at " + strconv.Itoa(i))
 		}
-		h.index[name] = i
+		index[name] = i
 	}
-	for i, ids := range edges {
-		for j, id := range ids {
-			if id < 0 || int(id) >= n || (j > 0 && ids[j-1] >= id) {
-				panic("hypergraph: FromSortedNames: edge " + strconv.Itoa(i) + " is not strictly ascending within the universe")
+	if len(off) == 0 || off[0] != 0 || int(off[len(off)-1]) != len(members) {
+		panic("hypergraph: FromSortedNames: offsets do not span the member list")
+	}
+	for e := 1; e < len(off); e++ {
+		if off[e-1] > off[e] {
+			panic("hypergraph: FromSortedNames: offsets not ascending at " + strconv.Itoa(e))
+		}
+		run := members[off[e-1]:off[e]]
+		for j, id := range run {
+			if id < 0 || int(id) >= n || (j > 0 && run[j-1] >= id) {
+				panic("hypergraph: FromSortedNames: edge " + strconv.Itoa(e-1) + " is not strictly ascending within the universe")
 			}
 		}
-		h.edges[i] = edgeFromSortedIDs(ids, n)
 	}
-	return h
+	return &Hypergraph{names: names, index: index, n: n, nodeSet: bitset.Full(n), members: members, memberOff: off}
 }
 
-// fromParts assembles a hypergraph that shares the universe of an existing
-// one. It is the internal constructor used by derivation methods.
-func fromParts(names []string, index map[string]int, n int, nodeSet bitset.Set, edges []Edge) *Hypergraph {
-	return &Hypergraph{names: names, index: index, n: n, nodeSet: nodeSet, edges: edges}
-}
-
-// derive is fromParts keeping h's universe.
-func (h *Hypergraph) derive(nodeSet bitset.Set, edges []Edge) *Hypergraph {
-	return fromParts(h.names, h.index, h.n, nodeSet, edges)
+// derive returns a hypergraph over h's universe with the given node set and
+// edges in the CSR layout.
+func (h *Hypergraph) derive(nodeSet bitset.Set, members, off []int32) *Hypergraph {
+	return &Hypergraph{names: h.names, index: h.index, n: h.n, nodeSet: nodeSet, members: members, memberOff: off}
 }
 
 // Derive returns a hypergraph over the same node universe as h with the given
 // node set and edges. Edges must only use ids valid in h. The inputs are
-// copied (into the adaptive representation), so the caller may keep mutating
-// its sets.
+// copied, so the caller may keep mutating its sets.
 func (h *Hypergraph) Derive(nodeSet bitset.Set, edges []bitset.Set) *Hypergraph {
-	es := make([]Edge, len(edges))
-	for i, e := range edges {
-		es[i] = edgeOfSet(e, h.n)
+	var members []int32
+	off := make([]int32, 1, len(edges)+1)
+	for _, e := range edges {
+		e.ForEach(func(id int) { members = append(members, int32(id)) })
+		off = append(off, int32(len(members)))
 	}
-	return h.derive(nodeSet.Clone(), es)
+	return h.derive(nodeSet.Clone(), members, off)
 }
 
 // Universe returns the size of the id universe: node ids live in [0,
@@ -139,7 +147,7 @@ func (h *Hypergraph) Universe() int { return h.n }
 func (h *Hypergraph) NumNodes() int { return h.nodeSet.Len() }
 
 // NumEdges returns |E|.
-func (h *Hypergraph) NumEdges() int { return len(h.edges) }
+func (h *Hypergraph) NumEdges() int { return len(h.memberOff) - 1 }
 
 // nameOf returns the name of a node id, synthesizing "N<id>" for
 // FromIDs-built hypergraphs.
@@ -228,51 +236,73 @@ func (h *Hypergraph) Set(names ...string) (bitset.Set, error) {
 	return s, nil
 }
 
-// EdgeView returns edge i in the adaptive representation — the zero-copy
-// accessor the algorithm packages use on hot paths.
-func (h *Hypergraph) EdgeView(i int) Edge { return h.edges[i] }
+// Members returns edge i's node ids in ascending order: the id accessor the
+// algorithm packages use on hot paths. The slice is shared and capped, and
+// must not be mutated.
+func (h *Hypergraph) Members(i int) []int32 {
+	return h.members[h.memberOff[i]:h.memberOff[i+1]:h.memberOff[i+1]]
+}
 
-// EdgeViews returns the edge list in the adaptive representation. The slice
-// is shared; Edge values are immutable.
-func (h *Hypergraph) EdgeViews() []Edge { return h.edges }
+// Edge returns edge i's node set as a freshly built dense bitset, which the
+// caller owns. It charges a word per 64 ids up to the edge's largest, so
+// large-instance code reads Members instead.
+func (h *Hypergraph) Edge(i int) bitset.Set {
+	ids := h.Members(i)
+	if len(ids) == 0 {
+		return bitset.Set{}
+	}
+	s := bitset.New(int(ids[len(ids)-1]) + 1)
+	for _, id := range ids {
+		s.Add(int(id))
+	}
+	return s
+}
 
-// Edge returns edge i's node set as a dense bitset. The returned set may
-// share storage; callers must not mutate it (clone first). For sparse edges
-// this materializes ⌈universe/64⌉ words — large-instance code should use
-// EdgeView instead.
-func (h *Hypergraph) Edge(i int) bitset.Set { return h.edges[i].Set() }
-
-// Edges returns the edge list as dense bitsets. The sets may share storage;
-// callers must not mutate them. Like Edge, this is the paper-scale
-// compatibility surface — EdgeViews is the scalable accessor.
+// Edges returns the edge list as freshly built dense bitsets (see Edge):
+// the paper-scale surface, which loops should call once, not per edge.
 func (h *Hypergraph) Edges() []bitset.Set {
-	out := make([]bitset.Set, len(h.edges))
-	for i := range h.edges {
-		out[i] = h.edges[i].Set()
+	out := make([]bitset.Set, h.NumEdges())
+	for i := range out {
+		out[i] = h.Edge(i)
 	}
 	return out
 }
 
 // EdgeNodes returns edge i as node names in id order.
 func (h *Hypergraph) EdgeNodes(i int) []string {
-	out := make([]string, 0, h.edges[i].Len())
-	h.edges[i].ForEach(func(id int) { out = append(out, h.nameOf(id)) })
+	ids := h.Members(i)
+	out := make([]string, len(ids))
+	for k, id := range ids {
+		out[k] = h.nameOf(int(id))
+	}
 	return out
 }
 
 // EdgeLists returns all edges as name lists, in edge order.
 func (h *Hypergraph) EdgeLists() [][]string {
-	out := make([][]string, len(h.edges))
-	for i := range h.edges {
+	out := make([][]string, h.NumEdges())
+	for i := range out {
 		out[i] = h.EdgeNodes(i)
 	}
 	return out
 }
 
+// countIn returns |edge i ∩ s|.
+func (h *Hypergraph) countIn(i int, s bitset.Set) int {
+	k := 0
+	for _, id := range h.Members(i) {
+		if s.Contains(int(id)) {
+			k++
+		}
+	}
+	return k
+}
+
 // FindEdge returns the index of the first edge equal to s, or -1.
 func (h *Hypergraph) FindEdge(s bitset.Set) int {
-	for i, e := range h.edges {
-		if e.EqualSet(s) {
+	size := s.Len()
+	for i := range h.NumEdges() {
+		if len(h.Members(i)) == size && h.countIn(i, s) == size {
 			return i
 		}
 	}
@@ -282,12 +312,7 @@ func (h *Hypergraph) FindEdge(s bitset.Set) int {
 // IsPartialEdge reports whether s is a subset of some edge of h.
 // The paper calls any subset of an edge a "partial edge".
 func (h *Hypergraph) IsPartialEdge(s bitset.Set) bool {
-	for _, e := range h.edges {
-		if e.ContainsSet(s) {
-			return true
-		}
-	}
-	return false
+	return h.EdgeContaining(s) >= 0
 }
 
 // Equal reports whether two hypergraphs have the same node names and the
@@ -331,11 +356,9 @@ func equalEdgeSets(a, b [][]string) bool {
 // edges sorted lexicographically, nodes sorted inside each edge, plus any
 // isolated nodes. Useful for test comparisons and map keys.
 func (h *Hypergraph) CanonicalString() string {
-	lists := make([]string, 0, len(h.edges))
+	lists := make([]string, 0, h.NumEdges())
 	seen := map[string]bool{}
-	covered := bitset.New(h.n)
-	for i := range h.edges {
-		h.edges[i].OrInto(&covered)
+	for i := range h.NumEdges() {
 		s := "{" + strings.Join(h.EdgeNodes(i), " ") + "}"
 		if !seen[s] {
 			seen[s] = true
@@ -343,8 +366,7 @@ func (h *Hypergraph) CanonicalString() string {
 		}
 	}
 	sort.Strings(lists)
-	iso := h.nodeSet.AndNot(covered)
-	if !iso.IsEmpty() {
+	if iso := h.isolated(); !iso.IsEmpty() {
 		lists = append(lists, "isolated:"+strings.Join(h.NodeNames(iso), " "))
 	}
 	return strings.Join(lists, " ")
@@ -352,18 +374,15 @@ func (h *Hypergraph) CanonicalString() string {
 
 // String renders edges in their stored order.
 func (h *Hypergraph) String() string {
-	parts := make([]string, len(h.edges))
-	for i := range h.edges {
+	parts := make([]string, h.NumEdges())
+	for i := range parts {
 		parts[i] = "{" + strings.Join(h.EdgeNodes(i), " ") + "}"
 	}
 	return strings.Join(parts, " ")
 }
 
-// Clone returns an independent copy of h: the node set and edge list are
-// copied, while the per-edge payloads are shared immutable views (Edge
-// values are never mutated, the same contract Edge and Edges rely on).
+// Clone returns an independent copy of h: the node set is copied, while
+// the member list and offsets are shared, being never mutated.
 func (h *Hypergraph) Clone() *Hypergraph {
-	es := make([]Edge, len(h.edges))
-	copy(es, h.edges)
-	return h.derive(h.nodeSet.Clone(), es)
+	return h.derive(h.nodeSet.Clone(), h.members, h.memberOff)
 }

@@ -5,9 +5,10 @@ package hypergraph
 // edges are one flat slice plus offsets, both ascending. It is the one
 // node→edge index of the repository — MCS, the spectrum testers and Reduce
 // read it, while GYO and the spectrum's certificate checkers stay
-// independent of it. An Incidence is an immutable value, like Edge: copies
-// share the layout, and the slices its accessors return are shared and
-// must not be mutated.
+// independent of it. The edge half is the hypergraph's own storage. An
+// Incidence is an immutable value, like the hypergraph: copies share the
+// layout, and the slices its accessors return are shared and must not be
+// mutated.
 type Incidence struct {
 	memberOff []int32 // edge e's members are members[memberOff[e]:memberOff[e+1]]
 	members   []int32
@@ -16,25 +17,14 @@ type Incidence struct {
 }
 
 // Incidence builds h's incidence index in O(universe + total edge size):
-// the members are laid down and counted, one prefix sum follows, and one
-// backward pass fills each node's edges in ascending order. It is built
-// on each call and not kept on h, so a memoized hypergraph pins no index.
+// the edge half is h's member list and offsets, adopted as they are, and
+// the node half is counted, prefix-summed, and filled by one backward pass
+// that leaves each node's edges in ascending order. It is built on each
+// call and not kept on h, so a memoized hypergraph pins no node half.
 func (h *Hypergraph) Incidence() Incidence {
-	m, n := len(h.edges), h.n
-	x := Incidence{memberOff: make([]int32, m+1), edgeOff: make([]int32, n+1)}
-	total := 0
-	for i := range h.edges {
-		total += h.edges[i].Len()
-		x.memberOff[i+1] = int32(total)
-	}
-	x.members = make([]int32, 0, total)
-	for i := range h.edges {
-		if e := &h.edges[i]; e.sparse {
-			x.members = append(x.members, e.s.IDs()...)
-		} else {
-			e.d.ForEach(func(id int) { x.members = append(x.members, int32(id)) })
-		}
-	}
+	m, n := h.NumEdges(), h.n
+	x := Incidence{memberOff: h.memberOff, members: h.members, edgeOff: make([]int32, n+1)}
+	total := len(x.members)
 	for _, v := range x.members {
 		x.edgeOff[v]++
 	}

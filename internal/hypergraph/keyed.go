@@ -27,9 +27,9 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// sipState streams SipHash-2-4 byte by byte: the same sink surface as
-// fpState (writeByte / writeUvarint / writeString), so the keyed digest
-// walks the identical injective encoding the FNV fingerprint seals.
+// sipState streams SipHash-2-4 byte by byte: a tokenWriter like fpState,
+// so the keyed digest walks the identical injective encoding (encode) the
+// FNV fingerprint folds.
 type sipState struct {
 	v0, v1, v2, v3 uint64
 	buf            uint64 // little-endian byte accumulator
@@ -116,29 +116,7 @@ func (s *sipState) sum() uint64 {
 // the caller's seed), so each call walks the whole encoding.
 func KeyedDigest(h *Hypergraph, seed uint64) uint64 {
 	s := newSipState(sipKeys(seed))
-	mode := modeIDs
-	if h.names != nil {
-		mode = modeNames
-	}
-	s.writeByte(mode)
-	s.writeUvarint(uint64(len(h.edges)))
-	for i := range h.edges {
-		e := h.edges[i]
-		s.writeUvarint(uint64(e.Len()))
-		if h.names == nil {
-			e.ForEach(func(id int) { s.writeUvarint(uint64(id)) })
-		} else {
-			e.ForEach(func(id int) { s.writeString(h.names[id]) })
-		}
-	}
-	covered := h.CoveredNodes()
-	iso := h.nodeSet.AndNot(covered)
-	s.writeUvarint(uint64(iso.Len()))
-	if h.names == nil {
-		iso.ForEach(func(id int) { s.writeUvarint(uint64(id)) })
-	} else {
-		iso.ForEach(func(id int) { s.writeString(h.names[id]) })
-	}
+	h.encode(s)
 	return s.sum()
 }
 

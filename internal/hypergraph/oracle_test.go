@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -71,25 +72,26 @@ func oracleBuildNames(edges [][]string) *Hypergraph {
 	for i, n := range names {
 		h.index[n] = i
 	}
-	fp := newFingerprintState(modeNames, len(edges))
+	h.memberOff = []int32{0}
 	for _, e := range edges {
 		ids := make([]int32, 0, len(e))
 		for _, n := range e {
 			ids = append(ids, int32(h.index[n]))
 		}
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		ids = bitset.DedupSorted(ids)
-		edge := edgeFromSortedIDs(ids, h.n)
-		fp.writeEdge(h, edge)
-		h.edges = append(h.edges, edge)
+		for i, id := range ids {
+			if i == 0 || ids[i-1] != id {
+				h.members = append(h.members, id)
+			}
+		}
+		h.memberOff = append(h.memberOff, int32(len(h.members)))
 	}
-	h.finish128(fp)
 	return h
 }
 
 // sameAsOracle fails t unless got and want are the same hypergraph: node
-// names in id order, each edge's nodes in edge order, the name index, both
-// fingerprints and the representation each edge landed on.
+// names in id order, each edge's nodes in edge order and its member ids,
+// the name index and both fingerprints.
 func sameAsOracle(t *testing.T, got, want *Hypergraph) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Nodes(), want.Nodes()) {
@@ -102,8 +104,8 @@ func sameAsOracle(t *testing.T, got, want *Hypergraph) {
 		if g, w := got.EdgeNodes(i), want.EdgeNodes(i); !reflect.DeepEqual(g, w) {
 			t.Fatalf("edge %d %q, oracle %q", i, g, w)
 		}
-		if got.EdgeView(i).IsSparse() != want.EdgeView(i).IsSparse() {
-			t.Fatalf("edge %d sparse=%v, oracle %v", i, got.EdgeView(i).IsSparse(), want.EdgeView(i).IsSparse())
+		if g, w := got.Members(i), want.Members(i); !slices.Equal(g, w) {
+			t.Fatalf("edge %d members %v, oracle %v", i, g, w)
 		}
 	}
 	if !reflect.DeepEqual(got.index, want.index) {
@@ -143,8 +145,8 @@ var parseOracleSeeds = []string{
 // FuzzParseMatchesOracle differences Parse against oracleParse: the same
 // hypergraph (see sameAsOracle) and edge names, or the same *ErrParse. Its
 // seeds are parseOracleSeeds and a schema of 1,500 edges over more than
-// 1,024 names, so its short edges go sparse and every 100th, with 60
-// nodes, stays dense.
+// 1,024 names, whose short edges are joined by a 60-node edge every 100th
+// line.
 func FuzzParseMatchesOracle(f *testing.F) {
 	for _, text := range parseOracleSeeds {
 		f.Add(text)

@@ -54,7 +54,7 @@ func MustParse(text string) *Hypergraph {
 // named edges.
 func (h *Hypergraph) Format() string {
 	var b strings.Builder
-	for i := range h.edges {
+	for i := range h.NumEdges() {
 		nodes := h.EdgeNodes(i)
 		guard := len(nodes) > 0 && strings.HasPrefix(nodes[0], "#")
 		for _, n := range nodes {
@@ -85,7 +85,7 @@ func (h *Hypergraph) DOT(name string) string {
 	for _, n := range nodes {
 		fmt.Fprintf(&b, "  %q [shape=ellipse];\n", n)
 	}
-	for i := range h.edges {
+	for i := range h.NumEdges() {
 		en := fmt.Sprintf("e%d", i)
 		fmt.Fprintf(&b, "  %q [shape=box,label=\"{%s}\"];\n", en, strings.Join(h.EdgeNodes(i), " "))
 		for _, n := range h.EdgeNodes(i) {

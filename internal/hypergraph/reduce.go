@@ -30,7 +30,7 @@ import "slices"
 // exists (a hypergraph whose only content is the empty edge keeps its first
 // copy).
 func (h *Hypergraph) reducePlan() (keep []bool, removed bool) {
-	m := len(h.edges)
+	m := h.NumEdges()
 	keep = make([]bool, m)
 	for i := range keep {
 		keep[i] = true
@@ -173,11 +173,13 @@ func (h *Hypergraph) Reduce() *Hypergraph {
 	if !removed {
 		return h.Clone()
 	}
-	var edges []Edge
+	var members []int32
+	off := []int32{0}
 	for i, k := range keep {
 		if k {
-			edges = append(edges, h.edges[i])
+			members = append(members, h.Members(i)...)
+			off = append(off, int32(len(members)))
 		}
 	}
-	return h.derive(h.nodeSet.Clone(), edges)
+	return h.derive(h.nodeSet.Clone(), members, off)
 }

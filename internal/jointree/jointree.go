@@ -124,7 +124,7 @@ func BuildMST(h *hypergraph.Hypergraph) (*JoinTree, bool) {
 	var cands []cand
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
-			w := h.EdgeView(i).IntersectCount(h.EdgeView(j))
+			w := intersectCount(h.Members(i), h.Members(j))
 			if w > 0 {
 				cands = append(cands, cand{w, i, j})
 			}
@@ -174,6 +174,23 @@ func BuildMST(h *hypergraph.Hypergraph) (*JoinTree, bool) {
 		return nil, false
 	}
 	return t, true
+}
+
+// intersectCount returns |a ∩ b| for ascending id lists by a linear merge.
+func intersectCount(a, b []int32) int {
+	n := 0
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			n++
+			a, b = a[1:], b[1:]
+		}
+	}
+	return n
 }
 
 // unionFind is a standard disjoint-set structure for Kruskal.
@@ -293,18 +310,22 @@ func (t *JoinTree) Verify() error {
 			continue
 		}
 		stamp++
-		t.H.EdgeView(p).ForEach(func(id int) { mark[id] = stamp })
+		for _, id := range t.H.Members(p) {
+			mark[id] = stamp
+		}
 		for _, c := range cs {
-			t.H.EdgeView(int(c)).ForEach(func(id int) {
+			for _, id := range t.H.Members(int(c)) {
 				if mark[id] != stamp {
 					comps[id]++
 				}
-			})
+			}
 		}
 	}
 	for i, p := range t.Parent {
 		if p == -1 {
-			t.H.EdgeView(i).ForEach(func(id int) { comps[id]++ })
+			for _, id := range t.H.Members(i) {
+				comps[id]++
+			}
 		}
 	}
 	for id := 0; id < n; id++ {

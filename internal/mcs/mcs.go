@@ -34,6 +34,7 @@ package mcs
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/hypergraph"
 )
@@ -88,10 +89,10 @@ func (c *Certificate) Validate(h *hypergraph.Hypergraph) error {
 	if len(c.Spread) < 2 {
 		return fmt.Errorf("mcs: certificate spread %v too small to witness a violation", c.Spread)
 	}
-	e := h.EdgeView(c.Edge)
+	e := h.Members(c.Edge)
 	hasWitness := false
 	for _, id := range c.Spread {
-		if !e.Contains(id) {
+		if _, ok := slices.BinarySearch(e, int32(id)); !ok {
 			return fmt.Errorf("mcs: spread node %d not in edge %d", id, c.Edge)
 		}
 		if id == c.Witness {
@@ -105,14 +106,7 @@ func (c *Certificate) Validate(h *hypergraph.Hypergraph) error {
 		if g < 0 || g >= h.NumEdges() || g == c.Edge {
 			return fmt.Errorf("mcs: certificate candidate %d invalid", g)
 		}
-		all := true
-		for _, id := range c.Spread {
-			if !h.EdgeView(g).Contains(id) {
-				all = false
-				break
-			}
-		}
-		if all {
+		if containsAll(h.Members(g), slices.Sorted(slices.Values(c.Spread))) {
 			return fmt.Errorf("mcs: candidate edge %d contains the whole spread", g)
 		}
 	}
@@ -177,10 +171,8 @@ func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 
 	// Per-node state is indexed by the hypergraph's id universe, and sizes,
 	// members and node -> edge incidences come from the hypergraph's one CSR
-	// index, so memory stays O(universe + Σ|e|) whatever representation each
-	// edge landed on.
+	// index, so memory stays O(universe + Σ|e|).
 	n := h.Universe()
-	edges := h.EdgeViews()
 	x := h.Incidence()
 
 	var (
@@ -252,7 +244,7 @@ func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 		case len(spread) == 1:
 			parent[e] = int(pivotOf[w])
 		default:
-			p := findParent(edges, e, spread, int(pivotOf[w]), x.Edges(w), selected)
+			p := findParent(&x, e, spread, int(pivotOf[w]), x.Edges(w), selected)
 			if p < 0 {
 				var cands []int
 				for _, g := range x.Edges(w) {
@@ -301,8 +293,8 @@ func RunCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) {
 // pivot edge of w (the edge that numbered the most recent spread vertex) is
 // tried first as the near-certain hit; the fallback scans the selected edges
 // incident to w, which is exhaustive because any containing edge holds w.
-func findParent(edges []hypergraph.Edge, e int, spread []int, wPivot int, incident []int32, selected []bool) int {
-	if containsAll(edges[wPivot], spread) {
+func findParent(x *hypergraph.Incidence, e int, spread []int, wPivot int, incident []int32, selected []bool) int {
+	if containsAll(x.Members(wPivot), spread) {
 		return wPivot
 	}
 	for _, g := range incident {
@@ -310,18 +302,37 @@ func findParent(edges []hypergraph.Edge, e int, spread []int, wPivot int, incide
 		if gi == e || gi == wPivot || !selected[gi] {
 			continue
 		}
-		if containsAll(edges[gi], spread) {
+		if containsAll(x.Members(gi), spread) {
 			return gi
 		}
 	}
 	return -1
 }
 
-func containsAll(eg hypergraph.Edge, spread []int) bool {
+// containsAll reports whether the ascending member list g holds every id of
+// the ascending spread. Each id is looked for past the previous one by
+// galloping to a window that must hold it and bisecting the window, so a
+// spread as dense as g costs a merge and a sparse one a binary search per
+// id.
+func containsAll(g []int32, spread []int) bool {
 	for _, id := range spread {
-		if !eg.Contains(id) {
+		v := int32(id)
+		lo, hi := 0, 1
+		for hi < len(g) && g[hi-1] < v {
+			lo, hi = hi, 2*hi
+		}
+		hi = min(hi, len(g))
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); g[mid] < v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == len(g) || g[lo] != v {
 			return false
 		}
+		g = g[lo+1:]
 	}
 	return true
 }

@@ -602,13 +602,7 @@ func (s *Server) queryBody(r *http.Request, a *dynamic.Analysis, op string) (any
 		if err != nil {
 			return nil, err
 		}
-		edges := make([][]string, h.NumEdges())
-		for i := range edges {
-			var names []string
-			h.EdgeView(i).ForEach(func(id int) { names = append(names, h.NodeName(id)) })
-			edges[i] = names
-		}
-		return map[string]any{"epoch": a.Epoch(), "edges": edges}, nil
+		return map[string]any{"epoch": a.Epoch(), "edges": h.EdgeLists()}, nil
 	}
 	return nil, &errBadRequest{err: fmt.Errorf("unknown op %q", op)}
 }

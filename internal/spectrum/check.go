@@ -28,13 +28,13 @@ func newCheckView(h *hypergraph.Hypergraph) *checkView {
 	}
 	for e := 0; e < h.NumEdges(); e++ {
 		set := make(map[int32]bool)
-		h.EdgeView(e).ForEach(func(id int) {
-			set[int32(id)] = true
-			if cv.incident[int32(id)] == nil {
-				cv.incident[int32(id)] = make(map[int32]bool)
+		for _, id := range h.Members(e) {
+			set[id] = true
+			if cv.incident[id] == nil {
+				cv.incident[id] = make(map[int32]bool)
 			}
-			cv.incident[int32(id)][int32(e)] = true
-		})
+			cv.incident[id][int32(e)] = true
+		}
 		cv.members[e] = set
 	}
 	return cv

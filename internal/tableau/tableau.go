@@ -36,6 +36,8 @@ import (
 type Tableau struct {
 	H      *hypergraph.Hypergraph
 	Sacred bitset.Set
+	// rows[r] is edge r of H: the columns of row r's special symbols.
+	rows []bitset.Set
 	// occ[c] is the number of rows whose edge contains node c.
 	occ map[int]int
 	// multi is the set of nodes whose special symbol occurs in >= 2 rows.
@@ -48,9 +50,10 @@ func New(h *hypergraph.Hypergraph, sacred bitset.Set) *Tableau {
 	t := &Tableau{
 		H:      h,
 		Sacred: sacred.And(h.NodeSet()),
+		rows:   h.Edges(),
 		occ:    map[int]int{},
 	}
-	for _, e := range h.Edges() {
+	for _, e := range t.rows {
 		e.ForEach(func(c int) { t.occ[c]++ })
 	}
 	for c, n := range t.occ {
@@ -91,10 +94,10 @@ func (t *Tableau) Validate(m RowMapping, domain []int) error {
 			return fmt.Errorf("tableau: row %d maps to non-target row %d", r, img)
 		}
 		// Condition (3): distinguished symbols are preserved.
-		sac := t.H.Edge(r).And(t.Sacred)
-		if !sac.IsSubset(t.H.Edge(img)) {
+		sac := t.rows[r].And(t.Sacred)
+		if !sac.IsSubset(t.rows[img]) {
 			return fmt.Errorf("tableau: row %d drops distinguished symbol(s) %v",
-				r, t.H.NodeNames(sac.AndNot(t.H.Edge(img))))
+				r, t.H.NodeNames(sac.AndNot(t.rows[img])))
 		}
 	}
 	// Condition (2) per multiply-occurring column, over domain rows.
@@ -105,7 +108,7 @@ func (t *Tableau) Validate(m RowMapping, domain []int) error {
 		}
 		var rows []int
 		for _, r := range domain {
-			if t.H.Edge(r).Contains(c) {
+			if t.rows[r].Contains(c) {
 				rows = append(rows, r)
 			}
 		}
@@ -117,7 +120,7 @@ func (t *Tableau) Validate(m RowMapping, domain []int) error {
 			if m[r] != m[rows[0]] {
 				allSame = false
 			}
-			if !t.H.Edge(m[r]).Contains(c) {
+			if !t.rows[m[r]].Contains(c) {
 				allContain = false
 			}
 		}
@@ -166,7 +169,7 @@ func (t *Tableau) findHom(domain, target []int, pinTarget bool) (RowMapping, boo
 	colRows := map[int][]int{}
 	t.multi.ForEach(func(c int) {
 		for _, r := range domain {
-			if t.H.Edge(r).Contains(c) {
+			if t.rows[r].Contains(c) {
 				colRows[c] = append(colRows[c], r)
 			}
 		}
@@ -175,9 +178,9 @@ func (t *Tableau) findHom(domain, target []int, pinTarget bool) (RowMapping, boo
 	// distinguished symbols (condition 3).
 	cands := make(map[int][]int, len(free))
 	for _, r := range free {
-		sac := t.H.Edge(r).And(t.Sacred)
+		sac := t.rows[r].And(t.Sacred)
 		for _, tgt := range target {
-			if sac.IsSubset(t.H.Edge(tgt)) {
+			if sac.IsSubset(t.rows[tgt]) {
 				cands[r] = append(cands[r], tgt)
 			}
 		}
@@ -244,9 +247,9 @@ func (s *homSearch) propagate(r, cand int) ([]int, bool) {
 		x := queue[0]
 		queue = queue[1:]
 		img := s.m[x]
-		imgEdge := t.H.Edge(img)
+		imgEdge := t.rows[img]
 		conflict := false
-		t.multi.And(t.H.Edge(x)).ForEach(func(c int) {
+		t.multi.And(t.rows[x]).ForEach(func(c int) {
 			if conflict {
 				return
 			}
@@ -259,7 +262,7 @@ func (s *homSearch) propagate(r, cand int) ([]int, bool) {
 				// maps to a c-less image different from img.
 				for _, rr := range rows {
 					o := s.m[rr]
-					if o >= 0 && o != img && !t.H.Edge(o).Contains(c) {
+					if o >= 0 && o != img && !t.rows[o].Contains(c) {
 						conflict = true
 						return
 					}
@@ -276,7 +279,7 @@ func (s *homSearch) propagate(r, cand int) ([]int, bool) {
 					return
 				default:
 					// Forced assignment; must respect condition (3).
-					if !t.H.Edge(rr).And(t.Sacred).IsSubset(imgEdge) {
+					if !t.rows[rr].And(t.Sacred).IsSubset(imgEdge) {
 						conflict = true
 						return
 					}
@@ -404,7 +407,7 @@ func (mn *Minimization) KeptNodes() bitset.Set {
 	t := mn.Tableau
 	count := map[int]int{}
 	for _, r := range mn.Rows {
-		t.H.Edge(r).ForEach(func(c int) { count[c]++ })
+		t.rows[r].ForEach(func(c int) { count[c]++ })
 	}
 	var kept bitset.Set
 	for c, n := range count {
@@ -424,7 +427,7 @@ func (mn *Minimization) Hypergraph() *hypergraph.Hypergraph {
 	kept := mn.KeptNodes()
 	edges := make([]bitset.Set, 0, len(mn.Rows))
 	for _, r := range mn.Rows {
-		edges = append(edges, t.H.Edge(r).And(kept))
+		edges = append(edges, t.rows[r].And(kept))
 	}
 	out := t.H.Derive(kept, edges)
 	if !out.IsReduced() {
@@ -469,7 +472,7 @@ func (mn *Minimization) String() string {
 	for _, r := range mn.Rows {
 		for i, c := range nodes {
 			s := ""
-			if t.H.Edge(r).Contains(c) && kept.Contains(c) {
+			if t.rows[r].Contains(c) && kept.Contains(c) {
 				s = strings.ToLower(name[i])
 			}
 			fmt.Fprintf(&b, "%-*s ", width[i], s)
@@ -515,7 +518,7 @@ func (t *Tableau) String() string {
 	for r := 0; r < t.NumRows(); r++ {
 		for i, c := range nodes {
 			s := ""
-			if t.H.Edge(r).Contains(c) {
+			if t.rows[r].Contains(c) {
 				s = strings.ToLower(name[i])
 			}
 			fmt.Fprintf(&b, "%-*s ", width[i], s)
